@@ -34,7 +34,6 @@ from .graphs import (
     to_dot,
 )
 from .payoff import (
-    PayoffMatrix,
     UtilityError,
     UtilitySpec,
     builtin_utilities,
@@ -97,7 +96,6 @@ __all__ = [
     "GraphError",
     "GraphFormatError",
     "MixedStrategy",
-    "PayoffMatrix",
     "SeekerPartition",
     "StructuralCheck",
     "UtilityError",

@@ -25,7 +25,7 @@ from .graphs import (
     is_two_connected,
     to_dot,
 )
-from .matrix_game import MixedStrategy, best_response_gap, strategy_payoff
+from .matrix_game import MixedStrategy, best_response_gap
 from .payoff import UtilitySpec, payoff_matrix
 from .rationals import format_rational
 
@@ -135,8 +135,6 @@ def _maximal_cp_topology(k: int) -> DesignTopology:
             middle_orphan=None,
             singleton_nodes=(),
         )
-    if k == 5:
-        pass  # one periphery pair plus three orphans still fits, handled below
     p = (k - 3) // 2
     q = p + 3
     edges = _cycle_edges(q)
@@ -539,7 +537,9 @@ def design_optimal(n: int, u: UtilitySpec) -> DesignResult:
     gap = best_response_gap(matrix, hider, seeker)
     if gap != (ZERO, ZERO):
         raise AssertionError(f"constructed strategies are not an equilibrium: {gap}")
-    achieved = strategy_payoff(matrix, hider, seeker)
+    # At a zero gap every row the hider plays earns the pair's payoff.
+    row = matrix[hider.support()[0]]
+    achieved = sum(q * v for q, v in zip(seeker, row))
     if achieved != predicted:
         raise AssertionError(
             f"equilibrium payoff {achieved} differs from predicted {predicted}"

@@ -433,13 +433,20 @@ def graph_from_json_dict(data: dict) -> Graph:
         edges = data["edges"]
     except (TypeError, KeyError) as exc:
         raise GraphFormatError("expected object with 'n' and 'edges'") from exc
-    if not isinstance(n, int):
+    # bool is an int subclass, and int() would truncate 1.7 to 1.
+    if type(n) is not int:
         raise GraphFormatError("'n' must be an integer")
+    if not isinstance(edges, (list, tuple)):
+        raise GraphFormatError("'edges' must be a list")
     pairs = []
     for e in edges:
-        if not (isinstance(e, (list, tuple)) and len(e) == 2):
+        if not (
+            isinstance(e, (list, tuple))
+            and len(e) == 2
+            and all(type(v) is int for v in e)
+        ):
             raise GraphFormatError(f"bad edge entry {e!r}")
-        pairs.append((int(e[0]), int(e[1])))
+        pairs.append(tuple(e))
     return Graph(n, pairs)
 
 

@@ -1,12 +1,12 @@
 """Exact solver for two-player zero-sum matrix games.
 
-The row player maximizes, the column player minimizes.  Values and optimal
-strategies are computed by the rational simplex on the standard normalized
-formulation: after shifting the matrix to be strictly positive, the column
-player's program  max sum(w), M w <= 1, w >= 0  and the row player's program
-min sum(u), M^T u >= 1, u >= 0  share the optimum 1/value.  Both programs are
-solved and their values asserted equal, which is an exact strong-duality
-certificate for every solve.
+The row player maximizes, the column player minimizes.  One LP per game: after
+shifting the matrix to be strictly positive, the rational simplex solves the
+column player's program  max sum(w), M w <= 1, w >= 0, whose optimum is one
+over the shifted game's value.  It starts from the slack basis, so it needs
+no phase 1, and the row player's strategy is read off its dual multipliers.  The strategies are
+certified by a zero best-response gap, computed from the matrix apart from
+the solver.
 
 Optimal strategies are generally not unique; callers should compare values
 and regrets, never strategy vectors.
@@ -101,9 +101,7 @@ class GameSolution:
 
 
 def _entries(matrix):
-    # Accept a PayoffMatrix or a plain nested sequence.
-    entries = getattr(matrix, "entries", matrix)
-    rows = [tuple(Fraction(v) for v in row) for row in entries]
+    rows = [tuple(Fraction(v) for v in row) for row in matrix]
     if not rows or not rows[0]:
         raise ValueError("matrix must be nonempty")
     width = len(rows[0])
@@ -111,61 +109,45 @@ def _entries(matrix):
         raise ValueError("matrix rows must have equal length")
     return rows
 
-def _positive_shift(rows):
+
+def _column_lp(rows):
+    """Solve the column player's program on the shifted matrix.
+
+    Returns (w, total, duals, shift): max sum(w) = total = 1/(value + shift).
+    """
     lo = min(min(r) for r in rows)
     shift = ONE - lo if lo < 1 else ZERO
-    return [[v + shift for v in row] for row in rows], shift
-
-
-def game_value(matrix) -> Fraction:
-    """Value of the game for the row player (no strategies computed).
-
-    Solves only the column player's slack-feasible program, which needs no
-    phase-1 work; this is the fast path used by the graph enumerator.
-    """
-    rows, shift = _positive_shift(_entries(matrix))
-    ncols = len(rows[0])
-    w, total = solve_lp(
-        c=[ONE] * ncols,
-        rows=rows,
+    shifted = [[v + shift for v in row] for row in rows]
+    w, total, duals = solve_lp(
+        c=[ONE] * len(rows[0]),
+        rows=shifted,
         senses=["<="] * len(rows),
         rhs=[ONE] * len(rows),
         maximize=True,
     )
+    return w, total, duals, shift
+
+
+def game_value(matrix) -> Fraction:
+    """Value of the game for the row player (no strategies computed)."""
+    w, total, duals, shift = _column_lp(_entries(matrix))
     return ONE / total - shift
 
 
 def solve_zero_sum(matrix) -> GameSolution:
     """Exact minimax value and one optimal strategy per player.
 
-    The two players' programs are solved independently and must agree
-    exactly; a mismatch would mean a solver bug, so it is asserted.
+    Both strategies come from one LP: the column player's from its primal
+    solution, the row player's from its duals.  A nonzero best-response gap
+    would mean a solver bug, so it is asserted.
     """
-    rows, shift = _positive_shift(_entries(matrix))
-    nrows, ncols = len(rows), len(rows[0])
-
-    w, col_total = solve_lp(
-        c=[ONE] * ncols,
-        rows=rows,
-        senses=["<="] * nrows,
-        rhs=[ONE] * nrows,
-        maximize=True,
-    )
-    transposed = [[rows[r][k] for r in range(nrows)] for k in range(ncols)]
-    u, row_total = solve_lp(
-        c=[ONE] * nrows,
-        rows=transposed,
-        senses=[">="] * ncols,
-        rhs=[ONE] * ncols,
-        maximize=False,
-    )
-    if col_total != row_total:
-        raise AssertionError("LP duality gap is nonzero; solver bug")
-    shifted_value = ONE / col_total
-    value = shifted_value - shift
-    row_strategy = MixedStrategy([ui * shifted_value for ui in u])
-    col_strategy = MixedStrategy([wk * shifted_value for wk in w])
-    return GameSolution(value, row_strategy, col_strategy)
+    rows = _entries(matrix)
+    w, total, duals, shift = _column_lp(rows)
+    row_strategy = MixedStrategy([y / total for y in duals])
+    col_strategy = MixedStrategy([wk / total for wk in w])
+    if best_response_gap(rows, row_strategy, col_strategy) != (ZERO, ZERO):
+        raise AssertionError("solver strategies are not an equilibrium; solver bug")
+    return GameSolution(ONE / total - shift, row_strategy, col_strategy)
 
 
 def strategy_payoff(matrix, row: MixedStrategy, col: MixedStrategy) -> Fraction:
@@ -184,17 +166,16 @@ def best_response_gap(matrix, row: MixedStrategy, col: MixedStrategy):
     """(row regret, column regret): gain available to each player by the best
     pure deviation.  Both are zero exactly when (row, col) is an equilibrium."""
     rows = _entries(matrix)
-    nrows, ncols = len(rows), len(rows[0])
-    if len(row) != nrows or len(col) != ncols:
+    if len(row) != len(rows) or len(col) != len(rows[0]):
         raise ValueError("strategy dimensions do not match the matrix")
-    current = strategy_payoff(rows, row, col)
-    best_row = max(
-        sum(rows[h][k] * col[k] for k in range(ncols)) for h in range(nrows)
-    )
-    best_col = min(
-        sum(rows[h][k] * row[h] for h in range(nrows)) for k in range(ncols)
-    )
-    return best_row - current, current - best_col
+    col_support = [(k, q) for k, q in enumerate(col) if q]
+    row_payoffs = [sum(r[k] * q for k, q in col_support) for r in rows]  # M.col
+    col_payoffs = [ZERO] * len(col)  # row.M
+    for p, r in zip(row, rows):
+        if p:
+            col_payoffs = [t + p * v for t, v in zip(col_payoffs, r)]
+    current = sum(p * v for p, v in zip(row, row_payoffs))
+    return max(row_payoffs) - current, current - min(col_payoffs)
 
 
 def max_optimal_mass(matrix, value: Fraction, index: int) -> Fraction:
@@ -217,5 +198,4 @@ def max_optimal_mass(matrix, value: Fraction, index: int) -> Fraction:
         rhs.append(Fraction(value))
     c = [ZERO] * nrows
     c[index] = ONE
-    x, best = solve_lp(c, cons_rows, senses, rhs, maximize=True)
-    return best
+    return solve_lp(c, cons_rows, senses, rhs, maximize=True)[1]

@@ -43,7 +43,7 @@ from .graphs import (
     is_two_connected,
 )
 from .matrix_game import game_value, max_optimal_mass, solve_zero_sum
-from .payoff import UtilitySpec, capture_set, residual_component_sizes
+from .payoff import UtilitySpec, payoff_matrix
 from .rationals import format_rational
 
 ENUMERATION_LIMIT = 8
@@ -85,18 +85,7 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
 
 def hider_value(g: Graph, u: UtilitySpec) -> Fraction:
     """Exact game value of one graph (hider's payoff)."""
-    return game_value(_matrix_rows(g, u))
-
-
-def _matrix_rows(g: Graph, u: UtilitySpec):
-    n = g.node_count
-    caps = [capture_set(g, k) for k in range(n)]
-    sizes = [residual_component_sizes(g, k) for k in range(n)]
-    caught = -u.beta
-    return [
-        [caught if caps[k] >> h & 1 else u.value(sizes[k][h]) for k in range(n)]
-        for h in range(n)
-    ]
+    return game_value(payoff_matrix(g, u))
 
 
 def _values_chunk(args):
@@ -105,11 +94,16 @@ def _values_chunk(args):
 
 
 def _worker_count() -> int:
+    """Worker processes for a sweep: HSNET_THREADS (default 1), capped at the
+    CPU count."""
     raw = os.environ.get("HSNET_THREADS", "1")
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise EnumerationError(f"HSNET_THREADS must be an integer >= 1, got {raw!r}")
+    return min(count, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -277,12 +271,12 @@ def check_structure(report: EnumerationReport, checks=None) -> list[StructuralCh
             if not ok:
                 cyc_fail.append(g)
             else:
-                sol = solve_zero_sum(_matrix_rows(g, u))
+                rows = payoff_matrix(g, u)
+                sol = solve_zero_sum(rows)
                 busy = [v for v in range(g.node_count) if g.degree(v) > 2]
                 if any(sol.row_strategy[v] != 0 for v in busy):
                     support_fail.append(g)
                 elif n <= FULL_SUPPORT_CHECK_LIMIT:
-                    rows = _matrix_rows(g, u)
                     for v in busy:
                         if max_optimal_mass(rows, sol.value, v) != 0:
                             support_fail.append(g)

@@ -218,41 +218,20 @@ def hider_payoff(g: Graph, u: UtilitySpec, h: int, k: int) -> Fraction:
     return u.value(residual_component_sizes(g, k)[h])
 
 
-@dataclass(frozen=True)
-class PayoffMatrix:
-    """Hider payoffs; rows are hider positions, columns inspected nodes."""
-
-    entries: tuple
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def row(self, h: int) -> tuple:
-        return self.entries[h]
-
-
-def payoff_matrix(g: Graph, u: UtilitySpec) -> PayoffMatrix:
-    """Full hider-payoff matrix for a graph with at least one node."""
+def payoff_matrix(g: Graph, u: UtilitySpec) -> tuple:
+    """Hider-payoff matrix of a graph with at least one node, as a tuple of
+    rows of Fractions: row h is the hider's position, column k the node the
+    seeker inspects."""
     n = g.node_count
     if n < 1:
         raise GraphError("payoff matrix needs at least one node")
-    cols = []
-    for k in range(n):
-        caught = capture_set(g, k)
-        sizes = residual_component_sizes(g, k)
-        cols.append(
-            [
-                -u.beta if caught >> h & 1 else u.value(sizes[h])
-                for h in range(n)
-            ]
-        )
-    entries = tuple(tuple(cols[k][h] for k in range(n)) for h in range(n))
-    return PayoffMatrix(entries)
+    caps = [capture_set(g, k) for k in range(n)]
+    sizes = [residual_component_sizes(g, k) for k in range(n)]
+    caught = -u.beta
+    return tuple(
+        tuple(caught if caps[k] >> h & 1 else u.value(sizes[k][h]) for k in range(n))
+        for h in range(n)
+    )
 
 
 def capture_probability(g: Graph, hider, seeker, within=None) -> Fraction:

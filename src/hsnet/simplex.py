@@ -1,9 +1,10 @@
 """Exact two-phase primal simplex over rationals with Bland's rule.
 
 Solves   min / max  c . x   subject to  A x (<=|==|>=) b,  x >= 0,
-entirely in Fraction arithmetic.  Bland's smallest-index pivoting rule makes
-cycling impossible, so termination needs no epsilon tuning; the price is a
-few extra pivots, irrelevant at the matrix sizes this package works with.
+entirely in Fraction arithmetic, and returns the dual multipliers with the
+primal optimum.  Bland's smallest-index pivoting rule makes cycling
+impossible, so termination needs no epsilon tuning; the price is a few extra
+pivots, irrelevant at the matrix sizes this package works with.
 """
 
 from __future__ import annotations
@@ -23,10 +24,14 @@ class UnboundedError(ArithmeticError):
 
 
 def solve_lp(c, rows, senses, rhs, maximize=False):
-    """Solve the LP and return (x, objective_value) as exact rationals.
+    """Solve the LP and return (x, objective_value, duals) as exact rationals.
 
     c: objective coefficients (length nvars)
     rows/senses/rhs: constraints, senses drawn from '<=', '==', '>='
+    duals: one multiplier y_i per constraint, read from the final reduced
+    costs.  They are dual-feasible (A^T y <= c with y_i <= 0 on '<=' rows and
+    y_i >= 0 on '>=' rows when minimizing; A^T y >= c with the signs swapped
+    when maximizing) and b . y equals the objective value.
     Raises InfeasibleError or UnboundedError accordingly.
     """
     nvars = len(c)
@@ -38,7 +43,7 @@ def solve_lp(c, rows, senses, rhs, maximize=False):
         c = [-v for v in c]
 
     # Normalize to b >= 0 so the artificial/slack start is feasible.
-    norm_rows, norm_senses, norm_rhs = [], [], []
+    norm_rows, norm_senses, norm_rhs, flipped = [], [], [], []
     flip = {"<=": ">=", ">=": "<=", "==": "=="}
     for row, sense, b in zip(rows, senses, rhs):
         row = [Fraction(v) for v in row]
@@ -47,6 +52,7 @@ def solve_lp(c, rows, senses, rhs, maximize=False):
             raise ValueError("constraint row length mismatch")
         if sense not in flip:
             raise ValueError(f"unknown sense {sense!r}")
+        flipped.append(b < 0)
         if b < 0:
             row = [-v for v in row]
             b = -b
@@ -55,7 +61,8 @@ def solve_lp(c, rows, senses, rhs, maximize=False):
         norm_senses.append(sense)
         norm_rhs.append(b)
 
-    # Column layout: structural | slack/surplus | artificial.
+    # Column layout: structural | slack/surplus | artificial.  Every row has a
+    # unit column, +1 (slack or artificial), whose reduced cost gives its dual.
     slack_of = {}
     art_of = {}
     ncols = nvars
@@ -63,10 +70,12 @@ def solve_lp(c, rows, senses, rhs, maximize=False):
         if sense in ("<=", ">="):
             slack_of[i] = ncols
             ncols += 1
+    nreal = ncols
     for i, sense in enumerate(norm_senses):
         if sense in (">=", "=="):
             art_of[i] = ncols
             ncols += 1
+    unit_of = {**slack_of, **art_of}
 
     tableau = []
     basis = []
@@ -84,89 +93,64 @@ def solve_lp(c, rows, senses, rhs, maximize=False):
             basis.append(art_of[i])
         tableau.append(t)
 
-    artificial = set(art_of.values())
-
-    def pivot(prow, pcol):
-        piv = tableau[prow][pcol]
-        inv = ONE / piv
-        tableau[prow] = [v * inv for v in tableau[prow]]
-        prow_vals = tableau[prow]
-        for r in range(m):
-            if r == prow:
-                continue
-            factor = tableau[r][pcol]
-            if factor:
-                tableau[r] = [
-                    v - factor * pv for v, pv in zip(tableau[r], prow_vals)
-                ]
+    def pivot(prow, pcol, zrow):
+        inv = ONE / tableau[prow][pcol]
+        prow_vals = tableau[prow] = [v * inv for v in tableau[prow]]
+        for r, row in enumerate(tableau):
+            factor = row[pcol]
+            if factor and r != prow:
+                tableau[r] = [v - factor * pv for v, pv in zip(row, prow_vals)]
+        factor = zrow[pcol]
+        if factor:
+            zrow[:] = [v - factor * pv for v, pv in zip(zrow, prow_vals)]
         basis[prow] = pcol
 
     def run(cost, allowed):
-        # cost: full-length objective row (cost[j] for column j).  Returns the
-        # optimal objective value for min cost.x over the current tableau.
+        # Minimize cost . x over the current basis, entering only columns
+        # below ``allowed``.  Returns the final reduced-cost row, whose last
+        # entry is minus the objective value.
+        zrow = list(cost) + [ZERO]
+        for r, bv in enumerate(basis):
+            cb = cost[bv]
+            if cb:
+                zrow = [z - cb * v for z, v in zip(zrow, tableau[r])]
         while True:
-            # Reduced costs relative to the current basis.
-            zrow = list(cost)
-            for r, bv in enumerate(basis):
-                cb = cost[bv]
-                if cb:
-                    row = tableau[r]
-                    for j in range(ncols):
-                        if row[j]:
-                            zrow[j] -= cb * row[j]
-            enter = -1
-            for j in range(ncols):
-                if j in allowed and zrow[j] < 0:
-                    enter = j
-                    break
+            enter = next((j for j in range(allowed) if zrow[j] < 0), -1)
             if enter < 0:
-                obj = ZERO
-                for r, bv in enumerate(basis):
-                    obj += cost[bv] * tableau[r][-1]
-                return obj
+                return zrow
             leave = -1
             best = None
             for r in range(m):
                 a = tableau[r][enter]
                 if a > 0:
-                    ratio = tableau[r][-1] / a
-                    key = (ratio, basis[r])
+                    key = (tableau[r][-1] / a, basis[r])
                     if best is None or key < best:
                         best = key
                         leave = r
             if leave < 0:
                 raise UnboundedError("objective unbounded")
-            pivot(leave, enter)
+            pivot(leave, enter, zrow)
 
-    if artificial:
-        phase1_cost = [ZERO] * ncols
-        for j in artificial:
-            phase1_cost[j] = ONE
-        allowed = set(range(ncols))
-        infeas = run(phase1_cost, allowed)
-        if infeas != 0:
+    if art_of:
+        zrow = run([ZERO] * nreal + [ONE] * (ncols - nreal), ncols)
+        if zrow[-1] != 0:
             raise InfeasibleError("no feasible point")
         # Drive leftover artificials out of the basis where possible.
         for r in range(m):
-            if basis[r] in artificial:
-                pcol = next(
-                    (
-                        j
-                        for j in range(ncols)
-                        if j not in artificial and tableau[r][j] != 0
-                    ),
-                    None,
-                )
+            if basis[r] >= nreal:
+                pcol = next((j for j in range(nreal) if tableau[r][j] != 0), None)
                 if pcol is not None:
-                    pivot(r, pcol)
-        allowed = set(j for j in range(ncols) if j not in artificial)
-    else:
-        allowed = set(range(ncols))
+                    pivot(r, pcol, zrow)
 
-    phase2_cost = c + [ZERO] * (ncols - nvars)
-    obj = run(phase2_cost, allowed)
+    zrow = run(c + [ZERO] * (ncols - nvars), nreal)
     x = [ZERO] * nvars
     for r, bv in enumerate(basis):
         if bv < nvars:
             x[bv] = tableau[r][-1]
-    return x, (-obj if maximize else obj)
+    # Row i's unit column costs 0, so its reduced cost is minus the dual of
+    # the minimized program; maximizing and flipping a row each negate it.
+    duals = []
+    for i in range(m):
+        y = zrow[unit_of[i]] if maximize else -zrow[unit_of[i]]
+        duals.append(-y if flipped[i] else y)
+    return x, (zrow[-1] if maximize else -zrow[-1]), duals

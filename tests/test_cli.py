@@ -66,6 +66,13 @@ def test_solve_json_graph_input(tmp_path):
     assert json.loads(out.read_text())["value"] == "0/1"
 
 
+def test_solve_json_graph_non_integer_edge(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"n": 3, "edges": [[0, 1.7]]}))
+    assert run(["solve", "--graph", str(g)]) == 2
+    assert "bad edge entry" in capsys.readouterr().err
+
+
 def test_design_report(tmp_path):
     out = tmp_path / "design.json"
     dot = tmp_path / "design.dot"
@@ -159,6 +166,12 @@ def test_verify_reports_boundary_tie(tmp_path):
 
 def test_verify_rejects_tiny_boards(tmp_path):
     assert run(["verify", "--n-max", "3"]) == 2
+
+
+def test_verify_rejects_bad_thread_count(monkeypatch, capsys):
+    monkeypatch.setenv("HSNET_THREADS", "many")
+    assert run(["verify", "--n-max", "4"]) == 2
+    assert "HSNET_THREADS" in capsys.readouterr().err
 
 
 def test_enumerate(tmp_path):

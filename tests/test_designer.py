@@ -162,7 +162,7 @@ def test_seeker_strategy_secures_bound_on_every_small_graph():
                 sigma = dz.seeker_strategy(g, u)
                 mat = payoff_matrix(g, u)
                 worst = max(
-                    sum(mat.entries[h][k] * sigma[k] for k in range(n))
+                    sum(mat[h][k] * sigma[k] for k in range(n))
                     for h in range(n)
                 )
                 if s < n:

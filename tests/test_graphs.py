@@ -287,6 +287,19 @@ def test_text_format_roundtrip_and_errors():
         parse_graph_text("")
 
 
+def test_json_graph_rejects_non_integer_fields():
+    for data in (
+        {"n": 3, "edges": [[0, 1.7]]},
+        {"n": 3, "edges": [[0, True]]},
+        {"n": 3, "edges": [["0", 1]]},
+        {"n": True, "edges": []},
+        {"n": 3.0, "edges": []},
+        {"n": 3, "edges": 5},
+    ):
+        with pytest.raises(GraphFormatError):
+            graph_from_json_dict(data)
+
+
 def test_json_and_dot():
     g = Graph(3, [(0, 2)])
     assert graph_from_json_dict(graph_to_json_dict(g)) == g

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import hsnet.matrix_game
 from hsnet.graphs import Graph
 from hsnet.matrix_game import (
     MixedStrategy,
@@ -15,7 +16,7 @@ from hsnet.matrix_game import (
     solve_zero_sum,
     strategy_payoff,
 )
-from hsnet.payoff import payoff_matrix
+from hsnet.payoff import UtilitySpec, payoff_matrix
 from hsnet.designer import build_cycle
 
 from conftest import identity_u, square_u
@@ -84,7 +85,12 @@ def test_duality_certificate_on_random_graphs():
         n = rng.randint(1, 6)
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]
         g = Graph(n, edges)
-        for u in (identity_u(rng.randint(0, 3)), square_u(F(1, 2))):
+        # power 3/2 is float-backed: entries with ~2^52 denominators
+        for u in (
+            identity_u(rng.randint(0, 3)),
+            square_u(F(1, 2)),
+            UtilitySpec.power(F(3, 2), rng.randint(0, 3)),
+        ):
             m = payoff_matrix(g, u)
             sol = solve_zero_sum(m)
             assert best_response_gap(m, sol.row_strategy, sol.col_strategy) == (0, 0)
@@ -113,6 +119,21 @@ def test_zero_gap_certificate_sampled_larger_graphs():
             m = payoff_matrix(g, square_u(F(1, 2)))
             sol = solve_zero_sum(m)
             assert best_response_gap(m, sol.row_strategy, sol.col_strategy) == (0, 0)
+
+
+def test_one_lp_per_game(monkeypatch):
+    calls = []
+    solve_lp = hsnet.matrix_game.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(hsnet.matrix_game, "solve_lp", counting)
+    for m in (PENNIES, [[F(-2)]], payoff_matrix(build_cycle(5), square_u(1))):
+        calls.clear()
+        solve_zero_sum(m)
+        assert len(calls) == 1
 
 
 def test_max_optimal_mass():

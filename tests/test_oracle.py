@@ -11,6 +11,7 @@ import pytest
 from hsnet.graphs import canonical_form, components, Graph
 from hsnet.oracle import (
     EnumerationError,
+    _worker_count,
     enumerate_graphs,
     exhaustive_optimum,
     hider_value,
@@ -124,6 +125,20 @@ def test_hider_value_parallel_workers_match():
         os.environ.pop("HSNET_THREADS")
     assert serial.best_value == parallel.best_value
     assert serial.argmax_keys == parallel.argmax_keys
+
+
+def test_worker_count_validated_and_capped(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delenv("HSNET_THREADS", raising=False)
+    assert _worker_count() == 1
+    monkeypatch.setenv("HSNET_THREADS", "12346")
+    assert _worker_count() == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _worker_count() == 1
+    for raw in ("0", "-3", "2.5", "four", ""):
+        monkeypatch.setenv("HSNET_THREADS", raw)
+        with pytest.raises(EnumerationError):
+            _worker_count()
 
 
 def test_interior_singleton_design_matches_bruteforce():

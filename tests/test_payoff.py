@@ -72,13 +72,13 @@ def test_hider_payoff_examples():
 
 def test_payoff_matrix_single_node():
     m = payoff_matrix(Graph(1), identity_u(2))
-    assert m.entries == ((F(-2),),)
+    assert m == ((F(-2),),)
 
 
 def test_payoff_matrix_c4():
     m = payoff_matrix(build_cycle(4), identity_u(1))
     for h in range(4):
-        row = m.row(h)
+        row = m[h]
         assert sorted(row) == [-1, -1, -1, 3]
 
 
@@ -88,7 +88,7 @@ def test_payoff_matrix_maximal_cp8():
     # periphery node i sits at 4+i attached to core i
     for i in range(4):
         p = 4 + i
-        row = m.row(p)
+        row = m[p]
         assert row[p] == -2 and row[i] == -2
         for c in range(4):
             if c != i:
@@ -107,7 +107,7 @@ def test_matrix_entry_range_random():
         u = identity_u(F(rng.randint(0, 6), rng.randint(1, 3)))
         m = payoff_matrix(g, u)
         allowed = {-u.beta} | {u.value(c) for c in range(1, n)}
-        for row in m.entries:
+        for row in m:
             for v in row:
                 assert v in allowed
 
@@ -125,8 +125,8 @@ def test_adding_edges_grows_capture_set():
         u = identity_u(1)
         m1 = payoff_matrix(g, u)
         m2 = payoff_matrix(g2, u)
-        before = {(h, k) for h in range(n) for k in range(n) if m1.entries[h][k] == -1}
-        after = {(h, k) for h in range(n) for k in range(n) if m2.entries[h][k] == -1}
+        before = {(h, k) for h in range(n) for k in range(n) if m1[h][k] == -1}
+        after = {(h, k) for h in range(n) for k in range(n) if m2[h][k] == -1}
         assert before <= after
 
 
@@ -137,8 +137,8 @@ def test_two_connected_noncapture_entries():
         m = payoff_matrix(g, u)
         for h in range(n):
             for k in range(n):
-                if m.entries[h][k] != -1:
-                    assert m.entries[h][k] == u.value(n - 1)
+                if m[h][k] != -1:
+                    assert m[h][k] == u.value(n - 1)
 
 
 def test_capture_probability_conditioning():

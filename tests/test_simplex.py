@@ -1,10 +1,30 @@
-"""The exact LP core: feasibility, boundedness, degeneracy."""
+"""The exact LP core: feasibility, boundedness, degeneracy, duals."""
 
 from fractions import Fraction as F
 
 import pytest
 
-from hsnet.simplex import InfeasibleError, UnboundedError, solve_lp
+from hsnet.simplex import InfeasibleError, UnboundedError
+from hsnet.simplex import solve_lp as _solve_lp
+
+
+def solve_lp(c, rows, senses, rhs, maximize=False):
+    """solve_lp, with its duals checked by plain arithmetic; returns (x, v).
+
+    Dual feasibility: A^T y >= c when maximizing (A^T y <= c when
+    minimizing), y >= 0 on '<=' rows and y <= 0 on '>=' rows when maximizing
+    (the signs swap when minimizing); and strong duality: b . y == v.
+    """
+    x, v, y = _solve_lp(c, rows, senses, rhs, maximize=maximize)
+    assert len(y) == len(rows)
+    assert sum(F(b) * yi for b, yi in zip(rhs, y)) == v
+    for j, cj in enumerate(c):
+        aty = sum(F(row[j]) * yi for row, yi in zip(rows, y))
+        assert aty >= cj if maximize else aty <= cj
+    for sense, yi in zip(senses, y):
+        if sense != "==":
+            assert yi >= 0 if (sense == "<=") == maximize else yi <= 0
+    return x, v
 
 
 def test_basic_max():
@@ -28,6 +48,11 @@ def test_negative_rhs_normalization():
     # -x <= -1 means x >= 1
     x, v = solve_lp([1], [[-1]], ["<="], [-1], maximize=False)
     assert v == 1
+    # a flipped '>=' row next to an unflipped '==' row
+    x, v = solve_lp([1, 2], [[-1, -1], [1, -1]], [">=", "=="], [-3, F(1, 2)], maximize=True)
+    assert v == F(17, 4) and x == [F(7, 4), F(5, 4)]
+    x, v = solve_lp([1, 1], [[-2, 1], [1, 1]], ["==", ">="], [-1, 2], maximize=False)
+    assert v == 2
 
 
 def test_unbounded():
