@@ -19,6 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 CANONICAL_MAX_NODES = 8
+_MEMBERS = tuple(  # _MEMBERS[mask]: the nodes in the bitmask, in increasing order
+    tuple(v for v in range(CANONICAL_MAX_NODES) if m >> v & 1)
+    for m in range(1 << CANONICAL_MAX_NODES)
+)
 
 
 class GraphError(ValueError):
@@ -186,9 +190,16 @@ def is_two_connected(g: Graph) -> bool:
     n = g.node_count
     if n < 3 or not is_connected(g):
         return False
+    full = (1 << n) - 1
     for k in range(n):
-        h, _ = remove_node(g, k)
-        if not is_connected(h):
+        rest = full & ~(1 << k)  # search G - k without relabelling it
+        reached = todo = rest & -rest
+        while todo:
+            v = todo.bit_length() - 1
+            fresh = g._masks[v] & rest & ~reached
+            reached |= fresh
+            todo = todo ^ (1 << v) | fresh
+        if reached != rest:
             return False
     return True
 
@@ -287,70 +298,58 @@ def classify(g: Graph) -> SeekerPartition:
 
 def canonical_form(g: Graph) -> tuple[int, int]:
     """Isomorphism-invariant key ``(node_count, bits)`` for graphs on at most
-    CANONICAL_MAX_NODES nodes.
+    CANONICAL_MAX_NODES nodes: over all n! node orders, the lexicographic
+    maximum of the rows (position i's adjacency bits toward positions
+    0..i-1), with row i packed at offset i(i-1)/2.
 
-    The key packs the upper-triangular adjacency of the lexicographically
-    best relabeling: vertices are placed one at a time and only placements
-    maximizing the adjacency bits toward already-placed vertices survive.
-    Ties are branched on (with interchangeable-twin pruning), so the result
-    is a true maximum over all n! relabelings.
+    The search fills one position per level and keeps the partial orders
+    whose rows are maximal so far.  A frontier entry holds its unplaced nodes
+    as a bitmask and ``score[v]``, v's row toward the placed prefix: placing p
+    at position ``level`` ORs ``1 << level`` into each unplaced neighbour's
+    score.  Of tied twins (N(u) - w == N(w) - u, so swapping them is an
+    automorphism) only the first is branched on.
     """
     n = g.node_count
     if n > CANONICAL_MAX_NODES:
         raise GraphError(
             f"canonical_form supports at most {CANONICAL_MAX_NODES} nodes, got {n}"
         )
-    if n <= 1:
-        return (n, 0)
     masks = g._masks
-
-    def prune_twins(cands):
-        # Candidates u, w are interchangeable when swapping them is an
-        # automorphism fixing everything else: N(u)\{w} == N(w)\{u}.
-        kept = []
-        for u in cands:
-            dominated = False
-            for w in kept:
-                if masks[u] & ~(1 << w) == masks[w] & ~(1 << u):
-                    dominated = True
-                    break
-            if not dominated:
-                kept.append(u)
-        return kept
-
-    all_nodes = list(range(n))
-    frontier = [(v,) for v in prune_twins(all_nodes)]
+    twins = [0] * n
+    for u in range(n):
+        for w in range(u):
+            if masks[u] & ~(1 << w) == masks[w] & ~(1 << u):
+                twins[u] |= 1 << w
+    frontier = [((1 << n) - 1, [0] * n)]
     key = 0
-    offset = 0
-    for level in range(1, n):
-        best_bits = -1
-        new_frontier = []
-        for placed in frontier:
-            used = 0
-            for v in placed:
-                used |= 1 << v
-            cands = [v for v in all_nodes if not used >> v & 1]
-            scored = []
-            for v in cands:
-                bits = 0
-                mv = masks[v]
-                for pos, p in enumerate(placed):
-                    if mv >> p & 1:
-                        bits |= 1 << pos
-                scored.append((bits, v))
-            top = max(b for b, _ in scored)
-            if top < best_bits:
+    for level in range(n):
+        bit = 1 << level
+        best = -1
+        grown = []
+        for unplaced, score in frontier:
+            top = -1
+            for v in _MEMBERS[unplaced]:
+                if score[v] > top:
+                    top = score[v]
+                    tied = [v]
+                elif score[v] == top:
+                    tied.append(v)
+            if top < best:
                 continue
-            tied = [v for b, v in scored if b == top]
-            tied = prune_twins(tied)
-            if top > best_bits:
-                best_bits = top
-                new_frontier = [placed + (v,) for v in tied]
-            else:
-                new_frontier.extend(placed + (v,) for v in tied)
-        frontier = new_frontier
-        key |= best_bits << offset
-        offset += level
+            if top > best:
+                best = top
+                grown = []
+            kept = 0
+            for v in tied:
+                if twins[v] & kept:
+                    continue
+                kept |= 1 << v
+                child = score[:]
+                for w in _MEMBERS[masks[v] & unplaced]:
+                    child[w] |= bit
+                grown.append((unplaced & ~(1 << v), child))
+        frontier = grown
+        key |= best << (level * (level - 1) // 2)
     return (n, key)
 
 

@@ -152,7 +152,9 @@ def builtin_utilities(name: str, params: dict | None = None, beta=0) -> UtilityS
     ratio_power: f(x) = x**g / (x+1)**(g-1)  (gamma > 1)
     table:       explicit values f(0), f(1), ...
     """
-    params = dict(params or {})
+    params = {} if params is None else params
+    if not isinstance(params, dict):
+        raise UtilityError(f"utility params must be an object, got {params!r}")
     if name == "linear":
         return UtilitySpec.linear(parse_rational(params.get("slope", 1)), beta)
     if name == "power":
@@ -164,6 +166,8 @@ def builtin_utilities(name: str, params: dict | None = None, beta=0) -> UtilityS
             values = params["values"]
         except KeyError as exc:
             raise UtilityError("table utility needs 'values'") from exc
+        if not isinstance(values, (list, tuple)):
+            raise UtilityError(f"table 'values' must be a list, got {values!r}")
         return UtilitySpec.table([parse_rational(v) for v in values], beta)
     raise UtilityError(f"unknown utility family {name!r}")
 

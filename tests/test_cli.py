@@ -1,11 +1,15 @@
 """Command-line surface: formats, exit codes, schema conformance."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
 import pytest
 
+import hsnet
 from hsnet.cli import main
 from hsnet.graphs import format_graph_text, parse_graph_text
 from hsnet.designer import build_cycle
@@ -71,6 +75,22 @@ def test_solve_json_graph_non_integer_edge(tmp_path, capsys):
     g.write_text(json.dumps({"n": 3, "edges": [[0, 1.7]]}))
     assert run(["solve", "--graph", str(g)]) == 2
     assert "bad edge entry" in capsys.readouterr().err
+
+
+def test_solve_rejects_non_object_utility_params(c4_file):
+    # Run as a separate process so an uncaught exception would show its
+    # traceback on stderr.
+    src = os.path.dirname(os.path.dirname(hsnet.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hsnet.cli", "solve", "--graph", str(c4_file),
+         "--utility", '{"family":"linear","params":5,"beta":"0"}'],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert "params must be an object" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_design_report(tmp_path):

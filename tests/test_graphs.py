@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hsnet.graphs import (
     Graph,
@@ -17,6 +18,7 @@ from hsnet.graphs import (
     graph_from_json_dict,
     graph_to_json_dict,
     induced_subgraph,
+    is_connected,
     is_two_connected,
     parse_graph_text,
     remove_node,
@@ -264,6 +266,68 @@ def test_canonical_form_separates_small_classes():
         brute.add(key)
         ours.add(canonical_form(Graph(4, edges)))
     assert len(brute) == len(ours) == 11
+
+
+def brute_canonical_form(g):
+    # The key's definition, by exhaustion: over all n! placement orders, the
+    # lexicographic maximum of each position's adjacency bits toward the
+    # earlier positions, packed with position i's row at offset i(i-1)/2.
+    n = g.node_count
+    best = max(
+        tuple(
+            sum(1 << j for j in range(i) if g.has_edge(order[i], order[j]))
+            for i in range(1, n)
+        )
+        for order in itertools.permutations(range(n))
+    )
+    return (n, sum(row << (i * (i + 1) // 2) for i, row in enumerate(best)))
+
+
+def relabel(g, perm):
+    return Graph(g.node_count, [(perm[i], perm[j]) for (i, j) in g.edges])
+
+
+def test_canonical_form_matches_bruteforce_definition():
+    from hsnet.oracle import enumerate_graphs
+
+    for n in range(0, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+            assert canonical_form(g) == brute_canonical_form(g)
+    rng = random.Random(6)
+    for g in enumerate_graphs(6):
+        perm = list(range(6))
+        rng.shuffle(perm)
+        h = relabel(g, perm)
+        assert canonical_form(h) == brute_canonical_form(h) == canonical_form(g)
+
+
+@st.composite
+def graph_and_permutation(draw):
+    n = draw(st.integers(0, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [e for e, keep in zip(pairs, chosen) if keep]), perm
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(graph_and_permutation())
+def test_canonical_form_invariant_under_any_permutation(case):
+    g, perm = case
+    assert canonical_form(relabel(g, perm)) == canonical_form(g)
+
+
+def test_is_two_connected_matches_node_removal():
+    from hsnet.oracle import enumerate_graphs
+
+    for n in range(0, 7):
+        for g in enumerate_graphs(n):
+            expect = n >= 3 and is_connected(g) and all(
+                is_connected(remove_node(g, k)[0]) for k in range(n)
+            )
+            assert is_two_connected(g) == expect
 
 
 def test_text_format_roundtrip_and_errors():

@@ -1,5 +1,6 @@
 """Graph enumeration and the brute-force design verifier."""
 
+import functools
 import itertools
 import os
 import subprocess
@@ -8,9 +9,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from hsnet.graphs import canonical_form, components, Graph
+from hsnet.graphs import canonical_form, components, graph_from_canonical_key, Graph
 from hsnet.oracle import (
     EnumerationError,
+    _representative_keys,
     _worker_count,
     enumerate_graphs,
     exhaustive_optimum,
@@ -62,9 +64,28 @@ def test_enumeration_bound():
         exhaustive_optimum(8, identity_u(1))  # needs the long-run opt-in
 
 
-@pytest.mark.slow
 def test_enumeration_n8():
     assert len(enumerate_graphs(8)) == 12346
+
+
+@functools.lru_cache(maxsize=None)
+def unfiltered_keys(n):
+    # Reference enumerator: canonical_form of every one-vertex extension of
+    # every class on n - 1 nodes, with no invariant filter.
+    if n == 0:
+        return ((0, 0),)
+    keys = set()
+    for smaller in unfiltered_keys(n - 1):
+        base = list(graph_from_canonical_key(smaller).edges)
+        for mask in range(1 << (n - 1)):
+            extra = [(j, n - 1) for j in range(n - 1) if mask >> j & 1]
+            keys.add(canonical_form(Graph(n, base + extra)))
+    return tuple(sorted(keys))
+
+
+def test_filtered_enumeration_matches_unfiltered_reference():
+    for n in range(0, 8):
+        assert _representative_keys(n) == unfiltered_keys(n)
 
 
 def test_exhaustive_optimum_small(oracle_report):

@@ -53,6 +53,22 @@ def test_utility_json_roundtrip():
     assert u.value(4) == 6 and u.beta == 2
 
 
+def test_utility_spec_shapes_validated():
+    for data in (
+        {"family": "linear", "params": 5, "beta": "0"},
+        {"family": "linear", "params": [["slope", 2]], "beta": "0"},
+        {"family": "power", "params": "gamma", "beta": "0"},
+        {"family": "table", "params": {"values": "0,1"}, "beta": "0"},
+        {"family": "table", "params": {"values": 3}, "beta": "0"},
+    ):
+        with pytest.raises(UtilityError):
+            UtilitySpec.from_json_dict(data)
+    with pytest.raises(UtilityError):
+        builtin_utilities("table", {"values": "0,1,2"})
+    assert builtin_utilities("table", {"values": ("0", "1")}).value(1) == 1
+    assert builtin_utilities("linear").value(3) == 3
+
+
 def test_inexact_power_flagged():
     u = UtilitySpec.power(F(3, 2))
     assert not u.is_exact
