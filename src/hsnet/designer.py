@@ -6,7 +6,8 @@ maximal core-periphery layout (half leaves when the part has even size; with
 three orphaned core nodes, the middle one wired to exactly the other two,
 when odd).  ``design_optimal`` picks the best isolated-node count, builds the
 layout, attaches both players' closed-form strategies, and certifies the
-pair by a zero best-response gap against the exact payoff matrix.
+pair by a zero best-response gap.  The gap is computed exactly from the graph
+(``payoff.strategy_payoffs``) without building the n x n payoff matrix.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .graphs import (
     is_two_connected,
     to_dot,
 )
-from .matrix_game import MixedStrategy, best_response_gap
-from .payoff import UtilitySpec, payoff_matrix
+from .matrix_game import MixedStrategy, gap_from_payoffs
+from .payoff import UtilitySpec, strategy_payoffs
 from .rationals import format_rational
 
 ZERO = Fraction(0)
@@ -515,9 +516,10 @@ def design_optimal(n: int, u: UtilitySpec) -> DesignResult:
     """Best design for n nodes under u, with both equilibrium strategies.
 
     Ties in the optimal isolated-node count resolve to the smallest (most
-    connected) choice.  The returned strategies are certified: their
-    best-response gap against the exact payoff matrix is (0, 0) and the
-    achieved payoff equals the predicted value.
+    connected) choice.  The returned strategies are certified: their exact
+    best-response gap is (0, 0) and the achieved payoff equals the predicted
+    value.  Both come from M.seeker and hider.M, read off the graph by one
+    low-link DFS without building the payoff matrix M.
     """
     counts, bound = cf.optimal_singleton_counts(n, u)
     s = counts[0]
@@ -533,13 +535,12 @@ def design_optimal(n: int, u: UtilitySpec) -> DesignResult:
     hider = hider_strategy(topo.graph, u, topo)
     seeker = seeker_strategy(topo.graph, u)
     predicted = -bound
-    matrix = payoff_matrix(topo.graph, u)
-    gap = best_response_gap(matrix, hider, seeker)
+    row_payoffs, col_payoffs = strategy_payoffs(topo.graph, u, hider, seeker)
+    gap = gap_from_payoffs(hider, row_payoffs, col_payoffs)
     if gap != (ZERO, ZERO):
         raise AssertionError(f"constructed strategies are not an equilibrium: {gap}")
     # At a zero gap every row the hider plays earns the pair's payoff.
-    row = matrix[hider.support()[0]]
-    achieved = sum(q * v for q, v in zip(seeker, row))
+    achieved = row_payoffs[hider.support()[0]]
     if achieved != predicted:
         raise AssertionError(
             f"equilibrium payoff {achieved} differs from predicted {predicted}"

@@ -174,6 +174,11 @@ def best_response_gap(matrix, row: MixedStrategy, col: MixedStrategy):
     for p, r in zip(row, rows):
         if p:
             col_payoffs = [t + p * v for t, v in zip(col_payoffs, r)]
+    return gap_from_payoffs(row, row_payoffs, col_payoffs)
+
+
+def gap_from_payoffs(row: MixedStrategy, row_payoffs, col_payoffs):
+    """(row regret, column regret) from M.col and row.M, however computed."""
     current = sum(p * v for p, v in zip(row, row_payoffs))
     return max(row_payoffs) - current, current - min(col_payoffs)
 

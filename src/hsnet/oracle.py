@@ -26,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -189,6 +188,9 @@ def exhaustive_optimum(
     graphs = enumerate_graphs(n)
     workers = min(_worker_count(), len(graphs))
     if workers > 1:
+        # Imported here: only multi-worker sweeps pay for multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = math.ceil(len(graphs) / workers)
         pieces = [
             (graphs[i : i + chunk], u) for i in range(0, len(graphs), chunk)

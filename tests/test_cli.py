@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, schema conformance."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -77,20 +78,65 @@ def test_solve_json_graph_non_integer_edge(tmp_path, capsys):
     assert "bad edge entry" in capsys.readouterr().err
 
 
-def test_solve_rejects_non_object_utility_params(c4_file):
-    # Run as a separate process so an uncaught exception would show its
-    # traceback on stderr.
+def run_child(args):
+    """Run python with ``args`` in a separate process, so an uncaught
+    exception would show its traceback on stderr."""
     src = os.path.dirname(os.path.dirname(hsnet.__file__))
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hsnet.cli", "solve", "--graph", str(c4_file),
-         "--utility", '{"family":"linear","params":5,"beta":"0"}'],
-        capture_output=True, text=True, env=env,
+    return subprocess.run([sys.executable] + args, capture_output=True, text=True, env=env)
+
+
+def test_solve_rejects_non_object_utility_params(c4_file):
+    proc = run_child(
+        ["-m", "hsnet.cli", "solve", "--graph", str(c4_file),
+         "--utility", '{"family":"linear","params":5,"beta":"0"}']
     )
     assert proc.returncode == 2
     assert "params must be an object" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("family", ["power", "ratio_power"])
+def test_float_power_overflow_is_a_usage_error(c4_file, family):
+    # 3 ** 1500.5 overflows a float.
+    for command in (["solve", "--graph", str(c4_file)], ["design", "--n", "5"]):
+        proc = run_child(["-m", "hsnet.cli"] + command + ["--family", family, "--gamma", "3001/2"])
+        assert proc.returncode == 2
+        assert "overflows a float" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_import_leaves_multiprocessing_out():
+    proc = run_child(
+        ["-c", "import sys, hsnet.cli; print('concurrent.futures.process' in sys.modules)"]
+    )
+    assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
+
+
+# SHA-256 of the `hsnet design` JSON report for each argument list; report
+# bytes are part of the contract and must not change.
+DESIGN_REPORT_SHA256 = {
+    "--n 30 --family power --gamma 2 --beta 50":  # cycle
+        "27507ad8a59cf11323cd582c70159806dad40ac1affdff3a1a0d8f74354ef70f",
+    "--n 60 --family linear --beta 1":  # maximal_cp_even
+        "c483bb33886192763efe4ce9364b3532ab0ef893499a6db2a0b88c0732ee7142",
+    "--n 61 --family ratio_power --gamma 2 --beta 1":  # maximal_cp_odd
+        "35add0d14dda325339d06358a0e297de08ed70246fc06581be1d5cbd8db5a2a9",
+    "--n 11 --family linear --beta 50":  # maximal_cp_even, s = 1
+        "8ce6ff497ffd42b0cfa5e27c699de054970bf8ce4b60248408b15081ce644423",
+    "--n 6 --family linear --beta 1000":  # all_singletons, s = 6
+        "49432a14c836f9bd2d63c9fa8ddb0883701cb31fe729e640f9a7e64095303837",
+    "--n 31 --family power --gamma 3/2 --beta 5":  # cycle, float-backed
+        "8a04a3fc00e2fff342fae76e482feb859b44e5181e1d0503343ed1969385107a",
+}
+
+
+@pytest.mark.parametrize("args", sorted(DESIGN_REPORT_SHA256))
+def test_design_report_bytes_pinned(tmp_path, args):
+    out = tmp_path / "design.json"
+    assert run(["design"] + args.split() + ["--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DESIGN_REPORT_SHA256[args]
 
 
 def test_design_report(tmp_path):

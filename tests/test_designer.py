@@ -8,8 +8,14 @@ import pytest
 
 import hsnet.designer as dz
 from hsnet.graphs import Graph, classify, components, is_two_connected
-from hsnet.matrix_game import best_response_gap, solve_zero_sum, strategy_payoff
-from hsnet.payoff import capture_probability, payoff_matrix
+from hsnet.matrix_game import (
+    MixedStrategy,
+    best_response_gap,
+    gap_from_payoffs,
+    solve_zero_sum,
+    strategy_payoff,
+)
+from hsnet.payoff import capture_probability, payoff_matrix, strategy_payoffs
 
 from conftest import identity_u, square_u, ratio_u, BETA_GRID
 
@@ -294,3 +300,62 @@ def test_chorded_cycle_values_match_plain_cycle():
         m = payoff_matrix(g, u)
         assert best_response_gap(m, h, s) == (0, 0)
         assert strategy_payoff(m, h, s) == base
+
+
+# -- the certificate read off the graph, against the dense matrix -----------
+
+
+def graph_gap(g, u, hider, seeker):
+    return gap_from_payoffs(hider, *strategy_payoffs(g, u, hider, seeker))
+
+
+def test_design_certificate_matches_dense_gap_up_to_fifty():
+    # linear beta 50 builds every core-periphery layout, with one isolated
+    # node at n = 11; x^2 beta 50 builds cycles; linear beta 1000 keeps
+    # isolated nodes beside large parts (n = 35, 37, 39) and is all
+    # singletons below.
+    seen = set()
+    for u in (identity_u(50), square_u(50), identity_u(1000)):
+        for n in range(1, 51):
+            res = dz.design_optimal(n, u)
+            dense = best_response_gap(payoff_matrix(res.graph, u), res.hider, res.seeker)
+            assert graph_gap(res.graph, u, res.hider, res.seeker) == dense == (0, 0)
+            seen.add((res.topology, res.s_star > 0))
+    assert {
+        (dz.CYCLE, False),
+        (dz.MAXIMAL_CP_EVEN, False),
+        (dz.MAXIMAL_CP_ODD, False),
+        (dz.MAXIMAL_CP_EVEN, True),
+        (dz.ALL_SINGLETONS, True),
+    } <= seen
+
+
+def shift_half(strategy, src, dst):
+    probs = list(strategy)
+    probs[dst] += probs[src] / 2
+    probs[src] /= 2
+    return MixedStrategy(probs)
+
+
+def test_perturbed_design_gap_matches_dense():
+    cases = [(12, square_u(1)), (10, identity_u(2)), (9, identity_u(2)), (11, identity_u(50))]
+    for n, u in cases:
+        res = dz.design_optimal(n, u)
+        m = payoff_matrix(res.graph, u)
+        src = res.hider.support()[0]
+        for dst in (src + 1, n - 1):
+            hider = shift_half(res.hider, src, dst)
+            gap = best_response_gap(m, hider, res.seeker)
+            assert gap != (0, 0)
+            assert graph_gap(res.graph, u, hider, res.seeker) == gap
+            seeker = shift_half(res.seeker, res.seeker.support()[0], dst)
+            gap = best_response_gap(m, res.hider, seeker)
+            assert gap != (0, 0)
+            assert graph_gap(res.graph, u, res.hider, seeker) == gap
+
+
+def test_design_certifies_at_a_thousand_and_one_nodes():
+    # A dense certificate would build a 1001 x 1001 matrix of Fractions.
+    res = dz.design_optimal(1001, identity_u(2))
+    assert res.topology == dz.MAXIMAL_CP_ODD and res.s_star == 0
+    assert res.graph.node_count == 1001

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from hsnet.designer import build_cycle, build_maximal_cp
-from hsnet.graphs import Graph
+from hsnet.graphs import Graph, GraphError
 from hsnet.payoff import (
     UtilityError,
     UtilitySpec,
@@ -15,6 +15,7 @@ from hsnet.payoff import (
     capture_probability,
     hider_payoff,
     payoff_matrix,
+    strategy_payoffs,
 )
 
 from conftest import identity_u, square_u, ratio_u
@@ -166,3 +167,95 @@ def test_capture_probability_conditioning():
     h = [F(1, 8)] * 4 + [F(1, 4), F(1, 4)]
     s = [F(3, 16)] * 4 + [F(1, 8), F(1, 8)]
     assert capture_probability(g2, h, s, within=range(4)) == F(3, 4)
+
+
+# -- M.seeker and hider.M from the graph, against the dense matrix -----------
+
+# One of each family; the float-backed power and a table with no entry past
+# 13, so a connected 14-node graph fails if f(14) is ever asked for.
+PAYOFF_UTILITIES = (
+    UtilitySpec.linear(1, 2),
+    UtilitySpec.power(F(3, 2), F(1, 2)),
+    UtilitySpec.ratio_power(3, 1),
+    UtilitySpec.table([0, 1, 3, 4, 7, 8, 10, 13, 14, 17, 19, 20, 23, 26], 5),
+)
+
+
+def dense_payoffs(g, u, hider, seeker):
+    m = payoff_matrix(g, u)
+    seeks = [(k, q) for k, q in enumerate(seeker) if q]
+    hides = [(h, p) for h, p in enumerate(hider) if p]
+    rows = [sum(row[k] * q for k, q in seeks) for row in m]
+    cols = [sum(p * m[h][k] for h, p in hides) for k in range(g.node_count)]
+    return rows, cols
+
+
+def random_strategy(rng, n):
+    """A distribution with zero entries; sometimes pure."""
+    weights = [rng.choice((0, 0, 1, 2, 5)) for _ in range(n)]
+    weights[rng.randrange(n)] += 1
+    return [F(w, sum(weights)) for w in weights]
+
+
+def assert_payoffs_match_dense(g, rng, utilities=PAYOFF_UTILITIES):
+    n = g.node_count
+    for u in utilities:
+        hider, seeker = random_strategy(rng, n), random_strategy(rng, n)
+        assert strategy_payoffs(g, u, hider, seeker) == dense_payoffs(g, u, hider, seeker), (
+            g, u.family, hider, seeker)
+
+
+def relabelled(g, rng):
+    perm = list(range(g.node_count))
+    rng.shuffle(perm)
+    return Graph(g.node_count, [(perm[i], perm[j]) for i, j in g.edges])
+
+
+def test_strategy_payoffs_every_labelled_graph_up_to_five():
+    rng = random.Random(5)
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            g = Graph(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+            assert_payoffs_match_dense(g, rng)
+
+
+def test_strategy_payoffs_relabelled_representatives():
+    from hsnet.oracle import enumerate_graphs
+
+    rng = random.Random(67)
+    for n in (6, 7):
+        for i, g in enumerate(enumerate_graphs(n)):
+            # Two families per graph, in turn, so every family meets every
+            # shape class often.
+            pair = (PAYOFF_UTILITIES[i % 4], PAYOFF_UTILITIES[(i + 1 + i // 4 % 3) % 4])
+            assert_payoffs_match_dense(relabelled(g, rng), rng, pair)
+
+
+def test_strategy_payoffs_random_disconnected_graphs():
+    # Disjoint unions of random parts (trees, cycles with chords, dense
+    # blobs) plus isolated nodes, shuffled, up to 14 nodes.
+    rng = random.Random(14)
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        edges, start = [], 0
+        while start < n:
+            size = rng.randint(1, n - start)
+            part = range(start, start + size)
+            shape = rng.random()
+            for v in part[1:]:
+                if shape > 0.2:  # a spanning tree unless the part stays edgeless
+                    edges.append((rng.randrange(start, v), v))
+            for i, j in itertools.combinations(part, 2):
+                if shape > 0.6 and rng.random() < shape - 0.6 and (i, j) not in edges:
+                    edges.append((i, j))
+            start += size
+        assert_payoffs_match_dense(relabelled(Graph(n, edges), rng), rng)
+
+
+def test_strategy_payoffs_validates_shapes():
+    g = build_cycle(4)
+    with pytest.raises(GraphError):
+        strategy_payoffs(g, identity_u(), [F(1, 3)] * 3, [F(1, 4)] * 4)
+    with pytest.raises(GraphError):
+        strategy_payoffs(Graph(0), identity_u(), [], [])
