@@ -30,7 +30,6 @@ from .graphs import (
     is_connected,
     is_two_connected,
     parse_graph_text,
-    remove_node,
     to_dot,
 )
 from .payoff import (
@@ -38,7 +37,6 @@ from .payoff import (
     UtilitySpec,
     builtin_utilities,
     capture_probability,
-    hider_payoff,
     payoff_matrix,
 )
 from .matrix_game import (
@@ -124,7 +122,6 @@ __all__ = [
     "graph_from_canonical_key",
     "graph_from_json_dict",
     "graph_to_json_dict",
-    "hider_payoff",
     "hider_strategy",
     "hider_value",
     "induced_subgraph",
@@ -135,7 +132,6 @@ __all__ = [
     "parse_graph_text",
     "parse_rational",
     "payoff_matrix",
-    "remove_node",
     "seeker_strategy",
     "solve_zero_sum",
     "strategy_payoff",

@@ -19,7 +19,6 @@ from . import closed_form as cf
 from .graphs import (
     Graph,
     classify,
-    components,
     graph_to_json_dict,
     induced_subgraph,
     is_connected,
@@ -357,19 +356,13 @@ def seeker_strategy(g: Graph, u: UtilitySpec) -> MixedStrategy:
     return MixedStrategy(probs)
 
 
-def hider_strategy(g: Graph, u: UtilitySpec, topology) -> MixedStrategy:
+def hider_strategy(g: Graph, u: UtilitySpec, topo: DesignTopology) -> MixedStrategy:
     """The hider's closed-form strategy on a graph built by this module.
 
-    ``topology`` is a DesignTopology (preferred: node roles are explicit) or
-    one of the tag strings, in which case roles are recovered from the node
-    classification.
+    ``topo`` is the graph's DesignTopology record, which names the node roles.
     """
-    if isinstance(topology, DesignTopology):
-        topo = topology
-        if topo.graph != g:
-            raise DesignError("topology record does not describe this graph")
-    else:
-        topo = _recover_topology(g, topology)
+    if topo.graph != g:
+        raise DesignError("topology record does not describe this graph")
     n = g.node_count
     s = len(topo.singleton_nodes)
     probs = [ZERO] * n
@@ -401,59 +394,6 @@ def hider_strategy(g: Graph, u: UtilitySpec, topology) -> MixedStrategy:
         for v in topo.singleton_nodes:
             probs[v] = (ONE - kappa) / s
     return MixedStrategy(probs)
-
-
-def _recover_topology(g: Graph, tag: str) -> DesignTopology:
-    part = classify(g)
-    singles = tuple(sorted(part.singletons))
-    comp = tuple(v for v in range(g.node_count) if v not in part.singletons)
-    if tag == ALL_SINGLETONS:
-        if len(singles) != g.node_count:
-            raise DesignError("graph has edges; not an all-singleton design")
-        return design_topology(g.node_count, g.node_count, ALL_SINGLETONS)
-    if tag == CYCLE:
-        return DesignTopology(
-            tag=CYCLE,
-            graph=g,
-            component_nodes=comp,
-            core_nodes=(),
-            periphery_nodes=(),
-            orphan_nodes=(),
-            middle_orphan=None,
-            singleton_nodes=singles,
-        )
-    if tag == MAXIMAL_CP_EVEN:
-        return DesignTopology(
-            tag=tag,
-            graph=g,
-            component_nodes=comp,
-            core_nodes=tuple(sorted(part.m_nodes)),
-            periphery_nodes=tuple(sorted(part.singleton_leaves)),
-            orphan_nodes=(),
-            middle_orphan=None,
-            singleton_nodes=singles,
-        )
-    if tag == MAXIMAL_CP_ODD:
-        orphans = tuple(sorted(part.r_nodes))
-        if len(orphans) != 3:
-            raise DesignError("odd layout must have exactly 3 orphaned nodes")
-        gr = part.gr
-        middles = [
-            part.gr_nodes[i] for i in range(gr.node_count) if gr.degree(i) == 2
-        ]
-        if len(middles) != 1:
-            raise DesignError("odd layout must have a unique middle orphan")
-        return DesignTopology(
-            tag=tag,
-            graph=g,
-            component_nodes=comp,
-            core_nodes=tuple(sorted(part.m_nodes)) + orphans,
-            periphery_nodes=tuple(sorted(part.singleton_leaves)),
-            orphan_nodes=orphans,
-            middle_orphan=middles[0],
-            singleton_nodes=singles,
-        )
-    raise DesignError(f"unknown topology tag {tag!r}")
 
 
 # -- full design ------------------------------------------------------------

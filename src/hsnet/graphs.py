@@ -75,7 +75,13 @@ class Graph:
         return self._masks[i]
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j in range(self.node_count) if self._masks[i] >> j & 1)
+        out = []
+        m = self._masks[i]
+        while m:
+            low = m & -m
+            out.append(low.bit_length() - 1)
+            m ^= low
+        return tuple(out)
 
     def degree(self, i: int) -> int:
         return self._masks[i].bit_count()
@@ -144,24 +150,6 @@ def components(g: Graph) -> ComponentPartition:
                     stack.append(w)
         comps.append(frozenset(members))
     return ComponentPartition(tuple(comps), tuple(comp_of))
-
-
-def remove_node(g: Graph, k: int) -> tuple[Graph, dict[int, int]]:
-    """Delete node k and its edges.
-
-    Survivors keep their relative order and are renumbered 0..n-2; the
-    old->new mapping is returned alongside so callers can track identities.
-    """
-    if not (0 <= k < g.node_count):
-        raise GraphError(f"node {k} out of range")
-    mapping = {}
-    for v in range(g.node_count):
-        if v != k:
-            mapping[v] = len(mapping)
-    edges = [
-        (mapping[i], mapping[j]) for (i, j) in g.edges if i != k and j != k
-    ]
-    return Graph(g.node_count - 1, edges), mapping
 
 
 def induced_subgraph(g: Graph, nodes) -> Graph:

@@ -3,10 +3,11 @@
 The row player maximizes, the column player minimizes.  One LP per game: after
 shifting the matrix to be strictly positive, the rational simplex solves the
 column player's program  max sum(w), M w <= 1, w >= 0, whose optimum is one
-over the shifted game's value.  It starts from the slack basis, so it needs
-no phase 1, and the row player's strategy is read off its dual multipliers.  The strategies are
-certified by a zero best-response gap, computed from the matrix apart from
-the solver.
+over the shifted game's value, and the row player's strategy is read off its
+dual multipliers.  The optimal-mass probe is posed by LP duality as a program
+of the same slack-feasible form, so every LP here starts from the slack
+basis.  The strategies are certified by a zero best-response gap, computed
+from the matrix apart from the solver.
 
 Optimal strategies are generally not unique; callers should compare values
 and regrets, never strategy vectors.
@@ -110,20 +111,21 @@ def _entries(matrix):
     return rows
 
 
+def _shifted(rows):
+    """The matrix shifted so every entry is at least 1, and the shift added."""
+    lo = min(min(r) for r in rows)
+    shift = ONE - lo if lo < 1 else ZERO
+    return [[v + shift for v in row] for row in rows], shift
+
+
 def _column_lp(rows):
     """Solve the column player's program on the shifted matrix.
 
     Returns (w, total, duals, shift): max sum(w) = total = 1/(value + shift).
     """
-    lo = min(min(r) for r in rows)
-    shift = ONE - lo if lo < 1 else ZERO
-    shifted = [[v + shift for v in row] for row in rows]
+    shifted, shift = _shifted(rows)
     w, total, duals = solve_lp(
-        c=[ONE] * len(rows[0]),
-        rows=shifted,
-        senses=["<="] * len(rows),
-        rhs=[ONE] * len(rows),
-        maximize=True,
+        c=[ONE] * len(rows[0]), rows=shifted, rhs=[ONE] * len(rows)
     )
     return w, total, duals, shift
 
@@ -186,21 +188,27 @@ def gap_from_payoffs(row: MixedStrategy, row_payoffs, col_payoffs):
 def max_optimal_mass(matrix, value: Fraction, index: int) -> Fraction:
     """Largest probability any optimal row strategy can place on one action.
 
-    Maximizes x[index] over the full polytope of optimal row strategies
-    (sum to one, guarantee at least ``value`` against every column).  A zero
+    Maximizes x[index] over the full polytope of optimal row strategies (those
+    guaranteeing ``value``, the game's value, against every column).  A zero
     answer certifies that no equilibrium uses the action at all.
+
+    With M' the shifted matrix, v' the shifted value and T = 1/v', the scaled
+    optimal strategies are the y >= 0 with M'^T y >= 1 and sum(y) <= T.  The
+    LP dual of  max y[index]  over them forces its multiplier t >= 1 on
+    sum(y) <= T; with t = 1 + t' it is the slack-feasible program
+
+        z = max sum(w) - T t'   s.t.   M' w - t' <= 1 - e_index,   w, t' >= 0,
+
+    and the answer is v' (T - z) = 1 - v' z.
     """
     rows = _entries(matrix)
-    nrows, ncols = len(rows), len(rows[0])
-    if not (0 <= index < nrows):
+    if not (0 <= index < len(rows)):
         raise ValueError("row index out of range")
-    cons_rows = [[ONE] * nrows]
-    senses = ["=="]
-    rhs = [ONE]
-    for k in range(ncols):
-        cons_rows.append([rows[h][k] for h in range(nrows)])
-        senses.append(">=")
-        rhs.append(Fraction(value))
-    c = [ZERO] * nrows
-    c[index] = ONE
-    return solve_lp(c, cons_rows, senses, rhs, maximize=True)[1]
+    shifted, shift = _shifted(rows)
+    value_shifted = Fraction(value) + shift
+    z = solve_lp(
+        c=[ONE] * len(rows[0]) + [-ONE / value_shifted],
+        rows=[row + [-ONE] for row in shifted],
+        rhs=[ZERO if h == index else ONE for h in range(len(rows))],
+    )[1]
+    return ONE - value_shifted * z

@@ -29,6 +29,13 @@ class UtilityError(ValueError):
     """Invalid utility family, parameters, or non-monotone table."""
 
 
+def _int_power(x: int, g: int) -> int:
+    """x**g exactly, refused with OverflowError where it passes the float
+    range, the same bound the float-backed exponents meet."""
+    float(x) ** g
+    return x**g
+
+
 @dataclass(frozen=True)
 class UtilitySpec:
     """Component-value function plus capture penalty.
@@ -109,7 +116,7 @@ class UtilitySpec:
         if self.family == "power":
             gamma = self.params[0]
             if gamma.denominator == 1:
-                return Fraction(x) ** int(gamma)
+                return Fraction(_int_power(x, int(gamma)))
             return Fraction(float(x) ** float(gamma)) if x else Fraction(0)
         if self.family == "ratio_power":
             gamma = self.params[0]
@@ -117,7 +124,7 @@ class UtilitySpec:
                 return Fraction(0)
             if gamma.denominator == 1:
                 g = int(gamma)
-                return Fraction(x**g, (x + 1) ** (g - 1))
+                return Fraction(_int_power(x, g), _int_power(x + 1, g - 1))
             return Fraction(float(x) ** float(gamma) / float(x + 1) ** (float(gamma) - 1.0))
         if self.family == "table":
             if x >= len(self.params):
@@ -219,16 +226,6 @@ def residual_component_sizes(g: Graph, k: int) -> tuple:
 def capture_set(g: Graph, k: int) -> int:
     """Bitmask of hider positions caught when the seeker inspects k."""
     return g.neighbor_mask(k) | (1 << k)
-
-
-def hider_payoff(g: Graph, u: UtilitySpec, h: int, k: int) -> Fraction:
-    """Payoff to the hider at h when the seeker inspects k."""
-    n = g.node_count
-    if not (0 <= h < n) or not (0 <= k < n):
-        raise GraphError(f"node ids ({h},{k}) out of range for n={n}")
-    if capture_set(g, k) >> h & 1:
-        return -u.beta
-    return u.value(residual_component_sizes(g, k)[h])
 
 
 def payoff_matrix(g: Graph, u: UtilitySpec) -> tuple:

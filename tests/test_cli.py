@@ -12,7 +12,7 @@ import pytest
 
 import hsnet
 from hsnet.cli import main
-from hsnet.graphs import format_graph_text, parse_graph_text
+from hsnet.graphs import Graph, format_graph_text, parse_graph_text
 from hsnet.designer import build_cycle
 
 
@@ -78,13 +78,15 @@ def test_solve_json_graph_non_integer_edge(tmp_path, capsys):
     assert "bad edge entry" in capsys.readouterr().err
 
 
-def run_child(args):
+def run_child(args, timeout=None):
     """Run python with ``args`` in a separate process, so an uncaught
     exception would show its traceback on stderr."""
     src = os.path.dirname(os.path.dirname(hsnet.__file__))
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    return subprocess.run([sys.executable] + args, capture_output=True, text=True, env=env)
+    return subprocess.run(
+        [sys.executable] + args, capture_output=True, text=True, env=env, timeout=timeout
+    )
 
 
 def test_solve_rejects_non_object_utility_params(c4_file):
@@ -104,6 +106,26 @@ def test_float_power_overflow_is_a_usage_error(c4_file, family):
         proc = run_child(["-m", "hsnet.cli"] + command + ["--family", family, "--gamma", "3001/2"])
         assert proc.returncode == 2
         assert "overflows a float" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("family, edges", [
+    ("power", [(0, 1), (1, 2)]),
+    ("ratio_power", [(0, 1), (1, 2)]),
+    ("ratio_power", []),  # only f(1) = 1 / 2 ** 999999 is evaluated
+])
+def test_integer_power_overflow_is_a_usage_error(tmp_path, family, edges):
+    # 2 ** 1000000 passes the float range; exact evaluation would run for a
+    # minute or more on million-digit integers before anything failed.
+    graph = tmp_path / "g.graph"
+    graph.write_text(format_graph_text(Graph(3, edges)))
+    for command in (["solve", "--graph", str(graph)], ["design", "--n", "5"]):
+        proc = run_child(
+            ["-m", "hsnet.cli"] + command + ["--family", family, "--gamma", "1000000"],
+            timeout=30,
+        )
+        assert proc.returncode == 2
+        assert "overflows a float at component size" in proc.stderr
         assert "Traceback" not in proc.stderr
 
 
@@ -137,6 +159,19 @@ def test_design_report_bytes_pinned(tmp_path, args):
     out = tmp_path / "design.json"
     assert run(["design"] + args.split() + ["--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DESIGN_REPORT_SHA256[args]
+
+
+# SHA-256 of `hsnet verify --n-max 6` stdout, taken before the optimal-mass
+# probe was posed by LP duality; it feeds `hider_avoids_busy_nodes`, so the
+# report must not move.  Exit code 1 is the documented n = 4 ties.
+VERIFY_N6_SHA256 = "1d7aeaf727e41a6c918b8e1c0c4e34076f2df5c0707bcfacf7bc87fba7a55757"
+
+
+def test_verify_report_bytes_pinned(monkeypatch, capsys):
+    monkeypatch.setenv("HSNET_THREADS", "1")
+    assert run(["verify", "--n-max", "6"]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_N6_SHA256
 
 
 def test_design_report(tmp_path):

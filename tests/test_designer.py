@@ -193,9 +193,6 @@ def test_hider_strategy_shapes():
     h = dz.hider_strategy(topo.graph, u, topo)
     assert sum(h.probs) == 1
     assert h[topo.middle_orphan] > 0
-    # tag-only recovery matches the explicit record
-    h2 = dz.hider_strategy(topo.graph, u, dz.MAXIMAL_CP_ODD)
-    assert h2 == h
 
 
 def test_design_optimal_examples():

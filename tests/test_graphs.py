@@ -21,7 +21,6 @@ from hsnet.graphs import (
     is_connected,
     is_two_connected,
     parse_graph_text,
-    remove_node,
     to_dot,
 )
 from hsnet.designer import build_cycle, build_maximal_cp
@@ -67,42 +66,6 @@ def test_components_examples():
     assert components(build_cycle(5)).sizes() == (5,)
 
 
-def test_remove_node_examples():
-    c4 = build_cycle(4)
-    g, mapping = remove_node(c4, 0)
-    assert g.node_count == 3
-    assert mapping == {1: 0, 2: 1, 3: 2}
-    assert g.edges == frozenset({(0, 1), (1, 2)})  # path on the survivors
-
-    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    g, _ = remove_node(star, 0)
-    assert g.edges == frozenset()
-
-    singles = Graph(3)
-    g, _ = remove_node(singles, 1)
-    assert g.node_count == 2 and not g.edges
-
-    with pytest.raises(GraphError):
-        remove_node(c4, 7)
-
-
-def test_remove_node_properties_random():
-    rng = random.Random(5)
-    for _ in range(60):
-        n = rng.randint(1, 8)
-        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
-        g = Graph(n, edges)
-        k = rng.randrange(n)
-        h, mapping = remove_node(g, k)
-        assert h.node_count == n - 1
-        # removal never creates adjacency
-        for (i, j) in h.edges:
-            old = [o for o, new in mapping.items() if new == i][0], [
-                o for o, new in mapping.items() if new == j
-            ][0]
-            assert g.has_edge(*old)
-
-
 def test_induced_subgraph_examples():
     c4 = build_cycle(4)
     sub = induced_subgraph(c4, [0, 1, 2])
@@ -127,7 +90,7 @@ def test_is_two_connected():
     for g in (build_cycle(5), k4_minus, build_maximal_cp(8)):
         if is_two_connected(g):
             for k in range(g.node_count):
-                h, _ = remove_node(g, k)
+                h = induced_subgraph(g, [v for v in range(g.node_count) if v != k])
                 assert len(components(h).components) == 1
 
 
@@ -325,7 +288,8 @@ def test_is_two_connected_matches_node_removal():
     for n in range(0, 7):
         for g in enumerate_graphs(n):
             expect = n >= 3 and is_connected(g) and all(
-                is_connected(remove_node(g, k)[0]) for k in range(n)
+                is_connected(induced_subgraph(g, [v for v in range(n) if v != k]))
+                for k in range(n)
             )
             assert is_two_connected(g) == expect
 

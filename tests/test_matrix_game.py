@@ -145,6 +145,41 @@ def test_max_optimal_mass():
     m = [[2, 2], [2, 2]]
     assert max_optimal_mass(m, F(2), 0) == 1
     assert max_optimal_mass(m, F(2), 1) == 1
+    # the mixed row optima trade row 2 against an even split of rows 0 and 1
+    m = [[1, 0], [0, 1], [F(1, 2), F(1, 2)]]
+    assert max_optimal_mass(m, F(1, 2), 0) == F(1, 2)
+    assert max_optimal_mass(m, F(1, 2), 1) == F(1, 2)
+    assert max_optimal_mass(m, F(1, 2), 2) == 1
+
+
+def test_max_optimal_mass_properties():
+    """Two facts that need no LP: a row carries the whole mass exactly when it
+    guarantees the value on its own, and no optimal strategy, the solver's
+    included, puts more on a row than the probe allows."""
+    from hsnet.oracle import enumerate_graphs
+
+    rng = random.Random(17)
+    games = []
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        games.append(
+            [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ncols)]
+             for _ in range(nrows)]
+        )
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            for u in (identity_u(0), identity_u(2), square_u(50)):
+                games.append(payoff_matrix(g, u))
+    masses = set()
+    for m in games:
+        sol = solve_zero_sum(m)
+        for i, row in enumerate(m):
+            mass = max_optimal_mass(m, sol.value, i)
+            assert 0 <= mass <= 1
+            assert (mass == 1) == (min(row) == sol.value)
+            assert mass >= sol.row_strategy[i]
+            masses.add(mass)
+    assert 0 in masses and 1 in masses and len(masses) > 3
 
 
 def test_dimension_checks():

@@ -13,7 +13,6 @@ from hsnet.payoff import (
     UtilitySpec,
     builtin_utilities,
     capture_probability,
-    hider_payoff,
     payoff_matrix,
     strategy_payoffs,
 )
@@ -77,14 +76,10 @@ def test_inexact_power_flagged():
 
 
 def test_hider_payoff_examples():
-    c4 = build_cycle(4)
-    u = identity_u(1)
-    assert hider_payoff(c4, u, 0, 1) == -1  # adjacent: caught
-    assert hider_payoff(c4, u, 0, 2) == 3  # survives on the 3-path
-    singles = Graph(4)
-    assert hider_payoff(singles, identity_u(), 0, 3) == 1
-    with pytest.raises(Exception):
-        hider_payoff(c4, u, 0, 9)
+    m = payoff_matrix(build_cycle(4), identity_u(1))
+    assert m[0][1] == -1  # adjacent: caught
+    assert m[0][2] == 3  # survives on the 3-path
+    assert payoff_matrix(Graph(4), identity_u())[0][3] == 1
 
 
 def test_payoff_matrix_single_node():
