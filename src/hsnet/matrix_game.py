@@ -1,7 +1,7 @@
 """Exact solver for two-player zero-sum matrix games.
 
 The row player maximizes, the column player minimizes.  One LP per game: after
-shifting the matrix to be strictly positive, the rational simplex solves the
+shifting the matrix to be strictly positive, the exact simplex solves the
 column player's program  max sum(w), M w <= 1, w >= 0, whose optimum is one
 over the shifted game's value, and the row player's strategy is read off its
 dual multipliers.  The optimal-mass probe is posed by LP duality as a program

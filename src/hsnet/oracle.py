@@ -336,12 +336,18 @@ DEFAULT_BETAS = ("0", "1/2", "1", "2", "5", "50")
 
 
 def grid_utilities(families=DEFAULT_FAMILIES, betas=DEFAULT_BETAS):
+    """(family, beta, utility) for every grid cell; a family, or a beta
+    compared as a rational, listed twice is an ``EnumerationError``."""
     from .rationals import parse_rational
 
+    betas = [parse_rational(b) for b in betas]
+    for what, items in (("family", families), ("beta", betas)):
+        for i, item in enumerate(items):
+            if item in items[:i]:
+                raise EnumerationError(f"the grid lists {what} {item} twice")
     cells = []
     for fam in families:
-        for b in betas:
-            beta = parse_rational(b)
+        for beta in betas:
             if fam == "linear":
                 u = UtilitySpec.linear(1, beta)
             elif fam == "power":
@@ -372,10 +378,11 @@ def verify_grid(
         raise EnumerationError("verification needs n_max >= 4")
     if n_max > limit:
         raise EnumerationError(f"n_max={n_max} above limit {limit}")
+    grid = grid_utilities(families, betas)
     cells = []
     all_passed = True
     for n in range(4, n_max + 1):
-        for fam, beta, u in grid_utilities(families, betas):
+        for fam, beta, u in grid:
             report = exhaustive_optimum(n, u, long_run=long_run)
             data = report.to_json_dict()
             if mutate:

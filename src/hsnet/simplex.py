@@ -1,19 +1,20 @@
-"""Exact primal simplex over rationals with Bland's rule.
+"""Exact primal simplex with Bland's rule, pivoted on an integer tableau.
 
 Solves   max  c . x   subject to  A x <= b,  x >= 0,  with  b >= 0,
-entirely in Fraction arithmetic, and returns the dual multipliers with the
-primal optimum.  Since b >= 0 the slack basis is feasible, so the simplex
-starts there with no phase 1.  Bland's smallest-index pivoting rule makes
-cycling impossible, so termination needs no epsilon tuning; the price is a few
-extra pivots, irrelevant at the matrix sizes this package works with.
+and returns the dual multipliers with the primal optimum.  Since b >= 0 the
+slack basis is feasible, so the simplex starts there with no phase 1.
+A and b are scaled to integers by one common denominator, c by its own, and
+pivots are fraction-free (Edmonds 1967; Bareiss, Math. Comp. 22, 1968): every
+entry is a minor of the starting matrix over one common divisor d > 0, each
+division by d is exact, and Fractions are built only for the answer.  Bland's
+smallest-index rule and the (ratio, basis index) tie-break make the rational
+simplex's choices, so its pivots, vertex and duals are reached exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from math import lcm
 
 
 class UnboundedError(ArithmeticError):
@@ -35,52 +36,60 @@ def solve_lp(c, rows, rhs):
     m = len(rows)
     if m != len(rhs):
         raise ValueError("constraint arrays must have equal length")
-
-    # Column layout: structural | slack; slack i starts basic in row i.
-    ncols = nvars + m
-    tableau = []
-    for i, (row, b) in enumerate(zip(rows, rhs)):
+    exact = []
+    for row, b in zip(rows, rhs):
         if len(row) != nvars:
             raise ValueError("constraint row length mismatch")
         b = Fraction(b)
         if b < 0:
             raise ValueError("right-hand sides must be nonnegative")
-        t = [Fraction(v) for v in row] + [ZERO] * m + [b]
-        t[nvars + i] = ONE
-        tableau.append(t)
+        exact.append([Fraction(v) for v in row] + [b])
+    cost = [Fraction(v) for v in c]
+    scale = lcm(*(v.denominator for row in exact for v in row))
+    cscale = lcm(*(v.denominator for v in cost))
+
+    # Column layout: structural | slack | rhs; slack i starts basic in row i.
+    # tableau / d is the rational tableau of the program with A and b scaled
+    # by `scale` and c by `cscale`; zrow / d holds its reduced costs of
+    # min -c . x, and last the value of c . x.
+    ncols = nvars + m
+    tableau = []
+    for i, row in enumerate(exact):
+        t = [v.numerator * (scale // v.denominator) for v in row]
+        tableau.append(t[:nvars] + [0] * i + [1] + [0] * (m - 1 - i) + t[nvars:])
     basis = list(range(nvars, ncols))
-    # Reduced costs of the minimized program  min -c . x;  the last entry is
-    # minus its objective value.
-    zrow = [-Fraction(v) for v in c] + [ZERO] * (m + 1)
+    zrow = [-v.numerator * (cscale // v.denominator) for v in cost] + [0] * (m + 1)
+    d = 1
 
     while True:
         enter = next((j for j in range(ncols) if zrow[j] < 0), -1)
         if enter < 0:
             break
         leave = -1
-        best = None
-        for r in range(m):
-            a = tableau[r][enter]
+        for r, row in enumerate(tableau):
+            a = row[enter]
             if a > 0:
-                key = (tableau[r][-1] / a, basis[r])
-                if best is None or key < best:
-                    best = key
-                    leave = r
+                # ratio row[-1] / a against the best so far, by cross-multiplying
+                if leave < 0 or (row[-1] * best_a, basis[r]) < (best_b * a, basis[leave]):
+                    leave, best_b, best_a = r, row[-1], a
         if leave < 0:
             raise UnboundedError("objective unbounded")
-        inv = ONE / tableau[leave][enter]
-        prow = tableau[leave] = [v * inv for v in tableau[leave]]
+        prow = tableau[leave]
+        p = prow[enter]
         for r, row in enumerate(tableau):
-            factor = row[enter]
-            if factor and r != leave:
-                tableau[r] = [v - factor * pv for v, pv in zip(row, prow)]
-        factor = zrow[enter]
-        zrow = [v - factor * pv for v, pv in zip(zrow, prow)]
+            if r != leave:
+                f = row[enter]
+                tableau[r] = [(v * p - f * pv) // d for v, pv in zip(row, prow)]
+        f = zrow[enter]
+        zrow = [(v * p - f * pv) // d for v, pv in zip(zrow, prow)]
+        d = p
         basis[leave] = enter
 
-    x = [ZERO] * nvars
+    x = [Fraction(0)] * nvars
     for r, bv in enumerate(basis):
         if bv < nvars:
-            x[bv] = tableau[r][-1]
+            x[bv] = Fraction(tableau[r][-1], d)
     # Slack i costs 0, so its reduced cost is the dual of row i.
-    return x, zrow[-1], zrow[nvars:ncols]
+    zscale = d * cscale
+    duals = [Fraction(v * scale, zscale) for v in zrow[nvars:ncols]]
+    return x, Fraction(zrow[-1], zscale), duals

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from importlib import resources
@@ -174,6 +175,36 @@ def test_verify_report_bytes_pinned(monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_N6_SHA256
 
 
+# SHA-256 of `hsnet solve` stdout on seeded G(n, 1/4) graphs, taken before
+# the simplex pivoted on an integer tableau.  The strategies reported are the
+# solver's own vertex, so any change in a pivot choice moves a pin.
+SOLVE_REPORT_SHA256 = {
+    (1, 12, "--family linear --beta 2"):
+        "844b7965f13315b8fd2dec7e8c43d048e81c256681d412a7e9c768dc0c16a18c",
+    (2, 13, "--family power --gamma 2 --beta 1/2"):
+        "79cc63bd5658eca3a3185bca1050c2769e0f9fe84493364eda97a04c2d20cd4c",
+    (3, 14, "--family power --gamma 3/2 --beta 1"):  # float-backed
+        "06638562c9949815a2eaf476f7f943e01ed73bc01d261b62f2f31d49abb6f816",
+    (4, 15, "--family ratio_power --gamma 2 --beta 5"):
+        "aadd474f5b7ee0bf791262f61b1a2f9bfac1d011a8e021aaa0854307581d5bd4",
+    (5, 16, "--family power --gamma 3/2 --beta 0"):  # float-backed
+        "fa9c6eecb9f6152edc3b8e1c3f7bb240d635cea58659e4ba2e63cbe94aa59fc8",
+    (6, 16, "--family linear --beta 1/2"):
+        "a13b72440af188f1f3f0080d49aa752d5f52104e0e270849819dfb1aaafcd0b1",
+}
+
+
+@pytest.mark.parametrize("seed, n, args", sorted(SOLVE_REPORT_SHA256))
+def test_solve_report_bytes_pinned(tmp_path, capsys, seed, n, args):
+    rng = random.Random(seed)
+    edges = [[i, j] for i in range(n) for j in range(i + 1, n) if rng.random() < 0.25]
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"n": n, "edges": edges}))
+    assert run(["solve", "--graph", str(graph)] + args.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SOLVE_REPORT_SHA256[seed, n, args]
+
+
 def test_design_report(tmp_path):
     out = tmp_path / "design.json"
     dot = tmp_path / "design.dot"
@@ -267,6 +298,18 @@ def test_verify_reports_boundary_tie(tmp_path):
 
 def test_verify_rejects_tiny_boards(tmp_path):
     assert run(["verify", "--n-max", "3"]) == 2
+
+
+@pytest.mark.parametrize("grid", [
+    ["--families", "linear", "--betas", "1,2/2"],  # equal as rationals
+    ["--families", "linear,power,linear", "--betas", "2"],
+])
+def test_verify_rejects_repeated_grid_entries(grid):
+    proc = run_child(["-m", "hsnet.cli", "verify", "--n-max", "4"] + grid)
+    assert proc.returncode == 2
+    assert "twice" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_verify_rejects_bad_thread_count(monkeypatch, capsys):
