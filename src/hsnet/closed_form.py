@@ -162,11 +162,6 @@ def guarantee_hiding_attachments(n, m, s, u, lam_r, lam_s) -> Fraction:
     return (ONE - lam_s) * inner - lam_s * u.value(x)
 
 
-def guarantee_hiding_singletons(s, u, lam_s) -> Fraction:
-    """Seeker payoff guarantee when the hider is on an isolated node."""
-    return lam_s * singleton_guarantee(s, u) - (ONE - lam_s) * u.value(1)
-
-
 def residual_seek_weight(n: int, m: int, s: int, u: UtilitySpec, r_empty: bool) -> Fraction:
     """The seeker's conditional weight on the residual set: zero when that
     set is empty, otherwise the equalizing interior weight."""

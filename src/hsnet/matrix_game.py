@@ -1,13 +1,15 @@
 """Exact solver for two-player zero-sum matrix games.
 
-The row player maximizes, the column player minimizes.  One LP per game: after
-shifting the matrix to be strictly positive, the exact simplex solves the
-column player's program  max sum(w), M w <= 1, w >= 0, whose optimum is one
-over the shifted game's value, and the row player's strategy is read off its
-dual multipliers.  The optimal-mass probe is posed by LP duality as a program
-of the same slack-feasible form, so every LP here starts from the slack
-basis.  The strategies are certified by a zero best-response gap, computed
-from the matrix apart from the solver.
+The row player maximizes, the column player minimizes.  One LP per game: the
+matrix is read once into integers over its common denominator D and shifted
+so every entry is at least D, and the exact simplex solves the column
+player's program  max sum(w), M w <= 1, w >= 0  on the shifted matrix, posed
+over D in integers.  Its optimum is one over the shifted game's value, and
+the row player's strategy is read off its dual multipliers.  The optimal-mass
+probe is posed by LP duality as a program of the same slack-feasible form,
+so every LP here starts from the slack basis.  The strategies are certified
+by a zero best-response gap, computed in exact arithmetic on the caller's own
+matrix, apart from the solver and its integer input.
 
 Optimal strategies are generally not unique; callers should compare values
 and regrets, never strategy vectors.
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rationals import format_rational
+from .rationals import format_rational, over_common_denominator
 from .simplex import solve_lp
 
 ZERO = Fraction(0)
@@ -51,13 +53,6 @@ class MixedStrategy:
         probs = [ZERO] * n
         for i in idx:
             probs[i] = p
-        return MixedStrategy(probs)
-
-    @staticmethod
-    def from_weights(weights: dict, n: int) -> "MixedStrategy":
-        probs = [ZERO] * n
-        for i, w in weights.items():
-            probs[i] += Fraction(w)
         return MixedStrategy(probs)
 
     def support(self) -> tuple[int, ...]:
@@ -93,41 +88,42 @@ class GameSolution:
     row_strategy: MixedStrategy
     col_strategy: MixedStrategy
 
-    def to_json_dict(self) -> dict:
-        return {
-            "value": format_rational(self.value),
-            "row_strategy": self.row_strategy.to_pq(),
-            "col_strategy": self.col_strategy.to_pq(),
-        }
-
 
 def _entries(matrix):
-    rows = [tuple(Fraction(v) for v in row) for row in matrix]
+    """The matrix's rows, checked to be nonempty, rectangular and exact."""
+    rows = [tuple(row) for row in matrix]
     if not rows or not rows[0]:
         raise ValueError("matrix must be nonempty")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError("matrix rows must have equal length")
+    if any(type(v) is not int and type(v) is not Fraction for r in rows for v in r):
+        raise ValueError("matrix entries must be int or Fraction")
     return rows
 
 
-def _shifted(rows):
-    """The matrix shifted so every entry is at least 1, and the shift added."""
-    lo = min(min(r) for r in rows)
-    shift = ONE - lo if lo < 1 else ZERO
-    return [[v + shift for v in row] for row in rows], shift
+def _integer_rows(rows):
+    """(shifted, D, shift): the rows as integers over their common denominator
+    D, each raised by the same integer S so every entry is at least D; the
+    shift added to the matrix is S / D."""
+    ints, den = over_common_denominator(v for r in rows for v in r)
+    lo = min(ints)
+    s = den - lo if lo < den else 0
+    width = len(rows[0])
+    shifted = [v + s for v in ints]
+    return [shifted[i : i + width] for i in range(0, len(shifted), width)], den, Fraction(s, den)
 
 
 def _column_lp(rows):
-    """Solve the column player's program on the shifted matrix.
+    """Solve the column player's program on the shifted matrix, every row and
+    its right-hand side 1 scaled by D.
 
-    Returns (w, total, duals, shift): max sum(w) = total = 1/(value + shift).
+    Returns (w, total, duals, shift): max sum(w) = total = 1/(value + shift),
+    and the duals of the unscaled rows, which sum to total.
     """
-    shifted, shift = _shifted(rows)
-    w, total, duals = solve_lp(
-        c=[ONE] * len(rows[0]), rows=shifted, rhs=[ONE] * len(rows)
-    )
-    return w, total, duals, shift
+    shifted, den, shift = _integer_rows(rows)
+    w, total, duals = solve_lp(c=[1] * len(rows[0]), rows=shifted, rhs=[den] * len(rows))
+    return w, total, [y * den for y in duals], shift
 
 
 def game_value(matrix) -> Fraction:
@@ -192,23 +188,27 @@ def max_optimal_mass(matrix, value: Fraction, index: int) -> Fraction:
     guaranteeing ``value``, the game's value, against every column).  A zero
     answer certifies that no equilibrium uses the action at all.
 
-    With M' the shifted matrix, v' the shifted value and T = 1/v', the scaled
-    optimal strategies are the y >= 0 with M'^T y >= 1 and sum(y) <= T.  The
-    LP dual of  max y[index]  over them forces its multiplier t >= 1 on
+    With M' the shifted matrix, v' = p/q the shifted value and T = 1/v', the
+    scaled optimal strategies are the y >= 0 with M'^T y >= 1 and sum(y) <= T.
+    The LP dual of  max y[index]  over them forces its multiplier t >= 1 on
     sum(y) <= T; with t = 1 + t' it is the slack-feasible program
 
         z = max sum(w) - T t'   s.t.   M' w - t' <= 1 - e_index,   w, t' >= 0,
 
-    and the answer is v' (T - z) = 1 - v' z.
+    and the answer is v' (T - z) = 1 - v' z.  It is solved in integers with
+    the rows scaled by D and the objective by p > 0, whose optimum is p z.
     """
     rows = _entries(matrix)
     if not (0 <= index < len(rows)):
         raise ValueError("row index out of range")
-    shifted, shift = _shifted(rows)
+    shifted, den, shift = _integer_rows(rows)
     value_shifted = Fraction(value) + shift
-    z = solve_lp(
-        c=[ONE] * len(rows[0]) + [-ONE / value_shifted],
-        rows=[row + [-ONE] for row in shifted],
-        rhs=[ZERO if h == index else ONE for h in range(len(rows))],
+    if value_shifted <= 0:
+        raise ValueError("value is below every entry of the matrix")
+    p, q = value_shifted.numerator, value_shifted.denominator
+    pz = solve_lp(
+        c=[p] * len(rows[0]) + [-q],
+        rows=[row + [-den] for row in shifted],
+        rhs=[0 if h == index else den for h in range(len(rows))],
     )[1]
-    return ONE - value_shifted * z
+    return ONE - pz / q

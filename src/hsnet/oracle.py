@@ -177,9 +177,7 @@ class EnumerationReport:
         }
 
 
-def exhaustive_optimum(
-    n: int, u: UtilitySpec, long_run: bool = False, with_checks: bool = True
-) -> EnumerationReport:
+def exhaustive_optimum(n: int, u: UtilitySpec, long_run: bool = False) -> EnumerationReport:
     """Solve every graph on n nodes and compare against the closed forms."""
     if n > DEFAULT_LIMIT and not long_run:
         raise EnumerationError(
@@ -215,11 +213,7 @@ def exhaustive_optimum(
         closed_form_value=expected,
         value_match=best == expected,
     )
-    if with_checks:
-        report = dataclasses.replace(
-            report, structural_checks=tuple(check_structure(report))
-        )
-    return report
+    return dataclasses.replace(report, structural_checks=tuple(check_structure(report)))
 
 
 # -- structural checks -------------------------------------------------------
@@ -230,21 +224,16 @@ def _non_singleton_part(g: Graph):
     return induced_subgraph(g, keep)
 
 
-def check_structure(report: EnumerationReport, checks=None) -> list[StructuralCheck]:
-    """Named pass/fail results over every argmax graph of a report.
-
-    ``checks`` optionally restricts to a subset of check names.
-    """
+def check_structure(report: EnumerationReport) -> list[StructuralCheck]:
+    """Named pass/fail results over every argmax graph of a report."""
     u = report.utility
     n = report.n
     beta = u.beta
     argmax = report.argmax_graphs
-    wanted = set(checks) if checks is not None else None
     out = []
 
     def emit(name, passed, detail=""):
-        if wanted is None or name in wanted:
-            out.append(StructuralCheck(name, passed, detail))
+        out.append(StructuralCheck(name, passed, detail))
 
     bad_small = []
     bad_s = []

@@ -12,7 +12,6 @@ fall back to floats (wrapped exactly, flagged via ``is_exact``).
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -20,7 +19,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .graphs import Graph, GraphError
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, over_common_denominator, parse_rational
 
 FAMILIES = ("linear", "power", "ratio_power", "table")
 
@@ -292,13 +291,6 @@ def _dfs_low_links(adjacency):
     return order, tin, low, size, children, comp_start
 
 
-def _integer_weights(probs) -> tuple:
-    """Integer numerators of a probability vector over its common denominator."""
-    probs = [Fraction(p) for p in probs]
-    den = math.lcm(*(p.denominator for p in probs))
-    return [p.numerator * (den // p.denominator) for p in probs], den
-
-
 def strategy_payoffs(g: Graph, u: UtilitySpec, hider, seeker) -> tuple:
     """Exact (M.seeker, hider.M) of g's hider-payoff matrix M, without M.
 
@@ -315,8 +307,8 @@ def strategy_payoffs(g: Graph, u: UtilitySpec, hider, seeker) -> tuple:
     n = g.node_count
     if n < 1:
         raise GraphError("payoff matrix needs at least one node")
-    rho, rho_den = _integer_weights(hider)
-    sigma, sigma_den = _integer_weights(seeker)
+    rho, rho_den = over_common_denominator(hider)
+    sigma, sigma_den = over_common_denominator(seeker)
     if len(rho) != n or len(sigma) != n:
         raise GraphError("strategy length must equal node count")
     adjacency = [[] for _ in range(n)]

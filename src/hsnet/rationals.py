@@ -9,6 +9,7 @@ flagged explicitly by the caller.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 def format_rational(value: Fraction) -> str:
@@ -44,6 +45,18 @@ def parse_rational(text) -> Fraction:
         return Fraction(int(s))
     except ValueError as exc:
         raise ValueError(f"invalid rational {text!r}") from exc
+
+
+def over_common_denominator(values) -> tuple:
+    """(numerators, D): ints and Fractions as integers over their least common
+    denominator D, read from ``.numerator``/``.denominator`` with no Fraction
+    built; anything else (a float, a string) is a ValueError."""
+    values = tuple(values)
+    try:
+        den = lcm(*(v.denominator for v in values))
+    except AttributeError:
+        raise ValueError("expected ints and Fractions only") from None
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def format_float(value: float) -> str:

@@ -3,10 +3,12 @@
 Solves   max  c . x   subject to  A x <= b,  x >= 0,  with  b >= 0,
 and returns the dual multipliers with the primal optimum.  Since b >= 0 the
 slack basis is feasible, so the simplex starts there with no phase 1.
-A and b are scaled to integers by one common denominator, c by its own, and
-pivots are fraction-free (Edmonds 1967; Bareiss, Math. Comp. 22, 1968): every
-entry is a minor of the starting matrix over one common divisor d > 0, each
-division by d is exact, and Fractions are built only for the answer.  Bland's
+Every coefficient is an int: a caller with rationals scales them first.
+Scaling a row with its b, or c, by a positive integer changes no sign and no
+ratio the pivot rule reads, so it changes no pivot and no x.  Pivots are
+fraction-free (Edmonds 1967; Bareiss, Math. Comp. 22, 1968): every entry is
+a minor of the starting matrix over one common divisor d > 0, each division
+by d is exact, and Fractions are built only for the answer.  Bland's
 smallest-index rule and the (ratio, basis index) tie-break make the rational
 simplex's choices, so its pivots, vertex and duals are reached exactly.
 """
@@ -14,7 +16,7 @@ simplex's choices, so its pivots, vertex and duals are reached exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import chain
 
 
 class UnboundedError(ArithmeticError):
@@ -24,41 +26,34 @@ class UnboundedError(ArithmeticError):
 def solve_lp(c, rows, rhs):
     """Maximize c . x over A x <= b, x >= 0; return (x, value, duals) exactly.
 
-    c: objective coefficients (length nvars)
-    rows/rhs: the constraint rows of A and their right-hand sides b >= 0
+    c: int objective coefficients (length nvars)
+    rows/rhs: the int constraint rows of A and their right-hand sides b >= 0
     duals: one multiplier y_i >= 0 per row, read from the final reduced costs
     of the slack columns.  They are dual-feasible (A^T y >= c) and b . y equals
-    the optimal value.
-    Raises ValueError on a negative right-hand side, UnboundedError when the
-    objective has no maximum.
+    the optimal value.  x, value and duals are Fractions.
+    Raises ValueError on mismatched lengths, a coefficient that is not an int
+    or a negative right-hand side, UnboundedError when the objective has no
+    maximum.
     """
     nvars = len(c)
     m = len(rows)
-    if m != len(rhs):
-        raise ValueError("constraint arrays must have equal length")
-    exact = []
-    for row, b in zip(rows, rhs):
-        if len(row) != nvars:
-            raise ValueError("constraint row length mismatch")
-        b = Fraction(b)
-        if b < 0:
-            raise ValueError("right-hand sides must be nonnegative")
-        exact.append([Fraction(v) for v in row] + [b])
-    cost = [Fraction(v) for v in c]
-    scale = lcm(*(v.denominator for row in exact for v in row))
-    cscale = lcm(*(v.denominator for v in cost))
+    if m != len(rhs) or any(len(row) != nvars for row in rows):
+        raise ValueError("constraint rows and right-hand sides do not match in length")
+    if any(type(v) is not int for v in chain(c, rhs, *rows)):
+        raise ValueError("solve_lp takes int coefficients only")
+    if any(b < 0 for b in rhs):
+        raise ValueError("right-hand sides must be nonnegative")
 
     # Column layout: structural | slack | rhs; slack i starts basic in row i.
-    # tableau / d is the rational tableau of the program with A and b scaled
-    # by `scale` and c by `cscale`; zrow / d holds its reduced costs of
-    # min -c . x, and last the value of c . x.
+    # tableau / d is the rational tableau, and zrow / d holds its reduced
+    # costs of min -c . x, and last the value of c . x.
     ncols = nvars + m
-    tableau = []
-    for i, row in enumerate(exact):
-        t = [v.numerator * (scale // v.denominator) for v in row]
-        tableau.append(t[:nvars] + [0] * i + [1] + [0] * (m - 1 - i) + t[nvars:])
+    tableau = [
+        [*row, *[0] * i, 1, *[0] * (m - 1 - i), b]
+        for i, (row, b) in enumerate(zip(rows, rhs))
+    ]
     basis = list(range(nvars, ncols))
-    zrow = [-v.numerator * (cscale // v.denominator) for v in cost] + [0] * (m + 1)
+    zrow = [-v for v in c] + [0] * (m + 1)
     d = 1
 
     while True:
@@ -90,6 +85,5 @@ def solve_lp(c, rows, rhs):
         if bv < nvars:
             x[bv] = Fraction(tableau[r][-1], d)
     # Slack i costs 0, so its reduced cost is the dual of row i.
-    zscale = d * cscale
-    duals = [Fraction(v * scale, zscale) for v in zrow[nvars:ncols]]
-    return x, Fraction(zrow[-1], zscale), duals
+    duals = [Fraction(v, d) for v in zrow[nvars:ncols]]
+    return x, Fraction(zrow[-1], d), duals

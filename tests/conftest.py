@@ -5,10 +5,17 @@ oracle unit tests and the acceptance battery) look at the same cells, so
 reports are memoized for the whole session.
 """
 
+import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
+import hsnet
+from hsnet.graphs import Graph
 from hsnet.oracle import exhaustive_optimum
 from hsnet.payoff import UtilitySpec
 
@@ -41,3 +48,33 @@ def oracle_report():
         return _REPORTS[key]
 
     return get
+
+
+def run_child(args, timeout=None):
+    """Run python with ``args`` in a separate process, so an uncaught
+    exception would show its traceback on stderr."""
+    src = os.path.dirname(os.path.dirname(hsnet.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run(
+        [sys.executable] + args, capture_output=True, text=True, env=env, timeout=timeout
+    )
+
+
+def relabel(g, perm):
+    return Graph(g.node_count, [(perm[i], perm[j]) for (i, j) in g.edges])
+
+
+@st.composite
+def graphs(draw, min_nodes=0, max_nodes=8):
+    """A labelled graph: a node count, then each possible edge kept or not."""
+    n = draw(st.integers(min_nodes, max_nodes))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, keep in zip(pairs, chosen) if keep])
+
+
+@st.composite
+def graph_and_permutation(draw, min_nodes=0, max_nodes=8):
+    g = draw(graphs(min_nodes, max_nodes))
+    return g, draw(st.permutations(range(g.node_count)))

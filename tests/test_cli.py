@@ -2,19 +2,17 @@
 
 import hashlib
 import json
-import os
 import random
-import subprocess
-import sys
 from importlib import resources
 
 import jsonschema
 import pytest
 
-import hsnet
 from hsnet.cli import main
 from hsnet.graphs import Graph, format_graph_text, parse_graph_text
 from hsnet.designer import build_cycle
+
+from conftest import run_child
 
 
 def run(args):
@@ -77,17 +75,6 @@ def test_solve_json_graph_non_integer_edge(tmp_path, capsys):
     g.write_text(json.dumps({"n": 3, "edges": [[0, 1.7]]}))
     assert run(["solve", "--graph", str(g)]) == 2
     assert "bad edge entry" in capsys.readouterr().err
-
-
-def run_child(args, timeout=None):
-    """Run python with ``args`` in a separate process, so an uncaught
-    exception would show its traceback on stderr."""
-    src = os.path.dirname(os.path.dirname(hsnet.__file__))
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    return subprocess.run(
-        [sys.executable] + args, capture_output=True, text=True, env=env, timeout=timeout
-    )
 
 
 def test_solve_rejects_non_object_utility_params(c4_file):

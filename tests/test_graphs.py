@@ -1,10 +1,11 @@
 """Graph structure, classification, and canonical forms."""
 
 import itertools
+import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from hsnet.graphs import (
     Graph,
@@ -24,6 +25,8 @@ from hsnet.graphs import (
     to_dot,
 )
 from hsnet.designer import build_cycle, build_maximal_cp
+
+from conftest import graph_and_permutation, graphs, relabel
 
 
 def path(k):
@@ -246,10 +249,6 @@ def brute_canonical_form(g):
     return (n, sum(row << (i * (i + 1) // 2) for i, row in enumerate(best)))
 
 
-def relabel(g, perm):
-    return Graph(g.node_count, [(perm[i], perm[j]) for (i, j) in g.edges])
-
-
 def test_canonical_form_matches_bruteforce_definition():
     from hsnet.oracle import enumerate_graphs
 
@@ -264,15 +263,6 @@ def test_canonical_form_matches_bruteforce_definition():
         rng.shuffle(perm)
         h = relabel(g, perm)
         assert canonical_form(h) == brute_canonical_form(h) == canonical_form(g)
-
-
-@st.composite
-def graph_and_permutation(draw):
-    n = draw(st.integers(0, 8))
-    pairs = list(itertools.combinations(range(n), 2))
-    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    perm = draw(st.permutations(range(n)))
-    return Graph(n, [e for e, keep in zip(pairs, chosen) if keep]), perm
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -313,6 +303,13 @@ def test_text_format_roundtrip_and_errors():
         parse_graph_text("n 3\nz 0 1\n")
     with pytest.raises(GraphFormatError):
         parse_graph_text("")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(graphs())
+def test_text_and_json_round_trips(g):
+    assert parse_graph_text(format_graph_text(g)) == g
+    assert graph_from_json_dict(json.loads(json.dumps(graph_to_json_dict(g)))) == g
 
 
 def test_json_graph_rejects_non_integer_fields():

@@ -182,6 +182,25 @@ def test_max_optimal_mass_properties():
     assert 0 in masses and 1 in masses and len(masses) > 3
 
 
+@pytest.mark.parametrize("matrix", [
+    [[0.1, 0], [0, 0.2]],  # a float is not read as the nearest binary fraction
+    [["1/2"]],  # nor is a string parsed
+    [[True, 0], [0, 1]],
+    [[F(1, 2), None]],
+], ids=["float", "str", "bool", "None"])
+def test_entries_must_be_int_or_fraction(matrix):
+    for solve in (solve_zero_sum, game_value):
+        with pytest.raises(ValueError, match="int or Fraction"):
+            solve(matrix)
+    with pytest.raises(ValueError, match="int or Fraction"):
+        max_optimal_mass(matrix, F(0), 0)
+
+
+def test_max_optimal_mass_rejects_a_value_below_the_matrix():
+    with pytest.raises(ValueError, match="below every entry"):
+        max_optimal_mass(PENNIES, F(-5), 0)
+
+
 def test_dimension_checks():
     with pytest.raises(ValueError):
         best_response_gap(PENNIES, MixedStrategy.uniform(3), MixedStrategy.uniform(2))

@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hsnet.graphs import canonical_form, components, graph_from_canonical_key, Graph
 from hsnet.oracle import (
@@ -20,7 +21,9 @@ from hsnet.oracle import (
     verify_grid,
 )
 
-from conftest import identity_u, square_u
+from hsnet.payoff import builtin_utilities
+
+from conftest import graph_and_permutation, identity_u, relabel, square_u
 
 
 KNOWN_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -194,3 +197,16 @@ def test_report_json_shape(oracle_report):
     assert data["n"] == 4
     assert isinstance(data["checks"], list)
     assert all(set(c) >= {"name", "passed"} for c in data["checks"])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    graph_and_permutation(min_nodes=1, max_nodes=7),
+    st.sampled_from(["linear", "power", "ratio_power"]),
+    st.fractions(min_value=0, max_value=50, max_denominator=12),
+)
+def test_hider_value_invariant_under_relabelling(case, family, beta):
+    # The defaults: f(x) = x, x ** 2 and x ** 2 / (x + 1), at the drawn beta.
+    g, perm = case
+    u = builtin_utilities(family, beta=beta)
+    assert hider_value(relabel(g, perm), u) == hider_value(g, u)

@@ -254,3 +254,5 @@ def test_strategy_payoffs_validates_shapes():
         strategy_payoffs(g, identity_u(), [F(1, 3)] * 3, [F(1, 4)] * 4)
     with pytest.raises(GraphError):
         strategy_payoffs(Graph(0), identity_u(), [], [])
+    with pytest.raises(ValueError, match="ints and Fractions"):
+        strategy_payoffs(g, identity_u(), [0.25] * 4, [F(1, 4)] * 4)

@@ -4,7 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from hsnet.rationals import format_float, format_rational, parse_rational
+from hsnet.rationals import (
+    format_float,
+    format_rational,
+    over_common_denominator,
+    parse_rational,
+)
 
 
 def test_format_always_shows_denominator():
@@ -30,3 +35,11 @@ def test_roundtrip():
 
 def test_float_formatting():
     assert float(format_float(2.0 ** 0.5)) == 2.0 ** 0.5
+
+
+def test_over_common_denominator():
+    assert over_common_denominator([F(1, 2), -3, F(-5, 6), 0]) == ([3, -18, -5, 0], 6)
+    assert over_common_denominator([]) == ([], 1)
+    for bad in (0.5, "1/2", None):
+        with pytest.raises(ValueError):
+            over_common_denominator([F(1, 2), bad])

@@ -10,6 +10,7 @@ import hsnet.matrix_game
 from hsnet.matrix_game import max_optimal_mass, solve_zero_sum
 from hsnet.oracle import enumerate_graphs
 from hsnet.payoff import UtilitySpec, payoff_matrix
+from hsnet.rationals import over_common_denominator
 from hsnet.simplex import UnboundedError
 from hsnet.simplex import solve_lp as _solve_lp
 
@@ -83,17 +84,29 @@ def solve_lp(c, rows, rhs):
     return x, v
 
 
+def integer_lp(c, rows, rhs):
+    """The program with each row and its right-hand side, and c, scaled to
+    integers by its own lcm: ((c, rows, rhs), c's scale, the row scales)."""
+    c, cscale = over_common_denominator(c)
+    scaled = [over_common_denominator([*row, b]) for row, b in zip(rows, rhs)]
+    program = (c, [row[:-1] for row, _ in scaled], [row[-1] for row, _ in scaled])
+    return program, cscale, [k for _, k in scaled]
+
+
 def same_as_reference(c, rows, rhs):
-    """The kernel and the reference give the same (x, value, duals), or both
-    find the objective unbounded."""
+    """The kernel on the program scaled to integers gives the reference's
+    (x, value, duals) on the program as given, once the scaling is undone,
+    or both find the objective unbounded."""
+    program, cscale, scales = integer_lp(c, rows, rhs)
     try:
         want = reference_lp(c, rows, rhs)
     except UnboundedError:
         with pytest.raises(UnboundedError):
-            _solve_lp(c, rows, rhs)
+            _solve_lp(*program)
         return False
-    assert _solve_lp(c, rows, rhs) == want
-    solve_lp(c, rows, rhs)
+    x, v, y = _solve_lp(*program)
+    assert (x, v / cscale, [yi * k / cscale for yi, k in zip(y, scales)]) == want
+    solve_lp(*program)
     return True
 
 
@@ -113,7 +126,22 @@ def test_negative_rhs_rejected():
     with pytest.raises(ValueError):
         _solve_lp([1], [[1]], [-1])
     with pytest.raises(ValueError):
-        _solve_lp([1, 1], [[1, 0], [0, 1]], [1, F(-1, 3)])
+        _solve_lp([1, 1], [[1, 0], [0, 1]], [1, -3])
+
+
+@pytest.mark.parametrize("bad", [F(1, 2), F(3), 0.5, 2.0, True], ids=repr)
+@pytest.mark.parametrize("where", ["c", "row", "rhs"])
+def test_non_int_coefficients_rejected(where, bad):
+    # Floor division on a non-int tableau would give a wrong answer silently.
+    c, rows, rhs = [1, 1], [[1, 2], [3, 1]], [4, 6]
+    if where == "c":
+        c[1] = bad
+    elif where == "row":
+        rows[1][0] = bad
+    else:
+        rhs[0] = bad
+    with pytest.raises(ValueError, match="int coefficients"):
+        _solve_lp(c, rows, rhs)
 
 
 BEALE = (
@@ -130,8 +158,9 @@ BEALE = (
 def test_beale_degenerate_cycle_terminates():
     # Classic cycling instance for naive pivoting, stated as a maximization;
     # Bland's rule must finish.
-    x, v = solve_lp(*BEALE)
-    assert v == F(1, 20)
+    program, cscale, _ = integer_lp(*BEALE)
+    x, v = solve_lp(*program)
+    assert v == F(1, 20) * cscale
     assert same_as_reference(*BEALE)
 
 
