@@ -15,25 +15,32 @@ Names outside this short list are imported from their submodules
 (``hsnet.graphs``, ``hsnet.matrix_game``, ``hsnet.oracle`` and so on).
 """
 
-from .designer import build_cycle, build_maximal_cp, design_optimal
-from .graphs import Graph, to_dot
-from .matrix_game import solve_zero_sum
-from .oracle import exhaustive_optimum
-from .payoff import UtilitySpec, capture_probability, payoff_matrix
-from .rationals import format_rational
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Graph",
-    "UtilitySpec",
-    "build_cycle",
-    "build_maximal_cp",
-    "capture_probability",
-    "design_optimal",
-    "exhaustive_optimum",
-    "format_rational",
-    "payoff_matrix",
-    "solve_zero_sum",
-    "to_dot",
-]
+# Each top-level name and the submodule that defines it.  A name is imported
+# on first use (PEP 562), so ``import hsnet.graphs`` loads nothing else.
+_SOURCES = {
+    "Graph": "graphs",
+    "UtilitySpec": "payoff",
+    "build_cycle": "designer",
+    "build_maximal_cp": "designer",
+    "capture_probability": "payoff",
+    "design_optimal": "designer",
+    "exhaustive_optimum": "oracle",
+    "format_rational": "rationals",
+    "payoff_matrix": "payoff",
+    "solve_zero_sum": "matrix_game",
+    "to_dot": "graphs",
+}
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_SOURCES[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -6,6 +6,10 @@ isomorphism, and export graphs between formats.  All reports are exact
 ("p/q" rationals, sorted keys, stable byte-for-byte); floats only appear for
 utility families with irrational parameters and are flagged.
 
+Each command imports the modules it uses when it runs, so ``enumerate``
+loads only ``hsnet.graphs`` and ``solve`` never loads the designer or the
+verifier.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or input errors.
 """
 
@@ -16,27 +20,10 @@ import csv
 import io
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from .closed_form import value_table_rows
-from .designer import design_optimal
-from .graphs import (
-    GraphFormatError,
-    graph_from_json_dict,
-    graph_to_json_dict,
-    format_graph_text,
-    parse_graph_text,
-    to_dot,
-)
-from .matrix_game import solve_zero_sum
-from .oracle import (
-    DEFAULT_BETAS,
-    DEFAULT_FAMILIES,
-    EnumerationError,
-    enumerate_graphs,
-    verify_grid,
-)
-from .payoff import UtilityError, UtilitySpec, builtin_utilities, capture_probability, payoff_matrix
-from .rationals import format_float, format_rational, parse_rational
+if TYPE_CHECKING:
+    from .payoff import UtilitySpec
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -47,6 +34,8 @@ class CliError(Exception):
 
 
 def _utility_from_args(args) -> UtilitySpec:
+    from .payoff import UtilitySpec, builtin_utilities
+    from .rationals import parse_rational
     if getattr(args, "utility", None):
         raw = args.utility
         if raw.startswith("@"):
@@ -83,12 +72,14 @@ def _add_utility_args(sub):
 
 
 def _numeric_renderer(u: UtilitySpec):
+    from .rationals import format_float, format_rational
     if u.is_exact:
         return format_rational, False
     return (lambda x: format_float(float(x))), True
 
 
 def _load_graph(path: str):
+    from .graphs import GraphFormatError, graph_from_json_dict, parse_graph_text
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     stripped = text.lstrip()
@@ -117,6 +108,8 @@ def _emit_json(args, data: dict):
 
 
 def cmd_solve(args) -> int:
+    from .matrix_game import solve_zero_sum
+    from .payoff import capture_probability, payoff_matrix
     g = _load_graph(args.graph)
     u = _utility_from_args(args)
     if g.node_count < 1:
@@ -139,6 +132,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_design(args) -> int:
+    from .designer import design_optimal
     u = _utility_from_args(args)
     if args.n < 1:
         raise CliError("--n must be at least 1")
@@ -159,6 +153,7 @@ def cmd_design(args) -> int:
 
 
 def cmd_value_table(args) -> int:
+    from .closed_form import value_table_rows
     u = _utility_from_args(args)
     n_lo = args.n
     n_hi = args.n_max if args.n_max is not None else args.n
@@ -193,8 +188,12 @@ def cmd_value_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    families = tuple(f.strip() for f in args.families.split(","))
-    betas = tuple(b.strip() for b in args.betas.split(","))
+    from .oracle import DEFAULT_BETAS, DEFAULT_FAMILIES, verify_grid
+    families, betas = DEFAULT_FAMILIES, DEFAULT_BETAS
+    if args.families is not None:
+        families = tuple(f.strip() for f in args.families.split(","))
+    if args.betas is not None:
+        betas = tuple(b.strip() for b in args.betas.split(","))
     cells, all_passed = verify_grid(
         args.n_max,
         families=families,
@@ -229,6 +228,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from .graphs import enumerate_graphs, graph_to_json_dict
     graphs = enumerate_graphs(args.n)
     data = {"n": args.n, "count": len(graphs)}
     if not args.count_only:
@@ -238,6 +238,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_export(args) -> int:
+    from .graphs import format_graph_text, graph_to_json_dict, to_dot
     g = _load_graph(args.graph)
     if args.format == "dot":
         _emit(args, to_dot(g))
@@ -277,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="brute-force check of the design claims")
     p.add_argument("--n-max", type=int, default=5)
-    p.add_argument("--families", default=",".join(DEFAULT_FAMILIES))
-    p.add_argument("--betas", default=",".join(DEFAULT_BETAS))
+    p.add_argument("--families")
+    p.add_argument("--betas")
     p.add_argument("--long", action="store_true", help="allow the n=8 sweep")
     p.add_argument(
         "--mutate",
@@ -309,7 +310,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, GraphFormatError, UtilityError, EnumerationError, ValueError) as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except OSError as exc:

@@ -10,15 +10,18 @@ removal, 2-connectivity) this module provides:
 * ``classify`` -- partitions the nodes into singletons, singleton leaves,
   their attachment nodes, and the residual set, which is what the seeker's
   mixed strategy is built from;
-* ``canonical_form`` -- an isomorphism-invariant key for small graphs, used
-  to enumerate graphs up to isomorphism in the brute-force verifier.
+* ``canonical_form`` -- an isomorphism-invariant key for small graphs;
+* ``enumerate_graphs`` -- every graph on n <= 8 nodes up to isomorphism,
+  the input of the brute-force verifier in ``hsnet.oracle``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 CANONICAL_MAX_NODES = 8
+ENUMERATION_LIMIT = 8
 _MEMBERS = tuple(  # _MEMBERS[mask]: the nodes in the bitmask, in increasing order
     tuple(v for v in range(CANONICAL_MAX_NODES) if m >> v & 1)
     for m in range(1 << CANONICAL_MAX_NODES)
@@ -27,6 +30,10 @@ _MEMBERS = tuple(  # _MEMBERS[mask]: the nodes in the bitmask, in increasing ord
 
 class GraphError(ValueError):
     """Structural violation: bad node ids, self loops, duplicate edges."""
+
+
+class EnumerationError(ValueError):
+    """A node count or setting outside what enumeration and the verifier support."""
 
 
 class GraphFormatError(GraphError):
@@ -281,7 +288,41 @@ def classify(g: Graph) -> SeekerPartition:
     )
 
 
-# -- canonical forms for small graphs -------------------------------------
+# -- canonical forms and enumeration for small graphs -----------------------
+
+
+def twin_classes(g: Graph) -> tuple[int, ...]:
+    """``classes[v]``: the bitmask of v's twin class, the nodes w with
+    N(v) - w == N(w) - v, v included; permuting a class is an automorphism.
+    A node with a non-adjacent twin (same open neighbourhood) has no adjacent
+    one (same closed neighbourhood), so each class is one of the two groups."""
+    open_groups, closed_groups = {}, {}
+    for v, m in enumerate(g._masks):
+        open_groups[m] = open_groups.get(m, 0) | 1 << v
+        closed_groups[m | 1 << v] = closed_groups.get(m | 1 << v, 0) | 1 << v
+    return tuple(
+        open_groups[m] | closed_groups[m | 1 << v] for v, m in enumerate(g._masks)
+    )
+
+
+def _maximum_cliques(masks, classes) -> list[int]:
+    """The maximum cliques, as bitmasks, that take the lowest members of
+    every twin class they meet: one clique per orbit of the twin swaps."""
+    best, found = 0, []
+    stack = [(0, (1 << len(masks)) - 1)]
+    while stack:
+        clique, cand = stack.pop()
+        if not cand:  # no node above can join, as for every maximum clique
+            size = clique.bit_count()
+            if size > best:
+                best, found = size, []
+            if size == best:
+                found.append(clique)
+        elif clique.bit_count() + cand.bit_count() >= best:
+            for v in reversed(_MEMBERS[cand]):  # the lowest popped first
+                if not classes[v] & ((1 << v) - 1) & ~clique:  # no lower twin left out
+                    stack.append((clique | 1 << v, cand & masks[v] & -(2 << v)))
+    return found
 
 
 def canonical_form(g: Graph) -> tuple[int, int]:
@@ -290,12 +331,18 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     maximum of the rows (position i's adjacency bits toward positions
     0..i-1), with row i packed at offset i(i-1)/2.
 
-    The search fills one position per level and keeps the partial orders
-    whose rows are maximal so far.  A frontier entry holds its unplaced nodes
-    as a bitmask and ``score[v]``, v's row toward the placed prefix: placing p
-    at position ``level`` ORs ``1 << level`` into each unplaced neighbour's
-    score.  Of tied twins (N(u) - w == N(w) - u, so swapping them is an
-    automorphism) only the first is branched on.
+    Rows 1..k are all ones exactly when positions 0..k form a clique, so the
+    maximum places a maximum clique first, and in any order: that clique is
+    one unordered cell.  A frontier entry holds the placed positions as
+    cells, unordered runs in position order, plus the unplaced nodes.  A
+    node's row toward a cell is largest with its neighbours at the top of
+    the cell, so placing it splits every cell into non-neighbours, then
+    neighbours, and both parts stay unordered.  Comparing rows top bit first
+    means the next node has the most neighbours in the latest cell, then
+    the next latest, and so on; when the latest cell is a single node that
+    is an intersection with its neighbour mask.  Twin swaps are
+    automorphisms, so only one clique per twin-swap orbit, and only one
+    tied candidate per twin class, is branched on.
     """
     n = g.node_count
     if n > CANONICAL_MAX_NODES:
@@ -303,42 +350,130 @@ def canonical_form(g: Graph) -> tuple[int, int]:
             f"canonical_form supports at most {CANONICAL_MAX_NODES} nodes, got {n}"
         )
     masks = g._masks
-    twins = [0] * n
-    for u in range(n):
-        for w in range(u):
-            if masks[u] & ~(1 << w) == masks[w] & ~(1 << u):
-                twins[u] |= 1 << w
-    frontier = [((1 << n) - 1, [0] * n)]
+    classes = twin_classes(g)
+    cliques = _maximum_cliques(masks, classes)
+    omega = cliques[0].bit_count()
     key = 0
-    for level in range(n):
-        bit = 1 << level
+    for i in range(1, omega):
+        key |= ((1 << i) - 1) << (i * (i - 1) // 2)
+    frontier = [([clique], (1 << n) - 1 ^ clique) for clique in cliques]
+    for level in range(omega, n):
         best = -1
         grown = []
-        for unplaced, score in frontier:
-            top = -1
-            for v in _MEMBERS[unplaced]:
-                if score[v] > top:
-                    top = score[v]
-                    tied = [v]
-                elif score[v] == top:
-                    tied.append(v)
-            if top < best:
+        for cells, unplaced in frontier:
+            # Cells top down: narrow the candidates to those with the most
+            # neighbours in each, and set the row's bits as they become final.
+            tied, row, pos = unplaced, 0, level
+            for cell in reversed(cells):
+                if not cell & (cell - 1):
+                    pos -= 1
+                    near = tied & masks[cell.bit_length() - 1]
+                    if near:
+                        tied = near
+                        row |= 1 << pos
+                else:
+                    size = cell.bit_count()
+                    pos -= size
+                    if tied & (tied - 1):
+                        counts = [((masks[v] & cell).bit_count(), v) for v in _MEMBERS[tied]]
+                        k = max(counts)[0]
+                        tied = sum(1 << v for c, v in counts if c == k)
+                    else:
+                        k = (masks[tied.bit_length() - 1] & cell).bit_count()
+                    row |= ((1 << k) - 1) << (pos + size - k)
+                if row >> pos < best >> pos:
+                    break  # below zero, row < best: this entry loses
+            if row < best:
                 continue
-            if top > best:
-                best = top
+            if row > best:
+                best = row
                 grown = []
             kept = 0
-            for v in tied:
-                if twins[v] & kept:
+            for v in _MEMBERS[tied]:
+                if classes[v] & kept:
                     continue
                 kept |= 1 << v
-                child = score[:]
-                for w in _MEMBERS[masks[v] & unplaced]:
-                    child[w] |= bit
-                grown.append((unplaced & ~(1 << v), child))
+                split = []
+                for cell in cells:
+                    near = cell & masks[v]
+                    if near and near != cell:
+                        split += (cell ^ near, near)
+                    else:
+                        split.append(cell)
+                split.append(1 << v)
+                grown.append((split, unplaced ^ 1 << v))
         frontier = grown
         key |= best << (level * (level - 1) // 2)
     return (n, key)
+
+
+def _extension_subsets(classes) -> list[int]:
+    """The node subsets, as bitmasks, that take the lowest members of each
+    twin class: one subset per orbit of the twin swaps."""
+    subsets = [0]
+    done = 0
+    for cls in classes:
+        if cls & done:
+            continue
+        done |= cls
+        prefixes = [0]
+        for v in _MEMBERS[cls]:
+            prefixes.append(prefixes[-1] | 1 << v)
+        subsets = [s | p for s in subsets for p in prefixes]
+    return subsets
+
+
+@lru_cache(maxsize=None)
+def _representative_keys(n: int) -> tuple:
+    """Sorted canonical keys of the graphs on n nodes, one per class.
+
+    Each representative P on n - 1 nodes is extended by a node n-1 joined to
+    a subset of P's nodes.  Only subsets that take the lowest members of
+    each twin class of P are tried: a twin swap is an automorphism of P, so
+    it maps any other subset's extension onto a tried one, fixing node n-1.
+    An extension goes through ``canonical_form`` only if node n-1 has the
+    maximum vertex invariant (degree, sorted neighbour degrees), the
+    canonical-deletion test of McKay's canonical augmentation (J. Algorithms
+    26, 1998); duplicates that pass collapse in the key set.  No class is
+    lost: for any graph G and node v of maximum invariant, G - v is
+    isomorphic to some P, and extending P by the image of N(v) gives a graph
+    isomorphic to G whose new node has v's invariant.
+    """
+    if n == 0:
+        return ((0, 0),)
+    new = n - 1
+    keys = set()
+    for smaller in _representative_keys(new):
+        parent = graph_from_canonical_key(smaller)
+        degree = parent.degrees()
+        top = max(degree, default=0)
+        # A node of degree >= k joined to node n-1 would end above its degree k.
+        blocked = [sum(1 << j for j in range(new) if degree[j] >= k) for k in range(n)]
+        for subset in _extension_subsets(twin_classes(parent)):
+            k = subset.bit_count()
+            if k < top or subset & blocked[k]:
+                continue
+            deg = [degree[j] + (subset >> j & 1) for j in range(new)] + [k]
+            masks = [parent.neighbor_mask(j) | (subset >> j & 1) << new for j in range(new)]
+            masks.append(subset)
+            def invariant(v):
+                return sorted(deg[w] for w in _MEMBERS[masks[v]])
+            mine = invariant(new)
+            if any(deg[j] == k and invariant(j) > mine for j in range(new)):
+                continue
+            extra = [(j, new) for j in _MEMBERS[subset]]
+            keys.add(canonical_form(Graph(n, [*parent.edges, *extra])))
+    return tuple(sorted(keys))
+
+
+def enumerate_graphs(n: int) -> tuple[Graph, ...]:
+    """All graphs on n nodes up to isomorphism, canonical representatives in
+    a deterministic order."""
+    if n < 0 or n > ENUMERATION_LIMIT:
+        raise EnumerationError(
+            f"enumeration supports 0 <= n <= {ENUMERATION_LIMIT}, got {n}"
+        )
+    return tuple(graph_from_canonical_key(k) for k in _representative_keys(n))
 
 
 def graph_from_canonical_key(key: tuple[int, int]) -> Graph:

@@ -33,6 +33,9 @@ class MixedStrategy:
     __slots__ = ("probs",)
 
     def __init__(self, probs):
+        probs = tuple(probs)
+        if any(type(p) is not int and type(p) is not Fraction for p in probs):
+            raise ValueError("strategy probabilities must be int or Fraction")
         probs = tuple(Fraction(p) for p in probs)
         if any(p < 0 for p in probs):
             raise ValueError("strategy probabilities must be nonnegative")
@@ -201,6 +204,8 @@ def max_optimal_mass(matrix, value: Fraction, index: int) -> Fraction:
     rows = _entries(matrix)
     if not (0 <= index < len(rows)):
         raise ValueError("row index out of range")
+    if type(value) is not int and type(value) is not Fraction:
+        raise ValueError("value must be int or Fraction")
     shifted, den, shift = _integer_rows(rows)
     value_shifted = Fraction(value) + shift
     if value_shifted <= 0:

@@ -16,9 +16,11 @@ computes the exact game value of each, and checks that
   a maximal core-periphery layout, and in the cycle regime it is
   2-connected with enough degree-2 nodes and the hider avoids busier nodes.
 
-Enumeration is exact up to n = 8 in seconds; the n = 8 sweep solves 12,346
-games and sits behind an explicit flag.  Games are solved in parallel when
-HSNET_THREADS asks for more than one worker; results do not depend on it.
+The graphs come from ``hsnet.graphs.enumerate_graphs`` (re-exported here
+with ``ENUMERATION_LIMIT`` and ``EnumerationError``), exact up to n = 8;
+the n = 8 sweep solves 12,346 games and sits behind an explicit flag.
+Games are solved in parallel when HSNET_THREADS asks for more than one
+worker; results do not depend on it.
 """
 
 from __future__ import annotations
@@ -28,15 +30,16 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import closed_form as cf
 from .designer import design_optimal, is_maximal_core_periphery
 from .graphs import (
-    _MEMBERS,
+    ENUMERATION_LIMIT,
+    EnumerationError,
     Graph,
     canonical_form,
     components,
+    enumerate_graphs,
     graph_from_canonical_key,
     graph_to_json_dict,
     induced_subgraph,
@@ -46,67 +49,12 @@ from .matrix_game import game_value, max_optimal_mass, solve_zero_sum
 from .payoff import UtilitySpec, payoff_matrix
 from .rationals import format_rational
 
-ENUMERATION_LIMIT = 8
 DEFAULT_LIMIT = 7
 
 # Probing every optimal strategy (not just the solver's vertex) is done via
 # per-node mass maximization; kept to small boards where the LP count stays
 # negligible.
 FULL_SUPPORT_CHECK_LIMIT = 6
-
-
-class EnumerationError(ValueError):
-    pass
-
-
-@lru_cache(maxsize=None)
-def _representative_keys(n: int) -> tuple:
-    """Sorted canonical keys of the graphs on n nodes, one per class.
-
-    Each representative P on n - 1 nodes is extended by a node n-1 joined to
-    a subset of P's nodes.  An extension goes through ``canonical_form`` only
-    if node n-1 has the maximum vertex invariant (degree, sorted neighbour
-    degrees), the canonical-deletion test of McKay's canonical augmentation
-    (J. Algorithms 26, 1998); duplicates that pass collapse in the key set.
-    No class is lost: for any graph G and node v of maximum invariant, G - v
-    is isomorphic to some P, and extending P by the image of N(v) gives a
-    graph isomorphic to G whose new node has v's invariant.
-    """
-    if n == 0:
-        return ((0, 0),)
-    new = n - 1
-    keys = set()
-    for smaller in _representative_keys(new):
-        parent = graph_from_canonical_key(smaller)
-        degree = parent.degrees()
-        top = max(degree, default=0)
-        # A node of degree >= k joined to node n-1 would end above its degree k.
-        blocked = [sum(1 << j for j in range(new) if degree[j] >= k) for k in range(n)]
-        for subset in range(1 << new):
-            k = subset.bit_count()
-            if k < top or subset & blocked[k]:
-                continue
-            deg = [degree[j] + (subset >> j & 1) for j in range(new)] + [k]
-            masks = [parent.neighbor_mask(j) | (subset >> j & 1) << new for j in range(new)]
-            masks.append(subset)
-            def invariant(v):
-                return sorted(deg[w] for w in _MEMBERS[masks[v]])
-            mine = invariant(new)
-            if any(deg[j] == k and invariant(j) > mine for j in range(new)):
-                continue
-            extra = [(j, new) for j in _MEMBERS[subset]]
-            keys.add(canonical_form(Graph(n, [*parent.edges, *extra])))
-    return tuple(sorted(keys))
-
-
-def enumerate_graphs(n: int) -> tuple[Graph, ...]:
-    """All graphs on n nodes up to isomorphism, canonical representatives in
-    a deterministic order."""
-    if n < 0 or n > ENUMERATION_LIMIT:
-        raise EnumerationError(
-            f"enumeration supports 0 <= n <= {ENUMERATION_LIMIT}, got {n}"
-        )
-    return tuple(graph_from_canonical_key(k) for k in _representative_keys(n))
 
 
 def hider_value(g: Graph, u: UtilitySpec) -> Fraction:

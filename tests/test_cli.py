@@ -124,6 +124,62 @@ def test_import_leaves_multiprocessing_out():
     assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
 
 
+def loaded_after(command):
+    """The hsnet modules in sys.modules after ``hsnet.cli.main(command)`` in a
+    fresh interpreter."""
+    proc = run_child([
+        "-c",
+        "import contextlib, io, sys, hsnet.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = hsnet.cli.main({command!r})\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('hsnet')))",
+    ])
+    assert proc.returncode == 0, proc.stderr
+    code, *modules = proc.stdout.split()
+    assert code == "0"
+    return set(modules)
+
+
+def test_enumerate_loads_only_graphs():
+    loaded = loaded_after(["enumerate", "--n", "3"])
+    for name in ("oracle", "designer", "closed_form", "matrix_game", "payoff", "simplex"):
+        assert f"hsnet.{name}" not in loaded
+    assert "hsnet.graphs" in loaded
+
+
+def test_solve_leaves_designer_and_verifier_out(c4_file):
+    loaded = loaded_after(["solve", "--graph", str(c4_file)])
+    for name in ("designer", "closed_form", "oracle"):
+        assert f"hsnet.{name}" not in loaded
+    assert "hsnet.simplex" in loaded
+
+
+def test_top_level_names_resolve_on_first_use():
+    proc = run_child([
+        "-c",
+        "import hsnet\n"
+        "for name in hsnet.__all__:\n"
+        "    exec(f'from hsnet import {name}')\n"
+        "try:\n"
+        "    hsnet.no_such_name\n"
+        "except AttributeError:\n"
+        "    print(len(hsnet.__all__))",
+    ])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "11\n"
+
+
+# SHA-256 of `hsnet enumerate --n 7` stdout, taken before the clique-cell
+# search, the twin-class extensions and the per-command imports.
+ENUMERATE_N7_SHA256 = "bc81ba671d179eb139981e374644293943962c5f2d8d731a5a6e23a159e8f2f6"
+
+
+def test_enumerate_n7_bytes_pinned():
+    proc = run_child(["-m", "hsnet.cli", "enumerate", "--n", "7"], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == ENUMERATE_N7_SHA256
+
+
 # SHA-256 of the `hsnet design` JSON report for each argument list; report
 # bytes are part of the contract and must not change.
 DESIGN_REPORT_SHA256 = {

@@ -11,9 +11,11 @@ from hsnet.graphs import (
     Graph,
     GraphError,
     GraphFormatError,
+    _extension_subsets,
     canonical_form,
     classify,
     components,
+    enumerate_graphs,
     format_graph_text,
     graph_from_canonical_key,
     graph_from_json_dict,
@@ -23,6 +25,7 @@ from hsnet.graphs import (
     is_two_connected,
     parse_graph_text,
     to_dot,
+    twin_classes,
 )
 from hsnet.designer import build_cycle, build_maximal_cp
 
@@ -265,6 +268,131 @@ def test_canonical_form_matches_bruteforce_definition():
         assert canonical_form(h) == brute_canonical_form(h) == canonical_form(g)
 
 
+MEMBERS = tuple(  # MEMBERS[mask]: the nodes in the bitmask, in increasing order
+    tuple(v for v in range(8) if m >> v & 1) for m in range(1 << 8)
+)
+
+
+def reference_canonical_form(g):
+    # The key by an independent search: it fills one position per level and
+    # keeps the partial orders whose rows are maximal so far.  A frontier
+    # entry holds its unplaced nodes as a bitmask and score[v], v's row
+    # toward the placed prefix: placing p at position `level` ORs
+    # 1 << level into each unplaced neighbour's score.  Of tied twins
+    # (N(u) - w == N(w) - u) only the first is branched on.
+    n = g.node_count
+    masks = [g.neighbor_mask(v) for v in range(n)]
+    twins = [0] * n
+    for u in range(n):
+        for w in range(u):
+            if masks[u] & ~(1 << w) == masks[w] & ~(1 << u):
+                twins[u] |= 1 << w
+    frontier = [((1 << n) - 1, [0] * n)]
+    key = 0
+    for level in range(n):
+        bit = 1 << level
+        best = -1
+        grown = []
+        for unplaced, score in frontier:
+            top = -1
+            for v in MEMBERS[unplaced]:
+                if score[v] > top:
+                    top = score[v]
+                    tied = [v]
+                elif score[v] == top:
+                    tied.append(v)
+            if top < best:
+                continue
+            if top > best:
+                best = top
+                grown = []
+            kept = 0
+            for v in tied:
+                if twins[v] & kept:
+                    continue
+                kept |= 1 << v
+                child = score[:]
+                for w in MEMBERS[masks[v] & unplaced]:
+                    child[w] |= bit
+                grown.append((unplaced & ~(1 << v), child))
+        frontier = grown
+        key |= best << (level * (level - 1) // 2)
+    return (n, key)
+
+
+# K8 minus a perfect matching: four classes of non-adjacent twins.  And the
+# two n = 8 classes where the reference search holds the most frontier
+# entries, summed over its levels (817 and 834).
+HARD_CASES = (
+    Graph(8, [(i, j) for i, j in itertools.combinations(range(8), 2) if j != i + 4]),
+    Graph(8, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 6), (1, 2), (1, 3), (1, 4), (1, 5),
+              (2, 3), (2, 4), (2, 5), (2, 7), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6),
+              (4, 7), (5, 6), (5, 7), (6, 7)]),
+    Graph(8, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 6), (1, 2), (1, 3), (1, 4), (1, 5),
+              (2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6), (3, 7), (4, 5),
+              (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)]),
+)
+
+
+def test_canonical_form_matches_reference_search():
+    rng = random.Random(2014)
+    cases = [(g, 3) for n in range(8) for g in enumerate_graphs(n)]
+    cases += [(g, 1) for g in enumerate_graphs(8)]
+    cases += [(g, 20) for g in HARD_CASES]
+    for g, relabellings in cases:
+        want = reference_canonical_form(g)
+        assert canonical_form(g) == want
+        for _ in range(relabellings):
+            perm = list(range(g.node_count))
+            rng.shuffle(perm)
+            assert canonical_form(relabel(g, perm)) == want
+
+
+def twins(g, u, w):
+    return g.neighbor_mask(u) & ~(1 << w) == g.neighbor_mask(w) & ~(1 << u)
+
+
+def test_twin_classes_partition_into_pairwise_twins():
+    labelled = [
+        Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+        for n in range(0, 6)
+        for pairs in [list(itertools.combinations(range(n), 2))]
+        for mask in range(1 << len(pairs))
+    ]
+    for g in labelled + [g for n in (6, 7) for g in enumerate_graphs(n)]:
+        classes = twin_classes(g)
+        for v in range(g.node_count):
+            for w in range(g.node_count):
+                # w is in v's class exactly when it is v or v's twin, and then
+                # both carry the same class
+                assert (classes[v] >> w & 1) == (v == w or twins(g, v, w))
+                if classes[v] >> w & 1:
+                    assert classes[w] == classes[v]
+
+
+def test_extension_subsets_one_per_twin_swap_orbit():
+    for n in range(0, 7):
+        for g in enumerate_graphs(n):
+            classes = sorted(set(twin_classes(g)))
+            groups = [[v for v in range(n) if cls >> v & 1] for cls in classes]
+            swaps = []  # every permutation that maps each twin class onto itself
+            for images in itertools.product(*(itertools.permutations(m) for m in groups)):
+                perm = list(range(n))
+                for members, image in zip(groups, images):
+                    for v, w in zip(members, image):
+                        perm[v] = w
+                assert relabel(g, perm) == g  # a twin swap is an automorphism
+                swaps.append(perm)
+            kept = _extension_subsets(twin_classes(g))
+            assert len(kept) == len(set(kept))
+            for subset in range(1 << n):
+                orbit = {
+                    sum(1 << perm[v] for v in range(n) if subset >> v & 1)
+                    for perm in swaps
+                }
+                assert len(orbit & set(kept)) == 1
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(graph_and_permutation())
 def test_canonical_form_invariant_under_any_permutation(case):
@@ -273,8 +401,6 @@ def test_canonical_form_invariant_under_any_permutation(case):
 
 
 def test_is_two_connected_matches_node_removal():
-    from hsnet.oracle import enumerate_graphs
-
     for n in range(0, 7):
         for g in enumerate_graphs(n):
             expect = n >= 3 and is_connected(g) and all(

@@ -61,6 +61,19 @@ def test_strategy_validation():
     assert s.support() == (0, 2)
 
 
+def test_strategy_inputs_must_be_exact():
+    # As with matrix entries: a float, a string or a bool is refused rather
+    # than converted.
+    for probs in ([0.5, 0.5], ["1/2", "1/2"], [True, False], [F(1, 2), 0.5]):
+        with pytest.raises(ValueError, match="int or Fraction"):
+            MixedStrategy(probs)
+    assert MixedStrategy([1, 0]).probs == (1, 0)
+    for value in (0.0, "0", False):
+        with pytest.raises(ValueError, match="int or Fraction"):
+            max_optimal_mass(PENNIES, value, 0)
+    assert max_optimal_mass(PENNIES, 0, 0) == F(1, 2)
+
+
 def test_scale_shift_covariance_random():
     rng = random.Random(42)
     for _ in range(30):

@@ -1,6 +1,7 @@
 """Graph enumeration and the brute-force design verifier."""
 
 import functools
+import hashlib
 import itertools
 import os
 import subprocess
@@ -10,10 +11,15 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsnet.graphs import canonical_form, components, graph_from_canonical_key, Graph
+from hsnet.graphs import (
+    _representative_keys,
+    canonical_form,
+    components,
+    graph_from_canonical_key,
+    Graph,
+)
 from hsnet.oracle import (
     EnumerationError,
-    _representative_keys,
     _worker_count,
     enumerate_graphs,
     exhaustive_optimum,
@@ -24,6 +30,7 @@ from hsnet.oracle import (
 from hsnet.payoff import builtin_utilities
 
 from conftest import graph_and_permutation, identity_u, relabel, square_u
+from test_graphs import reference_canonical_form
 
 
 KNOWN_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -73,8 +80,8 @@ def test_enumeration_n8():
 
 @functools.lru_cache(maxsize=None)
 def unfiltered_keys(n):
-    # Reference enumerator: canonical_form of every one-vertex extension of
-    # every class on n - 1 nodes, with no invariant filter.
+    # Reference enumerator: the reference search's key of every one-vertex
+    # extension of every class on n - 1 nodes, with no filter of any kind.
     if n == 0:
         return ((0, 0),)
     keys = set()
@@ -82,13 +89,27 @@ def unfiltered_keys(n):
         base = list(graph_from_canonical_key(smaller).edges)
         for mask in range(1 << (n - 1)):
             extra = [(j, n - 1) for j in range(n - 1) if mask >> j & 1]
-            keys.add(canonical_form(Graph(n, base + extra)))
+            keys.add(reference_canonical_form(Graph(n, base + extra)))
     return tuple(sorted(keys))
 
 
 def test_filtered_enumeration_matches_unfiltered_reference():
     for n in range(0, 8):
         assert _representative_keys(n) == unfiltered_keys(n)
+
+
+# SHA-256 of repr(_representative_keys(n)), taken before the clique-cell
+# search and the twin-class extensions: the key set must not move.
+REPRESENTATIVE_KEYS_SHA256 = {
+    7: "5d4edbcba7ce5aa430569f98e8310968f02886fe308dcac12d057e81c589f095",
+    8: "ee0cda005a219fe316f87fda84b2587ebf784647692ec29b6b3af69a164dc554",
+}
+
+
+@pytest.mark.parametrize("n", sorted(REPRESENTATIVE_KEYS_SHA256))
+def test_representative_keys_pinned(n):
+    digest = hashlib.sha256(repr(_representative_keys(n)).encode()).hexdigest()
+    assert digest == REPRESENTATIVE_KEYS_SHA256[n]
 
 
 def test_exhaustive_optimum_small(oracle_report):
