@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -100,8 +101,52 @@ def _emit(args, payload: str):
         sys.stdout.write(payload)
 
 
+def format_json(data) -> str:
+    """``json.dumps(data, sort_keys=True, indent=2)``, byte for byte.
+
+    Reports are exact, so only dicts with str keys, lists, tuples, str, int,
+    bool and None are taken; anything else, a float or a non-str key
+    included, is a TypeError.  The stdlib encoder runs in pure Python whenever ``indent``
+    is set; this one renders each list of ints once per content and depth.
+    """
+    memo = {}
+
+    def render(obj, pad):
+        kind = type(obj)
+        if kind is str:
+            return encode_basestring_ascii(obj)
+        if kind is int:
+            return repr(obj)
+        if obj is None:
+            return "null"
+        if kind is bool:
+            return "true" if obj else "false"
+        inner = pad + "  "
+        if kind is list or kind is tuple:
+            if not obj:
+                return "[]"
+            if set(map(type, obj)) == {int}:
+                key = (len(pad), *obj)
+                text = memo.get(key)
+                if text is None:
+                    text = memo[key] = (
+                        "[\n" + inner + (",\n" + inner).join(map(repr, obj)) + "\n" + pad + "]"
+                    )
+                return text
+            items = [render(v, inner) for v in obj]
+            return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+        if kind is dict:
+            if not obj:
+                return "{}"
+            items = [encode_basestring_ascii(k) + ": " + render(obj[k], inner) for k in sorted(obj)]
+            return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+        raise TypeError(f"{kind.__name__} is not allowed in a report")
+
+    return render(data, "")
+
+
 def _emit_json(args, data: dict):
-    _emit(args, json.dumps(data, sort_keys=True, indent=2) + "\n")
+    _emit(args, format_json(data) + "\n")
 
 
 # -- commands ----------------------------------------------------------------
@@ -228,11 +273,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    from .graphs import enumerate_graphs, graph_to_json_dict
-    graphs = enumerate_graphs(args.n)
-    data = {"n": args.n, "count": len(graphs)}
+    from .graphs import enumerate_keys, key_to_json_dict
+    keys = enumerate_keys(args.n)
+    data = {"n": args.n, "count": len(keys)}
     if not args.count_only:
-        data["graphs"] = [graph_to_json_dict(g) for g in graphs]
+        data["graphs"] = [key_to_json_dict(k) for k in keys]
     _emit_json(args, data)
     return 0
 
@@ -243,7 +288,7 @@ def cmd_export(args) -> int:
     if args.format == "dot":
         _emit(args, to_dot(g))
     elif args.format == "json":
-        _emit(args, json.dumps(graph_to_json_dict(g), sort_keys=True, indent=2) + "\n")
+        _emit_json(args, graph_to_json_dict(g))
     else:
         _emit(args, format_graph_text(g))
     return 0

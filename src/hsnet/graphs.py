@@ -12,12 +12,12 @@ removal, 2-connectivity) this module provides:
   mixed strategy is built from;
 * ``canonical_form`` -- an isomorphism-invariant key for small graphs;
 * ``enumerate_graphs`` -- every graph on n <= 8 nodes up to isomorphism,
-  the input of the brute-force verifier in ``hsnet.oracle``.
+  the input of the brute-force verifier in ``hsnet.oracle``;
+  ``enumerate_keys`` gives their canonical keys alone, with no Graph built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 CANONICAL_MAX_NODES = 8
@@ -119,12 +119,14 @@ class Graph:
         return f"Graph({self.node_count}, {self.sorted_edges()})"
 
 
-@dataclass(frozen=True)
 class ComponentPartition:
     """Connected components as disjoint node sets covering all nodes."""
 
-    components: tuple[frozenset, ...]
-    component_of: tuple[int, ...]
+    __slots__ = ("components", "component_of")
+
+    def __init__(self, components: tuple[frozenset, ...], component_of: tuple[int, ...]):
+        self.components = components
+        self.component_of = component_of
 
     def size_of(self, node: int) -> int:
         return len(self.components[self.component_of[node]])
@@ -202,7 +204,6 @@ def is_two_connected(g: Graph) -> bool:
 # -- seeker-side node classification -------------------------------------
 
 
-@dataclass(frozen=True)
 class SeekerPartition:
     """Disjoint node classes driving the seeker's mixed strategy.
 
@@ -217,15 +218,24 @@ class SeekerPartition:
     ``len(r_nodes) == n - s - 2m`` always holds.
     """
 
-    singletons: frozenset
-    leaves: frozenset
-    leaf_neighbor_count: tuple[int, ...]
-    m_nodes: frozenset
-    singleton_leaves: frozenset
-    r_nodes: frozenset
-    gr: Graph
-    gr_nodes: tuple[int, ...]
-    d_gr: frozenset
+    __slots__ = (
+        "singletons", "leaves", "leaf_neighbor_count", "m_nodes",
+        "singleton_leaves", "r_nodes", "gr", "gr_nodes", "d_gr",
+    )
+
+    def __init__(self, *, singletons: frozenset, leaves: frozenset,
+                 leaf_neighbor_count: tuple[int, ...], m_nodes: frozenset,
+                 singleton_leaves: frozenset, r_nodes: frozenset, gr: Graph,
+                 gr_nodes: tuple[int, ...], d_gr: frozenset):
+        self.singletons = singletons
+        self.leaves = leaves
+        self.leaf_neighbor_count = leaf_neighbor_count
+        self.m_nodes = m_nodes
+        self.singleton_leaves = singleton_leaves
+        self.r_nodes = r_nodes
+        self.gr = gr
+        self.gr_nodes = gr_nodes
+        self.d_gr = d_gr
 
     @property
     def singleton_count(self) -> int:
@@ -291,17 +301,24 @@ def classify(g: Graph) -> SeekerPartition:
 # -- canonical forms and enumeration for small graphs -----------------------
 
 
-def twin_classes(g: Graph) -> tuple[int, ...]:
+def _masks_of(g):
+    """A Graph's neighbour bitmasks; a sequence of bitmasks is returned as is."""
+    return g._masks if isinstance(g, Graph) else g
+
+
+def twin_classes(g) -> tuple[int, ...]:
     """``classes[v]``: the bitmask of v's twin class, the nodes w with
     N(v) - w == N(w) - v, v included; permuting a class is an automorphism.
     A node with a non-adjacent twin (same open neighbourhood) has no adjacent
-    one (same closed neighbourhood), so each class is one of the two groups."""
+    one (same closed neighbourhood), so each class is one of the two groups.
+    ``g`` is a Graph or its neighbour bitmasks, node v's at index v."""
+    masks = _masks_of(g)
     open_groups, closed_groups = {}, {}
-    for v, m in enumerate(g._masks):
+    for v, m in enumerate(masks):
         open_groups[m] = open_groups.get(m, 0) | 1 << v
         closed_groups[m | 1 << v] = closed_groups.get(m | 1 << v, 0) | 1 << v
     return tuple(
-        open_groups[m] | closed_groups[m | 1 << v] for v, m in enumerate(g._masks)
+        open_groups[m] | closed_groups[m | 1 << v] for v, m in enumerate(masks)
     )
 
 
@@ -325,11 +342,13 @@ def _maximum_cliques(masks, classes) -> list[int]:
     return found
 
 
-def canonical_form(g: Graph) -> tuple[int, int]:
+def canonical_form(g) -> tuple[int, int]:
     """Isomorphism-invariant key ``(node_count, bits)`` for graphs on at most
     CANONICAL_MAX_NODES nodes: over all n! node orders, the lexicographic
     maximum of the rows (position i's adjacency bits toward positions
-    0..i-1), with row i packed at offset i(i-1)/2.
+    0..i-1), with row i packed at offset i(i-1)/2.  ``g`` is a Graph or its
+    neighbour bitmasks, node v's at index v, which enumeration labels
+    without building a Graph.
 
     Rows 1..k are all ones exactly when positions 0..k form a clique, so the
     maximum places a maximum clique first, and in any order: that clique is
@@ -344,13 +363,13 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     automorphisms, so only one clique per twin-swap orbit, and only one
     tied candidate per twin class, is branched on.
     """
-    n = g.node_count
+    masks = _masks_of(g)
+    n = len(masks)
     if n > CANONICAL_MAX_NODES:
         raise GraphError(
             f"canonical_form supports at most {CANONICAL_MAX_NODES} nodes, got {n}"
         )
-    masks = g._masks
-    classes = twin_classes(g)
+    classes = twin_classes(masks)
     cliques = _maximum_cliques(masks, classes)
     omega = cliques[0].bit_count()
     key = 0
@@ -437,15 +456,17 @@ def _representative_keys(n: int) -> tuple:
     26, 1998); duplicates that pass collapse in the key set.  No class is
     lost: for any graph G and node v of maximum invariant, G - v is
     isomorphic to some P, and extending P by the image of N(v) gives a graph
-    isomorphic to G whose new node has v's invariant.
+    isomorphic to G whose new node has v's invariant.  Parents and children
+    are neighbour bitmasks throughout; no Graph is built.
     """
     if n == 0:
         return ((0, 0),)
     new = n - 1
+    bit = 1 << new
     keys = set()
     for smaller in _representative_keys(new):
-        parent = graph_from_canonical_key(smaller)
-        degree = parent.degrees()
+        parent = _key_masks(smaller)
+        degree = [m.bit_count() for m in parent]
         top = max(degree, default=0)
         # A node of degree >= k joined to node n-1 would end above its degree k.
         blocked = [sum(1 << j for j in range(new) if degree[j] >= k) for k in range(n)]
@@ -453,41 +474,67 @@ def _representative_keys(n: int) -> tuple:
             k = subset.bit_count()
             if k < top or subset & blocked[k]:
                 continue
-            deg = [degree[j] + (subset >> j & 1) for j in range(new)] + [k]
-            masks = [parent.neighbor_mask(j) | (subset >> j & 1) << new for j in range(new)]
+            masks = [m | bit if subset >> j & 1 else m for j, m in enumerate(parent)]
             masks.append(subset)
-            def invariant(v):
-                return sorted(deg[w] for w in _MEMBERS[masks[v]])
-            mine = invariant(new)
-            if any(deg[j] == k and invariant(j) > mine for j in range(new)):
+            deg = [m.bit_count() for m in masks]
+            mine = sorted(deg[w] for w in _MEMBERS[subset])
+            if any(
+                deg[j] == k and sorted(deg[w] for w in _MEMBERS[masks[j]]) > mine
+                for j in range(new)
+            ):
                 continue
-            extra = [(j, new) for j in _MEMBERS[subset]]
-            keys.add(canonical_form(Graph(n, [*parent.edges, *extra])))
+            keys.add(canonical_form(masks))
     return tuple(sorted(keys))
+
+
+def enumerate_keys(n: int) -> tuple:
+    """The canonical keys of all graphs on n nodes, one per isomorphism
+    class, sorted."""
+    if n < 0 or n > ENUMERATION_LIMIT:
+        raise EnumerationError(
+            f"enumeration supports 0 <= n <= {ENUMERATION_LIMIT}, got {n}"
+        )
+    return _representative_keys(n)
 
 
 def enumerate_graphs(n: int) -> tuple[Graph, ...]:
     """All graphs on n nodes up to isomorphism, canonical representatives in
     a deterministic order."""
-    if n < 0 or n > ENUMERATION_LIMIT:
-        raise EnumerationError(
-            f"enumeration supports 0 <= n <= {ENUMERATION_LIMIT}, got {n}"
-        )
-    return tuple(graph_from_canonical_key(k) for k in _representative_keys(n))
+    return tuple(graph_from_canonical_key(k) for k in enumerate_keys(n))
+
+
+def _key_masks(key: tuple[int, int]) -> list[int]:
+    """The neighbour bitmasks of the representative graph of a canonical key."""
+    n, bits = key
+    masks = [0] * n
+    offset = 0
+    for i in range(1, n):
+        row = masks[i] = bits >> offset & ((1 << i) - 1)
+        for j in _MEMBERS[row]:
+            masks[j] |= 1 << i
+        offset += i
+    return masks
+
+
+@lru_cache(maxsize=CANONICAL_MAX_NODES + 1)
+def _key_pairs(n: int) -> tuple:
+    """``(offset, (i, j))`` for every node pair i < j in sorted order, with
+    the pair's bit offset in a canonical key."""
+    return tuple(
+        (j * (j - 1) // 2 + i, (i, j)) for i in range(n) for j in range(i + 1, n)
+    )
+
+
+def canonical_key_edges(key: tuple[int, int]) -> list[tuple[int, int]]:
+    """The edges of the representative graph of a canonical key, in
+    ``Graph.sorted_edges`` order."""
+    n, bits = key
+    return [pair for offset, pair in _key_pairs(n) if bits >> offset & 1]
 
 
 def graph_from_canonical_key(key: tuple[int, int]) -> Graph:
     """Rebuild the representative graph encoded by a canonical key."""
-    n, bits = key
-    edges = []
-    offset = 0
-    for i in range(1, n):
-        row = bits >> offset & ((1 << i) - 1)
-        for j in range(i):
-            if row >> j & 1:
-                edges.append((j, i))
-        offset += i
-    return Graph(n, edges)
+    return Graph(key[0], canonical_key_edges(key))
 
 
 # -- serialization ---------------------------------------------------------
@@ -547,6 +594,13 @@ def parse_graph_text(text: str) -> Graph:
 
 def graph_to_json_dict(g: Graph) -> dict:
     return {"n": g.node_count, "edges": [list(e) for e in g.sorted_edges()]}
+
+
+def key_to_json_dict(key: tuple[int, int]) -> dict:
+    """The JSON form of the representative graph of a canonical key, built
+    from the key alone; edges are ``(i, j)`` tuples, which serialize as
+    ``graph_to_json_dict``'s lists do."""
+    return {"n": key[0], "edges": canonical_key_edges(key)}
 
 
 def graph_from_json_dict(data: dict) -> Graph:

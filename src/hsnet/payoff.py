@@ -190,38 +190,6 @@ def builtin_utilities(name: str, params: dict | None = None, beta=0) -> UtilityS
 # -- payoff structure -------------------------------------------------------
 
 
-def residual_component_sizes(g: Graph, k: int) -> tuple:
-    """Component size containing each surviving node after deleting k.
-
-    Index by original node id; entry for k itself is None.  Works directly on
-    the original labels so the payoff matrix never needs relabeling.
-    """
-    n = g.node_count
-    sizes: list = [None] * n
-    seen = [False] * n
-    seen[k] = True
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        members = [start]
-        while stack:
-            v = stack.pop()
-            m = g.neighbor_mask(v) & ~(1 << k)
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
-                if not seen[w]:
-                    seen[w] = True
-                    members.append(w)
-                    stack.append(w)
-        size = len(members)
-        for v in members:
-            sizes[v] = size
-    return tuple(sizes)
-
-
 def capture_set(g: Graph, k: int) -> int:
     """Bitmask of hider positions caught when the seeker inspects k."""
     return g.neighbor_mask(k) | (1 << k)
@@ -230,16 +198,35 @@ def capture_set(g: Graph, k: int) -> int:
 def payoff_matrix(g: Graph, u: UtilitySpec) -> tuple:
     """Hider-payoff matrix of a graph with at least one node, as a tuple of
     rows of Fractions: row h is the hider's position, column k the node the
-    seeker inspects."""
+    seeker inspects.
+
+    One low-link DFS gives every column's component sizes: deleting k leaves
+    its separated child subtrees, the rest of k's component, and the other
+    components unchanged, as in ``strategy_payoffs``.
+    """
     n = g.node_count
     if n < 1:
         raise GraphError("payoff matrix needs at least one node")
+    order, tin, low, size, children, comp_start = _dfs_low_links(
+        [g.neighbors(v) for v in range(n)]
+    )
+    whole = [size[order[comp_start[v]]] for v in order]  # by preorder position
+    sizes = []  # sizes[k][tin[h]]: h's component size once k is deleted
+    for k in range(n):
+        tk, a = tin[k], comp_start[k]
+        c = whole[tk]
+        column = whole[:]
+        pieces = [ch for ch in children[k] if low[ch] >= tk]
+        column[a : a + c] = [c - 1 - sum(size[ch] for ch in pieces)] * c
+        for ch in pieces:
+            t = tin[ch]
+            column[t : t + size[ch]] = [size[ch]] * size[ch]
+        sizes.append(column)
     caps = [capture_set(g, k) for k in range(n)]
-    sizes = [residual_component_sizes(g, k) for k in range(n)]
     caught = -u.beta
     return tuple(
-        tuple(caught if caps[k] >> h & 1 else u.value(sizes[k][h]) for k in range(n))
-        for h in range(n)
+        tuple(caught if caps[k] >> h & 1 else u.value(sizes[k][t]) for k in range(n))
+        for h, t in enumerate(tin)
     )
 
 
@@ -407,9 +394,14 @@ def capture_probability(g: Graph, hider, seeker, within=None) -> Fraction:
 
     ``hider`` and ``seeker`` index nodes of g.  When ``within`` is given,
     both strategies are conditioned on that node set (useful for reading the
-    capture rate inside a single component of a larger design).
+    capture rate inside a single component of a larger design).  Every
+    probability must be an int or a Fraction; anything else, a float, a
+    string or a bool included, is a ValueError.
     """
     n = g.node_count
+    hider, seeker = list(hider), list(seeker)
+    if any(type(p) is not int and type(p) is not Fraction for p in hider + seeker):
+        raise ValueError("strategy probabilities must be int or Fraction")
     hp = [Fraction(p) for p in hider]
     sp = [Fraction(p) for p in seeker]
     if len(hp) != n or len(sp) != n:

@@ -7,8 +7,9 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hsnet.cli import main
+from hsnet.cli import format_json, main
 from hsnet.graphs import Graph, format_graph_text, parse_graph_text
 from hsnet.designer import build_cycle
 
@@ -125,14 +126,14 @@ def test_import_leaves_multiprocessing_out():
 
 
 def loaded_after(command):
-    """The hsnet modules in sys.modules after ``hsnet.cli.main(command)`` in a
+    """The modules in sys.modules after ``hsnet.cli.main(command)`` in a
     fresh interpreter."""
     proc = run_child([
         "-c",
         "import contextlib, io, sys, hsnet.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = hsnet.cli.main({command!r})\n"
-        "print(code, *sorted(m for m in sys.modules if m.startswith('hsnet')))",
+        "print(code, *sorted(sys.modules))",
     ])
     assert proc.returncode == 0, proc.stderr
     code, *modules = proc.stdout.split()
@@ -145,6 +146,7 @@ def test_enumerate_loads_only_graphs():
     for name in ("oracle", "designer", "closed_form", "matrix_game", "payoff", "simplex"):
         assert f"hsnet.{name}" not in loaded
     assert "hsnet.graphs" in loaded
+    assert "dataclasses" not in loaded
 
 
 def test_solve_leaves_designer_and_verifier_out(c4_file):
@@ -178,6 +180,72 @@ def test_enumerate_n7_bytes_pinned():
     proc = run_child(["-m", "hsnet.cli", "enumerate", "--n", "7"], timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == ENUMERATE_N7_SHA256
+
+
+# SHA-256 of stdout for each argument list, taken while reports were still
+# written by ``json.dumps(..., sort_keys=True, indent=2)`` and enumeration
+# built a Graph per class.
+REPORT_SHA256 = {
+    "enumerate --n 8":
+        "86c96c481884632651067e0e642763cc8d54ba1d6f589aa0bff365b7be8ffb23",
+    "enumerate --n 8 --count-only":
+        "11def45f0cf49d5daec76745107b281fc1d73846471ccd823b821fca9541bc3a",
+    "export --format json --graph":
+        "0bcc48d4ca8a2cb27ea36262688603d0bab4d1083997e34c4d219f8c519e1338",
+}
+
+
+@pytest.mark.parametrize("args", sorted(REPORT_SHA256))
+def test_report_bytes_pinned(tmp_path, args):
+    argv = args.split()
+    if argv[-1] == "--graph":  # a seeded G(12, 0.3) in the text format
+        rng = random.Random(12)
+        edges = [(i, j) for i in range(12) for j in range(i + 1, 12) if rng.random() < 0.3]
+        path = tmp_path / "g12.graph"
+        path.write_text(format_graph_text(Graph(12, edges)))
+        argv.append(str(path))
+    proc = run_child(["-m", "hsnet.cli"] + argv, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == REPORT_SHA256[args]
+
+
+report_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.text(st.characters(max_codepoint=0x1F600), max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(report_values)
+def test_format_json_matches_json_dumps(data):
+    assert format_json(data) == json.dumps(data, sort_keys=True, indent=2)
+
+
+def test_format_json_memo_keeps_depth_and_type():
+    # The same ints at two depths, and bools equal to the ints they follow.
+    data = {"a": [1, 2], "b": [[1, 2], [True, 2], [1, 2]], "c": [[[1, 2]]], "d": [[False], [0]]}
+    assert format_json(data) == json.dumps(data, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("data", [
+    0.5,
+    {"value": 1.0},
+    [[1, 2], [1, 2.0]],
+    {1: "a"},
+    {"a": {None: 1}},
+    {"a": {1, 2}},
+    frozenset(),
+    {"a": b"bytes"},
+])
+def test_format_json_refuses_what_reports_never_hold(data):
+    with pytest.raises(TypeError):
+        format_json(data)
 
 
 # SHA-256 of the `hsnet design` JSON report for each argument list; report

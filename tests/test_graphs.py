@@ -10,17 +10,22 @@ from hypothesis import given, settings
 from hsnet.graphs import (
     Graph,
     GraphError,
+    EnumerationError,
     GraphFormatError,
     _extension_subsets,
+    _key_masks,
     canonical_form,
+    canonical_key_edges,
     classify,
     components,
     enumerate_graphs,
+    enumerate_keys,
     format_graph_text,
     graph_from_canonical_key,
     graph_from_json_dict,
     graph_to_json_dict,
     induced_subgraph,
+    key_to_json_dict,
     is_connected,
     is_two_connected,
     parse_graph_text,
@@ -219,6 +224,23 @@ def test_canonical_form_roundtrip_and_bound():
         assert canonical_form(rep) == key
     with pytest.raises(GraphError):
         canonical_form(Graph(9))
+    with pytest.raises(GraphError):
+        canonical_form([0] * 9)
+
+
+def test_canonical_keys_decode_to_sorted_edges_and_masks():
+    for n in range(9):
+        for key in enumerate_keys(n):
+            edges = canonical_key_edges(key)
+            g = Graph(n, edges)
+            assert edges == g.sorted_edges()
+            assert _key_masks(key) == [g.neighbor_mask(v) for v in range(n)]
+            assert json.dumps(key_to_json_dict(key)) == json.dumps(graph_to_json_dict(g))
+            if n < 8:
+                assert canonical_form(_key_masks(key)) == canonical_form(g) == key
+    for n in (-1, 9):
+        with pytest.raises(EnumerationError):
+            enumerate_keys(n)
 
 
 def test_canonical_form_separates_small_classes():

@@ -153,6 +153,59 @@ def test_two_connected_noncapture_entries():
                     assert m[h][k] == u.value(n - 1)
 
 
+def residual_component_sizes(g, k):
+    """Component size containing each surviving node after deleting k, by
+    one search per component; entry k is None."""
+    n = g.node_count
+    sizes = [None] * n
+    seen = [False] * n
+    seen[k] = True
+    for start in range(n):
+        if seen[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        members = [start]
+        while stack:
+            v = stack.pop()
+            m = g.neighbor_mask(v) & ~(1 << k)
+            while m:
+                w = (m & -m).bit_length() - 1
+                m &= m - 1
+                if not seen[w]:
+                    seen[w] = True
+                    members.append(w)
+                    stack.append(w)
+        for v in members:
+            sizes[v] = len(members)
+    return tuple(sizes)
+
+
+def reference_payoff_matrix(g, u):
+    """The payoff matrix from one residual search per column."""
+    n = g.node_count
+    sizes = [residual_component_sizes(g, k) for k in range(n)]
+    return tuple(
+        tuple(
+            -u.beta if k == h or g.has_edge(h, k) else u.value(sizes[k][h])
+            for k in range(n)
+        )
+        for h in range(n)
+    )
+
+
+def test_payoff_matrix_matches_per_column_search():
+    from hsnet.graphs import enumerate_graphs
+
+    rng = random.Random(71)
+    utilities = (identity_u(2), square_u(F(1, 2)), ratio_u(1))
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            g = relabelled(g, rng)
+            for u in utilities:
+                assert payoff_matrix(g, u) == reference_payoff_matrix(g, u), (g, u.family)
+
+
 def test_capture_probability_conditioning():
     g = build_cycle(4)
     uniform = [F(1, 4)] * 4
@@ -162,6 +215,18 @@ def test_capture_probability_conditioning():
     h = [F(1, 8)] * 4 + [F(1, 4), F(1, 4)]
     s = [F(3, 16)] * 4 + [F(1, 8), F(1, 8)]
     assert capture_probability(g2, h, s, within=range(4)) == F(3, 4)
+    pure = [1, 0, 0, 0, 0, 0]
+    assert capture_probability(g2, pure, pure, within=range(4)) == 1
+
+
+def test_capture_probability_inputs_must_be_exact():
+    g = Graph(2, [(0, 1)])
+    assert capture_probability(g, [F(1, 2), F(1, 2)], [1, 0]) == 1
+    for bad in ([0.5, 0.5], ["1/2", "1/2"], [True, False], [F(1, 2), None]):
+        with pytest.raises(ValueError, match="int or Fraction"):
+            capture_probability(g, bad, [F(1, 2), F(1, 2)])
+        with pytest.raises(ValueError, match="int or Fraction"):
+            capture_probability(g, [F(1, 2), F(1, 2)], bad)
 
 
 # -- M.seeker and hider.M from the graph, against the dense matrix -----------
