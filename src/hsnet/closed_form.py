@@ -15,18 +15,26 @@ protected leaves in the connected part.  The quantities:
   minimum of best_seeker_bound over s;
 * optimal_singleton_counts: the argmin set of that minimum.
 
+The threshold, both guarantees, the singleton seek weight and both bounds
+come from one integer kernel.  For each s, beta, f(1), f(x), f(x-1) and
+f(x-2) (x = n - s) are read as integers over their own least common
+denominator D, and each quantity is an integer numerator over a positive
+integer multiple of D.  The scan over s compares candidates by
+cross-multiplying and builds one Fraction, for the minimum.
+
 Several identities that the formulas must satisfy (branch agreement, equal
-guarantees at the mixing weights) are asserted inline: they are cheap, and a
+guarantees at the mixing weights) are asserted inline, as cross-multiplied
+integer equalities where the kernel computes them: they are cheap, and a
 violation would mean a transcription bug rather than a user error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .payoff import UtilitySpec
+from .rationals import over_common_denominator
+from .records import Record
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -50,82 +58,141 @@ def _reject_near_full(n: int, s: int):
         )
 
 
-def capture_adjusted_value(n: int, s: int, u: UtilitySpec) -> Fraction:
-    """f(n-s-1) + beta, the swing between escaping and being caught."""
-    return u.value(n - s - 1) + u.beta
+# -- the integer kernel -------------------------------------------------------
 
 
-@lru_cache(maxsize=65536)
+def _over_lcd(u: UtilitySpec, *sizes: int) -> tuple:
+    """beta, then f at each size, as integers over their least common
+    denominator D, with D last."""
+    ints, den = over_common_denominator([u.beta] + [u.value(x) for x in sizes])
+    return (*ints, den)
+
+
+def _threshold(x: int, b: int, fx1: int, fx2: int) -> int:
+    """T = (x-3) f(x-1) - (x-2) f(x-2), over D."""
+    t = (x - 3) * fx1 - (x - 2) * fx2
+    # The d-form, with d = f(x-1) + beta and d1 = f(x-2) + beta.
+    assert t == (x - 3) * (fx1 + b) - (x - 2) * (fx2 + b) + b
+    return t
+
+
+def _component(x: int, m: int, b: int, fx1: int, fx2: int) -> tuple:
+    """(a, k) with the component guarantee A = a / (k D) and k > 0:
+
+        A = (d d1 / span) (3 (beta - T) / (m span + x d1) - 1) + beta,
+
+    where d = f(x-1) + beta, d1 = f(x-2) + beta and span = 3 d - 2 d1.
+    """
+    d, d1 = fx1 + b, fx2 + b
+    span = 3 * d - 2 * d1
+    e = m * span + x * d1
+    k = span * e
+    a = d * d1 * (3 * (b - _threshold(x, b, fx1, fx2)) - e) + b * k
+    if 2 * m == x:
+        # With the residual set empty, A = beta/m - ((m-1)/m) f(x-2) too.
+        assert a * m == (b - (m - 1) * fx2) * k
+    return a, k
+
+
+def _bound(x: int, m: int, s: int, b: int, f1: int, fx: int, fx1: int, fx2: int) -> tuple:
+    """(w, g, q): the singleton seek weight lambda_S = w / g and the seeker
+    bound Q = q / (g D), with g > 0, given A = a / (k D) from _component.
+
+    With isolated nodes and A > -f(1), the seeker blends in the singleton
+    guarantee B = (beta - (s-1) f(1)) / s:
+
+        lambda_S = (A + f(1)) / (A + B + f(1) + f(x)),
+        Q = (A B - f(1) f(x)) / (A + B + f(1) + f(x));
+
+    otherwise lambda_S = 0 and Q = A.
+    """
+    a, k = _component(x, m, b, fx1, fx2)
+    if s >= 1 and a + f1 * k > 0:
+        w = s * (a + f1 * k)
+        g = s * a + k * (b + f1 + s * fx)
+        q = a * (b - (s - 1) * f1) - s * k * f1 * fx
+    else:
+        w, g, q = 0, k, a
+    # Q = (1 - lambda_S) A - lambda_S f(x).
+    assert q * k == (g - w) * a - w * fx * k
+    return w, g, q
+
+
+def _context_bound(n: int, m: int, s: int, u: UtilitySpec) -> tuple:
+    """_bound for (n, m, s) under u, then D."""
+    x = n - s
+    b, fx1, fx2, f1, fx, den = _over_lcd(u, x - 1, x - 2, 1, x)
+    return (*_bound(x, m, s, b, f1, fx, fx1, fx2), den)
+
+
+def _singleton(s: int, u: UtilitySpec) -> tuple:
+    """(numerator, denominator) of the singleton guarantee B."""
+    b, f1, den = _over_lcd(u, 1)
+    return b - (s - 1) * f1, s * den
+
+
+def _best_bound(n: int, s: int, u: UtilitySpec) -> tuple:
+    """(numerator, positive denominator) of best_seeker_bound(n, s, u)."""
+    if s == n:
+        return _singleton(n, u)
+    _reject_near_full(n, s)
+    if not 0 <= s <= n - 4:
+        raise DomainError(f"invalid singleton count s={s} for n={n}")
+    x = n - s
+    b, fx1, fx2, f1, fx, den = _over_lcd(u, x - 1, x - 2, 1, x)
+    # No leaves in the cycle regime, the parity-maximal count otherwise.
+    if _threshold(x, b, fx1, fx2) >= b:
+        m = 0
+    else:
+        m = x // 2 if x % 2 == 0 else (x - 3) // 2
+    w, g, q = _bound(x, m, s, b, f1, fx, fx1, fx2)
+    return q, g * den
+
+
+# -- the quantities -----------------------------------------------------------
+
+
 def topology_threshold(n: int, s: int, u: UtilitySpec) -> Fraction:
     """(n-s-3) f(n-s-1) - (n-s-2) f(n-s-2).
 
     Positive and large when f grows fast near n-s, which favors keeping the
     connected part intact (a cycle); small or negative when the marginal
     node is worth little, which favors hiding behind leaves.
-
-    Memoized: it is evaluated inside every bound for every leaf count but
-    depends only on (n, s, u).
     """
     x = n - s
     if x < 3:
         raise DomainError(f"threshold needs n-s >= 3, got {x}")
-    t = (x - 3) * u.value(x - 1) - (x - 2) * u.value(x - 2)
-    d_form = (
-        (x - 3) * capture_adjusted_value(n, s, u)
-        - (x - 2) * capture_adjusted_value(n - 1, s, u)
-        + u.beta
-    )
-    assert t == d_form
-    return t
+    b, fx1, fx2, den = _over_lcd(u, x - 1, x - 2)
+    return Fraction(_threshold(x, b, fx1, fx2), den)
 
 
-@lru_cache(maxsize=65536)
 def component_guarantee(n: int, m: int, s: int, u: UtilitySpec, r_empty: bool) -> Fraction:
     """Seeker's guaranteed payoff when the hider stays in the connected part.
 
     With the residual set empty (every non-isolated node is a protected leaf
     or its attachment) the guarantee is beta/m - ((m-1)/m) f(n-s-2); in
-    general it is the equalized form below.  Both branches agree where both
-    apply, asserted here.
+    general it is the equalized form of ``_component``.  Both branches agree
+    where both apply, asserted there.
     """
     _check_context(n, m, s)
     x = n - s
     if x < 4:
         raise DomainError(f"component guarantee needs n-s >= 4, got {x}")
-    if r_empty:
-        if 2 * m != x:
-            raise DomainError("empty residual set forces n-s = 2m")
-        if m == 0:
-            raise DomainError("empty residual set with m=0 means no nodes at all")
-        out = u.beta / m - Fraction(m - 1, m) * u.value(x - 2)
-        assert out == _component_guarantee_general(n, m, s, u)
-        return out
-    out = _component_guarantee_general(n, m, s, u)
-    if 2 * m == x:
-        assert out == u.beta / m - Fraction(m - 1, m) * u.value(x - 2)
-    return out
+    if r_empty and 2 * m != x:
+        raise DomainError("empty residual set forces n-s = 2m")
+    b, fx1, fx2, den = _over_lcd(u, x - 1, x - 2)
+    a, k = _component(x, m, b, fx1, fx2)
+    return Fraction(a, k * den)
 
 
-def _component_guarantee_general(n, m, s, u):
-    x = n - s
-    beta = u.beta
-    d = capture_adjusted_value(n, s, u)
-    d1 = capture_adjusted_value(n - 1, s, u)
-    span = 3 * d - 2 * d1
-    t = topology_threshold(n, s, u)
-    return (d * d1 / span) * (3 * (beta - t) / (m * span + x * d1) - ONE) + beta
-
-
-@lru_cache(maxsize=65536)
 def singleton_guarantee(s: int, u: UtilitySpec) -> Fraction:
     """beta/s - (1 - 1/s) f(1): seeker payoff against hiding among s
     isolated nodes when seeking them uniformly."""
     if s < 1:
         raise DomainError("singleton guarantee needs s >= 1")
-    return u.beta / s - (ONE - Fraction(1, s)) * u.value(1)
+    return Fraction(*_singleton(s, u))
 
 
-@lru_cache(maxsize=65536)
 def interior_seek_weight(n: int, m: int, s: int, u: UtilitySpec) -> Fraction:
     """Weight on the residual set that equalizes the capture probability
     between the residual set and the leaf attachments."""
@@ -181,7 +248,6 @@ def residual_seek_weight(n: int, m: int, s: int, u: UtilitySpec, r_empty: bool) 
     return lam
 
 
-@lru_cache(maxsize=65536)
 def singleton_seek_weight(n: int, m: int, s: int, u: UtilitySpec) -> Fraction:
     """The seeker's weight on isolated nodes: 1 with nothing else to seek, 0
     with no isolated nodes, otherwise the blend making the singleton-side
@@ -193,14 +259,10 @@ def singleton_seek_weight(n: int, m: int, s: int, u: UtilitySpec) -> Fraction:
     if not 0 <= s <= n - 4:
         raise DomainError(f"singleton seek weight needs s <= n-4 or s = n, got s={s}")
     _check_context(n, m, s)
-    a = component_guarantee(n, m, s, u, r_empty=(n - s == 2 * m))
-    f1 = u.value(1)
-    if a > -f1:
-        return (a + f1) / (a + singleton_guarantee(s, u) + f1 + u.value(n - s))
-    return ZERO
+    w, g, q, den = _context_bound(n, m, s, u)
+    return Fraction(w, g)
 
 
-@lru_cache(maxsize=65536)
 def seeker_bound(n: int, m: int, s: int, u: UtilitySpec) -> Fraction:
     """The payoff the seeker secures on any network with s isolated nodes
     and m protected leaves."""
@@ -208,44 +270,14 @@ def seeker_bound(n: int, m: int, s: int, u: UtilitySpec) -> Fraction:
         return singleton_guarantee(n, u)
     _reject_near_full(n, s)
     _check_context(n, m, s)
-    a = component_guarantee(n, m, s, u, r_empty=(n - s == 2 * m))
-    f1 = u.value(1)
-    fns = u.value(n - s)
-    if s >= 1 and a > -f1:
-        b = singleton_guarantee(s, u)
-        q = (a * b - f1 * fns) / (a + b + f1 + fns)
-    else:
-        q = a
-    lam_s = singleton_seek_weight(n, m, s, u)
-    assert q == (ONE - lam_s) * a - lam_s * fns
-    return q
+    w, g, q, den = _context_bound(n, m, s, u)
+    return Fraction(q, g * den)
 
 
-def design_mixing_m(n: int, s: int, u: UtilitySpec) -> int:
-    """The leaf count the bound is evaluated at: none in the cycle regime,
-    the parity-maximal count in the core-periphery regime."""
-    x = n - s
-    if topology_threshold(n, s, u) >= u.beta:
-        return 0
-    return x // 2 if x % 2 == 0 else (x - 3) // 2
-
-
-@lru_cache(maxsize=65536)
 def best_seeker_bound(n: int, s: int, u: UtilitySpec) -> Fraction:
     """The exact value bound for networks with s isolated nodes: the seeker
     bound evaluated at the regime- and parity-appropriate leaf count."""
-    if s == n:
-        return singleton_guarantee(n, u)
-    _reject_near_full(n, s)
-    if not 0 <= s <= n - 4:
-        raise DomainError(f"invalid singleton count s={s} for n={n}")
-    return seeker_bound(n, design_mixing_m(n, s, u), s, u)
-
-
-def branch_component_guarantee(n: int, s: int, u: UtilitySpec) -> Fraction:
-    """Component guarantee at the design leaf count (written Abar below)."""
-    m = design_mixing_m(n, s, u)
-    return component_guarantee(n, m, s, u, r_empty=(n - s == 2 * m))
+    return Fraction(*_best_bound(n, s, u))
 
 
 def component_hide_weight(n: int, s: int, u: UtilitySpec, abar: Fraction) -> Fraction:
@@ -296,54 +328,6 @@ def periphery_hide_weight(n: int, s: int, u: UtilitySpec) -> Fraction:
     return mu
 
 
-def crowded_cp_bounds(n: int, s: int, u: UtilitySpec) -> tuple[Fraction, Fraction]:
-    """Seeker guarantees on odd-sized core-periphery parts packed with the
-    maximum (n-s-1)/2 leaves instead of (n-s-3)/2.
-
-    Returns (attachment-side guarantee, overall guarantee); both strictly
-    exceed their counterparts at the design leaf count, which is why the
-    packed layout is never optimal.
-    """
-    x = n - s
-    if x % 2 == 0:
-        raise DomainError(f"crowded bounds need odd n-s, got {x}")
-    if x < 5:
-        raise DomainError(f"crowded bounds need n-s >= 5, got {x}")
-    beta = u.beta
-    f_cut = u.value(x - 2)
-    xval = 2 * beta / (x - 1) - (ONE - Fraction(2, x - 1)) * f_cut
-    f1 = u.value(1)
-    if s >= 1 and xval > -f1:
-        yval = singleton_blend(xval, s, n, u)
-    else:
-        yval = xval
-    a = component_guarantee(n, (x - 3) // 2, s, u, r_empty=False)
-    diff = (
-        2 * (u.value(x - 1) - f_cut) * (f_cut + beta) * (x - 3)
-    ) / ((x - 1) * ((x - 3) * u.value(x - 1) + 2 * f_cut + (x - 1) * beta))
-    assert xval - a == diff and diff > 0
-    q = seeker_bound(n, (x - 3) // 2, s, u)
-    assert yval > q
-    return xval, yval
-
-
-def singleton_blend(z: Fraction, s: int, n: int, u: UtilitySpec) -> Fraction:
-    """Blend a component-side guarantee z with the singleton side.
-
-    Identity below -f(1) (no singleton mass is ever mixed in); above it the
-    equalized value.  Strictly increasing in z.
-    """
-    if s < 1:
-        raise DomainError("singleton blend needs s >= 1")
-    z = Fraction(z)
-    f1 = u.value(1)
-    if z <= -f1:
-        return z
-    b = singleton_guarantee(s, u)
-    fns = u.value(n - s)
-    return (b * z - f1 * fns) / (z + b + fns + f1)
-
-
 def optimal_singleton_counts(n: int, u: UtilitySpec) -> tuple[tuple[int, ...], Fraction]:
     """All isolated-node counts minimizing the seeker's bound, plus the
     minimum.  The hider's optimal payoff is minus that minimum."""
@@ -351,56 +335,24 @@ def optimal_singleton_counts(n: int, u: UtilitySpec) -> tuple[tuple[int, ...], F
         raise DomainError("need n >= 1")
     domain = list(range(0, n - 3)) if n >= 4 else []
     domain.append(n)
-    values = {s: best_seeker_bound(n, s, u) for s in domain}
-    best = min(values.values())
-    winners = tuple(s for s in domain if values[s] == best)
-    return winners, best
+    winners, best_q, best_d = [], 0, 1
+    for s in domain:
+        q, d = _best_bound(n, s, u)
+        if not winners or q * best_d < best_q * d:
+            winners, best_q, best_d = [s], q, d
+        elif q * best_d == best_q * d:
+            winners.append(s)
+    return tuple(winners), Fraction(best_q, best_d)
 
 
-def linear_even_bound(n: int, s: int, u: UtilitySpec) -> Fraction:
-    """For linear f: the seeker bound at the maximal leaf count (n-s)/2,
-    treating m as continuous, in the closed form that extends to all
-    0 <= s <= n.  Used for the shape analysis of the bound in s."""
-    if u.family != "linear":
-        raise DomainError("linear_even_bound needs a linear utility")
-    if not 0 <= s <= n:
-        raise DomainError(f"need 0 <= s <= n, got s={s}")
-    slope = u.params[0]
-    if s == n:
-        return singleton_guarantee(n, u)
-    bt = u.beta / slope
-    x = n - s
-    a_tilde = slope * (2 * (bt - 2) / x + 4 - x)
-    num = s * (2 * (bt - 2) - x * (x - 5))
-    den = num + x * (s * (x - 1) + bt + 1)
-    if den == 0:
-        raise ArithmeticError(f"degenerate blend weight at n={n}, s={s}")
-    rho = num / den
-    ab = (ONE - rho) * a_tilde - rho * slope * x
-    if s == 0:
-        assert ab == a_tilde
-    if s >= 1 and a_tilde > -u.value(1):
-        assert ab == singleton_blend(a_tilde, s, n, u)
-    if x % 2 == 0 and 0 <= s <= n - 4:
-        assert component_guarantee(n, x // 2, s, u, r_empty=True) == a_tilde
-    return ab
-
-
-@dataclass(frozen=True)
-class ValueReport:
+class ValueReport(Record):
     """Every closed-form quantity for one (n, m, s) context; entries are None
     where the context leaves them undefined."""
 
-    n: int
-    s: int
-    m: int
-    threshold: Fraction | None
-    component: Fraction | None
-    singleton: Fraction | None
-    residual_weight: Fraction | None
-    singleton_weight: Fraction | None
-    bound: Fraction
-    best_bound: Fraction
+    __slots__ = _fields = (
+        "n", "s", "m", "threshold", "component", "singleton", "residual_weight",
+        "singleton_weight", "bound", "best_bound",
+    )
 
 
 def value_report(n: int, m: int, s: int, u: UtilitySpec) -> ValueReport:

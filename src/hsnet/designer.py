@@ -12,7 +12,6 @@ pair by a zero best-response gap.  The gap is computed exactly from the graph
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import closed_form as cf
@@ -28,6 +27,7 @@ from .graphs import (
 from .matrix_game import MixedStrategy, gap_from_payoffs
 from .payoff import UtilitySpec, strategy_payoffs
 from .rationals import format_rational
+from .records import Record
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -42,48 +42,6 @@ class DesignError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CorePeripherySpec:
-    """Core graph plus a one-leaf-per-core-node attachment plan.
-
-    q core nodes (ids 0..q-1) carry the edges in core_edges; periphery node i
-    (graph id q+i) attaches to core node pairing[i].  Needs m <= q, a
-    connected core, and pairwise distinct attachment targets.
-    """
-
-    q: int
-    m: int
-    core_edges: frozenset
-    pairing: tuple[int, ...]
-
-    def validate(self):
-        if self.q < 1 or self.m < 0:
-            raise DesignError("need q >= 1 and m >= 0")
-        if self.m > self.q:
-            raise DesignError(
-                f"{self.m} periphery nodes cannot attach to {self.q} distinct cores"
-            )
-        if len(self.pairing) != self.m:
-            raise DesignError("pairing length must equal periphery count")
-        if len(set(self.pairing)) != self.m:
-            raise DesignError("periphery nodes must attach to distinct core nodes")
-        for c in self.pairing:
-            if not 0 <= c < self.q:
-                raise DesignError(f"attachment target {c} outside the core")
-        core = Graph(self.q, self.core_edges)
-        if self.q > 1 and not is_connected(core):
-            raise DesignError("core must be connected")
-
-
-def build_core_periphery(spec: CorePeripherySpec) -> Graph:
-    """Realize a core-periphery spec as a graph on q+m nodes."""
-    spec.validate()
-    edges = list(spec.core_edges)
-    for i, c in enumerate(spec.pairing):
-        edges.append((c, spec.q + i))
-    return Graph(spec.q + spec.m, edges)
-
-
 def build_cycle(k: int) -> Graph:
     if k < 3:
         raise DesignError(f"a cycle needs at least 3 nodes, got {k}")
@@ -96,22 +54,18 @@ def _cycle_edges(k: int):
     return [(i, (i + 1) % k) for i in range(k)]
 
 
-@dataclass(frozen=True)
-class DesignTopology:
+class DesignTopology(Record):
     """A built design with its node roles recorded by id.
 
     Strategies read the roles from here rather than re-deriving them, so the
-    middle orphan of an odd layout is never ambiguous.
+    middle orphan of an odd layout is never ambiguous.  Node roles are tuples
+    of ids; ``middle_orphan`` is an id or None.
     """
 
-    tag: str
-    graph: Graph
-    component_nodes: tuple[int, ...]
-    core_nodes: tuple[int, ...]
-    periphery_nodes: tuple[int, ...]
-    orphan_nodes: tuple[int, ...]
-    middle_orphan: int | None
-    singleton_nodes: tuple[int, ...]
+    __slots__ = _fields = (
+        "tag", "graph", "component_nodes", "core_nodes", "periphery_nodes",
+        "orphan_nodes", "middle_orphan", "singleton_nodes",
+    )
 
 
 def _maximal_cp_topology(k: int) -> DesignTopology:
@@ -399,23 +353,16 @@ def hider_strategy(g: Graph, u: UtilitySpec, topo: DesignTopology) -> MixedStrat
 # -- full design ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DesignResult:
-    """An optimal design together with its certified equilibrium."""
+class DesignResult(Record):
+    """An optimal design together with its certified equilibrium: the
+    topology tag, the graph, both strategies, the predicted value (the
+    hider's) and the node roles of its DesignTopology."""
 
-    n: int
-    s_star: int
-    topology: str
-    graph: Graph
-    hider: MixedStrategy
-    seeker: MixedStrategy
-    predicted_value: Fraction
-    component_nodes: tuple[int, ...]
-    core_nodes: tuple[int, ...]
-    periphery_nodes: tuple[int, ...]
-    orphan_nodes: tuple[int, ...]
-    middle_orphan: int | None
-    singleton_nodes: tuple[int, ...]
+    __slots__ = _fields = (
+        "n", "s_star", "topology", "graph", "hider", "seeker", "predicted_value",
+        "component_nodes", "core_nodes", "periphery_nodes", "orphan_nodes",
+        "middle_orphan", "singleton_nodes",
+    )
 
     def to_json_dict(self) -> dict:
         return {

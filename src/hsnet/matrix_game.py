@@ -17,10 +17,10 @@ and regrets, never strategy vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .rationals import format_rational, over_common_denominator
+from .records import Record
 from .simplex import solve_lp
 
 ZERO = Fraction(0)
@@ -83,13 +83,10 @@ class MixedStrategy:
         return f"MixedStrategy({[str(p) for p in self.probs]})"
 
 
-@dataclass(frozen=True)
-class GameSolution:
+class GameSolution(Record):
     """Value plus one optimal strategy per player (row = maximizer)."""
 
-    value: Fraction
-    row_strategy: MixedStrategy
-    col_strategy: MixedStrategy
+    __slots__ = _fields = ("value", "row_strategy", "col_strategy")
 
 
 def _entries(matrix):

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 
 from .graphs import Graph, GraphError
 from .rationals import format_rational, over_common_denominator, parse_rational
+from .records import Record
 
 FAMILIES = ("linear", "power", "ratio_power", "table")
 
@@ -35,26 +35,24 @@ def _int_power(x: int, g: int) -> int:
     return x**g
 
 
-@dataclass(frozen=True)
-class UtilitySpec:
+class UtilitySpec(Record):
     """Component-value function plus capture penalty.
 
     family/params identify f; beta >= 0 is the penalty paid by the hider on
     capture.  ``value(x)`` evaluates f at a nonnegative integer component
-    size.  Instances are immutable and hashable, safe to share.
+    size, once per size.  Instances are immutable and hashable, safe to share.
     """
 
-    family: str
-    params: tuple
-    beta: Fraction
-    is_exact: bool = True
-    _cache: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
+    _fields = ("family", "params", "beta", "is_exact")
+    __slots__ = _fields + ("_cache",)
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise UtilityError(f"unknown utility family {self.family!r}")
-        if self.beta < 0:
+    def __init__(self, family: str, params: tuple, beta: Fraction, is_exact: bool = True):
+        if family not in FAMILIES:
+            raise UtilityError(f"unknown utility family {family!r}")
+        if beta < 0:
             raise UtilityError("beta must be nonnegative")
+        super().__init__(family, params, beta, is_exact)
+        object.__setattr__(self, "_cache", {})
 
     # -- constructors ------------------------------------------------------
 
@@ -395,8 +393,9 @@ def capture_probability(g: Graph, hider, seeker, within=None) -> Fraction:
     ``hider`` and ``seeker`` index nodes of g.  When ``within`` is given,
     both strategies are conditioned on that node set (useful for reading the
     capture rate inside a single component of a larger design).  Every
-    probability must be an int or a Fraction; anything else, a float, a
-    string or a bool included, is a ValueError.
+    probability must be an int or a Fraction, and every node of ``within`` an
+    int in 0..n-1; anything else, a float, a string or a bool included, is a
+    ValueError.
     """
     n = g.node_count
     hider, seeker = list(hider), list(seeker)
@@ -407,6 +406,9 @@ def capture_probability(g: Graph, hider, seeker, within=None) -> Fraction:
     if len(hp) != n or len(sp) != n:
         raise GraphError("strategy length must equal node count")
     if within is not None:
+        within = list(within)
+        if any(type(i) is not int or not 0 <= i < n for i in within):
+            raise ValueError(f"within must hold node ids in 0..{n - 1}")
         inside = set(within)
         hmass = sum(hp[i] for i in inside)
         smass = sum(sp[i] for i in inside)

@@ -50,12 +50,11 @@ def parse_rational(text) -> Fraction:
 def over_common_denominator(values) -> tuple:
     """(numerators, D): ints and Fractions as integers over their least common
     denominator D, read from ``.numerator``/``.denominator`` with no Fraction
-    built; anything else (a float, a string) is a ValueError."""
+    built; anything else (a float, a string, a bool) is a ValueError."""
     values = tuple(values)
-    try:
-        den = lcm(*(v.denominator for v in values))
-    except AttributeError:
-        raise ValueError("expected ints and Fractions only") from None
+    if any(type(v) is not int and type(v) is not Fraction for v in values):
+        raise ValueError("expected ints and Fractions only")
+    den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
 
 

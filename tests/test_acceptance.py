@@ -34,6 +34,9 @@ from hsnet.matrix_game import (
 from hsnet.payoff import UtilitySpec, capture_probability, payoff_matrix
 
 from conftest import identity_u, square_u, ratio_u, BETA_GRID
+from test_closed_form import (
+    branch_component_guarantee, crowded_cp_bounds, linear_even_bound, singleton_blend,
+)
 
 
 DESIGN_NS = range(4, 13)
@@ -247,7 +250,7 @@ def test_bound_monotonicity_and_mixing_ranges():
                         assert all(d > 0 for d in steps), (n, s, u.family, str(b))
                     else:
                         assert all(d == 0 for d in steps), (n, s, u.family, str(b))
-                    abar = cf.branch_component_guarantee(n, s, u)
+                    abar = branch_component_guarantee(n, s, u)
                     kappa = cf.component_hide_weight(n, s, u, abar)
                     assert 0 <= kappa <= 1
                     if x % 2 == 1 and x >= 5:
@@ -304,7 +307,7 @@ def test_auxiliary_inequalities():
                 for s in range(0, n - 3):
                     x = n - s
                     if x % 2 == 1 and x >= 5 and cf.topology_threshold(n, s, u) < u.beta:
-                        xv, yv = cf.crowded_cp_bounds(n, s, u)
+                        xv, yv = crowded_cp_bounds(n, s, u)
                         assert xv > cf.component_guarantee(
                             n, (x - 3) // 2, s, u, r_empty=False
                         )
@@ -321,7 +324,7 @@ def test_auxiliary_inequalities():
         if z1 == z2:
             continue
         lo, hi = min(z1, z2), max(z1, z2)
-        assert cf.singleton_blend(lo, s, n, u) < cf.singleton_blend(hi, s, n, u)
+        assert singleton_blend(lo, s, n, u) < singleton_blend(hi, s, n, u)
         pairs += 1
 
     def unimodal(seq):
@@ -337,7 +340,7 @@ def test_auxiliary_inequalities():
         base = F((n - 1) * (n - 6), 2) + 2
         for beta in (base + F(1, 2), base + 7, 4 * base + 11):
             u = UtilitySpec.linear(1, beta)
-            seq = [cf.linear_even_bound(n, s, u) for s in range(0, n + 1)]
+            seq = [linear_even_bound(n, s, u) for s in range(0, n + 1)]
             assert unimodal(seq), (n, str(beta))
             assert seq[-1] == cf.singleton_guarantee(n, u)
             shapes += 1

@@ -154,6 +154,14 @@ def test_solve_leaves_designer_and_verifier_out(c4_file):
     for name in ("designer", "closed_form", "oracle"):
         assert f"hsnet.{name}" not in loaded
     assert "hsnet.simplex" in loaded
+    assert "dataclasses" not in loaded
+
+
+def test_design_leaves_dataclasses_and_verifier_out():
+    loaded = loaded_after(["design", "--n", "9", "--beta", "2"])
+    assert "hsnet.designer" in loaded and "hsnet.closed_form" in loaded
+    assert "hsnet.oracle" not in loaded
+    assert "dataclasses" not in loaded
 
 
 def test_top_level_names_resolve_on_first_use():
@@ -263,6 +271,16 @@ DESIGN_REPORT_SHA256 = {
         "49432a14c836f9bd2d63c9fa8ddb0883701cb31fe729e640f9a7e64095303837",
     "--n 31 --family power --gamma 3/2 --beta 5":  # cycle, float-backed
         "8a04a3fc00e2fff342fae76e482feb859b44e5181e1d0503343ed1969385107a",
+    # Taken before the isolated-node scan ran on integers, at the
+    # benchmark's sizes and beyond.
+    "--n 255 --family ratio_power --gamma 2 --beta 1":  # maximal_cp_odd
+        "095164ee5dc3fe47d605345f1e440204e146f4e861475f0435c3a6a38f6c3046",
+    "--n 388 --family linear --beta 1/2":  # maximal_cp_even
+        "5eb25546b5f38dfa4d464ce31a2d52aab0170994c5b1d9bb8ff77864c8ef16d8",
+    "--n 256 --family power --gamma 3/2 --beta 1":  # cycle, float-backed
+        "0147a50f583c701802e435ce47c411e6b55b4e172f516d5698f5d6be2bacd560",
+    "--n 2001 --family ratio_power --gamma 3 --beta 1/2":
+        "d3924fbda4ed15b45983914690ab9974ac08ad00764a660a0ca4307a98775dd1",
 }
 
 
@@ -271,6 +289,25 @@ def test_design_report_bytes_pinned(tmp_path, args):
     out = tmp_path / "design.json"
     assert run(["design"] + args.split() + ["--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DESIGN_REPORT_SHA256[args]
+
+
+# SHA-256 of `hsnet value-table --n 4 --n-max 24` stdout per utility, taken
+# before the closed forms were computed by the integer kernel.
+VALUE_TABLE_SHA256 = {
+    "--family linear --beta 2":
+        "34a8e03f3cc9fc9cc903317b93f5174654b4722a7ad8dbb7034904cb15207328",
+    "--family power --gamma 2 --beta 1/2":
+        "9018b1d9d1995f919e5c67050285ad64e62014002270b9b9fa2b968a012c268b",
+    "--family ratio_power --gamma 2 --beta 1":
+        "4dcf777a0f75401e5ebbd1da583fbda0dc2e515039abfabf0dd838072216ac65",
+}
+
+
+@pytest.mark.parametrize("args", sorted(VALUE_TABLE_SHA256))
+def test_value_table_bytes_pinned(capsys, args):
+    assert run(["value-table", "--n", "4", "--n-max", "24"] + args.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VALUE_TABLE_SHA256[args]
 
 
 # SHA-256 of `hsnet verify --n-max 6` stdout, taken before the optimal-mass

@@ -1,4 +1,12 @@
-"""Closed-form bounds, mixing weights, and their internal identities."""
+"""Closed-form bounds, mixing weights, and their internal identities.
+
+``hsnet.closed_form`` computes the threshold, the guarantees and the bounds
+in one integer kernel.  The ``ref_*`` functions below are the same
+quantities as plain Fraction formulas, kept here as its test oracle.  The
+helpers after them (the packed odd layout, the singleton blend, the linear
+shape curve) serve only the paper's auxiliary claims, checked here and in
+the acceptance battery.
+"""
 
 import random
 from fractions import Fraction as F
@@ -6,9 +14,312 @@ from fractions import Fraction as F
 import pytest
 
 import hsnet.closed_form as cf
+from hsnet.closed_form import DomainError
 from hsnet.payoff import UtilitySpec
 
 from conftest import identity_u, square_u, ratio_u
+
+ONE = F(1)
+
+
+# -- the Fraction oracle --------------------------------------------------------
+
+
+def ref_capture_adjusted_value(n, s, u):
+    """f(n-s-1) + beta, the swing between escaping and being caught."""
+    return u.value(n - s - 1) + u.beta
+
+
+def ref_topology_threshold(n, s, u):
+    x = n - s
+    if x < 3:
+        raise DomainError(f"threshold needs n-s >= 3, got {x}")
+    t = (x - 3) * u.value(x - 1) - (x - 2) * u.value(x - 2)
+    d_form = (
+        (x - 3) * ref_capture_adjusted_value(n, s, u)
+        - (x - 2) * ref_capture_adjusted_value(n - 1, s, u)
+        + u.beta
+    )
+    assert t == d_form
+    return t
+
+
+def ref_singleton_guarantee(s, u):
+    if s < 1:
+        raise DomainError("singleton guarantee needs s >= 1")
+    return u.beta / s - (ONE - F(1, s)) * u.value(1)
+
+
+def ref_empty_component(m, x, u):
+    """The component guarantee with the residual set empty (x = 2m)."""
+    return u.beta / m - F(m - 1, m) * u.value(x - 2)
+
+
+def ref_bounds(n, s, u, leaf_counts):
+    """(A, lambda_S, Q) for each leaf count m, 0 <= s <= n-4: the component
+    guarantee in its equalized form, the singleton seek weight and the
+    seeker bound."""
+    x = n - s
+    beta, f1, fx = u.beta, u.value(1), u.value(x)
+    d = ref_capture_adjusted_value(n, s, u)
+    d1 = ref_capture_adjusted_value(n - 1, s, u)
+    span = 3 * d - 2 * d1
+    t = ref_topology_threshold(n, s, u)
+    b = ref_singleton_guarantee(s, u) if s else None
+    out = []
+    for m in leaf_counts:
+        a = (d * d1 / span) * (3 * (beta - t) / (m * span + x * d1) - ONE) + beta
+        if s >= 1 and a > -f1:
+            lam = (a + f1) / (a + b + f1 + fx)
+            q = (a * b - f1 * fx) / (a + b + f1 + fx)
+        else:
+            lam, q = F(0), a
+        out.append((a, lam, q))
+    return out
+
+
+def ref_component_guarantee(n, m, s, u, r_empty):
+    cf._check_context(n, m, s)
+    x = n - s
+    if x < 4:
+        raise DomainError(f"component guarantee needs n-s >= 4, got {x}")
+    if r_empty:
+        if 2 * m != x:
+            raise DomainError("empty residual set forces n-s = 2m")
+        return ref_empty_component(m, x, u)
+    return ref_bounds(n, s, u, [m])[0][0]
+
+
+def ref_singleton_seek_weight(n, m, s, u):
+    if s == n:
+        return ONE
+    if s == 0:
+        return F(0)
+    if not 0 <= s <= n - 4:
+        raise DomainError(f"singleton seek weight needs s <= n-4 or s = n, got s={s}")
+    cf._check_context(n, m, s)
+    return ref_bounds(n, s, u, [m])[0][1]
+
+
+def ref_seeker_bound(n, m, s, u):
+    if s == n:
+        return ref_singleton_guarantee(n, u)
+    cf._reject_near_full(n, s)
+    cf._check_context(n, m, s)
+    return ref_bounds(n, s, u, [m])[0][2]
+
+
+def ref_design_mixing_m(n, s, u):
+    """The leaf count the bound is evaluated at: none in the cycle regime,
+    the parity-maximal count in the core-periphery regime."""
+    x = n - s
+    if ref_topology_threshold(n, s, u) >= u.beta:
+        return 0
+    return x // 2 if x % 2 == 0 else (x - 3) // 2
+
+
+def ref_best_seeker_bound(n, s, u):
+    if s == n:
+        return ref_singleton_guarantee(n, u)
+    cf._reject_near_full(n, s)
+    if not 0 <= s <= n - 4:
+        raise DomainError(f"invalid singleton count s={s} for n={n}")
+    return ref_seeker_bound(n, ref_design_mixing_m(n, s, u), s, u)
+
+
+# -- helpers for the auxiliary claims --------------------------------------------
+
+
+def branch_component_guarantee(n, s, u):
+    """Component guarantee at the design leaf count (written Abar)."""
+    m = ref_design_mixing_m(n, s, u)
+    return cf.component_guarantee(n, m, s, u, r_empty=(n - s == 2 * m))
+
+
+def singleton_blend(z, s, n, u):
+    """Blend a component-side guarantee z with the singleton side.
+
+    Identity below -f(1) (no singleton mass is ever mixed in); above it the
+    equalized value.  Strictly increasing in z.
+    """
+    if s < 1:
+        raise DomainError("singleton blend needs s >= 1")
+    z = F(z)
+    f1 = u.value(1)
+    if z <= -f1:
+        return z
+    b = cf.singleton_guarantee(s, u)
+    fns = u.value(n - s)
+    return (b * z - f1 * fns) / (z + b + fns + f1)
+
+
+def crowded_cp_bounds(n, s, u):
+    """Seeker guarantees on odd-sized core-periphery parts packed with the
+    maximum (n-s-1)/2 leaves instead of (n-s-3)/2.
+
+    Returns (attachment-side guarantee, overall guarantee); both strictly
+    exceed their counterparts at the design leaf count, which is why the
+    packed layout is never optimal.
+    """
+    x = n - s
+    if x % 2 == 0:
+        raise DomainError(f"crowded bounds need odd n-s, got {x}")
+    if x < 5:
+        raise DomainError(f"crowded bounds need n-s >= 5, got {x}")
+    beta = u.beta
+    f_cut = u.value(x - 2)
+    xval = 2 * beta / (x - 1) - (ONE - F(2, x - 1)) * f_cut
+    f1 = u.value(1)
+    if s >= 1 and xval > -f1:
+        yval = singleton_blend(xval, s, n, u)
+    else:
+        yval = xval
+    a = cf.component_guarantee(n, (x - 3) // 2, s, u, r_empty=False)
+    diff = (
+        2 * (u.value(x - 1) - f_cut) * (f_cut + beta) * (x - 3)
+    ) / ((x - 1) * ((x - 3) * u.value(x - 1) + 2 * f_cut + (x - 1) * beta))
+    assert xval - a == diff and diff > 0
+    q = cf.seeker_bound(n, (x - 3) // 2, s, u)
+    assert yval > q
+    return xval, yval
+
+
+def linear_even_bound(n, s, u):
+    """For linear f: the seeker bound at the maximal leaf count (n-s)/2,
+    treating m as continuous, in the closed form that extends to all
+    0 <= s <= n.  Used for the shape analysis of the bound in s."""
+    if u.family != "linear":
+        raise DomainError("linear_even_bound needs a linear utility")
+    if not 0 <= s <= n:
+        raise DomainError(f"need 0 <= s <= n, got s={s}")
+    slope = u.params[0]
+    if s == n:
+        return cf.singleton_guarantee(n, u)
+    bt = u.beta / slope
+    x = n - s
+    a_tilde = slope * (2 * (bt - 2) / x + 4 - x)
+    num = s * (2 * (bt - 2) - x * (x - 5))
+    den = num + x * (s * (x - 1) + bt + 1)
+    if den == 0:
+        raise ArithmeticError(f"degenerate blend weight at n={n}, s={s}")
+    rho = num / den
+    ab = (ONE - rho) * a_tilde - rho * slope * x
+    if s == 0:
+        assert ab == a_tilde
+    if s >= 1 and a_tilde > -u.value(1):
+        assert ab == singleton_blend(a_tilde, s, n, u)
+    if x % 2 == 0 and 0 <= s <= n - 4:
+        assert cf.component_guarantee(n, x // 2, s, u, r_empty=True) == a_tilde
+    return ab
+
+
+# -- the kernel against the oracle -----------------------------------------------
+
+ORACLE_BETAS = (F(0), F(1, 2), F(1), F(2), F(5), F(50), F(7, 3))
+ORACLE_FAMILIES = {
+    "linear": lambda b: UtilitySpec.linear(1, b),
+    "square": lambda b: UtilitySpec.power(2, b),
+    "cube": lambda b: UtilitySpec.power(3, b),
+    "power 3/2": lambda b: UtilitySpec.power(F(3, 2), b),  # float-backed
+    "ratio_power 2": lambda b: UtilitySpec.ratio_power(2, b),
+    "ratio_power 3": lambda b: UtilitySpec.ratio_power(3, b),
+}
+
+
+def random_tables(size, seed):
+    """Strictly increasing tables f(0..size-1) with small denominators:
+    one with random steps, one convex (steps rising), one concave (falling),
+    each with a random beta."""
+    rng = random.Random(seed)
+    steps = [F(rng.randint(1, 30), rng.randint(1, 8)) for _ in range(size - 1)]
+    tables = []
+    for order in (steps, sorted(steps), sorted(steps, reverse=True)):
+        values = [F(0)]
+        for step in order:
+            values.append(values[-1] + step)
+        beta = F(rng.randint(0, 40), rng.randint(1, 4))
+        tables.append(UtilitySpec.table(values, beta))
+    return tables
+
+
+def oracle_utilities(family, size):
+    """(utility, wide) pairs for one family: its seven betas, or three random
+    tables.  Each beta is wide (checked at every n <= 60) for one family in
+    turn, and so is the first table; the rest are checked at n <= 20."""
+    if family == "table":
+        return [(u, i == 0) for i, u in enumerate(random_tables(size, seed=size))]
+    turn = sorted(ORACLE_FAMILIES).index(family)
+    return [(ORACLE_FAMILIES[family](b), j % len(ORACLE_FAMILIES) == turn)
+            for j, b in enumerate(ORACLE_BETAS)]
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared by type against the oracle
+        return type(exc)
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES) + ["table"])
+def test_kernel_matches_oracle_on_every_context(family):
+    """Every (n, m, s) with n <= 60 (n <= 20 for the utilities that are not
+    wide), and s and m one past their ranges: the same value, or the same
+    exception type, as the Fraction formulas."""
+    contexts = expected = 0
+    for u, wide in oracle_utilities(family, 61):
+        n_max = 60 if wide else 20
+        expected += sum((n - s) // 2 + 1 for n in range(1, n_max + 1) for s in range(0, n - 3))
+        for n in range(1, n_max + 1):
+            for s in range(-1, n + 2):
+                for fn, ref in ((cf.topology_threshold, ref_topology_threshold),
+                                (cf.best_seeker_bound, ref_best_seeker_bound)):
+                    assert outcome(fn, n, s, u) == outcome(ref, n, s, u), (fn.__name__, n, s, u)
+                assert outcome(cf.singleton_guarantee, s, u) == outcome(
+                    ref_singleton_guarantee, s, u)
+                x = n - s
+                inside = 0 <= s <= n - 4
+                rows = ref_bounds(n, s, u, range(x // 2 + 1)) if inside else []
+                for m in range(-1, x // 2 + 2):
+                    if 0 <= m < len(rows):
+                        a, lam, q = rows[m]
+                        assert cf.seeker_bound(n, m, s, u) == q, (n, m, s, u)
+                        assert cf.singleton_seek_weight(n, m, s, u) == lam, (n, m, s, u)
+                        assert cf.component_guarantee(n, m, s, u, False) == a, (n, m, s, u)
+                        if 2 * m == x:
+                            assert a == ref_empty_component(m, x, u)
+                            assert cf.component_guarantee(n, m, s, u, True) == a
+                        else:
+                            assert outcome(cf.component_guarantee, n, m, s, u, True) is DomainError
+                        contexts += 1
+                        continue
+                    for fn, ref in ((cf.seeker_bound, ref_seeker_bound),
+                                    (cf.singleton_seek_weight, ref_singleton_seek_weight)):
+                        assert outcome(fn, n, m, s, u) == outcome(ref, n, m, s, u), (
+                            fn.__name__, n, m, s, u)
+                    for r_empty in (False, True):
+                        assert outcome(cf.component_guarantee, n, m, s, u, r_empty) == outcome(
+                            ref_component_guarantee, n, m, s, u, r_empty), (n, m, s, r_empty, u)
+    assert contexts == expected
+
+
+# Every n up to 12, then sizes up to 300: both parities at the benchmark's
+# sizes, powers of two and one below.
+SCAN_SIZES = tuple(range(1, 13)) + (13, 29, 64, 127, 200, 255, 256, 299, 300)
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES) + ["table"])
+def test_scan_matches_oracle_up_to_300(family):
+    """Every s that optimal_singleton_counts scans, at sizes up to 300, and
+    the scan's (counts, minimum) itself."""
+    for u, _ in oracle_utilities(family, 301):
+        for n in SCAN_SIZES:
+            values = {s: ref_best_seeker_bound(n, s, u) for s in list(range(0, n - 3)) + [n]}
+            for s, value in values.items():
+                assert cf.best_seeker_bound(n, s, u) == value, (n, s, u)
+            best = min(values.values())
+            counts = tuple(s for s, value in values.items() if value == best)
+            assert cf.optimal_singleton_counts(n, u) == (counts, best), (n, u)
 
 
 def test_threshold_examples():
@@ -18,7 +329,7 @@ def test_threshold_examples():
     for u in (identity_u(3), square_u(1), ratio_u(2)):
         for n in (5, 9, 20):
             assert cf.topology_threshold(n, n - 4, u) == u.value(3) - 2 * u.value(2)
-    with pytest.raises(cf.DomainError):
+    with pytest.raises(DomainError):
         cf.topology_threshold(6, 4, identity_u())
 
 
@@ -41,9 +352,9 @@ def test_component_guarantee_examples():
     # cycle form at m=0: capture 3/(n-s), residual n-s-1
     assert cf.component_guarantee(4, 0, 0, identity_u(1), r_empty=False) == 0
     assert cf.component_guarantee(8, 2, 0, identity_u(1), r_empty=False) == F(-79, 19)
-    with pytest.raises(cf.DomainError):
+    with pytest.raises(DomainError):
         cf.component_guarantee(8, 3, 0, identity_u(2), r_empty=True)
-    with pytest.raises(cf.DomainError):
+    with pytest.raises(DomainError):
         cf.component_guarantee(7, 0, 4, identity_u(2), r_empty=False)
 
 
@@ -68,7 +379,7 @@ def test_singleton_guarantee_examples():
     assert cf.singleton_guarantee(1, identity_u(7)) == 7
     assert cf.singleton_guarantee(4, identity_u(0)) == F(-3, 4)
     assert cf.singleton_guarantee(5, identity_u(1)) == F(-3, 5)
-    with pytest.raises(cf.DomainError):
+    with pytest.raises(DomainError):
         cf.singleton_guarantee(0, identity_u())
 
 
@@ -113,7 +424,7 @@ def test_seeker_bound_examples():
     a = cf.component_guarantee(7, 2, 3, u, r_empty=True)
     assert q == (1 - lam) * a - lam * u.value(4)
     for bad_s in (5, 6, 7):
-        with pytest.raises(cf.DomainError):
+        with pytest.raises(DomainError):
             cf.seeker_bound(8, 0, bad_s, u)
 
 
@@ -137,10 +448,10 @@ def test_bound_constant_at_threshold_tie():
 
 def test_component_hide_weight_branches():
     u = identity_u(2)
-    abar = cf.branch_component_guarantee(5, 0, u)
+    abar = branch_component_guarantee(5, 0, u)
     assert cf.component_hide_weight(5, 0, u, abar) == 1  # no singletons
     # blended branch in (0,1) when the component guarantee beats -f(1)
-    abar2 = cf.branch_component_guarantee(7, 3, u)
+    abar2 = branch_component_guarantee(7, 3, u)
     k = cf.component_hide_weight(7, 3, u, abar2)
     assert 0 < k <= 1
     assert cf.component_hide_weight(9, 2, u, F(-10)) == 1  # deep component
@@ -148,14 +459,14 @@ def test_component_hide_weight_branches():
 
 def test_periphery_hide_weight_example():
     assert cf.periphery_hide_weight(9, 0, identity_u(10)) == F(51, 71)
-    with pytest.raises(cf.DomainError):
+    with pytest.raises(DomainError):
         cf.periphery_hide_weight(8, 0, identity_u(10))
-    with pytest.raises(cf.DomainError):
+    with pytest.raises(DomainError):
         cf.periphery_hide_weight(5, 2, identity_u(10))
 
 
 def test_crowded_cp_bounds_example():
-    x, y = cf.crowded_cp_bounds(9, 0, identity_u(10))
+    x, y = crowded_cp_bounds(9, 0, identity_u(10))
     assert x == F(-11, 4)
     assert x > cf.component_guarantee(9, 3, 0, identity_u(10), r_empty=False)
     assert y > cf.seeker_bound(9, 3, 0, identity_u(10))
@@ -172,16 +483,16 @@ def test_blend_monotone_random_pairs():
         if z1 == z2:
             continue
         lo, hi = min(z1, z2), max(z1, z2)
-        assert cf.singleton_blend(lo, s, n, u) < cf.singleton_blend(hi, s, n, u)
+        assert singleton_blend(lo, s, n, u) < singleton_blend(hi, s, n, u)
 
 
 def test_blend_fixed_point_and_identity_branch():
     u = identity_u(2)
     f1 = u.value(1)
-    assert cf.singleton_blend(-f1, 3, 9, u) == -f1
-    assert cf.singleton_blend(F(-5), 3, 9, u) == -5
-    with pytest.raises(cf.DomainError):
-        cf.singleton_blend(F(0), 0, 9, u)
+    assert singleton_blend(-f1, 3, 9, u) == -f1
+    assert singleton_blend(F(-5), 3, 9, u) == -5
+    with pytest.raises(DomainError):
+        singleton_blend(F(0), 0, 9, u)
 
 
 def test_optimal_singleton_counts_examples():
@@ -207,17 +518,17 @@ def test_optimal_singleton_counts_small_boards_cap():
 
 def test_linear_even_bound_identities():
     u = identity_u(7)
-    assert cf.linear_even_bound(9, 9, u) == cf.singleton_guarantee(9, u)
+    assert linear_even_bound(9, 9, u) == cf.singleton_guarantee(9, u)
     for n in (6, 8, 10, 12):
         for s in range(0, n - 3):
             if (n - s) % 2 == 0:
                 a_tilde = cf.component_guarantee(n, (n - s) // 2, s, u, r_empty=True)
                 if a_tilde > -u.value(1):
-                    assert cf.linear_even_bound(n, s, u) == cf.seeker_bound(
+                    assert linear_even_bound(n, s, u) == cf.seeker_bound(
                         n, (n - s) // 2, s, u
                     )
-    with pytest.raises(cf.DomainError):
-        cf.linear_even_bound(8, 2, square_u(1))
+    with pytest.raises(DomainError):
+        linear_even_bound(8, 2, square_u(1))
 
 
 def test_value_table_rows_domain():

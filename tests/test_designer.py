@@ -2,12 +2,13 @@
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
 
 import hsnet.designer as dz
-from hsnet.graphs import Graph, classify, components, is_two_connected
+from hsnet.graphs import Graph, classify, components, is_connected, is_two_connected
 from hsnet.matrix_game import (
     MixedStrategy,
     best_response_gap,
@@ -29,40 +30,85 @@ def test_build_cycle():
         dz.build_cycle(2)
 
 
+# -- core-periphery layouts from a spec, for the classifier ------------------
+
+
+@dataclass(frozen=True)
+class CorePeripherySpec:
+    """Core graph plus a one-leaf-per-core-node attachment plan.
+
+    q core nodes (ids 0..q-1) carry the edges in core_edges; periphery node i
+    (graph id q+i) attaches to core node pairing[i].  Needs m <= q, a
+    connected core, and pairwise distinct attachment targets.
+    """
+
+    q: int
+    m: int
+    core_edges: frozenset
+    pairing: tuple[int, ...]
+
+    def validate(self):
+        if self.q < 1 or self.m < 0:
+            raise dz.DesignError("need q >= 1 and m >= 0")
+        if self.m > self.q:
+            raise dz.DesignError(
+                f"{self.m} periphery nodes cannot attach to {self.q} distinct cores"
+            )
+        if len(self.pairing) != self.m:
+            raise dz.DesignError("pairing length must equal periphery count")
+        if len(set(self.pairing)) != self.m:
+            raise dz.DesignError("periphery nodes must attach to distinct core nodes")
+        for c in self.pairing:
+            if not 0 <= c < self.q:
+                raise dz.DesignError(f"attachment target {c} outside the core")
+        core = Graph(self.q, self.core_edges)
+        if self.q > 1 and not is_connected(core):
+            raise dz.DesignError("core must be connected")
+
+
+def build_core_periphery(spec):
+    """Realize a core-periphery spec as a graph on q+m nodes."""
+    spec.validate()
+    edges = list(spec.core_edges)
+    for i, c in enumerate(spec.pairing):
+        edges.append((c, spec.q + i))
+    return Graph(spec.q + spec.m, edges)
+
+
 def test_build_core_periphery():
-    spec = dz.CorePeripherySpec(
+    spec = CorePeripherySpec(
         q=4, m=4, core_edges=frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}),
         pairing=(0, 1, 2, 3),
     )
-    g = dz.build_core_periphery(spec)
+    g = build_core_periphery(spec)
     part = classify(g)
     assert part.m_nodes == frozenset(range(4))
     assert part.singleton_leaves == frozenset(range(4, 8))
 
-    spec = dz.CorePeripherySpec(
+    spec = CorePeripherySpec(
         q=5, m=3,
         core_edges=frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}),
         pairing=(0, 1, 2),
     )
-    g = dz.build_core_periphery(spec)
+    g = build_core_periphery(spec)
     part = classify(g)
     assert part.m_nodes == frozenset({0, 1, 2})
     assert len(part.r_nodes) == 2  # the orphans
 
     # a large layout with many orphaned core nodes
-    big = dz.CorePeripherySpec(
+    big = CorePeripherySpec(
         q=24, m=15,
         core_edges=frozenset((i, (i + 1) % 24) for i in range(24)),
         pairing=tuple(range(15)),
     )
-    g = dz.build_core_periphery(big)
+    g = build_core_periphery(big)
     assert g.node_count == 39
     assert len(classify(g).singleton_leaves) == 15
 
     with pytest.raises(dz.DesignError):
-        dz.CorePeripherySpec(q=2, m=3, core_edges=frozenset({(0, 1)}), pairing=(0, 1, 0)).validate()
+        CorePeripherySpec(q=2, m=3, core_edges=frozenset({(0, 1)}), pairing=(0, 1, 0)).validate()
     with pytest.raises(dz.DesignError):
-        dz.CorePeripherySpec(q=3, m=2, core_edges=frozenset(), pairing=(0, 1)).validate()
+        CorePeripherySpec(q=3, m=2, core_edges=frozenset(), pairing=(0, 1)).validate()
 
 
 def test_build_maximal_cp_shapes():

@@ -229,6 +229,15 @@ def test_capture_probability_inputs_must_be_exact():
             capture_probability(g, [F(1, 2), F(1, 2)], bad)
 
 
+def test_capture_probability_within_must_name_nodes():
+    g = Graph(3, [(0, 1)])
+    uniform = [F(1, 3)] * 3
+    assert capture_probability(g, uniform, uniform, within=[0, 1]) == 1
+    for bad in ([-1], [5], [3], [0, 3], [True], [1.0], ["1"], [None], [[0]]):
+        with pytest.raises(ValueError, match="within must hold node ids"):
+            capture_probability(g, uniform, uniform, within=bad)
+
+
 # -- M.seeker and hider.M from the graph, against the dense matrix -----------
 
 # One of each family; the float-backed power and a table with no entry past
@@ -321,3 +330,8 @@ def test_strategy_payoffs_validates_shapes():
         strategy_payoffs(Graph(0), identity_u(), [], [])
     with pytest.raises(ValueError, match="ints and Fractions"):
         strategy_payoffs(g, identity_u(), [0.25] * 4, [F(1, 4)] * 4)
+    for bad in ([True, False], [1.0, 0], ["1", "0"]):
+        with pytest.raises(ValueError, match="ints and Fractions"):
+            strategy_payoffs(Graph(2, [(0, 1)]), identity_u(), bad, [1, 0])
+        with pytest.raises(ValueError, match="ints and Fractions"):
+            strategy_payoffs(Graph(2, [(0, 1)]), identity_u(), [1, 0], bad)

@@ -1,5 +1,6 @@
 """Rational string round-trips."""
 
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -40,6 +41,14 @@ def test_float_formatting():
 def test_over_common_denominator():
     assert over_common_denominator([F(1, 2), -3, F(-5, 6), 0]) == ([3, -18, -5, 0], 6)
     assert over_common_denominator([]) == ([], 1)
-    for bad in (0.5, "1/2", None):
+    for bad in (0.5, "1/2", None, True, False, Decimal(1), Exact(1), ExactFraction(1, 2)):
         with pytest.raises(ValueError):
             over_common_denominator([F(1, 2), bad])
+
+
+class Exact(int):
+    """An int subclass: not exactly an int, so refused."""
+
+
+class ExactFraction(F):
+    """A Fraction subclass, refused for the same reason."""
