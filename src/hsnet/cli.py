@@ -35,8 +35,7 @@ class CliError(Exception):
 
 
 def _utility_from_args(args) -> UtilitySpec:
-    from .payoff import UtilitySpec, builtin_utilities
-    from .rationals import parse_rational
+    from .payoff import UtilitySpec, builtin_utilities, family_parameter
     if getattr(args, "utility", None):
         raw = args.utility
         if raw.startswith("@"):
@@ -46,30 +45,24 @@ def _utility_from_args(args) -> UtilitySpec:
             return UtilitySpec.from_json_dict(json.loads(raw))
         except json.JSONDecodeError as exc:
             raise CliError(f"invalid utility JSON: {exc}") from exc
-    beta = parse_rational(args.beta)
-    params = {}
-    if args.family == "linear":
-        params["slope"] = args.slope
-    elif args.family in ("power", "ratio_power"):
-        params["gamma"] = args.gamma
-    elif args.family == "table":
-        if not args.table:
-            raise CliError("--table is required for the table family")
-        params["values"] = [v.strip() for v in args.table.split(",")]
-    return builtin_utilities(args.family, params, beta)
+    # Each family's parameter is read from the flag whose dest bears its name.
+    key = family_parameter(args.family)[0]
+    value = getattr(args, key)
+    return builtin_utilities(args.family, {} if value is None else {key: value}, args.beta)
 
 
 def _add_utility_args(sub):
     sub.add_argument("--utility", help="utility spec as inline JSON or @file")
-    sub.add_argument(
-        "--family",
-        default="linear",
-        choices=["linear", "power", "ratio_power", "table"],
-    )
+    sub.add_argument("--family", default="linear", help="utility family (see hsnet.payoff)")
     sub.add_argument("--beta", default="0", help="capture penalty, 'p/q'")
-    sub.add_argument("--slope", default="1", help="slope for the linear family")
-    sub.add_argument("--gamma", default="2", help="exponent for power families")
-    sub.add_argument("--table", help="comma-separated values f(0),f(1),...")
+    sub.add_argument("--slope", help="slope for the linear family")
+    sub.add_argument("--gamma", help="exponent for power families")
+    sub.add_argument(
+        "--table",
+        dest="values",
+        type=lambda text: text.split(","),
+        help="comma-separated values f(0),f(1),...",
+    )
 
 
 def _numeric_renderer(u: UtilitySpec):

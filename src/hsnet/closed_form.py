@@ -166,20 +166,18 @@ def topology_threshold(n: int, s: int, u: UtilitySpec) -> Fraction:
     return Fraction(_threshold(x, b, fx1, fx2), den)
 
 
-def component_guarantee(n: int, m: int, s: int, u: UtilitySpec, r_empty: bool) -> Fraction:
+def component_guarantee(n: int, m: int, s: int, u: UtilitySpec) -> Fraction:
     """Seeker's guaranteed payoff when the hider stays in the connected part.
 
-    With the residual set empty (every non-isolated node is a protected leaf
-    or its attachment) the guarantee is beta/m - ((m-1)/m) f(n-s-2); in
-    general it is the equalized form of ``_component``.  Both branches agree
-    where both apply, asserted there.
+    With the residual set empty (2m = n-s: every non-isolated node is a
+    protected leaf or its attachment) the guarantee is
+    beta/m - ((m-1)/m) f(n-s-2); in general it is the equalized form of
+    ``_component``.  Both branches agree where both apply, asserted there.
     """
     _check_context(n, m, s)
     x = n - s
     if x < 4:
         raise DomainError(f"component guarantee needs n-s >= 4, got {x}")
-    if r_empty and 2 * m != x:
-        raise DomainError("empty residual set forces n-s = 2m")
     b, fx1, fx2, den = _over_lcd(u, x - 1, x - 2)
     a, k = _component(x, m, b, fx1, fx2)
     return Fraction(a, k * den)
@@ -229,18 +227,16 @@ def guarantee_hiding_attachments(n, m, s, u, lam_r, lam_s) -> Fraction:
     return (ONE - lam_s) * inner - lam_s * u.value(x)
 
 
-def residual_seek_weight(n: int, m: int, s: int, u: UtilitySpec, r_empty: bool) -> Fraction:
+def residual_seek_weight(n: int, m: int, s: int, u: UtilitySpec) -> Fraction:
     """The seeker's conditional weight on the residual set: zero when that
-    set is empty, otherwise the equalizing interior weight."""
+    set is empty (2m = n-s), otherwise the equalizing interior weight."""
     _check_context(n, m, s)
     if n - s < 4:
         raise DomainError(f"residual seek weight needs n-s >= 4, got {n - s}")
-    if r_empty:
-        if 2 * m != n - s:
-            raise DomainError("empty residual set forces n-s = 2m")
+    if 2 * m == n - s:
         return ZERO
     lam = interior_seek_weight(n, m, s, u)
-    a = component_guarantee(n, m, s, u, r_empty=False)
+    a = component_guarantee(n, m, s, u)
     # The weight must equalize the two component-side guarantees exactly.
     assert guarantee_hiding_residual(n, m, s, u, lam, ZERO) == a
     if m >= 1:
@@ -322,9 +318,7 @@ def periphery_hide_weight(n: int, s: int, u: UtilitySpec) -> Fraction:
         + (ONE - mu) * f_cut
     )
     assert seek_orphans == seek_attachments
-    assert seek_orphans == -component_guarantee(
-        n, (x - 3) // 2, s, u, r_empty=False
-    )
+    assert seek_orphans == -component_guarantee(n, (x - 3) // 2, s, u)
     return mu
 
 
@@ -369,15 +363,14 @@ def value_report(n: int, m: int, s: int, u: UtilitySpec) -> ValueReport:
             bound=singleton_guarantee(n, u),
             best_bound=best_seeker_bound(n, s, u),
         )
-    r_empty = n - s == 2 * m
     return ValueReport(
         n=n,
         s=s,
         m=m,
         threshold=topology_threshold(n, s, u),
-        component=component_guarantee(n, m, s, u, r_empty),
+        component=component_guarantee(n, m, s, u),
         singleton=singleton_guarantee(s, u) if s >= 1 else None,
-        residual_weight=residual_seek_weight(n, m, s, u, r_empty),
+        residual_weight=residual_seek_weight(n, m, s, u),
         singleton_weight=singleton_seek_weight(n, m, s, u),
         bound=seeker_bound(n, m, s, u),
         best_bound=best_seeker_bound(n, s, u),

@@ -310,33 +310,29 @@ def seeker_strategy(g: Graph, u: UtilitySpec) -> MixedStrategy:
     return MixedStrategy(probs)
 
 
-def hider_strategy(g: Graph, u: UtilitySpec, topo: DesignTopology) -> MixedStrategy:
-    """The hider's closed-form strategy on a graph built by this module.
-
-    ``topo`` is the graph's DesignTopology record, which names the node roles.
-    """
-    if topo.graph != g:
-        raise DesignError("topology record does not describe this graph")
-    n = g.node_count
+def hider_strategy(topo: DesignTopology, u: UtilitySpec) -> MixedStrategy:
+    """The hider's closed-form strategy on a design built by this module,
+    whose DesignTopology record names the node roles."""
+    n = topo.graph.node_count
     s = len(topo.singleton_nodes)
     probs = [ZERO] * n
     if topo.tag == ALL_SINGLETONS:
         return MixedStrategy.uniform(n)
     x = n - s
     if topo.tag == CYCLE:
-        abar = cf.component_guarantee(n, 0, s, u, r_empty=False)
+        abar = cf.component_guarantee(n, 0, s, u)
         kappa = cf.component_hide_weight(n, s, u, abar)
         for v in topo.component_nodes:
             probs[v] = kappa / x
     elif topo.tag == MAXIMAL_CP_EVEN:
         m = x // 2
-        abar = cf.component_guarantee(n, m, s, u, r_empty=True)
+        abar = cf.component_guarantee(n, m, s, u)
         kappa = cf.component_hide_weight(n, s, u, abar)
         for v in topo.periphery_nodes:
             probs[v] = kappa / m
     elif topo.tag == MAXIMAL_CP_ODD:
         m = (x - 3) // 2
-        abar = cf.component_guarantee(n, m, s, u, r_empty=False)
+        abar = cf.component_guarantee(n, m, s, u)
         kappa = cf.component_hide_weight(n, s, u, abar)
         mu = cf.periphery_hide_weight(n, s, u)
         for v in topo.periphery_nodes:
@@ -419,7 +415,7 @@ def design_optimal(n: int, u: UtilitySpec) -> DesignResult:
         else:
             tag = MAXIMAL_CP_EVEN if (n - s) % 2 == 0 else MAXIMAL_CP_ODD
     topo = design_topology(n, s, tag)
-    hider = hider_strategy(topo.graph, u, topo)
+    hider = hider_strategy(topo, u)
     seeker = seeker_strategy(topo.graph, u)
     predicted = -bound
     row_payoffs, col_payoffs = strategy_payoffs(topo.graph, u, hider, seeker)

@@ -34,14 +34,16 @@ class MixedStrategy:
 
     def __init__(self, probs):
         probs = tuple(probs)
-        if any(type(p) is not int and type(p) is not Fraction for p in probs):
-            raise ValueError("strategy probabilities must be int or Fraction")
-        probs = tuple(Fraction(p) for p in probs)
-        if any(p < 0 for p in probs):
+        # One read over the common denominator D: numerators >= 0 summing to D.
+        try:
+            nums, den = over_common_denominator(probs)
+        except ValueError:
+            raise ValueError("strategy probabilities must be int or Fraction") from None
+        if min(nums, default=0) < 0:
             raise ValueError("strategy probabilities must be nonnegative")
-        if sum(probs, ZERO) != 1:
+        if sum(nums) != den:
             raise ValueError("strategy probabilities must sum to exactly 1")
-        self.probs = probs
+        self.probs = tuple(p if type(p) is Fraction else Fraction(p) for p in probs)
 
     @staticmethod
     def uniform(n: int) -> "MixedStrategy":

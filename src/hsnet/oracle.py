@@ -25,10 +25,8 @@ worker; results do not depend on it.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import closed_form as cf
@@ -46,8 +44,9 @@ from .graphs import (
     is_two_connected,
 )
 from .matrix_game import game_value, max_optimal_mass, solve_zero_sum
-from .payoff import UtilitySpec, payoff_matrix
+from .payoff import UtilitySpec, builtin_utilities, payoff_matrix
 from .rationals import format_rational
+from .records import Record
 
 DEFAULT_LIMIT = 7
 
@@ -80,25 +79,18 @@ def _worker_count() -> int:
     return min(count, os.cpu_count() or 1)
 
 
-@dataclass(frozen=True)
-class StructuralCheck:
-    name: str
-    passed: bool
-    detail: str = ""
+class StructuralCheck(Record):
+    __slots__ = _fields = ("name", "passed", "detail")
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
-    """Outcome of one exhaustive sweep at fixed (n, utility)."""
+class EnumerationReport(Record):
+    """Outcome of one exhaustive sweep at fixed (n, utility), with its
+    structural checks."""
 
-    n: int
-    utility: UtilitySpec
-    graph_count: int
-    best_value: Fraction
-    argmax_keys: tuple
-    closed_form_value: Fraction
-    value_match: bool
-    structural_checks: tuple = ()
+    __slots__ = _fields = (
+        "n", "utility", "graph_count", "best_value", "argmax_keys",
+        "closed_form_value", "value_match", "structural_checks",
+    )
 
     @property
     def argmax_graphs(self) -> tuple[Graph, ...]:
@@ -152,7 +144,7 @@ def exhaustive_optimum(n: int, u: UtilitySpec, long_run: bool = False) -> Enumer
         sorted(canonical_form(g) for g, v in zip(graphs, values) if v == best)
     )
     expected = -cf.optimal_singleton_counts(n, u)[1]
-    report = EnumerationReport(
+    return EnumerationReport(
         n=n,
         utility=u,
         graph_count=len(graphs),
@@ -160,8 +152,8 @@ def exhaustive_optimum(n: int, u: UtilitySpec, long_run: bool = False) -> Enumer
         argmax_keys=argmax_keys,
         closed_form_value=expected,
         value_match=best == expected,
+        structural_checks=check_structure(n, u, argmax_keys),
     )
-    return dataclasses.replace(report, structural_checks=tuple(check_structure(report)))
 
 
 # -- structural checks -------------------------------------------------------
@@ -172,12 +164,11 @@ def _non_singleton_part(g: Graph):
     return induced_subgraph(g, keep)
 
 
-def check_structure(report: EnumerationReport) -> list[StructuralCheck]:
-    """Named pass/fail results over every argmax graph of a report."""
-    u = report.utility
-    n = report.n
+def check_structure(n: int, u: UtilitySpec, argmax_keys: tuple) -> tuple:
+    """Named pass/fail results (StructuralChecks) over every argmax graph of
+    a sweep, given by its canonical key."""
     beta = u.beta
-    argmax = report.argmax_graphs
+    argmax = [graph_from_canonical_key(k) for k in argmax_keys]
     out = []
 
     def emit(name, passed, detail=""):
@@ -214,7 +205,7 @@ def check_structure(report: EnumerationReport) -> list[StructuralCheck]:
     design = design_optimal(n, u)
     emit(
         "constructed_design_in_argmax",
-        canonical_form(design.graph) in set(report.argmax_keys),
+        canonical_form(design.graph) in set(argmax_keys),
         f"design topology {design.topology}",
     )
 
@@ -262,7 +253,7 @@ def check_structure(report: EnumerationReport) -> list[StructuralCheck]:
         not support_fail,
         f"{len(support_fail)} argmax graphs with optimal mass on degree>2 nodes",
     )
-    return out
+    return tuple(out)
 
 
 # -- grid driver --------------------------------------------------------------
@@ -273,8 +264,10 @@ DEFAULT_BETAS = ("0", "1/2", "1", "2", "5", "50")
 
 
 def grid_utilities(families=DEFAULT_FAMILIES, betas=DEFAULT_BETAS):
-    """(family, beta, utility) for every grid cell; a family, or a beta
-    compared as a rational, listed twice is an ``EnumerationError``."""
+    """(family, beta, utility) for every grid cell, each family at its
+    default parameter; a family, or a beta compared as a rational, listed
+    twice is an ``EnumerationError``, and a family with no default (a table)
+    or none at all a ``UtilityError``."""
     from .rationals import parse_rational
 
     betas = [parse_rational(b) for b in betas]
@@ -282,19 +275,7 @@ def grid_utilities(families=DEFAULT_FAMILIES, betas=DEFAULT_BETAS):
         for i, item in enumerate(items):
             if item in items[:i]:
                 raise EnumerationError(f"the grid lists {what} {item} twice")
-    cells = []
-    for fam in families:
-        for beta in betas:
-            if fam == "linear":
-                u = UtilitySpec.linear(1, beta)
-            elif fam == "power":
-                u = UtilitySpec.power(2, beta)
-            elif fam == "ratio_power":
-                u = UtilitySpec.ratio_power(2, beta)
-            else:
-                raise EnumerationError(f"unknown grid family {fam!r}")
-            cells.append((fam, beta, u))
-    return cells
+    return [(fam, beta, builtin_utilities(fam, beta=beta)) for fam in families for beta in betas]
 
 
 def verify_grid(

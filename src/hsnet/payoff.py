@@ -5,9 +5,13 @@ at k or any of its neighbors) and otherwise the component value f applied to
 the size of the hider's component once k is deleted.  The game is zero-sum;
 only the hider matrix is stored, the seeker's payoffs are its negation.
 
-Component values f are strictly increasing with f(0) = 0.  Built-in families
-evaluate to exact rationals except powers with non-integer exponents, which
-fall back to floats (wrapped exactly, flagged via ``is_exact``).
+Component values f are strictly increasing with f(0) = 0.  ``FAMILIES`` is
+the one table of the built-in families: each family's parameter name (in JSON
+and on the command line), its default and the bound it must exceed.  Every
+route to a ``UtilitySpec`` ends in its constructor, which checks all of it.
+Families evaluate to exact rationals except powers with non-integer
+exponents, which fall back to floats (wrapped exactly, flagged via
+``is_exact``).
 """
 
 from __future__ import annotations
@@ -21,11 +25,27 @@ from .graphs import Graph, GraphError
 from .rationals import format_rational, over_common_denominator, parse_rational
 from .records import Record
 
-FAMILIES = ("linear", "power", "ratio_power", "table")
+# family -> (parameter, default, bound the parameter must exceed).  A table's
+# parameter is its list of values f(0), f(1), ..., which starts at 0 and
+# strictly increases; it has no default and no bound.
+FAMILIES = {
+    "linear": ("slope", 1, 0),  # f(x) = slope * x
+    "power": ("gamma", 2, 0),  # f(x) = x ** gamma
+    "ratio_power": ("gamma", 2, 1),  # f(x) = x**gamma / (x+1)**(gamma-1)
+    "table": ("values", None, None),  # f(x) = values[x]
+}
 
 
 class UtilityError(ValueError):
     """Invalid utility family, parameters, or non-monotone table."""
+
+
+def family_parameter(family) -> tuple:
+    """(parameter, default, bound) of a family in ``FAMILIES``; any other
+    family is a UtilityError."""
+    if type(family) is not str or family not in FAMILIES:
+        raise UtilityError(f"unknown utility family {family!r}")
+    return FAMILIES[family]
 
 
 def _int_power(x: int, g: int) -> int:
@@ -39,55 +59,57 @@ class UtilitySpec(Record):
     """Component-value function plus capture penalty.
 
     family/params identify f; beta >= 0 is the penalty paid by the hider on
-    capture.  ``value(x)`` evaluates f at a nonnegative integer component
-    size, once per size.  Instances are immutable and hashable, safe to share.
+    capture.  Every parameter and beta must be exactly an int or a Fraction
+    (a float, a bool or a str is a UtilityError); they are stored as
+    Fractions.  ``is_exact`` is derived: only a non-integer exponent gives
+    float-backed values.  ``value(x)`` evaluates f at a nonnegative integer
+    component size, once per size.  Instances are immutable and hashable,
+    safe to share.
     """
 
-    _fields = ("family", "params", "beta", "is_exact")
-    __slots__ = _fields + ("_cache",)
+    _fields = ("family", "params", "beta")
+    __slots__ = _fields + ("is_exact", "_cache")
 
-    def __init__(self, family: str, params: tuple, beta: Fraction, is_exact: bool = True):
-        if family not in FAMILIES:
-            raise UtilityError(f"unknown utility family {family!r}")
+    def __init__(self, family: str, params: tuple, beta):
+        name, _, bound = family_parameter(family)
+        if type(params) is not tuple:
+            raise UtilityError(f"{family} params must be a tuple, got {params!r}")
+        for v in params + (beta,):
+            if type(v) is not int and type(v) is not Fraction:
+                raise UtilityError(f"utility parameters and beta must be int or Fraction, got {v!r}")
+        if family == "table":
+            if not params or params[0] != 0:
+                raise UtilityError("table must start with f(0) = 0")
+            if any(b <= a for a, b in zip(params, params[1:])):
+                raise UtilityError("table must be strictly increasing")
+        elif len(params) != 1:
+            raise UtilityError(f"{family} takes one parameter, {name}, got {params!r}")
+        elif params[0] <= bound:
+            raise UtilityError(f"{family} {name} must exceed {bound}, got {params[0]}")
         if beta < 0:
             raise UtilityError("beta must be nonnegative")
-        super().__init__(family, params, beta, is_exact)
+        params = tuple(map(Fraction, params))
+        super().__init__(family, params, Fraction(beta))
+        object.__setattr__(self, "is_exact", name != "gamma" or params[0].denominator == 1)
         object.__setattr__(self, "_cache", {})
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def linear(slope=1, beta=0) -> "UtilitySpec":
-        slope = Fraction(slope)
-        if slope <= 0:
-            raise UtilityError("linear slope must be positive")
-        return UtilitySpec("linear", (slope,), Fraction(beta))
+        return UtilitySpec("linear", (slope,), beta)
 
     @staticmethod
     def power(gamma=2, beta=0) -> "UtilitySpec":
-        gamma = Fraction(gamma)
-        if gamma <= 0:
-            raise UtilityError("power exponent must be positive")
-        exact = gamma.denominator == 1
-        return UtilitySpec("power", (gamma,), Fraction(beta), is_exact=exact)
+        return UtilitySpec("power", (gamma,), beta)
 
     @staticmethod
     def ratio_power(gamma=2, beta=0) -> "UtilitySpec":
-        gamma = Fraction(gamma)
-        if gamma <= 1:
-            raise UtilityError("ratio_power exponent must exceed 1")
-        exact = gamma.denominator == 1
-        return UtilitySpec("ratio_power", (gamma,), Fraction(beta), is_exact=exact)
+        return UtilitySpec("ratio_power", (gamma,), beta)
 
     @staticmethod
     def table(values, beta=0) -> "UtilitySpec":
-        vals = tuple(Fraction(v) for v in values)
-        if not vals or vals[0] != 0:
-            raise UtilityError("table must start with f(0) = 0")
-        for a, b in zip(vals, vals[1:]):
-            if b <= a:
-                raise UtilityError("table must be strictly increasing")
-        return UtilitySpec("table", vals, Fraction(beta))
+        return UtilitySpec("table", tuple(values), beta)
 
     # -- evaluation --------------------------------------------------------
 
@@ -123,66 +145,56 @@ class UtilitySpec(Record):
                 g = int(gamma)
                 return Fraction(_int_power(x, g), _int_power(x + 1, g - 1))
             return Fraction(float(x) ** float(gamma) / float(x + 1) ** (float(gamma) - 1.0))
-        if self.family == "table":
-            if x >= len(self.params):
-                raise UtilityError(
-                    f"table utility has no entry for component size {x}"
-                )
-            return self.params[x]
-        raise UtilityError(f"unknown family {self.family!r}")
+        if x >= len(self.params):
+            raise UtilityError(f"table utility has no entry for component size {x}")
+        return self.params[x]
 
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        if self.family == "table":
-            params = {"values": [format_rational(v) for v in self.params]}
-        elif self.family == "linear":
-            params = {"slope": format_rational(self.params[0])}
-        else:
-            params = {"gamma": format_rational(self.params[0])}
+        values = [format_rational(v) for v in self.params]
         return {
             "family": self.family,
-            "params": params,
+            "params": {FAMILIES[self.family][0]: values if self.family == "table" else values[0]},
             "beta": format_rational(self.beta),
         }
 
     @staticmethod
     def from_json_dict(data: dict) -> "UtilitySpec":
         try:
-            family = data["family"]
-            params = data.get("params", {})
-            beta = parse_rational(data["beta"])
+            family, params, beta = data["family"], data.get("params", {}), data["beta"]
         except (TypeError, KeyError) as exc:
             raise UtilityError(f"bad utility spec: {exc}") from exc
         return builtin_utilities(family, params, beta)
 
 
-def builtin_utilities(name: str, params: dict | None = None, beta=0) -> UtilitySpec:
-    """Construct one of the built-in utility families by name.
+def _rational(value) -> Fraction:
+    """parse_rational, failing with a UtilityError."""
+    try:
+        return parse_rational(value)
+    except ValueError as exc:
+        raise UtilityError(str(exc)) from None
 
-    linear:      f(x) = slope * x          (slope > 0, default 1)
-    power:       f(x) = x ** gamma         (gamma > 0)
-    ratio_power: f(x) = x**g / (x+1)**(g-1)  (gamma > 1)
-    table:       explicit values f(0), f(1), ...
+
+def builtin_utilities(name: str, params: dict | None = None, beta=0) -> UtilitySpec:
+    """A family of ``FAMILIES`` by name, with its parameter and beta read by
+    ``parse_rational`` (ints, Fractions and "p/q" strings).  ``params`` holds
+    at most the family's parameter; without it the family's default is used.
     """
     params = {} if params is None else params
     if not isinstance(params, dict):
         raise UtilityError(f"utility params must be an object, got {params!r}")
-    if name == "linear":
-        return UtilitySpec.linear(parse_rational(params.get("slope", 1)), beta)
-    if name == "power":
-        return UtilitySpec.power(parse_rational(params.get("gamma", 2)), beta)
-    if name == "ratio_power":
-        return UtilitySpec.ratio_power(parse_rational(params.get("gamma", 2)), beta)
-    if name == "table":
-        try:
-            values = params["values"]
-        except KeyError as exc:
-            raise UtilityError("table utility needs 'values'") from exc
-        if not isinstance(values, (list, tuple)):
-            raise UtilityError(f"table 'values' must be a list, got {values!r}")
-        return UtilitySpec.table([parse_rational(v) for v in values], beta)
-    raise UtilityError(f"unknown utility family {name!r}")
+    key, default, _ = family_parameter(name)
+    if params.keys() - {key}:
+        raise UtilityError(f"{name} takes only the parameter {key!r}, got {list(params)}")
+    value = params.get(key, default)
+    if value is None:
+        raise UtilityError(f"{name} utility needs {key!r}")
+    if name != "table":
+        value = (value,)
+    elif not isinstance(value, (list, tuple)):
+        raise UtilityError(f"table {key!r} must be a list, got {value!r}")
+    return UtilitySpec(name, tuple(map(_rational, value)), _rational(beta))
 
 
 # -- payoff structure -------------------------------------------------------

@@ -189,13 +189,13 @@ def test_capture_probabilities_exact():
     checked = 0
     for k in range(4, 13):
         topo = dz.design_topology(k, 0, dz.CYCLE)
-        h = dz.hider_strategy(topo.graph, u, topo)
+        h = dz.hider_strategy(topo, u)
         s = dz.seeker_strategy(topo.graph, u)
         assert capture_probability(topo.graph, h, s) == F(3, k)
         checked += 1
         if k % 2 == 0:
             topo = dz.design_topology(k, 0, dz.MAXIMAL_CP_EVEN)
-            h = dz.hider_strategy(topo.graph, u, topo)
+            h = dz.hider_strategy(topo, u)
             s = dz.seeker_strategy(topo.graph, u)
             assert capture_probability(topo.graph, h, s) == F(2, k)
             checked += 1
@@ -231,12 +231,11 @@ def test_bound_monotonicity_and_mixing_ranges():
                     x = n - s
                     bounds = []
                     for m in range(0, x // 2 + 1):
-                        r_empty = x == 2 * m
                         rho = cf.interior_seek_weight(n, m, s, u)
-                        lam_r = cf.residual_seek_weight(n, m, s, u, r_empty)
+                        lam_r = cf.residual_seek_weight(n, m, s, u)
                         lam_s = cf.singleton_seek_weight(n, m, s, u)
                         assert 0 <= rho <= 1 and 0 <= lam_r <= 1 and 0 <= lam_s <= 1
-                        a = cf.component_guarantee(n, m, s, u, r_empty)
+                        a = cf.component_guarantee(n, m, s, u)
                         if 0 < m and x - 2 * m > 0:
                             lr = cf.guarantee_hiding_residual(n, m, s, u, rho, lam_s)
                             lm = cf.guarantee_hiding_attachments(n, m, s, u, rho, lam_s)
@@ -308,9 +307,7 @@ def test_auxiliary_inequalities():
                     x = n - s
                     if x % 2 == 1 and x >= 5 and cf.topology_threshold(n, s, u) < u.beta:
                         xv, yv = crowded_cp_bounds(n, s, u)
-                        assert xv > cf.component_guarantee(
-                            n, (x - 3) // 2, s, u, r_empty=False
-                        )
+                        assert xv > cf.component_guarantee(n, (x - 3) // 2, s, u)
                         assert yv > cf.seeker_bound(n, (x - 3) // 2, s, u)
                         cells += 1
     rng = random.Random(2024)

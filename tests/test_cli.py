@@ -147,6 +147,7 @@ def test_enumerate_loads_only_graphs():
         assert f"hsnet.{name}" not in loaded
     assert "hsnet.graphs" in loaded
     assert "dataclasses" not in loaded
+    assert "fractions" not in loaded
 
 
 def test_solve_leaves_designer_and_verifier_out(c4_file):

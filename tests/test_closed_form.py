@@ -133,7 +133,7 @@ def ref_best_seeker_bound(n, s, u):
 def branch_component_guarantee(n, s, u):
     """Component guarantee at the design leaf count (written Abar)."""
     m = ref_design_mixing_m(n, s, u)
-    return cf.component_guarantee(n, m, s, u, r_empty=(n - s == 2 * m))
+    return cf.component_guarantee(n, m, s, u)
 
 
 def singleton_blend(z, s, n, u):
@@ -174,7 +174,7 @@ def crowded_cp_bounds(n, s, u):
         yval = singleton_blend(xval, s, n, u)
     else:
         yval = xval
-    a = cf.component_guarantee(n, (x - 3) // 2, s, u, r_empty=False)
+    a = cf.component_guarantee(n, (x - 3) // 2, s, u)
     diff = (
         2 * (u.value(x - 1) - f_cut) * (f_cut + beta) * (x - 3)
     ) / ((x - 1) * ((x - 3) * u.value(x - 1) + 2 * f_cut + (x - 1) * beta))
@@ -209,7 +209,7 @@ def linear_even_bound(n, s, u):
     if s >= 1 and a_tilde > -u.value(1):
         assert ab == singleton_blend(a_tilde, s, n, u)
     if x % 2 == 0 and 0 <= s <= n - 4:
-        assert cf.component_guarantee(n, x // 2, s, u, r_empty=True) == a_tilde
+        assert cf.component_guarantee(n, x // 2, s, u) == a_tilde
     return ab
 
 
@@ -285,21 +285,17 @@ def test_kernel_matches_oracle_on_every_context(family):
                         a, lam, q = rows[m]
                         assert cf.seeker_bound(n, m, s, u) == q, (n, m, s, u)
                         assert cf.singleton_seek_weight(n, m, s, u) == lam, (n, m, s, u)
-                        assert cf.component_guarantee(n, m, s, u, False) == a, (n, m, s, u)
+                        assert cf.component_guarantee(n, m, s, u) == a, (n, m, s, u)
                         if 2 * m == x:
                             assert a == ref_empty_component(m, x, u)
-                            assert cf.component_guarantee(n, m, s, u, True) == a
-                        else:
-                            assert outcome(cf.component_guarantee, n, m, s, u, True) is DomainError
                         contexts += 1
                         continue
                     for fn, ref in ((cf.seeker_bound, ref_seeker_bound),
                                     (cf.singleton_seek_weight, ref_singleton_seek_weight)):
                         assert outcome(fn, n, m, s, u) == outcome(ref, n, m, s, u), (
                             fn.__name__, n, m, s, u)
-                    for r_empty in (False, True):
-                        assert outcome(cf.component_guarantee, n, m, s, u, r_empty) == outcome(
-                            ref_component_guarantee, n, m, s, u, r_empty), (n, m, s, r_empty, u)
+                    assert outcome(cf.component_guarantee, n, m, s, u) == outcome(
+                        ref_component_guarantee, n, m, s, u, 2 * m == x), (n, m, s, u)
     assert contexts == expected
 
 
@@ -348,30 +344,28 @@ def test_threshold_form_equivalence_random():
 
 
 def test_component_guarantee_examples():
-    assert cf.component_guarantee(8, 4, 0, identity_u(2), r_empty=True) == -4
+    assert cf.component_guarantee(8, 4, 0, identity_u(2)) == -4
     # cycle form at m=0: capture 3/(n-s), residual n-s-1
-    assert cf.component_guarantee(4, 0, 0, identity_u(1), r_empty=False) == 0
-    assert cf.component_guarantee(8, 2, 0, identity_u(1), r_empty=False) == F(-79, 19)
+    assert cf.component_guarantee(4, 0, 0, identity_u(1)) == 0
+    assert cf.component_guarantee(8, 2, 0, identity_u(1)) == F(-79, 19)
     with pytest.raises(DomainError):
-        cf.component_guarantee(8, 3, 0, identity_u(2), r_empty=True)
-    with pytest.raises(DomainError):
-        cf.component_guarantee(7, 0, 4, identity_u(2), r_empty=False)
+        cf.component_guarantee(7, 0, 4, identity_u(2))
 
 
 def test_component_guarantee_branch_agreement():
     for u in (identity_u(2), square_u(F(1, 2)), ratio_u(5)):
         for n in (4, 6, 8, 10):
             m = n // 2
-            both = cf.component_guarantee(n, m, 0, u, r_empty=True)
-            general = cf.component_guarantee(n, m, 0, u, r_empty=False)
-            assert both == general
+            # the empty-residual form beta/m - ((m-1)/m) f(n-2)
+            empty = u.beta / m - F(m - 1, m) * u.value(n - 2)
+            assert cf.component_guarantee(n, m, 0, u) == empty
 
 
 def test_cycle_form_of_component_guarantee():
     # at m=0 the guarantee is exactly the uniform-cycle payoff
     for u in (identity_u(1), square_u(2)):
         for n in (5, 8, 13):
-            a = cf.component_guarantee(n, 0, 0, u, r_empty=False)
+            a = cf.component_guarantee(n, 0, 0, u)
             assert a == F(3, n) * u.beta - (1 - F(3, n)) * u.value(n - 1)
 
 
@@ -385,9 +379,9 @@ def test_singleton_guarantee_examples():
 
 def test_residual_seek_weight_examples():
     u = identity_u(1)
-    assert cf.residual_seek_weight(8, 2, 0, u, r_empty=False) == F(7, 19)
-    assert cf.residual_seek_weight(8, 4, 0, identity_u(2), r_empty=True) == 0
-    assert cf.residual_seek_weight(8, 0, 0, u, r_empty=False) == 1  # no attachments
+    assert cf.residual_seek_weight(8, 2, 0, u) == F(7, 19)
+    assert cf.residual_seek_weight(8, 4, 0, identity_u(2)) == 0
+    assert cf.residual_seek_weight(8, 0, 0, u) == 1  # no attachments
 
 
 def test_equalized_guarantees_identity():
@@ -396,7 +390,7 @@ def test_equalized_guarantees_identity():
     for u in (identity_u(1), square_u(2), ratio_u(F(1, 2))):
         for (n, m, s) in [(8, 2, 0), (9, 1, 2), (12, 3, 1), (10, 2, 4)]:
             rho = cf.interior_seek_weight(n, m, s, u)
-            a = cf.component_guarantee(n, m, s, u, r_empty=False)
+            a = cf.component_guarantee(n, m, s, u)
             for lam_s in (F(0), F(1, 3)):
                 lr = cf.guarantee_hiding_residual(n, m, s, u, rho, lam_s)
                 lm = cf.guarantee_hiding_attachments(n, m, s, u, rho, lam_s)
@@ -421,7 +415,7 @@ def test_seeker_bound_examples():
     # blended value matches its weight form (checked internally too)
     q = cf.seeker_bound(7, 2, 3, u)
     lam = cf.singleton_seek_weight(7, 2, 3, u)
-    a = cf.component_guarantee(7, 2, 3, u, r_empty=True)
+    a = cf.component_guarantee(7, 2, 3, u)
     assert q == (1 - lam) * a - lam * u.value(4)
     for bad_s in (5, 6, 7):
         with pytest.raises(DomainError):
@@ -468,7 +462,7 @@ def test_periphery_hide_weight_example():
 def test_crowded_cp_bounds_example():
     x, y = crowded_cp_bounds(9, 0, identity_u(10))
     assert x == F(-11, 4)
-    assert x > cf.component_guarantee(9, 3, 0, identity_u(10), r_empty=False)
+    assert x > cf.component_guarantee(9, 3, 0, identity_u(10))
     assert y > cf.seeker_bound(9, 3, 0, identity_u(10))
 
 
@@ -522,7 +516,7 @@ def test_linear_even_bound_identities():
     for n in (6, 8, 10, 12):
         for s in range(0, n - 3):
             if (n - s) % 2 == 0:
-                a_tilde = cf.component_guarantee(n, (n - s) // 2, s, u, r_empty=True)
+                a_tilde = cf.component_guarantee(n, (n - s) // 2, s, u)
                 if a_tilde > -u.value(1):
                     assert linear_even_bound(n, s, u) == cf.seeker_bound(
                         n, (n - s) // 2, s, u

@@ -229,14 +229,14 @@ def test_seeker_strategy_secures_bound_on_every_small_graph():
 def test_hider_strategy_shapes():
     u = identity_u(2)
     topo = dz.design_topology(8, 0, dz.MAXIMAL_CP_EVEN)
-    h = dz.hider_strategy(topo.graph, u, topo)
+    h = dz.hider_strategy(topo, u)
     assert h.probs == (F(0),) * 4 + (F(1, 4),) * 4
     topo = dz.design_topology(6, 0, dz.CYCLE)
-    h = dz.hider_strategy(topo.graph, u, topo)
+    h = dz.hider_strategy(topo, u)
     assert h.probs == (F(1, 6),) * 6
     # odd layout: periphery mass plus middle orphan mass sums to one
     topo = dz.design_topology(9, 0, dz.MAXIMAL_CP_ODD)
-    h = dz.hider_strategy(topo.graph, u, topo)
+    h = dz.hider_strategy(topo, u)
     assert sum(h.probs) == 1
     assert h[topo.middle_orphan] > 0
 
@@ -325,12 +325,12 @@ def test_cycle_and_cp_capture_rates():
     u = identity_u(1)
     for k in range(4, 13):
         topo = dz.design_topology(k, 0, dz.CYCLE)
-        h = dz.hider_strategy(topo.graph, u, topo)
+        h = dz.hider_strategy(topo, u)
         s = dz.seeker_strategy(topo.graph, u)
         assert capture_probability(topo.graph, h, s) == F(3, k)
         if k % 2 == 0:
             topo = dz.design_topology(k, 0, dz.MAXIMAL_CP_EVEN)
-            h = dz.hider_strategy(topo.graph, u, topo)
+            h = dz.hider_strategy(topo, u)
             s = dz.seeker_strategy(topo.graph, u)
             assert capture_probability(topo.graph, h, s) == F(2, k)
 

@@ -1,14 +1,19 @@
 """Utility families and the hider-payoff matrix."""
 
 import itertools
+import json
 import random
 from fractions import Fraction as F
+from importlib import resources
 
 import pytest
+from hypothesis import given, strategies as st
 
+from hsnet.cli import main
 from hsnet.designer import build_cycle, build_maximal_cp
 from hsnet.graphs import Graph, GraphError
 from hsnet.payoff import (
+    FAMILIES,
     UtilityError,
     UtilitySpec,
     builtin_utilities,
@@ -73,6 +78,167 @@ def test_inexact_power_flagged():
     u = UtilitySpec.power(F(3, 2))
     assert not u.is_exact
     assert abs(float(u.value(4)) - 8.0) < 1e-9
+
+
+# -- every route to a UtilitySpec ---------------------------------------------
+#
+# Each route takes (family, parameter, beta), the parameter a list for a
+# table, and returns a UtilitySpec or raises.  The text routes write a value
+# the way a user would type it.
+
+
+def _text(value):
+    if isinstance(value, list):
+        return ",".join(map(_text, value))
+    return json.dumps(value) if isinstance(value, bool) else str(value)
+
+
+def _key(family):
+    return FAMILIES.get(family, ("slope",))[0]
+
+
+def _via_cli(argv, capsys):
+    capsys.readouterr()
+    code = main(["design", "--n", "4"] + argv)
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert err.startswith("error: ") and "Traceback" not in err, err
+        raise UtilityError(err)
+    assert code == 0, err
+    return UtilitySpec.from_json_dict(json.loads(out)["utility"])
+
+
+ROUTES = {
+    "named": lambda fam, p, beta, capsys: getattr(UtilitySpec, fam)(p, beta),
+    "direct": lambda fam, p, beta, capsys: UtilitySpec(
+        fam, tuple(p) if isinstance(p, list) else (p,), beta),
+    "builtin": lambda fam, p, beta, capsys: builtin_utilities(fam, {_key(fam): p}, beta),
+    "json_dict": lambda fam, p, beta, capsys: UtilitySpec.from_json_dict(
+        json.loads(json.dumps({"family": fam, "params": {_key(fam): p}, "beta": beta},
+                              default=str))),
+    "cli_flags": lambda fam, p, beta, capsys: _via_cli(
+        ["--family", fam, f"--{'table' if fam == 'table' else _key(fam)}={_text(p)}",
+         f"--beta={_text(beta)}"], capsys),
+    "cli_json": lambda fam, p, beta, capsys: _via_cli(
+        ["--utility", json.dumps({"family": fam, "params": {_key(fam): p}, "beta": beta},
+                                 default=str)], capsys),
+}
+
+REFUSED = [
+    ("linear", 0.5, 0),  # float parameter
+    ("linear", 1, 0.5),  # float beta
+    ("power", True, 0),  # bool parameter
+    ("linear", 1, True),  # bool beta
+    ("linear", -1, 0),  # negative parameter
+    ("power", 2, -1),  # negative beta
+    ("linear", 0, 1),  # at the bound
+    ("power", 0, 1),
+    ("ratio_power", 1, 0),
+    ("ratio_power", F(1, 2), 0),
+    ("table", [1, 2, 3, 4, 5], 0),  # f(0) != 0
+    ("table", [0, 2, 2, 3, 4], 0),  # not strictly increasing
+    ("table", [0, 0.5, 1, 2, 3], 0),  # float value
+    ("table", [0, 1, 2, 3, 4], True),  # bool beta
+    ("cubic", 1, 0),  # unknown family
+]
+
+ACCEPTED = [
+    ("linear", F(3, 2), F(1, 2)),
+    ("power", 3, 0),
+    ("power", F(3, 2), 2),
+    ("ratio_power", 2, 1),
+    ("table", [0, 1, F(5, 2), 4, 7], 1),
+]
+
+
+@pytest.mark.parametrize("route, family, param, beta", [
+    (route, *case) for route in sorted(ROUTES) for case in REFUSED
+    if route != "named" or case[0] in FAMILIES  # no constructor for an unknown family
+], ids=repr)
+def test_every_route_refuses_bad_utilities(capsys, route, family, param, beta):
+    with pytest.raises(UtilityError):
+        ROUTES[route](family, param, beta, capsys)
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("family, param, beta", ACCEPTED, ids=repr)
+def test_every_route_builds_the_same_utility(capsys, route, family, param, beta):
+    expected = UtilitySpec(family, tuple(param) if isinstance(param, list) else (param,), beta)
+    assert ROUTES[route](family, param, beta, capsys) == expected
+
+
+def test_reported_coercions_are_refused():
+    for make in (
+        lambda: UtilitySpec.linear(0.1, 0.5),
+        lambda: UtilitySpec.table([0, 1, 2], True),
+        lambda: UtilitySpec("linear", (F(-1),), F(1)),
+        lambda: UtilitySpec("linear", (F(1),), 0.5),
+        lambda: UtilitySpec("linear", [F(1)], F(0)),  # params must be a tuple
+        lambda: UtilitySpec("linear", (F(1), F(2)), F(0)),  # one parameter
+        lambda: UtilitySpec("table", (), F(0)),
+        lambda: builtin_utilities("power", {"slope": "3"}),  # another family's parameter
+        lambda: builtin_utilities("power", {"gamma": None}),
+        lambda: builtin_utilities(["linear"]),
+    ):
+        with pytest.raises(UtilityError):
+            make()
+    # A float-backed exponent is derived inexact, and cannot be declared exact.
+    assert not UtilitySpec("power", (F(3, 2),), F(1)).is_exact
+    with pytest.raises(TypeError):
+        UtilitySpec("power", (F(3, 2),), F(1), is_exact=True)
+
+
+def test_named_defaults_are_the_table_defaults():
+    for family, (_, default, _) in FAMILIES.items():
+        if default is not None:
+            assert getattr(UtilitySpec, family)() == builtin_utilities(family)
+            assert builtin_utilities(family).params == (default,)
+
+
+@pytest.mark.parametrize("command", [
+    ["design", "--n", "4", "--family", "cubic"],
+    ["value-table", "--n", "4", "--family", "cubic"],
+    ["solve", "--graph", "{graph}", "--family", "cubic"],
+    ["verify", "--n-max", "4", "--families", "linear,cubic"],
+], ids=lambda c: c[0])
+def test_unknown_family_is_a_usage_error(tmp_path, capsys, command):
+    graph = tmp_path / "g.txt"
+    graph.write_text("n 2\ne 0 1\n")
+    assert main([arg.format(graph=graph) for arg in command]) == 2
+    assert capsys.readouterr().err == "error: unknown utility family 'cubic'\n"
+
+
+def test_report_schema_lists_the_table_families():
+    schema = json.loads(resources.files("hsnet.schemas").joinpath("solve.schema.json").read_text())
+    assert schema["$defs"]["utility"]["properties"]["family"]["enum"] == list(FAMILIES)
+
+
+@st.composite
+def utilities(draw):
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    beta = draw(st.fractions(min_value=0, max_denominator=50))
+    if family == "table":
+        steps = draw(st.lists(st.fractions(min_value=F(1, 50), max_denominator=50),
+                              min_size=1, max_size=8))
+        values = [0]
+        for step in steps:
+            values.append(values[-1] + step)
+        return UtilitySpec.table(values, beta)
+    bound = FAMILIES[family][2]
+    param = draw(st.one_of(
+        st.integers(min_value=bound + 1, max_value=6),
+        st.fractions(min_value=bound, max_value=6, max_denominator=20).filter(
+            lambda p: p > bound),
+    ))
+    return UtilitySpec(family, (param,), beta)
+
+
+@given(utilities())
+def test_utility_json_round_trip_and_exactness(u):
+    assert UtilitySpec.from_json_dict(u.to_json_dict()) == u
+    exponent = u.family in ("power", "ratio_power")
+    assert u.is_exact == (not exponent or u.params[0].denominator == 1)
+    assert all(type(p) is F for p in u.params) and type(u.beta) is F
 
 
 def test_hider_payoff_examples():

@@ -77,9 +77,16 @@ def test_utility_spec_validates_and_evaluates_after_a_round_trip():
         UtilitySpec("cubic", (F(1),), F(0))
     with pytest.raises(UtilityError):
         UtilitySpec("linear", (F(1),), F(-1))
-    u = UtilitySpec("power", (F(3, 2),), F(1), is_exact=False)
+    u = UtilitySpec("power", (F(3, 2),), F(1))
     assert u == UtilitySpec.power(F(3, 2), 1) and not u.is_exact
     assert u.value(4) == 8
     copy = pickle.loads(pickle.dumps(u))
     assert copy == u and copy.value(9) == 27
     assert MixedStrategy([1]) == pickle.loads(pickle.dumps(MixedStrategy([1])))
+
+
+def test_oracle_records_are_records(oracle_report):
+    rep, other = oracle_report(4, identity_u(1)), oracle_report(4, identity_u(2))
+    for pair in ((rep, other), rep.structural_checks[:2]):
+        test_record_matches_a_frozen_dataclass(pair)
+        test_record_constructor_takes_each_field_once(type(pair[0]))
