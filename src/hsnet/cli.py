@@ -34,9 +34,20 @@ class CliError(Exception):
     pass
 
 
+def _flag(dest: str) -> str:
+    return "--table" if dest == "values" else f"--{dest}"
+
+
 def _utility_from_args(args) -> UtilitySpec:
+    """The utility of ``--utility`` or of the flags; a flag that would go
+    unused (any flag beside ``--utility``, or another family's parameter) is
+    refused."""
     from .payoff import UtilitySpec, builtin_utilities, family_parameter
-    if getattr(args, "utility", None):
+    params = ("slope", "gamma", "values")  # the dests of the parameter flags
+    given = [d for d in ("family", "beta") + params if getattr(args, d) is not None]
+    if args.utility is not None:
+        if given:
+            raise CliError(f"--utility takes no other utility flag, got {_flag(given[0])}")
         raw = args.utility
         if raw.startswith("@"):
             with open(raw[1:], "r", encoding="utf-8") as fh:
@@ -45,16 +56,21 @@ def _utility_from_args(args) -> UtilitySpec:
             return UtilitySpec.from_json_dict(json.loads(raw))
         except json.JSONDecodeError as exc:
             raise CliError(f"invalid utility JSON: {exc}") from exc
+    family = "linear" if args.family is None else args.family
     # Each family's parameter is read from the flag whose dest bears its name.
-    key = family_parameter(args.family)[0]
+    key = family_parameter(family)[0]
+    for dest in params:
+        if dest != key and dest in given:
+            raise CliError(f"{_flag(dest)} is not a parameter of the {family} family")
     value = getattr(args, key)
-    return builtin_utilities(args.family, {} if value is None else {key: value}, args.beta)
+    beta = "0" if args.beta is None else args.beta
+    return builtin_utilities(family, {} if value is None else {key: value}, beta)
 
 
 def _add_utility_args(sub):
     sub.add_argument("--utility", help="utility spec as inline JSON or @file")
-    sub.add_argument("--family", default="linear", help="utility family (see hsnet.payoff)")
-    sub.add_argument("--beta", default="0", help="capture penalty, 'p/q'")
+    sub.add_argument("--family", help="utility family (see hsnet.payoff); default linear")
+    sub.add_argument("--beta", help="capture penalty, 'p/q'; default 0")
     sub.add_argument("--slope", help="slope for the linear family")
     sub.add_argument("--gamma", help="exponent for power families")
     sub.add_argument(

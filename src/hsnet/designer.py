@@ -48,12 +48,6 @@ def build_cycle(k: int) -> Graph:
     return Graph(k, [(i, (i + 1) % k) for i in range(k)])
 
 
-def _cycle_edges(k: int):
-    if k == 2:
-        return [(0, 1)]
-    return [(i, (i + 1) % k) for i in range(k)]
-
-
 class DesignTopology(Record):
     """A built design with its node roles recorded by id.
 
@@ -75,7 +69,7 @@ def _maximal_cp_topology(k: int) -> DesignTopology:
         q = k // 2
         # A 2-node core degenerates to a single edge; otherwise a cycle is
         # the simplest 2-connected choice.
-        edges = _cycle_edges(q)
+        edges = [(0, 1)] if q == 2 else list(build_cycle(q).edges)
         for i in range(q):
             edges.append((i, q + i))
         g = Graph(k, edges)
@@ -91,7 +85,7 @@ def _maximal_cp_topology(k: int) -> DesignTopology:
         )
     p = (k - 3) // 2
     q = p + 3
-    edges = _cycle_edges(q)
+    edges = list(build_cycle(q).edges)
     for j in range(p):
         edges.append((j, q + j))
     g = Graph(k, edges)
@@ -190,7 +184,7 @@ def build_chorded_cycle(t: int, chords) -> Graph:
         raise DesignError(f"need t >= 2, got {t}")
     size = 3 * t
     designated = set(chorded_cycle_designated(t))
-    edges = set(_cycle_edges(size))
+    edges = set(build_cycle(size).edges)
     for chord in chords:
         a, b = chord
         if not (0 <= a < size and 0 <= b < size) or a == b:

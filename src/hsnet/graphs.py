@@ -1,16 +1,21 @@
 """Undirected simple graphs and the node classification used by the seeker.
 
 Graphs are immutable after construction (nodes are 0..n-1, edges a frozenset
-of sorted pairs), so every derived object in this module can be shared freely
-across worker processes.
+of sorted pairs, each node's neighbours a sorted tuple), so every derived
+object in this module can be shared freely across worker processes.
 
-Besides the basic structure queries (components, induced subgraphs, node
-removal, 2-connectivity) this module provides:
+The seeker's inspection deletes a node, and every structure query here is
+about such deletions.  One low-link depth-first search (Tarjan, SIAM J.
+Comput. 1, 1972) answers them all: the components, 2-connectivity, and, in
+``hsnet.payoff``, the component sizes of every G - k.  Besides those and
+induced subgraphs this module provides:
 
 * ``classify`` -- partitions the nodes into singletons, singleton leaves,
   their attachment nodes, and the residual set, which is what the seeker's
   mixed strategy is built from;
-* ``canonical_form`` -- an isomorphism-invariant key for small graphs;
+* ``canonical_form`` -- an isomorphism-invariant key for small graphs; it,
+  ``twin_classes`` and enumeration are the only code that builds neighbour
+  bitmasks, for n <= 8;
 * ``enumerate_graphs`` -- every graph on n <= 8 nodes up to isomorphism,
   the input of the brute-force verifier in ``hsnet.oracle``;
   ``enumerate_keys`` gives their canonical keys alone, with no Graph built.
@@ -49,15 +54,16 @@ class GraphFormatError(GraphError):
 class Graph:
     """Undirected simple graph over nodes 0..node_count-1.
 
-    Neighbor sets are precomputed as bitmasks; all queries are read-only.
+    Each node's neighbours are stored once, as a sorted tuple, so a graph
+    takes O(n + e) memory; all queries are read-only.
     """
 
-    __slots__ = ("node_count", "edges", "_masks")
+    __slots__ = ("node_count", "edges", "_adjacency")
 
     def __init__(self, node_count: int, edges=()):
         if node_count < 0:
             raise GraphError("node_count must be nonnegative")
-        masks = [0] * node_count
+        adjacency = [[] for _ in range(node_count)]
         normalized = set()
         for e in edges:
             i, j = e
@@ -70,37 +76,32 @@ class Graph:
             if (i, j) in normalized:
                 raise GraphError(f"duplicate edge ({i},{j})")
             normalized.add((i, j))
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
+            adjacency[i].append(j)
+            adjacency[j].append(i)
         self.node_count = node_count
         self.edges = frozenset(normalized)
-        self._masks = tuple(masks)
+        self._adjacency = tuple(tuple(sorted(a)) for a in adjacency)
 
     # -- queries ---------------------------------------------------------
 
-    def neighbor_mask(self, i: int) -> int:
-        return self._masks[i]
-
     def neighbors(self, i: int) -> tuple[int, ...]:
-        out = []
-        m = self._masks[i]
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return tuple(out)
+        return self._adjacency[i]
+
+    def neighbor_mask(self, i: int) -> int:
+        """Node i's neighbours as a bitmask, built on each call."""
+        return sum(1 << j for j in self._adjacency[i])
 
     def degree(self, i: int) -> int:
-        return self._masks[i].bit_count()
+        return len(self._adjacency[i])
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(m.bit_count() for m in self._masks)
+        return tuple(map(len, self._adjacency))
 
     def has_edge(self, i: int, j: int) -> bool:
-        return bool(self._masks[i] >> j & 1)
+        return ((i, j) if i < j else (j, i)) in self.edges
 
     def isolated_nodes(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.node_count) if self._masks[i] == 0)
+        return tuple(i for i, a in enumerate(self._adjacency) if not a)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -135,29 +136,78 @@ class ComponentPartition:
         return tuple(len(c) for c in self.components)
 
 
+def _dfs_low_links(g: Graph) -> tuple:
+    """One iterative depth-first search over every component.
+
+    Returns (order, tin, low, size, children, comp_start): nodes in preorder,
+    each node's preorder index, its low link, its subtree size, its tree
+    children in preorder, and the preorder index of its component's root.
+    Roots are taken in increasing id, and components are contiguous in
+    preorder.
+    """
+    adjacency = g._adjacency
+    n = g.node_count
+    order: list = []
+    tin = [-1] * n
+    low = [0] * n
+    size = [1] * n
+    children: list = [[] for _ in range(n)]
+    comp_start = [0] * n
+    for root in range(n):
+        if tin[root] >= 0:
+            continue
+        start = len(order)
+        tin[root] = low[root] = start
+        order.append(root)
+        parents = [-1]
+        stack = [(root, iter(adjacency[root]))]
+        while stack:
+            v, it = stack[-1]
+            for w in it:
+                if tin[w] < 0:
+                    tin[w] = low[w] = len(order)
+                    order.append(w)
+                    children[v].append(w)
+                    parents.append(v)
+                    stack.append((w, iter(adjacency[w])))
+                    break
+                if w != parents[-1] and tin[w] < low[v]:
+                    low[v] = tin[w]
+            else:
+                stack.pop()
+                parents.pop()
+                if stack:
+                    p = stack[-1][0]
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+                    size[p] += size[v]
+        for v in order[start:]:
+            comp_start[v] = start
+    return order, tin, low, size, children, comp_start
+
+
+def _deletion_pieces(links: tuple, k: int) -> tuple[list, int]:
+    """What deleting k leaves of k's component, from ``_dfs_low_links``:
+    (pieces, rest).  ``pieces`` are k's separated tree children, those c with
+    low[c] >= tin[k] (every child of a root), each the root of one piece of
+    size[c] nodes, contiguous in preorder; ``rest`` is the size of what is
+    left, 0 when nothing is.  Other components are untouched."""
+    order, tin, low, size, children, comp_start = links
+    pieces = [c for c in children[k] if low[c] >= tin[k]]
+    return pieces, size[order[comp_start[k]]] - 1 - sum(size[c] for c in pieces)
+
+
 def components(g: Graph) -> ComponentPartition:
     """Connected-component partition, components ordered by smallest member."""
-    n = g.node_count
-    comp_of = [-1] * n
+    order, tin, _, size, _, comp_start = _dfs_low_links(g)
+    comp_of = [0] * g.node_count
     comps = []
-    for start in range(n):
-        if comp_of[start] >= 0:
-            continue
-        idx = len(comps)
-        stack = [start]
-        comp_of[start] = idx
-        members = [start]
-        while stack:
-            v = stack.pop()
-            m = g.neighbor_mask(v)
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
-                if comp_of[w] < 0:
-                    comp_of[w] = idx
-                    members.append(w)
-                    stack.append(w)
-        comps.append(frozenset(members))
+    for v in order:
+        if tin[v] == comp_start[v]:  # a root: the smallest member of its component
+            members = order[tin[v] : tin[v] + size[v]]
+            for w in members:
+                comp_of[w] = len(comps)
+            comps.append(frozenset(members))
     return ComponentPartition(tuple(comps), tuple(comp_of))
 
 
@@ -182,21 +232,18 @@ def is_connected(g: Graph) -> bool:
 
 
 def is_two_connected(g: Graph) -> bool:
-    """True iff g has at least 3 nodes and stays connected after deleting any
-    single node.  Graphs on <= 2 nodes are never considered 2-connected."""
+    """True iff g has at least 3 nodes, is connected, and deleting any single
+    node leaves at most one nonempty piece.  Graphs on <= 2 nodes are never
+    considered 2-connected."""
     n = g.node_count
-    if n < 3 or not is_connected(g):
+    if n < 3:
         return False
-    full = (1 << n) - 1
+    links = _dfs_low_links(g)
+    if links[3][0] != n:  # size[0]: node 0, the first root, reaches every node
+        return False
     for k in range(n):
-        rest = full & ~(1 << k)  # search G - k without relabelling it
-        reached = todo = rest & -rest
-        while todo:
-            v = todo.bit_length() - 1
-            fresh = g._masks[v] & rest & ~reached
-            reached |= fresh
-            todo = todo ^ (1 << v) | fresh
-        if reached != rest:
+        pieces, rest = _deletion_pieces(links, k)
+        if len(pieces) + (rest > 0) > 1:
             return False
     return True
 
@@ -263,10 +310,7 @@ def classify(g: Graph) -> SeekerPartition:
     degrees = g.degrees()
     singletons = frozenset(i for i in range(n) if degrees[i] == 0)
     leaves = frozenset(i for i in range(n) if degrees[i] == 1)
-    leaf_mask = 0
-    for i in leaves:
-        leaf_mask |= 1 << i
-    lcount = tuple((g.neighbor_mask(i) & leaf_mask).bit_count() for i in range(n))
+    lcount = tuple(sum(degrees[j] == 1 for j in g.neighbors(i)) for i in range(n))
     m_nodes = frozenset(
         i for i in range(n) if lcount[i] == 1 and i not in leaves
     )
@@ -302,8 +346,15 @@ def classify(g: Graph) -> SeekerPartition:
 
 
 def _masks_of(g):
-    """A Graph's neighbour bitmasks; a sequence of bitmasks is returned as is."""
-    return g._masks if isinstance(g, Graph) else g
+    """Neighbour bitmasks, node v's at index v, of a Graph or of a sequence of
+    them returned as is; a GraphError past CANONICAL_MAX_NODES nodes, checked
+    before any mask is built."""
+    n = g.node_count if isinstance(g, Graph) else len(g)
+    if n > CANONICAL_MAX_NODES:
+        raise GraphError(
+            f"canonical forms support at most {CANONICAL_MAX_NODES} nodes, got {n}"
+        )
+    return [g.neighbor_mask(v) for v in range(n)] if isinstance(g, Graph) else g
 
 
 def twin_classes(g) -> tuple[int, ...]:
@@ -365,10 +416,6 @@ def canonical_form(g) -> tuple[int, int]:
     """
     masks = _masks_of(g)
     n = len(masks)
-    if n > CANONICAL_MAX_NODES:
-        raise GraphError(
-            f"canonical_form supports at most {CANONICAL_MAX_NODES} nodes, got {n}"
-        )
     classes = twin_classes(masks)
     cliques = _maximum_cliques(masks, classes)
     omega = cliques[0].bit_count()

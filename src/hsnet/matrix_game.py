@@ -150,18 +150,6 @@ def solve_zero_sum(matrix) -> GameSolution:
     return GameSolution(ONE / total - shift, row_strategy, col_strategy)
 
 
-def strategy_payoff(matrix, row: MixedStrategy, col: MixedStrategy) -> Fraction:
-    rows = _entries(matrix)
-    if len(row) != len(rows) or len(col) != len(rows[0]):
-        raise ValueError("strategy dimensions do not match the matrix")
-    total = ZERO
-    for h, r in enumerate(rows):
-        ph = row[h]
-        if ph:
-            total += ph * sum(r[k] * col[k] for k in range(len(r)))
-    return total
-
-
 def best_response_gap(matrix, row: MixedStrategy, col: MixedStrategy):
     """(row regret, column regret): gain available to each player by the best
     pure deviation.  Both are zero exactly when (row, col) is an equilibrium."""

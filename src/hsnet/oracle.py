@@ -16,11 +16,12 @@ computes the exact game value of each, and checks that
   a maximal core-periphery layout, and in the cycle regime it is
   2-connected with enough degree-2 nodes and the hider avoids busier nodes.
 
-The graphs come from ``hsnet.graphs.enumerate_graphs`` (re-exported here
-with ``ENUMERATION_LIMIT`` and ``EnumerationError``), exact up to n = 8;
-the n = 8 sweep solves 12,346 games and sits behind an explicit flag.
-Games are solved in parallel when HSNET_THREADS asks for more than one
-worker; results do not depend on it.
+The sweep walks the canonical keys of ``hsnet.graphs.enumerate_keys``,
+exact up to n = 8, and builds each key's Graph only while its game is
+solved (``enumerate_graphs``, ``ENUMERATION_LIMIT`` and ``EnumerationError``
+are re-exported here).  The n = 8 sweep solves 12,346 games and sits behind
+an explicit flag.  Games are solved in parallel, on chunks of keys, when
+HSNET_THREADS asks for more than one worker; results do not depend on it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from .graphs import (
     Graph,
     canonical_form,
     components,
-    enumerate_graphs,
+    enumerate_graphs,  # re-exported
+    enumerate_keys,
     graph_from_canonical_key,
     graph_to_json_dict,
     induced_subgraph,
@@ -62,8 +64,8 @@ def hider_value(g: Graph, u: UtilitySpec) -> Fraction:
 
 
 def _values_chunk(args):
-    graphs, u = args
-    return [hider_value(g, u) for g in graphs]
+    keys, u = args
+    return [hider_value(graph_from_canonical_key(k), u) for k in keys]
 
 
 def _worker_count() -> int:
@@ -123,31 +125,28 @@ def exhaustive_optimum(n: int, u: UtilitySpec, long_run: bool = False) -> Enumer
         raise EnumerationError(
             f"n={n} exceeds the default bound {DEFAULT_LIMIT}; pass long_run=True"
         )
-    graphs = enumerate_graphs(n)
-    workers = min(_worker_count(), len(graphs))
+    keys = enumerate_keys(n)
+    workers = min(_worker_count(), len(keys))
     if workers > 1:
         # Imported here: only multi-worker sweeps pay for multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = math.ceil(len(graphs) / workers)
-        pieces = [
-            (graphs[i : i + chunk], u) for i in range(0, len(graphs), chunk)
-        ]
+        chunk = math.ceil(len(keys) / workers)
+        pieces = [(keys[i : i + chunk], u) for i in range(0, len(keys), chunk)]
         values: list[Fraction] = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_values_chunk, pieces):
                 values.extend(part)
     else:
-        values = [hider_value(g, u) for g in graphs]
+        values = _values_chunk((keys, u))
     best = max(values)
-    argmax_keys = tuple(
-        sorted(canonical_form(g) for g, v in zip(graphs, values) if v == best)
-    )
+    # The keys are sorted, so the argmax keys are too.
+    argmax_keys = tuple(k for k, v in zip(keys, values) if v == best)
     expected = -cf.optimal_singleton_counts(n, u)[1]
     return EnumerationReport(
         n=n,
         utility=u,
-        graph_count=len(graphs),
+        graph_count=len(keys),
         best_value=best,
         argmax_keys=argmax_keys,
         closed_form_value=expected,

@@ -21,7 +21,7 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, _deletion_pieces, _dfs_low_links
 from .rationals import format_rational, over_common_denominator, parse_rational
 from .records import Record
 
@@ -212,22 +212,20 @@ def payoff_matrix(g: Graph, u: UtilitySpec) -> tuple:
 
     One low-link DFS gives every column's component sizes: deleting k leaves
     its separated child subtrees, the rest of k's component, and the other
-    components unchanged, as in ``strategy_payoffs``.
+    components unchanged (``graphs._deletion_pieces``).
     """
     n = g.node_count
     if n < 1:
         raise GraphError("payoff matrix needs at least one node")
-    order, tin, low, size, children, comp_start = _dfs_low_links(
-        [g.neighbors(v) for v in range(n)]
-    )
+    links = _dfs_low_links(g)
+    order, tin, _, size, _, comp_start = links
     whole = [size[order[comp_start[v]]] for v in order]  # by preorder position
     sizes = []  # sizes[k][tin[h]]: h's component size once k is deleted
     for k in range(n):
-        tk, a = tin[k], comp_start[k]
-        c = whole[tk]
+        pieces, rest = _deletion_pieces(links, k)
+        a, c = comp_start[k], whole[tin[k]]
         column = whole[:]
-        pieces = [ch for ch in children[k] if low[ch] >= tk]
-        column[a : a + c] = [c - 1 - sum(size[ch] for ch in pieces)] * c
+        column[a : a + c] = [rest] * c
         for ch in pieces:
             t = tin[ch]
             column[t : t + size[ch]] = [size[ch]] * size[ch]
@@ -240,64 +238,16 @@ def payoff_matrix(g: Graph, u: UtilitySpec) -> tuple:
     )
 
 
-def _dfs_low_links(adjacency):
-    """One iterative depth-first search over every component.
-
-    Returns (order, tin, low, size, children, comp_start): nodes in preorder,
-    each node's preorder index, its low link, its subtree size, its tree
-    children in preorder, and the preorder index of its component's root.
-    Components are contiguous in preorder.
-    """
-    n = len(adjacency)
-    order: list = []
-    tin = [-1] * n
-    low = [0] * n
-    size = [1] * n
-    children: list = [[] for _ in range(n)]
-    comp_start = [0] * n
-    for root in range(n):
-        if tin[root] >= 0:
-            continue
-        start = len(order)
-        tin[root] = low[root] = start
-        order.append(root)
-        parents = [-1]
-        stack = [(root, iter(adjacency[root]))]
-        while stack:
-            v, it = stack[-1]
-            for w in it:
-                if tin[w] < 0:
-                    tin[w] = low[w] = len(order)
-                    order.append(w)
-                    children[v].append(w)
-                    parents.append(v)
-                    stack.append((w, iter(adjacency[w])))
-                    break
-                if w != parents[-1] and tin[w] < low[v]:
-                    low[v] = tin[w]
-            else:
-                stack.pop()
-                parents.pop()
-                if stack:
-                    p = stack[-1][0]
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    size[p] += size[v]
-        for v in order[start:]:
-            comp_start[v] = start
-    return order, tin, low, size, children, comp_start
-
-
 def strategy_payoffs(g: Graph, u: UtilitySpec, hider, seeker) -> tuple:
     """Exact (M.seeker, hider.M) of g's hider-payoff matrix M, without M.
 
-    Deleting k leaves its separated DFS child subtrees (children c with
-    low[c] >= tin[k], which holds for every child of a root), the rest of
-    k's component, and the other components unchanged.  Column k sums f(piece)
-    times each piece's uncaught hider mass; rows take range adds over
-    preorder intervals, with point corrections on k's closed neighbourhood.
-    Weights are integers over each strategy's common denominator, and range
-    adds are keyed by piece size, so Fractions appear only where f does.  f is
+    Deleting k leaves its separated DFS child subtrees, the rest of k's
+    component, and the other components unchanged
+    (``graphs._deletion_pieces``).  Column k sums f(piece) times each
+    piece's uncaught hider mass; rows take range adds over preorder
+    intervals, with point corrections on k's closed neighbourhood.  Weights
+    are integers over each strategy's common denominator, and range adds are
+    keyed by piece size, so Fractions appear only where f does.  f is
     evaluated only at sizes some uncaught cell of M holds, as in
     ``payoff_matrix``.  Cost: O((n + e) log max-degree) exact operations.
     """
@@ -308,11 +258,8 @@ def strategy_payoffs(g: Graph, u: UtilitySpec, hider, seeker) -> tuple:
     sigma, sigma_den = over_common_denominator(seeker)
     if len(rho) != n or len(sigma) != n:
         raise GraphError("strategy length must equal node count")
-    adjacency = [[] for _ in range(n)]
-    for i, j in g.edges:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    order, tin, low, size, children, comp_start = _dfs_low_links(adjacency)
+    links = _dfs_low_links(g)
+    order, tin, _, size, _, comp_start = links
     prefix = list(accumulate((rho[v] for v in order), initial=0))
     beta = u.beta
     # (preorder position, piece size x) -> seeker weight earning f(x) from
@@ -342,17 +289,17 @@ def strategy_payoffs(g: Graph, u: UtilitySpec, hider, seeker) -> tuple:
         tk = tin[k]
         a = comp_start[k]
         c = size[order[a]]
-        pieces = [ch for ch in children[k] if low[ch] >= tk]
+        pieces, rest_size = _deletion_pieces(links, k)
         starts = [tin[ch] for ch in pieces]
         # Per piece: [size, hider mass, caught count, caught hider mass];
         # the last entry is the rest of k's component.
         stats = [[size[ch], prefix[t + size[ch]] - prefix[t], 0, 0]
                  for ch, t in zip(pieces, starts)]
-        rest_size = c - 1 - sum(st[0] for st in stats)
         rest_mass = prefix[a + c] - prefix[a] - rho[k] - sum(st[1] for st in stats)
         stats.append([rest_size, rest_mass, 0, 0])
+        neighbors = g.neighbors(k)
         where = []
-        for w in adjacency[k]:
+        for w in neighbors:
             tw = tin[w]
             i = bisect_right(starts, tw) - 1
             if i < 0 or tw >= starts[i] + stats[i][0]:
@@ -381,7 +328,7 @@ def strategy_payoffs(g: Graph, u: UtilitySpec, hider, seeker) -> tuple:
                 add(t, t + st[0], st[0], weight)
             if rest_on:
                 add(t, t + st[0], rest_size, -weight)
-        for w, i in zip(adjacency[k], where):
+        for w, i in zip(neighbors, where):
             tw = tin[w]
             caught[tw] += weight
             if values[i] is not None:

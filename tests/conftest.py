@@ -32,6 +32,18 @@ def ratio_u(beta=0) -> UtilitySpec:
     return UtilitySpec.ratio_power(2, beta)
 
 
+def strategy_payoff(matrix, row, col):
+    """The hider's expected payoff row . M . col of a pair of mixed
+    strategies, summed over the dense matrix."""
+    if len(row) != len(matrix) or len(col) != len(matrix[0]):
+        raise ValueError("strategy dimensions do not match the matrix")
+    total = Fraction(0)
+    for p, r in zip(row, matrix):
+        if p:
+            total += p * sum(v * q for v, q in zip(r, col))
+    return total
+
+
 BETA_GRID = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5), Fraction(50))
 
 _REPORTS = {}

@@ -29,11 +29,11 @@ import hsnet.closed_form as cf
 import hsnet.designer as dz
 from hsnet.graphs import canonical_form, components, Graph
 from hsnet.matrix_game import (
-    MixedStrategy, best_response_gap, solve_zero_sum, strategy_payoff,
+    MixedStrategy, best_response_gap, solve_zero_sum,
 )
 from hsnet.payoff import UtilitySpec, capture_probability, payoff_matrix
 
-from conftest import identity_u, square_u, ratio_u, BETA_GRID
+from conftest import identity_u, square_u, ratio_u, strategy_payoff, BETA_GRID
 from test_closed_form import (
     branch_component_guarantee, crowded_cp_bounds, linear_even_bound, singleton_blend,
 )

@@ -14,11 +14,10 @@ from hsnet.matrix_game import (
     best_response_gap,
     gap_from_payoffs,
     solve_zero_sum,
-    strategy_payoff,
 )
 from hsnet.payoff import capture_probability, payoff_matrix, strategy_payoffs
 
-from conftest import identity_u, square_u, ratio_u, BETA_GRID
+from conftest import identity_u, square_u, ratio_u, strategy_payoff, BETA_GRID
 
 
 def test_build_cycle():

@@ -32,7 +32,7 @@ from hsnet.graphs import (
     to_dot,
     twin_classes,
 )
-from hsnet.designer import build_cycle, build_maximal_cp
+from hsnet.designer import MAXIMAL_CP_EVEN, build_cycle, build_maximal_cp, design_topology
 
 from conftest import graph_and_permutation, graphs, relabel
 
@@ -430,6 +430,111 @@ def test_is_two_connected_matches_node_removal():
                 for k in range(n)
             )
             assert is_two_connected(g) == expect
+
+
+# -- oracles for the low-link DFS --------------------------------------------
+
+
+def reached_by_bitmasks(g, rest):
+    """The nodes of the bitmask ``rest`` that a search inside ``rest`` reaches
+    from its lowest node."""
+    reached = todo = rest & -rest
+    while todo:
+        v = todo.bit_length() - 1
+        fresh = g.neighbor_mask(v) & rest & ~reached
+        reached |= fresh
+        todo = todo ^ (1 << v) | fresh
+    return reached
+
+
+def two_connected_by_bitmasks(g):
+    """2-connectivity by one bitmask search of G and of each G - k."""
+    n = g.node_count
+    full = (1 << n) - 1
+    return n >= 3 and all(
+        reached_by_bitmasks(g, rest) == rest
+        for rest in [full] + [full & ~(1 << k) for k in range(n)]
+    )
+
+
+def components_by_union_find(g):
+    """(components, component_of) by union-find, each component's root its
+    smallest member, components ordered by it."""
+    parent = list(range(g.node_count))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for i, j in g.edges:
+        a, b = find(i), find(j)
+        parent[max(a, b)] = min(a, b)
+    roots = sorted({find(v) for v in range(g.node_count)})
+    comps = tuple(frozenset(v for v in range(g.node_count) if find(v) == r) for r in roots)
+    return comps, tuple(roots.index(find(v)) for v in range(g.node_count))
+
+
+def leaf_neighbor_counts_by_bitmasks(g):
+    leaf_mask = sum(1 << v for v in range(g.node_count) if g.degree(v) == 1)
+    return tuple((g.neighbor_mask(v) & leaf_mask).bit_count() for v in range(g.node_count))
+
+
+def assert_matches_oracles(g):
+    part = components(g)
+    assert (part.components, part.component_of) == components_by_union_find(g), g
+    assert is_two_connected(g) == two_connected_by_bitmasks(g), g
+    assert classify(g).leaf_neighbor_count == leaf_neighbor_counts_by_bitmasks(g), g
+    for v in range(g.node_count):
+        assert g.neighbors(v) == tuple(w for w in range(g.node_count) if g.neighbor_mask(v) >> w & 1)
+        assert all(g.has_edge(v, w) == (w in g.neighbors(v)) for w in range(g.node_count))
+
+
+def test_dfs_queries_match_oracles_on_every_graph_up_to_seven():
+    rng = random.Random(13)
+    for n in range(0, 8):
+        for g in enumerate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert_matches_oracles(g)
+            assert_matches_oracles(relabel(g, perm))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(graph_and_permutation(max_nodes=12))
+def test_dfs_queries_match_oracles_under_relabelling(case):
+    g, perm = case
+    assert_matches_oracles(g)
+    assert_matches_oracles(relabel(g, perm))
+
+
+def test_structure_queries_at_100000_nodes():
+    # One bitmask per node would take about 1.25 GB here; the neighbour
+    # tuples and the iterative DFS take O(n + e).
+    n = 100_000
+    cycle = build_cycle(n)
+    assert components(cycle).sizes() == (n,)
+    assert is_two_connected(cycle)
+    part = classify(cycle)
+    assert part.r_nodes == frozenset(range(n)) and part.d_gr == frozenset()
+    assert part.m_nodes == part.singleton_leaves == part.singletons == frozenset()
+
+    cp = design_topology(n, 0, MAXIMAL_CP_EVEN).graph
+    assert components(cp).sizes() == (n,)
+    assert not is_two_connected(cp)  # every core node holds a leaf
+    assert is_two_connected(induced_subgraph(cp, range(n // 2)))
+    part = classify(cp)
+    assert part.m_nodes == frozenset(range(n // 2))
+    assert part.singleton_leaves == frozenset(range(n // 2, n))
+    assert part.r_nodes == part.singletons == frozenset()
+
+
+def test_bitmasks_only_for_canonical_sizes():
+    for g in (Graph(9), build_cycle(20)):
+        with pytest.raises(GraphError, match="at most 8 nodes"):
+            canonical_form(g)
+        with pytest.raises(GraphError, match="at most 8 nodes"):
+            twin_classes(g)
 
 
 def test_text_format_roundtrip_and_errors():

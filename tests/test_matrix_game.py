@@ -14,12 +14,11 @@ from hsnet.matrix_game import (
     game_value,
     max_optimal_mass,
     solve_zero_sum,
-    strategy_payoff,
 )
 from hsnet.payoff import UtilitySpec, payoff_matrix
 from hsnet.designer import build_cycle
 
-from conftest import identity_u, square_u
+from conftest import identity_u, square_u, strategy_payoff
 
 
 PENNIES = [[1, -1], [-1, 1]]

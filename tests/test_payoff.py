@@ -208,6 +208,50 @@ def test_unknown_family_is_a_usage_error(tmp_path, capsys, command):
     assert capsys.readouterr().err == "error: unknown utility family 'cubic'\n"
 
 
+POWER_JSON = json.dumps({"family": "power", "params": {"gamma": 3}, "beta": "1"})
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--family", "linear", "--gamma", "3", "--beta", "1"],
+     "--gamma is not a parameter of the linear family"),
+    (["--gamma", "3"], "--gamma is not a parameter of the linear family"),
+    (["--family", "power", "--slope", "2"], "--slope is not a parameter of the power family"),
+    (["--family", "ratio_power", "--table", "0,1,2,3,4"],
+     "--table is not a parameter of the ratio_power family"),
+    (["--family", "table", "--table", "0,1,2,3,4", "--gamma", "2"],
+     "--gamma is not a parameter of the table family"),
+    (["--utility", POWER_JSON, "--slope", "5", "--family", "ratio_power"],
+     "--utility takes no other utility flag, got --family"),
+    (["--utility", POWER_JSON, "--beta", "0"], "--utility takes no other utility flag, got --beta"),
+    (["--utility", POWER_JSON, "--family", "linear"],
+     "--utility takes no other utility flag, got --family"),
+    (["--utility", POWER_JSON, "--gamma", "3"], "--utility takes no other utility flag, got --gamma"),
+    (["--utility", POWER_JSON, "--table", "0,1"],
+     "--utility takes no other utility flag, got --table"),
+], ids=lambda c: " ".join(c) if isinstance(c, list) else None)
+@pytest.mark.parametrize("command", [
+    ["solve", "--graph", "{graph}"],
+    ["design", "--n", "4"],
+    ["value-table", "--n", "4"],
+], ids=lambda c: c[0])
+def test_unused_utility_flags_are_usage_errors(tmp_path, capsys, command, flags, message):
+    graph = tmp_path / "g.txt"
+    graph.write_text("n 4\ne 0 1\ne 1 2\ne 2 3\ne 0 3\n")
+    assert main([arg.format(graph=graph) for arg in command] + flags) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [["design", "--n", "5"], ["value-table", "--n", "5"]],
+                         ids=lambda c: c[0])
+def test_unset_family_and_beta_mean_linear_and_zero(capsys, command):
+    reports = []
+    for flags in ([], ["--family", "linear", "--slope", "1", "--beta", "0"], ["--slope", "1"]):
+        capsys.readouterr()
+        assert main(command + flags) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_report_schema_lists_the_table_families():
     schema = json.loads(resources.files("hsnet.schemas").joinpath("solve.schema.json").read_text())
     assert schema["$defs"]["utility"]["properties"]["family"]["enum"] == list(FAMILIES)
