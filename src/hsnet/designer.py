@@ -4,8 +4,10 @@ An optimal design is a number of isolated nodes plus one connected part:
 a cycle when the growth threshold clears the capture penalty, otherwise a
 maximal core-periphery layout (half leaves when the part has even size; with
 three orphaned core nodes, the middle one wired to exactly the other two,
-when odd).  ``design_optimal`` picks the best isolated-node count, builds the
-layout, attaches both players' closed-form strategies, and certifies the
+when odd).  ``design_topology`` is the one builder: it writes a layout's edges
+and node roles in one pass.  ``design_optimal`` picks the best isolated-node
+count, builds the layout, attaches both players' closed-form strategies (the
+hider's read off the roles, the seeker's off ``classify``), and certifies the
 pair by a zero best-response gap.  The gap is computed exactly from the graph
 (``payoff.strategy_payoffs``) without building the n x n payoff matrix.
 """
@@ -17,7 +19,7 @@ from fractions import Fraction
 from . import closed_form as cf
 from .graphs import (
     Graph,
-    classify,
+    components,
     graph_to_json_dict,
     induced_subgraph,
     is_connected,
@@ -42,12 +44,6 @@ class DesignError(ValueError):
     pass
 
 
-def build_cycle(k: int) -> Graph:
-    if k < 3:
-        raise DesignError(f"a cycle needs at least 3 nodes, got {k}")
-    return Graph(k, [(i, (i + 1) % k) for i in range(k)])
-
-
 class DesignTopology(Record):
     """A built design with its node roles recorded by id.
 
@@ -57,161 +53,61 @@ class DesignTopology(Record):
     """
 
     __slots__ = _fields = (
-        "tag", "graph", "component_nodes", "core_nodes", "periphery_nodes",
+        "topology", "graph", "component_nodes", "core_nodes", "periphery_nodes",
         "orphan_nodes", "middle_orphan", "singleton_nodes",
     )
 
 
-def _maximal_cp_topology(k: int) -> DesignTopology:
-    if k < 4:
-        raise DesignError(f"a maximal core-periphery part needs >= 4 nodes, got {k}")
-    if k % 2 == 0:
-        q = k // 2
-        # A 2-node core degenerates to a single edge; otherwise a cycle is
-        # the simplest 2-connected choice.
-        edges = [(0, 1)] if q == 2 else list(build_cycle(q).edges)
-        for i in range(q):
-            edges.append((i, q + i))
-        g = Graph(k, edges)
-        return DesignTopology(
-            tag=MAXIMAL_CP_EVEN,
-            graph=g,
-            component_nodes=tuple(range(k)),
-            core_nodes=tuple(range(q)),
-            periphery_nodes=tuple(range(q, k)),
-            orphan_nodes=(),
-            middle_orphan=None,
-            singleton_nodes=(),
-        )
-    p = (k - 3) // 2
-    q = p + 3
-    edges = list(build_cycle(q).edges)
-    for j in range(p):
-        edges.append((j, q + j))
-    g = Graph(k, edges)
-    # Orphans sit consecutively on the core cycle; the middle one is then
-    # adjacent to exactly the other two.
-    orphans = (q - 3, q - 2, q - 1)
+def design_topology(n: int, s: int, tag: str) -> DesignTopology:
+    """The design with s isolated nodes and the given connected-part layout.
+
+    The part takes nodes 0..x-1, x = n - s, and the isolated nodes come last.
+    A cycle is a ring on the whole part.  A maximal core-periphery part rings
+    its q core nodes first (a 2-node core is one edge) and hangs periphery
+    node q + j off core node j; an odd part leaves the last three core nodes
+    orphaned, consecutive on the ring, so the middle one is adjacent to
+    exactly the other two.
+    """
+    if not 0 <= s <= n:
+        raise DesignError(f"need 0 <= s <= n, got s={s}")
+    x = n - s
+    m = 0
+    if tag == ALL_SINGLETONS:
+        if s != n:
+            raise DesignError("all-singleton design needs s = n")
+    elif tag == CYCLE:
+        if x < 3:
+            raise DesignError(f"a cycle needs at least 3 nodes, got {x}")
+    elif tag in (MAXIMAL_CP_EVEN, MAXIMAL_CP_ODD):
+        if x < 4:
+            raise DesignError(f"a maximal core-periphery part needs >= 4 nodes, got {x}")
+        if x % 2 != (tag == MAXIMAL_CP_ODD):
+            raise DesignError(f"component size {x} has the wrong parity for {tag}")
+        m = x // 2 if x % 2 == 0 else (x - 3) // 2
+    else:
+        raise DesignError(f"unknown topology tag {tag!r}")
+    q = x - m
+    edges = [(0, 1)] if q == 2 else [(i, (i + 1) % q) for i in range(q)]
+    edges.extend((j, q + j) for j in range(m))
+    core = orphans = ()
+    middle = None
+    if m:
+        core = tuple(range(q))
+        if x % 2:
+            orphans, middle = (q - 3, q - 2, q - 1), q - 2
     return DesignTopology(
-        tag=MAXIMAL_CP_ODD,
-        graph=g,
-        component_nodes=tuple(range(k)),
-        core_nodes=tuple(range(q)),
-        periphery_nodes=tuple(range(q, k)),
-        orphan_nodes=orphans,
-        middle_orphan=q - 2,
-        singleton_nodes=(),
+        tag, Graph(n, edges), tuple(range(x)), core, tuple(range(q, x)),
+        orphans, middle, tuple(range(x, n)),
     )
+
+
+def build_cycle(k: int) -> Graph:
+    return design_topology(k, 0, CYCLE).graph
 
 
 def build_maximal_cp(k: int) -> Graph:
     """Maximal core-periphery layout on k nodes (k >= 4)."""
-    return _maximal_cp_topology(k).graph
-
-
-def _with_singletons(topo: DesignTopology, s: int) -> DesignTopology:
-    if s == 0:
-        return topo
-    k = topo.graph.node_count
-    g = Graph(k + s, topo.graph.edges)
-    return DesignTopology(
-        tag=topo.tag,
-        graph=g,
-        component_nodes=topo.component_nodes,
-        core_nodes=topo.core_nodes,
-        periphery_nodes=topo.periphery_nodes,
-        orphan_nodes=topo.orphan_nodes,
-        middle_orphan=topo.middle_orphan,
-        singleton_nodes=tuple(range(k, k + s)),
-    )
-
-
-def design_topology(n: int, s: int, tag: str) -> DesignTopology:
-    """The design with s isolated nodes and the given connected-part layout."""
-    if not 0 <= s <= n:
-        raise DesignError(f"need 0 <= s <= n, got s={s}")
-    if tag == ALL_SINGLETONS:
-        if s != n:
-            raise DesignError("all-singleton design needs s = n")
-        return DesignTopology(
-            tag=ALL_SINGLETONS,
-            graph=Graph(n),
-            component_nodes=(),
-            core_nodes=(),
-            periphery_nodes=(),
-            orphan_nodes=(),
-            middle_orphan=None,
-            singleton_nodes=tuple(range(n)),
-        )
-    x = n - s
-    if tag == CYCLE:
-        base = build_cycle(x)
-        topo = DesignTopology(
-            tag=CYCLE,
-            graph=base,
-            component_nodes=tuple(range(x)),
-            core_nodes=(),
-            periphery_nodes=(),
-            orphan_nodes=(),
-            middle_orphan=None,
-            singleton_nodes=(),
-        )
-    elif tag in (MAXIMAL_CP_EVEN, MAXIMAL_CP_ODD):
-        topo = _maximal_cp_topology(x)
-        if topo.tag != tag:
-            raise DesignError(f"component size {x} has the wrong parity for {tag}")
-    else:
-        raise DesignError(f"unknown topology tag {tag!r}")
-    return _with_singletons(topo, s)
-
-
-# -- chord-augmented cycles (alternate optima in the cycle regime) ---------
-
-
-def chorded_cycle_designated(t: int) -> tuple[int, ...]:
-    """The degree-2 designated nodes: every third node of the base cycle."""
-    return tuple(3 * i for i in range(t))
-
-
-def build_chorded_cycle(t: int, chords) -> Graph:
-    """Base cycle on 3t nodes plus chords avoiding the designated nodes.
-
-    Any two designated nodes are separated by two ordinary nodes along the
-    cycle, and chords may only join ordinary nodes, so every designated node
-    keeps degree exactly 2.
-    """
-    if t < 2:
-        raise DesignError(f"need t >= 2, got {t}")
-    size = 3 * t
-    designated = set(chorded_cycle_designated(t))
-    edges = set(build_cycle(size).edges)
-    for chord in chords:
-        a, b = chord
-        if not (0 <= a < size and 0 <= b < size) or a == b:
-            raise DesignError(f"bad chord ({a},{b})")
-        if a in designated or b in designated:
-            raise DesignError(f"chord ({a},{b}) touches a designated degree-2 node")
-        key = (min(a, b), max(a, b))
-        if key in edges:
-            raise DesignError(f"chord ({a},{b}) duplicates an existing edge")
-        edges.add(key)
-    g = Graph(size, edges)
-    assert all(g.degree(v) == 2 for v in designated)
-    return g
-
-
-def chorded_cycle_equilibrium(t: int, chords):
-    """(graph, hider, seeker) with the hider uniform on the designated
-    degree-2 nodes and the seeker uniform on the whole part.
-
-    Every node of the part sees exactly one designated node in its closed
-    neighborhood, so this pair equalizes both players regardless of the
-    chord set; with no chords the hider margin extends to the full cycle.
-    """
-    g = build_chorded_cycle(t, chords)
-    hider = MixedStrategy.uniform_over(chorded_cycle_designated(t), g.node_count)
-    seeker = MixedStrategy.uniform(g.node_count)
-    return g, hider, seeker
+    return design_topology(k, 0, MAXIMAL_CP_ODD if k % 2 else MAXIMAL_CP_EVEN).graph
 
 
 # -- recognizer used by the brute-force verifier ----------------------------
@@ -251,6 +147,75 @@ def is_maximal_core_periphery(g: Graph) -> bool:
 
 
 # -- strategies -------------------------------------------------------------
+
+
+class SeekerPartition(Record):
+    """Disjoint node classes driving the seeker's mixed strategy.
+
+    singletons: degree-0 nodes.
+    singleton_leaves: leaves whose (unique) neighbor has no other leaf.
+    m_nodes: the attachment nodes of singleton leaves, one per leaf.
+    r_nodes: everything else.  ``gr`` is the subgraph induced on r_nodes
+    (gr node i corresponds to original id gr_nodes[i]); ``d_gr`` contains
+    the r-nodes lying in 2-node components of gr.
+
+    The classes are pairwise disjoint and cover all nodes, so
+    ``len(r_nodes) == n - s - 2m`` always holds.
+    """
+
+    __slots__ = _fields = (
+        "singletons", "leaves", "leaf_neighbor_count", "m_nodes",
+        "singleton_leaves", "r_nodes", "gr", "gr_nodes", "d_gr",
+    )
+
+    @property
+    def singleton_count(self) -> int:
+        return len(self.singletons)
+
+    @property
+    def m_count(self) -> int:
+        return len(self.m_nodes)
+
+    @property
+    def r_count(self) -> int:
+        return len(self.r_nodes)
+
+
+def classify(g: Graph) -> SeekerPartition:
+    """Compute the seeker's node classification.
+
+    A node joins ``m_nodes`` when it has exactly one leaf neighbor and is not
+    itself a leaf; the non-leaf condition keeps the classes disjoint on
+    2-node components (both endpoints of an isolated edge would otherwise
+    count as attachment node and leaf at once).  Endpoints of isolated edges
+    therefore land in ``r_nodes`` and, inside gr, in ``d_gr``.
+    """
+    n = g.node_count
+    degrees = g.degrees()
+    singletons = frozenset(i for i in range(n) if degrees[i] == 0)
+    leaves = frozenset(i for i in range(n) if degrees[i] == 1)
+    lcount = tuple(sum(degrees[j] == 1 for j in g.neighbors(i)) for i in range(n))
+    m_nodes = frozenset(
+        i for i in range(n) if lcount[i] == 1 and i not in leaves
+    )
+    singleton_leaves = frozenset(
+        i for i in leaves if any(j in m_nodes for j in g.neighbors(i))
+    )
+    claimed = singletons | singleton_leaves | m_nodes
+    r_nodes = frozenset(i for i in range(n) if i not in claimed)
+    gr_nodes = tuple(sorted(r_nodes))
+    gr = induced_subgraph(g, gr_nodes)
+    gr_parts = components(gr)
+    d_gr = frozenset(
+        gr_nodes[i]
+        for i in range(gr.node_count)
+        if gr_parts.size_of(i) == 2
+    )
+    assert len(m_nodes) == len(singleton_leaves)
+    assert len(r_nodes) == n - len(singletons) - 2 * len(m_nodes)
+    return SeekerPartition(
+        singletons, leaves, lcount, m_nodes, singleton_leaves, r_nodes, gr, gr_nodes, d_gr,
+    )
 
 
 def seeker_strategy(g: Graph, u: UtilitySpec) -> MixedStrategy:
@@ -306,53 +271,42 @@ def seeker_strategy(g: Graph, u: UtilitySpec) -> MixedStrategy:
 
 def hider_strategy(topo: DesignTopology, u: UtilitySpec) -> MixedStrategy:
     """The hider's closed-form strategy on a design built by this module,
-    whose DesignTopology record names the node roles."""
+    read off the node roles its DesignTopology names.
+
+    The part gets weight kappa, spread evenly over its m periphery nodes (the
+    whole part of a cycle, where m = 0), except that an odd layout's middle
+    orphan takes the share 1 - mu of it; the isolated nodes share 1 - kappa.
+    """
     n = topo.graph.node_count
     s = len(topo.singleton_nodes)
-    probs = [ZERO] * n
-    if topo.tag == ALL_SINGLETONS:
+    if s == n:
         return MixedStrategy.uniform(n)
-    x = n - s
-    if topo.tag == CYCLE:
-        abar = cf.component_guarantee(n, 0, s, u)
-        kappa = cf.component_hide_weight(n, s, u, abar)
-        for v in topo.component_nodes:
-            probs[v] = kappa / x
-    elif topo.tag == MAXIMAL_CP_EVEN:
-        m = x // 2
-        abar = cf.component_guarantee(n, m, s, u)
-        kappa = cf.component_hide_weight(n, s, u, abar)
-        for v in topo.periphery_nodes:
-            probs[v] = kappa / m
-    elif topo.tag == MAXIMAL_CP_ODD:
-        m = (x - 3) // 2
-        abar = cf.component_guarantee(n, m, s, u)
-        kappa = cf.component_hide_weight(n, s, u, abar)
+    abar = cf.component_guarantee(n, len(topo.periphery_nodes), s, u)
+    kappa = cf.component_hide_weight(n, s, u, abar)
+    probs = [ZERO] * n
+    spread = kappa
+    if topo.middle_orphan is not None:
         mu = cf.periphery_hide_weight(n, s, u)
-        for v in topo.periphery_nodes:
-            probs[v] = kappa * mu / m
+        spread = kappa * mu
         probs[topo.middle_orphan] = kappa * (ONE - mu)
-    else:
-        raise DesignError(f"unknown topology tag {topo.tag!r}")
-    if s:
-        for v in topo.singleton_nodes:
-            probs[v] = (ONE - kappa) / s
+    hide = topo.periphery_nodes or topo.component_nodes
+    for v in hide:
+        probs[v] = spread / len(hide)
+    for v in topo.singleton_nodes:
+        probs[v] = (ONE - kappa) / s
     return MixedStrategy(probs)
 
 
 # -- full design ------------------------------------------------------------
 
 
-class DesignResult(Record):
-    """An optimal design together with its certified equilibrium: the
-    topology tag, the graph, both strategies, the predicted value (the
-    hider's) and the node roles of its DesignTopology."""
+class DesignResult(DesignTopology):
+    """An optimal design, as the DesignTopology it was built as, together with
+    its certified equilibrium: both strategies and the predicted value (the
+    hider's) at the optimal isolated-node count s_star."""
 
-    __slots__ = _fields = (
-        "n", "s_star", "topology", "graph", "hider", "seeker", "predicted_value",
-        "component_nodes", "core_nodes", "periphery_nodes", "orphan_nodes",
-        "middle_orphan", "singleton_nodes",
-    )
+    __slots__ = ("n", "s_star", "hider", "seeker", "predicted_value")
+    _fields = DesignTopology._fields + __slots__
 
     def to_json_dict(self) -> dict:
         return {
@@ -422,18 +376,4 @@ def design_optimal(n: int, u: UtilitySpec) -> DesignResult:
         raise AssertionError(
             f"equilibrium payoff {achieved} differs from predicted {predicted}"
         )
-    return DesignResult(
-        n=n,
-        s_star=s,
-        topology=tag,
-        graph=topo.graph,
-        hider=hider,
-        seeker=seeker,
-        predicted_value=predicted,
-        component_nodes=topo.component_nodes,
-        core_nodes=topo.core_nodes,
-        periphery_nodes=topo.periphery_nodes,
-        orphan_nodes=topo.orphan_nodes,
-        middle_orphan=topo.middle_orphan,
-        singleton_nodes=topo.singleton_nodes,
-    )
+    return DesignResult(*topo._values(), n, s, hider, seeker, predicted)

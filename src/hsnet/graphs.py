@@ -1,4 +1,4 @@
-"""Undirected simple graphs and the node classification used by the seeker.
+"""Undirected simple graphs, their deletion structure, and enumeration.
 
 Graphs are immutable after construction (nodes are 0..n-1, edges a frozenset
 of sorted pairs, each node's neighbours a sorted tuple), so every derived
@@ -10,9 +10,6 @@ Comput. 1, 1972) answers them all: the components, 2-connectivity, and, in
 ``hsnet.payoff``, the component sizes of every G - k.  Besides those and
 induced subgraphs this module provides:
 
-* ``classify`` -- partitions the nodes into singletons, singleton leaves,
-  their attachment nodes, and the residual set, which is what the seeker's
-  mixed strategy is built from;
 * ``canonical_form`` -- an isomorphism-invariant key for small graphs; it,
   ``twin_classes`` and enumeration are the only code that builds neighbour
   bitmasks, for n <= 8;
@@ -61,12 +58,17 @@ class Graph:
     __slots__ = ("node_count", "edges", "_adjacency")
 
     def __init__(self, node_count: int, edges=()):
+        # Exactly int: a bool would otherwise pass as a node id and be kept.
+        if type(node_count) is not int:
+            raise GraphError(f"node_count must be an int, got {node_count!r}")
         if node_count < 0:
             raise GraphError("node_count must be nonnegative")
         adjacency = [[] for _ in range(node_count)]
         normalized = set()
         for e in edges:
             i, j = e
+            if type(i) is not int or type(j) is not int:
+                raise GraphError(f"edge ({i!r},{j!r}) has a node id that is not an int")
             if i == j:
                 raise GraphError(f"self loop at node {i}")
             if not (0 <= i < node_count) or not (0 <= j < node_count):
@@ -246,100 +248,6 @@ def is_two_connected(g: Graph) -> bool:
         if len(pieces) + (rest > 0) > 1:
             return False
     return True
-
-
-# -- seeker-side node classification -------------------------------------
-
-
-class SeekerPartition:
-    """Disjoint node classes driving the seeker's mixed strategy.
-
-    singletons: degree-0 nodes.
-    singleton_leaves: leaves whose (unique) neighbor has no other leaf.
-    m_nodes: the attachment nodes of singleton leaves, one per leaf.
-    r_nodes: everything else.  ``gr`` is the subgraph induced on r_nodes
-    (gr node i corresponds to original id gr_nodes[i]); ``d_gr`` contains
-    the r-nodes lying in 2-node components of gr.
-
-    The classes are pairwise disjoint and cover all nodes, so
-    ``len(r_nodes) == n - s - 2m`` always holds.
-    """
-
-    __slots__ = (
-        "singletons", "leaves", "leaf_neighbor_count", "m_nodes",
-        "singleton_leaves", "r_nodes", "gr", "gr_nodes", "d_gr",
-    )
-
-    def __init__(self, *, singletons: frozenset, leaves: frozenset,
-                 leaf_neighbor_count: tuple[int, ...], m_nodes: frozenset,
-                 singleton_leaves: frozenset, r_nodes: frozenset, gr: Graph,
-                 gr_nodes: tuple[int, ...], d_gr: frozenset):
-        self.singletons = singletons
-        self.leaves = leaves
-        self.leaf_neighbor_count = leaf_neighbor_count
-        self.m_nodes = m_nodes
-        self.singleton_leaves = singleton_leaves
-        self.r_nodes = r_nodes
-        self.gr = gr
-        self.gr_nodes = gr_nodes
-        self.d_gr = d_gr
-
-    @property
-    def singleton_count(self) -> int:
-        return len(self.singletons)
-
-    @property
-    def m_count(self) -> int:
-        return len(self.m_nodes)
-
-    @property
-    def r_count(self) -> int:
-        return len(self.r_nodes)
-
-
-def classify(g: Graph) -> SeekerPartition:
-    """Compute the seeker's node classification.
-
-    A node joins ``m_nodes`` when it has exactly one leaf neighbor and is not
-    itself a leaf; the non-leaf condition keeps the classes disjoint on
-    2-node components (both endpoints of an isolated edge would otherwise
-    count as attachment node and leaf at once).  Endpoints of isolated edges
-    therefore land in ``r_nodes`` and, inside gr, in ``d_gr``.
-    """
-    n = g.node_count
-    degrees = g.degrees()
-    singletons = frozenset(i for i in range(n) if degrees[i] == 0)
-    leaves = frozenset(i for i in range(n) if degrees[i] == 1)
-    lcount = tuple(sum(degrees[j] == 1 for j in g.neighbors(i)) for i in range(n))
-    m_nodes = frozenset(
-        i for i in range(n) if lcount[i] == 1 and i not in leaves
-    )
-    singleton_leaves = frozenset(
-        i for i in leaves if any(j in m_nodes for j in g.neighbors(i))
-    )
-    claimed = singletons | singleton_leaves | m_nodes
-    r_nodes = frozenset(i for i in range(n) if i not in claimed)
-    gr_nodes = tuple(sorted(r_nodes))
-    gr = induced_subgraph(g, gr_nodes)
-    gr_parts = components(gr)
-    d_gr = frozenset(
-        gr_nodes[i]
-        for i in range(gr.node_count)
-        if gr_parts.size_of(i) == 2
-    )
-    assert len(m_nodes) == len(singleton_leaves)
-    assert len(r_nodes) == n - len(singletons) - 2 * len(m_nodes)
-    return SeekerPartition(
-        singletons=singletons,
-        leaves=leaves,
-        leaf_neighbor_count=lcount,
-        m_nodes=m_nodes,
-        singleton_leaves=singleton_leaves,
-        r_nodes=r_nodes,
-        gr=gr,
-        gr_nodes=gr_nodes,
-        d_gr=d_gr,
-    )
 
 
 # -- canonical forms and enumeration for small graphs -----------------------

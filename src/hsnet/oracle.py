@@ -18,10 +18,10 @@ computes the exact game value of each, and checks that
 
 The sweep walks the canonical keys of ``hsnet.graphs.enumerate_keys``,
 exact up to n = 8, and builds each key's Graph only while its game is
-solved (``enumerate_graphs``, ``ENUMERATION_LIMIT`` and ``EnumerationError``
-are re-exported here).  The n = 8 sweep solves 12,346 games and sits behind
-an explicit flag.  Games are solved in parallel, on chunks of keys, when
-HSNET_THREADS asks for more than one worker; results do not depend on it.
+solved; whole graphs come from ``hsnet.graphs.enumerate_graphs``.  The n = 8
+sweep solves 12,346 games and sits behind an explicit flag.  Games are
+solved in parallel, on chunks of keys, when HSNET_THREADS asks for more than
+one worker; results do not depend on it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .graphs import (
     Graph,
     canonical_form,
     components,
-    enumerate_graphs,  # re-exported
     enumerate_keys,
     graph_from_canonical_key,
     graph_to_json_dict,

@@ -37,6 +37,7 @@ from conftest import identity_u, square_u, ratio_u, strategy_payoff, BETA_GRID
 from test_closed_form import (
     branch_component_guarantee, crowded_cp_bounds, linear_even_bound, singleton_blend,
 )
+from test_designer import chorded_cycle_equilibrium
 
 
 DESIGN_NS = range(4, 13)
@@ -361,7 +362,7 @@ def test_chord_augmented_cycles_tie_cycle_value():
         [(1, 5), (2, 8), (4, 10), (7, 11)],
     ]
     for chords in chord_sets:
-        g, hider, seeker = dz.chorded_cycle_equilibrium(4, chords)
+        g, hider, seeker = chorded_cycle_equilibrium(4, chords)
         matrix = payoff_matrix(g, u)
         sol = solve_zero_sum(matrix)
         assert sol.value == base, chords

@@ -146,6 +146,7 @@ def test_enumerate_loads_only_graphs():
     for name in ("oracle", "designer", "closed_form", "matrix_game", "payoff", "simplex"):
         assert f"hsnet.{name}" not in loaded
     assert "hsnet.graphs" in loaded
+    assert "hsnet.records" not in loaded
     assert "dataclasses" not in loaded
     assert "fractions" not in loaded
 

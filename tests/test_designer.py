@@ -1,5 +1,7 @@
 """Builders, strategies, and certified optimal designs."""
 
+import functools
+import hashlib
 import itertools
 import random
 from dataclasses import dataclass
@@ -8,14 +10,16 @@ from fractions import Fraction as F
 import pytest
 
 import hsnet.designer as dz
-from hsnet.graphs import Graph, classify, components, is_connected, is_two_connected
+from hsnet.cli import format_json
+from hsnet.designer import classify
+from hsnet.graphs import Graph, components, is_connected, is_two_connected
 from hsnet.matrix_game import (
     MixedStrategy,
     best_response_gap,
     gap_from_payoffs,
     solve_zero_sum,
 )
-from hsnet.payoff import capture_probability, payoff_matrix, strategy_payoffs
+from hsnet.payoff import UtilitySpec, capture_probability, payoff_matrix, strategy_payoffs
 
 from conftest import identity_u, square_u, ratio_u, strategy_payoff, BETA_GRID
 
@@ -151,18 +155,67 @@ def test_maximal_cp_recognizer():
     assert not dz.is_maximal_core_periphery(g)
 
 
+# -- chord-augmented cycles (alternate optima in the cycle regime) ---------
+
+
+def chorded_cycle_designated(t: int) -> tuple[int, ...]:
+    """The degree-2 designated nodes: every third node of the base cycle."""
+    return tuple(3 * i for i in range(t))
+
+
+def build_chorded_cycle(t: int, chords) -> Graph:
+    """Base cycle on 3t nodes plus chords avoiding the designated nodes.
+
+    Any two designated nodes are separated by two ordinary nodes along the
+    cycle, and chords may only join ordinary nodes, so every designated node
+    keeps degree exactly 2.
+    """
+    if t < 2:
+        raise dz.DesignError(f"need t >= 2, got {t}")
+    size = 3 * t
+    designated = set(chorded_cycle_designated(t))
+    edges = set(dz.build_cycle(size).edges)
+    for chord in chords:
+        a, b = chord
+        if not (0 <= a < size and 0 <= b < size) or a == b:
+            raise dz.DesignError(f"bad chord ({a},{b})")
+        if a in designated or b in designated:
+            raise dz.DesignError(f"chord ({a},{b}) touches a designated degree-2 node")
+        key = (min(a, b), max(a, b))
+        if key in edges:
+            raise dz.DesignError(f"chord ({a},{b}) duplicates an existing edge")
+        edges.add(key)
+    g = Graph(size, edges)
+    assert all(g.degree(v) == 2 for v in designated)
+    return g
+
+
+def chorded_cycle_equilibrium(t: int, chords):
+    """(graph, hider, seeker) with the hider uniform on the designated
+    degree-2 nodes and the seeker uniform on the whole part.
+
+    Every node of the part sees exactly one designated node in its closed
+    neighborhood, so this pair equalizes both players regardless of the
+    chord set; with no chords the hider margin extends to the full cycle.
+    """
+    g = build_chorded_cycle(t, chords)
+    hider = MixedStrategy.uniform_over(chorded_cycle_designated(t), g.node_count)
+    seeker = MixedStrategy.uniform(g.node_count)
+    return g, hider, seeker
+
+
 def test_chorded_cycle_validation():
-    g = dz.build_chorded_cycle(4, [])
+    g = build_chorded_cycle(4, [])
     assert g.edges == dz.build_cycle(12).edges
-    g = dz.build_chorded_cycle(4, [(1, 5), (2, 7)])
-    for v in dz.chorded_cycle_designated(4):
+    g = build_chorded_cycle(4, [(1, 5), (2, 7)])
+    for v in chorded_cycle_designated(4):
         assert g.degree(v) == 2
     with pytest.raises(dz.DesignError):
-        dz.build_chorded_cycle(4, [(0, 5)])  # touches a designated node
+        build_chorded_cycle(4, [(0, 5)])  # touches a designated node
     with pytest.raises(dz.DesignError):
-        dz.build_chorded_cycle(4, [(1, 2)])  # duplicates a cycle edge
+        build_chorded_cycle(4, [(1, 2)])  # duplicates a cycle edge
     with pytest.raises(dz.DesignError):
-        dz.build_chorded_cycle(1, [])
+        build_chorded_cycle(1, [])
 
 
 def test_seeker_strategy_shapes():
@@ -197,7 +250,7 @@ def test_seeker_strategy_secures_bound_on_every_small_graph():
     # with 2-node components are excluded: the classification deliberately
     # routes those endpoints to the residual set, where the guarantee
     # arithmetic does not apply (and such graphs are never optimal).
-    from hsnet.oracle import enumerate_graphs
+    from hsnet.graphs import enumerate_graphs
     import hsnet.closed_form as cf
 
     tested = 0
@@ -320,6 +373,40 @@ def test_design_json_and_dot():
     assert "--" in dot
 
 
+# The verify grid (linear and power x^2 at every beta of BETA_GRID), plus
+# ratio_power gamma = 2 and the float-backed power gamma = 3/2.
+DESIGN_GRID = tuple(
+    make(beta)
+    for make in (identity_u, square_u, ratio_u, lambda b: UtilitySpec.power(F(3, 2), b))
+    for beta in BETA_GRID
+)
+
+# SHA-256 over format_json(to_json_dict()) then to_dot() of design_optimal(n, u)
+# for each u of DESIGN_GRID and n = 1..40, taken before each design was built
+# in one pass.
+DESIGN_GRID_SHA256 = "363f46ec7bea3d35925e2d10e85d99fdf7d912753b6646f27dcb41790f3a97aa"
+
+
+@functools.lru_cache(maxsize=None)
+def grid_designs():
+    return tuple((n, dz.design_optimal(n, u)) for u in DESIGN_GRID for n in range(1, 41))
+
+
+def test_design_bytes_pinned_over_the_grid():
+    digest = hashlib.sha256()
+    for _, res in grid_designs():
+        digest.update(format_json(res.to_json_dict()).encode())
+        digest.update(res.to_dot().encode())
+    assert digest.hexdigest() == DESIGN_GRID_SHA256
+
+
+def test_design_roles_are_those_of_its_topology():
+    for n, res in grid_designs():
+        topo = dz.design_topology(n, res.s_star, res.topology)
+        for name in dz.DesignTopology._fields:
+            assert getattr(res, name) == getattr(topo, name), (n, name)
+
+
 def test_cycle_and_cp_capture_rates():
     u = identity_u(1)
     for k in range(4, 13):
@@ -338,7 +425,7 @@ def test_chorded_cycle_values_match_plain_cycle():
     u = square_u(1)
     base = solve_zero_sum(payoff_matrix(dz.build_cycle(12), u)).value
     for chords in ([], [(1, 5)], [(2, 7), (8, 10)]):
-        g, h, s = dz.chorded_cycle_equilibrium(4, chords)
+        g, h, s = chorded_cycle_equilibrium(4, chords)
         m = payoff_matrix(g, u)
         assert best_response_gap(m, h, s) == (0, 0)
         assert strategy_payoff(m, h, s) == base

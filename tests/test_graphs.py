@@ -16,7 +16,6 @@ from hsnet.graphs import (
     _key_masks,
     canonical_form,
     canonical_key_edges,
-    classify,
     components,
     enumerate_graphs,
     enumerate_keys,
@@ -32,7 +31,13 @@ from hsnet.graphs import (
     to_dot,
     twin_classes,
 )
-from hsnet.designer import MAXIMAL_CP_EVEN, build_cycle, build_maximal_cp, design_topology
+from hsnet.designer import (
+    MAXIMAL_CP_EVEN,
+    build_cycle,
+    build_maximal_cp,
+    classify,
+    design_topology,
+)
 
 from conftest import graph_and_permutation, graphs, relabel
 
@@ -52,6 +57,15 @@ def test_graph_invariants_enforced():
     assert g.edges == frozenset({(0, 2), (1, 3)})
     assert g.neighbors(0) == (2,)
     assert g.degree(3) == 1
+
+
+def test_graph_refuses_bool_node_ids_and_counts():
+    with pytest.raises(GraphError, match="not an int"):
+        Graph(2, [(0, True)])
+    with pytest.raises(GraphError, match="must be an int"):
+        Graph(True)
+    with pytest.raises(GraphError, match="not an int"):
+        Graph(3, [(1.0, 2)])
 
 
 def test_neighbor_symmetry_random():
@@ -203,8 +217,6 @@ def test_canonical_form_permutation_invariance():
 
 
 def test_canonical_form_invariance_every_graph_up_to_six():
-    from hsnet.oracle import enumerate_graphs
-
     rng = random.Random(99)
     for n in range(1, 7):
         for g in enumerate_graphs(n):
@@ -275,8 +287,6 @@ def brute_canonical_form(g):
 
 
 def test_canonical_form_matches_bruteforce_definition():
-    from hsnet.oracle import enumerate_graphs
-
     for n in range(0, 6):
         pairs = list(itertools.combinations(range(n), 2))
         for mask in range(1 << len(pairs)):

@@ -111,7 +111,7 @@ def test_duality_certificate_on_random_graphs():
 
 
 def test_zero_gap_certificate_every_graph_up_to_five():
-    from hsnet.oracle import enumerate_graphs
+    from hsnet.graphs import enumerate_graphs
 
     u = identity_u(F(3, 2))
     for n in range(1, 6):
@@ -122,7 +122,7 @@ def test_zero_gap_certificate_every_graph_up_to_five():
 
 
 def test_zero_gap_certificate_sampled_larger_graphs():
-    from hsnet.oracle import enumerate_graphs
+    from hsnet.graphs import enumerate_graphs
 
     rng = random.Random(8)
     for n in (6, 7):
@@ -168,7 +168,7 @@ def test_max_optimal_mass_properties():
     """Two facts that need no LP: a row carries the whole mass exactly when it
     guarantees the value on its own, and no optimal strategy, the solver's
     included, puts more on a row than the probe allows."""
-    from hsnet.oracle import enumerate_graphs
+    from hsnet.graphs import enumerate_graphs
 
     rng = random.Random(17)
     games = []

@@ -15,13 +15,13 @@ from hsnet.graphs import (
     _representative_keys,
     canonical_form,
     components,
+    enumerate_graphs,
     graph_from_canonical_key,
     Graph,
 )
 from hsnet.oracle import (
     EnumerationError,
     _worker_count,
-    enumerate_graphs,
     exhaustive_optimum,
     hider_value,
     verify_grid,

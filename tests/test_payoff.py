@@ -500,7 +500,7 @@ def test_strategy_payoffs_every_labelled_graph_up_to_five():
 
 
 def test_strategy_payoffs_relabelled_representatives():
-    from hsnet.oracle import enumerate_graphs
+    from hsnet.graphs import enumerate_graphs
 
     rng = random.Random(67)
     for n in (6, 7):

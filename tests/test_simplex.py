@@ -8,7 +8,7 @@ import pytest
 
 import hsnet.matrix_game
 from hsnet.matrix_game import max_optimal_mass, solve_zero_sum
-from hsnet.oracle import enumerate_graphs
+from hsnet.graphs import enumerate_graphs
 from hsnet.payoff import UtilitySpec, payoff_matrix
 from hsnet.rationals import over_common_denominator
 from hsnet.simplex import UnboundedError
