@@ -7,9 +7,11 @@ three orphaned core nodes, the middle one wired to exactly the other two,
 when odd).  ``design_topology`` is the one builder: it writes a layout's edges
 and node roles in one pass.  ``design_optimal`` picks the best isolated-node
 count, builds the layout, attaches both players' closed-form strategies (the
-hider's read off the roles, the seeker's off ``classify``), and certifies the
-pair by a zero best-response gap.  The gap is computed exactly from the graph
-(``payoff.strategy_payoffs``) without building the n x n payoff matrix.
+hider's read off the roles, the seeker's off ``classify``, which counts each
+node's leaf and residual neighbours in its neighbour tuple and builds no
+subgraph), and certifies the pair by a zero best-response gap.  The gap is
+computed exactly from the graph (``payoff.strategy_payoffs``) without
+building the n x n payoff matrix.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from fractions import Fraction
 from . import closed_form as cf
 from .graphs import (
     Graph,
-    components,
     graph_to_json_dict,
     induced_subgraph,
     is_connected,
@@ -155,9 +156,11 @@ class SeekerPartition(Record):
     singletons: degree-0 nodes.
     singleton_leaves: leaves whose (unique) neighbor has no other leaf.
     m_nodes: the attachment nodes of singleton leaves, one per leaf.
-    r_nodes: everything else.  ``gr`` is the subgraph induced on r_nodes
-    (gr node i corresponds to original id gr_nodes[i]); ``d_gr`` contains
-    the r-nodes lying in 2-node components of gr.
+    r_nodes: everything else, the residual set.  ``r_degree[v]`` is v's
+    degree in the subgraph induced on r_nodes, and 0 for v outside it;
+    ``d_gr`` holds the residual nodes of residual degree 1 whose one
+    residual neighbour has residual degree 1: the 2-node pieces of that
+    subgraph.  No subgraph is built.
 
     The classes are pairwise disjoint and cover all nodes, so
     ``len(r_nodes) == n - s - 2m`` always holds.
@@ -165,30 +168,19 @@ class SeekerPartition(Record):
 
     __slots__ = _fields = (
         "singletons", "leaves", "leaf_neighbor_count", "m_nodes",
-        "singleton_leaves", "r_nodes", "gr", "gr_nodes", "d_gr",
+        "singleton_leaves", "r_nodes", "r_degree", "d_gr",
     )
-
-    @property
-    def singleton_count(self) -> int:
-        return len(self.singletons)
-
-    @property
-    def m_count(self) -> int:
-        return len(self.m_nodes)
-
-    @property
-    def r_count(self) -> int:
-        return len(self.r_nodes)
 
 
 def classify(g: Graph) -> SeekerPartition:
-    """Compute the seeker's node classification.
+    """Compute the seeker's node classification from degrees and neighbour
+    tuples, in O(n + e).
 
     A node joins ``m_nodes`` when it has exactly one leaf neighbor and is not
     itself a leaf; the non-leaf condition keeps the classes disjoint on
     2-node components (both endpoints of an isolated edge would otherwise
     count as attachment node and leaf at once).  Endpoints of isolated edges
-    therefore land in ``r_nodes`` and, inside gr, in ``d_gr``.
+    therefore land in ``r_nodes`` and in ``d_gr``.
     """
     n = g.node_count
     degrees = g.degrees()
@@ -198,23 +190,23 @@ def classify(g: Graph) -> SeekerPartition:
     m_nodes = frozenset(
         i for i in range(n) if lcount[i] == 1 and i not in leaves
     )
-    singleton_leaves = frozenset(
-        i for i in leaves if any(j in m_nodes for j in g.neighbors(i))
-    )
+    singleton_leaves = frozenset(i for i in leaves if g.neighbors(i)[0] in m_nodes)
     claimed = singletons | singleton_leaves | m_nodes
-    r_nodes = frozenset(i for i in range(n) if i not in claimed)
-    gr_nodes = tuple(sorted(r_nodes))
-    gr = induced_subgraph(g, gr_nodes)
-    gr_parts = components(gr)
+    residual = [i not in claimed for i in range(n)]
+    r_degree = tuple(
+        sum(residual[j] for j in g.neighbors(i)) if residual[i] else 0 for i in range(n)
+    )
+    r_nodes = frozenset(i for i in range(n) if residual[i])
+    # Off r_nodes the residual degree is 0, so the one neighbour of residual
+    # degree 1 is the residual one.
     d_gr = frozenset(
-        gr_nodes[i]
-        for i in range(gr.node_count)
-        if gr_parts.size_of(i) == 2
+        i for i in r_nodes
+        if r_degree[i] == 1 and any(r_degree[j] == 1 for j in g.neighbors(i))
     )
     assert len(m_nodes) == len(singleton_leaves)
     assert len(r_nodes) == n - len(singletons) - 2 * len(m_nodes)
     return SeekerPartition(
-        singletons, leaves, lcount, m_nodes, singleton_leaves, r_nodes, gr, gr_nodes, d_gr,
+        singletons, leaves, lcount, m_nodes, singleton_leaves, r_nodes, r_degree, d_gr,
     )
 
 
@@ -230,42 +222,37 @@ def seeker_strategy(g: Graph, u: UtilitySpec) -> MixedStrategy:
     if n == 0:
         raise DesignError("seeker strategy needs at least one node")
     part = classify(g)
-    s = part.singleton_count
-    m = part.m_count
-    probs = [ZERO] * n
+    s, m, r = len(part.singletons), len(part.m_nodes), len(part.r_nodes)
     if s == n:
         return MixedStrategy.uniform(n)
 
-    if s == 0:
-        lam_s = ZERO
-    elif n - s >= 4:
-        lam_s = cf.singleton_seek_weight(n, m, s, u)
-    else:
-        lam_s = ZERO  # tiny connected parts: all mass stays outside singletons
-    if part.r_count == 0:
+    # Tiny connected parts (n - s < 4) keep all mass outside the singletons.
+    lam_s = cf.singleton_seek_weight(n, m, s, u) if s and n - s >= 4 else ZERO
+    if r == 0:
         lam_r = ZERO
     elif m == 0:
         lam_r = ONE
     else:
         lam_r = cf.interior_seek_weight(n, m, s, u)
 
-    if s:
-        for v in part.singletons:
-            probs[v] = lam_s / s
+    # Each class's share of one node; a residual node that is not a leaf of
+    # the residual subgraph also takes the share of each leaf hanging off it.
     rest = ONE - lam_s
-    if part.r_count:
-        r = part.r_count
-        gr = part.gr
-        gr_leaves = {i for i in range(gr.node_count) if gr.degree(i) == 1}
-        for i, v in enumerate(part.gr_nodes):
-            if i not in gr_leaves:
-                leaf_neighbors = sum(1 for j in gr.neighbors(i) if j in gr_leaves)
-                probs[v] += rest * lam_r * Fraction(leaf_neighbors + 1, r)
+    per_s = lam_s / s if s else ZERO
+    per_m = rest * (ONE - lam_r) / m if m else ZERO
+    per_r = rest * lam_r / r if r else ZERO
+    r_degree = part.r_degree
+    probs = [ZERO] * n
+    for v in range(n):
+        if v in part.r_nodes:
+            if r_degree[v] != 1:
+                probs[v] = per_r * (1 + sum(r_degree[j] == 1 for j in g.neighbors(v)))
             elif v in part.d_gr:
-                probs[v] += rest * lam_r * Fraction(1, r)
-    if m:
-        for v in part.m_nodes:
-            probs[v] += rest * (ONE - lam_r) / m
+                probs[v] = per_r
+        elif v in part.m_nodes:
+            probs[v] = per_m
+        elif v in part.singletons:
+            probs[v] = per_s
     return MixedStrategy(probs)
 
 

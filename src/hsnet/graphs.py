@@ -7,12 +7,14 @@ object in this module can be shared freely across worker processes.
 The seeker's inspection deletes a node, and every structure query here is
 about such deletions.  One low-link depth-first search (Tarjan, SIAM J.
 Comput. 1, 1972) answers them all: the components, 2-connectivity, and, in
-``hsnet.payoff``, the component sizes of every G - k.  Besides those and
-induced subgraphs this module provides:
+``hsnet.payoff``, the component sizes of every G - k.  Captures and the
+seeker's node classes need only the neighbour tuples.  Besides those and
+induced subgraphs (built only by the verifier's shape recognizers) this
+module provides:
 
 * ``canonical_form`` -- an isomorphism-invariant key for small graphs; it,
   ``twin_classes`` and enumeration are the only code that builds neighbour
-  bitmasks, for n <= 8;
+  bitmasks (``neighbor_mask`` is called by ``_masks_of`` alone), for n <= 8;
 * ``enumerate_graphs`` -- every graph on n <= 8 nodes up to isomorphism,
   the input of the brute-force verifier in ``hsnet.oracle``;
   ``enumerate_keys`` gives their canonical keys alone, with no Graph built.
@@ -131,9 +133,6 @@ class ComponentPartition:
         self.components = components
         self.component_of = component_of
 
-    def size_of(self, node: int) -> int:
-        return len(self.components[self.component_of[node]])
-
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.components)
 
@@ -215,11 +214,13 @@ def components(g: Graph) -> ComponentPartition:
 
 def induced_subgraph(g: Graph, nodes) -> Graph:
     """Subgraph on ``nodes`` with exactly the internal edges, relabeled in
-    sorted-node order."""
+    sorted-node order.  Each id must be exactly an int in 0..n-1 (a bool, a
+    float or a str is a GraphError)."""
+    nodes = list(nodes)
+    for v in nodes:
+        if type(v) is not int or not 0 <= v < g.node_count:
+            raise GraphError(f"node {v!r} is not a node id in 0..{g.node_count - 1}")
     order = sorted(set(nodes))
-    for v in order:
-        if not (0 <= v < g.node_count):
-            raise GraphError(f"node {v} out of range")
     index = {v: i for i, v in enumerate(order)}
     edges = [
         (index[i], index[j]) for (i, j) in g.edges if i in index and j in index
@@ -444,10 +445,11 @@ def _representative_keys(n: int) -> tuple:
 
 def enumerate_keys(n: int) -> tuple:
     """The canonical keys of all graphs on n nodes, one per isomorphism
-    class, sorted."""
-    if n < 0 or n > ENUMERATION_LIMIT:
+    class, sorted.  n must be exactly an int (a bool or a float is an
+    EnumerationError)."""
+    if type(n) is not int or n < 0 or n > ENUMERATION_LIMIT:
         raise EnumerationError(
-            f"enumeration supports 0 <= n <= {ENUMERATION_LIMIT}, got {n}"
+            f"enumeration supports 0 <= n <= {ENUMERATION_LIMIT}, got {n!r}"
         )
     return _representative_keys(n)
 

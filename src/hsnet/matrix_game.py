@@ -49,17 +49,6 @@ class MixedStrategy:
     def uniform(n: int) -> "MixedStrategy":
         return MixedStrategy([Fraction(1, n)] * n)
 
-    @staticmethod
-    def uniform_over(indices, n: int) -> "MixedStrategy":
-        idx = sorted(set(indices))
-        if not idx:
-            raise ValueError("uniform_over needs a nonempty index set")
-        p = Fraction(1, len(idx))
-        probs = [ZERO] * n
-        for i in idx:
-            probs[i] = p
-        return MixedStrategy(probs)
-
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, p in enumerate(self.probs) if p > 0)
 
@@ -176,7 +165,8 @@ def max_optimal_mass(matrix, value: Fraction, index: int) -> Fraction:
 
     Maximizes x[index] over the full polytope of optimal row strategies (those
     guaranteeing ``value``, the game's value, against every column).  A zero
-    answer certifies that no equilibrium uses the action at all.
+    answer certifies that no equilibrium uses the action at all.  ``index``
+    must be exactly an int row index (a bool or a float is a ValueError).
 
     With M' the shifted matrix, v' = p/q the shifted value and T = 1/v', the
     scaled optimal strategies are the y >= 0 with M'^T y >= 1 and sum(y) <= T.
@@ -189,8 +179,8 @@ def max_optimal_mass(matrix, value: Fraction, index: int) -> Fraction:
     the rows scaled by D and the objective by p > 0, whose optimum is p z.
     """
     rows = _entries(matrix)
-    if not (0 <= index < len(rows)):
-        raise ValueError("row index out of range")
+    if type(index) is not int or not 0 <= index < len(rows):
+        raise ValueError(f"row index must be an int in 0..{len(rows) - 1}, got {index!r}")
     if type(value) is not int and type(value) is not Fraction:
         raise ValueError("value must be int or Fraction")
     shifted, den, shift = _integer_rows(rows)

@@ -4,6 +4,8 @@ The hider's payoff against an inspected node k is -beta when caught (hiding
 at k or any of its neighbors) and otherwise the component value f applied to
 the size of the hider's component once k is deleted.  The game is zero-sum;
 only the hider matrix is stored, the seeker's payoffs are its negation.
+Every query here reads captures straight off the graph's neighbour tuples,
+and component sizes off one low-link DFS; no neighbour bitmask is built.
 
 Component values f are strictly increasing with f(0) = 0.  ``FAMILIES`` is
 the one table of the built-in families: each family's parameter name (in JSON
@@ -200,11 +202,6 @@ def builtin_utilities(name: str, params: dict | None = None, beta=0) -> UtilityS
 # -- payoff structure -------------------------------------------------------
 
 
-def capture_set(g: Graph, k: int) -> int:
-    """Bitmask of hider positions caught when the seeker inspects k."""
-    return g.neighbor_mask(k) | (1 << k)
-
-
 def payoff_matrix(g: Graph, u: UtilitySpec) -> tuple:
     """Hider-payoff matrix of a graph with at least one node, as a tuple of
     rows of Fractions: row h is the hider's position, column k the node the
@@ -212,7 +209,10 @@ def payoff_matrix(g: Graph, u: UtilitySpec) -> tuple:
 
     One low-link DFS gives every column's component sizes: deleting k leaves
     its separated child subtrees, the rest of k's component, and the other
-    components unchanged (``graphs._deletion_pieces``).
+    components unchanged (``graphs._deletion_pieces``).  Each column holds 0
+    where k's inspection catches the hider, at k and its neighbours, and the
+    hider's component size elsewhere: a pattern that no utility enters.  The
+    matrix maps 0 to -beta and a size c >= 1 to f(c).
     """
     n = g.node_count
     if n < 1:
@@ -220,7 +220,9 @@ def payoff_matrix(g: Graph, u: UtilitySpec) -> tuple:
     links = _dfs_low_links(g)
     order, tin, _, size, _, comp_start = links
     whole = [size[order[comp_start[v]]] for v in order]  # by preorder position
-    sizes = []  # sizes[k][tin[h]]: h's component size once k is deleted
+    # sizes[k][tin[h]]: 0 if inspecting k catches h, else h's component size
+    # once k is deleted.
+    sizes = []
     for k in range(n):
         pieces, rest = _deletion_pieces(links, k)
         a, c = comp_start[k], whole[tin[k]]
@@ -229,12 +231,14 @@ def payoff_matrix(g: Graph, u: UtilitySpec) -> tuple:
         for ch in pieces:
             t = tin[ch]
             column[t : t + size[ch]] = [size[ch]] * size[ch]
+        column[tin[k]] = 0
+        for w in g.neighbors(k):
+            column[tin[w]] = 0
         sizes.append(column)
-    caps = [capture_set(g, k) for k in range(n)]
     caught = -u.beta
     return tuple(
-        tuple(caught if caps[k] >> h & 1 else u.value(sizes[k][t]) for k in range(n))
-        for h, t in enumerate(tin)
+        tuple(u.value(column[t]) if column[t] else caught for column in sizes)
+        for t in tin
     )
 
 
@@ -354,7 +358,8 @@ def capture_probability(g: Graph, hider, seeker, within=None) -> Fraction:
     capture rate inside a single component of a larger design).  Every
     probability must be an int or a Fraction, and every node of ``within`` an
     int in 0..n-1; anything else, a float, a string or a bool included, is a
-    ValueError.
+    ValueError.  Inspecting k catches the hider mass on k and its neighbours,
+    so the sum takes O(n + e) exact operations.
     """
     n = g.node_count
     hider, seeker = list(hider), list(seeker)
@@ -377,9 +382,6 @@ def capture_probability(g: Graph, hider, seeker, within=None) -> Fraction:
         sp = [sp[i] / smass if i in inside else Fraction(0) for i in range(n)]
     total = Fraction(0)
     for k in range(n):
-        if sp[k] == 0:
-            continue
-        caught = capture_set(g, k)
-        mass = sum(hp[h] for h in range(n) if caught >> h & 1)
-        total += sp[k] * mass
+        if sp[k]:
+            total += sp[k] * (hp[k] + sum(hp[w] for w in g.neighbors(k)))
     return total

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import hsnet
 from hsnet.graphs import Graph
+from hsnet.matrix_game import MixedStrategy
 from hsnet.oracle import exhaustive_optimum
 from hsnet.payoff import UtilitySpec
 
@@ -42,6 +43,19 @@ def strategy_payoff(matrix, row, col):
         if p:
             total += p * sum(v * q for v, q in zip(r, col))
     return total
+
+
+def uniform_over(indices, n):
+    """The mixed strategy uniform on the distinct ``indices`` among n
+    actions."""
+    idx = sorted(set(indices))
+    if not idx:
+        raise ValueError("uniform_over needs a nonempty index set")
+    p = Fraction(1, len(idx))
+    probs = [Fraction(0)] * n
+    for i in idx:
+        probs[i] = p
+    return MixedStrategy(probs)
 
 
 BETA_GRID = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5), Fraction(50))

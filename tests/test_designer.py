@@ -1,18 +1,29 @@
 """Builders, strategies, and certified optimal designs."""
 
+import collections
 import functools
 import hashlib
 import itertools
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
+import hsnet.closed_form as cf
 import hsnet.designer as dz
 from hsnet.cli import format_json
 from hsnet.designer import classify
-from hsnet.graphs import Graph, components, is_connected, is_two_connected
+from hsnet.graphs import (
+    Graph,
+    components,
+    enumerate_graphs,
+    induced_subgraph,
+    is_connected,
+    is_two_connected,
+)
 from hsnet.matrix_game import (
     MixedStrategy,
     best_response_gap,
@@ -21,7 +32,16 @@ from hsnet.matrix_game import (
 )
 from hsnet.payoff import UtilitySpec, capture_probability, payoff_matrix, strategy_payoffs
 
-from conftest import identity_u, square_u, ratio_u, strategy_payoff, BETA_GRID
+from conftest import (
+    BETA_GRID,
+    graph_and_permutation,
+    identity_u,
+    ratio_u,
+    relabel,
+    square_u,
+    strategy_payoff,
+    uniform_over,
+)
 
 
 def test_build_cycle():
@@ -117,7 +137,7 @@ def test_build_core_periphery():
 def test_build_maximal_cp_shapes():
     g8 = dz.build_maximal_cp(8)
     part = classify(g8)
-    assert len(part.singleton_leaves) == 4 and part.r_count == 0
+    assert len(part.singleton_leaves) == 4 and len(part.r_nodes) == 0
 
     g16 = dz.build_maximal_cp(16)
     part = classify(g16)
@@ -199,7 +219,7 @@ def chorded_cycle_equilibrium(t: int, chords):
     chord set; with no chords the hider margin extends to the full cycle.
     """
     g = build_chorded_cycle(t, chords)
-    hider = MixedStrategy.uniform_over(chorded_cycle_designated(t), g.node_count)
+    hider = uniform_over(chorded_cycle_designated(t), g.node_count)
     seeker = MixedStrategy.uniform(g.node_count)
     return g, hider, seeker
 
@@ -250,16 +270,13 @@ def test_seeker_strategy_secures_bound_on_every_small_graph():
     # with 2-node components are excluded: the classification deliberately
     # routes those endpoints to the residual set, where the guarantee
     # arithmetic does not apply (and such graphs are never optimal).
-    from hsnet.graphs import enumerate_graphs
-    import hsnet.closed_form as cf
-
     tested = 0
     for n in range(4, 7):
         for g in enumerate_graphs(n):
             if 2 in components(g).sizes():
                 continue
             part = classify(g)
-            s, m = part.singleton_count, part.m_count
+            s, m = len(part.singletons), len(part.m_nodes)
             if not (s <= n - 4 or s == n):
                 continue
             for u in (identity_u(2), square_u(F(1, 2)), identity_u(0)):
@@ -276,6 +293,156 @@ def test_seeker_strategy_secures_bound_on_every_small_graph():
                 assert -worst >= bound, (n, sorted(g.edges), u.family)
                 tested += 1
     assert tested > 500
+
+
+# -- the residual-subgraph classification, kept as the oracle --------------
+
+
+def residual_subgraph(g):
+    """(gr_nodes, gr, sizes): the subgraph induced on the residual set,
+    relabelled in sorted order, and the size of each gr node's component."""
+    gr_nodes = tuple(sorted(classify(g).r_nodes))
+    gr = induced_subgraph(g, gr_nodes)
+    parts = components(gr)
+    return gr_nodes, gr, [len(parts.components[c]) for c in parts.component_of]
+
+
+def residual_classes_by_subgraph(g):
+    """(r_degree, d_gr) read off the residual subgraph and its components."""
+    gr_nodes, gr, sizes = residual_subgraph(g)
+    r_degree = [0] * g.node_count
+    for i, v in enumerate(gr_nodes):
+        r_degree[v] = gr.degree(i)
+    return tuple(r_degree), frozenset(v for i, v in enumerate(gr_nodes) if sizes[i] == 2)
+
+
+def seeker_strategy_by_subgraph(g, u):
+    """The closed-form seeker with the residual masses spread over the
+    residual subgraph: a non-leaf takes its own share plus one per leaf
+    neighbour, a leaf of a 2-node component keeps its share."""
+    n = g.node_count
+    part = classify(g)
+    s, m, r = len(part.singletons), len(part.m_nodes), len(part.r_nodes)
+    if s == n:
+        return MixedStrategy.uniform(n)
+    lam_s = cf.singleton_seek_weight(n, m, s, u) if s and n - s >= 4 else F(0)
+    if r == 0:
+        lam_r = F(0)
+    else:
+        lam_r = F(1) if m == 0 else cf.interior_seek_weight(n, m, s, u)
+    probs = [F(0)] * n
+    for v in part.singletons:
+        probs[v] = lam_s / s
+    rest = 1 - lam_s
+    gr_nodes, gr, sizes = residual_subgraph(g)
+    gr_leaves = {i for i in range(gr.node_count) if gr.degree(i) == 1}
+    for i, v in enumerate(gr_nodes):
+        if i not in gr_leaves:
+            leaf_neighbors = sum(1 for j in gr.neighbors(i) if j in gr_leaves)
+            probs[v] += rest * lam_r * F(leaf_neighbors + 1, r)
+        elif sizes[i] == 2:
+            probs[v] += rest * lam_r * F(1, r)
+    for v in part.m_nodes:
+        probs[v] += rest * (1 - lam_r) / m
+    return MixedStrategy(probs)
+
+
+ORACLE_UTILITIES = (identity_u(2), square_u(F(1, 2)), ratio_u(1), identity_u(0))
+
+
+def assert_seeker_matches_subgraph_oracle(g):
+    part = classify(g)
+    assert (part.r_degree, part.d_gr) == residual_classes_by_subgraph(g), g
+    if g.node_count:
+        for u in ORACLE_UTILITIES:
+            assert dz.seeker_strategy(g, u).probs == seeker_strategy_by_subgraph(g, u).probs, (g, u)
+
+
+def test_seeker_matches_subgraph_oracle_on_every_graph_up_to_seven():
+    rng = random.Random(15)
+    for n in range(0, 8):
+        for g in enumerate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert_seeker_matches_subgraph_oracle(g)
+            assert_seeker_matches_subgraph_oracle(relabel(g, perm))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(graph_and_permutation(max_nodes=12))
+def test_seeker_matches_subgraph_oracle_under_relabelling(case):
+    g, perm = case
+    assert_seeker_matches_subgraph_oracle(g)
+    assert_seeker_matches_subgraph_oracle(relabel(g, perm))
+
+
+def test_classify_residual_pieces():
+    # An isolated edge, a path 2-3-4 (its middle node holds two leaves, so
+    # none of the three is claimed) and a triangle: all residual, and only
+    # the edge is a 2-node piece.
+    g = Graph(8, [(0, 1), (2, 3), (3, 4), (5, 6), (6, 7), (5, 7)])
+    part = classify(g)
+    assert part.r_nodes == frozenset(range(8))
+    assert part.r_degree == (1, 1, 1, 2, 1, 2, 2, 2)
+    assert part.d_gr == frozenset({0, 1})
+
+
+# -- no bitmask or subgraph on the payoff and design paths ------------------
+
+
+def count_calls(monkeypatch):
+    """Counter of Graph constructions and of neighbor_mask and
+    induced_subgraph calls, however they are reached, while the test runs."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Graph, "__init__", counted("Graph", Graph.__init__))
+    monkeypatch.setattr(Graph, "neighbor_mask", counted("neighbor_mask", Graph.neighbor_mask))
+    wrapped = counted("induced_subgraph", induced_subgraph)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hsnet.") and hasattr(module, "induced_subgraph"):
+            monkeypatch.setattr(module, "induced_subgraph", wrapped)
+    return calls
+
+
+def test_design_builds_one_graph_and_no_mask_or_subgraph(monkeypatch):
+    cases = [
+        (5, identity_u(50), dz.ALL_SINGLETONS),
+        (10, square_u(F(1, 2)), dz.CYCLE),
+        (10, identity_u(2), dz.MAXIMAL_CP_EVEN),
+        (9, identity_u(2), dz.MAXIMAL_CP_ODD),
+        (7, identity_u(13), dz.MAXIMAL_CP_EVEN),  # one isolated node
+    ]
+    calls = count_calls(monkeypatch)
+    for n, u, tag in cases:
+        calls.clear()
+        assert dz.design_optimal(n, u).topology == tag
+        assert calls == {"Graph": 1}, (n, tag)
+
+
+def test_payoff_and_seeker_queries_build_no_mask_or_subgraph(monkeypatch):
+    graphs = [
+        dz.build_cycle(6),
+        dz.build_maximal_cp(9),
+        Graph(8, [(0, 1), (2, 3), (3, 4), (5, 6), (6, 7), (5, 7)]),
+        Graph(7, [(0, 1), (1, 2), (1, 3), (3, 4)]),
+    ]
+    u = identity_u(2)
+    calls = count_calls(monkeypatch)
+    for g in graphs:
+        uniform = [F(1, g.node_count)] * g.node_count
+        payoff_matrix(g, u)
+        capture_probability(g, uniform, uniform)
+        capture_probability(g, uniform, uniform, within=range(3))
+        classify(g)
+        dz.seeker_strategy(g, u)
+    assert calls == {}
 
 
 def test_hider_strategy_shapes():
@@ -355,8 +522,6 @@ def test_design_with_interior_singleton_count():
 
 
 def test_design_interior_tie_returns_both_counts():
-    import hsnet.closed_form as cf
-
     counts, bound = cf.optimal_singleton_counts(5, identity_u(4))
     assert counts == (1, 5) and bound == 0
     # smallest-count policy picks the more connected design

@@ -18,7 +18,7 @@ from hsnet.matrix_game import (
 from hsnet.payoff import UtilitySpec, payoff_matrix
 from hsnet.designer import build_cycle
 
-from conftest import identity_u, square_u, strategy_payoff
+from conftest import identity_u, square_u, strategy_payoff, uniform_over
 
 
 PENNIES = [[1, -1], [-1, 1]]
@@ -55,7 +55,7 @@ def test_strategy_validation():
         MixedStrategy([F(1, 2), F(1, 3)])
     with pytest.raises(ValueError):
         MixedStrategy([F(3, 2), F(-1, 2)])
-    s = MixedStrategy.uniform_over([0, 2], 4)
+    s = uniform_over([0, 2], 4)
     assert s.probs == (F(1, 2), 0, F(1, 2), 0)
     assert s.support() == (0, 2)
 
@@ -206,6 +206,15 @@ def test_entries_must_be_int_or_fraction(matrix):
             solve(matrix)
     with pytest.raises(ValueError, match="int or Fraction"):
         max_optimal_mass(matrix, F(0), 0)
+
+
+def test_max_optimal_mass_index_must_be_an_int():
+    # True == 1 and 1.0 == 1, but a row index is exactly an int.
+    identity = [[1, 0], [0, 1]]
+    assert max_optimal_mass(identity, F(1, 2), 1) == F(1, 2)
+    for index in (True, False, 1.0, 0.0, "1", None, F(1), -1, 2):
+        with pytest.raises(ValueError, match="row index must be an int"):
+            max_optimal_mass(identity, F(1, 2), index)
 
 
 def test_max_optimal_mass_rejects_a_value_below_the_matrix():

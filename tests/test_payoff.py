@@ -7,11 +7,11 @@ from fractions import Fraction as F
 from importlib import resources
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hsnet.cli import main
 from hsnet.designer import build_cycle, build_maximal_cp
-from hsnet.graphs import Graph, GraphError
+from hsnet.graphs import Graph, GraphError, enumerate_graphs
 from hsnet.payoff import (
     FAMILIES,
     UtilityError,
@@ -22,7 +22,7 @@ from hsnet.payoff import (
     strategy_payoffs,
 )
 
-from conftest import identity_u, square_u, ratio_u
+from conftest import graph_and_permutation, identity_u, ratio_u, relabel, square_u
 
 
 def test_builtin_values():
@@ -414,6 +414,66 @@ def test_payoff_matrix_matches_per_column_search():
             g = relabelled(g, rng)
             for u in utilities:
                 assert payoff_matrix(g, u) == reference_payoff_matrix(g, u), (g, u.family)
+
+
+def capture_probability_by_bitmasks(g, hider, seeker, within=None):
+    """The capture probability summed over each inspected node's capture
+    bitmask, the node and its neighbours, scanned over all n positions."""
+    n = g.node_count
+    hp, sp = list(map(F, hider)), list(map(F, seeker))
+    if within is not None:
+        inside = set(within)
+        hmass = sum(hp[i] for i in inside)
+        smass = sum(sp[i] for i in inside)
+        if hmass == 0 or smass == 0:
+            raise ValueError("cannot condition on a zero-mass node set")
+        hp = [hp[i] / hmass if i in inside else F(0) for i in range(n)]
+        sp = [sp[i] / smass if i in inside else F(0) for i in range(n)]
+    total = F(0)
+    for k in range(n):
+        if sp[k]:
+            caught = g.neighbor_mask(k) | 1 << k
+            total += sp[k] * sum(hp[h] for h in range(n) if caught >> h & 1)
+    return total
+
+
+def random_exact_strategy(rng, n):
+    """Small-integer weights, some of them zero, over their total."""
+    weights = [rng.choice((0, 0, 1, 2, 3, 7)) for _ in range(n)]
+    weights[rng.randrange(n)] += 1
+    return [F(w, sum(weights)) for w in weights]
+
+
+def assert_capture_probability_matches_bitmasks(g, rng):
+    n = g.node_count
+    for _ in range(3):
+        hider, seeker = random_exact_strategy(rng, n), random_exact_strategy(rng, n)
+        within = None
+        if rng.random() < 2 / 3:
+            within = rng.sample(range(n), rng.randint(1, n))
+        try:
+            expected = capture_probability_by_bitmasks(g, hider, seeker, within)
+        except ValueError:
+            with pytest.raises(ValueError, match="zero-mass"):
+                capture_probability(g, hider, seeker, within)
+            continue
+        assert capture_probability(g, hider, seeker, within) == expected, (g, within)
+
+
+def test_capture_probability_matches_bitmasks_on_every_graph_up_to_seven():
+    rng = random.Random(43)
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            assert_capture_probability_matches_bitmasks(g, rng)
+            assert_capture_probability_matches_bitmasks(relabelled(g, rng), rng)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(graph_and_permutation(min_nodes=1, max_nodes=12), st.randoms(use_true_random=False))
+def test_capture_probability_matches_bitmasks_under_relabelling(case, rng):
+    g, perm = case
+    assert_capture_probability_matches_bitmasks(g, rng)
+    assert_capture_probability_matches_bitmasks(relabel(g, perm), rng)
 
 
 def test_capture_probability_conditioning():
