@@ -163,17 +163,18 @@ def _emit_json(args, data: dict):
 
 def cmd_solve(args) -> int:
     from .matrix_game import solve_zero_sum
-    from .payoff import capture_probability, payoff_matrix
+    from .payoff import capture_probability, integer_payoffs
     g = _load_graph(args.graph)
     u = _utility_from_args(args)
     if g.node_count < 1:
         raise CliError("cannot solve a game on an empty graph")
-    sol = solve_zero_sum(payoff_matrix(g, u))
+    rows, den = integer_payoffs(g, u)
+    sol = solve_zero_sum(rows)
     cap = capture_probability(g, sol.row_strategy, sol.col_strategy)
     num, inexact = _numeric_renderer(u)
     data = {
         "n": g.node_count,
-        "value": num(sol.value),
+        "value": num(sol.value / den),
         "hider_strategy": [num(p) for p in sol.row_strategy],
         "seeker_strategy": [num(p) for p in sol.col_strategy],
         "capture_probability": num(cap),

@@ -16,11 +16,11 @@ protected leaves in the connected part.  The quantities:
 * optimal_singleton_counts: the argmin set of that minimum.
 
 The threshold, both guarantees, the singleton seek weight and both bounds
-come from one integer kernel.  For each s, beta, f(1), f(x), f(x-1) and
-f(x-2) (x = n - s) are read as integers over their own least common
-denominator D, and each quantity is an integer numerator over a positive
-integer multiple of D.  The scan over s compares candidates by
-cross-multiplying and builds one Fraction, for the minimum.
+come from one integer kernel.  For each s, -beta, f(1), f(x), f(x-1) and
+f(x-2) (x = n - s) are read from ``UtilitySpec.integer_table``, the payoffs'
+one table, as integers over their own lcm D, and each quantity is an integer
+numerator over a positive integer multiple of D.  The scan over s compares
+candidates by cross-multiplying and builds one Fraction, for the minimum.
 
 Several identities that the formulas must satisfy (branch agreement, equal
 guarantees at the mixing weights) are asserted inline, as cross-multiplied
@@ -33,7 +33,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .payoff import UtilitySpec
-from .rationals import over_common_denominator
 from .records import Record
 
 ZERO = Fraction(0)
@@ -59,13 +58,6 @@ def _reject_near_full(n: int, s: int):
 
 
 # -- the integer kernel -------------------------------------------------------
-
-
-def _over_lcd(u: UtilitySpec, *sizes: int) -> tuple:
-    """beta, then f at each size, as integers over their least common
-    denominator D, with D last."""
-    ints, den = over_common_denominator([u.beta] + [u.value(x) for x in sizes])
-    return (*ints, den)
 
 
 def _threshold(x: int, b: int, fx1: int, fx2: int) -> int:
@@ -121,14 +113,14 @@ def _bound(x: int, m: int, s: int, b: int, f1: int, fx: int, fx1: int, fx2: int)
 def _context_bound(n: int, m: int, s: int, u: UtilitySpec) -> tuple:
     """_bound for (n, m, s) under u, then D."""
     x = n - s
-    b, fx1, fx2, f1, fx, den = _over_lcd(u, x - 1, x - 2, 1, x)
-    return (*_bound(x, m, s, b, f1, fx, fx1, fx2), den)
+    (nb, fx1, fx2, f1, fx), den = u.integer_table((0, x - 1, x - 2, 1, x))
+    return (*_bound(x, m, s, -nb, f1, fx, fx1, fx2), den)
 
 
 def _singleton(s: int, u: UtilitySpec) -> tuple:
     """(numerator, denominator) of the singleton guarantee B."""
-    b, f1, den = _over_lcd(u, 1)
-    return b - (s - 1) * f1, s * den
+    (nb, f1), den = u.integer_table((0, 1))
+    return -nb - (s - 1) * f1, s * den
 
 
 def _best_bound(n: int, s: int, u: UtilitySpec) -> tuple:
@@ -139,13 +131,13 @@ def _best_bound(n: int, s: int, u: UtilitySpec) -> tuple:
     if not 0 <= s <= n - 4:
         raise DomainError(f"invalid singleton count s={s} for n={n}")
     x = n - s
-    b, fx1, fx2, f1, fx, den = _over_lcd(u, x - 1, x - 2, 1, x)
+    (nb, fx1, fx2, f1, fx), den = u.integer_table((0, x - 1, x - 2, 1, x))
     # No leaves in the cycle regime, the parity-maximal count otherwise.
-    if _threshold(x, b, fx1, fx2) >= b:
+    if _threshold(x, -nb, fx1, fx2) >= -nb:
         m = 0
     else:
         m = x // 2 if x % 2 == 0 else (x - 3) // 2
-    w, g, q = _bound(x, m, s, b, f1, fx, fx1, fx2)
+    w, g, q = _bound(x, m, s, -nb, f1, fx, fx1, fx2)
     return q, g * den
 
 
@@ -162,8 +154,8 @@ def topology_threshold(n: int, s: int, u: UtilitySpec) -> Fraction:
     x = n - s
     if x < 3:
         raise DomainError(f"threshold needs n-s >= 3, got {x}")
-    b, fx1, fx2, den = _over_lcd(u, x - 1, x - 2)
-    return Fraction(_threshold(x, b, fx1, fx2), den)
+    (nb, fx1, fx2), den = u.integer_table((0, x - 1, x - 2))
+    return Fraction(_threshold(x, -nb, fx1, fx2), den)
 
 
 def component_guarantee(n: int, m: int, s: int, u: UtilitySpec) -> Fraction:
@@ -178,8 +170,8 @@ def component_guarantee(n: int, m: int, s: int, u: UtilitySpec) -> Fraction:
     x = n - s
     if x < 4:
         raise DomainError(f"component guarantee needs n-s >= 4, got {x}")
-    b, fx1, fx2, den = _over_lcd(u, x - 1, x - 2)
-    a, k = _component(x, m, b, fx1, fx2)
+    (nb, fx1, fx2), den = u.integer_table((0, x - 1, x - 2))
+    a, k = _component(x, m, -nb, fx1, fx2)
     return Fraction(a, k * den)
 
 
@@ -325,8 +317,8 @@ def periphery_hide_weight(n: int, s: int, u: UtilitySpec) -> Fraction:
 def optimal_singleton_counts(n: int, u: UtilitySpec) -> tuple[tuple[int, ...], Fraction]:
     """All isolated-node counts minimizing the seeker's bound, plus the
     minimum.  The hider's optimal payoff is minus that minimum."""
-    if n < 1:
-        raise DomainError("need n >= 1")
+    if type(n) is not int or n < 1:
+        raise DomainError(f"need an int n >= 1, got {n!r}")
     domain = list(range(0, n - 3)) if n >= 4 else []
     domain.append(n)
     winners, best_q, best_d = [], 0, 1

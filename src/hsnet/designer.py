@@ -10,7 +10,7 @@ count, builds the layout, attaches both players' closed-form strategies (the
 hider's read off the roles, the seeker's off ``classify``, which counts each
 node's leaf and residual neighbours in its neighbour tuple and builds no
 subgraph), and certifies the pair by a zero best-response gap.  The gap is
-computed exactly from the graph (``payoff.strategy_payoffs``) without
+computed in integers from the graph (``payoff.strategy_payoffs``), without
 building the n x n payoff matrix.
 """
 
@@ -69,8 +69,8 @@ def design_topology(n: int, s: int, tag: str) -> DesignTopology:
     orphaned, consecutive on the ring, so the middle one is adjacent to
     exactly the other two.
     """
-    if not 0 <= s <= n:
-        raise DesignError(f"need 0 <= s <= n, got s={s}")
+    if type(n) is not int or type(s) is not int or not 0 <= s <= n:
+        raise DesignError(f"need ints 0 <= s <= n, got s={s!r}, n={n!r}")
     x = n - s
     m = 0
     if tag == ALL_SINGLETONS:
@@ -353,12 +353,12 @@ def design_optimal(n: int, u: UtilitySpec) -> DesignResult:
     hider = hider_strategy(topo, u)
     seeker = seeker_strategy(topo.graph, u)
     predicted = -bound
-    row_payoffs, col_payoffs = strategy_payoffs(topo.graph, u, hider, seeker)
+    row_payoffs, col_payoffs, den = strategy_payoffs(topo.graph, u, hider, seeker)
     gap = gap_from_payoffs(hider, row_payoffs, col_payoffs)
     if gap != (ZERO, ZERO):
-        raise AssertionError(f"constructed strategies are not an equilibrium: {gap}")
+        raise AssertionError(f"constructed strategies are not an equilibrium: {gap} over {den}")
     # At a zero gap every row the hider plays earns the pair's payoff.
-    achieved = row_payoffs[hider.support()[0]]
+    achieved = Fraction(row_payoffs[hider.support()[0]], den)
     if achieved != predicted:
         raise AssertionError(
             f"equilibrium payoff {achieved} differs from predicted {predicted}"

@@ -1,15 +1,22 @@
 """Exact solver for two-player zero-sum matrix games.
 
 The row player maximizes, the column player minimizes.  One LP per game: the
-matrix is read once into integers over its common denominator D and shifted
-so every entry is at least D, and the exact simplex solves the column
-player's program  max sum(w), M w <= 1, w >= 0  on the shifted matrix, posed
-over D in integers.  Its optimum is one over the shifted game's value, and
-the row player's strategy is read off its dual multipliers.  The optimal-mass
-probe is posed by LP duality as a program of the same slack-feasible form,
-so every LP here starts from the slack basis.  The strategies are certified
-by a zero best-response gap, computed in exact arithmetic on the caller's own
-matrix, apart from the solver and its integer input.
+matrix is checked and read once into integers over its common denominator D
+and shifted so every entry is at least D, and the exact simplex solves the
+column player's program  max sum(w), M w <= 1, w >= 0  on the shifted matrix,
+posed over D in integers.  Its optimum is one over the shifted game's value,
+and the row player's strategy is read off its dual multipliers.  The
+optimal-mass probe is posed by LP duality as a program of the same
+slack-feasible form, so every LP here starts from the slack basis.  The
+strategies are certified by a zero best-response gap, computed in exact
+arithmetic on the integer matrix the LP solved, apart from the solver.
+
+A matrix held as integers over a denominator D (``payoff.integer_payoffs``)
+is passed as its integers alone.  Scaling a game by D > 0 scales its value by
+D and keeps its optimal strategies, and Bland's rule makes the same pivots on
+any positive scale-and-shift of a matrix (the tests pin it on every graph
+game with n <= 7), so the solver reaches the same strategies as on the
+Fractions; the caller divides the value by D and probes masses at D times it.
 
 Optimal strategies are generally not unique; callers should compare values
 and regrets, never strategy vectors.
@@ -23,7 +30,6 @@ from .rationals import format_rational, over_common_denominator
 from .records import Record
 from .simplex import solve_lp
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -80,8 +86,11 @@ class GameSolution(Record):
     __slots__ = _fields = ("value", "row_strategy", "col_strategy")
 
 
-def _entries(matrix):
-    """The matrix's rows, checked to be nonempty, rectangular and exact."""
+def _integer_rows(matrix):
+    """(shifted, D, shift): the matrix, checked to be nonempty, rectangular
+    and exact, as rows of integers over its common denominator D, each raised
+    by the same integer S so every entry is at least D; the shift added to
+    the matrix is S / D."""
     rows = [tuple(row) for row in matrix]
     if not rows or not rows[0]:
         raise ValueError("matrix must be nonempty")
@@ -90,36 +99,29 @@ def _entries(matrix):
         raise ValueError("matrix rows must have equal length")
     if any(type(v) is not int and type(v) is not Fraction for r in rows for v in r):
         raise ValueError("matrix entries must be int or Fraction")
-    return rows
-
-
-def _integer_rows(rows):
-    """(shifted, D, shift): the rows as integers over their common denominator
-    D, each raised by the same integer S so every entry is at least D; the
-    shift added to the matrix is S / D."""
     ints, den = over_common_denominator(v for r in rows for v in r)
     lo = min(ints)
     s = den - lo if lo < den else 0
-    width = len(rows[0])
     shifted = [v + s for v in ints]
     return [shifted[i : i + width] for i in range(0, len(shifted), width)], den, Fraction(s, den)
 
 
-def _column_lp(rows):
-    """Solve the column player's program on the shifted matrix, every row and
-    its right-hand side 1 scaled by D.
+def _column_lp(matrix):
+    """Read the matrix by ``_integer_rows`` and solve the column player's
+    program on the shifted rows, every row and its right-hand side 1 scaled
+    by D.
 
-    Returns (w, total, duals, shift): max sum(w) = total = 1/(value + shift),
-    and the duals of the unscaled rows, which sum to total.
+    Returns (shifted, w, total, duals, shift): max sum(w) = total =
+    1/(value + shift), and the duals of the unscaled rows, which sum to total.
     """
-    shifted, den, shift = _integer_rows(rows)
-    w, total, duals = solve_lp(c=[1] * len(rows[0]), rows=shifted, rhs=[den] * len(rows))
-    return w, total, [y * den for y in duals], shift
+    shifted, den, shift = _integer_rows(matrix)
+    w, total, duals = solve_lp(c=[1] * len(shifted[0]), rows=shifted, rhs=[den] * len(shifted))
+    return shifted, w, total, [y * den for y in duals], shift
 
 
 def game_value(matrix) -> Fraction:
     """Value of the game for the row player (no strategies computed)."""
-    w, total, duals, shift = _column_lp(_entries(matrix))
+    shifted, w, total, duals, shift = _column_lp(matrix)
     return ONE / total - shift
 
 
@@ -128,36 +130,39 @@ def solve_zero_sum(matrix) -> GameSolution:
 
     Both strategies come from one LP: the column player's from its primal
     solution, the row player's from its duals.  A nonzero best-response gap
-    would mean a solver bug, so it is asserted.
+    on the LP's own integer matrix would mean a solver bug, so it is asserted.
     """
-    rows = _entries(matrix)
-    w, total, duals, shift = _column_lp(rows)
+    shifted, w, total, duals, shift = _column_lp(matrix)
     row_strategy = MixedStrategy([y / total for y in duals])
     col_strategy = MixedStrategy([wk / total for wk in w])
-    if best_response_gap(rows, row_strategy, col_strategy) != (ZERO, ZERO):
+    if best_response_gap(shifted, row_strategy, col_strategy) != (0, 0):
         raise AssertionError("solver strategies are not an equilibrium; solver bug")
     return GameSolution(ONE / total - shift, row_strategy, col_strategy)
 
 
 def best_response_gap(matrix, row: MixedStrategy, col: MixedStrategy):
     """(row regret, column regret): gain available to each player by the best
-    pure deviation.  Both are zero exactly when (row, col) is an equilibrium."""
-    rows = _entries(matrix)
+    pure deviation.  Both are zero exactly when (row, col) is an equilibrium.
+    They are computed on the matrix's shifted integer rows, which leave every
+    regret D times its own."""
+    rows, den, _ = _integer_rows(matrix)
     if len(row) != len(rows) or len(col) != len(rows[0]):
         raise ValueError("strategy dimensions do not match the matrix")
     col_support = [(k, q) for k, q in enumerate(col) if q]
+    row_support = [(p, r) for p, r in zip(row, rows) if p]
     row_payoffs = [sum(r[k] * q for k, q in col_support) for r in rows]  # M.col
-    col_payoffs = [ZERO] * len(col)  # row.M
-    for p, r in zip(row, rows):
-        if p:
-            col_payoffs = [t + p * v for t, v in zip(col_payoffs, r)]
-    return gap_from_payoffs(row, row_payoffs, col_payoffs)
+    col_payoffs = [sum(p * r[k] for p, r in row_support) for k in range(len(col))]  # row.M
+    return tuple(regret / den for regret in gap_from_payoffs(row, row_payoffs, col_payoffs))
 
 
 def gap_from_payoffs(row: MixedStrategy, row_payoffs, col_payoffs):
-    """(row regret, column regret) from M.col and row.M, however computed."""
-    current = sum(p * v for p, v in zip(row, row_payoffs))
-    return max(row_payoffs) - current, current - min(col_payoffs)
+    """(row regret, column regret) from M.col and row.M, however computed, in
+    the payoffs' own unit (integers over D give regrets over D).  The row
+    strategy is read in integers, so only the two regrets are Fractions."""
+    rho, den = over_common_denominator(row)
+    current = sum(p * v for p, v in zip(rho, row_payoffs) if p)  # den row.M.col
+    row_regret = max(row_payoffs) * den - current
+    return Fraction(row_regret, den), Fraction(current - min(col_payoffs) * den, den)
 
 
 def max_optimal_mass(matrix, value: Fraction, index: int) -> Fraction:
@@ -178,19 +183,18 @@ def max_optimal_mass(matrix, value: Fraction, index: int) -> Fraction:
     and the answer is v' (T - z) = 1 - v' z.  It is solved in integers with
     the rows scaled by D and the objective by p > 0, whose optimum is p z.
     """
-    rows = _entries(matrix)
-    if type(index) is not int or not 0 <= index < len(rows):
-        raise ValueError(f"row index must be an int in 0..{len(rows) - 1}, got {index!r}")
+    shifted, den, shift = _integer_rows(matrix)
+    if type(index) is not int or not 0 <= index < len(shifted):
+        raise ValueError(f"row index must be an int in 0..{len(shifted) - 1}, got {index!r}")
     if type(value) is not int and type(value) is not Fraction:
         raise ValueError("value must be int or Fraction")
-    shifted, den, shift = _integer_rows(rows)
     value_shifted = Fraction(value) + shift
     if value_shifted <= 0:
         raise ValueError("value is below every entry of the matrix")
     p, q = value_shifted.numerator, value_shifted.denominator
     pz = solve_lp(
-        c=[p] * len(rows[0]) + [-q],
+        c=[p] * len(shifted[0]) + [-q],
         rows=[row + [-den] for row in shifted],
-        rhs=[0 if h == index else den for h in range(len(rows))],
+        rhs=[0 if h == index else den for h in range(len(shifted))],
     )[1]
     return ONE - pz / q

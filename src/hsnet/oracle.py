@@ -16,19 +16,19 @@ computes the exact game value of each, and checks that
   a maximal core-periphery layout, and in the cycle regime it is
   2-connected with enough degree-2 nodes and the hider avoids busier nodes.
 
-The sweep walks the canonical keys of ``hsnet.graphs.enumerate_keys``,
-exact up to n = 8, and builds each key's Graph only while its game is
-solved; whole graphs come from ``hsnet.graphs.enumerate_graphs``.  The n = 8
-sweep solves 12,346 games and sits behind an explicit flag.  Games are
-solved in parallel, on chunks of keys, when HSNET_THREADS asks for more than
-one worker; results do not depend on it.
+The sweep walks the canonical keys of ``hsnet.graphs.enumerate_keys``, exact
+up to n = 8, and builds each key's Graph only while its game is solved, on
+its integer payoffs (``hsnet.payoff.integer_payoffs``); whole graphs come
+from ``hsnet.graphs.enumerate_graphs``.  The n = 8 sweep solves 12,346 games
+and sits behind an explicit flag.  Games are solved in parallel, on chunks
+of keys, when HSNET_THREADS asks for more than one worker; results do not
+depend on it.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from fractions import Fraction
 
 from . import closed_form as cf
 from .designer import design_optimal, is_maximal_core_periphery
@@ -45,7 +45,7 @@ from .graphs import (
     is_two_connected,
 )
 from .matrix_game import game_value, max_optimal_mass, solve_zero_sum
-from .payoff import UtilitySpec, builtin_utilities, payoff_matrix
+from .payoff import UtilitySpec, builtin_utilities, integer_payoffs
 from .rationals import format_rational
 from .records import Record
 
@@ -57,14 +57,12 @@ DEFAULT_LIMIT = 7
 FULL_SUPPORT_CHECK_LIMIT = 6
 
 
-def hider_value(g: Graph, u: UtilitySpec) -> Fraction:
-    """Exact game value of one graph (hider's payoff)."""
-    return game_value(payoff_matrix(g, u))
-
-
 def _values_chunk(args):
+    """The exact game value (the hider's payoff) of each key's graph, solved
+    on its integer payoffs."""
     keys, u = args
-    return [hider_value(graph_from_canonical_key(k), u) for k in keys]
+    games = (integer_payoffs(graph_from_canonical_key(key), u) for key in keys)
+    return [game_value(rows) / den for rows, den in games]
 
 
 def _worker_count() -> int:
@@ -132,7 +130,7 @@ def exhaustive_optimum(n: int, u: UtilitySpec, long_run: bool = False) -> Enumer
 
         chunk = math.ceil(len(keys) / workers)
         pieces = [(keys[i : i + chunk], u) for i in range(0, len(keys), chunk)]
-        values: list[Fraction] = []
+        values = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_values_chunk, pieces):
                 values.extend(part)
@@ -226,7 +224,8 @@ def check_structure(n: int, u: UtilitySpec, argmax_keys: tuple) -> tuple:
             if not ok:
                 cyc_fail.append(g)
             else:
-                rows = payoff_matrix(g, u)
+                # In integer units: sol.value is D times the game's value.
+                rows, _ = integer_payoffs(g, u)
                 sol = solve_zero_sum(rows)
                 busy = [v for v in range(g.node_count) if g.degree(v) > 2]
                 if any(sol.row_strategy[v] != 0 for v in busy):

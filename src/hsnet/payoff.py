@@ -6,6 +6,11 @@ the size of the hider's component once k is deleted.  The game is zero-sum;
 only the hider matrix is stored, the seeker's payoffs are its negation.
 Every query here reads captures straight off the graph's neighbour tuples,
 and component sizes off one low-link DFS; no neighbour bitmask is built.
+Payoffs are read through one integer table, ``UtilitySpec.integer_table``
+(-beta and f at the sizes asked for, over their lcm D): the matrix
+(``integer_payoffs``), the design certificate (``strategy_payoffs``) and
+``closed_form`` build no Fraction to read one, and ``payoff_matrix`` is only
+the Fraction view of the integer matrix.
 
 Component values f are strictly increasing with f(0) = 0.  ``FAMILIES`` is
 the one table of the built-in families: each family's parameter name (in JSON
@@ -22,6 +27,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 
 from .graphs import Graph, GraphError, _deletion_pieces, _dfs_low_links
 from .rationals import format_rational, over_common_denominator, parse_rational
@@ -131,6 +137,12 @@ class UtilitySpec(Record):
         self._cache[x] = out
         return out
 
+    def integer_table(self, sizes) -> tuple:
+        """(values, D): f at each given size, in order, as an integer over D,
+        with -beta for size 0, the pattern's mark of a capture.  D is the lcm
+        of those values' denominators: f is read at no other size."""
+        return over_common_denominator(self.value(c) if c else -self.beta for c in sizes)
+
     def _evaluate(self, x: int) -> Fraction:
         if self.family == "linear":
             return self.params[0] * x
@@ -202,17 +214,18 @@ def builtin_utilities(name: str, params: dict | None = None, beta=0) -> UtilityS
 # -- payoff structure -------------------------------------------------------
 
 
-def payoff_matrix(g: Graph, u: UtilitySpec) -> tuple:
-    """Hider-payoff matrix of a graph with at least one node, as a tuple of
-    rows of Fractions: row h is the hider's position, column k the node the
-    seeker inspects.
+def integer_payoffs(g: Graph, u: UtilitySpec) -> tuple:
+    """(rows, D): the hider-payoff matrix of a graph with at least one node,
+    as a tuple of rows of integers over D: row h is the hider's position,
+    column k the node the seeker inspects.
 
     One low-link DFS gives every column's component sizes: deleting k leaves
     its separated child subtrees, the rest of k's component, and the other
     components unchanged (``graphs._deletion_pieces``).  Each column holds 0
     where k's inspection catches the hider, at k and its neighbours, and the
-    hider's component size elsewhere: a pattern that no utility enters.  The
-    matrix maps 0 to -beta and a size c >= 1 to f(c).
+    hider's component size elsewhere: a pattern that no utility enters.  It
+    is read through ``u.integer_table`` over the sizes it holds, so D is the
+    lcm of the matrix's denominators.
     """
     n = g.node_count
     if n < 1:
@@ -235,25 +248,34 @@ def payoff_matrix(g: Graph, u: UtilitySpec) -> tuple:
         for w in g.neighbors(k):
             column[tin[w]] = 0
         sizes.append(column)
-    caught = -u.beta
-    return tuple(
-        tuple(u.value(column[t]) if column[t] else caught for column in sizes)
-        for t in tin
-    )
+    held = sorted(set().union(*sizes))
+    values, den = u.integer_table(held)
+    table = dict(zip(held, values))
+    return tuple(tuple(table[column[t]] for column in sizes) for t in tin), den
+
+
+def payoff_matrix(g: Graph, u: UtilitySpec) -> tuple:
+    """The matrix of ``integer_payoffs`` as a tuple of rows of Fractions, each
+    entry its integer over D."""
+    rows, den = integer_payoffs(g, u)
+    view = {v: Fraction(v, den) for v in set().union(*rows)}
+    return tuple(tuple(view[v] for v in row) for row in rows)
 
 
 def strategy_payoffs(g: Graph, u: UtilitySpec, hider, seeker) -> tuple:
-    """Exact (M.seeker, hider.M) of g's hider-payoff matrix M, without M.
+    """(rows, cols, D): M.seeker and hider.M of g's hider-payoff matrix M, as
+    lists of integers over one denominator D, without M.
 
     Deleting k leaves its separated DFS child subtrees, the rest of k's
     component, and the other components unchanged
-    (``graphs._deletion_pieces``).  Column k sums f(piece) times each
-    piece's uncaught hider mass; rows take range adds over preorder
-    intervals, with point corrections on k's closed neighbourhood.  Weights
-    are integers over each strategy's common denominator, and range adds are
-    keyed by piece size, so Fractions appear only where f does.  f is
-    evaluated only at sizes some uncaught cell of M holds, as in
-    ``payoff_matrix``.  Cost: O((n + e) log max-degree) exact operations.
+    (``graphs._deletion_pieces``).  Both sides are range adds over preorder
+    positions, keyed by the size whose value they earn (0 for a capture, as
+    in ``integer_payoffs``): column k takes each piece's hider mass at its
+    own position, rows take k's seeker weight over each piece, and both take
+    point corrections on k's closed neighbourhood, so a fully caught piece
+    cancels out.  ``u.integer_table`` is read once, over the sizes left with
+    a nonzero weight: only sizes some cell of M holds.  No Fraction is built.
+    Cost: O((n + e) log max-degree) integer operations.
     """
     n = g.node_count
     if n < 1:
@@ -265,89 +287,69 @@ def strategy_payoffs(g: Graph, u: UtilitySpec, hider, seeker) -> tuple:
     links = _dfs_low_links(g)
     order, tin, _, size, _, comp_start = links
     prefix = list(accumulate((rho[v] for v in order), initial=0))
-    beta = u.beta
-    # (preorder position, piece size x) -> seeker weight earning f(x) from
-    # there on: the differences of the range adds.
-    steps: dict = defaultdict(int)
-    caught = [0] * n  # seeker weight catching the node at each position
+    # (preorder position, size x) -> weight earning table[x] from there on:
+    # the differences of the range adds, seeker weight for the rows and
+    # hider mass for the columns.
+    row_steps, col_steps = defaultdict(int), defaultdict(int)
 
-    def add(start, stop, x, weight):
+    def add(steps, start, stop, x, weight):
         steps[start, x] += weight
         steps[stop, x] -= weight
 
-    # Hiding in another component earns f(its size) whatever k is deleted.
-    col_other = {}  # component start -> f-weighted hider mass elsewhere
-    roots = [v for v in order if tin[v] == comp_start[v]]
-    if len(roots) > 1:
-        sigma_total = sum(sigma)
-        earned = {}
-        for r in roots:
-            a, c = tin[r], size[r]
-            earned[a] = u.value(c) * (prefix[a + c] - prefix[a])
-            add(a, a + c, c, sigma_total - sum(sigma[v] for v in order[a : a + c]))
-        total = sum(earned.values())
-        col_other = {a: total - e for a, e in earned.items()}
-
-    col = [None] * n
-    for k in range(n):
-        tk = tin[k]
-        a = comp_start[k]
+    # Hiding in another component earns f(its size) whatever k is deleted:
+    # a component earns it in every column but its own (for the rows, each
+    # column of its own takes its weight back below).
+    sigma_total = sum(sigma)
+    for a in (t for t, v in enumerate(order) if comp_start[v] == t):
         c = size[order[a]]
-        pieces, rest_size = _deletion_pieces(links, k)
+        add(row_steps, a, a + c, c, sigma_total)
+        add(col_steps, 0, n, c, prefix[a + c] - prefix[a])
+        add(col_steps, a, a + c, c, prefix[a] - prefix[a + c])
+    for k in range(n):
+        tk, a = tin[k], comp_start[k]
+        c = size[order[a]]
+        pieces, rest = _deletion_pieces(links, k)
         starts = [tin[ch] for ch in pieces]
-        # Per piece: [size, hider mass, caught count, caught hider mass];
-        # the last entry is the rest of k's component.
-        stats = [[size[ch], prefix[t + size[ch]] - prefix[t], 0, 0]
-                 for ch, t in zip(pieces, starts)]
-        rest_mass = prefix[a + c] - prefix[a] - rho[k] - sum(st[1] for st in stats)
-        stats.append([rest_size, rest_mass, 0, 0])
-        neighbors = g.neighbors(k)
-        where = []
-        for w in neighbors:
+        # Each piece's size and hider mass, the rest of k's component last.
+        xs = [size[ch] for ch in pieces] + [rest]
+        mass = [prefix[t + x] - prefix[t] for t, x in zip(starts, xs)]
+        mass.append(prefix[a + c] - prefix[a] - sum(mass))
+        weight = sigma[k]
+        if weight:
+            # k's component earns f(rest), but on k's pieces their own size.
+            add(row_steps, a, a + c, c, -weight)
+            add(row_steps, a, a + c, rest, weight)
+            for t, x in zip(starts, xs):
+                add(row_steps, t, t + x, rest, -weight)
+                add(row_steps, t, t + x, x, weight)
+        for w in (k, *g.neighbors(k)):  # k and its neighbours are caught
             tw = tin[w]
             i = bisect_right(starts, tw) - 1
-            if i < 0 or tw >= starts[i] + stats[i][0]:
-                i = len(pieces)
-            where.append(i)
-            stats[i][2] += 1
-            stats[i][3] += rho[w]
-        # f(piece), or None when every node of the piece is caught.
-        values = [u.value(st[0]) if st[0] > st[2] else None for st in stats]
-        total = col_other.get(a, 0) - beta * (rho[k] + sum(st[3] for st in stats))
-        for st, fv in zip(stats, values):
-            if fv is not None:
-                total += fv * (st[1] - st[3])
-        col[k] = Fraction(total, rho_den)
+            if i < 0 or tw >= starts[i] + xs[i]:
+                i = -1
+            mass[i] -= rho[w]
+            add(col_steps, tk, tk + 1, 0, rho[w])
+            if weight:
+                add(row_steps, tw, tw + 1, xs[i], -weight)
+                add(row_steps, tw, tw + 1, 0, weight)
+        for x, m in zip(xs, mass):
+            add(col_steps, tk, tk + 1, x, m)
 
-        weight = sigma[k]
-        if not weight:
-            continue
-        caught[tk] += weight
-        rest_on = values[-1] is not None
-        if rest_on:
-            add(a, a + c, rest_size, weight)
-            add(tk, tk + 1, rest_size, -weight)
-        for t, st, fv in zip(starts, stats, values):
-            if fv is not None:
-                add(t, t + st[0], st[0], weight)
-            if rest_on:
-                add(t, t + st[0], rest_size, -weight)
-        for w, i in zip(neighbors, where):
-            tw = tin[w]
-            caught[tw] += weight
-            if values[i] is not None:
-                add(tw, tw + 1, stats[i][0], -weight)
-
-    shift = [0] * (n + 1)  # f-weighted seeker mass entering at each position
-    for (pos, x), w in steps.items():
-        if w:
-            shift[pos] += u.value(x) * w
-    rows = [None] * n
-    running = 0
-    for pos, v in enumerate(order):
-        running += shift[pos]
-        rows[v] = Fraction(running - beta * caught[pos] if caught[pos] else running, sigma_den)
-    return rows, col
+    sizes = sorted({x for steps in (row_steps, col_steps) for (_, x), w in steps.items() if w})
+    values, den = u.integer_table(sizes)
+    table = dict(zip(sizes, values))
+    # Rows are over D sigma_den and columns over D rho_den: bring both over one.
+    common = lcm(rho_den, sigma_den)
+    rows, cols = [0] * n, [0] * n
+    for out, steps, scale in ((rows, row_steps, common // sigma_den),
+                              (cols, col_steps, common // rho_den)):
+        shift = [0] * (n + 1)
+        for (pos, x), w in steps.items():
+            if w:
+                shift[pos] += table[x] * w
+        for v, total in zip(order, accumulate(shift)):
+            out[v] = total * scale
+    return rows, cols, den * common
 
 
 def capture_probability(g: Graph, hider, seeker, within=None) -> Fraction:

@@ -161,6 +161,23 @@ def test_build_maximal_cp_shapes():
         dz.build_maximal_cp(3)
 
 
+@pytest.mark.parametrize("n", [5.0, True, F(5), "5", None], ids=repr)
+def test_node_count_must_be_an_int(monkeypatch, n):
+    # Refused before any work: the closed-form scan never starts.
+    monkeypatch.setattr(cf, "_best_bound", lambda *args: pytest.fail("the scan started"))
+    u = identity_u(2)
+    with pytest.raises(cf.DomainError, match="need an int n >= 1"):
+        dz.design_optimal(n, u)
+    with pytest.raises(cf.DomainError, match="need an int n >= 1"):
+        cf.optimal_singleton_counts(n, u)
+    for s, tag in ((0, dz.CYCLE), (0, dz.MAXIMAL_CP_EVEN), (n, dz.ALL_SINGLETONS)):
+        with pytest.raises(dz.DesignError, match="need ints 0 <= s <= n"):
+            dz.design_topology(n, s, tag)
+    with pytest.raises(dz.DesignError, match="need ints 0 <= s <= n"):
+        dz.design_topology(5, n, dz.ALL_SINGLETONS)
+    assert dz.design_topology(5, 5, dz.ALL_SINGLETONS).graph == Graph(5)
+
+
 def test_maximal_cp_recognizer():
     for k in (4, 5, 6, 8, 11, 16, 17):
         assert dz.is_maximal_core_periphery(dz.build_maximal_cp(k)), k
@@ -600,7 +617,8 @@ def test_chorded_cycle_values_match_plain_cycle():
 
 
 def graph_gap(g, u, hider, seeker):
-    return gap_from_payoffs(hider, *strategy_payoffs(g, u, hider, seeker))
+    rows, cols, den = strategy_payoffs(g, u, hider, seeker)
+    return tuple(regret / den for regret in gap_from_payoffs(hider, rows, cols))
 
 
 def test_design_certificate_matches_dense_gap_up_to_fifty():

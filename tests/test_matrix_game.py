@@ -15,10 +15,10 @@ from hsnet.matrix_game import (
     max_optimal_mass,
     solve_zero_sum,
 )
-from hsnet.payoff import UtilitySpec, payoff_matrix
+from hsnet.payoff import UtilitySpec, integer_payoffs, payoff_matrix
 from hsnet.designer import build_cycle
 
-from conftest import identity_u, square_u, strategy_payoff, uniform_over
+from conftest import identity_u, ratio_u, square_u, strategy_payoff, uniform_over
 
 
 PENNIES = [[1, -1], [-1, 1]]
@@ -89,6 +89,35 @@ def test_scale_shift_covariance_random():
         # optimal strategies transfer both ways (value equality + zero regret)
         assert best_response_gap(m2, sol.row_strategy, sol.col_strategy) == (0, 0)
         assert best_response_gap(m, sol2.row_strategy, sol2.col_strategy) == (0, 0)
+        # Bland's rule pivots alike on a positive scale-and-shift: the solver
+        # reaches the same vertex.
+        assert sol2.row_strategy == sol.row_strategy
+        assert sol2.col_strategy == sol.col_strategy
+
+
+def test_integer_payoffs_reach_the_fraction_vertex_on_every_graph_up_to_seven():
+    """The integers of integer_payoffs, passed without their D, give the
+    solver the same strategies as the Fraction matrix, a value D times its
+    value, and (up to five nodes) the same optimal masses at that value."""
+    from hsnet.graphs import enumerate_graphs
+
+    dens = set()
+    for u in (square_u(F(1, 2)), ratio_u(F(1, 3))):
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                rows, den = integer_payoffs(g, u)
+                m = payoff_matrix(g, u)
+                sol, int_sol = solve_zero_sum(m), solve_zero_sum(rows)
+                assert int_sol.row_strategy == sol.row_strategy, (g, u.family)
+                assert int_sol.col_strategy == sol.col_strategy, (g, u.family)
+                assert int_sol.value == den * sol.value
+                assert game_value(rows) == den * game_value(m)
+                if n <= 5:
+                    for v in range(n):
+                        assert max_optimal_mass(rows, int_sol.value, v) == max_optimal_mass(
+                            m, sol.value, v)
+                dens.add(den)
+    assert max(dens) > 1
 
 
 def test_duality_certificate_on_random_graphs():

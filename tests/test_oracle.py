@@ -23,11 +23,13 @@ from hsnet.oracle import (
     EnumerationError,
     _worker_count,
     exhaustive_optimum,
-    hider_value,
+    grid_utilities,
     verify_grid,
 )
 
-from hsnet.payoff import builtin_utilities
+from hsnet.cli import format_json
+from hsnet.matrix_game import game_value
+from hsnet.payoff import builtin_utilities, payoff_matrix
 
 from conftest import graph_and_permutation, identity_u, relabel, square_u
 from test_graphs import reference_canonical_form
@@ -159,6 +161,22 @@ def test_known_boundary_ties_at_four_nodes(oracle_report):
     assert names["constructed_design_in_argmax"].passed
 
 
+# SHA-256 over the 48 reports of the default grid at n = 4..7, one
+# format_json(to_json_dict()) line each, taken while the sweep and the
+# structural checks still solved Fraction matrices.  The CLI pins the verify
+# bytes only up to n = 6; at n = 7 the hider_avoids_busy_nodes check reads the
+# solver's own vertex alone (FULL_SUPPORT_CHECK_LIMIT is 6).
+ORACLE_REPORTS_N7_SHA256 = "38a3044e3ac7fbf99a71f8978af6626089f5bd24e4a36342950ed7183652b883"
+
+
+def test_oracle_reports_pinned_up_to_seven(oracle_report):
+    digest = hashlib.sha256()
+    for n in range(4, 8):
+        for _, _, u in grid_utilities():
+            digest.update((format_json(oracle_report(n, u).to_json_dict()) + "\n").encode())
+    assert digest.hexdigest() == ORACLE_REPORTS_N7_SHA256
+
+
 def test_hider_value_parallel_workers_match():
     # determinism does not depend on the worker count
     u = identity_u(1)
@@ -230,4 +248,4 @@ def test_hider_value_invariant_under_relabelling(case, family, beta):
     # The defaults: f(x) = x, x ** 2 and x ** 2 / (x + 1), at the drawn beta.
     g, perm = case
     u = builtin_utilities(family, beta=beta)
-    assert hider_value(relabel(g, perm), u) == hider_value(g, u)
+    assert game_value(payoff_matrix(relabel(g, perm), u)) == game_value(payoff_matrix(g, u))

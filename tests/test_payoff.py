@@ -2,22 +2,28 @@
 
 import itertools
 import json
+import math
 import random
+import sys
 from fractions import Fraction as F
 from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hsnet.matrix_game
+import hsnet.payoff
 from hsnet.cli import main
-from hsnet.designer import build_cycle, build_maximal_cp
+from hsnet.designer import build_cycle, build_maximal_cp, design_optimal
 from hsnet.graphs import Graph, GraphError, enumerate_graphs
+from hsnet.oracle import exhaustive_optimum
 from hsnet.payoff import (
     FAMILIES,
     UtilityError,
     UtilitySpec,
     builtin_utilities,
     capture_probability,
+    integer_payoffs,
     payoff_matrix,
     strategy_payoffs,
 )
@@ -416,6 +422,96 @@ def test_payoff_matrix_matches_per_column_search():
                 assert payoff_matrix(g, u) == reference_payoff_matrix(g, u), (g, u.family)
 
 
+# -- the integer matrix, against the per-column search -----------------------
+
+# Linear (D = 1), x^2 and ratio_power (D > 1), the float-backed power (entries
+# with ~2^52 denominators) and a table with entries up to f(12).
+INTEGER_UTILITIES = (
+    identity_u(2),
+    square_u(F(1, 2)),
+    ratio_u(F(1, 3)),
+    UtilitySpec.power(F(3, 2), 1),
+    UtilitySpec.table([0, 1, 3, 4, 7, 8, 10, 13, 14, 17, 19, 20, 23], F(1, 2)),
+)
+
+
+def assert_integer_payoffs_match_reference(g):
+    for u in INTEGER_UTILITIES:
+        rows, den = integer_payoffs(g, u)
+        expected = reference_payoff_matrix(g, u)
+        assert all(type(v) is int for row in rows for v in row)
+        assert tuple(tuple(F(v, den) for v in row) for row in rows) == expected, (g, u.family)
+        # D is the matrix's own lcm: the table holds no size the matrix lacks.
+        assert den == math.lcm(*(v.denominator for row in expected for v in row)), (g, u.family)
+
+
+def test_integer_payoffs_match_per_column_search_on_every_graph_up_to_seven():
+    rng = random.Random(16)
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            assert_integer_payoffs_match_reference(relabelled(g, rng))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(graph_and_permutation(min_nodes=1, max_nodes=12))
+def test_integer_payoffs_match_per_column_search_under_relabelling(case):
+    g, perm = case
+    assert_integer_payoffs_match_reference(g)
+    assert_integer_payoffs_match_reference(relabel(g, perm))
+
+
+def test_integer_table_reads_only_the_sizes_asked_for():
+    u = UtilitySpec.table([0, 1, 3], F(1, 2))
+    assert u.integer_table((2, 0, 1)) == ([6, -1, 2], 2)
+    assert u.integer_table(()) == ([], 1)
+    # A size past the table is read only when asked for.
+    assert u.integer_table((0, 2)) == ([-1, 6], 2)
+    with pytest.raises(UtilityError, match="no entry for component size 3"):
+        u.integer_table((3,))
+    assert ratio_u(F(1, 3)).integer_table((0, 1, 2)) == ([-2, 3, 8], 6)
+
+
+def test_no_command_path_builds_a_fraction_matrix(monkeypatch, tmp_path, capsys):
+    """`solve`, the sweep with its structural checks, and the design
+    certificate read payoffs in integers: payoff_matrix is never called, and
+    every matrix the game kernel reads holds ints only."""
+    monkeypatch.delenv("HSNET_THREADS", raising=False)
+    calls, fraction_matrices = {"payoff_matrix": 0, "kernel": 0}, []
+    build, read = hsnet.payoff.payoff_matrix, hsnet.matrix_game._integer_rows
+
+    def counting_build(g, u):
+        calls["payoff_matrix"] += 1
+        return build(g, u)
+
+    def checking_read(matrix):
+        matrix = [tuple(row) for row in matrix]
+        calls["kernel"] += 1
+        if any(type(v) is not int for row in matrix for v in row):
+            fraction_matrices.append(matrix)
+        return read(matrix)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("hsnet")]:
+        if getattr(module, "payoff_matrix", None) is build:
+            monkeypatch.setattr(module, "payoff_matrix", counting_build)
+    monkeypatch.setattr(hsnet.matrix_game, "_integer_rows", checking_read)
+
+    graph = tmp_path / "g.txt"
+    graph.write_text("n 7\ne 0 1\ne 1 2\ne 2 3\ne 3 4\ne 0 4\ne 0 2\ne 5 6\n")
+    assert main(["solve", "--graph", str(graph), "--family", "power", "--beta", "1/2"]) == 0
+    assert '"value": "' in capsys.readouterr().out
+    solved = calls["kernel"]
+    assert solved >= 1
+    report = exhaustive_optimum(6, square_u(F(1, 2)))
+    # 156 sweep games, then at least one argmax game solved by the checks.
+    assert calls["kernel"] > solved + 156
+    assert report.all_passed()
+    swept = calls["kernel"]
+    design_optimal(40, square_u(F(1, 2)))
+    assert calls["kernel"] == swept
+    assert calls["payoff_matrix"] == 0
+    assert fraction_matrices == []
+
+
 def capture_probability_by_bitmasks(g, hider, seeker, within=None):
     """The capture probability summed over each inspected node's capture
     bitmask, the node and its neighbours, scanned over all n positions."""
@@ -540,8 +636,9 @@ def assert_payoffs_match_dense(g, rng, utilities=PAYOFF_UTILITIES):
     n = g.node_count
     for u in utilities:
         hider, seeker = random_strategy(rng, n), random_strategy(rng, n)
-        assert strategy_payoffs(g, u, hider, seeker) == dense_payoffs(g, u, hider, seeker), (
-            g, u.family, hider, seeker)
+        rows, cols, den = strategy_payoffs(g, u, hider, seeker)
+        assert ([F(v, den) for v in rows], [F(v, den) for v in cols]) == dense_payoffs(
+            g, u, hider, seeker), (g, u.family, hider, seeker)
 
 
 def relabelled(g, rng):
