@@ -16,10 +16,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
@@ -115,8 +115,9 @@ def format_json(data) -> str:
 
     Reports are exact, so only dicts with str keys, lists, tuples, str, int,
     bool and None are taken; anything else, a float or a non-str key
-    included, is a TypeError.  The stdlib encoder runs in pure Python whenever ``indent``
-    is set; this one renders each list of ints once per content and depth.
+    included, is a TypeError.  The stdlib encoder runs in pure Python whenever
+    ``indent`` is set; this one renders each list or tuple of ints, such as an
+    edge pair, once per content and depth.
     """
     memo = {}
 
@@ -134,7 +135,8 @@ def format_json(data) -> str:
         if kind is list or kind is tuple:
             if not obj:
                 return "[]"
-            if set(map(type, obj)) == {int}:
+            kinds = set(map(type, obj))
+            if kinds == {int}:
                 key = (len(pad), *obj)
                 text = memo.get(key)
                 if text is None:
@@ -142,7 +144,11 @@ def format_json(data) -> str:
                         "[\n" + inner + (",\n" + inner).join(map(repr, obj)) + "\n" + pad + "]"
                     )
                 return text
-            items = [render(v, inner) for v in obj]
+            if kinds == {tuple} and set(map(type, chain.from_iterable(obj))) == {int}:
+                texts = memo.setdefault(len(inner), {})
+                items = [texts.get(v) or texts.setdefault(v, render(v, inner)) for v in obj]
+            else:
+                items = [render(v, inner) for v in obj]
             return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
         if kind is dict:
             if not obj:
@@ -208,6 +214,7 @@ def cmd_design(args) -> int:
 
 
 def cmd_value_table(args) -> int:
+    import csv
     from .closed_form import value_table_rows
     u = _utility_from_args(args)
     n_lo = args.n
@@ -243,6 +250,7 @@ def cmd_value_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import csv
     from .oracle import DEFAULT_BETAS, DEFAULT_FAMILIES, verify_grid
     families, betas = DEFAULT_FAMILIES, DEFAULT_BETAS
     if args.families is not None:

@@ -18,6 +18,8 @@ module provides:
 * ``enumerate_graphs`` -- every graph on n <= 8 nodes up to isomorphism,
   the input of the brute-force verifier in ``hsnet.oracle``;
   ``enumerate_keys`` gives their canonical keys alone, with no Graph built.
+  Each class on n - 1 nodes gains a node per orbit of its automorphisms on
+  neighbourhoods; the canonical search's final frontier generates them.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ _MEMBERS = tuple(  # _MEMBERS[mask]: the nodes in the bitmask, in increasing ord
     tuple(v for v in range(CANONICAL_MAX_NODES) if m >> v & 1)
     for m in range(1 << CANONICAL_MAX_NODES)
 )
+_BITS = bytes(map(len, _MEMBERS))  # _BITS[mask]: the number of nodes in the bitmask
 
 
 class GraphError(ValueError):
@@ -290,12 +293,12 @@ def _maximum_cliques(masks, classes) -> list[int]:
     while stack:
         clique, cand = stack.pop()
         if not cand:  # no node above can join, as for every maximum clique
-            size = clique.bit_count()
+            size = _BITS[clique]
             if size > best:
                 best, found = size, []
             if size == best:
                 found.append(clique)
-        elif clique.bit_count() + cand.bit_count() >= best:
+        elif _BITS[clique] + _BITS[cand] >= best:
             for v in reversed(_MEMBERS[cand]):  # the lowest popped first
                 if not classes[v] & ((1 << v) - 1) & ~clique:  # no lower twin left out
                     stack.append((clique | 1 << v, cand & masks[v] & -(2 << v)))
@@ -308,12 +311,18 @@ def canonical_form(g) -> tuple[int, int]:
     maximum of the rows (position i's adjacency bits toward positions
     0..i-1), with row i packed at offset i(i-1)/2.  ``g`` is a Graph or its
     neighbour bitmasks, node v's at index v, which enumeration labels
-    without building a Graph.
+    without building a Graph."""
+    masks = _masks_of(g)
+    return (len(masks), _canonical_search(masks, twin_classes(masks))[0])
 
-    Rows 1..k are all ones exactly when positions 0..k form a clique, so the
-    maximum places a maximum clique first, and in any order: that clique is
-    one unordered cell.  A frontier entry holds the placed positions as
-    cells, unordered runs in position order, plus the unplaced nodes.  A
+
+def _canonical_search(masks, classes) -> tuple[int, list]:
+    """``(bits, frontier)``: the canonical key's bits, and the final frontier,
+    the optimal orders up to twin swaps.  Rows 1..k are all ones exactly
+    when positions 0..k form a clique, so the maximum places a maximum
+    clique first, and in any order: that clique is one unordered cell.  A
+    frontier entry holds the placed positions as cells, unordered runs
+    stored top down (latest position first), plus the unplaced nodes.  A
     node's row toward a cell is largest with its neighbours at the top of
     the cell, so placing it splits every cell into non-neighbours, then
     neighbours, and both parts stay unordered.  Comparing rows top bit first
@@ -323,38 +332,39 @@ def canonical_form(g) -> tuple[int, int]:
     automorphisms, so only one clique per twin-swap orbit, and only one
     tied candidate per twin class, is branched on.
     """
-    masks = _masks_of(g)
     n = len(masks)
-    classes = twin_classes(masks)
     cliques = _maximum_cliques(masks, classes)
-    omega = cliques[0].bit_count()
-    key = 0
-    for i in range(1, omega):
-        key |= ((1 << i) - 1) << (i * (i - 1) // 2)
+    omega = _BITS[cliques[0]]
+    key = (1 << omega * (omega - 1) // 2) - 1  # rows 1..omega-1 all ones
     frontier = [([clique], (1 << n) - 1 ^ clique) for clique in cliques]
     for level in range(omega, n):
         best = -1
         grown = []
         for cells, unplaced in frontier:
-            # Cells top down: narrow the candidates to those with the most
-            # neighbours in each, and set the row's bits as they become final.
+            # Narrow the candidates to those with the most neighbours in
+            # each cell, and set the row's bits as they become final.
             tied, row, pos = unplaced, 0, level
-            for cell in reversed(cells):
+            for cell in cells:
                 if not cell & (cell - 1):
                     pos -= 1
-                    near = tied & masks[cell.bit_length() - 1]
+                    near = tied & masks[_MEMBERS[cell][0]]
                     if near:
                         tied = near
                         row |= 1 << pos
                 else:
-                    size = cell.bit_count()
+                    size = _BITS[cell]
                     pos -= size
                     if tied & (tied - 1):
-                        counts = [((masks[v] & cell).bit_count(), v) for v in _MEMBERS[tied]]
-                        k = max(counts)[0]
-                        tied = sum(1 << v for c, v in counts if c == k)
+                        k = -1
+                        for v in _MEMBERS[tied]:
+                            c = _BITS[masks[v] & cell]
+                            if c > k:
+                                k, most = c, 1 << v
+                            elif c == k:
+                                most |= 1 << v
+                        tied = most
                     else:
-                        k = (masks[tied.bit_length() - 1] & cell).bit_count()
+                        k = _BITS[masks[_MEMBERS[tied][0]] & cell]
                     row |= ((1 << k) - 1) << (pos + size - k)
                 if row >> pos < best >> pos:
                     break  # below zero, row < best: this entry loses
@@ -368,34 +378,61 @@ def canonical_form(g) -> tuple[int, int]:
                 if classes[v] & kept:
                     continue
                 kept |= 1 << v
-                split = []
+                split = [1 << v]
                 for cell in cells:
                     near = cell & masks[v]
                     if near and near != cell:
-                        split += (cell ^ near, near)
+                        split += (near, cell ^ near)
                     else:
                         split.append(cell)
-                split.append(1 << v)
                 grown.append((split, unplaced ^ 1 << v))
         frontier = grown
         key |= best << (level * (level - 1) // 2)
-    return (n, key)
+    return key, frontier
 
 
-def _extension_subsets(classes) -> list[int]:
-    """The node subsets, as bitmasks, that take the lowest members of each
-    twin class: one subset per orbit of the twin swaps."""
-    subsets = [0]
-    done = 0
-    for cls in classes:
-        if cls & done:
+def _automorphism_images(masks) -> list[list[int]]:
+    """Generators of the automorphism group of the graph with neighbour
+    bitmasks ``masks``, each as its images, ``1 << s(v)`` at index v: the
+    maps of the first order of the final frontier onto each other one (two
+    optimal orders give the same rows), and the twin swaps.  A final cell of
+    several nodes lies in the clique and was split by every later node, so
+    its members are twins.  These generate the whole group, since every
+    optimal order is a frontier entry's up to twin swaps."""
+    classes = twin_classes(masks)
+    first, *others = [
+        [v for cell in cells for v in _MEMBERS[cell]]
+        for cells, _ in _canonical_search(masks, classes)[1]
+    ]
+    moves = [dict(zip(first, order)) for order in others] + [
+        {v: w, w: v} for cls in set(classes) for v, w in zip(_MEMBERS[cls], _MEMBERS[cls][1:])
+    ]
+    return [[1 << move.get(v, v) for v in range(len(masks))] for move in moves]
+
+
+def _extension_subsets(parent) -> list[int]:
+    """The neighbourhoods, as bitmasks, to try for a node joined to the graph
+    with neighbour bitmasks ``parent``: of the subsets that pass the degree
+    filter (the new node's degree is at least every other's after the join),
+    which automorphisms preserve, the lowest of each automorphism orbit."""
+    top = max(map(_BITS.__getitem__, parent), default=0)
+    tops = sum(1 << j for j, m in enumerate(parent) if _BITS[m] == top)
+    images = _automorphism_images(parent)
+    kept, seen = [], set()
+    for subset in range(1 << len(parent)):
+        k = _BITS[subset]
+        if k < top or k == top and subset & tops or subset in seen:
             continue
-        done |= cls
-        prefixes = [0]
-        for v in _MEMBERS[cls]:
-            prefixes.append(prefixes[-1] | 1 << v)
-        subsets = [s | p for s in subsets for p in prefixes]
-    return subsets
+        kept.append(subset)
+        seen.add(subset)
+        orbit = [subset]
+        for t in orbit:
+            for image in images:
+                u = sum(map(image.__getitem__, _MEMBERS[t]))
+                if u not in seen:
+                    seen.add(u)
+                    orbit.append(u)
+    return kept
 
 
 @lru_cache(maxsize=None)
@@ -403,17 +440,16 @@ def _representative_keys(n: int) -> tuple:
     """Sorted canonical keys of the graphs on n nodes, one per class.
 
     Each representative P on n - 1 nodes is extended by a node n-1 joined to
-    a subset of P's nodes.  Only subsets that take the lowest members of
-    each twin class of P are tried: a twin swap is an automorphism of P, so
-    it maps any other subset's extension onto a tried one, fixing node n-1.
-    An extension goes through ``canonical_form`` only if node n-1 has the
-    maximum vertex invariant (degree, sorted neighbour degrees), the
-    canonical-deletion test of McKay's canonical augmentation (J. Algorithms
-    26, 1998); duplicates that pass collapse in the key set.  No class is
-    lost: for any graph G and node v of maximum invariant, G - v is
-    isomorphic to some P, and extending P by the image of N(v) gives a graph
-    isomorphic to G whose new node has v's invariant.  Parents and children
-    are neighbour bitmasks throughout; no Graph is built.
+    each subset of ``_extension_subsets(P)``.  An extension goes through
+    ``canonical_form`` only if node n-1 has the maximum vertex invariant
+    (degree, sorted neighbour degrees), the canonical-deletion test of
+    McKay's canonical augmentation (J. Algorithms 26, 1998); duplicates that
+    pass collapse in the key set.  No class is lost: for any graph G and
+    node v of maximum invariant, G - v is isomorphic to some P, and
+    extending P by the image S of N(v) gives a graph isomorphic to G whose
+    new node has v's invariant.  An automorphism of P, fixing node n-1, maps
+    it onto the extension by the kept subset of S's orbit; any subgroup's
+    orbits would do.  No Graph is built: all are neighbour bitmasks.
     """
     if n == 0:
         return ((0, 0),)
@@ -422,20 +458,12 @@ def _representative_keys(n: int) -> tuple:
     keys = set()
     for smaller in _representative_keys(new):
         parent = _key_masks(smaller)
-        degree = [m.bit_count() for m in parent]
-        top = max(degree, default=0)
-        # A node of degree >= k joined to node n-1 would end above its degree k.
-        blocked = [sum(1 << j for j in range(new) if degree[j] >= k) for k in range(n)]
-        for subset in _extension_subsets(twin_classes(parent)):
-            k = subset.bit_count()
-            if k < top or subset & blocked[k]:
-                continue
-            masks = [m | bit if subset >> j & 1 else m for j, m in enumerate(parent)]
-            masks.append(subset)
-            deg = [m.bit_count() for m in masks]
+        for subset in _extension_subsets(parent):
+            masks = [m | bit if subset >> j & 1 else m for j, m in enumerate(parent)] + [subset]
+            deg = [_BITS[m] for m in masks]
             mine = sorted(deg[w] for w in _MEMBERS[subset])
             if any(
-                deg[j] == k and sorted(deg[w] for w in _MEMBERS[masks[j]]) > mine
+                deg[j] == deg[new] and sorted(deg[w] for w in _MEMBERS[masks[j]]) > mine
                 for j in range(new)
             ):
                 continue

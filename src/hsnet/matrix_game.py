@@ -25,6 +25,7 @@ and regrets, never strategy vectors.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .rationals import format_rational, over_common_denominator
 from .records import Record
@@ -90,20 +91,23 @@ def _integer_rows(matrix):
     """(shifted, D, shift): the matrix, checked to be nonempty, rectangular
     and exact, as rows of integers over its common denominator D, each raised
     by the same integer S so every entry is at least D; the shift added to
-    the matrix is S / D."""
+    the matrix is S / D.  An int matrix is read in one pass, with D = 1."""
     rows = [tuple(row) for row in matrix]
     if not rows or not rows[0]:
         raise ValueError("matrix must be nonempty")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError("matrix rows must have equal length")
-    if any(type(v) is not int and type(v) is not Fraction for r in rows for v in r):
+    kinds = set().union(*(map(type, r) for r in rows))
+    if not kinds <= {int, Fraction}:
         raise ValueError("matrix entries must be int or Fraction")
-    ints, den = over_common_denominator(v for r in rows for v in r)
-    lo = min(ints)
+    den = 1
+    if Fraction in kinds:
+        den = lcm(*(v.denominator for r in rows for v in r))
+        rows = [[v.numerator * (den // v.denominator) for v in r] for r in rows]
+    lo = min(map(min, rows))
     s = den - lo if lo < den else 0
-    shifted = [v + s for v in ints]
-    return [shifted[i : i + width] for i in range(0, len(shifted), width)], den, Fraction(s, den)
+    return [[v + s for v in r] for r in rows], den, Fraction(s, den)
 
 
 def _column_lp(matrix):

@@ -149,6 +149,7 @@ def test_enumerate_loads_only_graphs():
     assert "hsnet.records" not in loaded
     assert "dataclasses" not in loaded
     assert "fractions" not in loaded
+    assert "csv" not in loaded
 
 
 def test_solve_leaves_designer_and_verifier_out(c4_file):
@@ -238,8 +239,11 @@ def test_format_json_matches_json_dumps(data):
 
 
 def test_format_json_memo_keeps_depth_and_type():
-    # The same ints at two depths, and bools equal to the ints they follow.
-    data = {"a": [1, 2], "b": [[1, 2], [True, 2], [1, 2]], "c": [[[1, 2]]], "d": [[False], [0]]}
+    # The same ints at two depths, and bools equal to the ints they follow,
+    # in lists and in lists of tuples (edge lists).
+    data = {"a": [1, 2], "b": [[1, 2], [True, 2], [1, 2]], "c": [[[1, 2]]], "d": [[False], [0]],
+            "e": [(1, 2), (0, 3), (1, 2), ()], "f": [[(1, 2)], [(1, 2), (True, 2)]],
+            "g": [(0,), (False,)], "h": [(1, 2), [1, 2]]}
     assert format_json(data) == json.dumps(data, sort_keys=True, indent=2)
 
 

@@ -1,5 +1,6 @@
 """Graph structure, classification, and canonical forms."""
 
+import functools
 import itertools
 import json
 import random
@@ -12,6 +13,7 @@ from hsnet.graphs import (
     GraphError,
     EnumerationError,
     GraphFormatError,
+    _automorphism_images,
     _extension_subsets,
     _key_masks,
     canonical_form,
@@ -31,6 +33,7 @@ from hsnet.graphs import (
     to_dot,
     twin_classes,
 )
+from hsnet import graphs as graphs_module
 from hsnet.designer import (
     MAXIMAL_CP_EVEN,
     build_cycle,
@@ -406,6 +409,56 @@ def test_twin_classes_partition_into_pairwise_twins():
                     assert classes[w] == classes[v]
 
 
+def twin_extension_subsets(classes):
+    """The node subsets, as bitmasks, that take the lowest members of each
+    twin class: one subset per orbit of the twin swaps."""
+    subsets = [0]
+    done = 0
+    for cls in classes:
+        if cls & done:
+            continue
+        done |= cls
+        prefixes = [0]
+        for v in MEMBERS[cls]:
+            prefixes.append(prefixes[-1] | 1 << v)
+        subsets = [s | p for s in subsets for p in prefixes]
+    return subsets
+
+
+@functools.lru_cache(maxsize=None)
+def twin_representative_keys(n):
+    """Oracle enumerator: the library's augmentation with only the twin
+    swaps as automorphisms, and the degree filter and the maximum-invariant
+    test applied to each extension.  Returns (keys, canonical_form calls)."""
+    if n == 0:
+        return ((0, 0),), 0
+    new = n - 1
+    bit = 1 << new
+    keys = set()
+    smaller, calls = twin_representative_keys(new)
+    for key in smaller:
+        parent = _key_masks(key)
+        degree = [m.bit_count() for m in parent]
+        top = max(degree, default=0)
+        blocked = [sum(1 << j for j in range(new) if degree[j] >= k) for k in range(n)]
+        for subset in twin_extension_subsets(twin_classes(parent)):
+            k = subset.bit_count()
+            if k < top or subset & blocked[k]:
+                continue
+            masks = [m | bit if subset >> j & 1 else m for j, m in enumerate(parent)]
+            masks.append(subset)
+            deg = [m.bit_count() for m in masks]
+            mine = sorted(deg[w] for w in MEMBERS[subset])
+            if any(
+                deg[j] == k and sorted(deg[w] for w in MEMBERS[masks[j]]) > mine
+                for j in range(new)
+            ):
+                continue
+            keys.add(canonical_form(masks))
+            calls += 1
+    return tuple(sorted(keys)), calls
+
+
 def test_extension_subsets_one_per_twin_swap_orbit():
     for n in range(0, 7):
         for g in enumerate_graphs(n):
@@ -419,7 +472,7 @@ def test_extension_subsets_one_per_twin_swap_orbit():
                         perm[v] = w
                 assert relabel(g, perm) == g  # a twin swap is an automorphism
                 swaps.append(perm)
-            kept = _extension_subsets(twin_classes(g))
+            kept = twin_extension_subsets(twin_classes(g))
             assert len(kept) == len(set(kept))
             for subset in range(1 << n):
                 orbit = {
@@ -427,6 +480,82 @@ def test_extension_subsets_one_per_twin_swap_orbit():
                     for perm in swaps
                 }
                 assert len(orbit & set(kept)) == 1
+
+
+def test_enumeration_matches_twin_swap_oracle():
+    for n in range(0, 8):
+        assert enumerate_keys(n) == twin_representative_keys(n)[0]
+    assert twin_representative_keys(7)[1] == 1673
+
+
+def test_canonical_form_calls_pinned(monkeypatch):
+    # Every key at n <= 7 rebuilt through a counting canonical_form: one call
+    # per orbit of the parent's automorphisms that passes both filters.  A
+    # weaker prune (the twin swaps alone make 1,673) raises the count.
+    calls = []
+    counted = graphs_module.canonical_form
+
+    def counting(g):
+        calls.append(1)
+        return counted(g)
+
+    graphs_module._representative_keys.cache_clear()
+    monkeypatch.setattr(graphs_module, "canonical_form", counting)
+    try:
+        keys = graphs_module._representative_keys(7)
+    finally:
+        graphs_module._representative_keys.cache_clear()
+    assert len(keys) == 1044
+    assert len(calls) == 1300
+
+
+def assert_images_are_automorphisms(masks):
+    n = len(masks)
+    for image in _automorphism_images(masks):
+        perm = [m.bit_length() - 1 for m in image]
+        assert sorted(perm) == list(range(n))
+        moved = [0] * n
+        for v, m in enumerate(masks):
+            moved[perm[v]] = sum(1 << perm[w] for w in MEMBERS[m])
+        assert moved == masks
+
+
+def test_automorphism_images_on_every_graph_up_to_seven():
+    for n in range(0, 8):
+        for key in enumerate_keys(n):
+            assert_images_are_automorphisms(_key_masks(key))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(graph_and_permutation())
+def test_automorphism_images_under_relabelling(case):
+    g, perm = case
+    h = relabel(g, perm)
+    assert_images_are_automorphisms([h.neighbor_mask(v) for v in range(h.node_count)])
+
+
+def test_extension_subsets_one_per_automorphism_orbit():
+    for n in range(0, 7):
+        for key in enumerate_keys(n):
+            masks = _key_masks(key)
+            autos = [
+                perm for perm in itertools.permutations(range(n))
+                if all(
+                    sum(1 << perm[w] for w in MEMBERS[masks[v]]) == masks[perm[v]]
+                    for v in range(n)
+                )
+            ]
+            degree = [m.bit_count() for m in masks]
+            passing = [
+                s for s in range(1 << n)
+                if s.bit_count() >= max(degree, default=0)
+                and all(degree[v] < s.bit_count() for v in MEMBERS[s])
+            ]
+            kept = _extension_subsets(masks)
+            assert len(kept) == len(set(kept)) and set(kept) <= set(passing)
+            for subset in passing:
+                orbit = {sum(1 << perm[v] for v in MEMBERS[subset]) for perm in autos}
+                assert len(orbit & set(kept)) == 1, (key, subset)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -16,6 +16,7 @@ from hsnet.graphs import (
     canonical_form,
     components,
     enumerate_graphs,
+    enumerate_keys,
     graph_from_canonical_key,
     Graph,
 )
@@ -35,7 +36,7 @@ from conftest import graph_and_permutation, identity_u, relabel, square_u
 from test_graphs import reference_canonical_form
 
 
-KNOWN_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+KNOWN_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}  # OEIS A000088
 
 
 def test_enumeration_counts():
@@ -76,10 +77,6 @@ def test_enumeration_bound():
         exhaustive_optimum(8, identity_u(1))  # needs the long-run opt-in
 
 
-def test_enumeration_n8():
-    assert len(enumerate_graphs(8)) == 12346
-
-
 @functools.lru_cache(maxsize=None)
 def unfiltered_keys(n):
     # Reference enumerator: the reference search's key of every one-vertex
@@ -100,8 +97,9 @@ def test_filtered_enumeration_matches_unfiltered_reference():
         assert _representative_keys(n) == unfiltered_keys(n)
 
 
-# SHA-256 of repr(_representative_keys(n)), taken before the clique-cell
-# search and the twin-class extensions: the key set must not move.
+# SHA-256 of repr(enumerate_keys(n)), taken before the clique-cell search,
+# the twin-class extensions and the automorphism-orbit extensions: the key
+# set must not move.
 REPRESENTATIVE_KEYS_SHA256 = {
     7: "5d4edbcba7ce5aa430569f98e8310968f02886fe308dcac12d057e81c589f095",
     8: "ee0cda005a219fe316f87fda84b2587ebf784647692ec29b6b3af69a164dc554",
@@ -110,7 +108,7 @@ REPRESENTATIVE_KEYS_SHA256 = {
 
 @pytest.mark.parametrize("n", sorted(REPRESENTATIVE_KEYS_SHA256))
 def test_representative_keys_pinned(n):
-    digest = hashlib.sha256(repr(_representative_keys(n)).encode()).hexdigest()
+    digest = hashlib.sha256(repr(enumerate_keys(n)).encode()).hexdigest()
     assert digest == REPRESENTATIVE_KEYS_SHA256[n]
 
 
