@@ -17,17 +17,21 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
+
+try:  # the JSON encoder's own C escape, without loading the decoder
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
 
 if TYPE_CHECKING:
     from .payoff import UtilitySpec
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
+DESIGN_MAX_NODES = 10**6  # the largest design --n: the size its path is measured at
 
 
 class CliError(Exception):
@@ -48,6 +52,7 @@ def _utility_from_args(args) -> UtilitySpec:
     if args.utility is not None:
         if given:
             raise CliError(f"--utility takes no other utility flag, got {_flag(given[0])}")
+        import json
         raw = args.utility
         if raw.startswith("@"):
             with open(raw[1:], "r", encoding="utf-8") as fh:
@@ -94,6 +99,7 @@ def _load_graph(path: str):
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
+        import json
         try:
             return graph_from_json_dict(json.loads(text))
         except json.JSONDecodeError as exc:
@@ -117,7 +123,8 @@ def format_json(data) -> str:
     bool and None are taken; anything else, a float or a non-str key
     included, is a TypeError.  The stdlib encoder runs in pure Python whenever
     ``indent`` is set; this one renders each list or tuple of ints, such as an
-    edge pair, once per content and depth.
+    edge pair, once per content and depth, and a list of strings or of int
+    lists (a design's strategies and edges) with no call per item.
     """
     memo = {}
 
@@ -144,7 +151,13 @@ def format_json(data) -> str:
                         "[\n" + inner + (",\n" + inner).join(map(repr, obj)) + "\n" + pad + "]"
                     )
                 return text
-            if kinds == {tuple} and set(map(type, chain.from_iterable(obj))) == {int}:
+            if kinds == {str}:
+                items = map(encode_basestring_ascii, obj)
+            elif kinds == {list} and set(map(type, chain.from_iterable(obj))) == {int}:
+                deeper = inner + "  "
+                items = [("[\n" + deeper + (",\n" + deeper).join(map(repr, v)) + "\n" + inner + "]")
+                         if v else "[]" for v in obj]
+            elif kinds == {tuple} and set(map(type, chain.from_iterable(obj))) == {int}:
                 texts = memo.setdefault(len(inner), {})
                 items = [texts.get(v) or texts.setdefault(v, render(v, inner)) for v in obj]
             else:
@@ -193,10 +206,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_design(args) -> int:
+    if not 1 <= args.n <= DESIGN_MAX_NODES:
+        raise CliError(f"--n must be between 1 and {DESIGN_MAX_NODES}, got {args.n}")
     from .designer import design_optimal
     u = _utility_from_args(args)
-    if args.n < 1:
-        raise CliError("--n must be at least 1")
     result = design_optimal(args.n, u)
     num, inexact = _numeric_renderer(u)
     data = result.to_json_dict()

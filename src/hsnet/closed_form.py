@@ -16,11 +16,12 @@ protected leaves in the connected part.  The quantities:
 * optimal_singleton_counts: the argmin set of that minimum.
 
 The threshold, both guarantees, the singleton seek weight and both bounds
-come from one integer kernel.  For each s, -beta, f(1), f(x), f(x-1) and
-f(x-2) (x = n - s) are read from ``UtilitySpec.integer_table``, the payoffs'
-one table, as integers over their own lcm D, and each quantity is an integer
-numerator over a positive integer multiple of D.  The scan over s compares
-candidates by cross-multiplying and builds one Fraction, for the minimum.
+come from one integer kernel, fed beta, f(1), f(x), f(x-1) and f(x-2)
+(x = n - s) as integers over their own lcm D; each quantity is an integer
+numerator over a positive integer multiple of D.  One s reads them from
+``UtilitySpec.integer_table``, the payoffs' one table; the scan over s makes
+one pass, reads f once per size, and compares candidates by cross-multiplying
+with one Fraction built, for the minimum.
 
 Several identities that the formulas must satisfy (branch agreement, equal
 guarantees at the mixing weights) are asserted inline, as cross-multiplied
@@ -31,6 +32,7 @@ violation would mean a transcription bug rather than a user error.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .payoff import UtilitySpec
 from .records import Record
@@ -68,8 +70,9 @@ def _threshold(x: int, b: int, fx1: int, fx2: int) -> int:
     return t
 
 
-def _component(x: int, m: int, b: int, fx1: int, fx2: int) -> tuple:
-    """(a, k) with the component guarantee A = a / (k D) and k > 0:
+def _component(x: int, m: int, b: int, fx1: int, fx2: int, t: int) -> tuple:
+    """(a, k) with the component guarantee A = a / (k D) and k > 0, given
+    the threshold T = t / D from _threshold:
 
         A = (d d1 / span) (3 (beta - T) / (m span + x d1) - 1) + beta,
 
@@ -79,14 +82,14 @@ def _component(x: int, m: int, b: int, fx1: int, fx2: int) -> tuple:
     span = 3 * d - 2 * d1
     e = m * span + x * d1
     k = span * e
-    a = d * d1 * (3 * (b - _threshold(x, b, fx1, fx2)) - e) + b * k
+    a = d * d1 * (3 * (b - t) - e) + b * k
     if 2 * m == x:
         # With the residual set empty, A = beta/m - ((m-1)/m) f(x-2) too.
         assert a * m == (b - (m - 1) * fx2) * k
     return a, k
 
 
-def _bound(x: int, m: int, s: int, b: int, f1: int, fx: int, fx1: int, fx2: int) -> tuple:
+def _bound(s: int, b: int, f1: int, fx: int, a: int, k: int) -> tuple:
     """(w, g, q): the singleton seek weight lambda_S = w / g and the seeker
     bound Q = q / (g D), with g > 0, given A = a / (k D) from _component.
 
@@ -98,7 +101,6 @@ def _bound(x: int, m: int, s: int, b: int, f1: int, fx: int, fx1: int, fx2: int)
 
     otherwise lambda_S = 0 and Q = A.
     """
-    a, k = _component(x, m, b, fx1, fx2)
     if s >= 1 and a + f1 * k > 0:
         w = s * (a + f1 * k)
         g = s * a + k * (b + f1 + s * fx)
@@ -114,31 +116,22 @@ def _context_bound(n: int, m: int, s: int, u: UtilitySpec) -> tuple:
     """_bound for (n, m, s) under u, then D."""
     x = n - s
     (nb, fx1, fx2, f1, fx), den = u.integer_table((0, x - 1, x - 2, 1, x))
-    return (*_bound(x, m, s, -nb, f1, fx, fx1, fx2), den)
+    a, k = _component(x, m, -nb, fx1, fx2, _threshold(x, -nb, fx1, fx2))
+    return (*_bound(s, -nb, f1, fx, a, k), den)
 
 
-def _singleton(s: int, u: UtilitySpec) -> tuple:
-    """(numerator, denominator) of the singleton guarantee B."""
-    (nb, f1), den = u.integer_table((0, 1))
-    return -nb - (s - 1) * f1, s * den
+def _singleton(s: int, b: int, f1: int) -> int:
+    """The singleton guarantee B = (beta - (s-1) f(1)) / s, over s D."""
+    return b - (s - 1) * f1
 
 
-def _best_bound(n: int, s: int, u: UtilitySpec) -> tuple:
-    """(numerator, positive denominator) of best_seeker_bound(n, s, u)."""
-    if s == n:
-        return _singleton(n, u)
-    _reject_near_full(n, s)
-    if not 0 <= s <= n - 4:
-        raise DomainError(f"invalid singleton count s={s} for n={n}")
-    x = n - s
-    (nb, fx1, fx2, f1, fx), den = u.integer_table((0, x - 1, x - 2, 1, x))
-    # No leaves in the cycle regime, the parity-maximal count otherwise.
-    if _threshold(x, -nb, fx1, fx2) >= -nb:
-        m = 0
-    else:
-        m = x // 2 if x % 2 == 0 else (x - 3) // 2
-    w, g, q = _bound(x, m, s, -nb, f1, fx, fx1, fx2)
-    return q, g * den
+def _best(x: int, s: int, b: int, f1: int, fx: int, fx1: int, fx2: int) -> tuple:
+    """(q, g) of the best seeker bound Q = q / (g D) for s isolated nodes and
+    x >= 4 others: no leaves as a cycle, else the parity-maximal count."""
+    t = _threshold(x, b, fx1, fx2)
+    m = 0 if t >= b else (x - 3 * (x % 2)) // 2  # x/2 when x is even, (x-3)/2 when odd
+    w, g, q = _bound(s, b, f1, fx, *_component(x, m, b, fx1, fx2, t))
+    return q, g
 
 
 # -- the quantities -----------------------------------------------------------
@@ -171,7 +164,7 @@ def component_guarantee(n: int, m: int, s: int, u: UtilitySpec) -> Fraction:
     if x < 4:
         raise DomainError(f"component guarantee needs n-s >= 4, got {x}")
     (nb, fx1, fx2), den = u.integer_table((0, x - 1, x - 2))
-    a, k = _component(x, m, -nb, fx1, fx2)
+    a, k = _component(x, m, -nb, fx1, fx2, _threshold(x, -nb, fx1, fx2))
     return Fraction(a, k * den)
 
 
@@ -180,7 +173,8 @@ def singleton_guarantee(s: int, u: UtilitySpec) -> Fraction:
     isolated nodes when seeking them uniformly."""
     if s < 1:
         raise DomainError("singleton guarantee needs s >= 1")
-    return Fraction(*_singleton(s, u))
+    (nb, f1), den = u.integer_table((0, 1))
+    return Fraction(_singleton(s, -nb, f1), s * den)
 
 
 def interior_seek_weight(n: int, m: int, s: int, u: UtilitySpec) -> Fraction:
@@ -264,8 +258,17 @@ def seeker_bound(n: int, m: int, s: int, u: UtilitySpec) -> Fraction:
 
 def best_seeker_bound(n: int, s: int, u: UtilitySpec) -> Fraction:
     """The exact value bound for networks with s isolated nodes: the seeker
-    bound evaluated at the regime- and parity-appropriate leaf count."""
-    return Fraction(*_best_bound(n, s, u))
+    bound evaluated at the regime- and parity-appropriate leaf count, on
+    its own integer table."""
+    if s == n:
+        return singleton_guarantee(n, u)
+    _reject_near_full(n, s)
+    if not 0 <= s <= n - 4:
+        raise DomainError(f"invalid singleton count s={s} for n={n}")
+    x = n - s
+    (nb, fx1, fx2, f1, fx), den = u.integer_table((0, x - 1, x - 2, 1, x))
+    q, g = _best(x, s, -nb, f1, fx, fx1, fx2)
+    return Fraction(q, g * den)
 
 
 def component_hide_weight(n: int, s: int, u: UtilitySpec, abar: Fraction) -> Fraction:
@@ -316,19 +319,31 @@ def periphery_hide_weight(n: int, s: int, u: UtilitySpec) -> Fraction:
 
 def optimal_singleton_counts(n: int, u: UtilitySpec) -> tuple[tuple[int, ...], Fraction]:
     """All isolated-node counts minimizing the seeker's bound, plus the
-    minimum.  The hider's optimal payoff is minus that minimum."""
+    minimum.  The hider's optimal payoff is minus that minimum.
+
+    One pass over the candidates s = n and s = 0..n-4, compared by
+    cross-multiplying.  f is read once per size, at 1..n (1 alone when
+    n < 4), and each s feeds the kernel over its own lcm D, as
+    ``best_seeker_bound`` does from one integer table."""
     if type(n) is not int or n < 1:
         raise DomainError(f"need an int n >= 1, got {n!r}")
-    domain = list(range(0, n - 3)) if n >= 4 else []
-    domain.append(n)
-    winners, best_q, best_d = [], 0, 1
-    for s in domain:
-        q, d = _best_bound(n, s, u)
-        if not winners or q * best_d < best_q * d:
-            winners, best_q, best_d = [s], q, d
-        elif q * best_d == best_q * d:
+    f = [u.evaluate(x) for x in range(1, n + 1 if n >= 4 else 2)]  # f[x - 1] = f(x)
+    nums, dens = [v.numerator for v in f], [v.denominator for v in f]
+    bn, bd, f1n, f1d = u.beta.numerator, u.beta.denominator, nums[0], dens[0]
+    d0 = lcm(bd, f1d)
+    winners, best_q, best_d = [n], _singleton(n, bn * (d0 // bd), f1n * (d0 // f1d)), n * d0
+    for s in range(n - 3):
+        x = n - s
+        dx, dx1, dx2 = dens[x - 1], dens[x - 2], dens[x - 3]
+        d = lcm(d0, dx, dx1, dx2)
+        q, g = _best(x, s, bn * (d // bd), f1n * (d // f1d), nums[x - 1] * (d // dx),
+                     nums[x - 2] * (d // dx1), nums[x - 3] * (d // dx2))
+        g *= d
+        if q * best_d < best_q * g:
+            winners, best_q, best_d = [s], q, g
+        elif q * best_d == best_q * g:
             winners.append(s)
-    return tuple(winners), Fraction(best_q, best_d)
+    return tuple(sorted(winners)), Fraction(best_q, best_d)
 
 
 class ValueReport(Record):

@@ -29,7 +29,7 @@ from .graphs import (
 )
 from .matrix_game import MixedStrategy, gap_from_payoffs
 from .payoff import UtilitySpec, strategy_payoffs
-from .rationals import format_rational
+from .rationals import format_rational, over_common_denominator
 from .records import Record
 
 ZERO = Fraction(0)
@@ -184,18 +184,19 @@ def classify(g: Graph) -> SeekerPartition:
     """
     n = g.node_count
     degrees = g.degrees()
+    adjacency = list(map(g.neighbors, range(n)))
     singletons = frozenset(i for i in range(n) if degrees[i] == 0)
     leaves = frozenset(i for i in range(n) if degrees[i] == 1)
-    lcount = tuple(sum(degrees[j] == 1 for j in g.neighbors(i)) for i in range(n))
+    is_leaf = [d == 1 for d in degrees].__getitem__
+    lcount = tuple(sum(map(is_leaf, nbrs)) for nbrs in adjacency)
     m_nodes = frozenset(
         i for i in range(n) if lcount[i] == 1 and i not in leaves
     )
     singleton_leaves = frozenset(i for i in leaves if g.neighbors(i)[0] in m_nodes)
     claimed = singletons | singleton_leaves | m_nodes
     residual = [i not in claimed for i in range(n)]
-    r_degree = tuple(
-        sum(residual[j] for j in g.neighbors(i)) if residual[i] else 0 for i in range(n)
-    )
+    r_degree = tuple(sum(map(residual.__getitem__, nbrs)) if own else 0
+                     for own, nbrs in zip(residual, adjacency))
     r_nodes = frozenset(i for i in range(n) if residual[i])
     # Off r_nodes the residual degree is 0, so the one neighbour of residual
     # degree 1 is the residual one.
@@ -228,32 +229,26 @@ def seeker_strategy(g: Graph, u: UtilitySpec) -> MixedStrategy:
 
     # Tiny connected parts (n - s < 4) keep all mass outside the singletons.
     lam_s = cf.singleton_seek_weight(n, m, s, u) if s and n - s >= 4 else ZERO
-    if r == 0:
-        lam_r = ZERO
-    elif m == 0:
-        lam_r = ONE
-    else:
-        lam_r = cf.interior_seek_weight(n, m, s, u)
+    lam_r = ZERO if r == 0 else ONE if m == 0 else cf.interior_seek_weight(n, m, s, u)
 
-    # Each class's share of one node; a residual node that is not a leaf of
-    # the residual subgraph also takes the share of each leaf hanging off it.
+    # Each class's share of one node, as integer weights over one
+    # denominator; a residual node that is not a leaf of the residual
+    # subgraph also takes the share of each leaf hanging off it.
     rest = ONE - lam_s
-    per_s = lam_s / s if s else ZERO
-    per_m = rest * (ONE - lam_r) / m if m else ZERO
-    per_r = rest * lam_r / r if r else ZERO
-    r_degree = part.r_degree
-    probs = [ZERO] * n
-    for v in range(n):
-        if v in part.r_nodes:
-            if r_degree[v] != 1:
-                probs[v] = per_r * (1 + sum(r_degree[j] == 1 for j in g.neighbors(v)))
-            elif v in part.d_gr:
-                probs[v] = per_r
-        elif v in part.m_nodes:
-            probs[v] = per_m
-        elif v in part.singletons:
-            probs[v] = per_s
-    return MixedStrategy(probs)
+    (w_s, w_m, w_r), den = over_common_denominator((
+        lam_s / s if s else ZERO, rest * (ONE - lam_r) / m if m else ZERO,
+        rest * lam_r / r if r else ZERO))
+    r_leaf = [d == 1 for d in part.r_degree]  # residual leaves: r_degree is 0 off r_nodes
+    weights = [0] * n
+    for v in part.r_nodes:
+        if not r_leaf[v]:
+            weights[v] = w_r * (1 + sum(map(r_leaf.__getitem__, g.neighbors(v))))
+        elif v in part.d_gr:
+            weights[v] = w_r
+    for nodes, w in ((part.m_nodes, w_m), (part.singletons, w_s)):
+        for v in nodes:
+            weights[v] = w
+    return MixedStrategy.from_weights(weights, den)
 
 
 def hider_strategy(topo: DesignTopology, u: UtilitySpec) -> MixedStrategy:
@@ -270,18 +265,16 @@ def hider_strategy(topo: DesignTopology, u: UtilitySpec) -> MixedStrategy:
         return MixedStrategy.uniform(n)
     abar = cf.component_guarantee(n, len(topo.periphery_nodes), s, u)
     kappa = cf.component_hide_weight(n, s, u, abar)
-    probs = [ZERO] * n
-    spread = kappa
-    if topo.middle_orphan is not None:
-        mu = cf.periphery_hide_weight(n, s, u)
-        spread = kappa * mu
-        probs[topo.middle_orphan] = kappa * (ONE - mu)
+    mu = ONE if topo.middle_orphan is None else cf.periphery_hide_weight(n, s, u)
     hide = topo.periphery_nodes or topo.component_nodes
-    for v in hide:
-        probs[v] = spread / len(hide)
-    for v in topo.singleton_nodes:
-        probs[v] = (ONE - kappa) / s
-    return MixedStrategy(probs)
+    (w_hide, w_middle, w_single), den = over_common_denominator(
+        (kappa * mu / len(hide), kappa * (ONE - mu), (ONE - kappa) / s if s else ZERO))
+    middle = () if topo.middle_orphan is None else (topo.middle_orphan,)
+    weights = [0] * n
+    for nodes, w in ((hide, w_hide), (middle, w_middle), (topo.singleton_nodes, w_single)):
+        for v in nodes:
+            weights[v] = w
+    return MixedStrategy.from_weights(weights, den)
 
 
 # -- full design ------------------------------------------------------------

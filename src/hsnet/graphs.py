@@ -143,11 +143,12 @@ class ComponentPartition:
 def _dfs_low_links(g: Graph) -> tuple:
     """One iterative depth-first search over every component.
 
-    Returns (order, tin, low, size, children, comp_start): nodes in preorder,
-    each node's preorder index, its low link, its subtree size, its tree
-    children in preorder, and the preorder index of its component's root.
-    Roots are taken in increasing id, and components are contiguous in
-    preorder.
+    Returns (order, tin, low, size, comp_start): nodes in preorder, each
+    node's preorder index, its low link, its subtree size, and the preorder
+    index of its component's root.  Roots are taken in increasing id;
+    components and subtrees are contiguous in preorder.  The stack is the
+    tree path, ints only: a deep search builds no container per node for the
+    garbage collector to scan.
     """
     adjacency = g._adjacency
     n = g.node_count
@@ -155,39 +156,41 @@ def _dfs_low_links(g: Graph) -> tuple:
     tin = [-1] * n
     low = [0] * n
     size = [1] * n
-    children: list = [[] for _ in range(n)]
     comp_start = [0] * n
+    scanned = [0] * n  # neighbours of each node already looked at
     for root in range(n):
         if tin[root] >= 0:
             continue
         start = len(order)
         tin[root] = low[root] = start
         order.append(root)
-        parents = [-1]
-        stack = [(root, iter(adjacency[root]))]
-        while stack:
-            v, it = stack[-1]
-            for w in it:
+        path = [root]
+        while path:
+            v = path[-1]
+            nbrs, i = adjacency[v], scanned[v]
+            parent = path[-2] if len(path) > 1 else -1
+            while i < len(nbrs):
+                w = nbrs[i]
+                i += 1
                 if tin[w] < 0:
-                    tin[w] = low[w] = len(order)
-                    order.append(w)
-                    children[v].append(w)
-                    parents.append(v)
-                    stack.append((w, iter(adjacency[w])))
                     break
-                if w != parents[-1] and tin[w] < low[v]:
+                if w != parent and tin[w] < low[v]:
                     low[v] = tin[w]
             else:
-                stack.pop()
-                parents.pop()
-                if stack:
-                    p = stack[-1][0]
+                path.pop()
+                if path:
+                    p = path[-1]
                     if low[v] < low[p]:
                         low[p] = low[v]
                     size[p] += size[v]
+                continue
+            scanned[v] = i
+            tin[w] = low[w] = len(order)
+            order.append(w)
+            path.append(w)
         for v in order[start:]:
             comp_start[v] = start
-    return order, tin, low, size, children, comp_start
+    return order, tin, low, size, comp_start
 
 
 def _deletion_pieces(links: tuple, k: int) -> tuple[list, int]:
@@ -195,15 +198,22 @@ def _deletion_pieces(links: tuple, k: int) -> tuple[list, int]:
     (pieces, rest).  ``pieces`` are k's separated tree children, those c with
     low[c] >= tin[k] (every child of a root), each the root of one piece of
     size[c] nodes, contiguous in preorder; ``rest`` is the size of what is
-    left, 0 when nothing is.  Other components are untouched."""
-    order, tin, low, size, children, comp_start = links
-    pieces = [c for c in children[k] if low[c] >= tin[k]]
+    left, 0 when nothing is.  Other components are untouched.  k's first
+    child follows k in preorder, and each next one the previous subtree."""
+    order, tin, low, size, comp_start = links
+    tk = tin[k]
+    pieces, p, end = [], tk + 1, tk + size[k]
+    while p < end:
+        c = order[p]
+        if low[c] >= tk:
+            pieces.append(c)
+        p += size[c]
     return pieces, size[order[comp_start[k]]] - 1 - sum(size[c] for c in pieces)
 
 
 def components(g: Graph) -> ComponentPartition:
     """Connected-component partition, components ordered by smallest member."""
-    order, tin, _, size, _, comp_start = _dfs_low_links(g)
+    order, tin, _, size, comp_start = _dfs_low_links(g)
     comp_of = [0] * g.node_count
     comps = []
     for v in order:

@@ -9,7 +9,9 @@ and the row player's strategy is read off its dual multipliers.  The
 optimal-mass probe is posed by LP duality as a program of the same
 slack-feasible form, so every LP here starts from the slack basis.  The
 strategies are certified by a zero best-response gap, computed in exact
-arithmetic on the integer matrix the LP solved, apart from the solver.
+arithmetic on the integer matrix the LP solved, apart from the solver.  Only
+the functions that run an LP import the simplex, so certifying strategies
+alone (``gap_from_payoffs``, as ``hsnet design`` does) loads no LP code.
 
 A matrix held as integers over a denominator D (``payoff.integer_payoffs``)
 is passed as its integers alone.  Scaling a game by D > 0 scales its value by
@@ -25,60 +27,74 @@ and regrets, never strategy vectors.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .rationals import format_rational, over_common_denominator
 from .records import Record
-from .simplex import solve_lp
 
 ONE = Fraction(1)
 
 
-class MixedStrategy:
-    """Probability vector over actions; exact, validated at construction."""
+class MixedStrategy(Record):
+    """Probability vector over actions, held exactly as integer weights over
+    one denominator, reduced so that equal vectors hold equal weights, and
+    validated at construction: weights >= 0 summing to the denominator.  A
+    Fraction is built only when a probability is read."""
 
-    __slots__ = ("probs",)
+    __slots__ = _fields = ("weights", "denominator")
 
     def __init__(self, probs):
-        probs = tuple(probs)
-        # One read over the common denominator D: numerators >= 0 summing to D.
         try:
-            nums, den = over_common_denominator(probs)
+            weights, den = over_common_denominator(probs)
         except ValueError:
             raise ValueError("strategy probabilities must be int or Fraction") from None
-        if min(nums, default=0) < 0:
+        self._hold(weights, den)
+
+    @classmethod
+    def from_weights(cls, weights, den: int) -> "MixedStrategy":
+        """Action i with probability weights[i] / den (ints, den > 0)."""
+        strategy = cls.__new__(cls)
+        strategy._hold(weights, den)
+        return strategy
+
+    def _hold(self, weights, den):
+        weights = tuple(weights)
+        if min(weights, default=0) < 0:
             raise ValueError("strategy probabilities must be nonnegative")
-        if sum(nums) != den:
+        total = sum(weights)
+        if type(total) is not int or type(den) is not int or total != den or den < 1:
             raise ValueError("strategy probabilities must sum to exactly 1")
-        self.probs = tuple(p if type(p) is Fraction else Fraction(p) for p in probs)
+        g = gcd(den, *weights)
+        Record.__init__(self, tuple(w // g for w in weights) if g > 1 else weights, den // g)
 
     @staticmethod
     def uniform(n: int) -> "MixedStrategy":
-        return MixedStrategy([Fraction(1, n)] * n)
+        return MixedStrategy.from_weights([1] * n, n)
+
+    @property
+    def probs(self) -> tuple:
+        view = {w: Fraction(w, self.denominator) for w in set(self.weights)}
+        return tuple(map(view.__getitem__, self.weights))
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.probs) if p > 0)
+        return tuple(i for i, w in enumerate(self.weights) if w)
 
     def to_pq(self) -> list[str]:
-        return [format_rational(p) for p in self.probs]
+        """The probabilities as "p/q" strings, each distinct weight formatted once."""
+        text = {w: format_rational(Fraction(w, self.denominator)) for w in set(self.weights)}
+        return list(map(text.__getitem__, self.weights))
 
     def __len__(self):
-        return len(self.probs)
+        return len(self.weights)
 
     def __getitem__(self, i):
-        return self.probs[i]
+        return Fraction(self.weights[i], self.denominator)
 
     def __iter__(self):
         return iter(self.probs)
 
-    def __eq__(self, other):
-        return isinstance(other, MixedStrategy) and self.probs == other.probs
-
-    def __hash__(self):
-        return hash(self.probs)
-
-    def __repr__(self):
-        return f"MixedStrategy({[str(p) for p in self.probs]})"
+    def __reduce__(self):
+        return MixedStrategy.from_weights, self._values()
 
 
 class GameSolution(Record):
@@ -118,6 +134,7 @@ def _column_lp(matrix):
     Returns (shifted, w, total, duals, shift): max sum(w) = total =
     1/(value + shift), and the duals of the unscaled rows, which sum to total.
     """
+    from .simplex import solve_lp
     shifted, den, shift = _integer_rows(matrix)
     w, total, duals = solve_lp(c=[1] * len(shifted[0]), rows=shifted, rhs=[den] * len(shifted))
     return shifted, w, total, [y * den for y in duals], shift
@@ -137,8 +154,9 @@ def solve_zero_sum(matrix) -> GameSolution:
     on the LP's own integer matrix would mean a solver bug, so it is asserted.
     """
     shifted, w, total, duals, shift = _column_lp(matrix)
-    row_strategy = MixedStrategy([y / total for y in duals])
-    col_strategy = MixedStrategy([wk / total for wk in w])
+    # Both vectors sum to total: each is its own weights over their sum.
+    row_strategy, col_strategy = (MixedStrategy.from_weights(nums, sum(nums))
+                                  for nums, _ in map(over_common_denominator, (duals, w)))
     if best_response_gap(shifted, row_strategy, col_strategy) != (0, 0):
         raise AssertionError("solver strategies are not an equilibrium; solver bug")
     return GameSolution(ONE / total - shift, row_strategy, col_strategy)
@@ -147,23 +165,27 @@ def solve_zero_sum(matrix) -> GameSolution:
 def best_response_gap(matrix, row: MixedStrategy, col: MixedStrategy):
     """(row regret, column regret): gain available to each player by the best
     pure deviation.  Both are zero exactly when (row, col) is an equilibrium.
-    They are computed on the matrix's shifted integer rows, which leave every
-    regret D times its own."""
+    They are computed in integers on the matrix's shifted rows, which leave
+    every regret D times its own, and the two strategies' weights brought
+    over one denominator."""
     rows, den, _ = _integer_rows(matrix)
     if len(row) != len(rows) or len(col) != len(rows[0]):
         raise ValueError("strategy dimensions do not match the matrix")
-    col_support = [(k, q) for k, q in enumerate(col) if q]
-    row_support = [(p, r) for p, r in zip(row, rows) if p]
+    common = lcm(row.denominator, col.denominator)
+    col_support = [(k, q * (common // col.denominator)) for k, q in enumerate(col.weights) if q]
+    row_support = [(p * (common // row.denominator), r) for p, r in zip(row.weights, rows) if p]
     row_payoffs = [sum(r[k] * q for k, q in col_support) for r in rows]  # M.col
     col_payoffs = [sum(p * r[k] for p, r in row_support) for k in range(len(col))]  # row.M
-    return tuple(regret / den for regret in gap_from_payoffs(row, row_payoffs, col_payoffs))
+    gap = gap_from_payoffs(row, row_payoffs, col_payoffs)
+    return tuple(regret / (den * common) for regret in gap)
 
 
 def gap_from_payoffs(row: MixedStrategy, row_payoffs, col_payoffs):
     """(row regret, column regret) from M.col and row.M, however computed, in
     the payoffs' own unit (integers over D give regrets over D).  The row
-    strategy is read in integers, so only the two regrets are Fractions."""
-    rho, den = over_common_denominator(row)
+    strategy's weights are read as they are held, so only the two regrets
+    are Fractions."""
+    rho, den = row.weights, row.denominator
     current = sum(p * v for p, v in zip(rho, row_payoffs) if p)  # den row.M.col
     row_regret = max(row_payoffs) * den - current
     return Fraction(row_regret, den), Fraction(current - min(col_payoffs) * den, den)
@@ -195,6 +217,7 @@ def max_optimal_mass(matrix, value: Fraction, index: int) -> Fraction:
     value_shifted = Fraction(value) + shift
     if value_shifted <= 0:
         raise ValueError("value is below every entry of the matrix")
+    from .simplex import solve_lp
     p, q = value_shifted.numerator, value_shifted.denominator
     pz = solve_lp(
         c=[p] * len(shifted[0]) + [-q],

@@ -9,8 +9,8 @@ and component sizes off one low-link DFS; no neighbour bitmask is built.
 Payoffs are read through one integer table, ``UtilitySpec.integer_table``
 (-beta and f at the sizes asked for, over their lcm D): the matrix
 (``integer_payoffs``), the design certificate (``strategy_payoffs``) and
-``closed_form`` build no Fraction to read one, and ``payoff_matrix`` is only
-the Fraction view of the integer matrix.
+``closed_form`` build no Fraction to read one (its scan reads each f once, by
+``evaluate``), and ``payoff_matrix`` is only the integer matrix's Fractions.
 
 Component values f are strictly increasing with f(0) = 0.  ``FAMILIES`` is
 the one table of the built-in families: each family's parameter name (in JSON
@@ -24,12 +24,12 @@ exponents, which fall back to floats (wrapped exactly, flagged via
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
 from .graphs import Graph, GraphError, _deletion_pieces, _dfs_low_links
+from .matrix_game import MixedStrategy
 from .rationals import format_rational, over_common_denominator, parse_rational
 from .records import Record
 
@@ -122,46 +122,43 @@ class UtilitySpec(Record):
     # -- evaluation --------------------------------------------------------
 
     def value(self, x: int) -> Fraction:
-        """f(x) for a nonnegative integer component size."""
+        """f(x) for a nonnegative integer component size, kept once read."""
+        cached = self._cache.get(x)
+        if cached is None:
+            cached = self._cache[x] = self.evaluate(x)
+        return cached
+
+    def evaluate(self, x: int) -> Fraction:
+        """f(x), evaluated on each call and not kept: for a caller that reads
+        each size once, such as the isolated-node scan."""
         if x < 0:
             raise UtilityError(f"component size {x} is negative")
-        cached = self._cache.get(x)
-        if cached is not None:
-            return cached
+        family, p = self.family, self.params[0]  # a table's p is f(0)
         try:
-            out = self._evaluate(x)
+            if family == "linear":
+                return Fraction(p.numerator * x, p.denominator)
+            if family == "power":
+                if p.denominator == 1:
+                    return Fraction(_int_power(x, int(p)))
+                return Fraction(float(x) ** float(p)) if x else Fraction(0)
+            if family == "ratio_power":
+                if x == 0:
+                    return Fraction(0)
+                if p.denominator == 1:
+                    g = int(p)
+                    return Fraction(_int_power(x, g), _int_power(x + 1, g - 1))
+                return Fraction(float(x) ** float(p) / float(x + 1) ** (float(p) - 1.0))
         except OverflowError as exc:
-            raise UtilityError(
-                f"{self.family} utility overflows a float at component size {x}"
-            ) from exc
-        self._cache[x] = out
-        return out
+            raise UtilityError(f"{family} utility overflows a float at component size {x}") from exc
+        if x >= len(self.params):
+            raise UtilityError(f"table utility has no entry for component size {x}")
+        return self.params[x]
 
     def integer_table(self, sizes) -> tuple:
         """(values, D): f at each given size, in order, as an integer over D,
         with -beta for size 0, the pattern's mark of a capture.  D is the lcm
         of those values' denominators: f is read at no other size."""
         return over_common_denominator(self.value(c) if c else -self.beta for c in sizes)
-
-    def _evaluate(self, x: int) -> Fraction:
-        if self.family == "linear":
-            return self.params[0] * x
-        if self.family == "power":
-            gamma = self.params[0]
-            if gamma.denominator == 1:
-                return Fraction(_int_power(x, int(gamma)))
-            return Fraction(float(x) ** float(gamma)) if x else Fraction(0)
-        if self.family == "ratio_power":
-            gamma = self.params[0]
-            if x == 0:
-                return Fraction(0)
-            if gamma.denominator == 1:
-                g = int(gamma)
-                return Fraction(_int_power(x, g), _int_power(x + 1, g - 1))
-            return Fraction(float(x) ** float(gamma) / float(x + 1) ** (float(gamma) - 1.0))
-        if x >= len(self.params):
-            raise UtilityError(f"table utility has no entry for component size {x}")
-        return self.params[x]
 
     # -- serialization -----------------------------------------------------
 
@@ -231,7 +228,7 @@ def integer_payoffs(g: Graph, u: UtilitySpec) -> tuple:
     if n < 1:
         raise GraphError("payoff matrix needs at least one node")
     links = _dfs_low_links(g)
-    order, tin, _, size, _, comp_start = links
+    order, tin, _, size, comp_start = links
     whole = [size[order[comp_start[v]]] for v in order]  # by preorder position
     # sizes[k][tin[h]]: 0 if inspecting k catches h, else h's component size
     # once k is deleted.
@@ -262,93 +259,124 @@ def payoff_matrix(g: Graph, u: UtilitySpec) -> tuple:
     return tuple(tuple(view[v] for v in row) for row in rows)
 
 
+def _weights(strategy) -> tuple:
+    """(weights, D) of a MixedStrategy as held, or of ints and Fractions."""
+    if isinstance(strategy, MixedStrategy):
+        return strategy.weights, strategy.denominator
+    return over_common_denominator(strategy)
+
+
 def strategy_payoffs(g: Graph, u: UtilitySpec, hider, seeker) -> tuple:
     """(rows, cols, D): M.seeker and hider.M of g's hider-payoff matrix M, as
-    lists of integers over one denominator D, without M.
+    lists of integers over one denominator D, without M.  A strategy is a
+    MixedStrategy, read as its weights, or a sequence of ints and Fractions.
 
     Deleting k leaves its separated DFS child subtrees, the rest of k's
-    component, and the other components unchanged
-    (``graphs._deletion_pieces``).  Both sides are range adds over preorder
-    positions, keyed by the size whose value they earn (0 for a capture, as
-    in ``integer_payoffs``): column k takes each piece's hider mass at its
-    own position, rows take k's seeker weight over each piece, and both take
-    point corrections on k's closed neighbourhood, so a fully caught piece
-    cancels out.  ``u.integer_table`` is read once, over the sizes left with
-    a nonzero weight: only sizes some cell of M holds.  No Fraction is built.
+    component and the other components (``graphs._deletion_pieces``).  A
+    part is held when k leaves a node of it uncaught.  One pass records each
+    held part's size and uncaught hider mass, and where k's seeker weight
+    earns its f: ranges of preorder positions less some points.  Then
+    ``u.integer_table`` is read once, over those sizes, which cells of M
+    hold.  Captures (size 0, as in ``integer_payoffs``) and the other
+    components are per-node and per-component sums.  No Fraction is built.
     Cost: O((n + e) log max-degree) integer operations.
     """
     n = g.node_count
     if n < 1:
         raise GraphError("payoff matrix needs at least one node")
-    rho, rho_den = over_common_denominator(hider)
-    sigma, sigma_den = over_common_denominator(seeker)
+    rho, rho_den = _weights(hider)
+    sigma, sigma_den = _weights(seeker)
     if len(rho) != n or len(sigma) != n:
         raise GraphError("strategy length must equal node count")
     links = _dfs_low_links(g)
-    order, tin, _, size, _, comp_start = links
+    order, tin, _, size, comp_start = links
     prefix = list(accumulate((rho[v] for v in order), initial=0))
-    # (preorder position, size x) -> weight earning table[x] from there on:
-    # the differences of the range adds, seeker weight for the rows and
-    # hider mass for the columns.
-    row_steps, col_steps = defaultdict(int), defaultdict(int)
-
-    def add(steps, start, stop, x, weight):
-        steps[start, x] += weight
-        steps[stop, x] -= weight
-
-    # Hiding in another component earns f(its size) whatever k is deleted:
-    # a component earns it in every column but its own (for the rows, each
-    # column of its own takes its weight back below).
-    sigma_total = sum(sigma)
-    for a in (t for t, v in enumerate(order) if comp_start[v] == t):
-        c = size[order[a]]
-        add(row_steps, a, a + c, c, sigma_total)
-        add(col_steps, 0, n, c, prefix[a + c] - prefix[a])
-        add(col_steps, a, a + c, c, prefix[a] - prefix[a + c])
+    sigma_at, rho_at = sigma.__getitem__, rho.__getitem__
+    caught_rows, caught_cols = [0] * n, [0] * n  # sigma(N[h]) and rho(N[k])
+    # The rest of each k: its size, its uncaught hider mass and, when it is
+    # held and k has seeker weight, k's neighbours outside its held pieces,
+    # which with k earn less than the range add over k's component.
+    rest_size, rest_mass, rest_points = [0] * n, [0] * n, [None] * n
+    held_pieces = []  # (k, start, size, uncaught hider mass, k's neighbours in it)
     for k in range(n):
-        tk, a = tin[k], comp_start[k]
+        a, nbrs = comp_start[k], g.neighbors(k)
+        caught_rows[k] = sigma[k] + sum(map(sigma_at, nbrs))
+        caught_cols[k] = rho[k] + sum(map(rho_at, nbrs))
         c = size[order[a]]
-        pieces, rest = _deletion_pieces(links, k)
-        starts = [tin[ch] for ch in pieces]
-        # Each piece's size and hider mass, the rest of k's component last.
-        xs = [size[ch] for ch in pieces] + [rest]
-        mass = [prefix[t + x] - prefix[t] for t, x in zip(starts, xs)]
-        mass.append(prefix[a + c] - prefix[a] - sum(mass))
-        weight = sigma[k]
-        if weight:
-            # k's component earns f(rest), but on k's pieces their own size.
-            add(row_steps, a, a + c, c, -weight)
-            add(row_steps, a, a + c, rest, weight)
-            for t, x in zip(starts, xs):
-                add(row_steps, t, t + x, rest, -weight)
-                add(row_steps, t, t + x, x, weight)
-        for w in (k, *g.neighbors(k)):  # k and its neighbours are caught
-            tw = tin[w]
-            i = bisect_right(starts, tw) - 1
-            if i < 0 or tw >= starts[i] + xs[i]:
-                i = -1
-            mass[i] -= rho[w]
-            add(col_steps, tk, tk + 1, 0, rho[w])
-            if weight:
-                add(row_steps, tw, tw + 1, xs[i], -weight)
-                add(row_steps, tw, tw + 1, 0, weight)
-        for x, m in zip(xs, mass):
-            add(col_steps, tk, tk + 1, x, m)
+        pieces, rest = _deletion_pieces(links, k) if size[k] > 1 else ((), c - 1)
+        left = prefix[a + c] - prefix[a] - caught_cols[k]
+        points, near = nbrs, len(nbrs)
+        if pieces:
+            starts = [tin[ch] for ch in pieces]
+            points, inside = [], [[] for _ in pieces]
+            for w in nbrs:
+                tw = tin[w]
+                i = bisect_right(starts, tw) - 1
+                if i >= 0 and tw < starts[i] + size[pieces[i]]:
+                    inside[i].append(w)
+                else:
+                    points.append(w)
+            near = len(points)
+            for t, ch, hit in zip(starts, pieces, inside):
+                x = size[ch]
+                if len(hit) == x:  # fully caught: its nodes earn a capture
+                    points.extend(hit)
+                    continue
+                m = prefix[t + x] - prefix[t] - sum(map(rho_at, hit))
+                left -= m
+                held_pieces.append((k, t, x, m, hit))
+        rest_size[k], rest_mass[k] = rest, left
+        if sigma[k] and near < rest:
+            rest_points[k] = tuple(points)
 
-    sizes = sorted({x for steps in (row_steps, col_steps) for (_, x), w in steps.items() if w})
+    # Hiding in another component earns f(its size) whatever k is deleted.
+    roots = [t for t, v in enumerate(order) if comp_start[v] == t]
+    several = len(roots) > 1
+    held = (x for x, m, p in zip(rest_size, rest_mass, rest_points) if m or p is not None)
+    sizes = sorted({0, *held, *(x for _, _, x, _, _ in held_pieces),
+                    *(size[order[t]] for t in roots if several)})
     values, den = u.integer_table(sizes)
     table = dict(zip(sizes, values))
+    rows = [table[0] * w for w in caught_rows]
+    cols = [table[0] * m for m in caught_cols]
+    shift = [0] * (n + 1)
+    for k in range(n):
+        x, points = rest_size[k], rest_points[k]
+        if rest_mass[k]:
+            cols[k] += table[x] * rest_mass[k]
+        if points is not None:
+            v = table[x] * sigma[k]
+            a = comp_start[k]
+            shift[a] += v
+            shift[a + size[order[a]]] -= v
+            rows[k] -= v
+            for w in points:
+                rows[w] -= v
+    for k, t, x, m, hit in held_pieces:
+        cols[k] += table[x] * m
+        v = table[x] * sigma[k]
+        for w in hit:
+            rows[w] -= v
+        if rest_points[k] is not None:
+            v -= table[rest_size[k]] * sigma[k]
+        shift[t] += v
+        shift[t + x] -= v
+    for v, acc in zip(order, accumulate(shift)):
+        rows[v] += acc
+    if several:
+        sigma_prefix = list(accumulate((sigma[v] for v in order), initial=0))
+        earned = [(t, size[order[t]]) for t in roots]
+        everywhere = sum(table[c] * (prefix[t + c] - prefix[t]) for t, c in earned)
+        for t, c in earned:
+            outside = sigma_prefix[n] - sigma_prefix[t + c] + sigma_prefix[t]
+            elsewhere = everywhere - table[c] * (prefix[t + c] - prefix[t])
+            for v in order[t : t + c]:
+                rows[v] += table[c] * outside
+                cols[v] += elsewhere
     # Rows are over D sigma_den and columns over D rho_den: bring both over one.
     common = lcm(rho_den, sigma_den)
-    rows, cols = [0] * n, [0] * n
-    for out, steps, scale in ((rows, row_steps, common // sigma_den),
-                              (cols, col_steps, common // rho_den)):
-        shift = [0] * (n + 1)
-        for (pos, x), w in steps.items():
-            if w:
-                shift[pos] += table[x] * w
-        for v, total in zip(order, accumulate(shift)):
-            out[v] = total * scale
+    rows = [v * (common // sigma_den) for v in rows]
+    cols = [v * (common // rho_den) for v in cols]
     return rows, cols, den * common
 
 
@@ -358,32 +386,30 @@ def capture_probability(g: Graph, hider, seeker, within=None) -> Fraction:
     ``hider`` and ``seeker`` index nodes of g.  When ``within`` is given,
     both strategies are conditioned on that node set (useful for reading the
     capture rate inside a single component of a larger design).  Every
-    probability must be an int or a Fraction, and every node of ``within`` an
-    int in 0..n-1; anything else, a float, a string or a bool included, is a
-    ValueError.  Inspecting k catches the hider mass on k and its neighbours,
-    so the sum takes O(n + e) exact operations.
+    probability must be an int or a Fraction (a MixedStrategy is read as its
+    weights), and every node of ``within`` an int in 0..n-1; anything else, a
+    float, a string or a bool included, is a ValueError.  Inspecting k
+    catches the hider mass on k and its neighbours, so the sum takes O(n + e)
+    integer operations and builds one Fraction.
     """
     n = g.node_count
-    hider, seeker = list(hider), list(seeker)
-    if any(type(p) is not int and type(p) is not Fraction for p in hider + seeker):
-        raise ValueError("strategy probabilities must be int or Fraction")
-    hp = [Fraction(p) for p in hider]
-    sp = [Fraction(p) for p in seeker]
+    try:
+        (hp, hden), (sp, sden) = _weights(hider), _weights(seeker)
+    except ValueError:
+        raise ValueError("strategy probabilities must be int or Fraction") from None
     if len(hp) != n or len(sp) != n:
         raise GraphError("strategy length must equal node count")
     if within is not None:
         within = list(within)
         if any(type(i) is not int or not 0 <= i < n for i in within):
             raise ValueError(f"within must hold node ids in 0..{n - 1}")
+        # Conditioned, each strategy is its weights on the set over their total.
         inside = set(within)
-        hmass = sum(hp[i] for i in inside)
-        smass = sum(sp[i] for i in inside)
-        if hmass == 0 or smass == 0:
+        hp = [p if i in inside else 0 for i, p in enumerate(hp)]
+        sp = [q if i in inside else 0 for i, q in enumerate(sp)]
+        hden, sden = sum(hp), sum(sp)
+        if not hden or not sden:
             raise ValueError("cannot condition on a zero-mass node set")
-        hp = [hp[i] / hmass if i in inside else Fraction(0) for i in range(n)]
-        sp = [sp[i] / smass if i in inside else Fraction(0) for i in range(n)]
-    total = Fraction(0)
-    for k in range(n):
-        if sp[k]:
-            total += sp[k] * (hp[k] + sum(hp[w] for w in g.neighbors(k)))
-    return total
+    hider_at = hp.__getitem__
+    caught = sum(q * (hp[k] + sum(map(hider_at, g.neighbors(k)))) for k, q in enumerate(sp) if q)
+    return Fraction(caught, hden * sden)

@@ -12,10 +12,13 @@ from fractions import Fraction
 from math import lcm
 
 
-def format_rational(value: Fraction) -> str:
-    """Render a Fraction as the reduced string "p/q" (denominator always shown)."""
-    f = Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
+def format_rational(value) -> str:
+    """Render an int or a Fraction as the reduced string "p/q" (denominator
+    always shown), read from ``.numerator``/``.denominator``; anything else (a
+    float, a string, a bool) is a ValueError."""
+    if type(value) is not int and type(value) is not Fraction:
+        raise ValueError(f"expected an int or a Fraction, got {value!r}")
+    return f"{value.numerator}/{value.denominator}"
 
 
 def parse_rational(text) -> Fraction:

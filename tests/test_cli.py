@@ -165,6 +165,22 @@ def test_design_leaves_dataclasses_and_verifier_out():
     assert "hsnet.designer" in loaded and "hsnet.closed_form" in loaded
     assert "hsnet.oracle" not in loaded
     assert "dataclasses" not in loaded
+    # The design path certifies its strategies without an LP: no LP code.
+    assert "hsnet.matrix_game" in loaded and "hsnet.simplex" not in loaded
+
+
+def test_design_size_limit_is_a_usage_error(monkeypatch, capsys):
+    import hsnet.cli
+    import hsnet.designer
+
+    monkeypatch.setattr(hsnet.designer, "design_optimal", lambda *a: pytest.fail("design ran"))
+    limit = hsnet.cli.DESIGN_MAX_NODES
+    assert limit == 10**6
+    # Refused before any work: the utility file is never opened.
+    for n in (limit + 1, 10**9, 0, -3):
+        assert run(["design", "--n", str(n), "--utility", "@/no/such/file.json"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --n must be between 1 and {limit}, got {n}\n"
 
 
 def test_top_level_names_resolve_on_first_use():

@@ -318,6 +318,60 @@ def test_scan_matches_oracle_up_to_300(family):
             assert cf.optimal_singleton_counts(n, u) == (counts, best), (n, u)
 
 
+def best_bound(n, s, u):
+    """(q, d) with best_seeker_bound(n, s, u) = q / d, d > 0, read from one
+    integer table for this s alone."""
+    if s == n:
+        (nb, f1), den = u.integer_table((0, 1))
+        return cf._singleton(n, -nb, f1), n * den
+    x = n - s
+    (nb, fx1, fx2, f1, fx), den = u.integer_table((0, x - 1, x - 2, 1, x))
+    q, g = cf._best(x, s, -nb, f1, fx, fx1, fx2)
+    return q, g * den
+
+
+def scan_by_best_bound(n, u):
+    """optimal_singleton_counts as one ``best_bound`` per candidate s,
+    compared by cross-multiplying: the per-s oracle of the one-pass scan."""
+    winners, best_q, best_d = [], 0, 1
+    for s in list(range(0, n - 3)) + [n]:
+        q, d = best_bound(n, s, u)
+        if not winners or q * best_d < best_q * d:
+            winners, best_q, best_d = [s], q, d
+        elif q * best_d == best_q * d:
+            winners.append(s)
+    return tuple(winners), F(best_q, best_d)
+
+
+def scan_utilities():
+    """The twelve verify-grid utilities and four seeded random tables."""
+    from hsnet.oracle import grid_utilities
+
+    return [u for _, _, u in grid_utilities()] + random_tables(2001, 18) + random_tables(2001, 19)[:1]
+
+
+def test_one_pass_scan_matches_per_s_oracle():
+    for u in scan_utilities():
+        for n in list(range(1, 121)) + [500, 2000]:
+            assert cf.optimal_singleton_counts(n, u) == scan_by_best_bound(n, u), (n, u)
+
+
+def test_scan_reads_each_size_once(monkeypatch):
+    from hsnet.payoff import UtilitySpec
+
+    tables, evaluated = [], []
+    integer_table, evaluate = UtilitySpec.integer_table, UtilitySpec.evaluate
+    monkeypatch.setattr(UtilitySpec, "integer_table",
+                        lambda self, sizes: tables.append(sizes) or integer_table(self, sizes))
+    monkeypatch.setattr(UtilitySpec, "evaluate",
+                        lambda self, x: evaluated.append(x) or evaluate(self, x))
+    n = 100000
+    counts, best = cf.optimal_singleton_counts(n, identity_u(2))
+    assert counts == (0,)
+    assert len(tables) <= 1
+    assert sorted(evaluated) == list(range(1, n + 1))
+
+
 def test_threshold_examples():
     assert cf.topology_threshold(7, 0, identity_u()) == -1
     assert cf.topology_threshold(12, 0, square_u()) == 89

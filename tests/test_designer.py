@@ -31,6 +31,7 @@ from hsnet.matrix_game import (
     solve_zero_sum,
 )
 from hsnet.payoff import UtilitySpec, capture_probability, payoff_matrix, strategy_payoffs
+from hsnet.rationals import format_rational
 
 from conftest import (
     BETA_GRID,
@@ -164,7 +165,7 @@ def test_build_maximal_cp_shapes():
 @pytest.mark.parametrize("n", [5.0, True, F(5), "5", None], ids=repr)
 def test_node_count_must_be_an_int(monkeypatch, n):
     # Refused before any work: the closed-form scan never starts.
-    monkeypatch.setattr(cf, "_best_bound", lambda *args: pytest.fail("the scan started"))
+    monkeypatch.setattr(cf, "_best", lambda *args: pytest.fail("the scan started"))
     u = identity_u(2)
     with pytest.raises(cf.DomainError, match="need an int n >= 1"):
         dz.design_optimal(n, u)
@@ -460,6 +461,90 @@ def test_payoff_and_seeker_queries_build_no_mask_or_subgraph(monkeypatch):
         classify(g)
         dz.seeker_strategy(g, u)
     assert calls == {}
+
+
+# -- the integer-weight strategies against their Fraction builders -----------
+
+
+def fraction_seeker_strategy(g, u):
+    """The seeker's closed-form probabilities, one Fraction per node: the
+    oracle of ``seeker_strategy``'s integer weights."""
+    n = g.node_count
+    part = classify(g)
+    s, m, r = len(part.singletons), len(part.m_nodes), len(part.r_nodes)
+    if s == n:
+        return [F(1, n)] * n
+    lam_s = cf.singleton_seek_weight(n, m, s, u) if s and n - s >= 4 else F(0)
+    if r == 0:
+        lam_r = F(0)
+    elif m == 0:
+        lam_r = F(1)
+    else:
+        lam_r = cf.interior_seek_weight(n, m, s, u)
+    rest = 1 - lam_s
+    per_s = lam_s / s if s else F(0)
+    per_m = rest * (1 - lam_r) / m if m else F(0)
+    per_r = rest * lam_r / r if r else F(0)
+    probs = [F(0)] * n
+    for v in range(n):
+        if v in part.r_nodes:
+            if part.r_degree[v] != 1:
+                probs[v] = per_r * (1 + sum(part.r_degree[j] == 1 for j in g.neighbors(v)))
+            elif v in part.d_gr:
+                probs[v] = per_r
+        elif v in part.m_nodes:
+            probs[v] = per_m
+        elif v in part.singletons:
+            probs[v] = per_s
+    return probs
+
+
+def fraction_hider_strategy(topo, u):
+    """The hider's closed-form probabilities, one Fraction per node: the
+    oracle of ``hider_strategy``'s integer weights."""
+    n = topo.graph.node_count
+    s = len(topo.singleton_nodes)
+    if s == n:
+        return [F(1, n)] * n
+    abar = cf.component_guarantee(n, len(topo.periphery_nodes), s, u)
+    kappa = cf.component_hide_weight(n, s, u, abar)
+    probs = [F(0)] * n
+    spread = kappa
+    if topo.middle_orphan is not None:
+        mu = cf.periphery_hide_weight(n, s, u)
+        spread = kappa * mu
+        probs[topo.middle_orphan] = kappa * (1 - mu)
+    hide = topo.periphery_nodes or topo.component_nodes
+    for v in hide:
+        probs[v] = spread / len(hide)
+    for v in topo.singleton_nodes:
+        probs[v] = (1 - kappa) / s
+    return probs
+
+
+@pytest.mark.parametrize("n", [1000, 5000])
+def test_integer_strategies_match_fraction_builders(n):
+    # linear beta 2 builds core-periphery parts of either parity; x^2 beta 50
+    # builds a cycle.
+    cases = [(n, identity_u(2)), (n + 1, identity_u(2)), (n, square_u(50))]
+    seen = set()
+    for size, u in cases:
+        res = dz.design_optimal(size, u)
+        seen.add(res.topology)
+        want_hider = [format_rational(p) for p in fraction_hider_strategy(res, u)]
+        want_seeker = [format_rational(p) for p in fraction_seeker_strategy(res.graph, u)]
+        assert res.hider.to_pq() == want_hider, (size, u)
+        assert res.seeker.to_pq() == want_seeker, (size, u)
+    assert seen == {dz.CYCLE, dz.MAXIMAL_CP_EVEN, dz.MAXIMAL_CP_ODD}
+    # Isolated nodes beside a core-periphery part (odd at 1000, even at
+    # 5000), under a beta large enough that both players mix them in.
+    topo = dz.design_topology(n, n // 3, dz.MAXIMAL_CP_EVEN if (n - n // 3) % 2 == 0
+                              else dz.MAXIMAL_CP_ODD)
+    u = identity_u(10**7)
+    hider, seeker = dz.hider_strategy(topo, u), dz.seeker_strategy(topo.graph, u)
+    assert hider[n - 1] > 0 and seeker[n - 1] > 0
+    assert hider.to_pq() == [format_rational(p) for p in fraction_hider_strategy(topo, u)]
+    assert seeker.to_pq() == [format_rational(p) for p in fraction_seeker_strategy(topo.graph, u)]
 
 
 def test_hider_strategy_shapes():

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-import hsnet.matrix_game
+import hsnet.simplex
 from hsnet.graphs import Graph
 from hsnet.matrix_game import (
     MixedStrategy,
@@ -58,6 +58,21 @@ def test_strategy_validation():
     s = uniform_over([0, 2], 4)
     assert s.probs == (F(1, 2), 0, F(1, 2), 0)
     assert s.support() == (0, 2)
+
+
+def test_strategy_holds_reduced_integer_weights():
+    s = MixedStrategy([F(1, 4), F(1, 2), 0, F(1, 4)])
+    assert (s.weights, s.denominator) == ((1, 2, 0, 1), 4)
+    same = MixedStrategy.from_weights([2, 4, 0, 2], 8)
+    assert same == s and hash(same) == hash(s) and same.weights == s.weights
+    assert s[1] == F(1, 2) and list(s) == [F(1, 4), F(1, 2), 0, F(1, 4)]
+    assert s.to_pq() == ["1/4", "1/2", "0/1", "1/4"]
+    assert MixedStrategy.uniform(3).weights == (1, 1, 1)
+    assert MixedStrategy.from_weights([0, 5], 5) == MixedStrategy([0, 1])
+    bad = (([1, -1, 2], 2), ([1, 1], 3), ([0, 0], 0), ([], 0), ([0.5, 0.5], 1), ([1], 1.0))
+    for weights, den in bad:
+        with pytest.raises(ValueError):
+            MixedStrategy.from_weights(weights, den)
 
 
 def test_strategy_inputs_must_be_exact():
@@ -164,13 +179,13 @@ def test_zero_gap_certificate_sampled_larger_graphs():
 
 def test_one_lp_per_game(monkeypatch):
     calls = []
-    solve_lp = hsnet.matrix_game.solve_lp
+    solve_lp = hsnet.simplex.solve_lp
 
     def counting(*args, **kwargs):
         calls.append(args)
         return solve_lp(*args, **kwargs)
 
-    monkeypatch.setattr(hsnet.matrix_game, "solve_lp", counting)
+    monkeypatch.setattr(hsnet.simplex, "solve_lp", counting)
     for m in (PENNIES, [[F(-2)]], payoff_matrix(build_cycle(5), square_u(1))):
         calls.clear()
         solve_zero_sum(m)

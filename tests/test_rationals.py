@@ -19,6 +19,16 @@ def test_format_always_shows_denominator():
     assert format_rational(F(6, 4)) == "3/2"
 
 
+def test_format_takes_only_ints_and_fractions():
+    assert format_rational(7) == "7/1"
+    assert format_rational(-3) == "-3/1"
+    # A float, a string or a bool is refused, as over_common_denominator
+    # refuses them, rather than converted.
+    for bad in (0.5, "3/4", True, False, None, Decimal(1), Exact(1), ExactFraction(1, 2)):
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            format_rational(bad)
+
+
 def test_parse_forms():
     assert parse_rational("3/4") == F(3, 4)
     assert parse_rational("-7") == F(-7)

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-import hsnet.matrix_game
+import hsnet.simplex
 from hsnet.matrix_game import max_optimal_mass, solve_zero_sum
 from hsnet.graphs import enumerate_graphs
 from hsnet.payoff import UtilitySpec, payoff_matrix
@@ -195,7 +195,7 @@ def test_game_lps_match_reference(monkeypatch, u):
         lps.append((c, rows, rhs))
         return _solve_lp(c, rows, rhs)
 
-    monkeypatch.setattr(hsnet.matrix_game, "solve_lp", recording)
+    monkeypatch.setattr(hsnet.simplex, "solve_lp", recording)
     for n in range(1, 7):
         for g in enumerate_graphs(n):
             matrix = payoff_matrix(g, u)
