@@ -21,10 +21,7 @@ import sys
 from itertools import chain
 from typing import TYPE_CHECKING
 
-try:  # the JSON encoder's own C escape, without loading the decoder
-    from _json import encode_basestring_ascii
-except ImportError:
-    from json.encoder import encode_basestring_ascii
+from _json import encode_basestring_ascii  # CPython's JSON string escape, without json
 
 if TYPE_CHECKING:
     from .payoff import UtilitySpec
@@ -122,9 +119,9 @@ def format_json(data) -> str:
     Reports are exact, so only dicts with str keys, lists, tuples, str, int,
     bool and None are taken; anything else, a float or a non-str key
     included, is a TypeError.  The stdlib encoder runs in pure Python whenever
-    ``indent`` is set; this one renders each list or tuple of ints, such as an
-    edge pair, once per content and depth, and a list of strings or of int
-    lists (a design's strategies and edges) with no call per item.
+    ``indent`` is set; this one renders a list or tuple of ints or of strings
+    (a design's strategies) with no call per item, and each int list or tuple
+    in a list of them (an edge list) once per content and depth.
     """
     memo = {}
 
@@ -144,22 +141,14 @@ def format_json(data) -> str:
                 return "[]"
             kinds = set(map(type, obj))
             if kinds == {int}:
-                key = (len(pad), *obj)
-                text = memo.get(key)
-                if text is None:
-                    text = memo[key] = (
-                        "[\n" + inner + (",\n" + inner).join(map(repr, obj)) + "\n" + pad + "]"
-                    )
-                return text
-            if kinds == {str}:
+                items = map(repr, obj)
+            elif kinds == {str}:
                 items = map(encode_basestring_ascii, obj)
-            elif kinds == {list} and set(map(type, chain.from_iterable(obj))) == {int}:
-                deeper = inner + "  "
-                items = [("[\n" + deeper + (",\n" + deeper).join(map(repr, v)) + "\n" + inner + "]")
-                         if v else "[]" for v in obj]
-            elif kinds == {tuple} and set(map(type, chain.from_iterable(obj))) == {int}:
+            elif kinds <= {list, tuple} and set(map(type, chain.from_iterable(obj))) == {int}:
                 texts = memo.setdefault(len(inner), {})
-                items = [texts.get(v) or texts.setdefault(v, render(v, inner)) for v in obj]
+                lead, sep, end = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
+                items = [texts.get(v) or texts.setdefault(v, lead + sep.join(map(repr, v)) + end if v else "[]")
+                         for v in map(tuple, obj)]
             else:
                 items = [render(v, inner) for v in obj]
             return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"

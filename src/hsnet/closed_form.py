@@ -319,12 +319,10 @@ def periphery_hide_weight(n: int, s: int, u: UtilitySpec) -> Fraction:
 
 def optimal_singleton_counts(n: int, u: UtilitySpec) -> tuple[tuple[int, ...], Fraction]:
     """All isolated-node counts minimizing the seeker's bound, plus the
-    minimum.  The hider's optimal payoff is minus that minimum.
-
-    One pass over the candidates s = n and s = 0..n-4, compared by
-    cross-multiplying.  f is read once per size, at 1..n (1 alone when
-    n < 4), and each s feeds the kernel over its own lcm D, as
-    ``best_seeker_bound`` does from one integer table."""
+    minimum.  The hider's optimal payoff is minus that minimum.  f is read
+    at 1..n (1 alone when n < 4), and each s's five values are scaled over
+    their own lcm in line: per s, ``over_common_denominator`` doubles the
+    scan's time."""
     if type(n) is not int or n < 1:
         raise DomainError(f"need an int n >= 1, got {n!r}")
     f = [u.evaluate(x) for x in range(1, n + 1 if n >= 4 else 2)]  # f[x - 1] = f(x)

@@ -154,9 +154,13 @@ def solve_zero_sum(matrix) -> GameSolution:
     on the LP's own integer matrix would mean a solver bug, so it is asserted.
     """
     shifted, w, total, duals, shift = _column_lp(matrix)
-    # Both vectors sum to total: each is its own weights over their sum.
-    row_strategy, col_strategy = (MixedStrategy.from_weights(nums, sum(nums))
-                                  for nums, _ in map(over_common_denominator, (duals, w)))
+    strategies = []
+    for vector in (duals, w):  # each sums to total, as weights over their sum
+        nums, d = over_common_denominator(vector)
+        if sum(nums) != total * d:
+            raise AssertionError("solver vector does not sum to its optimum; solver bug")
+        strategies.append(MixedStrategy.from_weights(nums, sum(nums)))
+    row_strategy, col_strategy = strategies
     if best_response_gap(shifted, row_strategy, col_strategy) != (0, 0):
         raise AssertionError("solver strategies are not an equilibrium; solver bug")
     return GameSolution(ONE / total - shift, row_strategy, col_strategy)

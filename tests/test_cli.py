@@ -256,10 +256,12 @@ def test_format_json_matches_json_dumps(data):
 
 def test_format_json_memo_keeps_depth_and_type():
     # The same ints at two depths, and bools equal to the ints they follow,
-    # in lists and in lists of tuples (edge lists).
+    # in lists and tuples of int lists and tuples (edge lists), empty ones
+    # and equal lists and tuples among them.
     data = {"a": [1, 2], "b": [[1, 2], [True, 2], [1, 2]], "c": [[[1, 2]]], "d": [[False], [0]],
             "e": [(1, 2), (0, 3), (1, 2), ()], "f": [[(1, 2)], [(1, 2), (True, 2)]],
-            "g": [(0,), (False,)], "h": [(1, 2), [1, 2]]}
+            "g": [(0,), (False,)], "h": [(1, 2), [1, 2]], "i": ([1], (2, 3), []),
+            "j": [[], ()], "k": ((0, 1), ("0", 1))}
     assert format_json(data) == json.dumps(data, sort_keys=True, indent=2)
 
 

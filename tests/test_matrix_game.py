@@ -192,6 +192,22 @@ def test_one_lp_per_game(monkeypatch):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("slot", [0, 2])  # solve_lp's x (the column weights w), its duals
+def test_solver_vectors_off_their_optimum_raise(monkeypatch, slot):
+    # Rescaled, both vectors are still an equilibrium: only their sums
+    # against the LP's optimum show the solver's slip.
+    solve_lp = hsnet.simplex.solve_lp
+
+    def doubling(*args, **kwargs):
+        out = list(solve_lp(*args, **kwargs))
+        out[slot] = [2 * v for v in out[slot]]
+        return tuple(out)
+
+    monkeypatch.setattr(hsnet.simplex, "solve_lp", doubling)
+    with pytest.raises(AssertionError, match="solver bug"):
+        solve_zero_sum(payoff_matrix(build_cycle(5), square_u(1)))
+
+
 def test_max_optimal_mass():
     assert max_optimal_mass(PENNIES, F(0), 0) == F(1, 2)
     # row 1 strictly dominated: no optimal strategy touches it
