@@ -24,6 +24,7 @@ module provides:
 
 from __future__ import annotations
 
+import gc
 from functools import lru_cache
 
 CANONICAL_MAX_NODES = 8
@@ -68,26 +69,41 @@ class Graph:
             raise GraphError(f"node_count must be an int, got {node_count!r}")
         if node_count < 0:
             raise GraphError("node_count must be nonnegative")
-        adjacency = [[] for _ in range(node_count)]
-        normalized = set()
-        for e in edges:
-            i, j = e
-            if type(i) is not int or type(j) is not int:
-                raise GraphError(f"edge ({i!r},{j!r}) has a node id that is not an int")
-            if i == j:
-                raise GraphError(f"self loop at node {i}")
-            if not (0 <= i < node_count) or not (0 <= j < node_count):
-                raise GraphError(f"edge ({i},{j}) out of range for n={node_count}")
-            if i > j:
-                i, j = j, i
-            if (i, j) in normalized:
-                raise GraphError(f"duplicate edge ({i},{j})")
-            normalized.add((i, j))
-            adjacency[i].append(j)
-            adjacency[j].append(i)
+        edges = list(edges)
+        # A million lists and tuples, none of them in a cycle, would make the
+        # collector rescan every live container many times over: about half
+        # the build at 10^6 edges.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            # A bad edge stops the scan, and the refusal rescans from the
+            # first edge, duplicates included, to name the first bad one.
+            adjacency = [[] for _ in range(node_count)]
+            pairs = []
+            try:
+                for i, j in edges:
+                    if type(i) is not int or type(j) is not int or i == j:
+                        break
+                    if not (0 <= i < node_count and 0 <= j < node_count):
+                        break
+                    if i > j:
+                        i, j = j, i
+                    pairs.append((i, j))
+                    adjacency[i].append(j)
+                    adjacency[j].append(i)
+            except (TypeError, ValueError):  # an edge that is not a pair
+                pass
+            if len(pairs) < len(edges) or len(edge_set := frozenset(pairs)) < len(pairs):
+                _refuse_edges(node_count, edges)
+            for v, a in enumerate(adjacency):  # each list freed as its tuple is made
+                a.sort()
+                adjacency[v] = tuple(a)
+        finally:
+            if collecting:
+                gc.enable()
         self.node_count = node_count
-        self.edges = frozenset(normalized)
-        self._adjacency = tuple(tuple(sorted(a)) for a in adjacency)
+        self.edges = edge_set
+        self._adjacency = tuple(adjacency)
 
     # -- queries ---------------------------------------------------------
 
@@ -125,6 +141,25 @@ class Graph:
 
     def __repr__(self):
         return f"Graph({self.node_count}, {self.sorted_edges()})"
+
+
+def _refuse_edges(node_count: int, edges: list):
+    """Raise the GraphError (or unpacking error) for the first bad edge, in
+    the order the edges were given; called only when one is bad."""
+    seen = set()
+    for e in edges:
+        i, j = e
+        if type(i) is not int or type(j) is not int:
+            raise GraphError(f"edge ({i!r},{j!r}) has a node id that is not an int")
+        if i == j:
+            raise GraphError(f"self loop at node {i}")
+        if not (0 <= i < node_count) or not (0 <= j < node_count):
+            raise GraphError(f"edge ({i},{j}) out of range for n={node_count}")
+        if i > j:
+            i, j = j, i
+        if (i, j) in seen:
+            raise GraphError(f"duplicate edge ({i},{j})")
+        seen.add((i, j))
 
 
 class ComponentPartition:

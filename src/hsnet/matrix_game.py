@@ -1,24 +1,23 @@
 """Exact solver for two-player zero-sum matrix games.
 
 The row player maximizes, the column player minimizes.  One LP per game: the
-matrix is checked and read once into integers over its common denominator D
-and shifted so every entry is at least D, and the exact simplex solves the
-column player's program  max sum(w), M w <= 1, w >= 0  on the shifted matrix,
-posed over D in integers.  Its optimum is one over the shifted game's value,
-and the row player's strategy is read off its dual multipliers.  The
-optimal-mass probe is posed by LP duality as a program of the same
-slack-feasible form, so every LP here starts from the slack basis.  The
-strategies are certified by a zero best-response gap, computed in exact
-arithmetic on the integer matrix the LP solved, apart from the solver.  Only
-the functions that run an LP import the simplex, so certifying strategies
-alone (``gap_from_payoffs``, as ``hsnet design`` does) loads no LP code.
+matrix is checked and read once into integers over its common denominator,
+and those into its smallest integer image K (least entry 1, and gcd 1 over
+its entries less 1: two distinct payoffs become 1s and 2s).  The exact
+simplex solves the column player's program  max sum(w), K w <= 1, w >= 0;
+its optimum is one over K's value, and the row player's strategy is read
+off its dual multipliers.  The optimal-mass probe is posed on K by LP
+duality as a program of the same slack-feasible form, so every LP here
+starts from the slack basis.  The strategies are certified by a zero
+best-response gap, computed in exact arithmetic on the caller's matrix read
+in integers, apart from the solver and the image.  Only the functions that
+run an LP import the simplex, so certifying strategies alone
+(``gap_from_payoffs``, as ``hsnet design`` does) loads no LP code.
 
 A matrix held as integers over a denominator D (``payoff.integer_payoffs``)
-is passed as its integers alone.  Scaling a game by D > 0 scales its value by
-D and keeps its optimal strategies, and Bland's rule makes the same pivots on
-any positive scale-and-shift of a matrix (the tests pin it on every graph
-game with n <= 7), so the solver reaches the same strategies as on the
-Fractions; the caller divides the value by D and probes masses at D times it.
+is passed as its integers alone: it has its Fractions' image, so it reaches
+the same strategies; the caller divides the value by D and probes masses at
+D times it.
 
 Optimal strategies are generally not unique; callers should compare values
 and regrets, never strategy vectors.
@@ -104,10 +103,11 @@ class GameSolution(Record):
 
 
 def _integer_rows(matrix):
-    """(shifted, D, shift): the matrix, checked to be nonempty, rectangular
-    and exact, as rows of integers over its common denominator D, each raised
-    by the same integer S so every entry is at least D; the shift added to
-    the matrix is S / D.  An int matrix is read in one pass, with D = 1."""
+    """(rows, D, image, scale, offset): the matrix, checked to be nonempty,
+    rectangular and exact, as rows of integers over its common denominator D,
+    and its smallest integer image K = (v - lo) / g + 1, with lo the least of
+    those integers v and g the gcd of all v - lo (1 if all are equal), so that
+    matrix = scale * K + offset exactly, with scale = g / D, offset = (lo - g) / D."""
     rows = [tuple(row) for row in matrix]
     if not rows or not rows[0]:
         raise ValueError("matrix must be nonempty")
@@ -121,29 +121,30 @@ def _integer_rows(matrix):
     if Fraction in kinds:
         den = lcm(*(v.denominator for r in rows for v in r))
         rows = [[v.numerator * (den // v.denominator) for v in r] for r in rows]
-    lo = min(map(min, rows))
-    s = den - lo if lo < den else 0
-    return [[v + s for v in r] for r in rows], den, Fraction(s, den)
+    values = set().union(*rows)
+    lo = min(values)
+    g = gcd(*(v - lo for v in values)) or 1
+    image = {v: (v - lo) // g + 1 for v in values}
+    return (rows, den, [list(map(image.__getitem__, r)) for r in rows],
+            Fraction(g, den), Fraction(lo - g, den))
 
 
 def _column_lp(matrix):
     """Read the matrix by ``_integer_rows`` and solve the column player's
-    program on the shifted rows, every row and its right-hand side 1 scaled
-    by D.
-
-    Returns (shifted, w, total, duals, shift): max sum(w) = total =
-    1/(value + shift), and the duals of the unscaled rows, which sum to total.
+    program  max sum(w), K w <= 1, w >= 0  on its image K.  Returns (rows, w,
+    total, duals, scale, offset): the optimum total is one over K's value, so
+    the game's value is scale / total + offset, and the row duals sum to it.
     """
     from .simplex import solve_lp
-    shifted, den, shift = _integer_rows(matrix)
-    w, total, duals = solve_lp(c=[1] * len(shifted[0]), rows=shifted, rhs=[den] * len(shifted))
-    return shifted, w, total, [y * den for y in duals], shift
+    rows, den, image, scale, offset = _integer_rows(matrix)
+    w, total, duals = solve_lp(c=[1] * len(image[0]), rows=image, rhs=[1] * len(image))
+    return rows, w, total, duals, scale, offset
 
 
 def game_value(matrix) -> Fraction:
     """Value of the game for the row player (no strategies computed)."""
-    shifted, w, total, duals, shift = _column_lp(matrix)
-    return ONE / total - shift
+    _, _, total, _, scale, offset = _column_lp(matrix)
+    return scale / total + offset
 
 
 def solve_zero_sum(matrix) -> GameSolution:
@@ -151,9 +152,9 @@ def solve_zero_sum(matrix) -> GameSolution:
 
     Both strategies come from one LP: the column player's from its primal
     solution, the row player's from its duals.  A nonzero best-response gap
-    on the LP's own integer matrix would mean a solver bug, so it is asserted.
+    on the caller's integer rows would mean a solver bug, so it is asserted.
     """
-    shifted, w, total, duals, shift = _column_lp(matrix)
+    rows, w, total, duals, scale, offset = _column_lp(matrix)
     strategies = []
     for vector in (duals, w):  # each sums to total, as weights over their sum
         nums, d = over_common_denominator(vector)
@@ -161,18 +162,18 @@ def solve_zero_sum(matrix) -> GameSolution:
             raise AssertionError("solver vector does not sum to its optimum; solver bug")
         strategies.append(MixedStrategy.from_weights(nums, sum(nums)))
     row_strategy, col_strategy = strategies
-    if best_response_gap(shifted, row_strategy, col_strategy) != (0, 0):
+    if best_response_gap(rows, row_strategy, col_strategy) != (0, 0):
         raise AssertionError("solver strategies are not an equilibrium; solver bug")
-    return GameSolution(ONE / total - shift, row_strategy, col_strategy)
+    return GameSolution(scale / total + offset, row_strategy, col_strategy)
 
 
 def best_response_gap(matrix, row: MixedStrategy, col: MixedStrategy):
     """(row regret, column regret): gain available to each player by the best
     pure deviation.  Both are zero exactly when (row, col) is an equilibrium.
-    They are computed in integers on the matrix's shifted rows, which leave
-    every regret D times its own, and the two strategies' weights brought
-    over one denominator."""
-    rows, den, _ = _integer_rows(matrix)
+    They are computed in integers on the matrix's rows over its common
+    denominator D, which leave every regret D times its own, and the two
+    strategies' weights brought over one denominator."""
+    rows, den, *_ = _integer_rows(matrix)
     if len(row) != len(rows) or len(col) != len(rows[0]):
         raise ValueError("strategy dimensions do not match the matrix")
     common = lcm(row.denominator, col.denominator)
@@ -203,29 +204,30 @@ def max_optimal_mass(matrix, value: Fraction, index: int) -> Fraction:
     answer certifies that no equilibrium uses the action at all.  ``index``
     must be exactly an int row index (a bool or a float is a ValueError).
 
-    With M' the shifted matrix, v' = p/q the shifted value and T = 1/v', the
-    scaled optimal strategies are the y >= 0 with M'^T y >= 1 and sum(y) <= T.
-    The LP dual of  max y[index]  over them forces its multiplier t >= 1 on
-    sum(y) <= T; with t = 1 + t' it is the slack-feasible program
+    With K the matrix's integer image (``_integer_rows``), v' = p/q the
+    value in K's units and T = 1/v', the scaled optimal strategies are the
+    y >= 0 with K^T y >= 1 and sum(y) <= T.  The LP dual of  max y[index]
+    over them forces its multiplier t >= 1 on sum(y) <= T; with t = 1 + t'
+    it is the slack-feasible program
 
-        z = max sum(w) - T t'   s.t.   M' w - t' <= 1 - e_index,   w, t' >= 0,
+        z = max sum(w) - T t'   s.t.   K w - t' <= 1 - e_index,   w, t' >= 0,
 
     and the answer is v' (T - z) = 1 - v' z.  It is solved in integers with
-    the rows scaled by D and the objective by p > 0, whose optimum is p z.
+    the objective scaled by p > 0, whose optimum is p z.
     """
-    shifted, den, shift = _integer_rows(matrix)
-    if type(index) is not int or not 0 <= index < len(shifted):
-        raise ValueError(f"row index must be an int in 0..{len(shifted) - 1}, got {index!r}")
+    _, _, image, scale, offset = _integer_rows(matrix)
+    if type(index) is not int or not 0 <= index < len(image):
+        raise ValueError(f"row index must be an int in 0..{len(image) - 1}, got {index!r}")
     if type(value) is not int and type(value) is not Fraction:
         raise ValueError("value must be int or Fraction")
-    value_shifted = Fraction(value) + shift
-    if value_shifted <= 0:
+    value_image = (value - offset) / scale
+    if value_image < 1:
         raise ValueError("value is below every entry of the matrix")
     from .simplex import solve_lp
-    p, q = value_shifted.numerator, value_shifted.denominator
+    p, q = value_image.numerator, value_image.denominator
     pz = solve_lp(
-        c=[p] * len(shifted[0]) + [-q],
-        rows=[row + [-den] for row in shifted],
-        rhs=[0 if h == index else den for h in range(len(shifted))],
+        c=[p] * len(image[0]) + [-q],
+        rows=[row + [-1] for row in image],
+        rhs=[0 if h == index else 1 for h in range(len(image))],
     )[1]
     return ONE - pz / q

@@ -1,16 +1,18 @@
-"""Exact primal simplex with Bland's rule, pivoted on an integer tableau.
+"""Exact primal simplex with Bland's rule, pivoted on a condensed integer tableau.
 
 Solves   max  c . x   subject to  A x <= b,  x >= 0,  with  b >= 0,
 and returns the dual multipliers with the primal optimum.  Since b >= 0 the
 slack basis is feasible, so the simplex starts there with no phase 1.
 Every coefficient is an int: a caller with rationals scales them first.
 Scaling a row with its b, or c, by a positive integer changes no sign and no
-ratio the pivot rule reads, so it changes no pivot and no x.  Pivots are
-fraction-free (Edmonds 1967; Bareiss, Math. Comp. 22, 1968): every entry is
-a minor of the starting matrix over one common divisor d > 0, each division
-by d is exact, and Fractions are built only for the answer.  Bland's
-smallest-index rule and the (ratio, basis index) tie-break make the rational
-simplex's choices, so its pivots, vertex and duals are reached exactly.
+ratio the pivot rule reads, so it changes no pivot and no x.  The tableau is
+condensed (Edmonds 1967; Avis, lrs, 2000): one row per basic variable, one
+column per nonbasic one, labelled with its variable, and the right-hand side.
+Pivots are fraction-free (Bareiss, Math. Comp. 22, 1968): every entry is a
+minor of the starting matrix over one common divisor d > 0, so each division
+by d is exact.  Bland's rule (the smallest label with a negative reduced
+cost) and the (ratio, basis index) tie-break make the rational simplex's
+choices, so its pivots, vertex and duals are reached exactly.
 """
 
 from __future__ import annotations
@@ -44,24 +46,22 @@ def solve_lp(c, rows, rhs):
     if any(b < 0 for b in rhs):
         raise ValueError("right-hand sides must be nonnegative")
 
-    # Column layout: structural | slack | rhs; slack i starts basic in row i.
-    # tableau / d is the rational tableau, and zrow / d holds its reduced
-    # costs of min -c . x, and last the value of c . x.
-    ncols = nvars + m
-    tableau = [
-        [*row, *[0] * i, 1, *[0] * (m - 1 - i), b]
-        for i, (row, b) in enumerate(zip(rows, rhs))
-    ]
-    basis = list(range(nvars, ncols))
-    zrow = [-v for v in c] + [0] * (m + 1)
+    # tableau / d is the rational tableau on the nonbasic columns (x_j is
+    # labelled j, slack i nvars + i); its last row holds their reduced costs
+    # of min -c . x, and last the value of c . x.  Slack i starts basic in row i.
+    tableau = [[*row, b] for row, b in zip(rows, rhs)] + [[-v for v in c] + [0]]
+    labels = list(range(nvars))
+    basis = list(range(nvars, nvars + m))
     d = 1
 
     while True:
-        enter = next((j for j in range(ncols) if zrow[j] < 0), -1)
-        if enter < 0:
+        zrow = tableau[m]
+        entering = [(label, j) for j, label in enumerate(labels) if zrow[j] < 0]
+        if not entering:
             break
+        enter = min(entering)[1]
         leave = -1
-        for r, row in enumerate(tableau):
+        for r, row in enumerate(tableau[:m]):
             a = row[enter]
             if a > 0:
                 # ratio row[-1] / a against the best so far, by cross-multiplying
@@ -69,21 +69,22 @@ def solve_lp(c, rows, rhs):
                     leave, best_b, best_a = r, row[-1], a
         if leave < 0:
             raise UnboundedError("objective unbounded")
+        # The pivot row stays with d for p; the rest of its column is negated.
         prow = tableau[leave]
         p = prow[enter]
         for r, row in enumerate(tableau):
             if r != leave:
                 f = row[enter]
-                tableau[r] = [(v * p - f * pv) // d for v, pv in zip(row, prow)]
-        f = zrow[enter]
-        zrow = [(v * p - f * pv) // d for v, pv in zip(zrow, prow)]
+                row = tableau[r] = [(v * p - f * pv) // d for v, pv in zip(row, prow)]
+                row[enter] = -f
+        prow[enter] = d
         d = p
-        basis[leave] = enter
+        labels[enter], basis[leave] = basis[leave], labels[enter]
 
-    x = [Fraction(0)] * nvars
-    for r, bv in enumerate(basis):
-        if bv < nvars:
-            x[bv] = Fraction(tableau[r][-1], d)
+    # A variable is 0 unless basic, and its reduced cost 0 unless nonbasic.
     # Slack i costs 0, so its reduced cost is the dual of row i.
-    duals = [Fraction(v, d) for v in zrow[nvars:ncols]]
+    solution = dict(zip(basis, (row[-1] for row in tableau)))
+    costs = dict(zip(labels, zrow))
+    x = [Fraction(solution.get(j, 0), d) for j in range(nvars)]
+    duals = [Fraction(costs.get(nvars + i, 0), d) for i in range(m)]
     return x, Fraction(zrow[-1], d), duals

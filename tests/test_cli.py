@@ -363,6 +363,19 @@ SOLVE_REPORT_SHA256 = {
         "fa9c6eecb9f6152edc3b8e1c3f7bb240d635cea58659e4ba2e63cbe94aa59fc8",
     (6, 16, "--family linear --beta 1/2"):
         "a13b72440af188f1f3f0080d49aa752d5f52104e0e270849819dfb1aaafcd0b1",
+    # At the size of the benchmark's solve workload.  The float-backed games
+    # hold 53-bit entries; the n = 24 one and the three exact ones have two
+    # distinct payoffs (every uncaught hider sits in the one component left).
+    (7, 22, "--family power --gamma 3/2 --beta 1/2"):  # float-backed
+        "622499b65cdc022156669a6325ef7aa5e264482f3867404c1d091e6c32f4d2b0",
+    (8, 24, "--family power --gamma 3/2 --beta 2"):  # float-backed
+        "c92dab3c938e54b8f0b56dda49c4b55a53fa9165215fbc0c843b689e296a6f7a",
+    (9, 22, "--family linear --beta 1"):
+        "6f19e377925af1f24157ff45d6aaa4ee86dc4bec05e70f93e23e403dbe2c50f9",
+    (10, 24, "--family ratio_power --gamma 2 --beta 5"):
+        "90277bd5e8c65823453b2ed851f8b3785ad67fbdf67dfe83562645e44d70bb9e",
+    (11, 24, "--family power --gamma 2 --beta 1/2"):
+        "39d42d47d54f94410743ffda26e3b2a7fd2cf7a35bc23482b476e0c12c476fb1",
 }
 
 

@@ -1,9 +1,11 @@
 """Graph structure, classification, and canonical forms."""
 
 import functools
+import gc
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,30 @@ def test_graph_refuses_bool_node_ids_and_counts():
         Graph(True)
     with pytest.raises(GraphError, match="not an int"):
         Graph(3, [(1.0, 2)])
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1), (2, 2), (0, 5)], "self loop at node 2"),
+    ([(0, 1), (0, 5), (2, 2)], "edge (0,5) out of range for n=4"),
+    ([(0, -1), (1, 1)], "edge (0,-1) out of range for n=4"),
+    ([(0, 1), (1, 0), (3, 3)], "duplicate edge (0,1)"),
+    ([[0, 1], [1, 2], [2, 1], [0, 9]], "duplicate edge (1,2)"),
+    ([(3, 3), (1, "2")], "self loop at node 3"),
+    ([(0, 1), (None, 2), (1, 1)], "edge (None,2) has a node id that is not an int"),
+    ([(1, 2), (0, False), (0, 0)], "edge (0,False) has a node id that is not an int"),
+    ([(1, 2), ([0], [1])], "edge ([0],[1]) has a node id that is not an int"),
+])
+def test_graph_refusal_names_the_first_bad_edge(edges, message):
+    # The edges are checked all at once; the message still names the first
+    # bad edge in the order given, whatever is wrong with the later ones.
+    for given in (edges, iter(edges)):
+        with pytest.raises(GraphError, match="^" + re.escape(message) + "$"):
+            Graph(4, given)
+    assert gc.isenabled()
+    with pytest.raises(ValueError, match="unpack"):
+        Graph(4, [(0, 1), (1, 2, 3)])
+    with pytest.raises(TypeError, match="unpack"):
+        Graph(4, [(0, 1), 3])
 
 
 def test_neighbor_symmetry_random():

@@ -1,6 +1,7 @@
 """Zero-sum solving: values, strategies, duality, regret certificates."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -10,6 +11,8 @@ import hsnet.simplex
 from hsnet.graphs import Graph
 from hsnet.matrix_game import (
     MixedStrategy,
+    _column_lp,
+    _integer_rows,
     best_response_gap,
     game_value,
     max_optimal_mass,
@@ -110,10 +113,38 @@ def test_scale_shift_covariance_random():
         assert sol2.col_strategy == sol.col_strategy
 
 
+def shifted_column_lp(matrix):
+    """The oracle: the column player's LP as it was posed before the image.
+    The matrix is read into integers over its common denominator D and
+    shifted until its least entry is at least D, and solved with every
+    right-hand side D.  Returns (value, w, duals), the vectors each divided
+    by its sum."""
+    rows = [[F(v) for v in row] for row in matrix]
+    den = math.lcm(*(v.denominator for row in rows for v in row))
+    ints = [[v.numerator * (den // v.denominator) for v in row] for row in rows]
+    lo = min(map(min, ints))
+    shift = den - lo if lo < den else 0
+    shifted = [[v + shift for v in row] for row in ints]
+    w, total, duals = hsnet.simplex.solve_lp([1] * len(shifted[0]), shifted, [den] * len(shifted))
+    return 1 / total - F(shift, den), normalised(w), normalised(duals)
+
+
+def normalised(vector):
+    return [v / sum(vector) for v in vector]
+
+
+def assert_image_matches_shifted_read(matrix):
+    """The LP on the matrix's integer image reaches the oracle's value and,
+    normalised, its w and duals: the same vertex of the same polytope."""
+    _, w, total, duals, scale, offset = _column_lp(matrix)
+    assert (scale / total + offset, normalised(w), normalised(duals)) == shifted_column_lp(matrix)
+
+
 def test_integer_payoffs_reach_the_fraction_vertex_on_every_graph_up_to_seven():
     """The integers of integer_payoffs, passed without their D, give the
     solver the same strategies as the Fraction matrix, a value D times its
-    value, and (up to five nodes) the same optimal masses at that value."""
+    value, and (up to five nodes) the same optimal masses at that value.  On
+    the integer image, the LP reaches the shifted read's value, w and duals."""
     from hsnet.graphs import enumerate_graphs
 
     dens = set()
@@ -127,12 +158,50 @@ def test_integer_payoffs_reach_the_fraction_vertex_on_every_graph_up_to_seven():
                 assert int_sol.col_strategy == sol.col_strategy, (g, u.family)
                 assert int_sol.value == den * sol.value
                 assert game_value(rows) == den * game_value(m)
+                assert_image_matches_shifted_read(m)
                 if n <= 5:
                     for v in range(n):
                         assert max_optimal_mass(rows, int_sol.value, v) == max_optimal_mass(
                             m, sol.value, v)
                 dens.add(den)
     assert max(dens) > 1
+
+
+@pytest.mark.parametrize("u", [
+    UtilitySpec.linear(1, F(1, 2)),
+    UtilitySpec.power(2, 2),
+    UtilitySpec.power(F(3, 2), 1),  # float-backed: 53-bit numerators
+    UtilitySpec.ratio_power(2, 5),
+], ids=["linear", "square", "power_3/2", "ratio_power_2"])
+def test_integer_image_matches_shifted_read_on_large_random_graphs(u):
+    # The solve workload's kind of game: G(n, 1/4) with n in {22, 24}, whose
+    # matrices hold a few distinct payoffs, so the image is small.
+    for seed, n in itertools.product(range(3), (22, 24)):
+        rng = random.Random(seed)
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.25])
+        rows, den = integer_payoffs(g, u)
+        assert_image_matches_shifted_read(rows)
+        assert len(set(itertools.chain(*_integer_rows(rows)[2]))) <= 5
+
+
+@pytest.mark.parametrize("matrix", [
+    [[F(7, 3)]],  # 1 x 1
+    [[4, 4], [4, 4]],  # constant: g = 0, so K is all 1s
+    [[-3, 5, -3], [1, -7, 9]],  # negative entries
+    [[F(-1, 2), F(3, 4)], [F(5, 6), F(-1, 3)]],
+    [[6, 10], [14, 6]],  # already at least 1: still shifted down and divided
+    [[F(2 ** 60 + 3, 2 ** 52), F(-5, 2 ** 52)], [F(-5, 2 ** 52), F(-5, 2 ** 52)]],
+], ids=["1x1", "constant", "negative", "fractions", "positive", "float-like"])
+def test_integer_rows_contract(matrix):
+    rows, den, image, scale, offset = _integer_rows(matrix)
+    assert list(map(list, rows)) == [[v * den for v in row] for row in matrix]
+    assert all(type(v) is int for row in rows + image for v in row)
+    assert min(map(min, image)) == 1
+    steps = math.gcd(*(k - 1 for row in image for k in row))
+    constant = len({v for row in matrix for v in row}) == 1
+    assert steps == (0 if constant else 1)
+    assert scale > 0
+    assert [[scale * k + offset for k in row] for row in image] == [list(row) for row in matrix]
 
 
 def test_duality_certificate_on_random_graphs():
@@ -278,8 +347,15 @@ def test_max_optimal_mass_index_must_be_an_int():
 
 
 def test_max_optimal_mass_rejects_a_value_below_the_matrix():
-    with pytest.raises(ValueError, match="below every entry"):
-        max_optimal_mass(PENNIES, F(-5), 0)
+    # Every value strictly below the least entry, however close, and for any
+    # scale and shift of the matrix; the least entry itself is a game value.
+    for scale, shift in ((1, 0), (F(1, 3), 7), (40, F(-5, 2))):
+        m = [[scale * v + shift for v in row] for row in PENNIES]
+        least = shift - scale
+        for value in (least - 5, least - scale, least - F(1, 10 ** 9)):
+            with pytest.raises(ValueError, match="below every entry"):
+                max_optimal_mass(m, value, 0)
+        assert max_optimal_mass([[least, least]], least, 0) == 1
 
 
 def test_dimension_checks():
