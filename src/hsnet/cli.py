@@ -7,8 +7,8 @@ isomorphism, and export graphs between formats.  All reports are exact
 utility families with irrational parameters and are flagged.
 
 Each command imports the modules it uses when it runs, so ``enumerate``
-loads only ``hsnet.graphs`` and ``solve`` never loads the designer or the
-verifier.
+loads only ``hsnet.canonical``, ``design`` no LP or verifier code, and
+``solve`` no designer, canonical-labelling or verifier code.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input errors.
 """
@@ -19,16 +19,14 @@ import argparse
 import io
 import sys
 from itertools import chain
-from typing import TYPE_CHECKING
 
 from _json import encode_basestring_ascii  # CPython's JSON string escape, without json
-
-if TYPE_CHECKING:
-    from .payoff import UtilitySpec
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
 DESIGN_MAX_NODES = 10**6  # the largest design --n: the size its path is measured at
+SOLVE_MAX_NODES = 100  # the largest solve graph: the size its dense LP is measured at
+EDGE_TEXT_MEMO_ENTRIES = 1024  # format_json keeps at most this many edge texts per depth
 
 
 class CliError(Exception):
@@ -39,8 +37,8 @@ def _flag(dest: str) -> str:
     return "--table" if dest == "values" else f"--{dest}"
 
 
-def _utility_from_args(args) -> UtilitySpec:
-    """The utility of ``--utility`` or of the flags; a flag that would go
+def _utility_from_args(args):
+    """The UtilitySpec of ``--utility`` or of the flags; a flag that would go
     unused (any flag beside ``--utility``, or another family's parameter) is
     refused."""
     from .payoff import UtilitySpec, builtin_utilities, family_parameter
@@ -83,7 +81,8 @@ def _add_utility_args(sub):
     )
 
 
-def _numeric_renderer(u: UtilitySpec):
+def _numeric_renderer(u):
+    """(render, inexact): how a UtilitySpec's values are written in a report."""
     from .rationals import format_float, format_rational
     if u.is_exact:
         return format_rational, False
@@ -121,7 +120,9 @@ def format_json(data) -> str:
     included, is a TypeError.  The stdlib encoder runs in pure Python whenever
     ``indent`` is set; this one renders a list or tuple of ints or of strings
     (a design's strategies) with no call per item, and each int list or tuple
-    in a list of them (an edge list) once per content and depth.
+    in a list of them (an edge list) once per content and depth, for the
+    first EDGE_TEXT_MEMO_ENTRIES contents at each depth: an enumeration's
+    edge lists share at most 28 pairs, and a design's pairs are all distinct.
     """
     memo = {}
 
@@ -147,8 +148,7 @@ def format_json(data) -> str:
             elif kinds <= {list, tuple} and set(map(type, chain.from_iterable(obj))) == {int}:
                 texts = memo.setdefault(len(inner), {})
                 lead, sep, end = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
-                items = [texts.get(v) or texts.setdefault(v, lead + sep.join(map(repr, v)) + end if v else "[]")
-                         for v in map(tuple, obj)]
+                items = [texts.get(v) or _edge_text(texts, v, lead, sep, end) for v in map(tuple, obj)]
             else:
                 items = [render(v, inner) for v in obj]
             return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
@@ -162,6 +162,14 @@ def format_json(data) -> str:
     return render(data, "")
 
 
+def _edge_text(texts: dict, v: tuple, lead: str, sep: str, end: str) -> str:
+    """The text of the int tuple v, kept in ``texts`` while it has room."""
+    text = lead + sep.join(map(repr, v)) + end if v else "[]"
+    if len(texts) < EDGE_TEXT_MEMO_ENTRIES:
+        texts[v] = text
+    return text
+
+
 def _emit_json(args, data: dict):
     _emit(args, format_json(data) + "\n")
 
@@ -173,6 +181,8 @@ def cmd_solve(args) -> int:
     from .matrix_game import solve_zero_sum
     from .payoff import capture_probability, integer_payoffs
     g = _load_graph(args.graph)
+    if g.node_count > SOLVE_MAX_NODES:
+        raise CliError(f"solve takes at most {SOLVE_MAX_NODES} nodes, got {g.node_count}")
     u = _utility_from_args(args)
     if g.node_count < 1:
         raise CliError("cannot solve a game on an empty graph")
@@ -293,7 +303,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    from .graphs import enumerate_keys, key_to_json_dict
+    from .canonical import enumerate_keys, key_to_json_dict
     keys = enumerate_keys(args.n)
     data = {"n": args.n, "count": len(keys)}
     if not args.count_only:

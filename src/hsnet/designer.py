@@ -10,8 +10,10 @@ count, builds the layout, attaches both players' closed-form strategies (the
 hider's read off the roles, the seeker's off ``classify``, which counts each
 node's leaf and residual neighbours in its neighbour tuple and builds no
 subgraph), and certifies the pair by a zero best-response gap.  The gap is
-computed in integers from the graph (``payoff.strategy_payoffs``), without
-building the n x n payoff matrix.
+computed in integers from the graph (``payoff.strategy_payoffs`` and
+``payoff.gap_from_payoffs``), without building the n x n payoff matrix, so
+no game solver is loaded.  The verifier's shape recognizer lives with the
+verifier, in ``hsnet.oracle``.
 """
 
 from __future__ import annotations
@@ -19,16 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import closed_form as cf
-from .graphs import (
-    Graph,
-    graph_to_json_dict,
-    induced_subgraph,
-    is_connected,
-    is_two_connected,
-    to_dot,
-)
-from .matrix_game import MixedStrategy, gap_from_payoffs
-from .payoff import UtilitySpec, strategy_payoffs
+from .graphs import Graph, graph_to_json_dict, to_dot
+from .payoff import MixedStrategy, UtilitySpec, gap_from_payoffs, strategy_payoffs
 from .rationals import format_rational, over_common_denominator
 from .records import Record
 
@@ -109,42 +103,6 @@ def build_cycle(k: int) -> Graph:
 def build_maximal_cp(k: int) -> Graph:
     """Maximal core-periphery layout on k nodes (k >= 4)."""
     return design_topology(k, 0, MAXIMAL_CP_ODD if k % 2 else MAXIMAL_CP_EVEN).graph
-
-
-# -- recognizer used by the brute-force verifier ----------------------------
-
-
-def is_maximal_core_periphery(g: Graph) -> bool:
-    """Whether a connected graph is a maximal core-periphery layout."""
-    k = g.node_count
-    if k < 4 or not is_connected(g):
-        return False
-    leaves = [v for v in range(k) if g.degree(v) == 1]
-    core = [v for v in range(k) if g.degree(v) != 1]
-    leaf_set = set(leaves)
-    attach_counts = {
-        c: sum(1 for w in g.neighbors(c) if w in leaf_set) for c in core
-    }
-    if any(cnt > 1 for cnt in attach_counts.values()):
-        return False
-    core_graph = induced_subgraph(g, core)
-    if k % 2 == 0:
-        if len(leaves) != k // 2:
-            return False
-        if len(core) == 2:
-            return core_graph.edges == frozenset({(0, 1)})
-        return is_two_connected(core_graph)
-    if len(leaves) != (k - 3) // 2:
-        return False
-    orphans = [c for c in core if attach_counts[c] == 0]
-    if len(orphans) != 3:
-        return False
-    if not is_two_connected(core_graph):
-        return False
-    orphan_set = set(orphans)
-    return any(
-        set(g.neighbors(o)) == orphan_set - {o} for o in orphans
-    )
 
 
 # -- strategies -------------------------------------------------------------

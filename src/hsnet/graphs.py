@@ -1,4 +1,4 @@
-"""Undirected simple graphs, their deletion structure, and enumeration.
+"""Undirected simple graphs, their deletion structure, and serialization.
 
 Graphs are immutable after construction (nodes are 0..n-1, edges a frozenset
 of sorted pairs, each node's neighbours a sorted tuple), so every derived
@@ -8,40 +8,21 @@ The seeker's inspection deletes a node, and every structure query here is
 about such deletions.  One low-link depth-first search (Tarjan, SIAM J.
 Comput. 1, 1972) answers them all: the components, 2-connectivity, and, in
 ``hsnet.payoff``, the component sizes of every G - k.  Captures and the
-seeker's node classes need only the neighbour tuples.  Besides those and
-induced subgraphs (built only by the verifier's shape recognizers) this
-module provides:
-
-* ``canonical_form`` -- an isomorphism-invariant key for small graphs; it,
-  ``twin_classes`` and enumeration are the only code that builds neighbour
-  bitmasks (``neighbor_mask`` is called by ``_masks_of`` alone), for n <= 8;
-* ``enumerate_graphs`` -- every graph on n <= 8 nodes up to isomorphism,
-  the input of the brute-force verifier in ``hsnet.oracle``;
-  ``enumerate_keys`` gives their canonical keys alone, with no Graph built.
-  Each class on n - 1 nodes gains a node per orbit of its automorphisms on
-  neighbourhoods; the canonical search's final frontier generates them.
+seeker's node classes need only the neighbour tuples.  Besides those, this
+module provides induced subgraphs (built only by the verifier's shape
+recognizers) and the text, JSON and DOT formats.  Canonical forms and
+enumeration of small graphs, the only code that builds neighbour bitmasks
+(``neighbor_mask``), live in ``hsnet.canonical``; this module imports no
+other hsnet module.
 """
 
 from __future__ import annotations
 
 import gc
-from functools import lru_cache
-
-CANONICAL_MAX_NODES = 8
-ENUMERATION_LIMIT = 8
-_MEMBERS = tuple(  # _MEMBERS[mask]: the nodes in the bitmask, in increasing order
-    tuple(v for v in range(CANONICAL_MAX_NODES) if m >> v & 1)
-    for m in range(1 << CANONICAL_MAX_NODES)
-)
-_BITS = bytes(map(len, _MEMBERS))  # _BITS[mask]: the number of nodes in the bitmask
 
 
 class GraphError(ValueError):
     """Structural violation: bad node ids, self loops, duplicate edges."""
-
-
-class EnumerationError(ValueError):
-    """A node count or setting outside what enumeration and the verifier support."""
 
 
 class GraphFormatError(GraphError):
@@ -299,274 +280,6 @@ def is_two_connected(g: Graph) -> bool:
     return True
 
 
-# -- canonical forms and enumeration for small graphs -----------------------
-
-
-def _masks_of(g):
-    """Neighbour bitmasks, node v's at index v, of a Graph or of a sequence of
-    them returned as is; a GraphError past CANONICAL_MAX_NODES nodes, checked
-    before any mask is built."""
-    n = g.node_count if isinstance(g, Graph) else len(g)
-    if n > CANONICAL_MAX_NODES:
-        raise GraphError(
-            f"canonical forms support at most {CANONICAL_MAX_NODES} nodes, got {n}"
-        )
-    return [g.neighbor_mask(v) for v in range(n)] if isinstance(g, Graph) else g
-
-
-def twin_classes(g) -> tuple[int, ...]:
-    """``classes[v]``: the bitmask of v's twin class, the nodes w with
-    N(v) - w == N(w) - v, v included; permuting a class is an automorphism.
-    A node with a non-adjacent twin (same open neighbourhood) has no adjacent
-    one (same closed neighbourhood), so each class is one of the two groups.
-    ``g`` is a Graph or its neighbour bitmasks, node v's at index v."""
-    masks = _masks_of(g)
-    open_groups, closed_groups = {}, {}
-    for v, m in enumerate(masks):
-        open_groups[m] = open_groups.get(m, 0) | 1 << v
-        closed_groups[m | 1 << v] = closed_groups.get(m | 1 << v, 0) | 1 << v
-    return tuple(
-        open_groups[m] | closed_groups[m | 1 << v] for v, m in enumerate(masks)
-    )
-
-
-def _maximum_cliques(masks, classes) -> list[int]:
-    """The maximum cliques, as bitmasks, that take the lowest members of
-    every twin class they meet: one clique per orbit of the twin swaps."""
-    best, found = 0, []
-    stack = [(0, (1 << len(masks)) - 1)]
-    while stack:
-        clique, cand = stack.pop()
-        if not cand:  # no node above can join, as for every maximum clique
-            size = _BITS[clique]
-            if size > best:
-                best, found = size, []
-            if size == best:
-                found.append(clique)
-        elif _BITS[clique] + _BITS[cand] >= best:
-            for v in reversed(_MEMBERS[cand]):  # the lowest popped first
-                if not classes[v] & ((1 << v) - 1) & ~clique:  # no lower twin left out
-                    stack.append((clique | 1 << v, cand & masks[v] & -(2 << v)))
-    return found
-
-
-def canonical_form(g) -> tuple[int, int]:
-    """Isomorphism-invariant key ``(node_count, bits)`` for graphs on at most
-    CANONICAL_MAX_NODES nodes: over all n! node orders, the lexicographic
-    maximum of the rows (position i's adjacency bits toward positions
-    0..i-1), with row i packed at offset i(i-1)/2.  ``g`` is a Graph or its
-    neighbour bitmasks, node v's at index v, which enumeration labels
-    without building a Graph."""
-    masks = _masks_of(g)
-    return (len(masks), _canonical_search(masks, twin_classes(masks))[0])
-
-
-def _canonical_search(masks, classes) -> tuple[int, list]:
-    """``(bits, frontier)``: the canonical key's bits, and the final frontier,
-    the optimal orders up to twin swaps.  Rows 1..k are all ones exactly
-    when positions 0..k form a clique, so the maximum places a maximum
-    clique first, and in any order: that clique is one unordered cell.  A
-    frontier entry holds the placed positions as cells, unordered runs
-    stored top down (latest position first), plus the unplaced nodes.  A
-    node's row toward a cell is largest with its neighbours at the top of
-    the cell, so placing it splits every cell into non-neighbours, then
-    neighbours, and both parts stay unordered.  Comparing rows top bit first
-    means the next node has the most neighbours in the latest cell, then
-    the next latest, and so on; when the latest cell is a single node that
-    is an intersection with its neighbour mask.  Twin swaps are
-    automorphisms, so only one clique per twin-swap orbit, and only one
-    tied candidate per twin class, is branched on.
-    """
-    n = len(masks)
-    cliques = _maximum_cliques(masks, classes)
-    omega = _BITS[cliques[0]]
-    key = (1 << omega * (omega - 1) // 2) - 1  # rows 1..omega-1 all ones
-    frontier = [([clique], (1 << n) - 1 ^ clique) for clique in cliques]
-    for level in range(omega, n):
-        best = -1
-        grown = []
-        for cells, unplaced in frontier:
-            # Narrow the candidates to those with the most neighbours in
-            # each cell, and set the row's bits as they become final.
-            tied, row, pos = unplaced, 0, level
-            for cell in cells:
-                if not cell & (cell - 1):
-                    pos -= 1
-                    near = tied & masks[_MEMBERS[cell][0]]
-                    if near:
-                        tied = near
-                        row |= 1 << pos
-                else:
-                    size = _BITS[cell]
-                    pos -= size
-                    if tied & (tied - 1):
-                        k = -1
-                        for v in _MEMBERS[tied]:
-                            c = _BITS[masks[v] & cell]
-                            if c > k:
-                                k, most = c, 1 << v
-                            elif c == k:
-                                most |= 1 << v
-                        tied = most
-                    else:
-                        k = _BITS[masks[_MEMBERS[tied][0]] & cell]
-                    row |= ((1 << k) - 1) << (pos + size - k)
-                if row >> pos < best >> pos:
-                    break  # below zero, row < best: this entry loses
-            if row < best:
-                continue
-            if row > best:
-                best = row
-                grown = []
-            kept = 0
-            for v in _MEMBERS[tied]:
-                if classes[v] & kept:
-                    continue
-                kept |= 1 << v
-                split = [1 << v]
-                for cell in cells:
-                    near = cell & masks[v]
-                    if near and near != cell:
-                        split += (near, cell ^ near)
-                    else:
-                        split.append(cell)
-                grown.append((split, unplaced ^ 1 << v))
-        frontier = grown
-        key |= best << (level * (level - 1) // 2)
-    return key, frontier
-
-
-def _automorphism_images(masks) -> list[list[int]]:
-    """Generators of the automorphism group of the graph with neighbour
-    bitmasks ``masks``, each as its images, ``1 << s(v)`` at index v: the
-    maps of the first order of the final frontier onto each other one (two
-    optimal orders give the same rows), and the twin swaps.  A final cell of
-    several nodes lies in the clique and was split by every later node, so
-    its members are twins.  These generate the whole group, since every
-    optimal order is a frontier entry's up to twin swaps."""
-    classes = twin_classes(masks)
-    first, *others = [
-        [v for cell in cells for v in _MEMBERS[cell]]
-        for cells, _ in _canonical_search(masks, classes)[1]
-    ]
-    moves = [dict(zip(first, order)) for order in others] + [
-        {v: w, w: v} for cls in set(classes) for v, w in zip(_MEMBERS[cls], _MEMBERS[cls][1:])
-    ]
-    return [[1 << move.get(v, v) for v in range(len(masks))] for move in moves]
-
-
-def _extension_subsets(parent) -> list[int]:
-    """The neighbourhoods, as bitmasks, to try for a node joined to the graph
-    with neighbour bitmasks ``parent``: of the subsets that pass the degree
-    filter (the new node's degree is at least every other's after the join),
-    which automorphisms preserve, the lowest of each automorphism orbit."""
-    top = max(map(_BITS.__getitem__, parent), default=0)
-    tops = sum(1 << j for j, m in enumerate(parent) if _BITS[m] == top)
-    images = _automorphism_images(parent)
-    kept, seen = [], set()
-    for subset in range(1 << len(parent)):
-        k = _BITS[subset]
-        if k < top or k == top and subset & tops or subset in seen:
-            continue
-        kept.append(subset)
-        seen.add(subset)
-        orbit = [subset]
-        for t in orbit:
-            for image in images:
-                u = sum(map(image.__getitem__, _MEMBERS[t]))
-                if u not in seen:
-                    seen.add(u)
-                    orbit.append(u)
-    return kept
-
-
-@lru_cache(maxsize=None)
-def _representative_keys(n: int) -> tuple:
-    """Sorted canonical keys of the graphs on n nodes, one per class.
-
-    Each representative P on n - 1 nodes is extended by a node n-1 joined to
-    each subset of ``_extension_subsets(P)``.  An extension goes through
-    ``canonical_form`` only if node n-1 has the maximum vertex invariant
-    (degree, sorted neighbour degrees), the canonical-deletion test of
-    McKay's canonical augmentation (J. Algorithms 26, 1998); duplicates that
-    pass collapse in the key set.  No class is lost: for any graph G and
-    node v of maximum invariant, G - v is isomorphic to some P, and
-    extending P by the image S of N(v) gives a graph isomorphic to G whose
-    new node has v's invariant.  An automorphism of P, fixing node n-1, maps
-    it onto the extension by the kept subset of S's orbit; any subgroup's
-    orbits would do.  No Graph is built: all are neighbour bitmasks.
-    """
-    if n == 0:
-        return ((0, 0),)
-    new = n - 1
-    bit = 1 << new
-    keys = set()
-    for smaller in _representative_keys(new):
-        parent = _key_masks(smaller)
-        for subset in _extension_subsets(parent):
-            masks = [m | bit if subset >> j & 1 else m for j, m in enumerate(parent)] + [subset]
-            deg = [_BITS[m] for m in masks]
-            mine = sorted(deg[w] for w in _MEMBERS[subset])
-            if any(
-                deg[j] == deg[new] and sorted(deg[w] for w in _MEMBERS[masks[j]]) > mine
-                for j in range(new)
-            ):
-                continue
-            keys.add(canonical_form(masks))
-    return tuple(sorted(keys))
-
-
-def enumerate_keys(n: int) -> tuple:
-    """The canonical keys of all graphs on n nodes, one per isomorphism
-    class, sorted.  n must be exactly an int (a bool or a float is an
-    EnumerationError)."""
-    if type(n) is not int or n < 0 or n > ENUMERATION_LIMIT:
-        raise EnumerationError(
-            f"enumeration supports 0 <= n <= {ENUMERATION_LIMIT}, got {n!r}"
-        )
-    return _representative_keys(n)
-
-
-def enumerate_graphs(n: int) -> tuple[Graph, ...]:
-    """All graphs on n nodes up to isomorphism, canonical representatives in
-    a deterministic order."""
-    return tuple(graph_from_canonical_key(k) for k in enumerate_keys(n))
-
-
-def _key_masks(key: tuple[int, int]) -> list[int]:
-    """The neighbour bitmasks of the representative graph of a canonical key."""
-    n, bits = key
-    masks = [0] * n
-    offset = 0
-    for i in range(1, n):
-        row = masks[i] = bits >> offset & ((1 << i) - 1)
-        for j in _MEMBERS[row]:
-            masks[j] |= 1 << i
-        offset += i
-    return masks
-
-
-@lru_cache(maxsize=CANONICAL_MAX_NODES + 1)
-def _key_pairs(n: int) -> tuple:
-    """``(offset, (i, j))`` for every node pair i < j in sorted order, with
-    the pair's bit offset in a canonical key."""
-    return tuple(
-        (j * (j - 1) // 2 + i, (i, j)) for i in range(n) for j in range(i + 1, n)
-    )
-
-
-def canonical_key_edges(key: tuple[int, int]) -> list[tuple[int, int]]:
-    """The edges of the representative graph of a canonical key, in
-    ``Graph.sorted_edges`` order."""
-    n, bits = key
-    return [pair for offset, pair in _key_pairs(n) if bits >> offset & 1]
-
-
-def graph_from_canonical_key(key: tuple[int, int]) -> Graph:
-    """Rebuild the representative graph encoded by a canonical key."""
-    return Graph(key[0], canonical_key_edges(key))
-
-
 # -- serialization ---------------------------------------------------------
 
 
@@ -624,13 +337,6 @@ def parse_graph_text(text: str) -> Graph:
 
 def graph_to_json_dict(g: Graph) -> dict:
     return {"n": g.node_count, "edges": [list(e) for e in g.sorted_edges()]}
-
-
-def key_to_json_dict(key: tuple[int, int]) -> dict:
-    """The JSON form of the representative graph of a canonical key, built
-    from the key alone; edges are ``(i, j)`` tuples, which serialize as
-    ``graph_to_json_dict``'s lists do."""
-    return {"n": key[0], "edges": canonical_key_edges(key)}
 
 
 def graph_from_json_dict(data: dict) -> Graph:

@@ -10,9 +10,10 @@ off its dual multipliers.  The optimal-mass probe is posed on K by LP
 duality as a program of the same slack-feasible form, so every LP here
 starts from the slack basis.  The strategies are certified by a zero
 best-response gap, computed in exact arithmetic on the caller's matrix read
-in integers, apart from the solver and the image.  Only the functions that
-run an LP import the simplex, so certifying strategies alone
-(``gap_from_payoffs``, as ``hsnet design`` does) loads no LP code.
+in integers, apart from the solver and the image, by ``gap_from_payoffs``.
+That and ``MixedStrategy`` live in ``hsnet.payoff``, next to the payoffs they
+certify, so ``hsnet design`` certifies its strategies without loading this
+module; here only the functions that run an LP import the simplex.
 
 A matrix held as integers over a denominator D (``payoff.integer_payoffs``)
 is passed as its integers alone: it has its Fractions' image, so it reaches
@@ -28,72 +29,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .rationals import format_rational, over_common_denominator
+from .payoff import MixedStrategy, gap_from_payoffs
+from .rationals import over_common_denominator
 from .records import Record
 
 ONE = Fraction(1)
-
-
-class MixedStrategy(Record):
-    """Probability vector over actions, held exactly as integer weights over
-    one denominator, reduced so that equal vectors hold equal weights, and
-    validated at construction: weights >= 0 summing to the denominator.  A
-    Fraction is built only when a probability is read."""
-
-    __slots__ = _fields = ("weights", "denominator")
-
-    def __init__(self, probs):
-        try:
-            weights, den = over_common_denominator(probs)
-        except ValueError:
-            raise ValueError("strategy probabilities must be int or Fraction") from None
-        self._hold(weights, den)
-
-    @classmethod
-    def from_weights(cls, weights, den: int) -> "MixedStrategy":
-        """Action i with probability weights[i] / den (ints, den > 0)."""
-        strategy = cls.__new__(cls)
-        strategy._hold(weights, den)
-        return strategy
-
-    def _hold(self, weights, den):
-        weights = tuple(weights)
-        if min(weights, default=0) < 0:
-            raise ValueError("strategy probabilities must be nonnegative")
-        total = sum(weights)
-        if type(total) is not int or type(den) is not int or total != den or den < 1:
-            raise ValueError("strategy probabilities must sum to exactly 1")
-        g = gcd(den, *weights)
-        Record.__init__(self, tuple(w // g for w in weights) if g > 1 else weights, den // g)
-
-    @staticmethod
-    def uniform(n: int) -> "MixedStrategy":
-        return MixedStrategy.from_weights([1] * n, n)
-
-    @property
-    def probs(self) -> tuple:
-        view = {w: Fraction(w, self.denominator) for w in set(self.weights)}
-        return tuple(map(view.__getitem__, self.weights))
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, w in enumerate(self.weights) if w)
-
-    def to_pq(self) -> list[str]:
-        """The probabilities as "p/q" strings, each distinct weight formatted once."""
-        text = {w: format_rational(Fraction(w, self.denominator)) for w in set(self.weights)}
-        return list(map(text.__getitem__, self.weights))
-
-    def __len__(self):
-        return len(self.weights)
-
-    def __getitem__(self, i):
-        return Fraction(self.weights[i], self.denominator)
-
-    def __iter__(self):
-        return iter(self.probs)
-
-    def __reduce__(self):
-        return MixedStrategy.from_weights, self._values()
 
 
 class GameSolution(Record):
@@ -183,17 +123,6 @@ def best_response_gap(matrix, row: MixedStrategy, col: MixedStrategy):
     col_payoffs = [sum(p * r[k] for p, r in row_support) for k in range(len(col))]  # row.M
     gap = gap_from_payoffs(row, row_payoffs, col_payoffs)
     return tuple(regret / (den * common) for regret in gap)
-
-
-def gap_from_payoffs(row: MixedStrategy, row_payoffs, col_payoffs):
-    """(row regret, column regret) from M.col and row.M, however computed, in
-    the payoffs' own unit (integers over D give regrets over D).  The row
-    strategy's weights are read as they are held, so only the two regrets
-    are Fractions."""
-    rho, den = row.weights, row.denominator
-    current = sum(p * v for p, v in zip(rho, row_payoffs) if p)  # den row.M.col
-    row_regret = max(row_payoffs) * den - current
-    return Fraction(row_regret, den), Fraction(current - min(col_payoffs) * den, den)
 
 
 def max_optimal_mass(matrix, value: Fraction, index: int) -> Fraction:

@@ -16,13 +16,15 @@ computes the exact game value of each, and checks that
   a maximal core-periphery layout, and in the cycle regime it is
   2-connected with enough degree-2 nodes and the hider avoids busier nodes.
 
-The sweep walks the canonical keys of ``hsnet.graphs.enumerate_keys``, exact
-up to n = 8, and builds each key's Graph only while its game is solved, on
-its integer payoffs (``hsnet.payoff.integer_payoffs``); whole graphs come
-from ``hsnet.graphs.enumerate_graphs``.  The n = 8 sweep solves 12,346 games
-and sits behind an explicit flag.  Games are solved in parallel, on chunks
-of keys, when HSNET_THREADS asks for more than one worker; results do not
-depend on it.
+The sweep walks the canonical keys of ``hsnet.canonical.enumerate_keys``,
+exact up to n = 8, and builds each key's Graph only while its game is
+solved, on its integer payoffs (``hsnet.payoff.integer_payoffs``); whole
+graphs come from ``hsnet.canonical.enumerate_graphs``.  The n = 8 sweep
+solves 12,346 games and sits behind an explicit flag.  Games are solved in
+parallel, on chunks of keys, when HSNET_THREADS asks for more than one
+worker; results do not depend on it.  ``is_maximal_core_periphery``, the
+shape recognizer of the core-periphery check, lives here with its only
+caller.
 """
 
 from __future__ import annotations
@@ -31,17 +33,20 @@ import math
 import os
 
 from . import closed_form as cf
-from .designer import design_optimal, is_maximal_core_periphery
-from .graphs import (
+from .canonical import (
     ENUMERATION_LIMIT,
     EnumerationError,
-    Graph,
     canonical_form,
-    components,
     enumerate_keys,
     graph_from_canonical_key,
+)
+from .designer import design_optimal
+from .graphs import (
+    Graph,
+    components,
     graph_to_json_dict,
     induced_subgraph,
+    is_connected,
     is_two_connected,
 )
 from .matrix_game import game_value, max_optimal_mass, solve_zero_sum
@@ -153,6 +158,39 @@ def exhaustive_optimum(n: int, u: UtilitySpec, long_run: bool = False) -> Enumer
 
 
 # -- structural checks -------------------------------------------------------
+
+
+def is_maximal_core_periphery(g: Graph) -> bool:
+    """Whether a connected graph is a maximal core-periphery layout."""
+    k = g.node_count
+    if k < 4 or not is_connected(g):
+        return False
+    leaves = [v for v in range(k) if g.degree(v) == 1]
+    core = [v for v in range(k) if g.degree(v) != 1]
+    leaf_set = set(leaves)
+    attach_counts = {
+        c: sum(1 for w in g.neighbors(c) if w in leaf_set) for c in core
+    }
+    if any(cnt > 1 for cnt in attach_counts.values()):
+        return False
+    core_graph = induced_subgraph(g, core)
+    if k % 2 == 0:
+        if len(leaves) != k // 2:
+            return False
+        if len(core) == 2:
+            return core_graph.edges == frozenset({(0, 1)})
+        return is_two_connected(core_graph)
+    if len(leaves) != (k - 3) // 2:
+        return False
+    orphans = [c for c in core if attach_counts[c] == 0]
+    if len(orphans) != 3:
+        return False
+    if not is_two_connected(core_graph):
+        return False
+    orphan_set = set(orphans)
+    return any(
+        set(g.neighbors(o)) == orphan_set - {o} for o in orphans
+    )
 
 
 def _non_singleton_part(g: Graph):

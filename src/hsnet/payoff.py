@@ -11,6 +11,10 @@ Payoffs are read through one integer table, ``UtilitySpec.integer_table``
 (``integer_payoffs``), the design certificate (``strategy_payoffs``) and
 ``closed_form`` build no Fraction to read one (its scan reads each f once, by
 ``evaluate``), and ``payoff_matrix`` is only the integer matrix's Fractions.
+Mixed strategies (``MixedStrategy``, integer weights over one denominator)
+and the best-response regrets of what they earn (``gap_from_payoffs``) live
+here too, so the design certificate needs no game solver: ``hsnet.matrix_game``
+imports both from this module, which imports no solver.
 
 Component values f are strictly increasing with f(0) = 0.  ``FAMILIES`` is
 the one table of the built-in families: each family's parameter name (in JSON
@@ -26,10 +30,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 
 from .graphs import Graph, GraphError, _deletion_pieces, _dfs_low_links
-from .matrix_game import MixedStrategy
 from .rationals import format_rational, over_common_denominator, parse_rational
 from .records import Record
 
@@ -259,6 +262,71 @@ def payoff_matrix(g: Graph, u: UtilitySpec) -> tuple:
     return tuple(tuple(view[v] for v in row) for row in rows)
 
 
+# -- strategies and what they earn ------------------------------------------
+
+
+class MixedStrategy(Record):
+    """Probability vector over actions, held exactly as integer weights over
+    one denominator, reduced so that equal vectors hold equal weights, and
+    validated at construction: weights >= 0 summing to the denominator.  A
+    Fraction is built only when a probability is read."""
+
+    __slots__ = _fields = ("weights", "denominator")
+
+    def __init__(self, probs):
+        try:
+            weights, den = over_common_denominator(probs)
+        except ValueError:
+            raise ValueError("strategy probabilities must be int or Fraction") from None
+        self._hold(weights, den)
+
+    @classmethod
+    def from_weights(cls, weights, den: int) -> "MixedStrategy":
+        """Action i with probability weights[i] / den (ints, den > 0)."""
+        strategy = cls.__new__(cls)
+        strategy._hold(weights, den)
+        return strategy
+
+    def _hold(self, weights, den):
+        weights = tuple(weights)
+        if min(weights, default=0) < 0:
+            raise ValueError("strategy probabilities must be nonnegative")
+        total = sum(weights)
+        if type(total) is not int or type(den) is not int or total != den or den < 1:
+            raise ValueError("strategy probabilities must sum to exactly 1")
+        g = gcd(den, *weights)
+        Record.__init__(self, tuple(w // g for w in weights) if g > 1 else weights, den // g)
+
+    @staticmethod
+    def uniform(n: int) -> "MixedStrategy":
+        return MixedStrategy.from_weights([1] * n, n)
+
+    @property
+    def probs(self) -> tuple:
+        view = {w: Fraction(w, self.denominator) for w in set(self.weights)}
+        return tuple(map(view.__getitem__, self.weights))
+
+    def support(self) -> tuple[int, ...]:
+        return tuple(i for i, w in enumerate(self.weights) if w)
+
+    def to_pq(self) -> list[str]:
+        """The probabilities as "p/q" strings, each distinct weight formatted once."""
+        text = {w: format_rational(Fraction(w, self.denominator)) for w in set(self.weights)}
+        return list(map(text.__getitem__, self.weights))
+
+    def __len__(self):
+        return len(self.weights)
+
+    def __getitem__(self, i):
+        return Fraction(self.weights[i], self.denominator)
+
+    def __iter__(self):
+        return iter(self.probs)
+
+    def __reduce__(self):
+        return MixedStrategy.from_weights, self._values()
+
+
 def _weights(strategy) -> tuple:
     """(weights, D) of a MixedStrategy as held, or of ints and Fractions."""
     if isinstance(strategy, MixedStrategy):
@@ -378,6 +446,17 @@ def strategy_payoffs(g: Graph, u: UtilitySpec, hider, seeker) -> tuple:
     rows = [v * (common // sigma_den) for v in rows]
     cols = [v * (common // rho_den) for v in cols]
     return rows, cols, den * common
+
+
+def gap_from_payoffs(row: MixedStrategy, row_payoffs, col_payoffs):
+    """(row regret, column regret) from M.col and row.M, however computed, in
+    the payoffs' own unit (integers over D give regrets over D).  The row
+    strategy's weights are read as they are held, so only the two regrets
+    are Fractions."""
+    rho, den = row.weights, row.denominator
+    current = sum(p * v for p, v in zip(rho, row_payoffs) if p)  # den row.M.col
+    row_regret = max(row_payoffs) * den - current
+    return Fraction(row_regret, den), Fraction(current - min(col_payoffs) * den, den)
 
 
 def capture_probability(g: Graph, hider, seeker, within=None) -> Fraction:

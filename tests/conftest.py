@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 
 import hsnet
 from hsnet.graphs import Graph
-from hsnet.matrix_game import MixedStrategy
 from hsnet.oracle import exhaustive_optimum
-from hsnet.payoff import UtilitySpec
+from hsnet.payoff import MixedStrategy, UtilitySpec
 
 
 def identity_u(beta=0) -> UtilitySpec:

@@ -27,11 +27,10 @@ import pytest
 
 import hsnet.closed_form as cf
 import hsnet.designer as dz
-from hsnet.graphs import canonical_form, components, Graph
-from hsnet.matrix_game import (
-    MixedStrategy, best_response_gap, solve_zero_sum,
-)
-from hsnet.payoff import UtilitySpec, capture_probability, payoff_matrix
+from hsnet.canonical import canonical_form
+from hsnet.graphs import components, Graph
+from hsnet.matrix_game import best_response_gap, solve_zero_sum
+from hsnet.payoff import MixedStrategy, UtilitySpec, capture_probability, payoff_matrix
 
 from conftest import identity_u, square_u, ratio_u, strategy_payoff, BETA_GRID
 from test_closed_form import (

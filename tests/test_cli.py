@@ -127,8 +127,10 @@ def test_import_leaves_multiprocessing_out():
 
 def loaded_after(command):
     """The modules in sys.modules after ``hsnet.cli.main(command)`` in a
-    fresh interpreter."""
+    fresh interpreter started with ``-S``, so that no ``site`` hook loads a
+    module first."""
     proc = run_child([
+        "-S",
         "-c",
         "import contextlib, io, sys, hsnet.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -141,32 +143,40 @@ def loaded_after(command):
     return set(modules)
 
 
-def test_enumerate_loads_only_graphs():
-    loaded = loaded_after(["enumerate", "--n", "3"])
-    for name in ("oracle", "designer", "closed_form", "matrix_game", "payoff", "simplex"):
-        assert f"hsnet.{name}" not in loaded
-    assert "hsnet.graphs" in loaded
-    assert "hsnet.records" not in loaded
+# The hsnet modules each command loads beside ``hsnet`` and ``hsnet.cli``:
+# exactly these.  Only verify loads the canonical labelling or the verifier;
+# design certifies without the game solver; enumerate builds no Graph.
+COMMAND_MODULES = {
+    "enumerate": {"canonical"},
+    "export": {"graphs"},
+    "design": {"designer", "closed_form", "payoff", "graphs", "rationals", "records"},
+    "value-table": {"closed_form", "payoff", "graphs", "rationals", "records"},
+    "solve": {"matrix_game", "simplex", "payoff", "graphs", "rationals", "records"},
+    "verify": {"oracle", "canonical", "designer", "closed_form", "matrix_game", "simplex",
+               "payoff", "graphs", "rationals", "records"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_each_command_loads_only_its_modules(command, c4_file):
+    args = {
+        "enumerate": ["--n", "3"],
+        "export": ["--graph", str(c4_file)],
+        "design": ["--n", "9", "--beta", "2"],
+        "value-table": ["--n", "5"],
+        "solve": ["--graph", str(c4_file)],
+        "verify": ["--n-max", "4", "--families", "power", "--betas", "1/2"],
+    }[command]
+    loaded = loaded_after([command] + args)
+    hsnet_modules = {m for m in loaded if m == "hsnet" or m.startswith("hsnet.")}
+    assert hsnet_modules == {"hsnet", "hsnet.cli"} | {
+        f"hsnet.{name}" for name in COMMAND_MODULES[command]
+    }
     assert "dataclasses" not in loaded
-    assert "fractions" not in loaded
-    assert "csv" not in loaded
-
-
-def test_solve_leaves_designer_and_verifier_out(c4_file):
-    loaded = loaded_after(["solve", "--graph", str(c4_file)])
-    for name in ("designer", "closed_form", "oracle"):
-        assert f"hsnet.{name}" not in loaded
-    assert "hsnet.simplex" in loaded
-    assert "dataclasses" not in loaded
-
-
-def test_design_leaves_dataclasses_and_verifier_out():
-    loaded = loaded_after(["design", "--n", "9", "--beta", "2"])
-    assert "hsnet.designer" in loaded and "hsnet.closed_form" in loaded
-    assert "hsnet.oracle" not in loaded
-    assert "dataclasses" not in loaded
-    # The design path certifies its strategies without an LP: no LP code.
-    assert "hsnet.matrix_game" in loaded and "hsnet.simplex" not in loaded
+    assert "typing" not in loaded
+    if command == "enumerate":
+        assert "fractions" not in loaded
+        assert "csv" not in loaded
 
 
 def test_design_size_limit_is_a_usage_error(monkeypatch, capsys):
@@ -181,6 +191,29 @@ def test_design_size_limit_is_a_usage_error(monkeypatch, capsys):
         assert run(["design", "--n", str(n), "--utility", "@/no/such/file.json"]) == 2
         err = capsys.readouterr().err
         assert err == f"error: --n must be between 1 and {limit}, got {n}\n"
+
+
+def test_solve_size_limit_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    import hsnet.cli
+    import hsnet.payoff
+
+    def reached(*args):
+        raise RuntimeError("integer_payoffs ran")
+
+    monkeypatch.setattr(hsnet.payoff, "integer_payoffs", reached)
+    limit = hsnet.cli.SOLVE_MAX_NODES
+    assert limit == 100
+    big = tmp_path / "big.graph"
+    big.write_text(format_graph_text(build_cycle(limit + 1)))
+    # Refused once the graph is read, before the utility file is opened.
+    assert run(["solve", "--graph", str(big), "--utility", "@/no/such/file.json"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: solve takes at most {limit} nodes, got {limit + 1}\n"
+    # A graph at the limit goes on to the matrix.
+    at_limit = tmp_path / "limit.graph"
+    at_limit.write_text(format_graph_text(build_cycle(limit)))
+    with pytest.raises(RuntimeError, match="integer_payoffs ran"):
+        run(["solve", "--graph", str(at_limit)])
 
 
 def test_top_level_names_resolve_on_first_use():
@@ -263,6 +296,26 @@ def test_format_json_memo_keeps_depth_and_type():
             "g": [(0,), (False,)], "h": [(1, 2), [1, 2]], "i": ([1], (2, 3), []),
             "j": [[], ()], "k": ((0, 1), ("0", 1))}
     assert format_json(data) == json.dumps(data, sort_keys=True, indent=2)
+
+
+def test_format_json_edge_memo_is_bounded(monkeypatch):
+    # A design's edges are all distinct: past the cap they are rendered in
+    # line and not kept, with the same bytes, repeats before and after it.
+    import hsnet.cli
+
+    edge_text, held = hsnet.cli._edge_text, []
+
+    def recording(texts, *args):
+        text = edge_text(texts, *args)
+        held.append(len(texts))
+        return text
+
+    monkeypatch.setattr(hsnet.cli, "_edge_text", recording)
+    cap = hsnet.cli.EDGE_TEXT_MEMO_ENTRIES
+    edges = [(i, i + 1) for i in range(cap + 500)]
+    data = {"edges": edges + edges[:3] + edges[-3:], "graphs": [{"edges": edges[:5] + [()]}]}
+    assert format_json(data) == json.dumps(data, sort_keys=True, indent=2)
+    assert max(held) == cap
 
 
 @pytest.mark.parametrize("data", [

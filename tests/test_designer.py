@@ -16,21 +16,24 @@ import hsnet.closed_form as cf
 import hsnet.designer as dz
 from hsnet.cli import format_json
 from hsnet.designer import classify
+from hsnet.canonical import enumerate_graphs
 from hsnet.graphs import (
     Graph,
     components,
-    enumerate_graphs,
     induced_subgraph,
     is_connected,
     is_two_connected,
 )
-from hsnet.matrix_game import (
+from hsnet.matrix_game import best_response_gap, solve_zero_sum
+from hsnet.oracle import is_maximal_core_periphery
+from hsnet.payoff import (
     MixedStrategy,
-    best_response_gap,
+    UtilitySpec,
+    capture_probability,
     gap_from_payoffs,
-    solve_zero_sum,
+    payoff_matrix,
+    strategy_payoffs,
 )
-from hsnet.payoff import UtilitySpec, capture_probability, payoff_matrix, strategy_payoffs
 from hsnet.rationals import format_rational
 
 from conftest import (
@@ -181,16 +184,16 @@ def test_node_count_must_be_an_int(monkeypatch, n):
 
 def test_maximal_cp_recognizer():
     for k in (4, 5, 6, 8, 11, 16, 17):
-        assert dz.is_maximal_core_periphery(dz.build_maximal_cp(k)), k
-    assert not dz.is_maximal_core_periphery(dz.build_cycle(6))
-    assert not dz.is_maximal_core_periphery(Graph(4, [(0, 1), (1, 2), (2, 3)][:2]))
+        assert is_maximal_core_periphery(dz.build_maximal_cp(k)), k
+    assert not is_maximal_core_periphery(dz.build_cycle(6))
+    assert not is_maximal_core_periphery(Graph(4, [(0, 1), (1, 2), (2, 3)][:2]))
     # star: too many leaves on one attachment
-    assert not dz.is_maximal_core_periphery(Graph(4, [(0, 1), (0, 2), (0, 3)]))
+    assert not is_maximal_core_periphery(Graph(4, [(0, 1), (0, 2), (0, 3)]))
     # right leaf count but orphan wiring wrong: orphans spread out on the core
     q = 5
     core = [(i, (i + 1) % q) for i in range(q)]
     g = Graph(7, core + [(0, 5), (2, 6)])  # orphans 1, 3, 4 not consecutive
-    assert not dz.is_maximal_core_periphery(g)
+    assert not is_maximal_core_periphery(g)
 
 
 # -- chord-augmented cycles (alternate optima in the cycle regime) ---------

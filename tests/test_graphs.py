@@ -10,32 +10,34 @@ import re
 import pytest
 from hypothesis import given, settings
 
-from hsnet.graphs import (
-    Graph,
-    GraphError,
+from hsnet.canonical import (
     EnumerationError,
-    GraphFormatError,
     _automorphism_images,
     _extension_subsets,
     _key_masks,
     canonical_form,
     canonical_key_edges,
-    components,
     enumerate_graphs,
     enumerate_keys,
-    format_graph_text,
     graph_from_canonical_key,
+    key_to_json_dict,
+    twin_classes,
+)
+from hsnet.graphs import (
+    Graph,
+    GraphError,
+    GraphFormatError,
+    components,
+    format_graph_text,
     graph_from_json_dict,
     graph_to_json_dict,
     induced_subgraph,
-    key_to_json_dict,
     is_connected,
     is_two_connected,
     parse_graph_text,
     to_dot,
-    twin_classes,
 )
-from hsnet import graphs as graphs_module
+from hsnet import canonical as canonical_module
 from hsnet.designer import (
     MAXIMAL_CP_EVEN,
     build_cycle,
@@ -519,18 +521,18 @@ def test_canonical_form_calls_pinned(monkeypatch):
     # per orbit of the parent's automorphisms that passes both filters.  A
     # weaker prune (the twin swaps alone make 1,673) raises the count.
     calls = []
-    counted = graphs_module.canonical_form
+    counted = canonical_module.canonical_form
 
     def counting(g):
         calls.append(1)
         return counted(g)
 
-    graphs_module._representative_keys.cache_clear()
-    monkeypatch.setattr(graphs_module, "canonical_form", counting)
+    canonical_module._representative_keys.cache_clear()
+    monkeypatch.setattr(canonical_module, "canonical_form", counting)
     try:
-        keys = graphs_module._representative_keys(7)
+        keys = canonical_module._representative_keys(7)
     finally:
-        graphs_module._representative_keys.cache_clear()
+        canonical_module._representative_keys.cache_clear()
     assert len(keys) == 1044
     assert len(calls) == 1300
 

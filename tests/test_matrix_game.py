@@ -10,7 +10,6 @@ import pytest
 import hsnet.simplex
 from hsnet.graphs import Graph
 from hsnet.matrix_game import (
-    MixedStrategy,
     _column_lp,
     _integer_rows,
     best_response_gap,
@@ -18,7 +17,7 @@ from hsnet.matrix_game import (
     max_optimal_mass,
     solve_zero_sum,
 )
-from hsnet.payoff import UtilitySpec, integer_payoffs, payoff_matrix
+from hsnet.payoff import MixedStrategy, UtilitySpec, integer_payoffs, payoff_matrix
 from hsnet.designer import build_cycle
 
 from conftest import identity_u, ratio_u, square_u, strategy_payoff, uniform_over
@@ -145,7 +144,7 @@ def test_integer_payoffs_reach_the_fraction_vertex_on_every_graph_up_to_seven():
     solver the same strategies as the Fraction matrix, a value D times its
     value, and (up to five nodes) the same optimal masses at that value.  On
     the integer image, the LP reaches the shifted read's value, w and duals."""
-    from hsnet.graphs import enumerate_graphs
+    from hsnet.canonical import enumerate_graphs
 
     dens = set()
     for u in (square_u(F(1, 2)), ratio_u(F(1, 3))):
@@ -224,7 +223,7 @@ def test_duality_certificate_on_random_graphs():
 
 
 def test_zero_gap_certificate_every_graph_up_to_five():
-    from hsnet.graphs import enumerate_graphs
+    from hsnet.canonical import enumerate_graphs
 
     u = identity_u(F(3, 2))
     for n in range(1, 6):
@@ -235,7 +234,7 @@ def test_zero_gap_certificate_every_graph_up_to_five():
 
 
 def test_zero_gap_certificate_sampled_larger_graphs():
-    from hsnet.graphs import enumerate_graphs
+    from hsnet.canonical import enumerate_graphs
 
     rng = random.Random(8)
     for n in (6, 7):
@@ -297,7 +296,7 @@ def test_max_optimal_mass_properties():
     """Two facts that need no LP: a row carries the whole mass exactly when it
     guarantees the value on its own, and no optimal strategy, the solver's
     included, puts more on a row than the probe allows."""
-    from hsnet.graphs import enumerate_graphs
+    from hsnet.canonical import enumerate_graphs
 
     rng = random.Random(17)
     games = []

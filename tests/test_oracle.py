@@ -11,17 +11,16 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsnet.graphs import (
+from hsnet.canonical import (
+    EnumerationError,
     _representative_keys,
     canonical_form,
-    components,
     enumerate_graphs,
     enumerate_keys,
     graph_from_canonical_key,
-    Graph,
 )
+from hsnet.graphs import components, Graph
 from hsnet.oracle import (
-    EnumerationError,
     _worker_count,
     exhaustive_optimum,
     grid_utilities,

@@ -13,9 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 import hsnet.matrix_game
 import hsnet.payoff
+from hsnet.canonical import enumerate_graphs
 from hsnet.cli import main
 from hsnet.designer import build_cycle, build_maximal_cp, design_optimal
-from hsnet.graphs import Graph, GraphError, enumerate_graphs
+from hsnet.graphs import Graph, GraphError
 from hsnet.oracle import exhaustive_optimum
 from hsnet.payoff import (
     FAMILIES,
@@ -411,7 +412,7 @@ def reference_payoff_matrix(g, u):
 
 
 def test_payoff_matrix_matches_per_column_search():
-    from hsnet.graphs import enumerate_graphs
+    from hsnet.canonical import enumerate_graphs
 
     rng = random.Random(71)
     utilities = (identity_u(2), square_u(F(1, 2)), ratio_u(1))
@@ -657,7 +658,7 @@ def test_strategy_payoffs_every_labelled_graph_up_to_five():
 
 
 def test_strategy_payoffs_relabelled_representatives():
-    from hsnet.graphs import enumerate_graphs
+    from hsnet.canonical import enumerate_graphs
 
     rng = random.Random(67)
     for n in (6, 7):

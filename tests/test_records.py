@@ -9,8 +9,8 @@ import pytest
 
 import hsnet.closed_form as cf
 import hsnet.designer as dz
-from hsnet.matrix_game import GameSolution, MixedStrategy, solve_zero_sum
-from hsnet.payoff import UtilitySpec, UtilityError, payoff_matrix
+from hsnet.matrix_game import GameSolution, solve_zero_sum
+from hsnet.payoff import MixedStrategy, UtilitySpec, UtilityError, payoff_matrix
 from hsnet.records import Record
 
 from conftest import identity_u, square_u

@@ -8,7 +8,7 @@ import pytest
 
 import hsnet.simplex
 from hsnet.matrix_game import max_optimal_mass, solve_zero_sum
-from hsnet.graphs import enumerate_graphs
+from hsnet.canonical import enumerate_graphs
 from hsnet.payoff import UtilitySpec, payoff_matrix
 from hsnet.rationals import over_common_denominator
 from hsnet.simplex import UnboundedError
