@@ -14,17 +14,20 @@ from hsnet import (
     build_maximal_cp,
     capture_probability,
     format_rational,
-    payoff_matrix,
+    integer_payoffs,
     solve_zero_sum,
     UtilitySpec,
 )
 
 
 def show(name, g, u):
-    sol = solve_zero_sum(payoff_matrix(g, u))
+    # The payoffs are integers over one denominator D: the game's value is
+    # the solved value over D, and the strategies are those of the game.
+    rows, den = integer_payoffs(g, u)
+    sol = solve_zero_sum(rows)
     cap = capture_probability(g, sol.row_strategy, sol.col_strategy)
     print(f"{name}  (n={g.node_count}, beta={format_rational(u.beta)})")
-    print(f"  value to the hider : {format_rational(sol.value)}")
+    print(f"  value to the hider : {format_rational(sol.value / den)}")
     print(f"  hider strategy     : {sol.row_strategy.to_pq()}")
     print(f"  seeker strategy    : {sol.col_strategy.to_pq()}")
     print(f"  capture probability: {format_rational(cap)}")

@@ -26,11 +26,11 @@ _SOURCES = {
     "UtilitySpec": "payoff",
     "build_cycle": "designer",
     "build_maximal_cp": "designer",
-    "capture_probability": "payoff",
+    "capture_probability": "matrix_game",
     "design_optimal": "designer",
     "exhaustive_optimum": "oracle",
     "format_rational": "rationals",
-    "payoff_matrix": "payoff",
+    "integer_payoffs": "matrix_game",
     "solve_zero_sum": "matrix_game",
     "to_dot": "graphs",
 }

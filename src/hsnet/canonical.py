@@ -254,12 +254,6 @@ def enumerate_keys(n: int) -> tuple:
     return _representative_keys(n)
 
 
-def enumerate_graphs(n: int) -> tuple:
-    """All graphs on n nodes up to isomorphism, canonical representatives in
-    a deterministic order, as a tuple of Graphs."""
-    return tuple(graph_from_canonical_key(k) for k in enumerate_keys(n))
-
-
 def _key_masks(key: tuple[int, int]) -> list[int]:
     """The neighbour bitmasks of the representative graph of a canonical key."""
     n, bits = key

@@ -178,8 +178,7 @@ def _emit_json(args, data: dict):
 
 
 def cmd_solve(args) -> int:
-    from .matrix_game import solve_zero_sum
-    from .payoff import capture_probability, integer_payoffs
+    from .matrix_game import capture_probability, integer_payoffs, solve_zero_sum
     g = _load_graph(args.graph)
     if g.node_count > SOLVE_MAX_NODES:
         raise CliError(f"solve takes at most {SOLVE_MAX_NODES} nodes, got {g.node_count}")

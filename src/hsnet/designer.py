@@ -7,22 +7,25 @@ three orphaned core nodes, the middle one wired to exactly the other two,
 when odd).  ``design_topology`` is the one builder: it writes a layout's edges
 and node roles in one pass.  ``design_optimal`` picks the best isolated-node
 count, builds the layout, attaches both players' closed-form strategies (the
-hider's read off the roles, the seeker's off ``classify``, which counts each
-node's leaf and residual neighbours in its neighbour tuple and builds no
-subgraph), and certifies the pair by a zero best-response gap.  The gap is
-computed in integers from the graph (``payoff.strategy_payoffs`` and
-``payoff.gap_from_payoffs``), without building the n x n payoff matrix, so
+hider's read off the roles, the seeker's off ``classify``, which classes
+each node in place from the neighbour tuples and builds no subgraph or node
+set), and certifies the pair by a zero best-response gap.  The gap is
+computed in integers from the graph, by ``strategy_payoffs`` here and
+``payoff.gap_from_payoffs``, without building the n x n payoff matrix, so
 no game solver is loaded.  The verifier's shape recognizer lives with the
 verifier, in ``hsnet.oracle``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 
 from . import closed_form as cf
-from .graphs import Graph, graph_to_json_dict, to_dot
-from .payoff import MixedStrategy, UtilitySpec, gap_from_payoffs, strategy_payoffs
+from .graphs import Graph, GraphError, _deletion_pieces, _dfs_low_links, graph_to_json_dict, to_dot
+from .payoff import MixedStrategy, UtilitySpec, _weights, gap_from_payoffs
 from .rationals import format_rational, over_common_denominator
 from .records import Record
 
@@ -108,65 +111,83 @@ def build_maximal_cp(k: int) -> Graph:
 # -- strategies -------------------------------------------------------------
 
 
+# A node's class in a SeekerPartition, one byte per node.
+SINGLETON, SINGLETON_LEAF, ATTACHMENT = 0, 1, 2
+RESIDUAL, RESIDUAL_LEAF, RESIDUAL_PAIR = 3, 4, 5
+
+
 class SeekerPartition(Record):
-    """Disjoint node classes driving the seeker's mixed strategy.
-
-    singletons: degree-0 nodes.
-    singleton_leaves: leaves whose (unique) neighbor has no other leaf.
-    m_nodes: the attachment nodes of singleton leaves, one per leaf.
-    r_nodes: everything else, the residual set.  ``r_degree[v]`` is v's
-    degree in the subgraph induced on r_nodes, and 0 for v outside it;
-    ``d_gr`` holds the residual nodes of residual degree 1 whose one
-    residual neighbour has residual degree 1: the 2-node pieces of that
-    subgraph.  No subgraph is built.
-
-    The classes are pairwise disjoint and cover all nodes, so
-    ``len(r_nodes) == n - s - 2m`` always holds.
+    """Disjoint node classes driving the seeker's mixed strategy, held per
+    node: ``kinds[v]`` is v's class.  A SINGLETON has degree 0; a
+    SINGLETON_LEAF is a leaf whose (unique) neighbour, its ATTACHMENT node,
+    has no other leaf; the rest is the residual set, whose nodes are
+    RESIDUAL_LEAF or RESIDUAL_PAIR when they are leaves or in 2-node pieces
+    of the subgraph induced on it, and RESIDUAL otherwise.  ``r_degree[v]``
+    is v's degree in that subgraph, and 0 off it.  The node sets
+    (``singletons``, ``leaves``, ``m_nodes``, ``singleton_leaves``,
+    ``r_nodes`` and ``d_gr``, the 2-node pieces) are built only when read.
+    The classes cover all nodes, so ``len(r_nodes) == n - s - 2m``.
     """
 
-    __slots__ = _fields = (
-        "singletons", "leaves", "leaf_neighbor_count", "m_nodes",
-        "singleton_leaves", "r_nodes", "r_degree", "d_gr",
-    )
+    __slots__ = _fields = ("degrees", "leaf_neighbor_count", "kinds", "r_degree")
+
+    def _nodes(self, *kinds) -> frozenset:
+        return frozenset(v for v, kind in enumerate(self.kinds) if kind in kinds)
+
+    singletons = property(lambda self: self._nodes(SINGLETON))
+    singleton_leaves = property(lambda self: self._nodes(SINGLETON_LEAF))
+    m_nodes = property(lambda self: self._nodes(ATTACHMENT))
+    r_nodes = property(lambda self: self._nodes(RESIDUAL, RESIDUAL_LEAF, RESIDUAL_PAIR))
+    d_gr = property(lambda self: self._nodes(RESIDUAL_PAIR))
+    leaves = property(lambda self: frozenset(v for v, d in enumerate(self.degrees) if d == 1))
 
 
 def classify(g: Graph) -> SeekerPartition:
     """Compute the seeker's node classification from degrees and neighbour
-    tuples, in O(n + e).
+    tuples, in place: past passes over the degrees, only leaves and the
+    neighbours of attachment nodes are visited.
 
-    A node joins ``m_nodes`` when it has exactly one leaf neighbor and is not
-    itself a leaf; the non-leaf condition keeps the classes disjoint on
-    2-node components (both endpoints of an isolated edge would otherwise
+    A node is an attachment node when it has exactly one leaf neighbor and
+    is not itself a leaf; the non-leaf condition keeps the classes disjoint
+    on 2-node components (both endpoints of an isolated edge would otherwise
     count as attachment node and leaf at once).  Endpoints of isolated edges
-    therefore land in ``r_nodes`` and in ``d_gr``.
+    therefore land in the residual set's 2-node pieces.
     """
     n = g.node_count
     degrees = g.degrees()
-    adjacency = list(map(g.neighbors, range(n)))
-    singletons = frozenset(i for i in range(n) if degrees[i] == 0)
-    leaves = frozenset(i for i in range(n) if degrees[i] == 1)
-    is_leaf = [d == 1 for d in degrees].__getitem__
-    lcount = tuple(sum(map(is_leaf, nbrs)) for nbrs in adjacency)
-    m_nodes = frozenset(
-        i for i in range(n) if lcount[i] == 1 and i not in leaves
-    )
-    singleton_leaves = frozenset(i for i in leaves if g.neighbors(i)[0] in m_nodes)
-    claimed = singletons | singleton_leaves | m_nodes
-    residual = [i not in claimed for i in range(n)]
-    r_degree = tuple(sum(map(residual.__getitem__, nbrs)) if own else 0
-                     for own, nbrs in zip(residual, adjacency))
-    r_nodes = frozenset(i for i in range(n) if residual[i])
-    # Off r_nodes the residual degree is 0, so the one neighbour of residual
-    # degree 1 is the residual one.
-    d_gr = frozenset(
-        i for i in r_nodes
-        if r_degree[i] == 1 and any(r_degree[j] == 1 for j in g.neighbors(i))
-    )
-    assert len(m_nodes) == len(singleton_leaves)
-    assert len(r_nodes) == n - len(singletons) - 2 * len(m_nodes)
-    return SeekerPartition(
-        singletons, leaves, lcount, m_nodes, singleton_leaves, r_nodes, r_degree, d_gr,
-    )
+    neighbors = g.neighbors
+    leaves = [v for v, d in enumerate(degrees) if d == 1]
+    lcount = [0] * n
+    for v in leaves:
+        lcount[neighbors(v)[0]] += 1
+    kinds = bytearray(RESIDUAL if d else SINGLETON for d in degrees)
+    attachments = []
+    for v in leaves:
+        p = neighbors(v)[0]
+        if lcount[p] == 1 and degrees[p] != 1:
+            kinds[v], kinds[p] = SINGLETON_LEAF, ATTACHMENT
+            attachments.append(p)
+    # A residual node's residual degree is its degree less its attachment
+    # neighbours: a singleton leaf neighbours only its attachment node.
+    r_degree = [d if kind == RESIDUAL else 0 for d, kind in zip(degrees, kinds)]
+    touched = []
+    for p in attachments:
+        for w in neighbors(p):
+            if kinds[w] == RESIDUAL:
+                r_degree[w] -= 1
+                touched.append(w)
+    # So a residual degree of 1 is a leaf's or a touched node's.  Off the
+    # residual set it is 0, so the one neighbour where it is not 0 is the
+    # residual one, in the same 2-node piece when its residual degree is 1.
+    for v in leaves + touched:
+        if kinds[v] == RESIDUAL and r_degree[v] == 1:
+            w = next(w for w in neighbors(v) if r_degree[w])
+            if r_degree[w] == 1:
+                kinds[v] = kinds[w] = RESIDUAL_PAIR
+            else:
+                kinds[v] = RESIDUAL_LEAF
+    assert kinds.count(ATTACHMENT) == kinds.count(SINGLETON_LEAF)
+    return SeekerPartition(degrees, tuple(lcount), bytes(kinds), tuple(r_degree))
 
 
 def seeker_strategy(g: Graph, u: UtilitySpec) -> MixedStrategy:
@@ -180,8 +201,9 @@ def seeker_strategy(g: Graph, u: UtilitySpec) -> MixedStrategy:
     n = g.node_count
     if n == 0:
         raise DesignError("seeker strategy needs at least one node")
-    part = classify(g)
-    s, m, r = len(part.singletons), len(part.m_nodes), len(part.r_nodes)
+    kinds = classify(g).kinds
+    s, m = kinds.count(SINGLETON), kinds.count(ATTACHMENT)
+    r = n - s - 2 * m
     if s == n:
         return MixedStrategy.uniform(n)
 
@@ -196,16 +218,14 @@ def seeker_strategy(g: Graph, u: UtilitySpec) -> MixedStrategy:
     (w_s, w_m, w_r), den = over_common_denominator((
         lam_s / s if s else ZERO, rest * (ONE - lam_r) / m if m else ZERO,
         rest * lam_r / r if r else ZERO))
-    r_leaf = [d == 1 for d in part.r_degree]  # residual leaves: r_degree is 0 off r_nodes
-    weights = [0] * n
-    for v in part.r_nodes:
-        if not r_leaf[v]:
-            weights[v] = w_r * (1 + sum(map(r_leaf.__getitem__, g.neighbors(v))))
-        elif v in part.d_gr:
-            weights[v] = w_r
-    for nodes, w in ((part.m_nodes, w_m), (part.singletons, w_s)):
-        for v in nodes:
-            weights[v] = w
+    share = (w_s, 0, w_m, w_r, 0, w_r)  # by kind, SINGLETON to RESIDUAL_PAIR
+    weights = list(map(share.__getitem__, kinds))
+    if RESIDUAL_LEAF in kinds:  # its one residual neighbour is RESIDUAL
+        for v, kind in enumerate(kinds):
+            if kind == RESIDUAL_LEAF:
+                for w in g.neighbors(v):
+                    if kinds[w] == RESIDUAL:
+                        weights[w] += w_r
     return MixedStrategy.from_weights(weights, den)
 
 
@@ -233,6 +253,123 @@ def hider_strategy(topo: DesignTopology, u: UtilitySpec) -> MixedStrategy:
         for v in nodes:
             weights[v] = w
     return MixedStrategy.from_weights(weights, den)
+
+
+# -- the certificate --------------------------------------------------------
+
+
+def strategy_payoffs(g: Graph, u: UtilitySpec, hider, seeker) -> tuple:
+    """(rows, cols, D): M.seeker and hider.M of g's hider-payoff matrix M, as
+    lists of integers over one denominator D, without M.  A strategy is a
+    MixedStrategy, read as its weights, or a sequence of ints and Fractions.
+
+    Deleting k leaves its separated DFS child subtrees, the rest of k's
+    component and the other components (``graphs._deletion_pieces``).  A
+    part is held when k leaves a node of it uncaught.  One pass records each
+    held part's size and uncaught hider mass, and where k's seeker weight
+    earns its f: ranges of preorder positions less some points.  Then
+    ``u.integer_table`` is read once, over those sizes, which cells of M
+    hold.  Captures (size 0, as in ``integer_payoffs``) and the other
+    components are per-node and per-component sums.  No Fraction is built.
+    Cost: O((n + e) log max-degree) integer operations.
+    """
+    n = g.node_count
+    if n < 1:
+        raise GraphError("payoff matrix needs at least one node")
+    rho, rho_den = _weights(hider)
+    sigma, sigma_den = _weights(seeker)
+    if len(rho) != n or len(sigma) != n:
+        raise GraphError("strategy length must equal node count")
+    links = _dfs_low_links(g)
+    order, tin, _, size, comp_start = links
+    prefix = list(accumulate((rho[v] for v in order), initial=0))
+    sigma_at, rho_at = sigma.__getitem__, rho.__getitem__
+    caught_rows, caught_cols = [0] * n, [0] * n  # sigma(N[h]) and rho(N[k])
+    # The rest of each k: its size, its uncaught hider mass and, when it is
+    # held and k has seeker weight, k's neighbours outside its held pieces,
+    # which with k earn less than the range add over k's component.
+    rest_size, rest_mass, rest_points = [0] * n, [0] * n, [None] * n
+    held_pieces = []  # (k, start, size, uncaught hider mass, k's neighbours in it)
+    for k in range(n):
+        a, nbrs = comp_start[k], g.neighbors(k)
+        caught_rows[k] = sigma[k] + sum(map(sigma_at, nbrs))
+        caught_cols[k] = rho[k] + sum(map(rho_at, nbrs))
+        c = size[order[a]]
+        pieces, rest = _deletion_pieces(links, k) if size[k] > 1 else ((), c - 1)
+        left = prefix[a + c] - prefix[a] - caught_cols[k]
+        points, near = nbrs, len(nbrs)
+        if pieces:
+            starts = [tin[ch] for ch in pieces]
+            points, inside = [], [[] for _ in pieces]
+            for w in nbrs:
+                tw = tin[w]
+                i = bisect_right(starts, tw) - 1
+                if i >= 0 and tw < starts[i] + size[pieces[i]]:
+                    inside[i].append(w)
+                else:
+                    points.append(w)
+            near = len(points)
+            for t, ch, hit in zip(starts, pieces, inside):
+                x = size[ch]
+                if len(hit) == x:  # fully caught: its nodes earn a capture
+                    points.extend(hit)
+                    continue
+                m = prefix[t + x] - prefix[t] - sum(map(rho_at, hit))
+                left -= m
+                held_pieces.append((k, t, x, m, hit))
+        rest_size[k], rest_mass[k] = rest, left
+        if sigma[k] and near < rest:
+            rest_points[k] = tuple(points)
+
+    # Hiding in another component earns f(its size) whatever k is deleted.
+    roots = [t for t, v in enumerate(order) if comp_start[v] == t]
+    several = len(roots) > 1
+    held = (x for x, m, p in zip(rest_size, rest_mass, rest_points) if m or p is not None)
+    sizes = sorted({0, *held, *(x for _, _, x, _, _ in held_pieces),
+                    *(size[order[t]] for t in roots if several)})
+    values, den = u.integer_table(sizes)
+    table = dict(zip(sizes, values))
+    rows = [table[0] * w for w in caught_rows]
+    cols = [table[0] * m for m in caught_cols]
+    shift = [0] * (n + 1)
+    for k in range(n):
+        x, points = rest_size[k], rest_points[k]
+        if rest_mass[k]:
+            cols[k] += table[x] * rest_mass[k]
+        if points is not None:
+            v = table[x] * sigma[k]
+            a = comp_start[k]
+            shift[a] += v
+            shift[a + size[order[a]]] -= v
+            rows[k] -= v
+            for w in points:
+                rows[w] -= v
+    for k, t, x, m, hit in held_pieces:
+        cols[k] += table[x] * m
+        v = table[x] * sigma[k]
+        for w in hit:
+            rows[w] -= v
+        if rest_points[k] is not None:
+            v -= table[rest_size[k]] * sigma[k]
+        shift[t] += v
+        shift[t + x] -= v
+    for v, acc in zip(order, accumulate(shift)):
+        rows[v] += acc
+    if several:
+        sigma_prefix = list(accumulate((sigma[v] for v in order), initial=0))
+        earned = [(t, size[order[t]]) for t in roots]
+        everywhere = sum(table[c] * (prefix[t + c] - prefix[t]) for t, c in earned)
+        for t, c in earned:
+            outside = sigma_prefix[n] - sigma_prefix[t + c] + sigma_prefix[t]
+            elsewhere = everywhere - table[c] * (prefix[t + c] - prefix[t])
+            for v in order[t : t + c]:
+                rows[v] += table[c] * outside
+                cols[v] += elsewhere
+    # Rows are over D sigma_den and columns over D rho_den: bring both over one.
+    common = lcm(rho_den, sigma_den)
+    rows = [v * (common // sigma_den) for v in rows]
+    cols = [v * (common // rho_den) for v in cols]
+    return rows, cols, den * common
 
 
 # -- full design ------------------------------------------------------------

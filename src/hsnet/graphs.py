@@ -4,13 +4,14 @@ Graphs are immutable after construction (nodes are 0..n-1, edges a frozenset
 of sorted pairs, each node's neighbours a sorted tuple), so every derived
 object in this module can be shared freely across worker processes.
 
-The seeker's inspection deletes a node, and every structure query here is
-about such deletions.  One low-link depth-first search (Tarjan, SIAM J.
-Comput. 1, 1972) answers them all: the components, 2-connectivity, and, in
-``hsnet.payoff``, the component sizes of every G - k.  Captures and the
-seeker's node classes need only the neighbour tuples.  Besides those, this
-module provides induced subgraphs (built only by the verifier's shape
-recognizers) and the text, JSON and DOT formats.  Canonical forms and
+The seeker's inspection deletes a node, and every structure query about
+such deletions is answered by one low-link depth-first search (Tarjan, SIAM
+J. Comput. 1, 1972), ``_dfs_low_links``, and the pieces it leaves,
+``_deletion_pieces``.  Their callers live with the code that runs them: the
+payoff matrix in ``hsnet.matrix_game``, the design certificate in
+``hsnet.designer``, and the components, 2-connectivity and induced subgraphs
+of the verifier's shape checks in ``hsnet.oracle``.  Besides those, this
+module provides the text, JSON and DOT formats.  Canonical forms and
 enumeration of small graphs, the only code that builds neighbour bitmasks
 (``neighbor_mask``), live in ``hsnet.canonical``; this module imports no
 other hsnet module.
@@ -143,19 +144,6 @@ def _refuse_edges(node_count: int, edges: list):
         seen.add((i, j))
 
 
-class ComponentPartition:
-    """Connected components as disjoint node sets covering all nodes."""
-
-    __slots__ = ("components", "component_of")
-
-    def __init__(self, components: tuple[frozenset, ...], component_of: tuple[int, ...]):
-        self.components = components
-        self.component_of = component_of
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.components)
-
-
 def _dfs_low_links(g: Graph) -> tuple:
     """One iterative depth-first search over every component.
 
@@ -225,59 +213,6 @@ def _deletion_pieces(links: tuple, k: int) -> tuple[list, int]:
             pieces.append(c)
         p += size[c]
     return pieces, size[order[comp_start[k]]] - 1 - sum(size[c] for c in pieces)
-
-
-def components(g: Graph) -> ComponentPartition:
-    """Connected-component partition, components ordered by smallest member."""
-    order, tin, _, size, comp_start = _dfs_low_links(g)
-    comp_of = [0] * g.node_count
-    comps = []
-    for v in order:
-        if tin[v] == comp_start[v]:  # a root: the smallest member of its component
-            members = order[tin[v] : tin[v] + size[v]]
-            for w in members:
-                comp_of[w] = len(comps)
-            comps.append(frozenset(members))
-    return ComponentPartition(tuple(comps), tuple(comp_of))
-
-
-def induced_subgraph(g: Graph, nodes) -> Graph:
-    """Subgraph on ``nodes`` with exactly the internal edges, relabeled in
-    sorted-node order.  Each id must be exactly an int in 0..n-1 (a bool, a
-    float or a str is a GraphError)."""
-    nodes = list(nodes)
-    for v in nodes:
-        if type(v) is not int or not 0 <= v < g.node_count:
-            raise GraphError(f"node {v!r} is not a node id in 0..{g.node_count - 1}")
-    order = sorted(set(nodes))
-    index = {v: i for i, v in enumerate(order)}
-    edges = [
-        (index[i], index[j]) for (i, j) in g.edges if i in index and j in index
-    ]
-    return Graph(len(order), edges)
-
-
-def is_connected(g: Graph) -> bool:
-    if g.node_count == 0:
-        return False
-    return len(components(g).components) == 1
-
-
-def is_two_connected(g: Graph) -> bool:
-    """True iff g has at least 3 nodes, is connected, and deleting any single
-    node leaves at most one nonempty piece.  Graphs on <= 2 nodes are never
-    considered 2-connected."""
-    n = g.node_count
-    if n < 3:
-        return False
-    links = _dfs_low_links(g)
-    if links[3][0] != n:  # size[0]: node 0, the first root, reaches every node
-        return False
-    for k in range(n):
-        pieces, rest = _deletion_pieces(links, k)
-        if len(pieces) + (rest > 0) > 1:
-            return False
-    return True
 
 
 # -- serialization ---------------------------------------------------------

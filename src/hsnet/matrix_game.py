@@ -1,4 +1,5 @@
-"""Exact solver for two-player zero-sum matrix games.
+"""Exact solver for two-player zero-sum matrix games, and the game's matrix
+on a fixed graph, which ``hsnet solve`` and the verifier build to solve it.
 
 The row player maximizes, the column player minimizes.  One LP per game: the
 matrix is checked and read once into integers over its common denominator,
@@ -15,10 +16,12 @@ That and ``MixedStrategy`` live in ``hsnet.payoff``, next to the payoffs they
 certify, so ``hsnet design`` certifies its strategies without loading this
 module; here only the functions that run an LP import the simplex.
 
-A matrix held as integers over a denominator D (``payoff.integer_payoffs``)
-is passed as its integers alone: it has its Fractions' image, so it reaches
-the same strategies; the caller divides the value by D and probes masses at
-D times it.
+``integer_payoffs`` builds a graph's hider-payoff matrix as integers over a
+denominator D, with captures read off the neighbour tuples and component
+sizes off one low-link DFS.  It is passed as its integers alone: it has its
+Fractions' image, so it reaches the same strategies; the caller divides the
+value by D and probes masses at D times it.  ``capture_probability`` reads
+a strategy pair's capture rate off the same neighbour tuples.
 
 Optimal strategies are generally not unique; callers should compare values
 and regrets, never strategy vectors.
@@ -29,7 +32,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .payoff import MixedStrategy, gap_from_payoffs
+from .graphs import Graph, GraphError, _deletion_pieces, _dfs_low_links
+from .payoff import MixedStrategy, UtilitySpec, _weights, gap_from_payoffs
 from .rationals import over_common_denominator
 from .records import Record
 
@@ -160,3 +164,81 @@ def max_optimal_mass(matrix, value: Fraction, index: int) -> Fraction:
         rhs=[0 if h == index else 1 for h in range(len(image))],
     )[1]
     return ONE - pz / q
+
+
+# -- the game on a graph ------------------------------------------------------
+
+
+def integer_payoffs(g: Graph, u: UtilitySpec) -> tuple:
+    """(rows, D): the hider-payoff matrix of a graph with at least one node,
+    as a tuple of rows of integers over D: row h is the hider's position,
+    column k the node the seeker inspects.
+
+    One low-link DFS gives every column's component sizes: deleting k leaves
+    its separated child subtrees, the rest of k's component, and the other
+    components unchanged (``graphs._deletion_pieces``).  Each column holds 0
+    where k's inspection catches the hider, at k and its neighbours, and the
+    hider's component size elsewhere: a pattern that no utility enters.  It
+    is read through ``u.integer_table`` over the sizes it holds, so D is the
+    lcm of the matrix's denominators.
+    """
+    n = g.node_count
+    if n < 1:
+        raise GraphError("payoff matrix needs at least one node")
+    links = _dfs_low_links(g)
+    order, tin, _, size, comp_start = links
+    whole = [size[order[comp_start[v]]] for v in order]  # by preorder position
+    # sizes[k][tin[h]]: 0 if inspecting k catches h, else h's component size
+    # once k is deleted.
+    sizes = []
+    for k in range(n):
+        pieces, rest = _deletion_pieces(links, k)
+        a, c = comp_start[k], whole[tin[k]]
+        column = whole[:]
+        column[a : a + c] = [rest] * c
+        for ch in pieces:
+            t = tin[ch]
+            column[t : t + size[ch]] = [size[ch]] * size[ch]
+        column[tin[k]] = 0
+        for w in g.neighbors(k):
+            column[tin[w]] = 0
+        sizes.append(column)
+    held = sorted(set().union(*sizes))
+    values, den = u.integer_table(held)
+    table = dict(zip(held, values))
+    return tuple(tuple(table[column[t]] for column in sizes) for t in tin), den
+
+
+def capture_probability(g: Graph, hider, seeker, within=None) -> Fraction:
+    """Probability the hider is caught under a pair of mixed strategies.
+
+    ``hider`` and ``seeker`` index nodes of g.  When ``within`` is given,
+    both strategies are conditioned on that node set (useful for reading the
+    capture rate inside a single component of a larger design).  Every
+    probability must be an int or a Fraction (a MixedStrategy is read as its
+    weights), and every node of ``within`` an int in 0..n-1; anything else, a
+    float, a string or a bool included, is a ValueError.  Inspecting k
+    catches the hider mass on k and its neighbours, so the sum takes O(n + e)
+    integer operations and builds one Fraction.
+    """
+    n = g.node_count
+    try:
+        (hp, hden), (sp, sden) = _weights(hider), _weights(seeker)
+    except ValueError:
+        raise ValueError("strategy probabilities must be int or Fraction") from None
+    if len(hp) != n or len(sp) != n:
+        raise GraphError("strategy length must equal node count")
+    if within is not None:
+        within = list(within)
+        if any(type(i) is not int or not 0 <= i < n for i in within):
+            raise ValueError(f"within must hold node ids in 0..{n - 1}")
+        # Conditioned, each strategy is its weights on the set over their total.
+        inside = set(within)
+        hp = [p if i in inside else 0 for i, p in enumerate(hp)]
+        sp = [q if i in inside else 0 for i, q in enumerate(sp)]
+        hden, sden = sum(hp), sum(sp)
+        if not hden or not sden:
+            raise ValueError("cannot condition on a zero-mass node set")
+    hider_at = hp.__getitem__
+    caught = sum(q * (hp[k] + sum(map(hider_at, g.neighbors(k)))) for k, q in enumerate(sp) if q)
+    return Fraction(caught, hden * sden)

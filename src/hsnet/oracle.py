@@ -17,14 +17,16 @@ computes the exact game value of each, and checks that
   2-connected with enough degree-2 nodes and the hider avoids busier nodes.
 
 The sweep walks the canonical keys of ``hsnet.canonical.enumerate_keys``,
-exact up to n = 8, and builds each key's Graph only while its game is
-solved, on its integer payoffs (``hsnet.payoff.integer_payoffs``); whole
-graphs come from ``hsnet.canonical.enumerate_graphs``.  The n = 8 sweep
-solves 12,346 games and sits behind an explicit flag.  Games are solved in
-parallel, on chunks of keys, when HSNET_THREADS asks for more than one
-worker; results do not depend on it.  ``is_maximal_core_periphery``, the
-shape recognizer of the core-periphery check, lives here with its only
-caller.
+exact up to n = 8, and builds each key's Graph (``graph_from_canonical_key``)
+only while its game is solved, on its integer payoffs
+(``hsnet.matrix_game.integer_payoffs``).  The n = 8 sweep solves 12,346
+games and sits behind an explicit flag.  Games are solved in parallel, on
+chunks of keys, when HSNET_THREADS asks for more than one worker; results do
+not depend on it.  The structure queries of the checks live here with their
+only caller: the components, connectivity and 2-connectivity of a graph,
+read off one low-link DFS, its induced subgraphs, and
+``is_maximal_core_periphery``, the shape recognizer of the core-periphery
+check.
 """
 
 from __future__ import annotations
@@ -41,16 +43,9 @@ from .canonical import (
     graph_from_canonical_key,
 )
 from .designer import design_optimal
-from .graphs import (
-    Graph,
-    components,
-    graph_to_json_dict,
-    induced_subgraph,
-    is_connected,
-    is_two_connected,
-)
-from .matrix_game import game_value, max_optimal_mass, solve_zero_sum
-from .payoff import UtilitySpec, builtin_utilities, integer_payoffs
+from .graphs import Graph, GraphError, _deletion_pieces, _dfs_low_links, graph_to_json_dict
+from .matrix_game import game_value, integer_payoffs, max_optimal_mass, solve_zero_sum
+from .payoff import UtilitySpec, builtin_utilities
 from .rationals import format_rational
 from .records import Record
 
@@ -160,6 +155,72 @@ def exhaustive_optimum(n: int, u: UtilitySpec, long_run: bool = False) -> Enumer
 # -- structural checks -------------------------------------------------------
 
 
+class ComponentPartition:
+    """Connected components as disjoint node sets covering all nodes."""
+
+    __slots__ = ("components", "component_of")
+
+    def __init__(self, components: tuple[frozenset, ...], component_of: tuple[int, ...]):
+        self.components = components
+        self.component_of = component_of
+
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(len(c) for c in self.components)
+
+
+def components(g: Graph) -> ComponentPartition:
+    """Connected-component partition, components ordered by smallest member."""
+    order, tin, _, size, comp_start = _dfs_low_links(g)
+    comp_of = [0] * g.node_count
+    comps = []
+    for v in order:
+        if tin[v] == comp_start[v]:  # a root: the smallest member of its component
+            members = order[tin[v] : tin[v] + size[v]]
+            for w in members:
+                comp_of[w] = len(comps)
+            comps.append(frozenset(members))
+    return ComponentPartition(tuple(comps), tuple(comp_of))
+
+
+def induced_subgraph(g: Graph, nodes) -> Graph:
+    """Subgraph on ``nodes`` with exactly the internal edges, relabeled in
+    sorted-node order.  Each id must be exactly an int in 0..n-1 (a bool, a
+    float or a str is a GraphError)."""
+    nodes = list(nodes)
+    for v in nodes:
+        if type(v) is not int or not 0 <= v < g.node_count:
+            raise GraphError(f"node {v!r} is not a node id in 0..{g.node_count - 1}")
+    order = sorted(set(nodes))
+    index = {v: i for i, v in enumerate(order)}
+    edges = [
+        (index[i], index[j]) for (i, j) in g.edges if i in index and j in index
+    ]
+    return Graph(len(order), edges)
+
+
+def is_connected(g: Graph) -> bool:
+    if g.node_count == 0:
+        return False
+    return len(components(g).components) == 1
+
+
+def is_two_connected(g: Graph) -> bool:
+    """True iff g has at least 3 nodes, is connected, and deleting any single
+    node leaves at most one nonempty piece.  Graphs on <= 2 nodes are never
+    considered 2-connected."""
+    n = g.node_count
+    if n < 3:
+        return False
+    links = _dfs_low_links(g)
+    if links[3][0] != n:  # size[0]: node 0, the first root, reaches every node
+        return False
+    for k in range(n):
+        pieces, rest = _deletion_pieces(links, k)
+        if len(pieces) + (rest > 0) > 1:
+            return False
+    return True
+
+
 def is_maximal_core_periphery(g: Graph) -> bool:
     """Whether a connected graph is a maximal core-periphery layout."""
     k = g.node_count
@@ -191,11 +252,6 @@ def is_maximal_core_periphery(g: Graph) -> bool:
     return any(
         set(g.neighbors(o)) == orphan_set - {o} for o in orphans
     )
-
-
-def _non_singleton_part(g: Graph):
-    keep = [v for v in range(g.node_count) if g.degree(v) > 0]
-    return induced_subgraph(g, keep)
 
 
 def check_structure(n: int, u: UtilitySpec, argmax_keys: tuple) -> tuple:
@@ -251,7 +307,7 @@ def check_structure(n: int, u: UtilitySpec, argmax_keys: tuple) -> tuple:
         if s == n or s > n - 4:
             continue
         t = cf.topology_threshold(n, s, u)
-        part = _non_singleton_part(g)
+        part = induced_subgraph(g, [v for v in range(g.node_count) if g.degree(v)])
         if t < beta:
             if not is_maximal_core_periphery(part):
                 cp_fail.append(g)

@@ -1,8 +1,11 @@
-"""Shared fixtures: utility constructors and a session-wide oracle cache.
+"""Shared fixtures: utility constructors, the test oracles that the program
+itself has no use for, and a session-wide oracle cache.
 
-Exhaustive sweeps at n=7 cost seconds each, and several test modules (the
-oracle unit tests and the acceptance battery) look at the same cells, so
-reports are memoized for the whole session.
+``payoff_matrix`` is the Fraction view of ``integer_payoffs`` and
+``enumerate_graphs`` the Graphs of ``enumerate_keys``: no command builds
+either, and the tests read both.  Exhaustive sweeps at n=7 cost seconds each,
+and several test modules (the oracle unit tests and the acceptance battery)
+look at the same cells, so reports are memoized for the whole session.
 """
 
 import itertools
@@ -15,7 +18,9 @@ import pytest
 from hypothesis import strategies as st
 
 import hsnet
+from hsnet.canonical import enumerate_keys, graph_from_canonical_key
 from hsnet.graphs import Graph
+from hsnet.matrix_game import integer_payoffs
 from hsnet.oracle import exhaustive_optimum
 from hsnet.payoff import MixedStrategy, UtilitySpec
 
@@ -30,6 +35,20 @@ def square_u(beta=0) -> UtilitySpec:
 
 def ratio_u(beta=0) -> UtilitySpec:
     return UtilitySpec.ratio_power(2, beta)
+
+
+def payoff_matrix(g, u) -> tuple:
+    """The matrix of ``integer_payoffs`` as a tuple of rows of Fractions, each
+    entry its integer over D."""
+    rows, den = integer_payoffs(g, u)
+    view = {v: Fraction(v, den) for v in set().union(*rows)}
+    return tuple(tuple(view[v] for v in row) for row in rows)
+
+
+def enumerate_graphs(n: int) -> tuple:
+    """All graphs on n nodes up to isomorphism, canonical representatives in
+    a deterministic order, as a tuple of Graphs."""
+    return tuple(graph_from_canonical_key(k) for k in enumerate_keys(n))
 
 
 def strategy_payoff(matrix, row, col):

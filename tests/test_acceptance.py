@@ -28,11 +28,12 @@ import pytest
 import hsnet.closed_form as cf
 import hsnet.designer as dz
 from hsnet.canonical import canonical_form
-from hsnet.graphs import components, Graph
-from hsnet.matrix_game import best_response_gap, solve_zero_sum
-from hsnet.payoff import MixedStrategy, UtilitySpec, capture_probability, payoff_matrix
+from hsnet.graphs import Graph
+from hsnet.matrix_game import best_response_gap, capture_probability, solve_zero_sum
+from hsnet.oracle import components
+from hsnet.payoff import MixedStrategy, UtilitySpec
 
-from conftest import identity_u, square_u, ratio_u, strategy_payoff, BETA_GRID
+from conftest import identity_u, payoff_matrix, square_u, ratio_u, strategy_payoff, BETA_GRID
 from test_closed_form import (
     branch_component_guarantee, crowded_cp_bounds, linear_even_bound, singleton_blend,
 )

@@ -150,7 +150,8 @@ COMMAND_MODULES = {
     "enumerate": {"canonical"},
     "export": {"graphs"},
     "design": {"designer", "closed_form", "payoff", "graphs", "rationals", "records"},
-    "value-table": {"closed_form", "payoff", "graphs", "rationals", "records"},
+    # The closed forms read utilities alone: no graph code is loaded.
+    "value-table": {"closed_form", "payoff", "rationals", "records"},
     "solve": {"matrix_game", "simplex", "payoff", "graphs", "rationals", "records"},
     "verify": {"oracle", "canonical", "designer", "closed_form", "matrix_game", "simplex",
                "payoff", "graphs", "rationals", "records"},
@@ -195,12 +196,12 @@ def test_design_size_limit_is_a_usage_error(monkeypatch, capsys):
 
 def test_solve_size_limit_is_a_usage_error(tmp_path, monkeypatch, capsys):
     import hsnet.cli
-    import hsnet.payoff
+    import hsnet.matrix_game
 
     def reached(*args):
         raise RuntimeError("integer_payoffs ran")
 
-    monkeypatch.setattr(hsnet.payoff, "integer_payoffs", reached)
+    monkeypatch.setattr(hsnet.matrix_game, "integer_payoffs", reached)
     limit = hsnet.cli.SOLVE_MAX_NODES
     assert limit == 100
     big = tmp_path / "big.graph"

@@ -15,31 +15,25 @@ from hypothesis import given, settings
 import hsnet.closed_form as cf
 import hsnet.designer as dz
 from hsnet.cli import format_json
-from hsnet.designer import classify
-from hsnet.canonical import enumerate_graphs
-from hsnet.graphs import (
-    Graph,
+from hsnet.designer import classify, strategy_payoffs
+from hsnet.graphs import Graph
+from hsnet.matrix_game import best_response_gap, capture_probability, solve_zero_sum
+from hsnet.oracle import (
     components,
     induced_subgraph,
     is_connected,
+    is_maximal_core_periphery,
     is_two_connected,
 )
-from hsnet.matrix_game import best_response_gap, solve_zero_sum
-from hsnet.oracle import is_maximal_core_periphery
-from hsnet.payoff import (
-    MixedStrategy,
-    UtilitySpec,
-    capture_probability,
-    gap_from_payoffs,
-    payoff_matrix,
-    strategy_payoffs,
-)
+from hsnet.payoff import MixedStrategy, UtilitySpec, gap_from_payoffs
 from hsnet.rationals import format_rational
 
 from conftest import (
     BETA_GRID,
+    enumerate_graphs,
     graph_and_permutation,
     identity_u,
+    payoff_matrix,
     ratio_u,
     relabel,
     square_u,

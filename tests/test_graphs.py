@@ -17,7 +17,6 @@ from hsnet.canonical import (
     _key_masks,
     canonical_form,
     canonical_key_edges,
-    enumerate_graphs,
     enumerate_keys,
     graph_from_canonical_key,
     key_to_json_dict,
@@ -27,13 +26,9 @@ from hsnet.graphs import (
     Graph,
     GraphError,
     GraphFormatError,
-    components,
     format_graph_text,
     graph_from_json_dict,
     graph_to_json_dict,
-    induced_subgraph,
-    is_connected,
-    is_two_connected,
     parse_graph_text,
     to_dot,
 )
@@ -45,8 +40,9 @@ from hsnet.designer import (
     classify,
     design_topology,
 )
+from hsnet.oracle import components, induced_subgraph, is_connected, is_two_connected
 
-from conftest import graph_and_permutation, graphs, relabel
+from conftest import enumerate_graphs, graph_and_permutation, graphs, relabel
 
 
 def path(k):

@@ -14,13 +14,22 @@ from hsnet.matrix_game import (
     _integer_rows,
     best_response_gap,
     game_value,
+    integer_payoffs,
     max_optimal_mass,
     solve_zero_sum,
 )
-from hsnet.payoff import MixedStrategy, UtilitySpec, integer_payoffs, payoff_matrix
+from hsnet.payoff import MixedStrategy, UtilitySpec
 from hsnet.designer import build_cycle
 
-from conftest import identity_u, ratio_u, square_u, strategy_payoff, uniform_over
+from conftest import (
+    enumerate_graphs,
+    identity_u,
+    payoff_matrix,
+    ratio_u,
+    square_u,
+    strategy_payoff,
+    uniform_over,
+)
 
 
 PENNIES = [[1, -1], [-1, 1]]
@@ -144,8 +153,6 @@ def test_integer_payoffs_reach_the_fraction_vertex_on_every_graph_up_to_seven():
     solver the same strategies as the Fraction matrix, a value D times its
     value, and (up to five nodes) the same optimal masses at that value.  On
     the integer image, the LP reaches the shifted read's value, w and duals."""
-    from hsnet.canonical import enumerate_graphs
-
     dens = set()
     for u in (square_u(F(1, 2)), ratio_u(F(1, 3))):
         for n in range(1, 8):
@@ -223,8 +230,6 @@ def test_duality_certificate_on_random_graphs():
 
 
 def test_zero_gap_certificate_every_graph_up_to_five():
-    from hsnet.canonical import enumerate_graphs
-
     u = identity_u(F(3, 2))
     for n in range(1, 6):
         for g in enumerate_graphs(n):
@@ -234,8 +239,6 @@ def test_zero_gap_certificate_every_graph_up_to_five():
 
 
 def test_zero_gap_certificate_sampled_larger_graphs():
-    from hsnet.canonical import enumerate_graphs
-
     rng = random.Random(8)
     for n in (6, 7):
         graphs = enumerate_graphs(n)
@@ -296,8 +299,6 @@ def test_max_optimal_mass_properties():
     """Two facts that need no LP: a row carries the whole mass exactly when it
     guarantees the value on its own, and no optimal strategy, the solver's
     included, puts more on a row than the probe allows."""
-    from hsnet.canonical import enumerate_graphs
-
     rng = random.Random(17)
     games = []
     for _ in range(300):

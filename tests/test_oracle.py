@@ -15,11 +15,10 @@ from hsnet.canonical import (
     EnumerationError,
     _representative_keys,
     canonical_form,
-    enumerate_graphs,
     enumerate_keys,
     graph_from_canonical_key,
 )
-from hsnet.graphs import components, Graph
+from hsnet.graphs import Graph
 from hsnet.oracle import (
     _worker_count,
     exhaustive_optimum,
@@ -29,9 +28,16 @@ from hsnet.oracle import (
 
 from hsnet.cli import format_json
 from hsnet.matrix_game import game_value
-from hsnet.payoff import builtin_utilities, payoff_matrix
+from hsnet.payoff import builtin_utilities
 
-from conftest import graph_and_permutation, identity_u, relabel, square_u
+from conftest import (
+    enumerate_graphs,
+    graph_and_permutation,
+    identity_u,
+    payoff_matrix,
+    relabel,
+    square_u,
+)
 from test_graphs import reference_canonical_form
 
 

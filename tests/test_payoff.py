@@ -12,24 +12,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hsnet.matrix_game
-import hsnet.payoff
-from hsnet.canonical import enumerate_graphs
 from hsnet.cli import main
-from hsnet.designer import build_cycle, build_maximal_cp, design_optimal
+from hsnet.designer import build_cycle, build_maximal_cp, design_optimal, strategy_payoffs
 from hsnet.graphs import Graph, GraphError
+from hsnet.matrix_game import capture_probability, integer_payoffs
 from hsnet.oracle import exhaustive_optimum
-from hsnet.payoff import (
-    FAMILIES,
-    UtilityError,
-    UtilitySpec,
-    builtin_utilities,
-    capture_probability,
-    integer_payoffs,
-    payoff_matrix,
-    strategy_payoffs,
-)
+from hsnet.payoff import FAMILIES, UtilityError, UtilitySpec, builtin_utilities
 
-from conftest import graph_and_permutation, identity_u, ratio_u, relabel, square_u
+from conftest import (
+    enumerate_graphs,
+    graph_and_permutation,
+    identity_u,
+    payoff_matrix,
+    ratio_u,
+    relabel,
+    square_u,
+)
 
 
 def test_builtin_values():
@@ -412,8 +410,6 @@ def reference_payoff_matrix(g, u):
 
 
 def test_payoff_matrix_matches_per_column_search():
-    from hsnet.canonical import enumerate_graphs
-
     rng = random.Random(71)
     utilities = (identity_u(2), square_u(F(1, 2)), ratio_u(1))
     for n in range(1, 8):
@@ -474,15 +470,11 @@ def test_integer_table_reads_only_the_sizes_asked_for():
 
 def test_no_command_path_builds_a_fraction_matrix(monkeypatch, tmp_path, capsys):
     """`solve`, the sweep with its structural checks, and the design
-    certificate read payoffs in integers: payoff_matrix is never called, and
+    certificate read payoffs in integers: no hsnet module holds payoff_matrix, and
     every matrix the game kernel reads holds ints only."""
     monkeypatch.delenv("HSNET_THREADS", raising=False)
-    calls, fraction_matrices = {"payoff_matrix": 0, "kernel": 0}, []
-    build, read = hsnet.payoff.payoff_matrix, hsnet.matrix_game._integer_rows
-
-    def counting_build(g, u):
-        calls["payoff_matrix"] += 1
-        return build(g, u)
+    calls, fraction_matrices = {"kernel": 0}, []
+    read = hsnet.matrix_game._integer_rows
 
     def checking_read(matrix):
         matrix = [tuple(row) for row in matrix]
@@ -491,9 +483,6 @@ def test_no_command_path_builds_a_fraction_matrix(monkeypatch, tmp_path, capsys)
             fraction_matrices.append(matrix)
         return read(matrix)
 
-    for module in [m for name, m in sys.modules.items() if name.startswith("hsnet")]:
-        if getattr(module, "payoff_matrix", None) is build:
-            monkeypatch.setattr(module, "payoff_matrix", counting_build)
     monkeypatch.setattr(hsnet.matrix_game, "_integer_rows", checking_read)
 
     graph = tmp_path / "g.txt"
@@ -509,7 +498,9 @@ def test_no_command_path_builds_a_fraction_matrix(monkeypatch, tmp_path, capsys)
     swept = calls["kernel"]
     design_optimal(40, square_u(F(1, 2)))
     assert calls["kernel"] == swept
-    assert calls["payoff_matrix"] == 0
+    # The Fraction view is a test oracle: no hsnet module that ran holds it.
+    hsnet_modules = [m for name, m in sys.modules.items() if name.startswith("hsnet")]
+    assert not any(hasattr(module, "payoff_matrix") for module in hsnet_modules)
     assert fraction_matrices == []
 
 
@@ -658,8 +649,6 @@ def test_strategy_payoffs_every_labelled_graph_up_to_five():
 
 
 def test_strategy_payoffs_relabelled_representatives():
-    from hsnet.canonical import enumerate_graphs
-
     rng = random.Random(67)
     for n in (6, 7):
         for i, g in enumerate(enumerate_graphs(n)):

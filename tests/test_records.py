@@ -10,10 +10,10 @@ import pytest
 import hsnet.closed_form as cf
 import hsnet.designer as dz
 from hsnet.matrix_game import GameSolution, solve_zero_sum
-from hsnet.payoff import MixedStrategy, UtilitySpec, UtilityError, payoff_matrix
+from hsnet.payoff import MixedStrategy, UtilitySpec, UtilityError
 from hsnet.records import Record
 
-from conftest import identity_u, square_u
+from conftest import identity_u, payoff_matrix, square_u
 
 
 def samples():

@@ -8,11 +8,12 @@ import pytest
 
 import hsnet.simplex
 from hsnet.matrix_game import max_optimal_mass, solve_zero_sum
-from hsnet.canonical import enumerate_graphs
-from hsnet.payoff import UtilitySpec, payoff_matrix
+from hsnet.payoff import UtilitySpec
 from hsnet.rationals import over_common_denominator
 from hsnet.simplex import UnboundedError
 from hsnet.simplex import solve_lp as _solve_lp
+
+from conftest import enumerate_graphs, payoff_matrix
 
 ZERO = F(0)
 ONE = F(1)
