@@ -5,8 +5,8 @@ CANONICAL_MAX_NODES nodes, or for its neighbour bitmasks; it, ``twin_classes``
 and enumeration are the only code that builds such masks.  ``enumerate_keys``
 gives the keys of every graph on n <= 8 nodes up to isomorphism, with no
 Graph built: each class on n - 1 nodes gains a node per orbit of its
-automorphisms on neighbourhoods, which the canonical search's final frontier
-generates.  No hsnet module is imported when this one loads: ``hsnet.graphs``
+automorphisms on neighbourhoods, which the final frontier of the canonical
+search that found it generates.  No hsnet module is imported when this one loads: ``hsnet.graphs``
 only inside the functions that build a Graph or raise a GraphError.
 """
 
@@ -77,15 +77,19 @@ def _maximum_cliques(masks, classes) -> list[int]:
     return found
 
 
-def canonical_form(g) -> tuple[int, int]:
+def canonical_form(g, frontier=None) -> tuple[int, int]:
     """Isomorphism-invariant key ``(node_count, bits)`` for graphs on at most
     CANONICAL_MAX_NODES nodes: over all n! node orders, the lexicographic
     maximum of the rows (position i's adjacency bits toward positions
     0..i-1), with row i packed at offset i(i-1)/2.  ``g`` is a Graph or its
     neighbour bitmasks, node v's at index v, which enumeration labels
-    without building a Graph."""
+    without building a Graph.  Given a list ``frontier``, the search's final
+    frontier is added to it, for ``_automorphism_images``."""
     masks = _masks_of(g)
-    return (len(masks), _canonical_search(masks, twin_classes(masks))[0])
+    bits, final = _canonical_search(masks, twin_classes(masks))
+    if frontier is not None:
+        frontier += final
+    return (len(masks), bits)
 
 
 def _canonical_search(masks, classes) -> tuple[int, list]:
@@ -163,33 +167,36 @@ def _canonical_search(masks, classes) -> tuple[int, list]:
     return key, frontier
 
 
-def _automorphism_images(masks) -> list[list[int]]:
-    """Generators of the automorphism group of the graph with neighbour
-    bitmasks ``masks``, each as its images, ``1 << s(v)`` at index v: the
-    maps of the first order of the final frontier onto each other one (two
-    optimal orders give the same rows), and the twin swaps.  A final cell of
+def _automorphism_images(masks, frontier) -> list[list[int]]:
+    """Generators of the automorphism group of a canonical key's graph, with
+    neighbour bitmasks ``masks``, each as its images, ``1 << s(v)`` at index
+    v; ``frontier`` is the final frontier of the search that found the key,
+    on any labelling of the graph.  Its first order lists that labelling's
+    nodes by their position in the key; the generators are the maps of the
+    first order onto each other one (two optimal orders give the same rows),
+    relabelled by position, and the key's twin swaps.  A final cell of
     several nodes lies in the clique and was split by every later node, so
-    its members are twins.  These generate the whole group, since every
-    optimal order is a frontier entry's up to twin swaps."""
-    classes = twin_classes(masks)
-    first, *others = [
-        [v for cell in cells for v in _MEMBERS[cell]]
-        for cells, _ in _canonical_search(masks, classes)[1]
-    ]
-    moves = [dict(zip(first, order)) for order in others] + [
-        {v: w, w: v} for cls in set(classes) for v, w in zip(_MEMBERS[cls], _MEMBERS[cls][1:])
-    ]
+    its members are twins, in any order.  These generate the whole group,
+    since every optimal order is a frontier entry's up to twin swaps."""
+    moves = [{v: w, w: v} for cls in set(twin_classes(masks))
+             for v, w in zip(_MEMBERS[cls], _MEMBERS[cls][1:])]
+    if len(frontier) > 1:
+        first, *others = [
+            [v for cell in reversed(cells) for v in _MEMBERS[cell]] for cells, _ in frontier
+        ]
+        position = dict(zip(first, range(len(masks))))
+        moves += [{i: position[v] for i, v in enumerate(order)} for order in others]
     return [[1 << move.get(v, v) for v in range(len(masks))] for move in moves]
 
 
-def _extension_subsets(parent) -> list[int]:
+def _extension_subsets(parent, images) -> list[int]:
     """The neighbourhoods, as bitmasks, to try for a node joined to the graph
     with neighbour bitmasks ``parent``: of the subsets that pass the degree
     filter (the new node's degree is at least every other's after the join),
-    which automorphisms preserve, the lowest of each automorphism orbit."""
+    which automorphisms preserve, the lowest of each orbit of the group that
+    ``images`` generate."""
     top = max(map(_BITS.__getitem__, parent), default=0)
     tops = sum(1 << j for j, m in enumerate(parent) if _BITS[m] == top)
-    images = _automorphism_images(parent)
     kept, seen = [], set()
     for subset in range(1 << len(parent)):
         k = _BITS[subset]
@@ -208,39 +215,50 @@ def _extension_subsets(parent) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _representative_keys(n: int) -> tuple:
-    """Sorted canonical keys of the graphs on n nodes, one per class.
+def _classes(n: int) -> dict:
+    """The classes of graphs on n nodes: each canonical key, unsorted, with
+    the final frontier of the search that found it.
 
-    Each representative P on n - 1 nodes is extended by a node n-1 joined to
-    each subset of ``_extension_subsets(P)``.  An extension goes through
-    ``canonical_form`` only if node n-1 has the maximum vertex invariant
-    (degree, sorted neighbour degrees), the canonical-deletion test of
-    McKay's canonical augmentation (J. Algorithms 26, 1998); duplicates that
-    pass collapse in the key set.  No class is lost: for any graph G and
-    node v of maximum invariant, G - v is isomorphic to some P, and
-    extending P by the image S of N(v) gives a graph isomorphic to G whose
-    new node has v's invariant.  An automorphism of P, fixing node n-1, maps
-    it onto the extension by the kept subset of S's orbit; any subgroup's
-    orbits would do.  No Graph is built: all are neighbour bitmasks.
+    Each class P on n - 1 nodes is extended by a node n-1 joined to each
+    subset of ``_extension_subsets``, under the automorphisms that P's own
+    frontier gives, so no class is searched twice.  An extension goes
+    through ``canonical_form`` only if node n-1 has the maximum vertex
+    invariant (degree, sorted neighbour degrees), the canonical-deletion
+    test of McKay's canonical augmentation (J. Algorithms 26, 1998);
+    duplicates that pass collapse in the key set.  No class is lost: for
+    any graph G and node v of maximum invariant, G - v is isomorphic to some
+    P, and extending P by the image S of N(v) gives a graph isomorphic to G
+    whose new node has v's invariant.  An automorphism of P, fixing node
+    n-1, maps it onto the extension by the kept subset of S's orbit; any
+    subgroup's orbits would do.  No Graph is built: all are neighbour
+    bitmasks.
     """
     if n == 0:
-        return ((0, 0),)
+        return {(0, 0): []}  # one order, no automorphism but the identity
     new = n - 1
     bit = 1 << new
-    keys = set()
-    for smaller in _representative_keys(new):
+    found = {}
+    for smaller, frontier in _classes(new).items():
         parent = _key_masks(smaller)
-        for subset in _extension_subsets(parent):
-            masks = [m | bit if subset >> j & 1 else m for j, m in enumerate(parent)] + [subset]
+        for subset in _extension_subsets(parent, _automorphism_images(parent, frontier)):
+            masks = parent + [subset]
+            for j in _MEMBERS[subset]:
+                masks[j] |= bit
             deg = [_BITS[m] for m in masks]
-            mine = sorted(deg[w] for w in _MEMBERS[subset])
-            if any(
-                deg[j] == deg[new] and sorted(deg[w] for w in _MEMBERS[masks[j]]) > mine
-                for j in range(new)
-            ):
-                continue
-            keys.add(canonical_form(masks))
-    return tuple(sorted(keys))
+            ties = [masks[j] for j in range(new) if deg[j] == deg[new]]
+            if ties:
+                mine = sorted(map(deg.__getitem__, _MEMBERS[subset]))
+                if any(sorted(map(deg.__getitem__, _MEMBERS[m])) > mine for m in ties):
+                    continue
+            final = []
+            found.setdefault(canonical_form(masks, final), final)
+    return found
+
+
+@lru_cache(maxsize=None)
+def _representative_keys(n: int) -> tuple:
+    """Sorted canonical keys of the graphs on n nodes, one per class."""
+    return tuple(sorted(_classes(n)))
 
 
 def enumerate_keys(n: int) -> tuple:
@@ -268,7 +286,7 @@ def _key_masks(key: tuple[int, int]) -> list[int]:
 
 
 @lru_cache(maxsize=CANONICAL_MAX_NODES + 1)
-def _key_pairs(n: int) -> tuple:
+def key_pairs(n: int) -> tuple:
     """``(offset, (i, j))`` for every node pair i < j in sorted order, with
     the pair's bit offset in a canonical key."""
     return tuple(
@@ -280,18 +298,10 @@ def canonical_key_edges(key: tuple[int, int]) -> list[tuple[int, int]]:
     """The edges of the representative graph of a canonical key, in
     ``Graph.sorted_edges`` order."""
     n, bits = key
-    return [pair for offset, pair in _key_pairs(n) if bits >> offset & 1]
+    return [pair for offset, pair in key_pairs(n) if bits >> offset & 1]
 
 
 def graph_from_canonical_key(key: tuple[int, int]):
     """Rebuild the representative Graph encoded by a canonical key."""
     from .graphs import Graph
     return Graph(key[0], canonical_key_edges(key))
-
-
-def key_to_json_dict(key: tuple[int, int]) -> dict:
-    """The JSON form of the representative graph of a canonical key, built
-    from the key alone; edges are ``(i, j)`` tuples, which serialize as
-    ``graph_to_json_dict``'s lists do."""
-    return {"n": key[0], "edges": canonical_key_edges(key)}
-

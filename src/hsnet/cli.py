@@ -8,7 +8,8 @@ utility families with irrational parameters and are flagged.
 
 Each command imports the modules it uses when it runs, so ``enumerate``
 loads only ``hsnet.canonical``, ``design`` no LP or verifier code, and
-``solve`` no designer, canonical-labelling or verifier code.
+``solve`` no designer, canonical-labelling or verifier code; and the parser
+holds only the subcommand that is run.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input errors.
 """
@@ -18,7 +19,6 @@ from __future__ import annotations
 import argparse
 import io
 import sys
-from itertools import chain
 
 from _json import encode_basestring_ascii  # CPython's JSON string escape, without json
 
@@ -26,7 +26,7 @@ USAGE_ERROR = 2
 CHECK_FAILURE = 1
 DESIGN_MAX_NODES = 10**6  # the largest design --n: the size its path is measured at
 SOLVE_MAX_NODES = 100  # the largest solve graph: the size its dense LP is measured at
-EDGE_TEXT_MEMO_ENTRIES = 1024  # format_json keeps at most this many edge texts per depth
+VALUE_TABLE_MAX_NODES = 50  # the largest value-table n: the size its slowest rows are measured at
 
 
 class CliError(Exception):
@@ -119,12 +119,8 @@ def format_json(data) -> str:
     bool and None are taken; anything else, a float or a non-str key
     included, is a TypeError.  The stdlib encoder runs in pure Python whenever
     ``indent`` is set; this one renders a list or tuple of ints or of strings
-    (a design's strategies) with no call per item, and each int list or tuple
-    in a list of them (an edge list) once per content and depth, for the
-    first EDGE_TEXT_MEMO_ENTRIES contents at each depth: an enumeration's
-    edge lists share at most 28 pairs, and a design's pairs are all distinct.
+    (a design's strategies, or one edge) with no call per item.
     """
-    memo = {}
 
     def render(obj, pad):
         kind = type(obj)
@@ -145,10 +141,6 @@ def format_json(data) -> str:
                 items = map(repr, obj)
             elif kinds == {str}:
                 items = map(encode_basestring_ascii, obj)
-            elif kinds <= {list, tuple} and set(map(type, chain.from_iterable(obj))) == {int}:
-                texts = memo.setdefault(len(inner), {})
-                lead, sep, end = "[\n" + inner + "  ", ",\n" + inner + "  ", "\n" + inner + "]"
-                items = [texts.get(v) or _edge_text(texts, v, lead, sep, end) for v in map(tuple, obj)]
             else:
                 items = [render(v, inner) for v in obj]
             return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
@@ -160,14 +152,6 @@ def format_json(data) -> str:
         raise TypeError(f"{kind.__name__} is not allowed in a report")
 
     return render(data, "")
-
-
-def _edge_text(texts: dict, v: tuple, lead: str, sep: str, end: str) -> str:
-    """The text of the int tuple v, kept in ``texts`` while it has room."""
-    text = lead + sep.join(map(repr, v)) + end if v else "[]"
-    if len(texts) < EDGE_TEXT_MEMO_ENTRIES:
-        texts[v] = text
-    return text
 
 
 def _emit_json(args, data: dict):
@@ -225,11 +209,13 @@ def cmd_design(args) -> int:
 
 
 def cmd_value_table(args) -> int:
+    n_lo = args.n
+    n_hi = args.n_max if args.n_max is not None else args.n
+    if max(n_lo, n_hi) > VALUE_TABLE_MAX_NODES:
+        raise CliError(f"value-table takes n up to {VALUE_TABLE_MAX_NODES}, got {max(n_lo, n_hi)}")
     import csv
     from .closed_form import value_table_rows
     u = _utility_from_args(args)
-    n_lo = args.n
-    n_hi = args.n_max if args.n_max is not None else args.n
     if n_lo < 1 or n_hi < n_lo:
         raise CliError("need 1 <= n <= n-max")
     num, _ = _numeric_renderer(u)
@@ -302,13 +288,29 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    from .canonical import enumerate_keys, key_to_json_dict
+    from .canonical import enumerate_keys
     keys = enumerate_keys(args.n)
-    data = {"n": args.n, "count": len(keys)}
-    if not args.count_only:
-        data["graphs"] = [key_to_json_dict(k) for k in keys]
-    _emit_json(args, data)
+    if args.count_only:
+        _emit_json(args, {"n": args.n, "count": len(keys)})
+    else:
+        _emit(args, _enumeration_report(args.n, keys))
     return 0
+
+
+def _enumeration_report(n: int, keys) -> str:
+    """``format_json`` of the report ``{"n", "count", "graphs"}`` on the
+    sorted canonical keys of the graphs on n nodes, written straight from
+    the keys: each edge list joins the texts of the pairs its bits hold."""
+    from .canonical import key_pairs
+    pad = " " * 8
+    pairs = [(offset, f"[\n{pad}  {i},\n{pad}  {j}\n{pad}]") for offset, (i, j) in key_pairs(n)]
+    head, tail = '    {\n      "edges": ', f',\n      "n": {n}\n    }}'
+    graphs = []
+    for _, bits in keys:
+        edges = (",\n" + pad).join([text for offset, text in pairs if bits >> offset & 1])
+        graphs.append(head + ("[\n" + pad + edges + "\n      ]" if edges else "[]") + tail)
+    return (f'{{\n  "count": {len(keys)},\n  "graphs": [\n'
+            + ",\n".join(graphs) + f'\n  ],\n  "n": {n}\n}}\n')
 
 
 def cmd_export(args) -> int:
@@ -323,65 +325,74 @@ def cmd_export(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each command's help line and handler, in the order ``hsnet --help`` lists them.
+COMMANDS = {
+    "solve": ("solve the game on a fixed graph", cmd_solve),
+    "design": ("construct an optimal network for n nodes", cmd_design),
+    "value-table": ("CSV of the closed-form bounds", cmd_value_table),
+    "verify": ("brute-force check of the design claims", cmd_verify),
+    "enumerate": ("all graphs on n nodes up to isomorphism", cmd_enumerate),
+    "export": ("convert a graph file between formats", cmd_export),
+}
+
+
+def _add_arguments(name: str, p: argparse.ArgumentParser):
+    if name == "solve":
+        p.add_argument("--graph", required=True, help="graph file (text or JSON)")
+        p.add_argument("--output", help="write the JSON report here instead of stdout")
+        _add_utility_args(p)
+    elif name == "design":
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--output")
+        p.add_argument("--dot", help="also write a DOT rendering with node roles")
+        _add_utility_args(p)
+    elif name == "value-table":
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--n-max", type=int, default=None)
+        p.add_argument("--output")
+        _add_utility_args(p)
+    elif name == "verify":
+        p.add_argument("--n-max", type=int, default=5)
+        p.add_argument("--families")
+        p.add_argument("--betas")
+        p.add_argument("--long", action="store_true", help="allow the n=8 sweep")
+        p.add_argument("--mutate", action="store_true",
+                       help="self-test: inject a wrong expected value; the run must fail")
+        p.add_argument("--output")
+        p.add_argument("--csv", help="also write a one-line-per-cell summary CSV")
+    elif name == "enumerate":
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--count-only", action="store_true")
+        p.add_argument("--output")
+    else:
+        p.add_argument("--graph", required=True)
+        p.add_argument("--format", choices=["dot", "json", "text"], default="dot")
+        p.add_argument("--output")
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The hsnet parser.  When ``argv`` starts with a command, only that
+    command's subparser is built, under a usage line that still lists all
+    of them, so every help, usage and error text is the full parser's."""
     parser = argparse.ArgumentParser(
         prog="hsnet",
         description="Exact analysis of the hide-and-seek network design game.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="solve the game on a fixed graph")
-    p.add_argument("--graph", required=True, help="graph file (text or JSON)")
-    p.add_argument("--output", help="write the JSON report here instead of stdout")
-    _add_utility_args(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("design", help="construct an optimal network for n nodes")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--output")
-    p.add_argument("--dot", help="also write a DOT rendering with node roles")
-    _add_utility_args(p)
-    p.set_defaults(func=cmd_design)
-
-    p = sub.add_parser("value-table", help="CSV of the closed-form bounds")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--output")
-    _add_utility_args(p)
-    p.set_defaults(func=cmd_value_table)
-
-    p = sub.add_parser("verify", help="brute-force check of the design claims")
-    p.add_argument("--n-max", type=int, default=5)
-    p.add_argument("--families")
-    p.add_argument("--betas")
-    p.add_argument("--long", action="store_true", help="allow the n=8 sweep")
-    p.add_argument(
-        "--mutate",
-        action="store_true",
-        help="self-test: inject a wrong expected value; the run must fail",
-    )
-    p.add_argument("--output")
-    p.add_argument("--csv", help="also write a one-line-per-cell summary CSV")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("enumerate", help="all graphs on n nodes up to isomorphism")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("export", help="convert a graph file between formats")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--format", choices=["dot", "json", "text"], default="dot")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_export)
-
+    names, metavar = list(COMMANDS), None
+    if argv and argv[0] in COMMANDS:
+        names, metavar = argv[:1], "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, handler = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        _add_arguments(name, p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (CliError, ValueError) as exc:

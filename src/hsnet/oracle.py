@@ -386,7 +386,8 @@ def verify_grid(
     if n_max < 4:
         raise EnumerationError("verification needs n_max >= 4")
     if n_max > limit:
-        raise EnumerationError(f"n_max={n_max} above limit {limit}")
+        allowed = "" if long_run or n_max > ENUMERATION_LIMIT else f" (--long allows {n_max})"
+        raise EnumerationError(f"n_max={n_max} above limit {limit}{allowed}")
     grid = grid_utilities(families, betas)
     cells = []
     all_passed = True

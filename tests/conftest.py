@@ -1,9 +1,10 @@
 """Shared fixtures: utility constructors, the test oracles that the program
 itself has no use for, and a session-wide oracle cache.
 
-``payoff_matrix`` is the Fraction view of ``integer_payoffs`` and
-``enumerate_graphs`` the Graphs of ``enumerate_keys``: no command builds
-either, and the tests read both.  Exhaustive sweeps at n=7 cost seconds each,
+``payoff_matrix`` is the Fraction view of ``integer_payoffs``,
+``enumerate_graphs`` the Graphs of ``enumerate_keys`` and
+``key_to_json_dict`` a key's JSON graph: no command builds any of them, and
+the tests read all three.  Exhaustive sweeps at n=7 cost seconds each,
 and several test modules (the oracle unit tests and the acceptance battery)
 look at the same cells, so reports are memoized for the whole session.
 """
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import strategies as st
 
 import hsnet
-from hsnet.canonical import enumerate_keys, graph_from_canonical_key
+from hsnet.canonical import canonical_key_edges, enumerate_keys, graph_from_canonical_key
 from hsnet.graphs import Graph
 from hsnet.matrix_game import integer_payoffs
 from hsnet.oracle import exhaustive_optimum
@@ -43,6 +44,14 @@ def payoff_matrix(g, u) -> tuple:
     rows, den = integer_payoffs(g, u)
     view = {v: Fraction(v, den) for v in set().union(*rows)}
     return tuple(tuple(view[v] for v in row) for row in rows)
+
+
+def key_to_json_dict(key: tuple[int, int]) -> dict:
+    """The JSON form of the representative graph of a canonical key, built
+    from the key alone; edges are ``(i, j)`` tuples, which serialize as
+    ``graph_to_json_dict``'s lists do.  The oracle of ``hsnet enumerate``'s
+    report writer."""
+    return {"n": key[0], "edges": canonical_key_edges(key)}
 
 
 def enumerate_graphs(n: int) -> tuple:

@@ -9,11 +9,12 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsnet.cli import format_json, main
+from hsnet.canonical import enumerate_keys
+from hsnet.cli import _enumeration_report, format_json, main
 from hsnet.graphs import Graph, format_graph_text, parse_graph_text
 from hsnet.designer import build_cycle
 
-from conftest import run_child
+from conftest import key_to_json_dict, run_child
 
 
 def run(args):
@@ -217,6 +218,93 @@ def test_solve_size_limit_is_a_usage_error(tmp_path, monkeypatch, capsys):
         run(["solve", "--graph", str(at_limit)])
 
 
+def test_value_table_size_limit_is_a_usage_error(monkeypatch, capsys):
+    import hsnet.cli
+    import hsnet.closed_form
+
+    def reached(*args):
+        raise RuntimeError("a row was read")
+
+    monkeypatch.setattr(hsnet.closed_form, "value_table_rows", reached)
+    limit = hsnet.cli.VALUE_TABLE_MAX_NODES
+    assert limit == 50
+    # Refused before any work: the utility file is never opened.
+    for n, argv in [(limit + 1, ["--n", str(limit + 1)]),
+                    (limit + 1, ["--n", "4", "--n-max", str(limit + 1)]),
+                    (10**9, ["--n", str(10**9), "--n-max", "4"])]:
+        assert run(["value-table"] + argv + ["--utility", "@/no/such/file.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: value-table takes n up to {limit}, got {n}\n"
+        assert captured.out == ""
+    # A table up to the limit goes on to the rows.
+    with pytest.raises(RuntimeError, match="a row was read"):
+        run(["value-table", "--n", "4", "--n-max", str(limit)])
+
+
+def test_verify_refusal_names_long(capsys):
+    # Refused before any enumeration, and --long named only where it helps.
+    for argv, err in [(["--n-max", "8"], "n_max=8 above limit 7 (--long allows 8)"),
+                      (["--n-max", "9"], "n_max=9 above limit 7"),
+                      (["--long", "--n-max", "9"], "n_max=9 above limit 8")]:
+        assert run(["verify"] + argv) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+
+# The exit code and the SHA-256 of stdout and of stderr for each argument
+# list, with COLUMNS=80, taken while every command built all six subparsers.
+EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+PARSER_TEXT_SHA256 = {
+    "--help":
+        (0, "5cea76fed6bfd6e76394ffcf10791c3cdd6664a7d542bfc9994ff16d0a6e881f", EMPTY_SHA256),
+    "solve --help":
+        (0, "efc18860290829d064a035f319f2442a2097b0e32b823cbb801d40828107c6cb", EMPTY_SHA256),
+    "design --help":
+        (0, "22d9e5c321df767c86f338f3be15a1ae37ce4dc8063d7c1dad682f75722847aa", EMPTY_SHA256),
+    "value-table --help":
+        (0, "41e6f4cfa8ff71d0dc9e9d0bf2f1d2d2fc8f89a26ca5bb97bee6db0504332dcd", EMPTY_SHA256),
+    "verify --help":
+        (0, "2777140d030cd3e94b3f5dd4dad2dd6915215eb3dcab1291e8c148c8e60f3d0b", EMPTY_SHA256),
+    "enumerate --help":
+        (0, "81349bc1ab310b5bc7a8c3d72cd3d27ed39fc7dd882491492dd255c1c9891e19", EMPTY_SHA256),
+    "export --help":
+        (0, "9ff98e75947f891c515078cdfcac1742da9fd7a1ff835ff101f12d2a9be28303", EMPTY_SHA256),
+    "":  # no command
+        (2, EMPTY_SHA256, "ef1b5dc1389d26e46a8159894c9f8c3f9f3fdb8c3cd89717c1121d2e0239a54b"),
+    "bogus":
+        (2, EMPTY_SHA256, "a89f2bf1c0e66f1e06805ce793a4a508bb002527a9dabf8c20cd3e996736c532"),
+    "design":  # no --n
+        (2, EMPTY_SHA256, "a3b5680c7cd19519de88eaee34fb587aa3b874a0b13d202d8e41ca90effa0160"),
+    "design --n x":
+        (2, EMPTY_SHA256, "e784ff45dba0ebf9a2b0d991fc36d4a54313d0bc4b87b22e86e59cea6a54fd74"),
+    "design --n 5 --bogus":  # the usage line lists all six commands
+        (2, EMPTY_SHA256, "a325136178b065f6b6844403a7b6c71231e2a9a9e654230463c801e73cfe577c"),
+}
+
+
+@pytest.mark.parametrize("args", sorted(PARSER_TEXT_SHA256))
+def test_parser_texts_pinned(monkeypatch, capsys, args):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        run(args.split())
+    out, err = capsys.readouterr()
+    digests = (hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(err.encode()).hexdigest())
+    assert (stop.value.code, *digests) == PARSER_TEXT_SHA256[args]
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    # The hsnet console script calls main() with no arguments.
+    assert run(["enumerate", "--n", "4"]) == 0
+    want = capsys.readouterr()
+    monkeypatch.setattr("sys.argv", ["hsnet", "enumerate", "--n", "4"])
+    assert main() == 0
+    assert capsys.readouterr() == want
+    monkeypatch.setattr("sys.argv", ["hsnet", "enumerate"])
+    with pytest.raises(SystemExit) as stop:
+        main()
+    assert stop.value.code == 2
+    assert capsys.readouterr().err.endswith("error: the following arguments are required: --n\n")
+
+
 def test_top_level_names_resolve_on_first_use():
     proc = run_child([
         "-c",
@@ -288,7 +376,7 @@ def test_format_json_matches_json_dumps(data):
     assert format_json(data) == json.dumps(data, sort_keys=True, indent=2)
 
 
-def test_format_json_memo_keeps_depth_and_type():
+def test_format_json_nested_int_lists():
     # The same ints at two depths, and bools equal to the ints they follow,
     # in lists and tuples of int lists and tuples (edge lists), empty ones
     # and equal lists and tuples among them.
@@ -299,24 +387,21 @@ def test_format_json_memo_keeps_depth_and_type():
     assert format_json(data) == json.dumps(data, sort_keys=True, indent=2)
 
 
-def test_format_json_edge_memo_is_bounded(monkeypatch):
-    # A design's edges are all distinct: past the cap they are rendered in
-    # line and not kept, with the same bytes, repeats before and after it.
-    import hsnet.cli
-
-    edge_text, held = hsnet.cli._edge_text, []
-
-    def recording(texts, *args):
-        text = edge_text(texts, *args)
-        held.append(len(texts))
-        return text
-
-    monkeypatch.setattr(hsnet.cli, "_edge_text", recording)
-    cap = hsnet.cli.EDGE_TEXT_MEMO_ENTRIES
-    edges = [(i, i + 1) for i in range(cap + 500)]
+def test_format_json_long_edge_list():
+    # A design's edges are all distinct, with repeats and an empty edge list
+    # beside them.
+    edges = [(i, i + 1) for i in range(1524)]
     data = {"edges": edges + edges[:3] + edges[-3:], "graphs": [{"edges": edges[:5] + [()]}]}
     assert format_json(data) == json.dumps(data, sort_keys=True, indent=2)
-    assert max(held) == cap
+
+
+def test_enumeration_report_matches_format_json():
+    # The report written from the keys against the generic writer over each
+    # key's JSON graph; n = 8 is covered by its SHA-256 pin.
+    for n in range(0, 8):
+        keys = enumerate_keys(n)
+        data = {"n": n, "count": len(keys), "graphs": [key_to_json_dict(k) for k in keys]}
+        assert _enumeration_report(n, keys) == format_json(data) + "\n"
 
 
 @pytest.mark.parametrize("data", [

@@ -13,13 +13,14 @@ from hypothesis import given, settings
 from hsnet.canonical import (
     EnumerationError,
     _automorphism_images,
+    _canonical_search,
+    _classes,
     _extension_subsets,
     _key_masks,
     canonical_form,
     canonical_key_edges,
     enumerate_keys,
     graph_from_canonical_key,
-    key_to_json_dict,
     twin_classes,
 )
 from hsnet.graphs import (
@@ -42,7 +43,7 @@ from hsnet.designer import (
 )
 from hsnet.oracle import components, induced_subgraph, is_connected, is_two_connected
 
-from conftest import enumerate_graphs, graph_and_permutation, graphs, relabel
+from conftest import enumerate_graphs, graph_and_permutation, graphs, key_to_json_dict, relabel
 
 
 def path(k):
@@ -512,30 +513,59 @@ def test_enumeration_matches_twin_swap_oracle():
     assert twin_representative_keys(7)[1] == 1673
 
 
-def test_canonical_form_calls_pinned(monkeypatch):
-    # Every key at n <= 7 rebuilt through a counting canonical_form: one call
-    # per orbit of the parent's automorphisms that passes both filters.  A
-    # weaker prune (the twin swaps alone make 1,673) raises the count.
+def count_enumeration_calls(monkeypatch, name):
+    """The calls to the hsnet.canonical function ``name`` while every key at
+    n <= 7 is rebuilt, with the level caches emptied before and after."""
     calls = []
-    counted = canonical_module.canonical_form
+    counted = getattr(canonical_module, name)
 
-    def counting(g):
+    def counting(*args):
         calls.append(1)
-        return counted(g)
+        return counted(*args)
 
+    canonical_module._classes.cache_clear()
     canonical_module._representative_keys.cache_clear()
-    monkeypatch.setattr(canonical_module, "canonical_form", counting)
+    monkeypatch.setattr(canonical_module, name, counting)
     try:
         keys = canonical_module._representative_keys(7)
     finally:
+        canonical_module._classes.cache_clear()
         canonical_module._representative_keys.cache_clear()
     assert len(keys) == 1044
-    assert len(calls) == 1300
+    return len(calls)
 
 
-def assert_images_are_automorphisms(masks):
+def test_canonical_form_calls_pinned(monkeypatch):
+    # One call per orbit of the parent's automorphisms that passes both
+    # filters.  A weaker prune (the twin swaps alone make 1,673) raises it.
+    assert count_enumeration_calls(monkeypatch, "canonical_form") == 1300
+
+
+def test_canonical_search_calls_pinned(monkeypatch):
+    # One search per canonical_form call: each parent's automorphisms come
+    # from the search that found it (a second search per parent made 1,509).
+    assert count_enumeration_calls(monkeypatch, "_canonical_search") == 1300
+
+
+def second_search_images(masks):
+    """Oracle: automorphism generators of the graph with neighbour bitmasks
+    ``masks``, in its own labelling, from a second canonical search on it:
+    the maps of the first order of its final frontier onto each other one,
+    and the twin swaps."""
+    classes = twin_classes(masks)
+    first, *others = [
+        [v for cell in cells for v in MEMBERS[cell]]
+        for cells, _ in _canonical_search(masks, classes)[1]
+    ]
+    moves = [dict(zip(first, order)) for order in others] + [
+        {v: w, w: v} for cls in set(classes) for v, w in zip(MEMBERS[cls], MEMBERS[cls][1:])
+    ]
+    return [[1 << move.get(v, v) for v in range(len(masks))] for move in moves]
+
+
+def assert_images_are_automorphisms(masks, images):
     n = len(masks)
-    for image in _automorphism_images(masks):
+    for image in images:
         perm = [m.bit_length() - 1 for m in image]
         assert sorted(perm) == list(range(n))
         moved = [0] * n
@@ -546,21 +576,37 @@ def assert_images_are_automorphisms(masks):
 
 def test_automorphism_images_on_every_graph_up_to_seven():
     for n in range(0, 8):
-        for key in enumerate_keys(n):
-            assert_images_are_automorphisms(_key_masks(key))
+        for key, frontier in _classes(n).items():
+            masks = _key_masks(key)
+            assert_images_are_automorphisms(masks, _automorphism_images(masks, frontier))
+            assert_images_are_automorphisms(masks, second_search_images(masks))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(graph_and_permutation())
 def test_automorphism_images_under_relabelling(case):
+    # The frontier of a search on any labelling gives generators in the key's.
     g, perm = case
     h = relabel(g, perm)
-    assert_images_are_automorphisms([h.neighbor_mask(v) for v in range(h.node_count)])
+    masks = [h.neighbor_mask(v) for v in range(h.node_count)]
+    frontier = []
+    key = canonical_form(masks, frontier)
+    assert_images_are_automorphisms(_key_masks(key), _automorphism_images(_key_masks(key), frontier))
+    assert_images_are_automorphisms(masks, second_search_images(masks))
+
+
+def test_extension_subsets_match_second_search_oracle():
+    for n in range(0, 7):
+        for key, frontier in _classes(n).items():
+            masks = _key_masks(key)
+            assert _extension_subsets(masks, _automorphism_images(masks, frontier)) == (
+                _extension_subsets(masks, second_search_images(masks))
+            ), key
 
 
 def test_extension_subsets_one_per_automorphism_orbit():
     for n in range(0, 7):
-        for key in enumerate_keys(n):
+        for key, frontier in _classes(n).items():
             masks = _key_masks(key)
             autos = [
                 perm for perm in itertools.permutations(range(n))
@@ -575,7 +621,7 @@ def test_extension_subsets_one_per_automorphism_orbit():
                 if s.bit_count() >= max(degree, default=0)
                 and all(degree[v] < s.bit_count() for v in MEMBERS[s])
             ]
-            kept = _extension_subsets(masks)
+            kept = _extension_subsets(masks, _automorphism_images(masks, frontier))
             assert len(kept) == len(set(kept)) and set(kept) <= set(passing)
             for subset in passing:
                 orbit = {sum(1 << perm[v] for v in MEMBERS[subset]) for perm in autos}
