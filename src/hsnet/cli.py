@@ -218,6 +218,10 @@ def cmd_value_table(args) -> int:
     u = _utility_from_args(args)
     if n_lo < 1 or n_hi < n_lo:
         raise CliError("need 1 <= n <= n-max")
+    # f at every size the rows read, smallest first: a size that overflows
+    # a float, or that a table lacks, is refused before any row is built.
+    for x in range(1, n_hi + 1):
+        u.value(x)
     num, _ = _numeric_renderer(u)
 
     def cell(x):
@@ -228,20 +232,9 @@ def cmd_value_table(args) -> int:
     writer.writerow(["n", "s", "m", "T", "A", "B", "rho", "lambda_S", "Q", "Qbar"])
     for n in range(n_lo, n_hi + 1):
         for row in value_table_rows(n, u):
-            writer.writerow(
-                [
-                    row.n,
-                    row.s,
-                    row.m,
-                    cell(row.threshold),
-                    cell(row.component),
-                    cell(row.singleton),
-                    cell(row.residual_weight),
-                    cell(row.singleton_weight),
-                    cell(row.bound),
-                    cell(row.best_bound),
-                ]
-            )
+            # The fields after (n, s, m) are in the header's column order.
+            n_row, s, m, *values = row._values()
+            writer.writerow([n_row, s, m, *map(cell, values)])
     _emit(args, buf.getvalue())
     return 0
 
@@ -395,10 +388,7 @@ def main(argv=None) -> int:
     args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -9,18 +9,20 @@ protected leaves in the connected part.  The quantities:
 * component_guarantee / singleton_guarantee: seeker payoff guarantees when
   the hider stays in the connected part / in the isolated nodes;
 * the seek and hide mixing weights that equalize those guarantees;
-* seeker_bound and best_seeker_bound: the seeker's guaranteed payoff for
-  given (m, s) and the exact game bound over all networks with s isolated
-  nodes; the hider's equilibrium payoff on an optimal network is minus the
-  minimum of best_seeker_bound over s;
-* optimal_singleton_counts: the argmin set of that minimum.
+* the seeker bound for given (m, s), and best_seeker_bound, the exact game
+  bound over all networks with s isolated nodes; the hider's equilibrium
+  payoff on an optimal network is minus the minimum of best_seeker_bound
+  over s;
+* optimal_singleton_counts: the argmin set of that minimum;
+* value_table_rows: all of these for every (s, m) of one n.
 
-The threshold, both guarantees, the singleton seek weight and both bounds
-come from one integer kernel, fed beta, f(1), f(x), f(x-1) and f(x-2)
+The threshold, both guarantees, both seek weights of the seeker and both
+bounds come from one integer kernel, fed beta, f(1), f(x), f(x-1) and f(x-2)
 (x = n - s) as integers over their own lcm D; each quantity is an integer
 numerator over a positive integer multiple of D.  One s reads them from
-``UtilitySpec.integer_table``, the payoffs' one table; the scan over s makes
-one pass, reads f once per size, and compares candidates by cross-multiplying
+``UtilitySpec.integer_table``, the payoffs' one table, and value_table_rows
+builds all of that s's rows from its one table; the scan over s makes one
+pass, reads f once per size, and compares candidates by cross-multiplying
 with one Fraction built, for the minimum.
 
 Several identities that the formulas must satisfy (branch agreement, equal
@@ -35,6 +37,7 @@ from fractions import Fraction
 from math import lcm
 
 from .payoff import UtilitySpec
+from .rationals import over_common_denominator
 from .records import Record
 
 ZERO = Fraction(0)
@@ -112,17 +115,16 @@ def _bound(s: int, b: int, f1: int, fx: int, a: int, k: int) -> tuple:
     return w, g, q
 
 
-def _context_bound(n: int, m: int, s: int, u: UtilitySpec) -> tuple:
-    """_bound for (n, m, s) under u, then D."""
-    x = n - s
-    (nb, fx1, fx2, f1, fx), den = u.integer_table((0, x - 1, x - 2, 1, x))
-    a, k = _component(x, m, -nb, fx1, fx2, _threshold(x, -nb, fx1, fx2))
-    return (*_bound(s, -nb, f1, fx, a, k), den)
-
-
 def _singleton(s: int, b: int, f1: int) -> int:
     """The singleton guarantee B = (beta - (s-1) f(1)) / s, over s D."""
     return b - (s - 1) * f1
+
+
+def _rho(m: int, r: int, d: int, d1: int) -> tuple:
+    """(p, h) with the interior seek weight rho = p / h = r d1 / (3 m d + r d1),
+    for m leaves and r residual nodes, where d = f(x-1) + beta and
+    d1 = f(x-2) + beta over a common denominator."""
+    return r * d1, 3 * m * d + r * d1
 
 
 def _best(x: int, s: int, b: int, f1: int, fx: int, fx1: int, fx2: int) -> tuple:
@@ -181,53 +183,12 @@ def interior_seek_weight(n: int, m: int, s: int, u: UtilitySpec) -> Fraction:
     """Weight on the residual set that equalizes the capture probability
     between the residual set and the leaf attachments."""
     _check_context(n, m, s)
-    r = n - s - 2 * m
-    if r == 0 and m == 0:
-        raise DomainError("no non-isolated nodes")
-    hi = u.value(n - s - 1) + u.beta
-    lo = u.value(n - s - 2) + u.beta
-    return r * lo / (3 * m * hi + r * lo)
-
-
-def guarantee_hiding_residual(n, m, s, u, lam_r, lam_s) -> Fraction:
-    """Seeker payoff guarantee when the hider is in the residual set."""
     x = n - s
     r = x - 2 * m
-    if r <= 0:
-        raise DomainError("residual guarantee needs a nonempty residual set")
-    inner = lam_r * (
-        Fraction(3, r) * u.beta - (ONE - Fraction(3, r)) * u.value(x - 1)
-    ) - (ONE - lam_r) * u.value(x - 2)
-    return (ONE - lam_s) * inner - lam_s * u.value(x)
-
-
-def guarantee_hiding_attachments(n, m, s, u, lam_r, lam_s) -> Fraction:
-    """Seeker payoff guarantee when the hider is on a protected leaf or its
-    attachment node."""
-    x = n - s
-    if m < 1:
-        raise DomainError("attachment guarantee needs m >= 1")
-    inner = (ONE - lam_r) * (
-        Fraction(1, m) * u.beta - (ONE - Fraction(1, m)) * u.value(x - 2)
-    ) - lam_r * u.value(x - 1)
-    return (ONE - lam_s) * inner - lam_s * u.value(x)
-
-
-def residual_seek_weight(n: int, m: int, s: int, u: UtilitySpec) -> Fraction:
-    """The seeker's conditional weight on the residual set: zero when that
-    set is empty (2m = n-s), otherwise the equalizing interior weight."""
-    _check_context(n, m, s)
-    if n - s < 4:
-        raise DomainError(f"residual seek weight needs n-s >= 4, got {n - s}")
-    if 2 * m == n - s:
-        return ZERO
-    lam = interior_seek_weight(n, m, s, u)
-    a = component_guarantee(n, m, s, u)
-    # The weight must equalize the two component-side guarantees exactly.
-    assert guarantee_hiding_residual(n, m, s, u, lam, ZERO) == a
-    if m >= 1:
-        assert guarantee_hiding_attachments(n, m, s, u, lam, ZERO) == a
-    return lam
+    if r == 0 and m == 0:
+        raise DomainError("no non-isolated nodes")
+    (d, d1), _ = over_common_denominator((u.value(x - 1) + u.beta, u.value(x - 2) + u.beta))
+    return Fraction(*_rho(m, r, d, d1))
 
 
 def singleton_seek_weight(n: int, m: int, s: int, u: UtilitySpec) -> Fraction:
@@ -241,19 +202,11 @@ def singleton_seek_weight(n: int, m: int, s: int, u: UtilitySpec) -> Fraction:
     if not 0 <= s <= n - 4:
         raise DomainError(f"singleton seek weight needs s <= n-4 or s = n, got s={s}")
     _check_context(n, m, s)
-    w, g, q, den = _context_bound(n, m, s, u)
+    x = n - s
+    (nb, fx1, fx2, f1, fx), _ = u.integer_table((0, x - 1, x - 2, 1, x))
+    a, k = _component(x, m, -nb, fx1, fx2, _threshold(x, -nb, fx1, fx2))
+    w, g, _ = _bound(s, -nb, f1, fx, a, k)
     return Fraction(w, g)
-
-
-def seeker_bound(n: int, m: int, s: int, u: UtilitySpec) -> Fraction:
-    """The payoff the seeker secures on any network with s isolated nodes
-    and m protected leaves."""
-    if s == n:
-        return singleton_guarantee(n, u)
-    _reject_near_full(n, s)
-    _check_context(n, m, s)
-    w, g, q, den = _context_bound(n, m, s, u)
-    return Fraction(q, g * den)
 
 
 def best_seeker_bound(n: int, s: int, u: UtilitySpec) -> Fraction:
@@ -354,40 +307,34 @@ class ValueReport(Record):
     )
 
 
-def value_report(n: int, m: int, s: int, u: UtilitySpec) -> ValueReport:
-    if s == n:
-        return ValueReport(
-            n=n,
-            s=s,
-            m=0,
-            threshold=None,
-            component=None,
-            singleton=singleton_guarantee(n, u),
-            residual_weight=None,
-            singleton_weight=ONE,
-            bound=singleton_guarantee(n, u),
-            best_bound=best_seeker_bound(n, s, u),
-        )
-    return ValueReport(
-        n=n,
-        s=s,
-        m=m,
-        threshold=topology_threshold(n, s, u),
-        component=component_guarantee(n, m, s, u),
-        singleton=singleton_guarantee(s, u) if s >= 1 else None,
-        residual_weight=residual_seek_weight(n, m, s, u),
-        singleton_weight=singleton_seek_weight(n, m, s, u),
-        bound=seeker_bound(n, m, s, u),
-        best_bound=best_seeker_bound(n, s, u),
-    )
-
-
-def value_table_rows(n: int, u: UtilitySpec):
-    """All value reports for one n: every admissible s and leaf count."""
+def value_table_rows(n: int, u: UtilitySpec) -> list:
+    """All value reports for one n: each s in 0..n-4 with every leaf count,
+    then s = n.  Each s reads one integer table, and all of its rows come
+    from the kernel."""
     rows = []
-    if n >= 4:
-        for s in range(0, n - 3):
-            for m in range(0, (n - s) // 2 + 1):
-                rows.append(value_report(n, m, s, u))
-    rows.append(value_report(n, 0, n, u))
+    for s in range(n - 3):
+        x = n - s
+        (nb, f1, fx, fx1, fx2), den = u.integer_table((0, 1, x, x - 1, x - 2))
+        b, d, d1 = -nb, fx1 - nb, fx2 - nb
+        t = _threshold(x, b, fx1, fx2)
+        best_q, best_g = _best(x, s, b, f1, fx, fx1, fx2)
+        threshold, best = Fraction(t, den), Fraction(best_q, best_g * den)
+        singleton = Fraction(_singleton(s, b, f1), s * den) if s else None
+        for m in range(x // 2 + 1):
+            r = x - 2 * m
+            a, k = _component(x, m, b, fx1, fx2, t)
+            w, g, q = _bound(s, b, f1, fx, a, k)
+            p, h = _rho(m, r, d, d1)
+            # At rho = p / h the seeker secures A = a / (k D) both against a
+            # hider in the residual set (found with chance 3/r when the
+            # seeker searches it, with weight rho) and against one on a leaf
+            # or its attachment (found with chance 1/m, with weight 1 - rho).
+            if r:
+                assert (p * (3 * b - (r - 3) * fx1) - r * (h - p) * fx2) * k == a * r * h
+            if m:
+                assert ((h - p) * (b - (m - 1) * fx2) - m * p * fx1) * k == a * m * h
+            rows.append(ValueReport(n, s, m, threshold, Fraction(a, k * den), singleton,
+                                    Fraction(p, h), Fraction(w, g), Fraction(q, g * den), best))
+    b = singleton_guarantee(n, u)
+    rows.append(ValueReport(n, n, 0, None, None, b, None, ONE, b, b))
     return rows

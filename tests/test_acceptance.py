@@ -35,7 +35,8 @@ from hsnet.payoff import MixedStrategy, UtilitySpec
 
 from conftest import identity_u, payoff_matrix, square_u, ratio_u, strategy_payoff, BETA_GRID
 from test_closed_form import (
-    branch_component_guarantee, crowded_cp_bounds, linear_even_bound, singleton_blend,
+    crowded_cp_bounds, guarantee_hiding_attachments, guarantee_hiding_residual,
+    linear_even_bound, ref_design_mixing_m, seeker_bound, singleton_blend,
 )
 from test_designer import chorded_cycle_equilibrium
 
@@ -222,27 +223,31 @@ def test_capture_probabilities_exact():
 
 def test_bound_monotonicity_and_mixing_ranges():
     """Seeker bound monotone in the leaf count by regime; every mixing
-    weight inside [0,1]; equalized guarantees identical.  n <= 30."""
+    weight inside [0,1]; equalized guarantees identical.  n <= 30, each n's
+    rows read once from value_table_rows."""
     points = 0
     for b in MONOTONE_BETAS:
         for u in (identity_u(b), square_u(b), ratio_u(b)):
             for n in range(4, 31):
-                for s in range(0, n - 3):
-                    t = cf.topology_threshold(n, s, u)
+                blocks = {}
+                for row in cf.value_table_rows(n, u):
+                    blocks.setdefault(row.s, []).append(row)
+                assert sorted(blocks) == list(range(0, n - 3)) + [n]
+                del blocks[n]
+                for s, rows in blocks.items():
+                    t = rows[0].threshold
                     x = n - s
-                    bounds = []
-                    for m in range(0, x // 2 + 1):
-                        rho = cf.interior_seek_weight(n, m, s, u)
-                        lam_r = cf.residual_seek_weight(n, m, s, u)
-                        lam_s = cf.singleton_seek_weight(n, m, s, u)
-                        assert 0 <= rho <= 1 and 0 <= lam_r <= 1 and 0 <= lam_s <= 1
-                        a = cf.component_guarantee(n, m, s, u)
+                    assert [row.m for row in rows] == list(range(0, x // 2 + 1))
+                    for row in rows:
+                        m, a = row.m, row.component
+                        rho, lam_s = row.residual_weight, row.singleton_weight
+                        assert 0 <= rho <= 1 and 0 <= lam_s <= 1
                         if 0 < m and x - 2 * m > 0:
-                            lr = cf.guarantee_hiding_residual(n, m, s, u, rho, lam_s)
-                            lm = cf.guarantee_hiding_attachments(n, m, s, u, rho, lam_s)
+                            lr = guarantee_hiding_residual(n, m, s, u, rho, lam_s)
+                            lm = guarantee_hiding_attachments(n, m, s, u, rho, lam_s)
                             assert lr == lm == (1 - lam_s) * a - lam_s * u.value(x)
-                        bounds.append(cf.seeker_bound(n, m, s, u))
                         points += 1
+                    bounds = [row.bound for row in rows]
                     steps = [q2 - q1 for q1, q2 in zip(bounds, bounds[1:])]
                     if t < u.beta:
                         assert all(d < 0 for d in steps), (n, s, u.family, str(b))
@@ -250,7 +255,7 @@ def test_bound_monotonicity_and_mixing_ranges():
                         assert all(d > 0 for d in steps), (n, s, u.family, str(b))
                     else:
                         assert all(d == 0 for d in steps), (n, s, u.family, str(b))
-                    abar = branch_component_guarantee(n, s, u)
+                    abar = rows[ref_design_mixing_m(n, s, u)].component
                     kappa = cf.component_hide_weight(n, s, u, abar)
                     assert 0 <= kappa <= 1
                     if x % 2 == 1 and x >= 5:
@@ -309,7 +314,7 @@ def test_auxiliary_inequalities():
                     if x % 2 == 1 and x >= 5 and cf.topology_threshold(n, s, u) < u.beta:
                         xv, yv = crowded_cp_bounds(n, s, u)
                         assert xv > cf.component_guarantee(n, (x - 3) // 2, s, u)
-                        assert yv > cf.seeker_bound(n, (x - 3) // 2, s, u)
+                        assert yv > seeker_bound(n, (x - 3) // 2, s, u)
                         cells += 1
     rng = random.Random(2024)
     pairs = 0

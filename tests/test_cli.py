@@ -241,6 +241,26 @@ def test_value_table_size_limit_is_a_usage_error(monkeypatch, capsys):
         run(["value-table", "--n", "4", "--n-max", str(limit)])
 
 
+def test_value_table_unreadable_size_is_refused_before_any_row(monkeypatch, capsys):
+    import hsnet.closed_form
+
+    def reached(*args):
+        raise RuntimeError("a row was read")
+
+    monkeypatch.setattr(hsnet.closed_form, "value_table_rows", reached)
+    # f overflows a float only at the largest size; a table ends at size 4.
+    for argv, err in [
+        (["--n-max", "50", "--family", "ratio_power", "--gamma", "182", "--beta", "1/3"],
+         "ratio_power utility overflows a float at component size 50"),
+        (["--n-max", "8", "--family", "table", "--table", "0,1,2,3,4"],
+         "table utility has no entry for component size 5"),
+    ]:
+        assert run(["value-table", "--n", "1"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {err}\n"
+        assert captured.out == ""
+
+
 def test_verify_refusal_names_long(capsys):
     # Refused before any enumeration, and --long named only where it helps.
     for argv, err in [(["--n-max", "8"], "n_max=8 above limit 7 (--long allows 8)"),
@@ -471,6 +491,25 @@ def test_value_table_bytes_pinned(capsys, args):
     assert run(["value-table", "--n", "4", "--n-max", "24"] + args.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VALUE_TABLE_SHA256[args]
+
+
+# SHA-256 of `hsnet value-table --n 1 --n-max 24` stdout, taken before the
+# rows were read from one integer table per (n, s): the s = n rows of n < 4,
+# a float-backed family (written by format_float) and a table utility.
+VALUE_TABLE_FROM_1_SHA256 = {
+    "--family power --gamma 3/2 --beta 1/2":
+        "2adc816aedefdf8d17e6b1ff4b4d7c0219b576efd3e1e69f5cb4890d6a4d9d8b",
+    "--family table --beta 3/2 --table "
+    "0,1,5/2,4,11/2,7,9,12,15,37/2,22,26,30,34,39,44,49,55,61,67,74,81,88,96,104":
+        "de6214e4c73482085786d8a7383405356d9aa3d4f6a55d0969eea5d02c92538e",
+}
+
+
+@pytest.mark.parametrize("args", sorted(VALUE_TABLE_FROM_1_SHA256))
+def test_value_table_bytes_from_n1_pinned(capsys, args):
+    assert run(["value-table", "--n", "1", "--n-max", "24"] + args.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VALUE_TABLE_FROM_1_SHA256[args]
 
 
 # SHA-256 of `hsnet verify --n-max 6` stdout, taken before the optimal-mass

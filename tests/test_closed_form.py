@@ -2,12 +2,14 @@
 
 ``hsnet.closed_form`` computes the threshold, the guarantees and the bounds
 in one integer kernel.  The ``ref_*`` functions below are the same
-quantities as plain Fraction formulas, kept here as its test oracle.  The
-helpers after them (the packed odd layout, the singleton blend, the linear
+quantities as plain Fraction formulas, kept here as its test oracle, beside
+the two guarantees that the interior seek weight equalizes.  The helpers
+after them (the packed odd layout, the singleton blend, the linear
 shape curve) serve only the paper's auxiliary claims, checked here and in
 the acceptance battery.
 """
 
+import functools
 import random
 from fractions import Fraction as F
 
@@ -109,6 +111,40 @@ def ref_seeker_bound(n, m, s, u):
     return ref_bounds(n, s, u, [m])[0][2]
 
 
+def ref_interior_seek_weight(n, m, s, u):
+    """rho, the seeker's weight on the residual set; zero when that set is
+    empty (2m = n-s)."""
+    cf._check_context(n, m, s)
+    r = n - s - 2 * m
+    if r == 0 and m == 0:
+        raise DomainError("no non-isolated nodes")
+    hi = u.value(n - s - 1) + u.beta
+    lo = u.value(n - s - 2) + u.beta
+    return r * lo / (3 * m * hi + r * lo)
+
+
+def guarantee_hiding_residual(n, m, s, u, lam_r, lam_s):
+    """Seeker payoff guarantee when the hider is in the residual set."""
+    x = n - s
+    r = x - 2 * m
+    if r <= 0:
+        raise DomainError("residual guarantee needs a nonempty residual set")
+    inner = lam_r * (F(3, r) * u.beta - (ONE - F(3, r)) * u.value(x - 1)) - (
+        ONE - lam_r) * u.value(x - 2)
+    return (ONE - lam_s) * inner - lam_s * u.value(x)
+
+
+def guarantee_hiding_attachments(n, m, s, u, lam_r, lam_s):
+    """Seeker payoff guarantee when the hider is on a protected leaf or its
+    attachment node."""
+    x = n - s
+    if m < 1:
+        raise DomainError("attachment guarantee needs m >= 1")
+    inner = (ONE - lam_r) * (F(1, m) * u.beta - (ONE - F(1, m)) * u.value(x - 2)) - (
+        lam_r * u.value(x - 1))
+    return (ONE - lam_s) * inner - lam_s * u.value(x)
+
+
 def ref_design_mixing_m(n, s, u):
     """The leaf count the bound is evaluated at: none in the cycle regime,
     the parity-maximal count in the core-periphery regime."""
@@ -128,6 +164,18 @@ def ref_best_seeker_bound(n, s, u):
 
 
 # -- helpers for the auxiliary claims --------------------------------------------
+
+
+@functools.lru_cache(maxsize=256)
+def value_rows(n, u):
+    """value_table_rows(n, u) by (s, m); shared, so not to be changed."""
+    return {(row.s, row.m): row for row in cf.value_table_rows(n, u)}
+
+
+def seeker_bound(n, m, s, u):
+    """The seeker bound Q for m protected leaves and s isolated nodes: the
+    Q cell of that row of value_table_rows (m = 0 when s = n)."""
+    return value_rows(n, u)[s, m].bound
 
 
 def branch_component_guarantee(n, s, u):
@@ -179,7 +227,7 @@ def crowded_cp_bounds(n, s, u):
         2 * (u.value(x - 1) - f_cut) * (f_cut + beta) * (x - 3)
     ) / ((x - 1) * ((x - 3) * u.value(x - 1) + 2 * f_cut + (x - 1) * beta))
     assert xval - a == diff and diff > 0
-    q = cf.seeker_bound(n, (x - 3) // 2, s, u)
+    q = seeker_bound(n, (x - 3) // 2, s, u)
     assert yval > q
     return xval, yval
 
@@ -265,37 +313,45 @@ def outcome(fn, *args):
 def test_kernel_matches_oracle_on_every_context(family):
     """Every (n, m, s) with n <= 60 (n <= 20 for the utilities that are not
     wide), and s and m one past their ranges: the same value, or the same
-    exception type, as the Fraction formulas."""
+    exception type, as the Fraction formulas; and every field of every row
+    of value_table_rows."""
     contexts = expected = 0
     for u, wide in oracle_utilities(family, 61):
         n_max = 60 if wide else 20
         expected += sum((n - s) // 2 + 1 for n in range(1, n_max + 1) for s in range(0, n - 3))
         for n in range(1, n_max + 1):
+            rows = {(row.s, row.m): row for row in cf.value_table_rows(n, u)}
+            b_n = ref_singleton_guarantee(n, u)
+            assert rows.pop((n, 0)) == cf.ValueReport(n, n, 0, None, None, b_n, None, ONE, b_n, b_n)
             for s in range(-1, n + 2):
-                for fn, ref in ((cf.topology_threshold, ref_topology_threshold),
-                                (cf.best_seeker_bound, ref_best_seeker_bound)):
-                    assert outcome(fn, n, s, u) == outcome(ref, n, s, u), (fn.__name__, n, s, u)
-                assert outcome(cf.singleton_guarantee, s, u) == outcome(
-                    ref_singleton_guarantee, s, u)
+                t = outcome(ref_topology_threshold, n, s, u)
+                best = outcome(ref_best_seeker_bound, n, s, u)
+                single = outcome(ref_singleton_guarantee, s, u)
+                assert outcome(cf.topology_threshold, n, s, u) == t, (n, s, u)
+                assert outcome(cf.best_seeker_bound, n, s, u) == best, (n, s, u)
+                assert outcome(cf.singleton_guarantee, s, u) == single, (s, u)
                 x = n - s
                 inside = 0 <= s <= n - 4
-                rows = ref_bounds(n, s, u, range(x // 2 + 1)) if inside else []
+                refs = ref_bounds(n, s, u, range(x // 2 + 1)) if inside else []
                 for m in range(-1, x // 2 + 2):
-                    if 0 <= m < len(rows):
-                        a, lam, q = rows[m]
-                        assert cf.seeker_bound(n, m, s, u) == q, (n, m, s, u)
+                    rho = outcome(ref_interior_seek_weight, n, m, s, u)
+                    assert outcome(cf.interior_seek_weight, n, m, s, u) == rho, (n, m, s, u)
+                    if 0 <= m < len(refs):
+                        a, lam, q = refs[m]
+                        assert rows.pop((s, m)) == cf.ValueReport(
+                            n, s, m, t, a, single if s else None, rho, lam, q, best
+                        ), (n, m, s, u)
                         assert cf.singleton_seek_weight(n, m, s, u) == lam, (n, m, s, u)
                         assert cf.component_guarantee(n, m, s, u) == a, (n, m, s, u)
                         if 2 * m == x:
                             assert a == ref_empty_component(m, x, u)
                         contexts += 1
                         continue
-                    for fn, ref in ((cf.seeker_bound, ref_seeker_bound),
-                                    (cf.singleton_seek_weight, ref_singleton_seek_weight)):
-                        assert outcome(fn, n, m, s, u) == outcome(ref, n, m, s, u), (
-                            fn.__name__, n, m, s, u)
+                    assert outcome(cf.singleton_seek_weight, n, m, s, u) == outcome(
+                        ref_singleton_seek_weight, n, m, s, u), (n, m, s, u)
                     assert outcome(cf.component_guarantee, n, m, s, u) == outcome(
                         ref_component_guarantee, n, m, s, u, 2 * m == x), (n, m, s, u)
+            assert not rows, (n, u, sorted(rows))
     assert contexts == expected
 
 
@@ -432,10 +488,13 @@ def test_singleton_guarantee_examples():
 
 
 def test_residual_seek_weight_examples():
+    # The rho cell of value_table_rows, and the interior weight itself.
     u = identity_u(1)
-    assert cf.residual_seek_weight(8, 2, 0, u) == F(7, 19)
-    assert cf.residual_seek_weight(8, 4, 0, identity_u(2)) == 0
-    assert cf.residual_seek_weight(8, 0, 0, u) == 1  # no attachments
+    assert value_rows(8, u)[0, 2].residual_weight == F(7, 19)
+    assert cf.interior_seek_weight(8, 2, 0, u) == F(7, 19)
+    assert value_rows(8, identity_u(2))[0, 4].residual_weight == 0  # no residual set
+    assert value_rows(8, u)[0, 0].residual_weight == 1  # no attachments
+    assert cf.interior_seek_weight(8, 0, 0, u) == 1
 
 
 def test_equalized_guarantees_identity():
@@ -446,8 +505,8 @@ def test_equalized_guarantees_identity():
             rho = cf.interior_seek_weight(n, m, s, u)
             a = cf.component_guarantee(n, m, s, u)
             for lam_s in (F(0), F(1, 3)):
-                lr = cf.guarantee_hiding_residual(n, m, s, u, rho, lam_s)
-                lm = cf.guarantee_hiding_attachments(n, m, s, u, rho, lam_s)
+                lr = guarantee_hiding_residual(n, m, s, u, rho, lam_s)
+                lm = guarantee_hiding_attachments(n, m, s, u, rho, lam_s)
                 assert lr == lm == (1 - lam_s) * a - lam_s * u.value(n - s)
 
 
@@ -463,22 +522,19 @@ def test_singleton_seek_weight_branches():
 
 
 def test_seeker_bound_examples():
-    assert cf.seeker_bound(4, 2, 4, identity_u(0)) == F(-3, 4)  # all singles
-    assert cf.seeker_bound(8, 4, 0, identity_u(2)) == -4
+    assert seeker_bound(4, 0, 4, identity_u(0)) == F(-3, 4)  # all singles
+    assert seeker_bound(8, 4, 0, identity_u(2)) == -4
     u = identity_u(2)
     # blended value matches its weight form (checked internally too)
-    q = cf.seeker_bound(7, 2, 3, u)
+    q = seeker_bound(7, 2, 3, u)
     lam = cf.singleton_seek_weight(7, 2, 3, u)
     a = cf.component_guarantee(7, 2, 3, u)
     assert q == (1 - lam) * a - lam * u.value(4)
-    for bad_s in (5, 6, 7):
-        with pytest.raises(DomainError):
-            cf.seeker_bound(8, 0, bad_s, u)
 
 
 def test_best_seeker_bound_branches():
     # threshold above beta: cycle branch (m = 0)
-    assert cf.best_seeker_bound(12, 0, square_u(1)) == cf.seeker_bound(12, 0, 0, square_u(1))
+    assert cf.best_seeker_bound(12, 0, square_u(1)) == seeker_bound(12, 0, 0, square_u(1))
     # below beta, even part: half leaves
     assert cf.best_seeker_bound(8, 0, identity_u(2)) == -4
     # below beta, odd part: (x-3)/2 leaves
@@ -489,7 +545,7 @@ def test_best_seeker_bound_branches():
 def test_bound_constant_at_threshold_tie():
     # square utility, four connected nodes: threshold equals beta at 1
     u = square_u(1)
-    vals = {cf.seeker_bound(8, m, 4, u) for m in range(0, 3)}
+    vals = {seeker_bound(8, m, 4, u) for m in range(0, 3)}
     assert len(vals) == 1
     assert cf.best_seeker_bound(8, 4, u) == vals.pop()
 
@@ -517,7 +573,7 @@ def test_crowded_cp_bounds_example():
     x, y = crowded_cp_bounds(9, 0, identity_u(10))
     assert x == F(-11, 4)
     assert x > cf.component_guarantee(9, 3, 0, identity_u(10))
-    assert y > cf.seeker_bound(9, 3, 0, identity_u(10))
+    assert y > seeker_bound(9, 3, 0, identity_u(10))
 
 
 def test_blend_monotone_random_pairs():
@@ -572,7 +628,7 @@ def test_linear_even_bound_identities():
             if (n - s) % 2 == 0:
                 a_tilde = cf.component_guarantee(n, (n - s) // 2, s, u)
                 if a_tilde > -u.value(1):
-                    assert linear_even_bound(n, s, u) == cf.seeker_bound(
+                    assert linear_even_bound(n, s, u) == seeker_bound(
                         n, (n - s) // 2, s, u
                     )
     with pytest.raises(DomainError):
@@ -588,3 +644,14 @@ def test_value_table_rows_domain():
             assert r.threshold is None and r.component is None
         else:
             assert 0 <= r.m <= (8 - r.s) // 2
+
+
+def test_value_table_rows_read_one_table_per_block(monkeypatch):
+    tables = []
+    integer_table = UtilitySpec.integer_table
+    monkeypatch.setattr(UtilitySpec, "integer_table",
+                        lambda self, sizes: tables.append(sizes) or integer_table(self, sizes))
+    for n in range(1, 31):
+        cf.value_table_rows(n, identity_u(2))
+    # One table per (n, s) block with s <= n - 4, and one per n for s = n.
+    assert len(tables) == sum(range(1, 28)) + 30 == 408

@@ -40,6 +40,7 @@ from conftest import (
     strategy_payoff,
     uniform_over,
 )
+from test_closed_form import seeker_bound
 
 
 def test_build_cycle():
@@ -302,7 +303,7 @@ def test_seeker_strategy_secures_bound_on_every_small_graph():
                     for h in range(n)
                 )
                 if s < n:
-                    bound = cf.seeker_bound(n, m, s, u)
+                    bound = seeker_bound(n, m, s, u)
                 else:
                     bound = cf.singleton_guarantee(n, u)
                 assert -worst >= bound, (n, sorted(g.edges), u.family)
