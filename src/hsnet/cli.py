@@ -231,10 +231,10 @@ def cmd_value_table(args) -> int:
     writer = csv.writer(buf)
     writer.writerow(["n", "s", "m", "T", "A", "B", "rho", "lambda_S", "Q", "Qbar"])
     for n in range(n_lo, n_hi + 1):
-        for row in value_table_rows(n, u):
-            # The fields after (n, s, m) are in the header's column order.
-            n_row, s, m, *values = row._values()
-            writer.writerow([n_row, s, m, *map(cell, values)])
+        for r in value_table_rows(n, u):
+            writer.writerow([r.n, r.s, r.m, *map(cell, (
+                r.threshold, r.component, r.singleton, r.residual_weight,
+                r.singleton_weight, r.bound, r.best_bound))])
     _emit(args, buf.getvalue())
     return 0
 

@@ -1,34 +1,35 @@
 """Closed-form equilibrium quantities for designs with s isolated nodes.
 
-Everything here is a pure function of (n, m, s) and a utility spec, where n
+Everything here is a pure function of (n, s, m) and a utility spec, where n
 is the total node count, s the number of isolated nodes and m the number of
-protected leaves in the connected part.  The quantities:
+protected leaves in the connected part.  A context is an int n >= 1 with
+0 <= s <= n-4 or s = n, and 0 <= m <= (n-s)/2; ``_context`` refuses any
+other with a DomainError.  The public functions:
 
 * topology_threshold: decides cycle (threshold >= beta) versus
   core-periphery (threshold < beta) for the connected part;
-* component_guarantee / singleton_guarantee: seeker payoff guarantees when
-  the hider stays in the connected part / in the isolated nodes;
-* the seek and hide mixing weights that equalize those guarantees;
-* the seeker bound for given (m, s), and best_seeker_bound, the exact game
-  bound over all networks with s isolated nodes; the hider's equilibrium
-  payoff on an optimal network is minus the minimum of best_seeker_bound
-  over s;
-* optimal_singleton_counts: the argmin set of that minimum;
-* value_table_rows: all of these for every (s, m) of one n.
+* value_row: every quantity of one context, as a ValueReport: the
+  threshold T, the seeker's guarantees A and B when the hider stays in the
+  connected part and among the isolated nodes, the seeker's weights rho on
+  the residual set and lambda_S on the isolated nodes, the seeker bound Q
+  at this m and the best bound Qbar over m, and the hider's weights kappa
+  on the connected part and mu on the periphery of an odd layout.  The
+  hider's equilibrium payoff on an optimal network is minus the minimum of
+  Qbar over s;
+* value_table_rows: the rows of every context of one n;
+* optimal_singleton_counts: the argmin set of that minimum, and the minimum.
 
-The threshold, both guarantees, both seek weights of the seeker and both
-bounds come from one integer kernel, fed beta, f(1), f(x), f(x-1) and f(x-2)
-(x = n - s) as integers over their own lcm D; each quantity is an integer
-numerator over a positive integer multiple of D.  One s reads them from
-``UtilitySpec.integer_table``, the payoffs' one table, and value_table_rows
-builds all of that s's rows from its one table; the scan over s makes one
-pass, reads f once per size, and compares candidates by cross-multiplying
-with one Fraction built, for the minimum.
+Every quantity comes from one integer kernel, fed beta, f(1), f(x), f(x-1)
+and f(x-2) (x = n - s) as integers over their own lcm D; each is an integer
+numerator over a positive integer multiple of D.  The rows of one s read
+them from one ``UtilitySpec.integer_table``, the payoffs' one table; the
+scan over s makes one pass, reads f once per size, and compares candidates
+by cross-multiplying with one Fraction built, for the minimum.
 
-Several identities that the formulas must satisfy (branch agreement, equal
-guarantees at the mixing weights) are asserted inline, as cross-multiplied
-integer equalities where the kernel computes them: they are cheap, and a
-violation would mean a transcription bug rather than a user error.
+The identities that the formulas must satisfy (branch agreement, each
+player's guarantees equal at its mixing weight) are asserted inline as
+cross-multiplied integer equalities: they are cheap, and a violation would
+mean a transcription bug rather than a user error.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from fractions import Fraction
 from math import lcm
 
 from .payoff import UtilitySpec
-from .rationals import over_common_denominator
 from .records import Record
 
 ZERO = Fraction(0)
@@ -48,18 +48,15 @@ class DomainError(ValueError):
     """Arguments outside the range where a quantity is defined."""
 
 
-def _check_context(n: int, m: int, s: int):
-    if not 0 <= s <= n:
-        raise DomainError(f"need 0 <= s <= n, got s={s}, n={n}")
-    if not 0 <= m <= (n - s) // 2:
-        raise DomainError(f"need 0 <= m <= (n-s)/2, got m={m}, n-s={n - s}")
-
-
-def _reject_near_full(n: int, s: int):
-    if s in (n - 3, n - 2, n - 1):
-        raise DomainError(
-            f"s={s} is excluded: a design leaves at least 4 connected nodes or none"
-        )
+def _context(n: int, s: int, m: int):
+    """Refuse (n, s, m) unless it is a design context.  ``_context(n, n, 0)``
+    checks n alone: every valid n has the all-singletons context."""
+    if type(n) is not int or n < 1:
+        raise DomainError(f"need an int n >= 1, got n={n!r}")
+    if type(s) is not int or not (0 <= s <= n - 4 or s == n):
+        raise DomainError(f"need 0 <= s <= n-4 or s = n, got s={s!r}, n={n}")
+    if type(m) is not int or not 0 <= m <= (n - s) // 2:
+        raise DomainError(f"need 0 <= m <= (n-s)/2, got m={m!r}, n-s={n - s}")
 
 
 # -- the integer kernel -------------------------------------------------------
@@ -115,6 +112,20 @@ def _bound(s: int, b: int, f1: int, fx: int, a: int, k: int) -> tuple:
     return w, g, q
 
 
+def _kappa(s: int, b: int, f1: int, fx: int, a: int, k: int, g: int, q: int) -> int:
+    """The hider's weight on the connected part, kappa = p / g, where _bound
+    blends (w > 0) and gave g and q; kappa = 1 where it does not:
+
+        kappa = (B + f(1)) / (A + B + f(1) + f(x)) = k (beta + f(1)) / g.
+    """
+    p = k * (b + f1)
+    # At kappa the seeker earns -Q both when it seeks in the part (A there,
+    # f(1) off it) and when it seeks the isolated nodes (B there, f(x) off).
+    assert (g - p) * f1 * k - p * a == -q * k
+    assert p * s * fx - (g - p) * (b - (s - 1) * f1) == -q * s
+    return p
+
+
 def _singleton(s: int, b: int, f1: int) -> int:
     """The singleton guarantee B = (beta - (s-1) f(1)) / s, over s D."""
     return b - (s - 1) * f1
@@ -125,6 +136,26 @@ def _rho(m: int, r: int, d: int, d1: int) -> tuple:
     for m leaves and r residual nodes, where d = f(x-1) + beta and
     d1 = f(x-2) + beta over a common denominator."""
     return r * d1, 3 * m * d + r * d1
+
+
+def _mu(x: int, b: int, fx1: int, fx2: int, a: int, k: int) -> tuple:
+    """(p, h) with the hider's periphery weight mu = p / h in the odd layout
+    of x nodes, whose middle orphan takes the rest of the part's weight,
+    given A = a / (k D) at its m = (x-3)/2 leaves:
+
+        mu = (x-3) d1 / ((x-3) d + 2 d1),
+
+    where d = f(x-1) + beta and d1 = f(x-2) + beta.
+    """
+    d, d1 = fx1 + b, fx2 + b
+    p, h = (x - 3) * d1, (x - 3) * d + 2 * d1
+    assert 0 <= p <= h
+    # At mu the seeker earns -A both when it seeks an orphan and when it
+    # seeks an attachment node, over h D and over (x-3) h D.
+    orphans = p * fx1 - (h - p) * b
+    assert orphans * (x - 3) == p * ((x - 5) * fx2 - 2 * b) + (h - p) * (x - 3) * fx2
+    assert orphans * k == -a * h
+    return p, h
 
 
 def _best(x: int, s: int, b: int, f1: int, fx: int, fx1: int, fx2: int) -> tuple:
@@ -140,134 +171,18 @@ def _best(x: int, s: int, b: int, f1: int, fx: int, fx1: int, fx2: int) -> tuple
 
 
 def topology_threshold(n: int, s: int, u: UtilitySpec) -> Fraction:
-    """(n-s-3) f(n-s-1) - (n-s-2) f(n-s-2).
+    """(n-s-3) f(n-s-1) - (n-s-2) f(n-s-2), for 0 <= s <= n-3.
 
     Positive and large when f grows fast near n-s, which favors keeping the
     connected part intact (a cycle); small or negative when the marginal
     node is worth little, which favors hiding behind leaves.
     """
+    _context(n, n, 0)
+    if type(s) is not int or not 0 <= s <= n - 3:
+        raise DomainError(f"threshold needs 0 <= s <= n-3, got s={s!r}, n={n}")
     x = n - s
-    if x < 3:
-        raise DomainError(f"threshold needs n-s >= 3, got {x}")
     (nb, fx1, fx2), den = u.integer_table((0, x - 1, x - 2))
     return Fraction(_threshold(x, -nb, fx1, fx2), den)
-
-
-def component_guarantee(n: int, m: int, s: int, u: UtilitySpec) -> Fraction:
-    """Seeker's guaranteed payoff when the hider stays in the connected part.
-
-    With the residual set empty (2m = n-s: every non-isolated node is a
-    protected leaf or its attachment) the guarantee is
-    beta/m - ((m-1)/m) f(n-s-2); in general it is the equalized form of
-    ``_component``.  Both branches agree where both apply, asserted there.
-    """
-    _check_context(n, m, s)
-    x = n - s
-    if x < 4:
-        raise DomainError(f"component guarantee needs n-s >= 4, got {x}")
-    (nb, fx1, fx2), den = u.integer_table((0, x - 1, x - 2))
-    a, k = _component(x, m, -nb, fx1, fx2, _threshold(x, -nb, fx1, fx2))
-    return Fraction(a, k * den)
-
-
-def singleton_guarantee(s: int, u: UtilitySpec) -> Fraction:
-    """beta/s - (1 - 1/s) f(1): seeker payoff against hiding among s
-    isolated nodes when seeking them uniformly."""
-    if s < 1:
-        raise DomainError("singleton guarantee needs s >= 1")
-    (nb, f1), den = u.integer_table((0, 1))
-    return Fraction(_singleton(s, -nb, f1), s * den)
-
-
-def interior_seek_weight(n: int, m: int, s: int, u: UtilitySpec) -> Fraction:
-    """Weight on the residual set that equalizes the capture probability
-    between the residual set and the leaf attachments."""
-    _check_context(n, m, s)
-    x = n - s
-    r = x - 2 * m
-    if r == 0 and m == 0:
-        raise DomainError("no non-isolated nodes")
-    (d, d1), _ = over_common_denominator((u.value(x - 1) + u.beta, u.value(x - 2) + u.beta))
-    return Fraction(*_rho(m, r, d, d1))
-
-
-def singleton_seek_weight(n: int, m: int, s: int, u: UtilitySpec) -> Fraction:
-    """The seeker's weight on isolated nodes: 1 with nothing else to seek, 0
-    with no isolated nodes, otherwise the blend making the singleton-side
-    guarantee match the component side (when that is profitable)."""
-    if s == n:
-        return ONE
-    if s == 0:
-        return ZERO
-    if not 0 <= s <= n - 4:
-        raise DomainError(f"singleton seek weight needs s <= n-4 or s = n, got s={s}")
-    _check_context(n, m, s)
-    x = n - s
-    (nb, fx1, fx2, f1, fx), _ = u.integer_table((0, x - 1, x - 2, 1, x))
-    a, k = _component(x, m, -nb, fx1, fx2, _threshold(x, -nb, fx1, fx2))
-    w, g, _ = _bound(s, -nb, f1, fx, a, k)
-    return Fraction(w, g)
-
-
-def best_seeker_bound(n: int, s: int, u: UtilitySpec) -> Fraction:
-    """The exact value bound for networks with s isolated nodes: the seeker
-    bound evaluated at the regime- and parity-appropriate leaf count, on
-    its own integer table."""
-    if s == n:
-        return singleton_guarantee(n, u)
-    _reject_near_full(n, s)
-    if not 0 <= s <= n - 4:
-        raise DomainError(f"invalid singleton count s={s} for n={n}")
-    x = n - s
-    (nb, fx1, fx2, f1, fx), den = u.integer_table((0, x - 1, x - 2, 1, x))
-    q, g = _best(x, s, -nb, f1, fx, fx1, fx2)
-    return Fraction(q, g * den)
-
-
-def component_hide_weight(n: int, s: int, u: UtilitySpec, abar: Fraction) -> Fraction:
-    """Probability the hider assigns to the connected part.
-
-    One when there are no isolated nodes or the component is strictly better
-    than f(1); otherwise the blend equalizing the hider's two guarantees.
-    """
-    f1 = u.value(1)
-    if s == 0 or abar <= -f1:
-        return ONE
-    b = singleton_guarantee(s, u)
-    fns = u.value(n - s)
-    kappa = (b + f1) / (abar + b + fns + f1)
-    # Both hider guarantees agree at this weight, and match the game bound.
-    seek_singles = kappa * fns - (ONE - kappa) * b
-    seek_component = -kappa * abar + (ONE - kappa) * f1
-    assert seek_singles == seek_component
-    blend = (abar * b - f1 * fns) / (abar + b + f1 + fns)
-    assert seek_component == -blend
-    return kappa
-
-
-def periphery_hide_weight(n: int, s: int, u: UtilitySpec) -> Fraction:
-    """Conditional weight on periphery leaves (versus the middle orphan) in
-    the odd core-periphery design."""
-    x = n - s
-    if x % 2 == 0:
-        raise DomainError(f"periphery hide weight needs odd n-s, got {x}")
-    if x < 5:
-        raise DomainError(f"odd core-periphery design needs n-s >= 5, got {x}")
-    beta = u.beta
-    f_keep = u.value(x - 1)
-    f_cut = u.value(x - 2)
-    mu = ((x - 3) * f_cut + (x - 3) * beta) / (
-        (x - 3) * f_keep + 2 * f_cut + (x - 1) * beta
-    )
-    assert ZERO <= mu <= ONE
-    seek_orphans = mu * f_keep - (ONE - mu) * beta
-    seek_attachments = (
-        mu * (-Fraction(2, x - 3) * beta + (ONE - Fraction(2, x - 3)) * f_cut)
-        + (ONE - mu) * f_cut
-    )
-    assert seek_orphans == seek_attachments
-    assert seek_orphans == -component_guarantee(n, (x - 3) // 2, s, u)
-    return mu
 
 
 def optimal_singleton_counts(n: int, u: UtilitySpec) -> tuple[tuple[int, ...], Fraction]:
@@ -276,8 +191,7 @@ def optimal_singleton_counts(n: int, u: UtilitySpec) -> tuple[tuple[int, ...], F
     at 1..n (1 alone when n < 4), and each s's five values are scaled over
     their own lcm in line: per s, ``over_common_denominator`` doubles the
     scan's time."""
-    if type(n) is not int or n < 1:
-        raise DomainError(f"need an int n >= 1, got {n!r}")
+    _context(n, n, 0)
     f = [u.evaluate(x) for x in range(1, n + 1 if n >= 4 else 2)]  # f[x - 1] = f(x)
     nums, dens = [v.numerator for v in f], [v.denominator for v in f]
     bn, bd, f1n, f1d = u.beta.numerator, u.beta.denominator, nums[0], dens[0]
@@ -298,43 +212,67 @@ def optimal_singleton_counts(n: int, u: UtilitySpec) -> tuple[tuple[int, ...], F
 
 
 class ValueReport(Record):
-    """Every closed-form quantity for one (n, m, s) context; entries are None
-    where the context leaves them undefined."""
+    """Every closed-form quantity for one (n, s, m) context; entries are None
+    where the context leaves them undefined.  ``hide_weight`` is the hider's
+    kappa (0 when s = n), and ``periphery_weight`` its mu, set only in the
+    row of an odd layout, m = (n-s-3)/2."""
 
     __slots__ = _fields = (
         "n", "s", "m", "threshold", "component", "singleton", "residual_weight",
-        "singleton_weight", "bound", "best_bound",
+        "singleton_weight", "bound", "best_bound", "hide_weight", "periphery_weight",
     )
+
+
+def _block(n: int, s: int, leaf_counts, u: UtilitySpec) -> list:
+    """The rows of s for each m in leaf_counts, from one integer table."""
+    if s == n:
+        (nb, f1), den = u.integer_table((0, 1))
+        b = Fraction(_singleton(n, -nb, f1), n * den)
+        return [ValueReport(n, n, 0, None, None, b, None, ONE, b, b, ZERO, None)]
+    x = n - s
+    (nb, f1, fx, fx1, fx2), den = u.integer_table((0, 1, x, x - 1, x - 2))
+    b, d, d1 = -nb, fx1 - nb, fx2 - nb
+    t = _threshold(x, b, fx1, fx2)
+    best_q, best_g = _best(x, s, b, f1, fx, fx1, fx2)
+    threshold, best = Fraction(t, den), Fraction(best_q, best_g * den)
+    singleton = Fraction(_singleton(s, b, f1), s * den) if s else None
+    rows = []
+    for m in leaf_counts:
+        r = x - 2 * m
+        a, k = _component(x, m, b, fx1, fx2, t)
+        w, g, q = _bound(s, b, f1, fx, a, k)
+        p, h = _rho(m, r, d, d1)
+        # At rho = p / h the seeker secures A = a / (k D) both against a
+        # hider in the residual set (found with chance 3/r when the seeker
+        # searches it, with weight rho) and against one on a leaf or its
+        # attachment (found with chance 1/m, with weight 1 - rho).
+        if r:
+            assert (p * (3 * b - (r - 3) * fx1) - r * (h - p) * fx2) * k == a * r * h
+        if m:
+            assert ((h - p) * (b - (m - 1) * fx2) - m * p * fx1) * k == a * m * h
+        component = Fraction(a, k * den)
+        if w:
+            lam, bound = Fraction(w, g), Fraction(q, g * den)
+            kappa = Fraction(_kappa(s, b, f1, fx, a, k, g, q), g)
+        else:  # no blend: lambda_S = 0, Q = A and kappa = 1
+            lam, bound, kappa = ZERO, component, ONE
+        mu = Fraction(*_mu(x, b, fx1, fx2, a, k)) if 2 * m == x - 3 else None
+        rows.append(ValueReport(n, s, m, threshold, component, singleton, Fraction(p, h),
+                                lam, bound, best, kappa, mu))
+    return rows
+
+
+def value_row(n: int, s: int, m: int, u: UtilitySpec) -> ValueReport:
+    """Every quantity of the context (n, s, m), from one integer table."""
+    _context(n, s, m)
+    return _block(n, s, (m,), u)[0]
 
 
 def value_table_rows(n: int, u: UtilitySpec) -> list:
     """All value reports for one n: each s in 0..n-4 with every leaf count,
-    then s = n.  Each s reads one integer table, and all of its rows come
-    from the kernel."""
+    then s = n.  Each s reads one integer table."""
+    _context(n, n, 0)
     rows = []
     for s in range(n - 3):
-        x = n - s
-        (nb, f1, fx, fx1, fx2), den = u.integer_table((0, 1, x, x - 1, x - 2))
-        b, d, d1 = -nb, fx1 - nb, fx2 - nb
-        t = _threshold(x, b, fx1, fx2)
-        best_q, best_g = _best(x, s, b, f1, fx, fx1, fx2)
-        threshold, best = Fraction(t, den), Fraction(best_q, best_g * den)
-        singleton = Fraction(_singleton(s, b, f1), s * den) if s else None
-        for m in range(x // 2 + 1):
-            r = x - 2 * m
-            a, k = _component(x, m, b, fx1, fx2, t)
-            w, g, q = _bound(s, b, f1, fx, a, k)
-            p, h = _rho(m, r, d, d1)
-            # At rho = p / h the seeker secures A = a / (k D) both against a
-            # hider in the residual set (found with chance 3/r when the
-            # seeker searches it, with weight rho) and against one on a leaf
-            # or its attachment (found with chance 1/m, with weight 1 - rho).
-            if r:
-                assert (p * (3 * b - (r - 3) * fx1) - r * (h - p) * fx2) * k == a * r * h
-            if m:
-                assert ((h - p) * (b - (m - 1) * fx2) - m * p * fx1) * k == a * m * h
-            rows.append(ValueReport(n, s, m, threshold, Fraction(a, k * den), singleton,
-                                    Fraction(p, h), Fraction(w, g), Fraction(q, g * den), best))
-    b = singleton_guarantee(n, u)
-    rows.append(ValueReport(n, n, 0, None, None, b, None, ONE, b, b))
-    return rows
+        rows += _block(n, s, range((n - s) // 2 + 1), u)
+    return rows + _block(n, n, (0,), u)

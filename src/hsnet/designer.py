@@ -207,9 +207,14 @@ def seeker_strategy(g: Graph, u: UtilitySpec) -> MixedStrategy:
     if s == n:
         return MixedStrategy.uniform(n)
 
-    # Tiny connected parts (n - s < 4) keep all mass outside the singletons.
-    lam_s = cf.singleton_seek_weight(n, m, s, u) if s and n - s >= 4 else ZERO
-    lam_r = ZERO if r == 0 else ONE if m == 0 else cf.interior_seek_weight(n, m, s, u)
+    # Tiny connected parts (n - s < 4, so m = 0) keep all mass outside the
+    # singletons.  Otherwise lambda_S and rho, when either is needed, come
+    # from the context's row: rho is 1 with no attachments (m = 0) and 0
+    # with no residual set (r = 0).
+    lam_s, lam_r = ZERO, ZERO if m else ONE
+    if n - s >= 4 and (s or m and r):
+        row = cf.value_row(n, s, m, u)
+        lam_s, lam_r = row.singleton_weight, row.residual_weight
 
     # Each class's share of one node, as integer weights over one
     # denominator; a residual node that is not a leaf of the residual
@@ -241,9 +246,9 @@ def hider_strategy(topo: DesignTopology, u: UtilitySpec) -> MixedStrategy:
     s = len(topo.singleton_nodes)
     if s == n:
         return MixedStrategy.uniform(n)
-    abar = cf.component_guarantee(n, len(topo.periphery_nodes), s, u)
-    kappa = cf.component_hide_weight(n, s, u, abar)
-    mu = ONE if topo.middle_orphan is None else cf.periphery_hide_weight(n, s, u)
+    row = cf.value_row(n, s, len(topo.periphery_nodes), u)
+    kappa = row.hide_weight
+    mu = ONE if topo.middle_orphan is None else row.periphery_weight
     hide = topo.periphery_nodes or topo.component_nodes
     (w_hide, w_middle, w_single), den = over_common_denominator(
         (kappa * mu / len(hide), kappa * (ONE - mu), (ONE - kappa) / s if s else ZERO))

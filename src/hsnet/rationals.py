@@ -8,6 +8,7 @@ flagged explicitly by the caller.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -24,8 +25,11 @@ def format_rational(value) -> str:
 def parse_rational(text) -> Fraction:
     """Parse "p/q", "p", or an int into a Fraction.
 
-    Floats are rejected: exactness everywhere is the contract, so a caller
-    holding a float must opt in explicitly via Fraction(float).
+    A string is ASCII digits with an optional sign on p: "p" or "p/q" with
+    q > 0, and optional whitespace around the whole; anything else (an
+    underscore, another script's digits, a sign on q, inner spaces) is
+    refused.  Floats are rejected: exactness everywhere is the contract, so
+    a caller holding a float must opt in explicitly via Fraction(float).
     """
     if isinstance(text, bool):
         raise ValueError("booleans are not rationals")
@@ -37,17 +41,10 @@ def parse_rational(text) -> Fraction:
         raise ValueError("refusing to coerce a float silently; pass a 'p/q' string")
     if not isinstance(text, str):
         raise ValueError(f"cannot parse rational from {type(text).__name__}")
-    s = text.strip()
-    if "/" in s:
-        num, _, den = s.partition("/")
-        try:
-            return Fraction(int(num), int(den))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"invalid rational {text!r}") from exc
-    try:
-        return Fraction(int(s))
-    except ValueError as exc:
-        raise ValueError(f"invalid rational {text!r}") from exc
+    match = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", text.strip())
+    if match and int(match[2] or 1):
+        return Fraction(int(match[1]), int(match[2] or 1))
+    raise ValueError(f"invalid rational {text!r}")
 
 
 def over_common_denominator(values) -> tuple:

@@ -61,7 +61,7 @@ def test_constructed_designs_match_lp_exactly():
         for u in family_grid():
             res = dz.design_optimal(n, u)
             matrix = payoff_matrix(res.graph, u)
-            expected = -cf.best_seeker_bound(n, res.s_star, u)
+            expected = -cf.value_row(n, res.s_star, 0, u).best_bound
             assert res.predicted_value == expected
             sol = solve_zero_sum(matrix)
             assert sol.value == expected, (n, u.family, str(u.beta))
@@ -255,11 +255,10 @@ def test_bound_monotonicity_and_mixing_ranges():
                         assert all(d > 0 for d in steps), (n, s, u.family, str(b))
                     else:
                         assert all(d == 0 for d in steps), (n, s, u.family, str(b))
-                    abar = rows[ref_design_mixing_m(n, s, u)].component
-                    kappa = cf.component_hide_weight(n, s, u, abar)
+                    kappa = rows[ref_design_mixing_m(n, s, u)].hide_weight
                     assert 0 <= kappa <= 1
                     if x % 2 == 1 and x >= 5:
-                        mu = cf.periphery_hide_weight(n, s, u)
+                        mu = rows[(x - 3) // 2].periphery_weight
                         assert 0 <= mu <= 1
     print(f"\nACCEPTANCE PASS: bound monotone, weights in range ({points} grid points)")
 
@@ -313,7 +312,7 @@ def test_auxiliary_inequalities():
                     x = n - s
                     if x % 2 == 1 and x >= 5 and cf.topology_threshold(n, s, u) < u.beta:
                         xv, yv = crowded_cp_bounds(n, s, u)
-                        assert xv > cf.component_guarantee(n, (x - 3) // 2, s, u)
+                        assert xv > cf.value_row(n, s, (x - 3) // 2, u).component
                         assert yv > seeker_bound(n, (x - 3) // 2, s, u)
                         cells += 1
     rng = random.Random(2024)
@@ -345,7 +344,7 @@ def test_auxiliary_inequalities():
             u = UtilitySpec.linear(1, beta)
             seq = [linear_even_bound(n, s, u) for s in range(0, n + 1)]
             assert unimodal(seq), (n, str(beta))
-            assert seq[-1] == cf.singleton_guarantee(n, u)
+            assert seq[-1] == cf.value_row(n, n, 0, u).singleton
             shapes += 1
     print(
         f"\nACCEPTANCE PASS: auxiliary inequalities ({cells} packed-layout cells, "
@@ -359,7 +358,7 @@ def test_chord_augmented_cycles_tie_cycle_value():
     u = square_u(1)
     assert cf.topology_threshold(12, 0, u) == 89 > u.beta
     base = solve_zero_sum(payoff_matrix(dz.build_cycle(12), u)).value
-    assert base == -cf.best_seeker_bound(12, 0, u)
+    assert base == -cf.value_row(12, 0, 0, u).best_bound
     chord_sets = [
         [(1, 5)],
         [(2, 7), (8, 10)],

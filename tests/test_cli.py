@@ -89,6 +89,14 @@ def test_solve_rejects_non_object_utility_params(c4_file):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("beta", ["-1/-2", "2/-3", "1_000", "\u0663", "1 / 2"])
+def test_design_refuses_a_beta_that_is_not_a_plain_rational(beta, capsys):
+    # "--beta=" form: argparse would read a leading "-1/-2" as an option.
+    assert run(["design", "--n", "5", f"--beta={beta}"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid rational" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("family", ["power", "ratio_power"])
 def test_float_power_overflow_is_a_usage_error(c4_file, family):
     # 3 ** 1500.5 overflows a float.

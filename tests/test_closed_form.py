@@ -1,9 +1,11 @@
 """Closed-form bounds, mixing weights, and their internal identities.
 
-``hsnet.closed_form`` computes the threshold, the guarantees and the bounds
-in one integer kernel.  The ``ref_*`` functions below are the same
-quantities as plain Fraction formulas, kept here as its test oracle, beside
-the two guarantees that the interior seek weight equalizes.  The helpers
+``hsnet.closed_form`` computes every field of a context's row (the
+threshold, the guarantees, both players' mixing weights and the bounds) in
+one integer kernel.  The ``ref_*`` functions below are the same quantities
+as plain Fraction formulas, with the identities the hider's weights satisfy,
+kept here as its test oracle (``ref_row`` is a whole row), beside the two
+guarantees that the interior seek weight equalizes.  The helpers
 after them (the packed odd layout, the singleton blend, the linear
 shape curve) serve only the paper's auxiliary claims, checked here and in
 the acceptance battery.
@@ -27,6 +29,17 @@ ONE = F(1)
 # -- the Fraction oracle --------------------------------------------------------
 
 
+def ref_context(n, s, m):
+    """Refuse (n, s, m) unless it is a design context: an int n >= 1,
+    0 <= s <= n-4 or s = n, and 0 <= m <= (n-s)/2."""
+    if type(n) is not int or n < 1:
+        raise DomainError(f"need an int n >= 1, got n={n!r}")
+    if not (0 <= s <= n - 4 or s == n):
+        raise DomainError(f"need 0 <= s <= n-4 or s = n, got s={s!r}")
+    if not 0 <= m <= (n - s) // 2:
+        raise DomainError(f"need 0 <= m <= (n-s)/2, got m={m!r}")
+
+
 def ref_capture_adjusted_value(n, s, u):
     """f(n-s-1) + beta, the swing between escaping and being caught."""
     return u.value(n - s - 1) + u.beta
@@ -34,8 +47,8 @@ def ref_capture_adjusted_value(n, s, u):
 
 def ref_topology_threshold(n, s, u):
     x = n - s
-    if x < 3:
-        raise DomainError(f"threshold needs n-s >= 3, got {x}")
+    if s < 0 or x < 3:
+        raise DomainError(f"threshold needs 0 <= s <= n-3, got s={s}, n={n}")
     t = (x - 3) * u.value(x - 1) - (x - 2) * u.value(x - 2)
     d_form = (
         (x - 3) * ref_capture_adjusted_value(n, s, u)
@@ -80,47 +93,55 @@ def ref_bounds(n, s, u, leaf_counts):
     return out
 
 
-def ref_component_guarantee(n, m, s, u, r_empty):
-    cf._check_context(n, m, s)
-    x = n - s
-    if x < 4:
-        raise DomainError(f"component guarantee needs n-s >= 4, got {x}")
-    if r_empty:
-        if 2 * m != x:
-            raise DomainError("empty residual set forces n-s = 2m")
-        return ref_empty_component(m, x, u)
-    return ref_bounds(n, s, u, [m])[0][0]
-
-
-def ref_singleton_seek_weight(n, m, s, u):
-    if s == n:
-        return ONE
-    if s == 0:
-        return F(0)
-    if not 0 <= s <= n - 4:
-        raise DomainError(f"singleton seek weight needs s <= n-4 or s = n, got s={s}")
-    cf._check_context(n, m, s)
-    return ref_bounds(n, s, u, [m])[0][1]
-
-
-def ref_seeker_bound(n, m, s, u):
-    if s == n:
-        return ref_singleton_guarantee(n, u)
-    cf._reject_near_full(n, s)
-    cf._check_context(n, m, s)
-    return ref_bounds(n, s, u, [m])[0][2]
-
-
 def ref_interior_seek_weight(n, m, s, u):
-    """rho, the seeker's weight on the residual set; zero when that set is
-    empty (2m = n-s)."""
-    cf._check_context(n, m, s)
+    """rho, the seeker's weight on the residual set, 0 <= s <= n-4; zero
+    when that set is empty (2m = n-s)."""
     r = n - s - 2 * m
-    if r == 0 and m == 0:
-        raise DomainError("no non-isolated nodes")
     hi = u.value(n - s - 1) + u.beta
     lo = u.value(n - s - 2) + u.beta
     return r * lo / (3 * m * hi + r * lo)
+
+
+def ref_component_hide_weight(n, s, u, abar):
+    """kappa, the hider's weight on the connected part, given its component
+    guarantee abar: one when there are no isolated nodes or abar <= -f(1),
+    otherwise the blend equalizing the hider's two guarantees."""
+    f1 = u.value(1)
+    if s == 0 or abar <= -f1:
+        return ONE
+    b = ref_singleton_guarantee(s, u)
+    fns = u.value(n - s)
+    kappa = (b + f1) / (abar + b + fns + f1)
+    # Both hider guarantees agree at this weight, and match the game bound.
+    seek_singles = kappa * fns - (ONE - kappa) * b
+    seek_component = -kappa * abar + (ONE - kappa) * f1
+    assert seek_singles == seek_component
+    blend = (abar * b - f1 * fns) / (abar + b + f1 + fns)
+    assert seek_component == -blend
+    return kappa
+
+
+def ref_periphery_hide_weight(n, s, u):
+    """mu, the hider's weight on the periphery leaves (versus the middle
+    orphan) in the odd core-periphery design."""
+    x = n - s
+    if x % 2 == 0 or x < 5:
+        raise DomainError(f"the odd core-periphery design needs odd n-s >= 5, got {x}")
+    beta = u.beta
+    f_keep = u.value(x - 1)
+    f_cut = u.value(x - 2)
+    mu = ((x - 3) * f_cut + (x - 3) * beta) / (
+        (x - 3) * f_keep + 2 * f_cut + (x - 1) * beta
+    )
+    assert 0 <= mu <= ONE
+    seek_orphans = mu * f_keep - (ONE - mu) * beta
+    seek_attachments = (
+        mu * (-F(2, x - 3) * beta + (ONE - F(2, x - 3)) * f_cut)
+        + (ONE - mu) * f_cut
+    )
+    assert seek_orphans == seek_attachments
+    assert seek_orphans == -ref_bounds(n, s, u, [(x - 3) // 2])[0][0]
+    return mu
 
 
 def guarantee_hiding_residual(n, m, s, u, lam_r, lam_s):
@@ -157,10 +178,32 @@ def ref_design_mixing_m(n, s, u):
 def ref_best_seeker_bound(n, s, u):
     if s == n:
         return ref_singleton_guarantee(n, u)
-    cf._reject_near_full(n, s)
     if not 0 <= s <= n - 4:
         raise DomainError(f"invalid singleton count s={s} for n={n}")
-    return ref_seeker_bound(n, ref_design_mixing_m(n, s, u), s, u)
+    return ref_bounds(n, s, u, [ref_design_mixing_m(n, s, u)])[0][2]
+
+
+def ref_rows(n, s, u, leaf_counts):
+    """value_row(n, s, m, u) for each m in leaf_counts, 0 <= s <= n-4 or
+    s = n, from the formulas above."""
+    if s == n:
+        b = ref_singleton_guarantee(n, u)
+        return [cf.ValueReport(n, n, 0, None, None, b, None, ONE, b, b, F(0), None)]
+    x = n - s
+    t, best = ref_topology_threshold(n, s, u), ref_best_seeker_bound(n, s, u)
+    single = ref_singleton_guarantee(s, u) if s else None
+    return [
+        cf.ValueReport(n, s, m, t, a, single, ref_interior_seek_weight(n, m, s, u), lam, q,
+                       best, ref_component_hide_weight(n, s, u, a),
+                       ref_periphery_hide_weight(n, s, u) if 2 * m == x - 3 else None)
+        for m, (a, lam, q) in zip(leaf_counts, ref_bounds(n, s, u, leaf_counts))
+    ]
+
+
+def ref_row(n, s, m, u):
+    """value_row(n, s, m, u) from the formulas above."""
+    ref_context(n, s, m)
+    return ref_rows(n, s, u, [m])[0]
 
 
 # -- helpers for the auxiliary claims --------------------------------------------
@@ -180,8 +223,7 @@ def seeker_bound(n, m, s, u):
 
 def branch_component_guarantee(n, s, u):
     """Component guarantee at the design leaf count (written Abar)."""
-    m = ref_design_mixing_m(n, s, u)
-    return cf.component_guarantee(n, m, s, u)
+    return value_rows(n, u)[s, ref_design_mixing_m(n, s, u)].component
 
 
 def singleton_blend(z, s, n, u):
@@ -196,7 +238,7 @@ def singleton_blend(z, s, n, u):
     f1 = u.value(1)
     if z <= -f1:
         return z
-    b = cf.singleton_guarantee(s, u)
+    b = ref_singleton_guarantee(s, u)
     fns = u.value(n - s)
     return (b * z - f1 * fns) / (z + b + fns + f1)
 
@@ -222,7 +264,7 @@ def crowded_cp_bounds(n, s, u):
         yval = singleton_blend(xval, s, n, u)
     else:
         yval = xval
-    a = cf.component_guarantee(n, (x - 3) // 2, s, u)
+    a = value_rows(n, u)[s, (x - 3) // 2].component
     diff = (
         2 * (u.value(x - 1) - f_cut) * (f_cut + beta) * (x - 3)
     ) / ((x - 1) * ((x - 3) * u.value(x - 1) + 2 * f_cut + (x - 1) * beta))
@@ -242,7 +284,7 @@ def linear_even_bound(n, s, u):
         raise DomainError(f"need 0 <= s <= n, got s={s}")
     slope = u.params[0]
     if s == n:
-        return cf.singleton_guarantee(n, u)
+        return ref_singleton_guarantee(n, u)
     bt = u.beta / slope
     x = n - s
     a_tilde = slope * (2 * (bt - 2) / x + 4 - x)
@@ -257,7 +299,7 @@ def linear_even_bound(n, s, u):
     if s >= 1 and a_tilde > -u.value(1):
         assert ab == singleton_blend(a_tilde, s, n, u)
     if x % 2 == 0 and 0 <= s <= n - 4:
-        assert cf.component_guarantee(n, x // 2, s, u) == a_tilde
+        assert value_rows(n, u)[s, x // 2].component == a_tilde
     return ab
 
 
@@ -311,46 +353,34 @@ def outcome(fn, *args):
 
 @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES) + ["table"])
 def test_kernel_matches_oracle_on_every_context(family):
-    """Every (n, m, s) with n <= 60 (n <= 20 for the utilities that are not
-    wide), and s and m one past their ranges: the same value, or the same
-    exception type, as the Fraction formulas; and every field of every row
-    of value_table_rows."""
+    """Every (n, s, m) with n <= 60 (n <= 20 for the utilities that are not
+    wide), and s and m one past their ranges: value_row gives the Fraction
+    formulas' row, every field, or a DomainError outside the contexts;
+    topology_threshold gives the same value or exception type as its
+    formula; and value_table_rows gives exactly the rows of every context."""
     contexts = expected = 0
     for u, wide in oracle_utilities(family, 61):
         n_max = 60 if wide else 20
-        expected += sum((n - s) // 2 + 1 for n in range(1, n_max + 1) for s in range(0, n - 3))
+        expected += n_max + sum((n - s) // 2 + 1 for n in range(1, n_max + 1)
+                                for s in range(0, n - 3))
         for n in range(1, n_max + 1):
             rows = {(row.s, row.m): row for row in cf.value_table_rows(n, u)}
-            b_n = ref_singleton_guarantee(n, u)
-            assert rows.pop((n, 0)) == cf.ValueReport(n, n, 0, None, None, b_n, None, ONE, b_n, b_n)
             for s in range(-1, n + 2):
                 t = outcome(ref_topology_threshold, n, s, u)
-                best = outcome(ref_best_seeker_bound, n, s, u)
-                single = outcome(ref_singleton_guarantee, s, u)
                 assert outcome(cf.topology_threshold, n, s, u) == t, (n, s, u)
-                assert outcome(cf.best_seeker_bound, n, s, u) == best, (n, s, u)
-                assert outcome(cf.singleton_guarantee, s, u) == single, (s, u)
                 x = n - s
-                inside = 0 <= s <= n - 4
-                refs = ref_bounds(n, s, u, range(x // 2 + 1)) if inside else []
+                inside = 0 <= s <= n - 4 or s == n
+                refs = ref_rows(n, s, u, range(x // 2 + 1)) if inside else []
                 for m in range(-1, x // 2 + 2):
-                    rho = outcome(ref_interior_seek_weight, n, m, s, u)
-                    assert outcome(cf.interior_seek_weight, n, m, s, u) == rho, (n, m, s, u)
+                    row = outcome(cf.value_row, n, s, m, u)
                     if 0 <= m < len(refs):
-                        a, lam, q = refs[m]
-                        assert rows.pop((s, m)) == cf.ValueReport(
-                            n, s, m, t, a, single if s else None, rho, lam, q, best
-                        ), (n, m, s, u)
-                        assert cf.singleton_seek_weight(n, m, s, u) == lam, (n, m, s, u)
-                        assert cf.component_guarantee(n, m, s, u) == a, (n, m, s, u)
-                        if 2 * m == x:
-                            assert a == ref_empty_component(m, x, u)
+                        assert row == refs[m] == rows.pop((s, m)), (n, m, s, u)
+                        if s < n and 2 * m == x:
+                            assert row.component == ref_empty_component(m, x, u)
                         contexts += 1
-                        continue
-                    assert outcome(cf.singleton_seek_weight, n, m, s, u) == outcome(
-                        ref_singleton_seek_weight, n, m, s, u), (n, m, s, u)
-                    assert outcome(cf.component_guarantee, n, m, s, u) == outcome(
-                        ref_component_guarantee, n, m, s, u, 2 * m == x), (n, m, s, u)
+                    else:
+                        assert row is DomainError, (n, m, s, u)
+                        assert outcome(ref_row, n, s, m, u) is DomainError
             assert not rows, (n, u, sorted(rows))
     assert contexts == expected
 
@@ -368,7 +398,7 @@ def test_scan_matches_oracle_up_to_300(family):
         for n in SCAN_SIZES:
             values = {s: ref_best_seeker_bound(n, s, u) for s in list(range(0, n - 3)) + [n]}
             for s, value in values.items():
-                assert cf.best_seeker_bound(n, s, u) == value, (n, s, u)
+                assert cf.value_row(n, s, 0, u).best_bound == value, (n, s, u)
             best = min(values.values())
             counts = tuple(s for s, value in values.items() if value == best)
             assert cf.optimal_singleton_counts(n, u) == (counts, best), (n, u)
@@ -454,12 +484,12 @@ def test_threshold_form_equivalence_random():
 
 
 def test_component_guarantee_examples():
-    assert cf.component_guarantee(8, 4, 0, identity_u(2)) == -4
+    assert cf.value_row(8, 0, 4, identity_u(2)).component == -4
     # cycle form at m=0: capture 3/(n-s), residual n-s-1
-    assert cf.component_guarantee(4, 0, 0, identity_u(1)) == 0
-    assert cf.component_guarantee(8, 2, 0, identity_u(1)) == F(-79, 19)
+    assert cf.value_row(4, 0, 0, identity_u(1)).component == 0
+    assert cf.value_row(8, 0, 2, identity_u(1)).component == F(-79, 19)
     with pytest.raises(DomainError):
-        cf.component_guarantee(7, 0, 4, identity_u(2))
+        cf.value_row(7, 4, 0, identity_u(2))
 
 
 def test_component_guarantee_branch_agreement():
@@ -468,33 +498,34 @@ def test_component_guarantee_branch_agreement():
             m = n // 2
             # the empty-residual form beta/m - ((m-1)/m) f(n-2)
             empty = u.beta / m - F(m - 1, m) * u.value(n - 2)
-            assert cf.component_guarantee(n, m, 0, u) == empty
+            assert cf.value_row(n, 0, m, u).component == empty
 
 
 def test_cycle_form_of_component_guarantee():
     # at m=0 the guarantee is exactly the uniform-cycle payoff
     for u in (identity_u(1), square_u(2)):
         for n in (5, 8, 13):
-            a = cf.component_guarantee(n, 0, 0, u)
+            a = cf.value_row(n, 0, 0, u).component
             assert a == F(3, n) * u.beta - (1 - F(3, n)) * u.value(n - 1)
 
 
 def test_singleton_guarantee_examples():
-    assert cf.singleton_guarantee(1, identity_u(7)) == 7
-    assert cf.singleton_guarantee(4, identity_u(0)) == F(-3, 4)
-    assert cf.singleton_guarantee(5, identity_u(1)) == F(-3, 5)
+    # B for s isolated nodes, in the s = n row
+    assert cf.value_row(1, 1, 0, identity_u(7)).singleton == 7
+    assert cf.value_row(4, 4, 0, identity_u(0)).singleton == F(-3, 4)
+    assert cf.value_row(5, 5, 0, identity_u(1)).singleton == F(-3, 5)
     with pytest.raises(DomainError):
-        cf.singleton_guarantee(0, identity_u())
+        cf.value_row(0, 0, 0, identity_u())
 
 
 def test_residual_seek_weight_examples():
-    # The rho cell of value_table_rows, and the interior weight itself.
+    # The rho cell of value_table_rows, and of the one row.
     u = identity_u(1)
     assert value_rows(8, u)[0, 2].residual_weight == F(7, 19)
-    assert cf.interior_seek_weight(8, 2, 0, u) == F(7, 19)
+    assert cf.value_row(8, 0, 2, u).residual_weight == F(7, 19)
     assert value_rows(8, identity_u(2))[0, 4].residual_weight == 0  # no residual set
     assert value_rows(8, u)[0, 0].residual_weight == 1  # no attachments
-    assert cf.interior_seek_weight(8, 0, 0, u) == 1
+    assert cf.value_row(8, 0, 0, u).residual_weight == 1
 
 
 def test_equalized_guarantees_identity():
@@ -502,8 +533,8 @@ def test_equalized_guarantees_identity():
     # component guarantee, for any singleton weight
     for u in (identity_u(1), square_u(2), ratio_u(F(1, 2))):
         for (n, m, s) in [(8, 2, 0), (9, 1, 2), (12, 3, 1), (10, 2, 4)]:
-            rho = cf.interior_seek_weight(n, m, s, u)
-            a = cf.component_guarantee(n, m, s, u)
+            row = cf.value_row(n, s, m, u)
+            rho, a = row.residual_weight, row.component
             for lam_s in (F(0), F(1, 3)):
                 lr = guarantee_hiding_residual(n, m, s, u, rho, lam_s)
                 lm = guarantee_hiding_attachments(n, m, s, u, rho, lam_s)
@@ -512,13 +543,13 @@ def test_equalized_guarantees_identity():
 
 def test_singleton_seek_weight_branches():
     u = identity_u(2)
-    assert cf.singleton_seek_weight(6, 0, 6, u) == 1
-    assert cf.singleton_seek_weight(8, 4, 0, u) == 0
+    assert cf.value_row(6, 6, 0, u).singleton_weight == 1
+    assert cf.value_row(8, 0, 4, u).singleton_weight == 0
     # blended branch is a genuine probability strictly inside (0,1)
-    w = cf.singleton_seek_weight(7, 2, 3, u)
+    w = cf.value_row(7, 3, 2, u).singleton_weight
     assert 0 < w < 1
     # third branch: component guarantee at or below -f(1)
-    assert cf.singleton_seek_weight(8, 3, 2, identity_u(0)) == 0
+    assert cf.value_row(8, 2, 3, identity_u(0)).singleton_weight == 0
 
 
 def test_seeker_bound_examples():
@@ -527,19 +558,20 @@ def test_seeker_bound_examples():
     u = identity_u(2)
     # blended value matches its weight form (checked internally too)
     q = seeker_bound(7, 2, 3, u)
-    lam = cf.singleton_seek_weight(7, 2, 3, u)
-    a = cf.component_guarantee(7, 2, 3, u)
+    row = cf.value_row(7, 3, 2, u)
+    lam, a = row.singleton_weight, row.component
     assert q == (1 - lam) * a - lam * u.value(4)
 
 
 def test_best_seeker_bound_branches():
     # threshold above beta: cycle branch (m = 0)
-    assert cf.best_seeker_bound(12, 0, square_u(1)) == seeker_bound(12, 0, 0, square_u(1))
+    assert cf.value_row(12, 0, 0, square_u(1)).best_bound == seeker_bound(12, 0, 0, square_u(1))
     # below beta, even part: half leaves
-    assert cf.best_seeker_bound(8, 0, identity_u(2)) == -4
+    assert cf.value_row(8, 0, 0, identity_u(2)).best_bound == -4
     # below beta, odd part: (x-3)/2 leaves
-    assert cf.best_seeker_bound(5, 0, identity_u(2)) == F(-8, 11)
-    assert cf.best_seeker_bound(9, 9, identity_u(1)) == cf.singleton_guarantee(9, identity_u(1))
+    assert cf.value_row(5, 0, 0, identity_u(2)).best_bound == F(-8, 11)
+    row = cf.value_row(9, 9, 0, identity_u(1))
+    assert row.best_bound == row.singleton == ref_singleton_guarantee(9, identity_u(1))
 
 
 def test_bound_constant_at_threshold_tie():
@@ -547,32 +579,35 @@ def test_bound_constant_at_threshold_tie():
     u = square_u(1)
     vals = {seeker_bound(8, m, 4, u) for m in range(0, 3)}
     assert len(vals) == 1
-    assert cf.best_seeker_bound(8, 4, u) == vals.pop()
+    assert cf.value_row(8, 4, 0, u).best_bound == vals.pop()
 
 
 def test_component_hide_weight_branches():
     u = identity_u(2)
-    abar = branch_component_guarantee(5, 0, u)
-    assert cf.component_hide_weight(5, 0, u, abar) == 1  # no singletons
+    m = ref_design_mixing_m(5, 0, u)
+    assert cf.value_row(5, 0, m, u).hide_weight == 1  # no singletons
     # blended branch in (0,1) when the component guarantee beats -f(1)
-    abar2 = branch_component_guarantee(7, 3, u)
-    k = cf.component_hide_weight(7, 3, u, abar2)
+    k = cf.value_row(7, 3, ref_design_mixing_m(7, 3, u), u).hide_weight
     assert 0 < k <= 1
-    assert cf.component_hide_weight(9, 2, u, F(-10)) == 1  # deep component
+    # deep component: isolated nodes, but A <= -f(1)
+    deep = cf.value_row(8, 2, 3, identity_u(0))
+    assert deep.component <= -1 and deep.hide_weight == 1
 
 
 def test_periphery_hide_weight_example():
-    assert cf.periphery_hide_weight(9, 0, identity_u(10)) == F(51, 71)
+    assert cf.value_row(9, 0, 3, identity_u(10)).periphery_weight == F(51, 71)
+    # only the row of an odd layout has mu: not an even part, nor another m
+    assert all(row.periphery_weight is None for row in cf.value_table_rows(8, identity_u(10))
+               if row.s == 0)
+    assert cf.value_row(9, 0, 2, identity_u(10)).periphery_weight is None
     with pytest.raises(DomainError):
-        cf.periphery_hide_weight(8, 0, identity_u(10))
-    with pytest.raises(DomainError):
-        cf.periphery_hide_weight(5, 2, identity_u(10))
+        cf.value_row(5, 2, 0, identity_u(10))
 
 
 def test_crowded_cp_bounds_example():
     x, y = crowded_cp_bounds(9, 0, identity_u(10))
     assert x == F(-11, 4)
-    assert x > cf.component_guarantee(9, 3, 0, identity_u(10))
+    assert x > cf.value_row(9, 0, 3, identity_u(10)).component
     assert y > seeker_bound(9, 3, 0, identity_u(10))
 
 
@@ -622,11 +657,11 @@ def test_optimal_singleton_counts_small_boards_cap():
 
 def test_linear_even_bound_identities():
     u = identity_u(7)
-    assert linear_even_bound(9, 9, u) == cf.singleton_guarantee(9, u)
+    assert linear_even_bound(9, 9, u) == cf.value_row(9, 9, 0, u).singleton
     for n in (6, 8, 10, 12):
         for s in range(0, n - 3):
             if (n - s) % 2 == 0:
-                a_tilde = cf.component_guarantee(n, (n - s) // 2, s, u)
+                a_tilde = cf.value_row(n, s, (n - s) // 2, u).component
                 if a_tilde > -u.value(1):
                     assert linear_even_bound(n, s, u) == seeker_bound(
                         n, (n - s) // 2, s, u
@@ -644,6 +679,48 @@ def test_value_table_rows_domain():
             assert r.threshold is None and r.component is None
         else:
             assert 0 <= r.m <= (8 - r.s) // 2
+
+
+def domain_outcome(fn, *args):
+    """None when fn(*args) returns, or the message of the DomainError it
+    raises; any other exception fails the test."""
+    try:
+        fn(*args)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("u", [identity_u(2), UtilitySpec.power(F(3, 2), F(1, 2))],
+                         ids=["linear", "power 3/2"])
+def test_every_refusal_is_a_domain_error_naming_its_argument(u):
+    """Every public function over n in -1..9 (and True, 2.0), s and m in
+    -1..n+1: it returns inside its domain, and outside it raises a
+    DomainError that names the first bad one of n, s and m."""
+    def named(value, name):
+        return None if value is None else f"{name}={value!r}"
+
+    for n in list(range(-1, 10)) + [True, 2.0]:
+        bad_n = n if type(n) is not int or n < 1 else None
+        for fn in (cf.value_table_rows, cf.optimal_singleton_counts):
+            message = domain_outcome(fn, n, u)
+            assert message is None if bad_n is None else named(n, "n") in message, (fn, n)
+        for s in range(-1, int(n) + 2):
+            bad_t = n if bad_n is not None else None if 0 <= s <= n - 3 else s
+            message = domain_outcome(cf.topology_threshold, n, s, u)
+            want = named(bad_t, "n" if bad_n is not None else "s")
+            assert message is None if want is None else want in message, (n, s)
+            for m in range(-1, int(n) + 2):
+                if bad_n is not None:
+                    want = named(n, "n")
+                elif not (0 <= s <= n - 4 or s == n):
+                    want = named(s, "s")
+                elif not 0 <= m <= (n - s) // 2:
+                    want = named(m, "m")
+                else:
+                    want = None
+                message = domain_outcome(cf.value_row, n, s, m, u)
+                assert message is None if want is None else want in message, (n, s, m)
 
 
 def test_value_table_rows_read_one_table_per_block(monkeypatch):

@@ -40,7 +40,10 @@ from conftest import (
     strategy_payoff,
     uniform_over,
 )
-from test_closed_form import seeker_bound
+from test_closed_form import (
+    ref_bounds, ref_component_hide_weight, ref_interior_seek_weight, ref_periphery_hide_weight,
+    seeker_bound,
+)
 
 
 def test_build_cycle():
@@ -302,10 +305,7 @@ def test_seeker_strategy_secures_bound_on_every_small_graph():
                     sum(mat[h][k] * sigma[k] for k in range(n))
                     for h in range(n)
                 )
-                if s < n:
-                    bound = seeker_bound(n, m, s, u)
-                else:
-                    bound = cf.singleton_guarantee(n, u)
+                bound = seeker_bound(n, m, s, u)  # B, in the s = n row, when s = n
                 assert -worst >= bound, (n, sorted(g.edges), u.family)
                 tested += 1
     assert tested > 500
@@ -341,11 +341,11 @@ def seeker_strategy_by_subgraph(g, u):
     s, m, r = len(part.singletons), len(part.m_nodes), len(part.r_nodes)
     if s == n:
         return MixedStrategy.uniform(n)
-    lam_s = cf.singleton_seek_weight(n, m, s, u) if s and n - s >= 4 else F(0)
+    lam_s = ref_bounds(n, s, u, [m])[0][1] if s and n - s >= 4 else F(0)
     if r == 0:
         lam_r = F(0)
     else:
-        lam_r = F(1) if m == 0 else cf.interior_seek_weight(n, m, s, u)
+        lam_r = F(1) if m == 0 else ref_interior_seek_weight(n, m, s, u)
     probs = [F(0)] * n
     for v in part.singletons:
         probs[v] = lam_s / s
@@ -442,6 +442,24 @@ def test_design_builds_one_graph_and_no_mask_or_subgraph(monkeypatch):
         assert calls == {"Graph": 1}, (n, tag)
 
 
+@pytest.mark.parametrize("n, u, tag, tables", [
+    (5, UtilitySpec.power(2, 0), dz.CYCLE, 3),
+    (6, identity_u(0), dz.MAXIMAL_CP_EVEN, 3),
+    (5, identity_u(0), dz.MAXIMAL_CP_ODD, 4),
+    (5, UtilitySpec.power(F(1, 2), F(1, 2)), dz.MAXIMAL_CP_EVEN, 4),  # one isolated node
+    (5, identity_u(5), dz.ALL_SINGLETONS, 1),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_design_table_reads_pinned(monkeypatch, n, u, tag, tables):
+    # The threshold, one row for the hider, one for the seeker when it needs
+    # lambda_S or rho, and the certificate's table: each one integer table.
+    calls = []
+    integer_table = UtilitySpec.integer_table
+    monkeypatch.setattr(UtilitySpec, "integer_table",
+                        lambda self, sizes: calls.append(sizes) or integer_table(self, sizes))
+    assert dz.design_optimal(n, u).topology == tag
+    assert len(calls) == tables, calls
+
+
 def test_payoff_and_seeker_queries_build_no_mask_or_subgraph(monkeypatch):
     graphs = [
         dz.build_cycle(6),
@@ -472,13 +490,13 @@ def fraction_seeker_strategy(g, u):
     s, m, r = len(part.singletons), len(part.m_nodes), len(part.r_nodes)
     if s == n:
         return [F(1, n)] * n
-    lam_s = cf.singleton_seek_weight(n, m, s, u) if s and n - s >= 4 else F(0)
+    lam_s = ref_bounds(n, s, u, [m])[0][1] if s and n - s >= 4 else F(0)
     if r == 0:
         lam_r = F(0)
     elif m == 0:
         lam_r = F(1)
     else:
-        lam_r = cf.interior_seek_weight(n, m, s, u)
+        lam_r = ref_interior_seek_weight(n, m, s, u)
     rest = 1 - lam_s
     per_s = lam_s / s if s else F(0)
     per_m = rest * (1 - lam_r) / m if m else F(0)
@@ -504,12 +522,12 @@ def fraction_hider_strategy(topo, u):
     s = len(topo.singleton_nodes)
     if s == n:
         return [F(1, n)] * n
-    abar = cf.component_guarantee(n, len(topo.periphery_nodes), s, u)
-    kappa = cf.component_hide_weight(n, s, u, abar)
+    abar = ref_bounds(n, s, u, [len(topo.periphery_nodes)])[0][0]
+    kappa = ref_component_hide_weight(n, s, u, abar)
     probs = [F(0)] * n
     spread = kappa
     if topo.middle_orphan is not None:
-        mu = cf.periphery_hide_weight(n, s, u)
+        mu = ref_periphery_hide_weight(n, s, u)
         spread = kappa * mu
         probs[topo.middle_orphan] = kappa * (1 - mu)
     hide = topo.periphery_nodes or topo.component_nodes
@@ -583,9 +601,7 @@ def test_design_optimal_examples():
 
 
 def cf_singleton(n, beta):
-    from hsnet.closed_form import singleton_guarantee
-
-    return singleton_guarantee(n, identity_u(beta))
+    return cf.value_row(n, n, 0, identity_u(beta)).singleton
 
 
 def test_design_optimal_certifies_equilibrium_grid():

@@ -39,6 +39,18 @@ def test_parse_forms():
             parse_rational(bad)
 
 
+def test_parse_accepts_ascii_digits_with_a_sign_on_p_only():
+    assert parse_rational(" +12/8 \n") == F(3, 2)
+    assert parse_rational("-0") == 0
+    assert parse_rational("007/010") == F(7, 10)
+    # Each of these int() or Fraction() would read; none is a "p/q" string.
+    for bad in ("-1/-2", "2/-3", "1/+2", "1_000", "1/2_0", "٣", "１/２",
+                "1 / 2", "1/ 2", "--1", "+", "", " ", "/", "1/", "/2", "1/2/3", "0x10",
+                "1e3", "0/0", "-5/0"):
+        with pytest.raises(ValueError, match="invalid rational"):
+            parse_rational(bad)
+
+
 def test_roundtrip():
     for f in (F(0), F(22, 7), F(-355, 113)):
         assert parse_rational(format_rational(f)) == f
