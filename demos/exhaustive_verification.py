@@ -16,11 +16,11 @@ small-component exclusion fails at that boundary and the verifier says so:
 
 from fractions import Fraction
 
-from hsnet import UtilitySpec, exhaustive_optimum, format_rational
+from hsnet import UtilitySpec, exhaustive_optima, format_rational
 
 
 def report(n, u, label):
-    rep = exhaustive_optimum(n, u)
+    (rep,) = exhaustive_optima(n, [u])
     print(f"n={n}, {label}: {rep.graph_count} graphs")
     print(f"  best value        : {format_rational(rep.best_value)}")
     print(f"  closed-form value : {format_rational(rep.closed_form_value)}")

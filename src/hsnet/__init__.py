@@ -28,7 +28,7 @@ _SOURCES = {
     "build_maximal_cp": "designer",
     "capture_probability": "matrix_game",
     "design_optimal": "designer",
-    "exhaustive_optimum": "oracle",
+    "exhaustive_optima": "oracle",
     "format_rational": "rationals",
     "integer_payoffs": "matrix_game",
     "solve_zero_sum": "matrix_game",

@@ -192,7 +192,7 @@ def optimal_singleton_counts(n: int, u: UtilitySpec) -> tuple[tuple[int, ...], F
     their own lcm in line: per s, ``over_common_denominator`` doubles the
     scan's time."""
     _context(n, n, 0)
-    f = [u.evaluate(x) for x in range(1, n + 1 if n >= 4 else 2)]  # f[x - 1] = f(x)
+    f = [u.value(x) for x in range(1, n + 1 if n >= 4 else 2)]  # f[x - 1] = f(x)
     nums, dens = [v.numerator for v in f], [v.denominator for v in f]
     bn, bd, f1n, f1d = u.beta.numerator, u.beta.denominator, nums[0], dens[0]
     d0 = lcm(bd, f1d)

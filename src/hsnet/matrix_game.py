@@ -16,12 +16,14 @@ That and ``MixedStrategy`` live in ``hsnet.payoff``, next to the payoffs they
 certify, so ``hsnet design`` certifies its strategies without loading this
 module; here only the functions that run an LP import the simplex.
 
-``integer_payoffs`` builds a graph's hider-payoff matrix as integers over a
-denominator D, with captures read off the neighbour tuples and component
-sizes off one low-link DFS.  It is passed as its integers alone: it has its
-Fractions' image, so it reaches the same strategies; the caller divides the
-value by D and probes masses at D times it.  ``capture_probability`` reads
-a strategy pair's capture rate off the same neighbour tuples.
+``capture_pattern`` reads a graph's game with no utility in it, and
+``integer_payoffs`` maps it through a utility's integer table into the
+hider-payoff matrix as integers over a denominator D; the verifier maps one
+pattern per graph through every cell's table.  The integers are passed
+alone: they have their Fractions' image, so they reach the same strategies;
+the caller divides the value by D and probes masses at D times it.
+``capture_probability`` reads a strategy pair's capture rate off the
+neighbour tuples.
 
 Optimal strategies are generally not unique; callers should compare values
 and regrets, never strategy vectors.
@@ -169,27 +171,20 @@ def max_optimal_mass(matrix, value: Fraction, index: int) -> Fraction:
 # -- the game on a graph ------------------------------------------------------
 
 
-def integer_payoffs(g: Graph, u: UtilitySpec) -> tuple:
-    """(rows, D): the hider-payoff matrix of a graph with at least one node,
-    as a tuple of rows of integers over D: row h is the hider's position,
-    column k the node the seeker inspects.
-
-    One low-link DFS gives every column's component sizes: deleting k leaves
-    its separated child subtrees, the rest of k's component, and the other
-    components unchanged (``graphs._deletion_pieces``).  Each column holds 0
-    where k's inspection catches the hider, at k and its neighbours, and the
-    hider's component size elsewhere: a pattern that no utility enters.  It
-    is read through ``u.integer_table`` over the sizes it holds, so D is the
-    lcm of the matrix's denominators.
-    """
+def capture_pattern(g: Graph) -> tuple:
+    """A graph's game with no utility in it, on at least one node: row h (the
+    hider's position), column k (the node the seeker inspects) holds 0 where
+    k's inspection catches h, at k and its neighbours, else h's component
+    size once k is deleted.  One low-link DFS gives every column's sizes
+    (``graphs._deletion_pieces``): k's separated child subtrees, the rest of
+    k's component, and the other components unchanged."""
     n = g.node_count
     if n < 1:
         raise GraphError("payoff matrix needs at least one node")
     links = _dfs_low_links(g)
     order, tin, _, size, comp_start = links
     whole = [size[order[comp_start[v]]] for v in order]  # by preorder position
-    # sizes[k][tin[h]]: 0 if inspecting k catches h, else h's component size
-    # once k is deleted.
+    # sizes[k][tin[h]]: the pattern's entry at (h, k).
     sizes = []
     for k in range(n):
         pieces, rest = _deletion_pieces(links, k)
@@ -203,10 +198,19 @@ def integer_payoffs(g: Graph, u: UtilitySpec) -> tuple:
         for w in g.neighbors(k):
             column[tin[w]] = 0
         sizes.append(column)
-    held = sorted(set().union(*sizes))
+    return tuple(tuple(column[t] for column in sizes) for t in tin)
+
+
+def integer_payoffs(g: Graph, u: UtilitySpec) -> tuple:
+    """(rows, D): the hider-payoff matrix of a graph with at least one node,
+    as a tuple of rows of integers over D: its ``capture_pattern`` read
+    through ``u.integer_table`` over the sizes it holds, so D is the lcm of
+    the matrix's denominators."""
+    pattern = capture_pattern(g)
+    held = sorted(set().union(*pattern))
     values, den = u.integer_table(held)
     table = dict(zip(held, values))
-    return tuple(tuple(table[column[t]] for column in sizes) for t in tin), den
+    return tuple(tuple(map(table.__getitem__, row)) for row in pattern), den
 
 
 def capture_probability(g: Graph, hider, seeker, within=None) -> Fraction:

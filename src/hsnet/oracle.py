@@ -16,17 +16,19 @@ computes the exact game value of each, and checks that
   a maximal core-periphery layout, and in the cycle regime it is
   2-connected with enough degree-2 nodes and the hider avoids busier nodes.
 
-The sweep walks the canonical keys of ``hsnet.canonical.enumerate_keys``,
-exact up to n = 8, and builds each key's Graph (``graph_from_canonical_key``)
-only while its game is solved, on its integer payoffs
-(``hsnet.matrix_game.integer_payoffs``).  The n = 8 sweep solves 12,346
-games and sits behind an explicit flag.  Games are solved in parallel, on
-chunks of keys, when HSNET_THREADS asks for more than one worker; results do
-not depend on it.  The structure queries of the checks live here with their
-only caller: the components, connectivity and 2-connectivity of a graph,
-read off one low-link DFS, its induced subgraphs, and
-``is_maximal_core_periphery``, the shape recognizer of the core-periphery
-check.
+One sweep per n serves every utility of the grid.  It walks the canonical
+keys of ``hsnet.canonical.enumerate_keys``, exact up to n = 8, builds each
+key's Graph and its utility-free ``hsnet.matrix_game.capture_pattern`` once,
+and maps the pattern through each utility's integer table over the sizes
+0..n-1, read once per chunk of keys.  Those rows are a positive multiple of
+``integer_payoffs``'s, with the same smallest integer image, so each LP
+pivots as on them.  The n = 8 sweep sits behind an explicit flag.  Chunks
+are solved in parallel when HSNET_THREADS asks for more than one worker;
+results do not depend on it.  The structure queries of the checks live
+here with their only caller: the components, connectivity and
+2-connectivity of a graph, read off one low-link DFS, its induced
+subgraphs, and ``is_maximal_core_periphery``, the shape recognizer of the
+core-periphery check.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ from .canonical import (
 )
 from .designer import design_optimal
 from .graphs import Graph, GraphError, _deletion_pieces, _dfs_low_links, graph_to_json_dict
-from .matrix_game import game_value, integer_payoffs, max_optimal_mass, solve_zero_sum
+from .matrix_game import (capture_pattern, game_value, integer_payoffs, max_optimal_mass,
+                          solve_zero_sum)
 from .payoff import UtilitySpec, builtin_utilities
 from .rationals import format_rational
 from .records import Record
@@ -58,11 +61,17 @@ FULL_SUPPORT_CHECK_LIMIT = 6
 
 
 def _values_chunk(args):
-    """The exact game value (the hider's payoff) of each key's graph, solved
-    on its integer payoffs."""
-    keys, u = args
-    games = (integer_payoffs(graph_from_canonical_key(key), u) for key in keys)
-    return [game_value(rows) / den for rows, den in games]
+    """One row per key: the exact game value (the hider's payoff) of the
+    key's graph under each utility, from one table per utility and one
+    capture pattern per graph."""
+    n, keys, utilities = args
+    tables = [u.integer_table(range(n)) for u in utilities]
+    rows = []
+    for key in keys:
+        pattern = capture_pattern(graph_from_canonical_key(key))
+        rows.append([game_value([[values[c] for c in row] for row in pattern]) / den
+                     for values, den in tables])
+    return rows
 
 
 def _worker_count() -> int:
@@ -83,8 +92,8 @@ class StructuralCheck(Record):
 
 
 class EnumerationReport(Record):
-    """Outcome of one exhaustive sweep at fixed (n, utility), with its
-    structural checks."""
+    """Outcome of one cell of an exhaustive sweep, at fixed (n, utility),
+    with its structural checks."""
 
     __slots__ = _fields = (
         "n", "utility", "graph_count", "best_value", "argmax_keys",
@@ -116,12 +125,14 @@ class EnumerationReport(Record):
         }
 
 
-def exhaustive_optimum(n: int, u: UtilitySpec, long_run: bool = False) -> EnumerationReport:
-    """Solve every graph on n nodes and compare against the closed forms."""
+def exhaustive_optima(n: int, utilities, long_run: bool = False) -> list:
+    """Solve every graph on n nodes under each utility and compare against
+    the closed forms: one EnumerationReport per utility, in order."""
     if n > DEFAULT_LIMIT and not long_run:
         raise EnumerationError(
             f"n={n} exceeds the default bound {DEFAULT_LIMIT}; pass long_run=True"
         )
+    utilities = tuple(utilities)
     keys = enumerate_keys(n)
     workers = min(_worker_count(), len(keys))
     if workers > 1:
@@ -129,27 +140,20 @@ def exhaustive_optimum(n: int, u: UtilitySpec, long_run: bool = False) -> Enumer
         from concurrent.futures import ProcessPoolExecutor
 
         chunk = math.ceil(len(keys) / workers)
-        pieces = [(keys[i : i + chunk], u) for i in range(0, len(keys), chunk)]
-        values = []
+        pieces = [(n, keys[i : i + chunk], utilities) for i in range(0, len(keys), chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_values_chunk, pieces):
-                values.extend(part)
+            rows = [row for part in pool.map(_values_chunk, pieces) for row in part]
     else:
-        values = _values_chunk((keys, u))
-    best = max(values)
-    # The keys are sorted, so the argmax keys are too.
-    argmax_keys = tuple(k for k, v in zip(keys, values) if v == best)
-    expected = -cf.optimal_singleton_counts(n, u)[1]
-    return EnumerationReport(
-        n=n,
-        utility=u,
-        graph_count=len(keys),
-        best_value=best,
-        argmax_keys=argmax_keys,
-        closed_form_value=expected,
-        value_match=best == expected,
-        structural_checks=check_structure(n, u, argmax_keys),
-    )
+        rows = _values_chunk((n, keys, utilities))
+    reports = []
+    for u, values in zip(utilities, zip(*rows)):
+        best = max(values)
+        # The keys are sorted, so the argmax keys are too.
+        argmax_keys = tuple(k for k, v in zip(keys, values) if v == best)
+        expected = -cf.optimal_singleton_counts(n, u)[1]
+        reports.append(EnumerationReport(n, u, len(keys), best, argmax_keys, expected,
+                                         best == expected, check_structure(n, u, argmax_keys)))
+    return reports
 
 
 # -- structural checks -------------------------------------------------------
@@ -355,10 +359,10 @@ DEFAULT_BETAS = ("0", "1/2", "1", "2", "5", "50")
 
 
 def grid_utilities(families=DEFAULT_FAMILIES, betas=DEFAULT_BETAS):
-    """(family, beta, utility) for every grid cell, each family at its
-    default parameter; a family, or a beta compared as a rational, listed
-    twice is an ``EnumerationError``, and a family with no default (a table)
-    or none at all a ``UtilityError``."""
+    """The utility of every grid cell, each family at its default parameter;
+    a family, or a beta compared as a rational, listed twice is an
+    ``EnumerationError``, and a family with no default (a table) or none at
+    all a ``UtilityError``."""
     from .rationals import parse_rational
 
     betas = [parse_rational(b) for b in betas]
@@ -366,7 +370,7 @@ def grid_utilities(families=DEFAULT_FAMILIES, betas=DEFAULT_BETAS):
         for i, item in enumerate(items):
             if item in items[:i]:
                 raise EnumerationError(f"the grid lists {what} {item} twice")
-    return [(fam, beta, builtin_utilities(fam, beta=beta)) for fam in families for beta in betas]
+    return [builtin_utilities(fam, beta=beta) for fam in families for beta in betas]
 
 
 def verify_grid(
@@ -392,8 +396,7 @@ def verify_grid(
     cells = []
     all_passed = True
     for n in range(4, n_max + 1):
-        for fam, beta, u in grid:
-            report = exhaustive_optimum(n, u, long_run=long_run)
+        for report in exhaustive_optima(n, grid, long_run=long_run):
             data = report.to_json_dict()
             if mutate:
                 shifted = report.closed_form_value + 1

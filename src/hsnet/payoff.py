@@ -69,12 +69,12 @@ class UtilitySpec(Record):
     (a float, a bool or a str is a UtilityError); they are stored as
     Fractions.  ``is_exact`` is derived: only a non-integer exponent gives
     float-backed values.  ``value(x)`` evaluates f at a nonnegative integer
-    component size, once per size.  Instances are immutable and hashable,
+    component size, and keeps nothing.  Instances are immutable and hashable,
     safe to share.
     """
 
     _fields = ("family", "params", "beta")
-    __slots__ = _fields + ("is_exact", "_cache")
+    __slots__ = _fields + ("is_exact",)
 
     def __init__(self, family: str, params: tuple, beta):
         name, _, bound = family_parameter(family)
@@ -97,7 +97,6 @@ class UtilitySpec(Record):
         params = tuple(map(Fraction, params))
         super().__init__(family, params, Fraction(beta))
         object.__setattr__(self, "is_exact", name != "gamma" or params[0].denominator == 1)
-        object.__setattr__(self, "_cache", {})
 
     # -- constructors ------------------------------------------------------
 
@@ -120,15 +119,7 @@ class UtilitySpec(Record):
     # -- evaluation --------------------------------------------------------
 
     def value(self, x: int) -> Fraction:
-        """f(x) for a nonnegative integer component size, kept once read."""
-        cached = self._cache.get(x)
-        if cached is None:
-            cached = self._cache[x] = self.evaluate(x)
-        return cached
-
-    def evaluate(self, x: int) -> Fraction:
-        """f(x), evaluated on each call and not kept: for a caller that reads
-        each size once, such as the isolated-node scan."""
+        """f(x) for a nonnegative integer component size, read afresh."""
         if x < 0:
             raise UtilityError(f"component size {x} is negative")
         family, p = self.family, self.params[0]  # a table's p is f(0)

@@ -23,23 +23,25 @@ def format_rational(value) -> str:
 
 
 def parse_rational(text) -> Fraction:
-    """Parse "p/q", "p", or an int into a Fraction.
+    """Parse "p/q", "p", an int or a Fraction into a Fraction.
 
     A string is ASCII digits with an optional sign on p: "p" or "p/q" with
     q > 0, and optional whitespace around the whole; anything else (an
     underscore, another script's digits, a sign on q, inner spaces) is
-    refused.  Floats are rejected: exactness everywhere is the contract, so
-    a caller holding a float must opt in explicitly via Fraction(float).
+    refused, and so is a subclass of int, Fraction or str (a bool among
+    them), as ``UtilitySpec`` refuses one.  Floats are rejected: exactness
+    everywhere is the contract, so a caller holding a float must opt in
+    explicitly via Fraction(float).
     """
-    if isinstance(text, bool):
+    if type(text) is bool:
         raise ValueError("booleans are not rationals")
-    if isinstance(text, int):
+    if type(text) is int:
         return Fraction(text)
-    if isinstance(text, Fraction):
+    if type(text) is Fraction:
         return text
     if isinstance(text, float):
         raise ValueError("refusing to coerce a float silently; pass a 'p/q' string")
-    if not isinstance(text, str):
+    if type(text) is not str:
         raise ValueError(f"cannot parse rational from {type(text).__name__}")
     match = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", text.strip())
     if match and int(match[2] or 1):

@@ -6,7 +6,8 @@ itself has no use for, and a session-wide oracle cache.
 ``key_to_json_dict`` a key's JSON graph: no command builds any of them, and
 the tests read all three.  Exhaustive sweeps at n=7 cost seconds each,
 and several test modules (the oracle unit tests and the acceptance battery)
-look at the same cells, so reports are memoized for the whole session.
+look at the same cells, so reports are memoized for the whole test run, one
+sweep per n filling every grid cell.
 """
 
 import itertools
@@ -22,7 +23,7 @@ import hsnet
 from hsnet.canonical import canonical_key_edges, enumerate_keys, graph_from_canonical_key
 from hsnet.graphs import Graph
 from hsnet.matrix_game import integer_payoffs
-from hsnet.oracle import exhaustive_optimum
+from hsnet.oracle import exhaustive_optima, grid_utilities
 from hsnet.payoff import MixedStrategy, UtilitySpec
 
 
@@ -88,17 +89,21 @@ def uniform_over(indices, n):
 BETA_GRID = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5), Fraction(50))
 
 _REPORTS = {}
+GRID = grid_utilities()
 
 
 @pytest.fixture(scope="session")
 def oracle_report():
-    """Memoized exhaustive_optimum, keyed by (n, utility)."""
+    """Memoized exhaustive_optima, keyed by (n, utility).  The first report
+    asked for at an n fills every cell of the verify grid there from one
+    sweep; a utility off the grid is swept alone."""
 
     def get(n, u):
-        key = (n, u.family, u.params, u.beta)
-        if key not in _REPORTS:
-            _REPORTS[key] = exhaustive_optimum(n, u)
-        return _REPORTS[key]
+        if (n, u) not in _REPORTS:
+            cells = GRID if u in GRID else [u]
+            for cell, report in zip(cells, exhaustive_optima(n, cells)):
+                _REPORTS[n, cell] = report
+        return _REPORTS[n, u]
 
     return get
 

@@ -433,7 +433,7 @@ def scan_utilities():
     """The twelve verify-grid utilities and four seeded random tables."""
     from hsnet.oracle import grid_utilities
 
-    return [u for _, _, u in grid_utilities()] + random_tables(2001, 18) + random_tables(2001, 19)[:1]
+    return grid_utilities() + random_tables(2001, 18) + random_tables(2001, 19)[:1]
 
 
 def test_one_pass_scan_matches_per_s_oracle():
@@ -446,11 +446,11 @@ def test_scan_reads_each_size_once(monkeypatch):
     from hsnet.payoff import UtilitySpec
 
     tables, evaluated = [], []
-    integer_table, evaluate = UtilitySpec.integer_table, UtilitySpec.evaluate
+    integer_table, value = UtilitySpec.integer_table, UtilitySpec.value
     monkeypatch.setattr(UtilitySpec, "integer_table",
                         lambda self, sizes: tables.append(sizes) or integer_table(self, sizes))
-    monkeypatch.setattr(UtilitySpec, "evaluate",
-                        lambda self, x: evaluated.append(x) or evaluate(self, x))
+    monkeypatch.setattr(UtilitySpec, "value",
+                        lambda self, x: evaluated.append(x) or value(self, x))
     n = 100000
     counts, best = cf.optimal_singleton_counts(n, identity_u(2))
     assert counts == (0,)

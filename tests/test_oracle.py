@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -19,16 +20,18 @@ from hsnet.canonical import (
     graph_from_canonical_key,
 )
 from hsnet.graphs import Graph
+import hsnet.oracle
 from hsnet.oracle import (
+    _values_chunk,
     _worker_count,
-    exhaustive_optimum,
+    exhaustive_optima,
     grid_utilities,
     verify_grid,
 )
 
 from hsnet.cli import format_json
-from hsnet.matrix_game import game_value
-from hsnet.payoff import builtin_utilities
+from hsnet.matrix_game import game_value, integer_payoffs
+from hsnet.payoff import UtilitySpec, builtin_utilities
 
 from conftest import (
     enumerate_graphs,
@@ -79,7 +82,7 @@ def test_enumeration_bound():
     with pytest.raises(EnumerationError):
         enumerate_graphs(9)
     with pytest.raises(EnumerationError):
-        exhaustive_optimum(8, identity_u(1))  # needs the long-run opt-in
+        exhaustive_optima(8, [identity_u(1)])  # needs the long-run opt-in
 
 
 @functools.lru_cache(maxsize=None)
@@ -175,22 +178,83 @@ ORACLE_REPORTS_N7_SHA256 = "38a3044e3ac7fbf99a71f8978af6626089f5bd24e4a36342950e
 def test_oracle_reports_pinned_up_to_seven(oracle_report):
     digest = hashlib.sha256()
     for n in range(4, 8):
-        for _, _, u in grid_utilities():
+        for u in grid_utilities():
             digest.update((format_json(oracle_report(n, u).to_json_dict()) + "\n").encode())
     assert digest.hexdigest() == ORACLE_REPORTS_N7_SHA256
 
 
-def test_hider_value_parallel_workers_match():
-    # determinism does not depend on the worker count
-    u = identity_u(1)
-    serial = exhaustive_optimum(5, u)
-    os.environ["HSNET_THREADS"] = "3"
-    try:
-        parallel = exhaustive_optimum(5, u)
-    finally:
-        os.environ.pop("HSNET_THREADS")
-    assert serial.best_value == parallel.best_value
-    assert serial.argmax_keys == parallel.argmax_keys
+def test_hider_value_parallel_workers_match(monkeypatch):
+    # determinism does not depend on the worker count: every report of a
+    # whole-grid sweep is the same with one worker and with three
+    grid = grid_utilities()
+    monkeypatch.setenv("HSNET_THREADS", "1")
+    serial = exhaustive_optima(5, grid)
+    monkeypatch.setenv("HSNET_THREADS", "3")
+    parallel = exhaustive_optima(5, grid)
+    assert [r.utility for r in serial] == grid
+    for one, many in zip(serial, parallel, strict=True):
+        assert one == many  # every field: best value, argmax keys, checks
+        assert format_json(one.to_json_dict()) == format_json(many.to_json_dict())
+
+
+def plain_path(n, u):
+    """(values, denominators): each graph on n nodes solved on the plain
+    path, its own integer payoffs, with the value divided by their D."""
+    games = [integer_payoffs(graph_from_canonical_key(k), u) for k in enumerate_keys(n)]
+    return [game_value(rows) / den for rows, den in games], [den for _, den in games]
+
+
+def sweep_utilities():
+    """The twelve grid utilities, a seeded random table and a float-backed
+    power, whose tables over 0..n-1 hold larger denominators than most
+    single games do."""
+    rng = random.Random(25)
+    values = [F(0)]
+    for _ in range(6):
+        values.append(values[-1] + F(rng.randint(1, 30), rng.randint(1, 8)))
+    table = UtilitySpec.table(values, F(rng.randint(0, 40), rng.randint(1, 4)))
+    return grid_utilities() + [table, UtilitySpec.power(F(3, 2), F(1, 3))]
+
+
+def test_one_pass_sweep_matches_the_plain_path():
+    utilities = sweep_utilities()
+    for n in range(1, 7):
+        keys = enumerate_keys(n)
+        rows = _values_chunk((n, keys, utilities))
+        assert len(rows) == len(keys)
+        for u, values in zip(utilities, zip(*rows), strict=True):
+            plain, dens = plain_path(n, u)
+            assert list(values) == plain, (n, u)
+            if n == 6 and u in utilities[-2:]:
+                # D' is a proper multiple of some game's own D.
+                assert min(dens) < u.integer_table(range(n))[1], u
+
+
+def test_sweep_builds_each_pattern_once_and_reads_one_table_per_utility(monkeypatch):
+    patterns, tables = [], []
+    capture_pattern, integer_table = hsnet.oracle.capture_pattern, UtilitySpec.integer_table
+
+    def counted_pattern(g):
+        patterns.append(canonical_form(g))
+        return capture_pattern(g)
+
+    def counted_table(self, sizes):
+        sizes = tuple(sizes)
+        tables.append((self, sizes))
+        return integer_table(self, sizes)
+
+    monkeypatch.setenv("HSNET_THREADS", "1")
+    monkeypatch.setattr(hsnet.oracle, "capture_pattern", counted_pattern)
+    monkeypatch.setattr(UtilitySpec, "integer_table", counted_table)
+    # The structural checks read tables of their own (the design's, and the
+    # argmax games'); the sweep is counted without them.
+    monkeypatch.setattr(hsnet.oracle, "check_structure", lambda n, u, keys: ())
+    grid = grid_utilities()
+    reports = exhaustive_optima(6, grid)
+    assert [r.utility for r in reports] == grid
+    assert len(patterns) == 156
+    assert sorted(patterns) == list(enumerate_keys(6))
+    assert tables == [(u, tuple(range(6))) for u in grid]
 
 
 def test_worker_count_validated_and_capped(monkeypatch):
@@ -211,7 +275,7 @@ def test_interior_singleton_design_matches_bruteforce():
     # one isolated node plus a 4-node core-periphery part is strictly best
     # at n=5 under a moderate penalty; the exhaustive sweep must agree
     u = identity_u(F(3))
-    rep = exhaustive_optimum(5, u)
+    (rep,) = exhaustive_optima(5, [u])
     assert rep.value_match
     assert rep.best_value == F(5, 17)
     counts = {len(g.isolated_nodes()) for g in rep.argmax_graphs}

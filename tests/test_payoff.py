@@ -16,7 +16,7 @@ from hsnet.cli import main
 from hsnet.designer import build_cycle, build_maximal_cp, design_optimal, strategy_payoffs
 from hsnet.graphs import Graph, GraphError
 from hsnet.matrix_game import capture_probability, integer_payoffs
-from hsnet.oracle import exhaustive_optimum
+from hsnet.oracle import exhaustive_optima
 from hsnet.payoff import FAMILIES, UtilityError, UtilitySpec, builtin_utilities
 
 from conftest import (
@@ -170,6 +170,38 @@ def test_every_route_refuses_bad_utilities(capsys, route, family, param, beta):
 def test_every_route_builds_the_same_utility(capsys, route, family, param, beta):
     expected = UtilitySpec(family, tuple(param) if isinstance(param, list) else (param,), beta)
     assert ROUTES[route](family, param, beta, capsys) == expected
+
+
+class ExactInt(int):
+    """Not exactly an int."""
+
+
+class ExactFraction(F):
+    """Not exactly a Fraction."""
+
+
+SUBCLASS_ROUTES = {
+    **{name: ROUTES[name] for name in ("named", "direct", "builtin")},
+    # A dict as a caller may hold it, not read back from JSON text.
+    "from_json_dict": lambda fam, p, beta, capsys: UtilitySpec.from_json_dict(
+        {"family": fam, "params": {_key(fam): p}, "beta": beta}),
+}
+
+
+@pytest.mark.parametrize("route", sorted(SUBCLASS_ROUTES))
+@pytest.mark.parametrize("family, param, beta", [
+    ("linear", ExactInt(2), ExactInt(1)),
+    ("linear", ExactInt(2), 1),
+    ("linear", 2, ExactInt(1)),
+    ("power", ExactFraction(3, 2), 0),
+    ("linear", 1, ExactFraction(1, 2)),
+    ("table", [0, ExactInt(1), 2], 0),
+], ids=repr)
+def test_int_and_fraction_subclasses_refused_on_every_route(capsys, route, family, param, beta):
+    # The constructor and parse_rational both ask for exactly an int or a
+    # Fraction, so no route reads a subclass.
+    with pytest.raises(UtilityError):
+        SUBCLASS_ROUTES[route](family, param, beta, capsys)
 
 
 def test_reported_coercions_are_refused():
@@ -491,7 +523,7 @@ def test_no_command_path_builds_a_fraction_matrix(monkeypatch, tmp_path, capsys)
     assert '"value": "' in capsys.readouterr().out
     solved = calls["kernel"]
     assert solved >= 1
-    report = exhaustive_optimum(6, square_u(F(1, 2)))
+    (report,) = exhaustive_optima(6, [square_u(F(1, 2))])
     # 156 sweep games, then at least one argmax game solved by the checks.
     assert calls["kernel"] > solved + 156
     assert report.all_passed()

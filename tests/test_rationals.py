@@ -39,6 +39,16 @@ def test_parse_forms():
             parse_rational(bad)
 
 
+def test_parse_refuses_subclasses_and_keeps_the_bool_message():
+    # Exactly an int, a Fraction or a str, as UtilitySpec asks of its values.
+    for bad in (Exact(2), ExactFraction(1, 2), Text("1/2")):
+        with pytest.raises(ValueError, match="cannot parse rational from"):
+            parse_rational(bad)
+    for bad in (True, False):
+        with pytest.raises(ValueError, match="booleans are not rationals"):
+            parse_rational(bad)
+
+
 def test_parse_accepts_ascii_digits_with_a_sign_on_p_only():
     assert parse_rational(" +12/8 \n") == F(3, 2)
     assert parse_rational("-0") == 0
@@ -74,3 +84,7 @@ class Exact(int):
 
 class ExactFraction(F):
     """A Fraction subclass, refused for the same reason."""
+
+
+class Text(str):
+    """A str subclass, refused by parse_rational for the same reason."""
