@@ -13,6 +13,8 @@ to isomorphism and confirms the closed forms against exact LP solutions.
 
 Names outside this short list are imported from their submodules
 (``hsnet.graphs``, ``hsnet.matrix_game``, ``hsnet.oracle`` and so on).
+``parse_int``, the grammar of the integers read from the command line and
+the environment, is defined here, so that reading one loads no submodule.
 """
 
 from importlib import import_module
@@ -44,3 +46,15 @@ def __getattr__(name):
     value = getattr(import_module(f".{_SOURCES[name]}", __name__), name)
     globals()[name] = value
     return value
+
+
+def parse_int(text: str) -> int:
+    """An int from ASCII digits with an optional sign and optional
+    whitespace around the whole, as ``hsnet.rationals.parse_rational``
+    reads p; anything else (an underscore, another script's digits, inner
+    spaces) is a ValueError."""
+    body = text.strip()
+    digits = body[1:] if body[:1] in ("+", "-") else body
+    if digits.isascii() and digits.isdigit():
+        return int(body)
+    raise ValueError(f"invalid int value: {text!r}")

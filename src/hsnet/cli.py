@@ -22,6 +22,8 @@ import sys
 
 from _json import encode_basestring_ascii  # CPython's JSON string escape, without json
 
+from . import parse_int
+
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
 DESIGN_MAX_NODES = 10**6  # the largest design --n: the size its path is measured at
@@ -31,6 +33,15 @@ VALUE_TABLE_MAX_NODES = 50  # the largest value-table n: the size its slowest ro
 
 class CliError(Exception):
     pass
+
+
+def _int_arg(text: str) -> int:
+    """The type of --n and --n-max: ``hsnet.parse_int``, refused in the
+    words of argparse's own ``int``."""
+    try:
+        return parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _flag(dest: str) -> str:
@@ -335,17 +346,17 @@ def _add_arguments(name: str, p: argparse.ArgumentParser):
         p.add_argument("--output", help="write the JSON report here instead of stdout")
         _add_utility_args(p)
     elif name == "design":
-        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--n", type=_int_arg, required=True)
         p.add_argument("--output")
         p.add_argument("--dot", help="also write a DOT rendering with node roles")
         _add_utility_args(p)
     elif name == "value-table":
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--n-max", type=int, default=None)
+        p.add_argument("--n", type=_int_arg, required=True)
+        p.add_argument("--n-max", type=_int_arg, default=None)
         p.add_argument("--output")
         _add_utility_args(p)
     elif name == "verify":
-        p.add_argument("--n-max", type=int, default=5)
+        p.add_argument("--n-max", type=_int_arg, default=5)
         p.add_argument("--families")
         p.add_argument("--betas")
         p.add_argument("--long", action="store_true", help="allow the n=8 sweep")
@@ -354,7 +365,7 @@ def _add_arguments(name: str, p: argparse.ArgumentParser):
         p.add_argument("--output")
         p.add_argument("--csv", help="also write a one-line-per-cell summary CSV")
     elif name == "enumerate":
-        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--n", type=_int_arg, required=True)
         p.add_argument("--count-only", action="store_true")
         p.add_argument("--output")
     else:

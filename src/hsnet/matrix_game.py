@@ -131,28 +131,36 @@ def best_response_gap(matrix, row: MixedStrategy, col: MixedStrategy):
     return tuple(regret / (den * common) for regret in gap)
 
 
-def max_optimal_mass(matrix, value: Fraction, index: int) -> Fraction:
-    """Largest probability any optimal row strategy can place on one action.
+def max_optimal_mass(matrix, value: Fraction, rows) -> Fraction:
+    """Largest total probability any optimal row strategy can place on a set
+    of actions.
 
-    Maximizes x[index] over the full polytope of optimal row strategies (those
-    guaranteeing ``value``, the game's value, against every column).  A zero
-    answer certifies that no equilibrium uses the action at all.  ``index``
-    must be exactly an int row index (a bool or a float is a ValueError).
+    Maximizes the sum of x[i] over i in ``rows`` over the full polytope of
+    optimal row strategies (those guaranteeing ``value``, the game's value,
+    against every column).  A zero answer certifies that no equilibrium uses
+    any of the actions at all.  ``rows`` is a nonempty collection of row
+    indices, each exactly an int (a bool or a float is a ValueError).  A
+    value below the game's only grows the polytope probed; one above it
+    leaves it empty, and the LP below is then unbounded.
 
     With K the matrix's integer image (``_integer_rows``), v' = p/q the
-    value in K's units and T = 1/v', the scaled optimal strategies are the
-    y >= 0 with K^T y >= 1 and sum(y) <= T.  The LP dual of  max y[index]
-    over them forces its multiplier t >= 1 on sum(y) <= T; with t = 1 + t'
-    it is the slack-feasible program
+    value in K's units, T = 1/v' and e the indicator of ``rows``, the scaled
+    optimal strategies are the y >= 0 with K^T y >= 1 and sum(y) <= T.  The
+    LP dual of  max e . y  over them forces its multiplier t >= 1 on
+    sum(y) <= T; with t = 1 + t' it is the slack-feasible program
 
-        z = max sum(w) - T t'   s.t.   K w - t' <= 1 - e_index,   w, t' >= 0,
+        z = max sum(w) - T t'   s.t.   K w - t' <= 1 - e,   w, t' >= 0,
 
     and the answer is v' (T - z) = 1 - v' z.  It is solved in integers with
     the objective scaled by p > 0, whose optimum is p z.
     """
     _, _, image, scale, offset = _integer_rows(matrix)
-    if type(index) is not int or not 0 <= index < len(image):
-        raise ValueError(f"row index must be an int in 0..{len(image) - 1}, got {index!r}")
+    members = tuple(rows)
+    if not members:
+        raise ValueError("rows must hold at least one row index")
+    for index in members:
+        if type(index) is not int or not 0 <= index < len(image):
+            raise ValueError(f"row index must be an int in 0..{len(image) - 1}, got {index!r}")
     if type(value) is not int and type(value) is not Fraction:
         raise ValueError("value must be int or Fraction")
     value_image = (value - offset) / scale
@@ -163,7 +171,7 @@ def max_optimal_mass(matrix, value: Fraction, index: int) -> Fraction:
     pz = solve_lp(
         c=[p] * len(image[0]) + [-q],
         rows=[row + [-1] for row in image],
-        rhs=[0 if h == index else 1 for h in range(len(image))],
+        rhs=[0 if h in members else 1 for h in range(len(image))],
     )[1]
     return ONE - pz / q
 

@@ -14,7 +14,9 @@ computes the exact game value of each, and checks that
   plus two isolated nodes (where that path ties the empty graph);
 * in the core-periphery regime the connected part of every argmax graph is
   a maximal core-periphery layout, and in the cycle regime it is
-  2-connected with enough degree-2 nodes and the hider avoids busier nodes.
+  2-connected with enough degree-2 nodes, and no optimal hider strategy
+  puts mass on a node of degree > 2: one LP per graph, over every optimal
+  strategy, at every n.
 
 One sweep per n serves every utility of the grid.  It walks the canonical
 keys of ``hsnet.canonical.enumerate_keys``, exact up to n = 8, builds each
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 import os
 
-from . import closed_form as cf
+from . import closed_form as cf, parse_int
 from .canonical import (
     ENUMERATION_LIMIT,
     EnumerationError,
@@ -46,18 +48,12 @@ from .canonical import (
 )
 from .designer import design_optimal
 from .graphs import Graph, GraphError, _deletion_pieces, _dfs_low_links, graph_to_json_dict
-from .matrix_game import (capture_pattern, game_value, integer_payoffs, max_optimal_mass,
-                          solve_zero_sum)
+from .matrix_game import capture_pattern, game_value, integer_payoffs, max_optimal_mass
 from .payoff import UtilitySpec, builtin_utilities
 from .rationals import format_rational
 from .records import Record
 
 DEFAULT_LIMIT = 7
-
-# Probing every optimal strategy (not just the solver's vertex) is done via
-# per-node mass maximization; kept to small boards where the LP count stays
-# negligible.
-FULL_SUPPORT_CHECK_LIMIT = 6
 
 
 def _values_chunk(args):
@@ -75,11 +71,11 @@ def _values_chunk(args):
 
 
 def _worker_count() -> int:
-    """Worker processes for a sweep: HSNET_THREADS (default 1), capped at the
-    CPU count."""
+    """Worker processes for a sweep: HSNET_THREADS (default 1), read by
+    ``hsnet.parse_int``, capped at the CPU count."""
     raw = os.environ.get("HSNET_THREADS", "1")
     try:
-        count = int(raw)
+        count = parse_int(raw)
     except ValueError:
         count = 0
     if count < 1:
@@ -150,9 +146,9 @@ def exhaustive_optima(n: int, utilities, long_run: bool = False) -> list:
         best = max(values)
         # The keys are sorted, so the argmax keys are too.
         argmax_keys = tuple(k for k, v in zip(keys, values) if v == best)
-        expected = -cf.optimal_singleton_counts(n, u)[1]
-        reports.append(EnumerationReport(n, u, len(keys), best, argmax_keys, expected,
-                                         best == expected, check_structure(n, u, argmax_keys)))
+        star, bound = cf.optimal_singleton_counts(n, u)
+        reports.append(EnumerationReport(n, u, len(keys), best, argmax_keys, -bound, best == -bound,
+                                         check_structure(n, u, argmax_keys, best, star)))
     return reports
 
 
@@ -258,97 +254,56 @@ def is_maximal_core_periphery(g: Graph) -> bool:
     )
 
 
-def check_structure(n: int, u: UtilitySpec, argmax_keys: tuple) -> tuple:
-    """Named pass/fail results (StructuralChecks) over every argmax graph of
-    a sweep, given by its canonical key."""
-    beta = u.beta
-    argmax = [graph_from_canonical_key(k) for k in argmax_keys]
-    out = []
-
-    def emit(name, passed, detail=""):
-        out.append(StructuralCheck(name, passed, detail))
-
-    bad_small = []
-    bad_s = []
-    for g in argmax:
-        sizes = components(g).sizes()
-        if any(size in (2, 3) for size in sizes):
-            bad_small.append(g)
+def check_structure(n: int, u: UtilitySpec, argmax_keys: tuple, best, star) -> tuple:
+    """Named pass/fail results (StructuralChecks) over the argmax graphs of a
+    sweep, given by their canonical keys, in one pass.  ``best`` is the cell's
+    value, at which every argmax game ties, and ``star`` the closed form's
+    optimal isolated counts.  In the cycle regime one LP per graph bounds the
+    mass that any optimal hider strategy puts on the nodes of degree > 2."""
+    small, bad_s, cp_fail, cyc_fail, support_fail = [], [], [], [], []
+    counts = set()
+    for key in argmax_keys:
+        g = graph_from_canonical_key(key)
         s = len(g.isolated_nodes())
-        if not (s <= n - 4 or s == n):
-            bad_s.append(g)
-    emit(
-        "no_small_components",
-        not bad_small,
-        f"{len(bad_small)} argmax graphs with a 2- or 3-node component",
-    )
-    emit(
-        "singleton_count_range",
-        not bad_s,
-        f"{len(bad_s)} argmax graphs with s in {{n-3, n-2, n-1}}",
-    )
-
-    counts = sorted({len(g.isolated_nodes()) for g in argmax})
-    star = sorted(cf.optimal_singleton_counts(n, u)[0])
-    emit(
-        "optimal_singleton_sets_agree",
-        counts == star,
-        f"argmax singleton counts {counts} vs closed form {star}",
-    )
-
-    design = design_optimal(n, u)
-    emit(
-        "constructed_design_in_argmax",
-        canonical_form(design.graph) in set(argmax_keys),
-        f"design topology {design.topology}",
-    )
-
-    cp_fail = []
-    cyc_fail = []
-    support_fail = []
-    for g in argmax:
-        s = len(g.isolated_nodes())
-        if s == n or s > n - 4:
+        counts.add(s)
+        if any(size in (2, 3) for size in components(g).sizes()):
+            small.append(key)
+        if s > n - 4:
+            if s < n:
+                bad_s.append(key)
             continue
         t = cf.topology_threshold(n, s, u)
-        part = induced_subgraph(g, [v for v in range(g.node_count) if g.degree(v)])
-        if t < beta:
+        part = induced_subgraph(g, [v for v in range(n) if g.degree(v)])
+        if t < u.beta:
             if not is_maximal_core_periphery(part):
-                cp_fail.append(g)
-        elif t > beta:
-            ok = is_two_connected(part)
+                cp_fail.append(key)
+        elif t > u.beta:
             deg2 = sum(1 for v in range(part.node_count) if part.degree(v) == 2)
-            ok = ok and deg2 >= math.ceil((n - s) / 3)
-            if not ok:
-                cyc_fail.append(g)
-            else:
-                # In integer units: sol.value is D times the game's value.
-                rows, _ = integer_payoffs(g, u)
-                sol = solve_zero_sum(rows)
-                busy = [v for v in range(g.node_count) if g.degree(v) > 2]
-                if any(sol.row_strategy[v] != 0 for v in busy):
-                    support_fail.append(g)
-                elif n <= FULL_SUPPORT_CHECK_LIMIT:
-                    for v in busy:
-                        if max_optimal_mass(rows, sol.value, v) != 0:
-                            support_fail.append(g)
-                            break
-    emit(
-        "cp_regime_unique_topology",
-        not cp_fail,
-        f"{len(cp_fail)} argmax graphs not maximal core-periphery",
-    )
-    emit(
-        "cycle_regime_structure",
-        not cyc_fail,
-        f"{len(cyc_fail)} argmax graphs not 2-connected with enough degree-2 nodes",
-    )
-    emit(
-        "hider_avoids_busy_nodes",
-        not support_fail,
-        f"{len(support_fail)} argmax graphs with optimal mass on degree>2 nodes",
-    )
-    return tuple(out)
+            busy = [v for v in range(n) if g.degree(v) > 2]
+            if not is_two_connected(part) or deg2 < math.ceil((n - s) / 3):
+                cyc_fail.append(key)
+            elif busy:
+                rows, den = integer_payoffs(g, u)  # values in D's units
+                if max_optimal_mass(rows, best * den, busy):
+                    support_fail.append(key)
+    counts, star = sorted(counts), list(star)
+    design = design_optimal(n, u)
+    return tuple(StructuralCheck(name, passed, detail) for name, passed, detail in (
+        ("no_small_components", not small,
+         f"{len(small)} argmax graphs with a 2- or 3-node component"),
+        ("singleton_count_range", not bad_s,
+         f"{len(bad_s)} argmax graphs with s in {{n-3, n-2, n-1}}"),
+        ("optimal_singleton_sets_agree", counts == star,
+         f"argmax singleton counts {counts} vs closed form {star}"),
+        ("constructed_design_in_argmax", canonical_form(design.graph) in argmax_keys,
+         f"design topology {design.topology}"),
+        ("cp_regime_unique_topology", not cp_fail,
+         f"{len(cp_fail)} argmax graphs not maximal core-periphery"),
+        ("cycle_regime_structure", not cyc_fail,
+         f"{len(cyc_fail)} argmax graphs not 2-connected with enough degree-2 nodes"),
+        ("hider_avoids_busy_nodes", not support_fail,
+         f"{len(support_fail)} argmax graphs with optimal mass on degree>2 nodes"),
+    ))
 
 
 # -- grid driver --------------------------------------------------------------

@@ -97,6 +97,29 @@ def test_design_refuses_a_beta_that_is_not_a_plain_rational(beta, capsys):
     assert "invalid rational" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("args", [
+    ["design", "--n", "1_0"],
+    ["design", "--n", "5.0"],
+    ["enumerate", "--n", "\u0663"],
+    ["value-table", "--n", "4", "--n-max", "+-6"],
+    ["verify", "--n-max", "4 4"],
+])
+def test_int_options_refuse_what_is_not_plain_ascii_digits(args, capsys):
+    # --n and --n-max read ASCII digits with an optional sign, as --beta
+    # reads p, and refuse anything else in argparse's own words.
+    with pytest.raises(SystemExit) as stop:
+        run(args)
+    assert stop.value.code == 2
+    flag, value = args[-2:]
+    assert capsys.readouterr().err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n")
+
+
+def test_int_options_read_signs_and_surrounding_whitespace(capsys):
+    for value in ("4", "+4", " 4 ", "04"):
+        assert run(["enumerate", "--n", value, "--count-only"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"count": 11, "n": 4}
+
+
 @pytest.mark.parametrize("family", ["power", "ratio_power"])
 def test_float_power_overflow_is_a_usage_error(c4_file, family):
     # 3 ** 1500.5 overflows a float.
@@ -686,9 +709,12 @@ def test_verify_rejects_repeated_grid_entries(grid):
 
 
 def test_verify_rejects_bad_thread_count(monkeypatch, capsys):
-    monkeypatch.setenv("HSNET_THREADS", "many")
-    assert run(["verify", "--n-max", "4"]) == 2
-    assert "HSNET_THREADS" in capsys.readouterr().err
+    # Read as --n is: an underscore or another script's digits is refused.
+    for raw in ("many", "1_0", "\u0662", "2 2"):
+        monkeypatch.setenv("HSNET_THREADS", raw)
+        assert run(["verify", "--n-max", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: HSNET_THREADS must be an integer >= 1, got {raw!r}\n"
 
 
 def test_enumerate(tmp_path):

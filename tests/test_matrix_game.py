@@ -95,8 +95,8 @@ def test_strategy_inputs_must_be_exact():
     assert MixedStrategy([1, 0]).probs == (1, 0)
     for value in (0.0, "0", False):
         with pytest.raises(ValueError, match="int or Fraction"):
-            max_optimal_mass(PENNIES, value, 0)
-    assert max_optimal_mass(PENNIES, 0, 0) == F(1, 2)
+            max_optimal_mass(PENNIES, value, [0])
+    assert max_optimal_mass(PENNIES, 0, [0]) == F(1, 2)
 
 
 def test_scale_shift_covariance_random():
@@ -167,8 +167,8 @@ def test_integer_payoffs_reach_the_fraction_vertex_on_every_graph_up_to_seven():
                 assert_image_matches_shifted_read(m)
                 if n <= 5:
                     for v in range(n):
-                        assert max_optimal_mass(rows, int_sol.value, v) == max_optimal_mass(
-                            m, sol.value, v)
+                        assert max_optimal_mass(rows, int_sol.value, [v]) == max_optimal_mass(
+                            m, sol.value, [v])
                 dens.add(den)
     assert max(dens) > 1
 
@@ -280,19 +280,19 @@ def test_solver_vectors_off_their_optimum_raise(monkeypatch, slot):
 
 
 def test_max_optimal_mass():
-    assert max_optimal_mass(PENNIES, F(0), 0) == F(1, 2)
+    assert max_optimal_mass(PENNIES, F(0), [0]) == F(1, 2)
     # row 1 strictly dominated: no optimal strategy touches it
     m = [[1, 1], [0, 0]]
-    assert max_optimal_mass(m, F(1), 1) == 0
+    assert max_optimal_mass(m, F(1), [1]) == 0
     # multiple optima: either pure row can carry full mass
     m = [[2, 2], [2, 2]]
-    assert max_optimal_mass(m, F(2), 0) == 1
-    assert max_optimal_mass(m, F(2), 1) == 1
+    assert max_optimal_mass(m, F(2), [0]) == 1
+    assert max_optimal_mass(m, F(2), [1]) == 1
     # the mixed row optima trade row 2 against an even split of rows 0 and 1
     m = [[1, 0], [0, 1], [F(1, 2), F(1, 2)]]
-    assert max_optimal_mass(m, F(1, 2), 0) == F(1, 2)
-    assert max_optimal_mass(m, F(1, 2), 1) == F(1, 2)
-    assert max_optimal_mass(m, F(1, 2), 2) == 1
+    assert max_optimal_mass(m, F(1, 2), [0]) == F(1, 2)
+    assert max_optimal_mass(m, F(1, 2), [1]) == F(1, 2)
+    assert max_optimal_mass(m, F(1, 2), [2]) == 1
 
 
 def test_max_optimal_mass_properties():
@@ -315,12 +315,60 @@ def test_max_optimal_mass_properties():
     for m in games:
         sol = solve_zero_sum(m)
         for i, row in enumerate(m):
-            mass = max_optimal_mass(m, sol.value, i)
+            mass = max_optimal_mass(m, sol.value, [i])
             assert 0 <= mass <= 1
             assert (mass == 1) == (min(row) == sol.value)
             assert mass >= sol.row_strategy[i]
             masses.add(mass)
     assert 0 in masses and 1 in masses and len(masses) > 3
+
+
+def test_max_optimal_mass_over_a_set_of_rows():
+    """On seeded random integer games the probe of a set of rows is 0 exactly
+    when each member's is, at least the largest member's and at most the
+    smaller of 1 and their sum; on every row it is 1."""
+    rng = random.Random(26)
+    strictly_inside = 0
+    for _ in range(200):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        m = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+        value = game_value(m)
+        single = [max_optimal_mass(m, value, [i]) for i in range(nrows)]
+        for size in range(1, nrows + 1):
+            rows = rng.sample(range(nrows), size)
+            mass, members = max_optimal_mass(m, value, rows), [single[i] for i in rows]
+            assert (mass == 0) == all(x == 0 for x in members)
+            assert max(members) <= mass <= min(1, sum(members))
+            strictly_inside += max(members) < mass < sum(members)
+        assert max_optimal_mass(m, value, range(nrows)) == 1
+    assert strictly_inside
+
+
+def test_max_optimal_mass_finds_what_the_solver_vertex_leaves_out():
+    # Every row of the all-equal game is optimal: the solver's vertex puts
+    # all its mass on one row, and the probe finds mass 1 on each other.
+    m = [[3, 3], [3, 3], [3, 3]]
+    sol = solve_zero_sum(m)
+    unused = [i for i in range(3) if sol.row_strategy[i] == 0]
+    assert len(unused) == 2
+    assert max_optimal_mass(m, sol.value, unused) == 1
+    assert all(max_optimal_mass(m, sol.value, [i]) == 1 for i in unused)
+
+
+def test_max_optimal_mass_at_a_value_off_the_games():
+    # Below the value the probe reads a larger set of strategies, so its
+    # zero still proves that no optimal one uses the rows; above it no
+    # strategy is left, and the LP is unbounded.
+    assert max_optimal_mass(PENNIES, F(-1, 2), [0]) == F(3, 4) > max_optimal_mass(PENNIES, 0, [0])
+    for value in (F(1, 2), 5):
+        with pytest.raises(hsnet.simplex.UnboundedError):
+            max_optimal_mass(PENNIES, value, [0, 1])
+
+
+@pytest.mark.parametrize("rows", [[], (), set(), [True], [0, False], [1.0], [0, 2], [-1]])
+def test_max_optimal_mass_refuses_a_bad_set_of_rows(rows):
+    with pytest.raises(ValueError, match="row index|at least one row"):
+        max_optimal_mass([[1, 0], [0, 1]], F(1, 2), rows)
 
 
 @pytest.mark.parametrize("matrix", [
@@ -334,16 +382,16 @@ def test_entries_must_be_int_or_fraction(matrix):
         with pytest.raises(ValueError, match="int or Fraction"):
             solve(matrix)
     with pytest.raises(ValueError, match="int or Fraction"):
-        max_optimal_mass(matrix, F(0), 0)
+        max_optimal_mass(matrix, F(0), [0])
 
 
 def test_max_optimal_mass_index_must_be_an_int():
     # True == 1 and 1.0 == 1, but a row index is exactly an int.
     identity = [[1, 0], [0, 1]]
-    assert max_optimal_mass(identity, F(1, 2), 1) == F(1, 2)
+    assert max_optimal_mass(identity, F(1, 2), [1]) == F(1, 2)
     for index in (True, False, 1.0, 0.0, "1", None, F(1), -1, 2):
         with pytest.raises(ValueError, match="row index must be an int"):
-            max_optimal_mass(identity, F(1, 2), index)
+            max_optimal_mass(identity, F(1, 2), [index])
 
 
 def test_max_optimal_mass_rejects_a_value_below_the_matrix():
@@ -354,8 +402,8 @@ def test_max_optimal_mass_rejects_a_value_below_the_matrix():
         least = shift - scale
         for value in (least - 5, least - scale, least - F(1, 10 ** 9)):
             with pytest.raises(ValueError, match="below every entry"):
-                max_optimal_mass(m, value, 0)
-        assert max_optimal_mass([[least, least]], least, 0) == 1
+                max_optimal_mass(m, value, [0])
+        assert max_optimal_mass([[least, least]], least, [0]) == 1
 
 
 def test_dimension_checks():

@@ -24,13 +24,15 @@ import hsnet.oracle
 from hsnet.oracle import (
     _values_chunk,
     _worker_count,
+    check_structure,
     exhaustive_optima,
     grid_utilities,
+    is_two_connected,
     verify_grid,
 )
 
 from hsnet.cli import format_json
-from hsnet.matrix_game import game_value, integer_payoffs
+from hsnet.matrix_game import game_value, integer_payoffs, max_optimal_mass, solve_zero_sum
 from hsnet.payoff import UtilitySpec, builtin_utilities
 
 from conftest import (
@@ -169,9 +171,10 @@ def test_known_boundary_ties_at_four_nodes(oracle_report):
 
 # SHA-256 over the 48 reports of the default grid at n = 4..7, one
 # format_json(to_json_dict()) line each, taken while the sweep and the
-# structural checks still solved Fraction matrices.  The CLI pins the verify
-# bytes only up to n = 6; at n = 7 the hider_avoids_busy_nodes check reads the
-# solver's own vertex alone (FULL_SUPPORT_CHECK_LIMIT is 6).
+# structural checks still solved Fraction matrices, and while the
+# hider_avoids_busy_nodes check read the solver's own vertex alone at n = 7.
+# It now probes every optimal strategy at every n, and the bytes hold.  The
+# CLI pins the verify bytes up to n = 6, to keep the tier-1 run short.
 ORACLE_REPORTS_N7_SHA256 = "38a3044e3ac7fbf99a71f8978af6626089f5bd24e4a36342950ed7183652b883"
 
 
@@ -248,7 +251,7 @@ def test_sweep_builds_each_pattern_once_and_reads_one_table_per_utility(monkeypa
     monkeypatch.setattr(UtilitySpec, "integer_table", counted_table)
     # The structural checks read tables of their own (the design's, and the
     # argmax games'); the sweep is counted without them.
-    monkeypatch.setattr(hsnet.oracle, "check_structure", lambda n, u, keys: ())
+    monkeypatch.setattr(hsnet.oracle, "check_structure", lambda n, u, keys, best, star: ())
     grid = grid_utilities()
     reports = exhaustive_optima(6, grid)
     assert [r.utility for r in reports] == grid
@@ -257,15 +260,40 @@ def test_sweep_builds_each_pattern_once_and_reads_one_table_per_utility(monkeypa
     assert tables == [(u, tuple(range(6))) for u in grid]
 
 
+# A 2-connected graph on six nodes with three degree-2 nodes, so in the
+# cycle regime of x ** 2 at beta = 2 it passes cycle_regime_structure.  Some
+# optimal hider strategies put a third of their mass on nodes 1 and 4, of
+# degree 3, while the solver's own vertex puts none on any busy node: the
+# case that a check of that vertex alone misses.
+BUSY_MASS_EDGES = [(0, 1), (0, 2), (1, 2), (1, 5), (2, 3), (2, 4), (3, 4), (4, 5)]
+
+
+def test_hider_avoids_busy_nodes_fails_where_an_optimal_strategy_uses_one():
+    g, u = Graph(6, BUSY_MASS_EDGES), builtin_utilities("power", beta=F(2))
+    busy = [v for v in range(6) if g.degree(v) > 2]
+    assert busy == [1, 2, 4] and is_two_connected(g)
+    rows, den = integer_payoffs(g, u)
+    sol = solve_zero_sum(rows)
+    assert [sol.row_strategy[v] for v in busy] == [0, 0, 0]
+    assert [max_optimal_mass(rows, sol.value, [v]) for v in busy] == [F(1, 3), 0, F(1, 3)]
+    assert max_optimal_mass(rows, sol.value, busy) == F(1, 3)
+    checks = {c.name: c for c in check_structure(6, u, (canonical_form(g),), sol.value / den, (0,))}
+    assert checks["cycle_regime_structure"].passed
+    assert not checks["hider_avoids_busy_nodes"].passed
+    assert checks["hider_avoids_busy_nodes"].detail.startswith("1 argmax graphs")
+
+
 def test_worker_count_validated_and_capped(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.delenv("HSNET_THREADS", raising=False)
     assert _worker_count() == 1
     monkeypatch.setenv("HSNET_THREADS", "12346")
     assert _worker_count() == 2
+    monkeypatch.setenv("HSNET_THREADS", " +2 ")
+    assert _worker_count() == 2
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert _worker_count() == 1
-    for raw in ("0", "-3", "2.5", "four", ""):
+    for raw in ("0", "-3", "2.5", "four", "", "1_0", "\u0662", "+-2"):
         monkeypatch.setenv("HSNET_THREADS", raw)
         with pytest.raises(EnumerationError):
             _worker_count()

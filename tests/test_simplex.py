@@ -202,7 +202,7 @@ def test_game_lps_match_reference(monkeypatch, u):
             matrix = payoff_matrix(g, u)
             value = solve_zero_sum(matrix).value
             for h in range(n):
-                max_optimal_mass(matrix, value, h)
+                max_optimal_mass(matrix, value, [h])
     assert len(lps) == sum(len(enumerate_graphs(n)) * (n + 1) for n in range(1, 7))
     for lp in lps:
         assert same_as_reference(*lp)
