@@ -26,7 +26,6 @@ from . import parse_int
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
-DESIGN_MAX_NODES = 10**6  # the largest design --n: the size its path is measured at
 SOLVE_MAX_NODES = 100  # the largest solve graph: the size its dense LP is measured at
 VALUE_TABLE_MAX_NODES = 50  # the largest value-table n: the size its slowest rows are measured at
 
@@ -199,8 +198,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_design(args) -> int:
-    if not 1 <= args.n <= DESIGN_MAX_NODES:
-        raise CliError(f"--n must be between 1 and {DESIGN_MAX_NODES}, got {args.n}")
+    from .graphs import GRAPH_MAX_NODES
+    if not 1 <= args.n <= GRAPH_MAX_NODES:
+        raise CliError(f"--n must be between 1 and {GRAPH_MAX_NODES}, got {args.n}")
     from .designer import design_optimal
     u = _utility_from_args(args)
     result = design_optimal(args.n, u)

@@ -11,15 +11,20 @@ J. Comput. 1, 1972), ``_dfs_low_links``, and the pieces it leaves,
 payoff matrix in ``hsnet.matrix_game``, the design certificate in
 ``hsnet.designer``, and the components, 2-connectivity and induced subgraphs
 of the verifier's shape checks in ``hsnet.oracle``.  Besides those, this
-module provides the text, JSON and DOT formats.  Canonical forms and
-enumeration of small graphs, the only code that builds neighbour bitmasks
-(``neighbor_mask``), live in ``hsnet.canonical``; this module imports no
-other hsnet module.
+module provides the text, JSON and DOT formats, whose readers refuse a node
+count above ``GRAPH_MAX_NODES`` before building anything per node.
+Canonical forms and enumeration of small graphs, the only code that builds
+neighbour bitmasks (``neighbor_mask``), live in ``hsnet.canonical``; this
+module imports no other hsnet module, only the package's ``parse_int``.
 """
 
 from __future__ import annotations
 
 import gc
+
+from . import parse_int
+
+GRAPH_MAX_NODES = 10**6  # the most nodes a graph file may hold, and design --n's limit
 
 
 class GraphError(ValueError):
@@ -225,6 +230,11 @@ def format_graph_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _refuse_node_count(n: int, line: int | None = None):
+    if n > GRAPH_MAX_NODES:
+        raise GraphFormatError(f"node count must be at most {GRAPH_MAX_NODES}, got {n}", line)
+
+
 def parse_graph_text(text: str) -> Graph:
     """Parse the text format; raises GraphFormatError naming the bad line."""
     node_count = None
@@ -241,18 +251,19 @@ def parse_graph_text(text: str) -> Graph:
             if len(parts) != 2:
                 raise GraphFormatError("expected 'n <count>'", lineno)
             try:
-                node_count = int(parts[1])
+                node_count = parse_int(parts[1])
             except ValueError:
                 raise GraphFormatError(f"bad node count {parts[1]!r}", lineno)
             if node_count < 0:
                 raise GraphFormatError("node count must be nonnegative", lineno)
+            _refuse_node_count(node_count, lineno)
         elif parts[0] == "e":
             if node_count is None:
                 raise GraphFormatError("edge before 'n' line", lineno)
             if len(parts) != 3:
                 raise GraphFormatError("expected 'e <i> <j>'", lineno)
             try:
-                i, j = int(parts[1]), int(parts[2])
+                i, j = parse_int(parts[1]), parse_int(parts[2])
             except ValueError:
                 raise GraphFormatError("edge endpoints must be integers", lineno)
             if not (0 <= i < j < node_count):
@@ -283,6 +294,7 @@ def graph_from_json_dict(data: dict) -> Graph:
     # bool is an int subclass, and int() would truncate 1.7 to 1.
     if type(n) is not int:
         raise GraphFormatError("'n' must be an integer")
+    _refuse_node_count(n)
     if not isinstance(edges, (list, tuple)):
         raise GraphFormatError("'edges' must be a list")
     pairs = []

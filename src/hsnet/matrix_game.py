@@ -14,7 +14,8 @@ best-response gap, computed in exact arithmetic on the caller's matrix read
 in integers, apart from the solver and the image, by ``gap_from_payoffs``.
 That and ``MixedStrategy`` live in ``hsnet.payoff``, next to the payoffs they
 certify, so ``hsnet design`` certifies its strategies without loading this
-module; here only the functions that run an LP import the simplex.
+module or the simplex.  The simplex answers in integers over its divisor,
+and each solver here builds one Fraction itself, the answer it returns.
 
 ``capture_pattern`` reads a graph's game with no utility in it, and
 ``integer_payoffs`` maps it through a utility's integer table into the
@@ -34,12 +35,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from . import simplex
 from .graphs import Graph, GraphError, _deletion_pieces, _dfs_low_links
 from .payoff import MixedStrategy, UtilitySpec, _weights, gap_from_payoffs
-from .rationals import over_common_denominator
 from .records import Record
-
-ONE = Fraction(1)
 
 
 class GameSolution(Record):
@@ -49,11 +48,11 @@ class GameSolution(Record):
 
 
 def _integer_rows(matrix):
-    """(rows, D, image, scale, offset): the matrix, checked to be nonempty,
+    """(rows, D, image, g, lo): the matrix, checked to be nonempty,
     rectangular and exact, as rows of integers over its common denominator D,
     and its smallest integer image K = (v - lo) / g + 1, with lo the least of
     those integers v and g the gcd of all v - lo (1 if all are equal), so that
-    matrix = scale * K + offset exactly, with scale = g / D, offset = (lo - g) / D."""
+    matrix = (g K + lo - g) / D exactly."""
     rows = [tuple(row) for row in matrix]
     if not rows or not rows[0]:
         raise ValueError("matrix must be nonempty")
@@ -71,26 +70,23 @@ def _integer_rows(matrix):
     lo = min(values)
     g = gcd(*(v - lo for v in values)) or 1
     image = {v: (v - lo) // g + 1 for v in values}
-    return (rows, den, [list(map(image.__getitem__, r)) for r in rows],
-            Fraction(g, den), Fraction(lo - g, den))
+    return rows, den, [list(map(image.__getitem__, r)) for r in rows], g, lo
 
 
 def _column_lp(matrix):
     """Read the matrix by ``_integer_rows`` and solve the column player's
-    program  max sum(w), K w <= 1, w >= 0  on its image K.  Returns (rows, w,
-    total, duals, scale, offset): the optimum total is one over K's value, so
-    the game's value is scale / total + offset, and the row duals sum to it.
-    """
-    from .simplex import solve_lp
-    rows, den, image, scale, offset = _integer_rows(matrix)
-    w, total, duals = solve_lp(c=[1] * len(image[0]), rows=image, rhs=[1] * len(image))
-    return rows, w, total, duals, scale, offset
+    program  max sum(w), K w <= 1, w >= 0  on its image K.  Returns (rows, D,
+    g, lo, (w, z, duals, d)), the last ``solve_lp``'s answer: the optimum
+    z / d is one over K's value, so the game's value is
+    (g d + (lo - g) z) / (D z), and w and the row duals each sum to z."""
+    rows, den, image, g, lo = _integer_rows(matrix)
+    return rows, den, g, lo, simplex.solve_lp([1] * len(image[0]), image, [1] * len(image))
 
 
 def game_value(matrix) -> Fraction:
     """Value of the game for the row player (no strategies computed)."""
-    _, _, total, _, scale, offset = _column_lp(matrix)
-    return scale / total + offset
+    _, den, g, lo, (_, z, _, d) = _column_lp(matrix)
+    return Fraction(g * d + (lo - g) * z, den * z)
 
 
 def solve_zero_sum(matrix) -> GameSolution:
@@ -100,17 +96,15 @@ def solve_zero_sum(matrix) -> GameSolution:
     solution, the row player's from its duals.  A nonzero best-response gap
     on the caller's integer rows would mean a solver bug, so it is asserted.
     """
-    rows, w, total, duals, scale, offset = _column_lp(matrix)
-    strategies = []
-    for vector in (duals, w):  # each sums to total, as weights over their sum
-        nums, d = over_common_denominator(vector)
-        if sum(nums) != total * d:
-            raise AssertionError("solver vector does not sum to its optimum; solver bug")
-        strategies.append(MixedStrategy.from_weights(nums, sum(nums)))
-    row_strategy, col_strategy = strategies
+    rows, den, g, lo, (w, z, duals, d) = _column_lp(matrix)
+    # Each vector sums to the optimum, so it is the strategy's weights over z.
+    if sum(duals) != z or sum(w) != z:
+        raise AssertionError("solver vector does not sum to its optimum; solver bug")
+    row_strategy = MixedStrategy.from_weights(duals, z)
+    col_strategy = MixedStrategy.from_weights(w, z)
     if best_response_gap(rows, row_strategy, col_strategy) != (0, 0):
         raise AssertionError("solver strategies are not an equilibrium; solver bug")
-    return GameSolution(scale / total + offset, row_strategy, col_strategy)
+    return GameSolution(Fraction(g * d + (lo - g) * z, den * z), row_strategy, col_strategy)
 
 
 def best_response_gap(matrix, row: MixedStrategy, col: MixedStrategy):
@@ -154,7 +148,7 @@ def max_optimal_mass(matrix, value: Fraction, rows) -> Fraction:
     and the answer is v' (T - z) = 1 - v' z.  It is solved in integers with
     the objective scaled by p > 0, whose optimum is p z.
     """
-    _, _, image, scale, offset = _integer_rows(matrix)
+    _, den, image, g, lo = _integer_rows(matrix)
     members = tuple(rows)
     if not members:
         raise ValueError("rows must hold at least one row index")
@@ -163,17 +157,19 @@ def max_optimal_mass(matrix, value: Fraction, rows) -> Fraction:
             raise ValueError(f"row index must be an int in 0..{len(image) - 1}, got {index!r}")
     if type(value) is not int and type(value) is not Fraction:
         raise ValueError("value must be int or Fraction")
-    value_image = (value - offset) / scale
-    if value_image < 1:
+    # v' = (value D - lo + g) / g, in lowest terms p / q with q > 0.
+    p = value.numerator * den - (lo - g) * value.denominator
+    q = g * value.denominator
+    common = gcd(p, q)
+    p, q = p // common, q // common
+    if p < q:
         raise ValueError("value is below every entry of the matrix")
-    from .simplex import solve_lp
-    p, q = value_image.numerator, value_image.denominator
-    pz = solve_lp(
+    _, pz, _, d = simplex.solve_lp(
         c=[p] * len(image[0]) + [-q],
         rows=[row + [-1] for row in image],
         rhs=[0 if h in members else 1 for h in range(len(image))],
-    )[1]
-    return ONE - pz / q
+    )
+    return Fraction(d * q - pz, d * q)
 
 
 # -- the game on a graph ------------------------------------------------------

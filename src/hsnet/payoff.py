@@ -161,10 +161,17 @@ class UtilitySpec(Record):
 
     @staticmethod
     def from_json_dict(data: dict) -> "UtilitySpec":
+        """The spec of an object with ``family``, ``beta`` and optionally
+        ``params``, itself an object; any other key is refused by name."""
         try:
             family, params, beta = data["family"], data.get("params", {}), data["beta"]
         except (TypeError, KeyError) as exc:
             raise UtilityError(f"bad utility spec: {exc}") from exc
+        for key in data:
+            if key not in ("family", "params", "beta"):
+                raise UtilityError(f"unknown utility key {key!r}")
+        if not isinstance(params, dict):
+            raise UtilityError(f"utility params must be an object, got {params!r}")
         return builtin_utilities(family, params, beta)
 
 

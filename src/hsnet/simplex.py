@@ -1,7 +1,8 @@
 """Exact primal simplex with Bland's rule, pivoted on a condensed integer tableau.
 
 Solves   max  c . x   subject to  A x <= b,  x >= 0,  with  b >= 0,
-and returns the dual multipliers with the primal optimum.  Since b >= 0 the
+and returns the dual multipliers with the primal optimum, all as the integer
+numerators the tableau holds over its final divisor.  Since b >= 0 the
 slack basis is feasible, so the simplex starts there with no phase 1.
 Every coefficient is an int: a caller with rationals scales them first.
 Scaling a row with its b, or c, by a positive integer changes no sign and no
@@ -17,7 +18,6 @@ choices, so its pivots, vertex and duals are reached exactly.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 
 
@@ -26,13 +26,15 @@ class UnboundedError(ArithmeticError):
 
 
 def solve_lp(c, rows, rhs):
-    """Maximize c . x over A x <= b, x >= 0; return (x, value, duals) exactly.
+    """Maximize c . x over A x <= b, x >= 0; return (x, z, duals, d) exactly.
 
     c: int objective coefficients (length nvars)
     rows/rhs: the int constraint rows of A and their right-hand sides b >= 0
     duals: one multiplier y_i >= 0 per row, read from the final reduced costs
     of the slack columns.  They are dual-feasible (A^T y >= c) and b . y equals
-    the optimal value.  x, value and duals are Fractions.
+    the optimal value.  Each of x, the optimum z and duals is an int
+    numerator over the one divisor d > 0: the vertex is x / d, the optimal
+    value z / d.
     Raises ValueError on mismatched lengths, a coefficient that is not an int
     or a negative right-hand side, UnboundedError when the objective has no
     maximum.
@@ -85,6 +87,6 @@ def solve_lp(c, rows, rhs):
     # Slack i costs 0, so its reduced cost is the dual of row i.
     solution = dict(zip(basis, (row[-1] for row in tableau)))
     costs = dict(zip(labels, zrow))
-    x = [Fraction(solution.get(j, 0), d) for j in range(nvars)]
-    duals = [Fraction(costs.get(nvars + i, 0), d) for i in range(m)]
-    return x, Fraction(zrow[-1], d), duals
+    x = [solution.get(j, 0) for j in range(nvars)]
+    duals = [costs.get(nvars + i, 0) for i in range(m)]
+    return x, zrow[-1], duals, d

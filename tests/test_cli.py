@@ -89,6 +89,16 @@ def test_solve_rejects_non_object_utility_params(c4_file):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("spec, message", [
+    ('{"family":"linear","beta":"1","param":{"slope":"3"}}', "unknown utility key 'param'"),
+    ('{"family":"linear","params":null,"beta":"1"}', "utility params must be an object, got None"),
+])
+def test_solve_refuses_a_utility_json_typo(c4_file, capsys, spec, message):
+    # Read as given, either would solve with slope 1 and exit 0.
+    assert run(["solve", "--graph", str(c4_file), "--utility", spec]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("beta", ["-1/-2", "2/-3", "1_000", "\u0663", "1 / 2"])
 def test_design_refuses_a_beta_that_is_not_a_plain_rational(beta, capsys):
     # "--beta=" form: argparse would read a leading "-1/-2" as an option.
@@ -213,11 +223,11 @@ def test_each_command_loads_only_its_modules(command, c4_file):
 
 
 def test_design_size_limit_is_a_usage_error(monkeypatch, capsys):
-    import hsnet.cli
     import hsnet.designer
+    import hsnet.graphs
 
     monkeypatch.setattr(hsnet.designer, "design_optimal", lambda *a: pytest.fail("design ran"))
-    limit = hsnet.cli.DESIGN_MAX_NODES
+    limit = hsnet.graphs.GRAPH_MAX_NODES
     assert limit == 10**6
     # Refused before any work: the utility file is never opened.
     for n in (limit + 1, 10**9, 0, -3):
@@ -247,6 +257,34 @@ def test_solve_size_limit_is_a_usage_error(tmp_path, monkeypatch, capsys):
     at_limit.write_text(format_graph_text(build_cycle(limit)))
     with pytest.raises(RuntimeError, match="integer_payoffs ran"):
         run(["solve", "--graph", str(at_limit)])
+
+
+@pytest.mark.parametrize("command", ["solve", "export"])
+@pytest.mark.parametrize("text, where", [
+    ("n 1000001\n", "line 1: "), ('{"n": 1000001, "edges": []}', ""),
+], ids=["text", "json"])
+def test_graph_file_past_the_node_limit_is_refused_unbuilt(
+        tmp_path, monkeypatch, capsys, command, text, where):
+    import hsnet.graphs
+
+    monkeypatch.setattr(hsnet.graphs, "Graph", lambda *a: pytest.fail("a Graph was built"))
+    big = tmp_path / "big.graph"
+    big.write_text(text)
+    assert run([command, "--graph", str(big)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {where}node count must be at most 1000000, got 1000001\n"
+
+
+def test_solve_refuses_a_graph_file_at_the_node_limit(tmp_path, monkeypatch, capsys):
+    # The reader takes 10^6 nodes; solve keeps its own refusal above 100.
+    import types
+    import hsnet.graphs
+
+    monkeypatch.setattr(hsnet.graphs, "Graph", lambda n, edges: types.SimpleNamespace(node_count=n))
+    big = tmp_path / "big.graph"
+    big.write_text("n 1000000\n")
+    assert run(["solve", "--graph", str(big)]) == 2
+    assert capsys.readouterr().err == "error: solve takes at most 100 nodes, got 1000000\n"
 
 
 def test_value_table_size_limit_is_a_usage_error(monkeypatch, capsys):

@@ -771,6 +771,40 @@ def test_text_format_roundtrip_and_errors():
         parse_graph_text("")
 
 
+@pytest.mark.parametrize("bad", ["1_0", "\u0663", "\u0661"], ids=["underscore", "arabic3", "arabic1"])
+def test_text_format_reads_plain_ascii_integers(bad):
+    # int() would read each as 10, 3 or 1, all valid here; the text format
+    # takes ASCII digits only, as --n does.
+    for text, message in (
+        (f"n {bad}\n", f"line 1: bad node count {bad!r}"),
+        (f"n 12\ne {bad} 11\n", "line 2: edge endpoints must be integers"),
+        (f"n 12\ne 0 {bad}\n", "line 2: edge endpoints must be integers"),
+    ):
+        with pytest.raises(GraphFormatError) as err:
+            parse_graph_text(text)
+        assert str(err.value) == message
+    assert parse_graph_text("n +12\ne 0 11\n") == Graph(12, [(0, 11)])
+
+
+def test_graph_readers_refuse_a_node_count_past_the_limit(monkeypatch):
+    import hsnet.graphs
+    limit = hsnet.graphs.GRAPH_MAX_NODES
+    assert limit == 10**6
+    # Refused as soon as the count is read: no Graph is built.
+    monkeypatch.setattr(hsnet.graphs, "Graph", lambda *a: pytest.fail("a Graph was built"))
+    message = f"node count must be at most {limit}, got {limit + 1}"
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph_text(f"# big\nn {limit + 1}\ne 0 1\n")
+    assert (str(err.value), err.value.line) == (f"line 2: {message}", 2)
+    with pytest.raises(GraphFormatError, match=f"^{message}$"):
+        graph_from_json_dict({"n": limit + 1, "edges": [[0, 1]]})
+    built = []
+    monkeypatch.setattr(hsnet.graphs, "Graph", lambda n, edges: built.append(n))
+    parse_graph_text(f"n {limit}\n")
+    graph_from_json_dict({"n": limit, "edges": []})
+    assert built == [limit, limit]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(graphs())
 def test_text_and_json_round_trips(g):

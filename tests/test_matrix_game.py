@@ -97,6 +97,8 @@ def test_strategy_inputs_must_be_exact():
         with pytest.raises(ValueError, match="int or Fraction"):
             max_optimal_mass(PENNIES, value, [0])
     assert max_optimal_mass(PENNIES, 0, [0]) == F(1, 2)
+    # An int value is read exactly: the answer is a Fraction, not 0.5.
+    assert type(max_optimal_mass(PENNIES, 0, [0])) is F
 
 
 def test_scale_shift_covariance_random():
@@ -133,19 +135,20 @@ def shifted_column_lp(matrix):
     lo = min(map(min, ints))
     shift = den - lo if lo < den else 0
     shifted = [[v + shift for v in row] for row in ints]
-    w, total, duals = hsnet.simplex.solve_lp([1] * len(shifted[0]), shifted, [den] * len(shifted))
-    return 1 / total - F(shift, den), normalised(w), normalised(duals)
+    w, z, duals, d = hsnet.simplex.solve_lp([1] * len(shifted[0]), shifted, [den] * len(shifted))
+    return F(d, z) - F(shift, den), normalised(w), normalised(duals)
 
 
 def normalised(vector):
-    return [v / sum(vector) for v in vector]
+    return [F(v, sum(vector)) for v in vector]
 
 
 def assert_image_matches_shifted_read(matrix):
     """The LP on the matrix's integer image reaches the oracle's value and,
     normalised, its w and duals: the same vertex of the same polytope."""
-    _, w, total, duals, scale, offset = _column_lp(matrix)
-    assert (scale / total + offset, normalised(w), normalised(duals)) == shifted_column_lp(matrix)
+    _, den, g, lo, (w, z, duals, d) = _column_lp(matrix)
+    value = (g * F(d, z) + lo - g) / den  # K's value is d / z
+    assert (value, normalised(w), normalised(duals)) == shifted_column_lp(matrix)
 
 
 def test_integer_payoffs_reach_the_fraction_vertex_on_every_graph_up_to_seven():
@@ -199,15 +202,15 @@ def test_integer_image_matches_shifted_read_on_large_random_graphs(u):
     [[F(2 ** 60 + 3, 2 ** 52), F(-5, 2 ** 52)], [F(-5, 2 ** 52), F(-5, 2 ** 52)]],
 ], ids=["1x1", "constant", "negative", "fractions", "positive", "float-like"])
 def test_integer_rows_contract(matrix):
-    rows, den, image, scale, offset = _integer_rows(matrix)
+    rows, den, image, g, lo = _integer_rows(matrix)
     assert list(map(list, rows)) == [[v * den for v in row] for row in matrix]
-    assert all(type(v) is int for row in rows + image for v in row)
+    assert all(type(v) is int for row in rows + image + [[g, lo]] for v in row)
     assert min(map(min, image)) == 1
     steps = math.gcd(*(k - 1 for row in image for k in row))
     constant = len({v for row in matrix for v in row}) == 1
     assert steps == (0 if constant else 1)
-    assert scale > 0
-    assert [[scale * k + offset for k in row] for row in image] == [list(row) for row in matrix]
+    assert g > 0
+    assert [[F(g * k + lo - g, den) for k in row] for row in image] == [list(row) for row in matrix]
 
 
 def test_duality_certificate_on_random_graphs():

@@ -15,7 +15,7 @@ import hsnet.matrix_game
 from hsnet.cli import main
 from hsnet.designer import build_cycle, build_maximal_cp, design_optimal, strategy_payoffs
 from hsnet.graphs import Graph, GraphError
-from hsnet.matrix_game import capture_probability, integer_payoffs
+from hsnet.matrix_game import capture_pattern, capture_probability, integer_payoffs
 from hsnet.oracle import exhaustive_optima
 from hsnet.payoff import FAMILIES, UtilityError, UtilitySpec, builtin_utilities
 
@@ -70,6 +70,12 @@ def test_utility_spec_shapes_validated():
         {"family": "power", "params": "gamma", "beta": "0"},
         {"family": "table", "params": {"values": "0,1"}, "beta": "0"},
         {"family": "table", "params": {"values": 3}, "beta": "0"},
+        # A key other than family, params and beta, or a params that is not
+        # an object, is refused rather than read as no params.
+        {"family": "linear", "beta": "1", "param": {"slope": "3"}},
+        {"family": "linear", "params": {"slope": "3"}, "beta": "1", "Beta": "2"},
+        {"family": "linear", "params": None, "beta": "0"},
+        {"family": "table", "params": None, "beta": "0"},
     ):
         with pytest.raises(UtilityError):
             UtilitySpec.from_json_dict(data)
@@ -709,6 +715,26 @@ def test_strategy_payoffs_random_disconnected_graphs():
                     edges.append((i, j))
             start += size
         assert_payoffs_match_dense(relabelled(Graph(n, edges), rng), rng)
+
+
+def test_strategy_payoffs_read_f_only_at_the_sizes_the_matrix_holds():
+    """A part that k catches whole adds nothing: K4 holds no size but 0, so
+    a table ending at f(1) is enough.  On seeded random graphs a table ends at
+    the largest size the capture pattern holds, so reading f at any other
+    part size would raise."""
+    rng = random.Random(31)
+    k4 = Graph(4, list(itertools.combinations(range(4), 2)))
+    assert_payoffs_match_dense(k4, rng, [UtilitySpec.table([0, 1], F(1, 2))])
+    tables = 0
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.3])
+        top = max(set().union(*capture_pattern(g)))
+        if top:
+            values = list(itertools.accumulate(rng.randint(1, 3) for _ in range(top)))
+            assert_payoffs_match_dense(g, rng, [UtilitySpec.table([0] + values, rng.randint(0, 3))])
+            tables += 1
+    assert tables > 150
 
 
 def test_strategy_payoffs_validates_shapes():

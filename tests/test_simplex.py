@@ -67,22 +67,24 @@ def reference_lp(c, rows, rhs):
 
 
 def solve_lp(c, rows, rhs):
-    """solve_lp, with its answer checked by plain arithmetic; returns (x, v).
+    """solve_lp, with its answer checked by plain integer arithmetic over its
+    divisor d; returns (x, v), the vertex and the optimum as Fractions.
 
-    Primal feasibility: x >= 0 and A x <= b; dual feasibility: A^T y >= c and
-    y >= 0; strong duality: c . x == b . y == v.
+    Primal feasibility: x >= 0 and A x <= b d; dual feasibility: A^T y >= c d
+    and y >= 0; strong duality: c . x == b . y == z, with v = z / d.
     """
-    x, v, y = _solve_lp(c, rows, rhs)
+    x, z, y, d = _solve_lp(c, rows, rhs)
+    assert all(type(v) is int for v in [*x, z, *y, d]) and d > 0
     assert len(x) == len(c) and all(xj >= 0 for xj in x)
     for row, b in zip(rows, rhs):
-        assert sum(F(a) * xj for a, xj in zip(row, x)) <= b
+        assert sum(a * xj for a, xj in zip(row, x)) <= b * d
     assert len(y) == len(rows)
     assert all(yi >= 0 for yi in y)
-    assert sum(F(b) * yi for b, yi in zip(rhs, y)) == v
+    assert sum(b * yi for b, yi in zip(rhs, y)) == z
     for j, cj in enumerate(c):
-        assert sum(F(row[j]) * yi for row, yi in zip(rows, y)) >= cj
-    assert sum(F(cj) * xj for cj, xj in zip(c, x)) == v
-    return x, v
+        assert sum(row[j] * yi for row, yi in zip(rows, y)) >= cj * d
+    assert sum(cj * xj for cj, xj in zip(c, x)) == z
+    return [F(xj, d) for xj in x], F(z, d)
 
 
 def integer_lp(c, rows, rhs):
@@ -105,8 +107,9 @@ def same_as_reference(c, rows, rhs):
         with pytest.raises(UnboundedError):
             _solve_lp(*program)
         return False
-    x, v, y = _solve_lp(*program)
-    assert (x, v / cscale, [yi * k / cscale for yi, k in zip(y, scales)]) == want
+    x, z, y, d = _solve_lp(*program)
+    assert ([F(xj, d) for xj in x], F(z, d * cscale),
+            [F(yi * k, d * cscale) for yi, k in zip(y, scales)]) == want
     solve_lp(*program)
     return True
 
