@@ -7,13 +7,12 @@ three orphaned core nodes, the middle one wired to exactly the other two,
 when odd).  ``design_topology`` is the one builder: it writes a layout's edges
 and node roles in one pass.  ``design_optimal`` picks the best isolated-node
 count, builds the layout, attaches both players' closed-form strategies (the
-hider's read off the roles, the seeker's off ``classify``, which classes
-each node in place from the neighbour tuples and builds no subgraph or node
-set), and certifies the pair by a zero best-response gap.  The gap is
-computed in integers from the graph, by ``strategy_payoffs`` here and
-``payoff.gap_from_payoffs``, without building the n x n payoff matrix, so
-no game solver is loaded.  The verifier's shape recognizer lives with the
-verifier, in ``hsnet.oracle``.
+hider's read off the roles, the seeker's off ``classify``, one class byte
+per node counted in place from the neighbour tuples), and certifies the
+pair by a zero best-response gap.  The gap is computed in integers from the
+graph, by ``strategy_payoffs`` here and ``payoff.gap_from_payoffs``, without
+building the n x n payoff matrix, so no game solver is loaded.  The
+verifier's shape recognizer lives with the verifier, in ``hsnet.oracle``.
 """
 
 from __future__ import annotations
@@ -111,47 +110,25 @@ def build_maximal_cp(k: int) -> Graph:
 # -- strategies -------------------------------------------------------------
 
 
-# A node's class in a SeekerPartition, one byte per node.
+# A node's class, one byte per node in what ``classify`` returns.
 SINGLETON, SINGLETON_LEAF, ATTACHMENT = 0, 1, 2
 RESIDUAL, RESIDUAL_LEAF, RESIDUAL_PAIR = 3, 4, 5
 
 
-class SeekerPartition(Record):
-    """Disjoint node classes driving the seeker's mixed strategy, held per
-    node: ``kinds[v]`` is v's class.  A SINGLETON has degree 0; a
-    SINGLETON_LEAF is a leaf whose (unique) neighbour, its ATTACHMENT node,
-    has no other leaf; the rest is the residual set, whose nodes are
-    RESIDUAL_LEAF or RESIDUAL_PAIR when they are leaves or in 2-node pieces
-    of the subgraph induced on it, and RESIDUAL otherwise.  ``r_degree[v]``
-    is v's degree in that subgraph, and 0 off it.  The node sets
-    (``singletons``, ``leaves``, ``m_nodes``, ``singleton_leaves``,
-    ``r_nodes`` and ``d_gr``, the 2-node pieces) are built only when read.
-    The classes cover all nodes, so ``len(r_nodes) == n - s - 2m``.
-    """
+def classify(g: Graph) -> bytes:
+    """The seeker's node classes, one byte per node, counted in place from
+    degrees and neighbour tuples: past passes over the degrees, only leaves
+    and the neighbours of attachment nodes are visited.
 
-    __slots__ = _fields = ("degrees", "leaf_neighbor_count", "kinds", "r_degree")
-
-    def _nodes(self, *kinds) -> frozenset:
-        return frozenset(v for v, kind in enumerate(self.kinds) if kind in kinds)
-
-    singletons = property(lambda self: self._nodes(SINGLETON))
-    singleton_leaves = property(lambda self: self._nodes(SINGLETON_LEAF))
-    m_nodes = property(lambda self: self._nodes(ATTACHMENT))
-    r_nodes = property(lambda self: self._nodes(RESIDUAL, RESIDUAL_LEAF, RESIDUAL_PAIR))
-    d_gr = property(lambda self: self._nodes(RESIDUAL_PAIR))
-    leaves = property(lambda self: frozenset(v for v, d in enumerate(self.degrees) if d == 1))
-
-
-def classify(g: Graph) -> SeekerPartition:
-    """Compute the seeker's node classification from degrees and neighbour
-    tuples, in place: past passes over the degrees, only leaves and the
-    neighbours of attachment nodes are visited.
-
-    A node is an attachment node when it has exactly one leaf neighbor and
-    is not itself a leaf; the non-leaf condition keeps the classes disjoint
-    on 2-node components (both endpoints of an isolated edge would otherwise
-    count as attachment node and leaf at once).  Endpoints of isolated edges
-    therefore land in the residual set's 2-node pieces.
+    A SINGLETON has degree 0.  A SINGLETON_LEAF is a leaf whose neighbour,
+    its ATTACHMENT node, has exactly one leaf neighbour and is not itself a
+    leaf; the non-leaf condition keeps the classes disjoint on 2-node
+    components (both endpoints of an isolated edge would otherwise count as
+    attachment node and leaf at once), so those endpoints land in the
+    residual set.  The rest is the residual set: its nodes are RESIDUAL_LEAF
+    or RESIDUAL_PAIR when they are leaves or in 2-node pieces of the
+    subgraph induced on it, and RESIDUAL otherwise.  The classes cover all
+    nodes, so the residual set has n - s - 2m nodes.
     """
     n = g.node_count
     degrees = g.degrees()
@@ -187,7 +164,7 @@ def classify(g: Graph) -> SeekerPartition:
             else:
                 kinds[v] = RESIDUAL_LEAF
     assert kinds.count(ATTACHMENT) == kinds.count(SINGLETON_LEAF)
-    return SeekerPartition(degrees, tuple(lcount), bytes(kinds), tuple(r_degree))
+    return bytes(kinds)
 
 
 def seeker_strategy(g: Graph, u: UtilitySpec) -> MixedStrategy:
@@ -201,7 +178,7 @@ def seeker_strategy(g: Graph, u: UtilitySpec) -> MixedStrategy:
     n = g.node_count
     if n == 0:
         raise DesignError("seeker strategy needs at least one node")
-    kinds = classify(g).kinds
+    kinds = classify(g)
     s, m = kinds.count(SINGLETON), kinds.count(ATTACHMENT)
     r = n - s - 2 * m
     if s == n:

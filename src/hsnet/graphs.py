@@ -1,7 +1,7 @@
 """Undirected simple graphs, their deletion structure, and serialization.
 
-Graphs are immutable after construction (nodes are 0..n-1, edges a frozenset
-of sorted pairs, each node's neighbours a sorted tuple), so every derived
+Graphs are immutable after construction (nodes are 0..n-1, each node's
+neighbours a sorted tuple, off which the edges are read), so every derived
 object in this module can be shared freely across worker processes.
 
 The seeker's inspection deletes a node, and every structure query about
@@ -44,11 +44,11 @@ class GraphFormatError(GraphError):
 class Graph:
     """Undirected simple graph over nodes 0..node_count-1.
 
-    Each node's neighbours are stored once, as a sorted tuple, so a graph
-    takes O(n + e) memory; all queries are read-only.
+    Each node's neighbours are stored once, as a sorted tuple, and every
+    other view is read off them, so a graph takes O(n + e) memory.
     """
 
-    __slots__ = ("node_count", "edges", "_adjacency")
+    __slots__ = ("node_count", "_adjacency")
 
     def __init__(self, node_count: int, edges=()):
         # Exactly int: a bool would otherwise pass as a node id and be kept.
@@ -66,33 +66,38 @@ class Graph:
             # A bad edge stops the scan, and the refusal rescans from the
             # first edge, duplicates included, to name the first bad one.
             adjacency = [[] for _ in range(node_count)]
-            pairs = []
+            bad = True
             try:
                 for i, j in edges:
                     if type(i) is not int or type(j) is not int or i == j:
                         break
                     if not (0 <= i < node_count and 0 <= j < node_count):
                         break
-                    if i > j:
-                        i, j = j, i
-                    pairs.append((i, j))
                     adjacency[i].append(j)
                     adjacency[j].append(i)
+                else:
+                    bad = False
             except (TypeError, ValueError):  # an edge that is not a pair
                 pass
-            if len(pairs) < len(edges) or len(edge_set := frozenset(pairs)) < len(pairs):
-                _refuse_edges(node_count, edges)
             for v, a in enumerate(adjacency):  # each list freed as its tuple is made
                 a.sort()
+                # A repeated edge leaves two equal neighbours side by side.
+                bad = bad or len(a) > 1 and not all(map(int.__lt__, a, a[1:]))
                 adjacency[v] = tuple(a)
+            if bad:
+                _refuse_edges(node_count, edges)
         finally:
             if collecting:
                 gc.enable()
         self.node_count = node_count
-        self.edges = edge_set
         self._adjacency = tuple(adjacency)
 
     # -- queries ---------------------------------------------------------
+
+    @property
+    def edges(self) -> frozenset:
+        """The edges as a frozenset of sorted pairs, built on each read."""
+        return frozenset(self.sorted_edges())
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self._adjacency[i]
@@ -108,23 +113,20 @@ class Graph:
         return tuple(map(len, self._adjacency))
 
     def has_edge(self, i: int, j: int) -> bool:
-        return ((i, j) if i < j else (j, i)) in self.edges
+        return 0 <= i < self.node_count and j in self._adjacency[i]
 
     def isolated_nodes(self) -> tuple[int, ...]:
         return tuple(i for i, a in enumerate(self._adjacency) if not a)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        """Each edge (i, j), i < j, in increasing order, read off the tuples."""
+        return [(i, j) for i, a in enumerate(self._adjacency) for j in a if j > i]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.node_count == other.node_count
-            and self.edges == other.edges
-        )
+        return isinstance(other, Graph) and self._adjacency == other._adjacency
 
     def __hash__(self):
-        return hash((self.node_count, self.edges))
+        return hash(self._adjacency)
 
     def __repr__(self):
         return f"Graph({self.node_count}, {self.sorted_edges()})"
@@ -231,6 +233,8 @@ def format_graph_text(g: Graph) -> str:
 
 
 def _refuse_node_count(n: int, line: int | None = None):
+    if n < 0:
+        raise GraphFormatError("node count must be nonnegative", line)
     if n > GRAPH_MAX_NODES:
         raise GraphFormatError(f"node count must be at most {GRAPH_MAX_NODES}, got {n}", line)
 
@@ -254,8 +258,6 @@ def parse_graph_text(text: str) -> Graph:
                 node_count = parse_int(parts[1])
             except ValueError:
                 raise GraphFormatError(f"bad node count {parts[1]!r}", lineno)
-            if node_count < 0:
-                raise GraphFormatError("node count must be nonnegative", lineno)
             _refuse_node_count(node_count, lineno)
         elif parts[0] == "e":
             if node_count is None:
@@ -286,11 +288,16 @@ def graph_to_json_dict(g: Graph) -> dict:
 
 
 def graph_from_json_dict(data: dict) -> Graph:
+    """The graph of an object with ``n`` and ``edges``; any other key is
+    refused by name."""
     try:
         n = data["n"]
         edges = data["edges"]
     except (TypeError, KeyError) as exc:
         raise GraphFormatError("expected object with 'n' and 'edges'") from exc
+    for key in data:
+        if key not in ("n", "edges"):
+            raise GraphFormatError(f"unknown graph key {key!r}")
     # bool is an int subclass, and int() would truncate 1.7 to 1.
     if type(n) is not int:
         raise GraphFormatError("'n' must be an integer")

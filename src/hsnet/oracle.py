@@ -155,31 +155,12 @@ def exhaustive_optima(n: int, utilities, long_run: bool = False) -> list:
 # -- structural checks -------------------------------------------------------
 
 
-class ComponentPartition:
-    """Connected components as disjoint node sets covering all nodes."""
-
-    __slots__ = ("components", "component_of")
-
-    def __init__(self, components: tuple[frozenset, ...], component_of: tuple[int, ...]):
-        self.components = components
-        self.component_of = component_of
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.components)
-
-
-def components(g: Graph) -> ComponentPartition:
-    """Connected-component partition, components ordered by smallest member."""
+def components(g: Graph) -> tuple[frozenset, ...]:
+    """The connected components as node sets, ordered by smallest member."""
     order, tin, _, size, comp_start = _dfs_low_links(g)
-    comp_of = [0] * g.node_count
-    comps = []
-    for v in order:
-        if tin[v] == comp_start[v]:  # a root: the smallest member of its component
-            members = order[tin[v] : tin[v] + size[v]]
-            for w in members:
-                comp_of[w] = len(comps)
-            comps.append(frozenset(members))
-    return ComponentPartition(tuple(comps), tuple(comp_of))
+    # A root is the smallest member of its component, and its subtree is it.
+    return tuple(frozenset(order[tin[v] : tin[v] + size[v]])
+                 for v in range(g.node_count) if tin[v] == comp_start[v])
 
 
 def induced_subgraph(g: Graph, nodes) -> Graph:
@@ -192,16 +173,14 @@ def induced_subgraph(g: Graph, nodes) -> Graph:
             raise GraphError(f"node {v!r} is not a node id in 0..{g.node_count - 1}")
     order = sorted(set(nodes))
     index = {v: i for i, v in enumerate(order)}
-    edges = [
-        (index[i], index[j]) for (i, j) in g.edges if i in index and j in index
-    ]
-    return Graph(len(order), edges)
+    return Graph(len(order), [(index[i], index[j]) for i in order
+                              for j in g.neighbors(i) if j > i and j in index])
 
 
 def is_connected(g: Graph) -> bool:
     if g.node_count == 0:
         return False
-    return len(components(g).components) == 1
+    return len(components(g)) == 1
 
 
 def is_two_connected(g: Graph) -> bool:
@@ -239,7 +218,7 @@ def is_maximal_core_periphery(g: Graph) -> bool:
         if len(leaves) != k // 2:
             return False
         if len(core) == 2:
-            return core_graph.edges == frozenset({(0, 1)})
+            return core_graph.sorted_edges() == [(0, 1)]
         return is_two_connected(core_graph)
     if len(leaves) != (k - 3) // 2:
         return False
@@ -266,7 +245,7 @@ def check_structure(n: int, u: UtilitySpec, argmax_keys: tuple, best, star) -> t
         g = graph_from_canonical_key(key)
         s = len(g.isolated_nodes())
         counts.add(s)
-        if any(size in (2, 3) for size in components(g).sizes()):
+        if any(len(c) in (2, 3) for c in components(g)):
             small.append(key)
         if s > n - 4:
             if s < n:

@@ -15,12 +15,16 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import strategies as st
 
 import hsnet
 from hsnet.canonical import canonical_key_edges, enumerate_keys, graph_from_canonical_key
+from hsnet.designer import (
+    ATTACHMENT, RESIDUAL, RESIDUAL_LEAF, RESIDUAL_PAIR, SINGLETON, SINGLETON_LEAF, classify,
+)
 from hsnet.graphs import Graph
 from hsnet.matrix_game import integer_payoffs
 from hsnet.oracle import exhaustive_optima, grid_utilities
@@ -116,6 +120,28 @@ def run_child(args, timeout=None):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     return subprocess.run(
         [sys.executable] + args, capture_output=True, text=True, env=env, timeout=timeout
+    )
+
+
+def class_sets(g):
+    """``classify(g)`` as node sets, each built once: ``singletons``,
+    ``singleton_leaves``, ``m_nodes`` (the attachment nodes), ``r_nodes``
+    (the residual set), its leaves ``r_leaves`` and 2-node pieces ``d_gr``,
+    and ``leaves``, the nodes of degree 1; ``kinds`` is the bytes read."""
+    kinds = classify(g)
+
+    def nodes(*wanted):
+        return frozenset(v for v, kind in enumerate(kinds) if kind in wanted)
+
+    return SimpleNamespace(
+        kinds=kinds,
+        singletons=nodes(SINGLETON),
+        singleton_leaves=nodes(SINGLETON_LEAF),
+        m_nodes=nodes(ATTACHMENT),
+        r_nodes=nodes(RESIDUAL, RESIDUAL_LEAF, RESIDUAL_PAIR),
+        r_leaves=nodes(RESIDUAL_LEAF),
+        d_gr=nodes(RESIDUAL_PAIR),
+        leaves=frozenset(v for v in range(g.node_count) if g.degree(v) == 1),
     )
 
 

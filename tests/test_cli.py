@@ -275,6 +275,21 @@ def test_graph_file_past_the_node_limit_is_refused_unbuilt(
     assert err == f"error: {where}node count must be at most 1000000, got 1000001\n"
 
 
+@pytest.mark.parametrize("command", ["solve", "export"])
+@pytest.mark.parametrize("text, message", [
+    ('{"n": 3, "edges": [], "edgez": [[0, 1]]}', "unknown graph key 'edgez'"),
+    ('{"n": -1, "edges": []}', "node count must be nonnegative"),
+    ("n -1\n", "line 1: node count must be nonnegative"),
+], ids=["json-typo", "json-negative", "text-negative"])
+def test_graph_file_refuses_a_key_typo_and_a_negative_count(
+        tmp_path, capsys, command, text, message):
+    # Read loosely, the typo would give three isolated nodes and exit 0.
+    bad = tmp_path / "bad.graph"
+    bad.write_text(text)
+    assert run([command, "--graph", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_solve_refuses_a_graph_file_at_the_node_limit(tmp_path, monkeypatch, capsys):
     # The reader takes 10^6 nodes; solve keeps its own refusal above 100.
     import types

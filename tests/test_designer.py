@@ -30,6 +30,7 @@ from hsnet.rationals import format_rational
 
 from conftest import (
     BETA_GRID,
+    class_sets,
     enumerate_graphs,
     graph_and_permutation,
     identity_u,
@@ -106,7 +107,7 @@ def test_build_core_periphery():
         pairing=(0, 1, 2, 3),
     )
     g = build_core_periphery(spec)
-    part = classify(g)
+    part = class_sets(g)
     assert part.m_nodes == frozenset(range(4))
     assert part.singleton_leaves == frozenset(range(4, 8))
 
@@ -116,7 +117,7 @@ def test_build_core_periphery():
         pairing=(0, 1, 2),
     )
     g = build_core_periphery(spec)
-    part = classify(g)
+    part = class_sets(g)
     assert part.m_nodes == frozenset({0, 1, 2})
     assert len(part.r_nodes) == 2  # the orphans
 
@@ -128,7 +129,7 @@ def test_build_core_periphery():
     )
     g = build_core_periphery(big)
     assert g.node_count == 39
-    assert len(classify(g).singleton_leaves) == 15
+    assert len(class_sets(g).singleton_leaves) == 15
 
     with pytest.raises(dz.DesignError):
         CorePeripherySpec(q=2, m=3, core_edges=frozenset({(0, 1)}), pairing=(0, 1, 0)).validate()
@@ -138,16 +139,16 @@ def test_build_core_periphery():
 
 def test_build_maximal_cp_shapes():
     g8 = dz.build_maximal_cp(8)
-    part = classify(g8)
+    part = class_sets(g8)
     assert len(part.singleton_leaves) == 4 and len(part.r_nodes) == 0
 
     g16 = dz.build_maximal_cp(16)
-    part = classify(g16)
+    part = class_sets(g16)
     assert len(part.singleton_leaves) == 8
     assert is_two_connected(Graph(8, dz.build_cycle(8).edges))
 
     g17 = dz.build_maximal_cp(17)
-    part = classify(g17)
+    part = class_sets(g17)
     assert len(part.singleton_leaves) == 7
     topo = dz.design_topology(17, 0, dz.MAXIMAL_CP_ODD)
     mid = topo.middle_orphan
@@ -292,9 +293,9 @@ def test_seeker_strategy_secures_bound_on_every_small_graph():
     tested = 0
     for n in range(4, 7):
         for g in enumerate_graphs(n):
-            if 2 in components(g).sizes():
+            if any(len(c) == 2 for c in components(g)):
                 continue
-            part = classify(g)
+            part = class_sets(g)
             s, m = len(part.singletons), len(part.m_nodes)
             if not (s <= n - 4 or s == n):
                 continue
@@ -314,30 +315,31 @@ def test_seeker_strategy_secures_bound_on_every_small_graph():
 # -- the residual-subgraph classification, kept as the oracle --------------
 
 
-def residual_subgraph(g):
-    """(gr_nodes, gr, sizes): the subgraph induced on the residual set,
-    relabelled in sorted order, and the size of each gr node's component."""
-    gr_nodes = tuple(sorted(classify(g).r_nodes))
+def residual_subgraph(g, part):
+    """(gr_nodes, gr, sizes): the subgraph induced on the residual set of
+    ``class_sets(g)``, relabelled in sorted order, and the size of each gr
+    node's component."""
+    gr_nodes = tuple(sorted(part.r_nodes))
     gr = induced_subgraph(g, gr_nodes)
-    parts = components(gr)
-    return gr_nodes, gr, [len(parts.components[c]) for c in parts.component_of]
+    size = {i: len(c) for c in components(gr) for i in c}
+    return gr_nodes, gr, [size[i] for i in range(gr.node_count)]
 
 
-def residual_classes_by_subgraph(g):
-    """(r_degree, d_gr) read off the residual subgraph and its components."""
-    gr_nodes, gr, sizes = residual_subgraph(g)
-    r_degree = [0] * g.node_count
-    for i, v in enumerate(gr_nodes):
-        r_degree[v] = gr.degree(i)
-    return tuple(r_degree), frozenset(v for i, v in enumerate(gr_nodes) if sizes[i] == 2)
+def residual_classes_by_subgraph(g, part):
+    """(r_leaves, d_gr) read off the residual subgraph and its components:
+    the leaves outside 2-node pieces, and the nodes of 2-node pieces."""
+    gr_nodes, gr, sizes = residual_subgraph(g, part)
+    pairs = frozenset(v for i, v in enumerate(gr_nodes) if sizes[i] == 2)
+    leaves = frozenset(v for i, v in enumerate(gr_nodes) if gr.degree(i) == 1)
+    return leaves - pairs, pairs
 
 
-def seeker_strategy_by_subgraph(g, u):
+def seeker_strategy_by_subgraph(g, u, part):
     """The closed-form seeker with the residual masses spread over the
     residual subgraph: a non-leaf takes its own share plus one per leaf
-    neighbour, a leaf of a 2-node component keeps its share."""
+    neighbour, a leaf of a 2-node component keeps its share.  ``part`` is
+    ``class_sets(g)``."""
     n = g.node_count
-    part = classify(g)
     s, m, r = len(part.singletons), len(part.m_nodes), len(part.r_nodes)
     if s == n:
         return MixedStrategy.uniform(n)
@@ -350,7 +352,7 @@ def seeker_strategy_by_subgraph(g, u):
     for v in part.singletons:
         probs[v] = lam_s / s
     rest = 1 - lam_s
-    gr_nodes, gr, sizes = residual_subgraph(g)
+    gr_nodes, gr, sizes = residual_subgraph(g, part)
     gr_leaves = {i for i in range(gr.node_count) if gr.degree(i) == 1}
     for i, v in enumerate(gr_nodes):
         if i not in gr_leaves:
@@ -367,11 +369,12 @@ ORACLE_UTILITIES = (identity_u(2), square_u(F(1, 2)), ratio_u(1), identity_u(0))
 
 
 def assert_seeker_matches_subgraph_oracle(g):
-    part = classify(g)
-    assert (part.r_degree, part.d_gr) == residual_classes_by_subgraph(g), g
+    part = class_sets(g)
+    assert (part.r_leaves, part.d_gr) == residual_classes_by_subgraph(g, part), g
     if g.node_count:
         for u in ORACLE_UTILITIES:
-            assert dz.seeker_strategy(g, u).probs == seeker_strategy_by_subgraph(g, u).probs, (g, u)
+            want = seeker_strategy_by_subgraph(g, u, part).probs
+            assert dz.seeker_strategy(g, u).probs == want, (g, u)
 
 
 def test_seeker_matches_subgraph_oracle_on_every_graph_up_to_seven():
@@ -397,9 +400,10 @@ def test_classify_residual_pieces():
     # none of the three is claimed) and a triangle: all residual, and only
     # the edge is a 2-node piece.
     g = Graph(8, [(0, 1), (2, 3), (3, 4), (5, 6), (6, 7), (5, 7)])
-    part = classify(g)
+    part = class_sets(g)
     assert part.r_nodes == frozenset(range(8))
-    assert part.r_degree == (1, 1, 1, 2, 1, 2, 2, 2)
+    # Residual degree 1 at 0, 1, 2 and 4: the edge's ends and the path's.
+    assert part.r_leaves == frozenset({2, 4})
     assert part.d_gr == frozenset({0, 1})
 
 
@@ -486,7 +490,7 @@ def fraction_seeker_strategy(g, u):
     """The seeker's closed-form probabilities, one Fraction per node: the
     oracle of ``seeker_strategy``'s integer weights."""
     n = g.node_count
-    part = classify(g)
+    part = class_sets(g)
     s, m, r = len(part.singletons), len(part.m_nodes), len(part.r_nodes)
     if s == n:
         return [F(1, n)] * n
@@ -501,11 +505,14 @@ def fraction_seeker_strategy(g, u):
     per_s = lam_s / s if s else F(0)
     per_m = rest * (1 - lam_r) / m if m else F(0)
     per_r = rest * lam_r / r if r else F(0)
+    # A residual node's neighbours off the residual set are attachment nodes.
+    r_degree = [g.degree(v) - len(part.m_nodes.intersection(g.neighbors(v)))
+                if v in part.r_nodes else 0 for v in range(n)]
     probs = [F(0)] * n
     for v in range(n):
         if v in part.r_nodes:
-            if part.r_degree[v] != 1:
-                probs[v] = per_r * (1 + sum(part.r_degree[j] == 1 for j in g.neighbors(v)))
+            if r_degree[v] != 1:
+                probs[v] = per_r * (1 + sum(r_degree[j] == 1 for j in g.neighbors(v)))
             elif v in part.d_gr:
                 probs[v] = per_r
         elif v in part.m_nodes:

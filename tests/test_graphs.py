@@ -36,14 +36,16 @@ from hsnet.graphs import (
 from hsnet import canonical as canonical_module
 from hsnet.designer import (
     MAXIMAL_CP_EVEN,
+    RESIDUAL,
     build_cycle,
     build_maximal_cp,
-    classify,
     design_topology,
 )
 from hsnet.oracle import components, induced_subgraph, is_connected, is_two_connected
 
-from conftest import enumerate_graphs, graph_and_permutation, graphs, key_to_json_dict, relabel
+from conftest import (
+    class_sets, enumerate_graphs, graph_and_permutation, graphs, key_to_json_dict, relabel,
+)
 
 
 def path(k):
@@ -107,16 +109,41 @@ def test_neighbor_symmetry_random():
                 assert g.has_edge(i, j) == g.has_edge(j, i)
 
 
+def test_graph_views_are_read_off_the_neighbour_tuples():
+    # One edge set given three ways (shuffled, each pair reversed, and as a
+    # generator) builds one graph, and every view of it agrees.  An id off
+    # 0..n-1 has no edge: -1 must not wrap round to the last node.
+    rng = random.Random(29)
+    for _ in range(150):
+        n = rng.randint(0, 30)
+        density = rng.random()
+        pairs = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+        shuffled = rng.sample(pairs, len(pairs))
+        g, *others = (Graph(n, shuffled), Graph(n, [(j, i) for i, j in pairs]),
+                      Graph(n, (e for e in pairs)))
+        for h in others:
+            assert h == g and hash(h) == hash(g)
+            assert h.edges == g.edges and h.sorted_edges() == g.sorted_edges()
+            assert all(h.neighbors(v) == g.neighbors(v) for v in range(n))
+        assert g.sorted_edges() == sorted(g.edges) == pairs
+        for i in range(n):
+            for j in range(n):
+                assert g.has_edge(i, j) == g.has_edge(j, i) == (j in g.neighbors(i))
+        for off in (-1, n):
+            for v in range(-1, n + 1):
+                assert not g.has_edge(off, v) and not g.has_edge(v, off)
+
+
 def test_components_examples():
     g = Graph(4, [(0, 1), (1, 2)])
     parts = components(g)
-    assert set(parts.components) == {frozenset({0, 1, 2}), frozenset({3})}
-    assert parts.component_of[3] != parts.component_of[0]
+    assert parts == (frozenset({0, 1, 2}), frozenset({3}))
+    assert not any({0, 3} <= c for c in parts)
 
     empty = Graph(3)
-    assert components(empty).sizes() == (1, 1, 1)
+    assert components(empty) == (frozenset({0}), frozenset({1}), frozenset({2}))
 
-    assert components(build_cycle(5)).sizes() == (5,)
+    assert components(build_cycle(5)) == (frozenset(range(5)),)
 
 
 def test_induced_subgraph_examples():
@@ -147,11 +174,11 @@ def test_is_two_connected():
         if is_two_connected(g):
             for k in range(g.node_count):
                 h = induced_subgraph(g, [v for v in range(g.node_count) if v != k])
-                assert len(components(h).components) == 1
+                assert len(components(h)) == 1
 
 
 def test_classify_path4():
-    part = classify(path(4))
+    part = class_sets(path(4))
     assert part.leaves == {0, 3}
     assert part.m_nodes == {1, 2}
     assert part.singleton_leaves == {0, 3}
@@ -160,19 +187,21 @@ def test_classify_path4():
 
 
 def test_classify_cycle6():
-    part = classify(build_cycle(6))
+    part = class_sets(build_cycle(6))
     assert part.singletons == part.m_nodes == part.singleton_leaves == frozenset()
     assert part.r_nodes == frozenset(range(6))
-    assert part.r_degree == (2,) * 6
+    # Residual degree 2 everywhere: no residual leaf and no 2-node piece.
+    assert type(part.kinds) is bytes and part.kinds == bytes([RESIDUAL] * 6)
     assert part.d_gr == frozenset()
 
 
 def test_classify_maximal_cp8():
-    part = classify(build_maximal_cp(8))
+    g = build_maximal_cp(8)
+    part = class_sets(g)
     assert part.m_nodes == frozenset(range(4))
     assert part.singleton_leaves == frozenset(range(4, 8))
     assert part.r_nodes == frozenset()
-    assert all(part.leaf_neighbor_count[c] == 1 for c in range(4))
+    assert all(len(part.leaves.intersection(g.neighbors(c))) == 1 for c in range(4))
 
 
 def test_classify_isolated_edge_goes_to_residual():
@@ -180,7 +209,7 @@ def test_classify_isolated_edge_goes_to_residual():
     # and the leaf rule at once; they must land in the residual set to keep
     # the classes a partition.
     g = Graph(6, [(0, 1), (2, 3), (3, 4), (4, 5), (5, 2)])
-    part = classify(g)
+    part = class_sets(g)
     assert part.m_nodes == frozenset()
     assert part.r_nodes == frozenset(range(6))
     assert part.d_gr == frozenset({0, 1})
@@ -189,7 +218,7 @@ def test_classify_isolated_edge_goes_to_residual():
 def test_classify_paw_graph_d_gr():
     # triangle 1-2-3 with pendant 0 on 1: residual pair {2,3}
     g = Graph(4, [(0, 1), (1, 2), (1, 3), (2, 3)])
-    part = classify(g)
+    part = class_sets(g)
     assert part.m_nodes == {1}
     assert part.singleton_leaves == {0}
     assert part.r_nodes == {2, 3}
@@ -202,7 +231,7 @@ def test_classify_partition_property_random():
         n = rng.randint(0, 8)
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.35]
         g = Graph(n, edges)
-        part = classify(g)
+        part = class_sets(g)
         blocks = [part.singletons, part.singleton_leaves, part.m_nodes, part.r_nodes]
         assert sum(len(b) for b in blocks) == n
         union = set()
@@ -216,10 +245,10 @@ def test_classify_partition_property_random():
 def test_classify_all_leaves_means_empty_residual():
     # disjoint edges with both endpoints degree 1 everywhere
     g = Graph(4, [(0, 1), (2, 3)])
-    part = classify(g)
+    part = class_sets(g)
     assert part.r_nodes == frozenset(range(4))  # isolated edges are residual pairs
     g2 = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    part2 = classify(g2)
+    part2 = class_sets(g2)
     assert part2.r_nodes == frozenset(range(4))  # hub has 3 leaf neighbors
 
 
@@ -671,8 +700,8 @@ def two_connected_by_bitmasks(g):
 
 
 def components_by_union_find(g):
-    """(components, component_of) by union-find, each component's root its
-    smallest member, components ordered by it."""
+    """The components by union-find, each component's root its smallest
+    member, components ordered by it."""
     parent = list(range(g.node_count))
 
     def find(v):
@@ -684,8 +713,7 @@ def components_by_union_find(g):
         a, b = find(i), find(j)
         parent[max(a, b)] = min(a, b)
     roots = sorted({find(v) for v in range(g.node_count)})
-    comps = tuple(frozenset(v for v in range(g.node_count) if find(v) == r) for r in roots)
-    return comps, tuple(roots.index(find(v)) for v in range(g.node_count))
+    return tuple(frozenset(v for v in range(g.node_count) if find(v) == r) for r in roots)
 
 
 def leaf_neighbor_counts_by_bitmasks(g):
@@ -694,10 +722,16 @@ def leaf_neighbor_counts_by_bitmasks(g):
 
 
 def assert_matches_oracles(g):
-    part = components(g)
-    assert (part.components, part.component_of) == components_by_union_find(g), g
+    assert components(g) == components_by_union_find(g), g
     assert is_two_connected(g) == two_connected_by_bitmasks(g), g
-    assert classify(g).leaf_neighbor_count == leaf_neighbor_counts_by_bitmasks(g), g
+    # The leaf count decides two classes: the non-leaves with one leaf
+    # neighbour are the attachment nodes, and those leaves the singleton leaves.
+    counts = leaf_neighbor_counts_by_bitmasks(g)
+    attached = {v for v, c in enumerate(counts) if c == 1 and g.degree(v) != 1}
+    part = class_sets(g)
+    assert part.m_nodes == attached, g
+    assert part.singleton_leaves == {w for v in attached for w in g.neighbors(v)
+                                     if g.degree(w) == 1}, g
     for v in range(g.node_count):
         assert g.neighbors(v) == tuple(w for w in range(g.node_count) if g.neighbor_mask(v) >> w & 1)
         assert all(g.has_edge(v, w) == (w in g.neighbors(v)) for w in range(g.node_count))
@@ -726,17 +760,17 @@ def test_structure_queries_at_100000_nodes():
     # tuples and the iterative DFS take O(n + e).
     n = 100_000
     cycle = build_cycle(n)
-    assert components(cycle).sizes() == (n,)
+    assert components(cycle) == (frozenset(range(n)),)
     assert is_two_connected(cycle)
-    part = classify(cycle)
+    part = class_sets(cycle)
     assert part.r_nodes == frozenset(range(n)) and part.d_gr == frozenset()
     assert part.m_nodes == part.singleton_leaves == part.singletons == frozenset()
 
     cp = design_topology(n, 0, MAXIMAL_CP_EVEN).graph
-    assert components(cp).sizes() == (n,)
+    assert components(cp) == (frozenset(range(n)),)
     assert not is_two_connected(cp)  # every core node holds a leaf
     assert is_two_connected(induced_subgraph(cp, range(n // 2)))
-    part = classify(cp)
+    part = class_sets(cp)
     assert part.m_nodes == frozenset(range(n // 2))
     assert part.singleton_leaves == frozenset(range(n // 2, n))
     assert part.r_nodes == part.singletons == frozenset()
