@@ -10,7 +10,7 @@ value decides the first two; large penalties push toward isolation.
 from fractions import Fraction
 
 from hsnet import UtilitySpec, design_optimal, format_rational, to_dot
-from hsnet.closed_form import topology_threshold
+from hsnet.closed_form import value_row
 
 
 def sweep(n, make_utility, betas, label):
@@ -19,7 +19,7 @@ def sweep(n, make_utility, betas, label):
     for beta in betas:
         u = make_utility(beta)
         res = design_optimal(n, u)
-        t = topology_threshold(n, 0, u)
+        t = value_row(n, 0, 0, u).threshold
         print(
             f"{format_rational(beta):>8} {format_rational(t):>10} "
             f"{res.topology:>18} {res.s_star:>9} "

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-CANONICAL_MAX_NODES = 8
-ENUMERATION_LIMIT = 8
+CANONICAL_MAX_NODES = 8  # the bound of canonical forms and of enumeration alike
 _MEMBERS = tuple(  # _MEMBERS[mask]: the nodes in the bitmask, in increasing order
     tuple(v for v in range(CANONICAL_MAX_NODES) if m >> v & 1)
     for m in range(1 << CANONICAL_MAX_NODES)
@@ -265,9 +264,9 @@ def enumerate_keys(n: int) -> tuple:
     """The canonical keys of all graphs on n nodes, one per isomorphism
     class, sorted.  n must be exactly an int (a bool or a float is an
     EnumerationError)."""
-    if type(n) is not int or n < 0 or n > ENUMERATION_LIMIT:
+    if type(n) is not int or n < 0 or n > CANONICAL_MAX_NODES:
         raise EnumerationError(
-            f"enumeration supports 0 <= n <= {ENUMERATION_LIMIT}, got {n!r}"
+            f"enumeration supports 0 <= n <= {CANONICAL_MAX_NODES}, got {n!r}"
         )
     return _representative_keys(n)
 

@@ -57,15 +57,11 @@ def _utility_from_args(args):
     if args.utility is not None:
         if given:
             raise CliError(f"--utility takes no other utility flag, got {_flag(given[0])}")
-        import json
         raw = args.utility
         if raw.startswith("@"):
             with open(raw[1:], "r", encoding="utf-8") as fh:
                 raw = fh.read()
-        try:
-            return UtilitySpec.from_json_dict(json.loads(raw))
-        except json.JSONDecodeError as exc:
-            raise CliError(f"invalid utility JSON: {exc}") from exc
+        return UtilitySpec.from_json_dict(_read_json(raw, "utility"))
     family = "linear" if args.family is None else args.family
     # Each family's parameter is read from the flag whose dest bears its name.
     key = family_parameter(family)[0]
@@ -99,17 +95,34 @@ def _numeric_renderer(u):
     return (lambda x: format_float(float(x))), True
 
 
+def _read_json(text: str, what: str):
+    """The JSON value of ``text``, the one JSON reader of the inputs.  Text
+    that is not JSON, nests too deeply to read, or repeats a key in an object
+    is a CliError under ``invalid <what> JSON: ``."""
+    import json
+
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise CliError(f"invalid {what} JSON: repeated key {key!r}")
+            obj[key] = value
+        return obj
+
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as exc:
+        raise CliError(f"invalid {what} JSON: {exc}") from None
+    except RecursionError:
+        raise CliError(f"invalid {what} JSON: nested too deeply") from None
+
+
 def _load_graph(path: str):
-    from .graphs import GraphFormatError, graph_from_json_dict, parse_graph_text
+    from .graphs import graph_from_json_dict, parse_graph_text
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        import json
-        try:
-            return graph_from_json_dict(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"invalid graph JSON: {exc}")
+    if text.lstrip().startswith("{"):
+        return graph_from_json_dict(_read_json(text, "graph"))
     return parse_graph_text(text)
 
 

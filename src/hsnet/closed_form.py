@@ -4,10 +4,8 @@ Everything here is a pure function of (n, s, m) and a utility spec, where n
 is the total node count, s the number of isolated nodes and m the number of
 protected leaves in the connected part.  A context is an int n >= 1 with
 0 <= s <= n-4 or s = n, and 0 <= m <= (n-s)/2; ``_context`` refuses any
-other with a DomainError.  The public functions:
+other with a DomainError; it is the one domain rule.  The public functions:
 
-* topology_threshold: decides cycle (threshold >= beta) versus
-  core-periphery (threshold < beta) for the connected part;
 * value_row: every quantity of one context, as a ValueReport: the
   threshold T, the seeker's guarantees A and B when the hider stays in the
   connected part and among the isolated nodes, the seeker's weights rho on
@@ -17,7 +15,10 @@ other with a DomainError.  The public functions:
   hider's equilibrium payoff on an optimal network is minus the minimum of
   Qbar over s;
 * value_table_rows: the rows of every context of one n;
-* optimal_singleton_counts: the argmin set of that minimum, and the minimum.
+* optimal_singleton_counts: the argmin set of that minimum, and the minimum;
+* design_row: the one decision of the optimal design, as its row: the least
+  optimal s, with no leaves (a cycle) when T >= beta, else the parity-maximal
+  leaf count (a maximal core-periphery part).
 
 Every quantity comes from one integer kernel, fed beta, f(1), f(x), f(x-1)
 and f(x-2) (x = n - s) as integers over their own lcm D; each is an integer
@@ -159,30 +160,16 @@ def _mu(x: int, b: int, fx1: int, fx2: int, a: int, k: int) -> tuple:
 
 
 def _best(x: int, s: int, b: int, f1: int, fx: int, fx1: int, fx2: int) -> tuple:
-    """(q, g) of the best seeker bound Q = q / (g D) for s isolated nodes and
-    x >= 4 others: no leaves as a cycle, else the parity-maximal count."""
+    """(m, q, g): the leaf count m of the best seeker bound for s isolated
+    nodes and x >= 4 others, and that bound Q = q / (g D).  m is 0 (a cycle)
+    when T >= beta, else the parity-maximal count."""
     t = _threshold(x, b, fx1, fx2)
     m = 0 if t >= b else (x - 3 * (x % 2)) // 2  # x/2 when x is even, (x-3)/2 when odd
     w, g, q = _bound(s, b, f1, fx, *_component(x, m, b, fx1, fx2, t))
-    return q, g
+    return m, q, g
 
 
 # -- the quantities -----------------------------------------------------------
-
-
-def topology_threshold(n: int, s: int, u: UtilitySpec) -> Fraction:
-    """(n-s-3) f(n-s-1) - (n-s-2) f(n-s-2), for 0 <= s <= n-3.
-
-    Positive and large when f grows fast near n-s, which favors keeping the
-    connected part intact (a cycle); small or negative when the marginal
-    node is worth little, which favors hiding behind leaves.
-    """
-    _context(n, n, 0)
-    if type(s) is not int or not 0 <= s <= n - 3:
-        raise DomainError(f"threshold needs 0 <= s <= n-3, got s={s!r}, n={n}")
-    x = n - s
-    (nb, fx1, fx2), den = u.integer_table((0, x - 1, x - 2))
-    return Fraction(_threshold(x, -nb, fx1, fx2), den)
 
 
 def optimal_singleton_counts(n: int, u: UtilitySpec) -> tuple[tuple[int, ...], Fraction]:
@@ -201,7 +188,7 @@ def optimal_singleton_counts(n: int, u: UtilitySpec) -> tuple[tuple[int, ...], F
         x = n - s
         dx, dx1, dx2 = dens[x - 1], dens[x - 2], dens[x - 3]
         d = lcm(d0, dx, dx1, dx2)
-        q, g = _best(x, s, bn * (d // bd), f1n * (d // f1d), nums[x - 1] * (d // dx),
+        _, q, g = _best(x, s, bn * (d // bd), f1n * (d // f1d), nums[x - 1] * (d // dx),
                      nums[x - 2] * (d // dx1), nums[x - 3] * (d // dx2))
         g *= d
         if q * best_d < best_q * g:
@@ -224,7 +211,8 @@ class ValueReport(Record):
 
 
 def _block(n: int, s: int, leaf_counts, u: UtilitySpec) -> list:
-    """The rows of s for each m in leaf_counts, from one integer table."""
+    """The rows of s for each m in leaf_counts, or for the leaf count of the
+    best bound when leaf_counts is None, from one integer table."""
     if s == n:
         (nb, f1), den = u.integer_table((0, 1))
         b = Fraction(_singleton(n, -nb, f1), n * den)
@@ -233,11 +221,11 @@ def _block(n: int, s: int, leaf_counts, u: UtilitySpec) -> list:
     (nb, f1, fx, fx1, fx2), den = u.integer_table((0, 1, x, x - 1, x - 2))
     b, d, d1 = -nb, fx1 - nb, fx2 - nb
     t = _threshold(x, b, fx1, fx2)
-    best_q, best_g = _best(x, s, b, f1, fx, fx1, fx2)
+    best_m, best_q, best_g = _best(x, s, b, f1, fx, fx1, fx2)
     threshold, best = Fraction(t, den), Fraction(best_q, best_g * den)
     singleton = Fraction(_singleton(s, b, f1), s * den) if s else None
     rows = []
-    for m in leaf_counts:
+    for m in (best_m,) if leaf_counts is None else leaf_counts:
         r = x - 2 * m
         a, k = _component(x, m, b, fx1, fx2, t)
         w, g, q = _bound(s, b, f1, fx, a, k)
@@ -276,3 +264,11 @@ def value_table_rows(n: int, u: UtilitySpec) -> list:
     for s in range(n - 3):
         rows += _block(n, s, range((n - s) // 2 + 1), u)
     return rows + _block(n, n, (0,), u)
+
+
+def design_row(n: int, u: UtilitySpec) -> ValueReport:
+    """The row of the optimal design for n nodes: the least isolated-node
+    count minimizing the best bound, at the leaf count that bound is taken
+    at (0 for a cycle, and for the all-singletons row s = n)."""
+    s = optimal_singleton_counts(n, u)[0][0]
+    return _block(n, s, None, u)[0]

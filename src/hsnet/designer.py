@@ -4,15 +4,17 @@ An optimal design is a number of isolated nodes plus one connected part:
 a cycle when the growth threshold clears the capture penalty, otherwise a
 maximal core-periphery layout (half leaves when the part has even size; with
 three orphaned core nodes, the middle one wired to exactly the other two,
-when odd).  ``design_topology`` is the one builder: it writes a layout's edges
-and node roles in one pass.  ``design_optimal`` picks the best isolated-node
-count, builds the layout, attaches both players' closed-form strategies (the
-hider's read off the roles, the seeker's off ``classify``, one class byte
-per node counted in place from the neighbour tuples), and certifies the
-pair by a zero best-response gap.  The gap is computed in integers from the
-graph, by ``strategy_payoffs`` here and ``payoff.gap_from_payoffs``, without
-building the n x n payoff matrix, so no game solver is loaded.  The
-verifier's shape recognizer lives with the verifier, in ``hsnet.oracle``.
+when odd).  ``closed_form.design_row`` decides which, once: its row names
+the isolated-node count s and the leaf count m.  ``design_topology`` is the
+one builder: from (n, s, m) it writes a layout's edges and node roles in one
+pass.  ``design_optimal`` builds the layout of that row, attaches both
+players' closed-form strategies (the hider's read off the roles and the row,
+the seeker's off ``classify``, one class byte per node counted in place from
+the neighbour tuples), and certifies the pair by a zero best-response gap.
+The gap is computed in integers from the graph, by ``strategy_payoffs`` here
+and ``payoff.gap_from_payoffs``, without building the n x n payoff matrix,
+so no game solver is loaded.  The verifier's shape recognizer lives with the
+verifier, in ``hsnet.oracle``.
 """
 
 from __future__ import annotations
@@ -55,43 +57,32 @@ class DesignTopology(Record):
     )
 
 
-def design_topology(n: int, s: int, tag: str) -> DesignTopology:
-    """The design with s isolated nodes and the given connected-part layout.
+def design_topology(n: int, s: int, m: int) -> DesignTopology:
+    """The design with s isolated nodes and m leaves in its connected part.
 
     The part takes nodes 0..x-1, x = n - s, and the isolated nodes come last.
-    A cycle is a ring on the whole part.  A maximal core-periphery part rings
-    its q core nodes first (a 2-node core is one edge) and hangs periphery
-    node q + j off core node j; an odd part leaves the last three core nodes
-    orphaned, consecutive on the ring, so the middle one is adjacent to
-    exactly the other two.
+    Its q = x - m core nodes form a ring (a 2-node core is one edge), and
+    leaf q + j hangs off core node j.  The layout, and so the tag, follows
+    from (x, m): no part (all singletons), a ring on x >= 3 nodes with no
+    leaves (a cycle), or a maximal core-periphery part on x >= 4 nodes, with
+    x/2 leaves when x is even and (x-3)/2 when odd, whose last three core
+    nodes are orphaned, consecutive on the ring, so the middle one is
+    adjacent to exactly the other two.  Any other (x, m) is a DesignError.
     """
     if type(n) is not int or type(s) is not int or not 0 <= s <= n:
         raise DesignError(f"need ints 0 <= s <= n, got s={s!r}, n={n!r}")
     x = n - s
-    m = 0
-    if tag == ALL_SINGLETONS:
-        if s != n:
-            raise DesignError("all-singleton design needs s = n")
-    elif tag == CYCLE:
-        if x < 3:
-            raise DesignError(f"a cycle needs at least 3 nodes, got {x}")
-    elif tag in (MAXIMAL_CP_EVEN, MAXIMAL_CP_ODD):
-        if x < 4:
-            raise DesignError(f"a maximal core-periphery part needs >= 4 nodes, got {x}")
-        if x % 2 != (tag == MAXIMAL_CP_ODD):
-            raise DesignError(f"component size {x} has the wrong parity for {tag}")
-        m = x // 2 if x % 2 == 0 else (x - 3) // 2
-    else:
-        raise DesignError(f"unknown topology tag {tag!r}")
+    if type(m) is not int or not (m == 0 and x not in (1, 2)
+                                  or x >= 4 and 2 * m == x - 3 * (x % 2)):
+        raise DesignError(f"no design has m={m!r} leaves on {x} connected nodes")
     q = x - m
     edges = [(0, 1)] if q == 2 else [(i, (i + 1) % q) for i in range(q)]
     edges.extend((j, q + j) for j in range(m))
-    core = orphans = ()
-    middle = None
+    tag, core, orphans, middle = CYCLE if x else ALL_SINGLETONS, (), (), None
     if m:
-        core = tuple(range(q))
-        if x % 2:
-            orphans, middle = (q - 3, q - 2, q - 1), q - 2
+        tag, core = MAXIMAL_CP_EVEN, tuple(range(q))
+    if m and x % 2:
+        tag, orphans, middle = MAXIMAL_CP_ODD, (q - 3, q - 2, q - 1), q - 2
     return DesignTopology(
         tag, Graph(n, edges), tuple(range(x)), core, tuple(range(q, x)),
         orphans, middle, tuple(range(x, n)),
@@ -99,12 +90,18 @@ def design_topology(n: int, s: int, tag: str) -> DesignTopology:
 
 
 def build_cycle(k: int) -> Graph:
-    return design_topology(k, 0, CYCLE).graph
+    """The cycle on k >= 3 nodes."""
+    if k == 0:  # design_topology(0, 0, 0) is the empty all-singletons design
+        raise DesignError("a cycle needs at least 3 nodes, got 0")
+    return design_topology(k, 0, 0).graph
 
 
 def build_maximal_cp(k: int) -> Graph:
-    """Maximal core-periphery layout on k nodes (k >= 4)."""
-    return design_topology(k, 0, MAXIMAL_CP_ODD if k % 2 else MAXIMAL_CP_EVEN).graph
+    """The maximal core-periphery layout on k >= 4 nodes."""
+    topo = design_topology(k, 0, k // 2 - k % 2)  # k/2 leaves when k is even, (k-3)/2 when odd
+    if not topo.periphery_nodes:
+        raise DesignError(f"a maximal core-periphery part needs >= 4 nodes, got {k}")
+    return topo.graph
 
 
 # -- strategies -------------------------------------------------------------
@@ -211,9 +208,10 @@ def seeker_strategy(g: Graph, u: UtilitySpec) -> MixedStrategy:
     return MixedStrategy.from_weights(weights, den)
 
 
-def hider_strategy(topo: DesignTopology, u: UtilitySpec) -> MixedStrategy:
+def hider_strategy(topo: DesignTopology, row: cf.ValueReport) -> MixedStrategy:
     """The hider's closed-form strategy on a design built by this module,
-    read off the node roles its DesignTopology names.
+    read off the node roles its DesignTopology names and the weights of its
+    context's row, ``cf.value_row(n, s, m, u)``.
 
     The part gets weight kappa, spread evenly over its m periphery nodes (the
     whole part of a cycle, where m = 0), except that an odd layout's middle
@@ -221,9 +219,10 @@ def hider_strategy(topo: DesignTopology, u: UtilitySpec) -> MixedStrategy:
     """
     n = topo.graph.node_count
     s = len(topo.singleton_nodes)
+    if (row.n, row.s, row.m) != (n, s, len(topo.periphery_nodes)):
+        raise DesignError(f"the row of (n, s, m) = {(row.n, row.s, row.m)} is not this design's")
     if s == n:
         return MixedStrategy.uniform(n)
-    row = cf.value_row(n, s, len(topo.periphery_nodes), u)
     kappa = row.hide_weight
     mu = ONE if topo.middle_orphan is None else row.periphery_weight
     hide = topo.periphery_nodes or topo.component_nodes
@@ -403,26 +402,18 @@ class DesignResult(DesignTopology):
 def design_optimal(n: int, u: UtilitySpec) -> DesignResult:
     """Best design for n nodes under u, with both equilibrium strategies.
 
-    Ties in the optimal isolated-node count resolve to the smallest (most
-    connected) choice.  The returned strategies are certified: their exact
-    best-response gap is (0, 0) and the achieved payoff equals the predicted
-    value.  Both come from M.seeker and hider.M, read off the graph by one
-    low-link DFS without building the payoff matrix M.
+    The design, and the hider's weights, are those of ``cf.design_row``,
+    whose ties in the optimal isolated-node count resolve to the smallest
+    (most connected) choice.  The returned strategies are certified: their
+    exact best-response gap is (0, 0) and the achieved payoff equals the
+    predicted value.  Both come from M.seeker and hider.M, read off the graph
+    by one low-link DFS without building the payoff matrix M.
     """
-    counts, bound = cf.optimal_singleton_counts(n, u)
-    s = counts[0]
-    if s == n:
-        tag = ALL_SINGLETONS
-    else:
-        t = cf.topology_threshold(n, s, u)
-        if t >= u.beta:
-            tag = CYCLE
-        else:
-            tag = MAXIMAL_CP_EVEN if (n - s) % 2 == 0 else MAXIMAL_CP_ODD
-    topo = design_topology(n, s, tag)
-    hider = hider_strategy(topo, u)
+    row = cf.design_row(n, u)
+    topo = design_topology(n, row.s, row.m)
+    hider = hider_strategy(topo, row)
     seeker = seeker_strategy(topo.graph, u)
-    predicted = -bound
+    predicted = -row.best_bound
     row_payoffs, col_payoffs, den = strategy_payoffs(topo.graph, u, hider, seeker)
     gap = gap_from_payoffs(hider, row_payoffs, col_payoffs)
     if gap != (ZERO, ZERO):
@@ -433,4 +424,4 @@ def design_optimal(n: int, u: UtilitySpec) -> DesignResult:
         raise AssertionError(
             f"equilibrium payoff {achieved} differs from predicted {predicted}"
         )
-    return DesignResult(*topo._values(), n, s, hider, seeker, predicted)
+    return DesignResult(*topo._values(), n, row.s, hider, seeker, predicted)

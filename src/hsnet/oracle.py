@@ -40,7 +40,7 @@ import os
 
 from . import closed_form as cf, parse_int
 from .canonical import (
-    ENUMERATION_LIMIT,
+    CANONICAL_MAX_NODES,
     EnumerationError,
     canonical_form,
     enumerate_keys,
@@ -93,12 +93,16 @@ class EnumerationReport(Record):
 
     __slots__ = _fields = (
         "n", "utility", "graph_count", "best_value", "argmax_keys",
-        "closed_form_value", "value_match", "structural_checks",
+        "closed_form_value", "structural_checks",
     )
 
     @property
     def argmax_graphs(self) -> tuple[Graph, ...]:
         return tuple(graph_from_canonical_key(k) for k in self.argmax_keys)
+
+    @property
+    def value_match(self) -> bool:
+        return self.best_value == self.closed_form_value
 
     def all_passed(self) -> bool:
         return self.value_match and all(c.passed for c in self.structural_checks)
@@ -147,7 +151,7 @@ def exhaustive_optima(n: int, utilities, long_run: bool = False) -> list:
         # The keys are sorted, so the argmax keys are too.
         argmax_keys = tuple(k for k, v in zip(keys, values) if v == best)
         star, bound = cf.optimal_singleton_counts(n, u)
-        reports.append(EnumerationReport(n, u, len(keys), best, argmax_keys, -bound, best == -bound,
+        reports.append(EnumerationReport(n, u, len(keys), best, argmax_keys, -bound,
                                          check_structure(n, u, argmax_keys, best, star)))
     return reports
 
@@ -251,7 +255,7 @@ def check_structure(n: int, u: UtilitySpec, argmax_keys: tuple, best, star) -> t
             if s < n:
                 bad_s.append(key)
             continue
-        t = cf.topology_threshold(n, s, u)
+        t = cf.value_row(n, s, 0, u).threshold
         part = induced_subgraph(g, [v for v in range(n) if g.degree(v)])
         if t < u.beta:
             if not is_maximal_core_periphery(part):
@@ -320,25 +324,21 @@ def verify_grid(
     ``mutate`` the expected value is deliberately shifted by one, which must
     make every cell fail; it exists to prove the harness can catch errors.
     """
-    limit = ENUMERATION_LIMIT if long_run else DEFAULT_LIMIT
+    limit = CANONICAL_MAX_NODES if long_run else DEFAULT_LIMIT
     if n_max < 4:
         raise EnumerationError("verification needs n_max >= 4")
     if n_max > limit:
-        allowed = "" if long_run or n_max > ENUMERATION_LIMIT else f" (--long allows {n_max})"
+        allowed = "" if long_run or n_max > CANONICAL_MAX_NODES else f" (--long allows {n_max})"
         raise EnumerationError(f"n_max={n_max} above limit {limit}{allowed}")
     grid = grid_utilities(families, betas)
     cells = []
-    all_passed = True
     for n in range(4, n_max + 1):
         for report in exhaustive_optima(n, grid, long_run=long_run):
-            data = report.to_json_dict()
             if mutate:
-                shifted = report.closed_form_value + 1
-                data["closed_form_value"] = format_rational(shifted)
-                data["value_match"] = report.best_value == shifted
-            data["cell_passed"] = data["value_match"] and all(
-                c["passed"] for c in data["checks"]
-            )
-            all_passed = all_passed and data["cell_passed"]
+                fields = dict(zip(report._fields, report._values()))
+                fields["closed_form_value"] += 1
+                report = EnumerationReport(**fields)
+            data = report.to_json_dict()
+            data["cell_passed"] = report.all_passed()
             cells.append(data)
-    return cells, all_passed
+    return cells, all(data["cell_passed"] for data in cells)

@@ -190,14 +190,14 @@ def test_capture_probabilities_exact():
     u = identity_u(1)
     checked = 0
     for k in range(4, 13):
-        topo = dz.design_topology(k, 0, dz.CYCLE)
-        h = dz.hider_strategy(topo, u)
+        topo = dz.design_topology(k, 0, 0)
+        h = dz.hider_strategy(topo, cf.value_row(k, 0, 0, u))
         s = dz.seeker_strategy(topo.graph, u)
         assert capture_probability(topo.graph, h, s) == F(3, k)
         checked += 1
         if k % 2 == 0:
-            topo = dz.design_topology(k, 0, dz.MAXIMAL_CP_EVEN)
-            h = dz.hider_strategy(topo, u)
+            topo = dz.design_topology(k, 0, k // 2)
+            h = dz.hider_strategy(topo, cf.value_row(k, 0, k // 2, u))
             s = dz.seeker_strategy(topo.graph, u)
             assert capture_probability(topo.graph, h, s) == F(2, k)
             checked += 1
@@ -279,7 +279,7 @@ def test_growth_condition_families(oracle_report):
             for n in range(4, 31):
                 for s in range(0, n - 3):
                     # strictly negative threshold, so below every beta >= 0
-                    assert cf.topology_threshold(n, s, u) < 0
+                    assert cf.value_row(n, s, 0, u).threshold < 0
                 res = dz.design_optimal(n, u)
                 assert res.topology in (
                     dz.MAXIMAL_CP_EVEN, dz.MAXIMAL_CP_ODD, dz.ALL_SINGLETONS,
@@ -310,7 +310,7 @@ def test_auxiliary_inequalities():
             for n in range(5, 31):
                 for s in range(0, n - 3):
                     x = n - s
-                    if x % 2 == 1 and x >= 5 and cf.topology_threshold(n, s, u) < u.beta:
+                    if x % 2 == 1 and x >= 5 and cf.value_row(n, s, 0, u).threshold < u.beta:
                         xv, yv = crowded_cp_bounds(n, s, u)
                         assert xv > cf.value_row(n, s, (x - 3) // 2, u).component
                         assert yv > seeker_bound(n, (x - 3) // 2, s, u)
@@ -356,7 +356,7 @@ def test_chord_augmented_cycles_tie_cycle_value():
     """With 12 connected nodes in the cycle regime, chord-augmented layouts
     keep the exact cycle value and the uniform pair stays an equilibrium."""
     u = square_u(1)
-    assert cf.topology_threshold(12, 0, u) == 89 > u.beta
+    assert cf.value_row(12, 0, 0, u).threshold == 89 > u.beta
     base = solve_zero_sum(payoff_matrix(dz.build_cycle(12), u)).value
     assert base == -cf.value_row(12, 0, 0, u).best_bound
     chord_sets = [

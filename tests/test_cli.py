@@ -290,6 +290,44 @@ def test_graph_file_refuses_a_key_typo_and_a_negative_count(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+DEEP = "[" * 3000 + "]" * 3000  # past the JSON reader's recursion limit
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"n": 3, "edges": ' + DEEP + "}", "nested too deeply"),
+    ('{"n": 3, "n": 4, "edges": [[0, 1]]}', "repeated key 'n'"),
+    ('{"n": 3, "edges": [{"a": 1, "a": 1}]}', "repeated key 'a'"),
+], ids=["deep", "repeated", "repeated-inner"])
+@pytest.mark.parametrize("command", ["solve", "export"])
+def test_graph_json_refuses_deep_nesting_and_a_repeated_key(
+        tmp_path, capsys, command, text, message):
+    # Deep nesting was a RecursionError traceback, exit 1; the repeated n
+    # was read as its last value, a 4-node graph.
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert run([command, "--graph", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: invalid graph JSON: {message}\n"
+
+
+@pytest.mark.parametrize("spec, message", [
+    (DEEP, "nested too deeply"),
+    ('{"family": "linear", "params": ' + DEEP + ', "beta": "1"}', "nested too deeply"),
+    ('{"family": "linear", "beta": "1", "beta": "50"}', "repeated key 'beta'"),
+    ('{"family": "power", "params": {"gamma": "2", "gamma": "3"}, "beta": "1"}',
+     "repeated key 'gamma'"),
+], ids=["deep", "deep-params", "repeated", "repeated-param"])
+@pytest.mark.parametrize("inline", [True, False], ids=["inline", "file"])
+def test_utility_json_refuses_deep_nesting_and_a_repeated_key(
+        tmp_path, capsys, spec, message, inline):
+    # The repeated beta designed at beta = 50.
+    if not inline:
+        path = tmp_path / "u.json"
+        path.write_text(spec)
+        spec = f"@{path}"
+    assert run(["design", "--n", "5", "--utility", spec]) == 2
+    assert capsys.readouterr().err == f"error: invalid utility JSON: {message}\n"
+
+
 def test_solve_refuses_a_graph_file_at_the_node_limit(tmp_path, monkeypatch, capsys):
     # The reader takes 10^6 nodes; solve keeps its own refusal above 100.
     import types

@@ -355,9 +355,8 @@ def outcome(fn, *args):
 def test_kernel_matches_oracle_on_every_context(family):
     """Every (n, s, m) with n <= 60 (n <= 20 for the utilities that are not
     wide), and s and m one past their ranges: value_row gives the Fraction
-    formulas' row, every field, or a DomainError outside the contexts;
-    topology_threshold gives the same value or exception type as its
-    formula; and value_table_rows gives exactly the rows of every context."""
+    formulas' row, every field, or a DomainError outside the contexts; and
+    value_table_rows gives exactly the rows of every context."""
     contexts = expected = 0
     for u, wide in oracle_utilities(family, 61):
         n_max = 60 if wide else 20
@@ -366,8 +365,6 @@ def test_kernel_matches_oracle_on_every_context(family):
         for n in range(1, n_max + 1):
             rows = {(row.s, row.m): row for row in cf.value_table_rows(n, u)}
             for s in range(-1, n + 2):
-                t = outcome(ref_topology_threshold, n, s, u)
-                assert outcome(cf.topology_threshold, n, s, u) == t, (n, s, u)
                 x = n - s
                 inside = 0 <= s <= n - 4 or s == n
                 refs = ref_rows(n, s, u, range(x // 2 + 1)) if inside else []
@@ -412,7 +409,7 @@ def best_bound(n, s, u):
         return cf._singleton(n, -nb, f1), n * den
     x = n - s
     (nb, fx1, fx2, f1, fx), den = u.integer_table((0, x - 1, x - 2, 1, x))
-    q, g = cf._best(x, s, -nb, f1, fx, fx1, fx2)
+    _, q, g = cf._best(x, s, -nb, f1, fx, fx1, fx2)
     return q, g * den
 
 
@@ -442,6 +439,25 @@ def test_one_pass_scan_matches_per_s_oracle():
             assert cf.optimal_singleton_counts(n, u) == scan_by_best_bound(n, u), (n, u)
 
 
+def test_design_row_matches_the_oracles():
+    """For n <= 60 on the scan's utilities, design_row's s is the least
+    optimal count of the per-s scan, its m is 0 exactly when the Fraction
+    threshold clears beta (and the parity-maximal count otherwise), and it
+    is value_row's row at that (s, m), the Fraction formulas' row."""
+    for u in scan_utilities():
+        for n in range(1, 61):
+            row = cf.design_row(n, u)
+            assert row.s == scan_by_best_bound(n, u)[0][0], (n, u)
+            if row.s < n:
+                x = n - row.s
+                cycle = ref_topology_threshold(n, row.s, u) >= u.beta
+                assert (row.m == 0) == cycle, (n, u)
+                assert row.m == (0 if cycle else x // 2 if x % 2 == 0 else (x - 3) // 2)
+            else:
+                assert row.m == 0
+            assert row == cf.value_row(n, row.s, row.m, u) == ref_row(n, row.s, row.m, u), (n, u)
+
+
 def test_scan_reads_each_size_once(monkeypatch):
     from hsnet.payoff import UtilitySpec
 
@@ -459,28 +475,29 @@ def test_scan_reads_each_size_once(monkeypatch):
 
 
 def test_threshold_examples():
-    assert cf.topology_threshold(7, 0, identity_u()) == -1
-    assert cf.topology_threshold(12, 0, square_u()) == 89
+    assert cf.value_row(7, 0, 0, identity_u()).threshold == -1
+    assert cf.value_row(12, 0, 0, square_u()).threshold == 89
     # with only four connected nodes the threshold is f(3) - 2f(2)
     for u in (identity_u(3), square_u(1), ratio_u(2)):
         for n in (5, 9, 20):
-            assert cf.topology_threshold(n, n - 4, u) == u.value(3) - 2 * u.value(2)
-    with pytest.raises(DomainError):
-        cf.topology_threshold(6, 4, identity_u())
+            assert cf.value_row(n, n - 4, 0, u).threshold == u.value(3) - 2 * u.value(2)
+    for s in (3, 4):  # s = n-3 and s = n-2 are no design context
+        with pytest.raises(DomainError):
+            cf.value_row(6, s, 0, identity_u())
 
 
 def test_threshold_form_equivalence_random():
     rng = random.Random(17)
     for _ in range(100):
         n = rng.randint(4, 25)
-        s = rng.randint(0, n - 3)
+        s = rng.randint(0, n - 4)
         u = UtilitySpec.linear(
             F(rng.randint(1, 5), rng.randint(1, 3)), F(rng.randint(0, 9), rng.randint(1, 4))
         )
         x = n - s
         d = u.value(x - 1) + u.beta
         d1 = u.value(x - 2) + u.beta
-        assert cf.topology_threshold(n, s, u) == (x - 3) * d - (x - 2) * d1 + u.beta
+        assert cf.value_row(n, s, 0, u).threshold == (x - 3) * d - (x - 2) * d1 + u.beta
 
 
 def test_component_guarantee_examples():
@@ -702,14 +719,10 @@ def test_every_refusal_is_a_domain_error_naming_its_argument(u):
 
     for n in list(range(-1, 10)) + [True, 2.0]:
         bad_n = n if type(n) is not int or n < 1 else None
-        for fn in (cf.value_table_rows, cf.optimal_singleton_counts):
+        for fn in (cf.value_table_rows, cf.optimal_singleton_counts, cf.design_row):
             message = domain_outcome(fn, n, u)
             assert message is None if bad_n is None else named(n, "n") in message, (fn, n)
         for s in range(-1, int(n) + 2):
-            bad_t = n if bad_n is not None else None if 0 <= s <= n - 3 else s
-            message = domain_outcome(cf.topology_threshold, n, s, u)
-            want = named(bad_t, "n" if bad_n is not None else "s")
-            assert message is None if want is None else want in message, (n, s)
             for m in range(-1, int(n) + 2):
                 if bad_n is not None:
                     want = named(n, "n")

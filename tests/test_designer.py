@@ -150,7 +150,7 @@ def test_build_maximal_cp_shapes():
     g17 = dz.build_maximal_cp(17)
     part = class_sets(g17)
     assert len(part.singleton_leaves) == 7
-    topo = dz.design_topology(17, 0, dz.MAXIMAL_CP_ODD)
+    topo = dz.design_topology(17, 0, 7)
     mid = topo.middle_orphan
     assert set(g17.neighbors(mid)) == set(topo.orphan_nodes) - {mid}
     assert g17.degree(mid) == 2
@@ -164,6 +164,43 @@ def test_build_maximal_cp_shapes():
         dz.build_maximal_cp(3)
 
 
+def expected_layout(x, m):
+    """The tag of the design layout with m leaves on x connected nodes, or
+    None where there is none."""
+    if m == 0:
+        return dz.ALL_SINGLETONS if x == 0 else dz.CYCLE if x >= 3 else None
+    if x >= 4 and m == (x // 2 if x % 2 == 0 else (x - 3) // 2):
+        return dz.MAXIMAL_CP_ODD if x % 2 else dz.MAXIMAL_CP_EVEN
+    return None
+
+
+def test_design_topology_accepts_exactly_the_four_layouts():
+    seen = collections.Counter()
+    for x in range(13):
+        for s in (0, 2):
+            for m in range(x + 1):
+                tag = expected_layout(x, m)
+                if tag is None:
+                    message = f"^no design has m={m} leaves on {x} connected nodes$"
+                    with pytest.raises(dz.DesignError, match=message):
+                        dz.design_topology(x + s, s, m)
+                    continue
+                topo = dz.design_topology(x + s, s, m)
+                seen[tag] += 1
+                assert topo.topology == tag, (x, s, m)
+                assert topo.component_nodes == tuple(range(x))
+                assert topo.singleton_nodes == tuple(range(x, x + s))
+                assert len(topo.periphery_nodes) == m
+                assert len(topo.graph.isolated_nodes()) == s
+                part = induced_subgraph(topo.graph, topo.component_nodes)
+                if tag == dz.CYCLE:
+                    assert is_two_connected(part) and set(part.degrees()) == {2}
+                elif tag != dz.ALL_SINGLETONS:
+                    assert is_maximal_core_periphery(part), (x, s, m)
+    assert seen == {dz.ALL_SINGLETONS: 2, dz.CYCLE: 20, dz.MAXIMAL_CP_EVEN: 10,
+                    dz.MAXIMAL_CP_ODD: 8}
+
+
 @pytest.mark.parametrize("n", [5.0, True, F(5), "5", None], ids=repr)
 def test_node_count_must_be_an_int(monkeypatch, n):
     # Refused before any work: the closed-form scan never starts.
@@ -173,12 +210,14 @@ def test_node_count_must_be_an_int(monkeypatch, n):
         dz.design_optimal(n, u)
     with pytest.raises(cf.DomainError, match="need an int n >= 1"):
         cf.optimal_singleton_counts(n, u)
-    for s, tag in ((0, dz.CYCLE), (0, dz.MAXIMAL_CP_EVEN), (n, dz.ALL_SINGLETONS)):
+    for s, m in ((0, 0), (0, 2), (n, 0)):
         with pytest.raises(dz.DesignError, match="need ints 0 <= s <= n"):
-            dz.design_topology(n, s, tag)
+            dz.design_topology(n, s, m)
     with pytest.raises(dz.DesignError, match="need ints 0 <= s <= n"):
-        dz.design_topology(5, n, dz.ALL_SINGLETONS)
-    assert dz.design_topology(5, 5, dz.ALL_SINGLETONS).graph == Graph(5)
+        dz.design_topology(5, n, 0)
+    with pytest.raises(dz.DesignError, match="no design has m="):
+        dz.design_topology(8, 0, n)
+    assert dz.design_topology(5, 5, 0).graph == Graph(5)
 
 
 def test_maximal_cp_recognizer():
@@ -447,15 +486,16 @@ def test_design_builds_one_graph_and_no_mask_or_subgraph(monkeypatch):
 
 
 @pytest.mark.parametrize("n, u, tag, tables", [
-    (5, UtilitySpec.power(2, 0), dz.CYCLE, 3),
-    (6, identity_u(0), dz.MAXIMAL_CP_EVEN, 3),
-    (5, identity_u(0), dz.MAXIMAL_CP_ODD, 4),
-    (5, UtilitySpec.power(F(1, 2), F(1, 2)), dz.MAXIMAL_CP_EVEN, 4),  # one isolated node
-    (5, identity_u(5), dz.ALL_SINGLETONS, 1),
+    (5, UtilitySpec.power(2, 0), dz.CYCLE, 2),
+    (6, identity_u(0), dz.MAXIMAL_CP_EVEN, 2),
+    (5, identity_u(0), dz.MAXIMAL_CP_ODD, 3),
+    (5, UtilitySpec.power(F(1, 2), F(1, 2)), dz.MAXIMAL_CP_EVEN, 3),  # one isolated node
+    (5, identity_u(5), dz.ALL_SINGLETONS, 2),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_design_table_reads_pinned(monkeypatch, n, u, tag, tables):
-    # The threshold, one row for the hider, one for the seeker when it needs
-    # lambda_S or rho, and the certificate's table: each one integer table.
+    # The design's row, which the hider reads too, one row for the seeker
+    # when it needs lambda_S or rho, and the certificate's table: each one
+    # integer table.
     calls = []
     integer_table = UtilitySpec.integer_table
     monkeypatch.setattr(UtilitySpec, "integer_table",
@@ -545,6 +585,12 @@ def fraction_hider_strategy(topo, u):
     return probs
 
 
+def hider_on(topo, u):
+    """hider_strategy on topo, with its context's row under u."""
+    n, s = topo.graph.node_count, len(topo.singleton_nodes)
+    return dz.hider_strategy(topo, cf.value_row(n, s, len(topo.periphery_nodes), u))
+
+
 @pytest.mark.parametrize("n", [1000, 5000])
 def test_integer_strategies_match_fraction_builders(n):
     # linear beta 2 builds core-periphery parts of either parity; x^2 beta 50
@@ -561,10 +607,10 @@ def test_integer_strategies_match_fraction_builders(n):
     assert seen == {dz.CYCLE, dz.MAXIMAL_CP_EVEN, dz.MAXIMAL_CP_ODD}
     # Isolated nodes beside a core-periphery part (odd at 1000, even at
     # 5000), under a beta large enough that both players mix them in.
-    topo = dz.design_topology(n, n // 3, dz.MAXIMAL_CP_EVEN if (n - n // 3) % 2 == 0
-                              else dz.MAXIMAL_CP_ODD)
+    x = n - n // 3
+    topo = dz.design_topology(n, n // 3, x // 2 if x % 2 == 0 else (x - 3) // 2)
     u = identity_u(10**7)
-    hider, seeker = dz.hider_strategy(topo, u), dz.seeker_strategy(topo.graph, u)
+    hider, seeker = hider_on(topo, u), dz.seeker_strategy(topo.graph, u)
     assert hider[n - 1] > 0 and seeker[n - 1] > 0
     assert hider.to_pq() == [format_rational(p) for p in fraction_hider_strategy(topo, u)]
     assert seeker.to_pq() == [format_rational(p) for p in fraction_seeker_strategy(topo.graph, u)]
@@ -572,17 +618,21 @@ def test_integer_strategies_match_fraction_builders(n):
 
 def test_hider_strategy_shapes():
     u = identity_u(2)
-    topo = dz.design_topology(8, 0, dz.MAXIMAL_CP_EVEN)
-    h = dz.hider_strategy(topo, u)
+    topo = dz.design_topology(8, 0, 4)
+    h = hider_on(topo, u)
     assert h.probs == (F(0),) * 4 + (F(1, 4),) * 4
-    topo = dz.design_topology(6, 0, dz.CYCLE)
-    h = dz.hider_strategy(topo, u)
+    topo = dz.design_topology(6, 0, 0)
+    h = hider_on(topo, u)
     assert h.probs == (F(1, 6),) * 6
     # odd layout: periphery mass plus middle orphan mass sums to one
-    topo = dz.design_topology(9, 0, dz.MAXIMAL_CP_ODD)
-    h = dz.hider_strategy(topo, u)
+    topo = dz.design_topology(9, 0, 3)
+    h = hider_on(topo, u)
     assert sum(h.probs) == 1
     assert h[topo.middle_orphan] > 0
+    # a row of another context is refused
+    for s, m in ((0, 2), (1, 3), (9, 0)):
+        with pytest.raises(dz.DesignError, match="is not this design's"):
+            dz.hider_strategy(topo, cf.value_row(9, s, m, u))
 
 
 def test_design_optimal_examples():
@@ -690,7 +740,7 @@ def test_design_bytes_pinned_over_the_grid():
 
 def test_design_roles_are_those_of_its_topology():
     for n, res in grid_designs():
-        topo = dz.design_topology(n, res.s_star, res.topology)
+        topo = dz.design_topology(n, res.s_star, len(res.periphery_nodes))
         for name in dz.DesignTopology._fields:
             assert getattr(res, name) == getattr(topo, name), (n, name)
 
@@ -698,13 +748,13 @@ def test_design_roles_are_those_of_its_topology():
 def test_cycle_and_cp_capture_rates():
     u = identity_u(1)
     for k in range(4, 13):
-        topo = dz.design_topology(k, 0, dz.CYCLE)
-        h = dz.hider_strategy(topo, u)
+        topo = dz.design_topology(k, 0, 0)
+        h = hider_on(topo, u)
         s = dz.seeker_strategy(topo.graph, u)
         assert capture_probability(topo.graph, h, s) == F(3, k)
         if k % 2 == 0:
-            topo = dz.design_topology(k, 0, dz.MAXIMAL_CP_EVEN)
-            h = dz.hider_strategy(topo, u)
+            topo = dz.design_topology(k, 0, k // 2)
+            h = hider_on(topo, u)
             s = dz.seeker_strategy(topo.graph, u)
             assert capture_probability(topo.graph, h, s) == F(2, k)
 

@@ -35,7 +35,6 @@ from hsnet.graphs import (
 )
 from hsnet import canonical as canonical_module
 from hsnet.designer import (
-    MAXIMAL_CP_EVEN,
     RESIDUAL,
     build_cycle,
     build_maximal_cp,
@@ -766,7 +765,7 @@ def test_structure_queries_at_100000_nodes():
     assert part.r_nodes == frozenset(range(n)) and part.d_gr == frozenset()
     assert part.m_nodes == part.singleton_leaves == part.singletons == frozenset()
 
-    cp = design_topology(n, 0, MAXIMAL_CP_EVEN).graph
+    cp = design_topology(n, 0, n // 2).graph
     assert components(cp) == (frozenset(range(n)),)
     assert not is_two_connected(cp)  # every core node holds a leaf
     assert is_two_connected(induced_subgraph(cp, range(n // 2)))

@@ -20,14 +20,14 @@ def samples():
     """Two unequal instances of each record class, made the way the package
     makes them."""
     design = dz.design_optimal(9, identity_u(2))
-    topo = dz.design_topology(9, 0, dz.MAXIMAL_CP_ODD)
+    topo = dz.design_topology(9, 0, 3)
     rows = cf.value_table_rows(8, identity_u(1))  # (s, m) = (0, 2), last (8, 0)
     return [
         (identity_u(2), square_u(F(1, 2))),
         (solve_zero_sum(payoff_matrix(dz.build_cycle(5), identity_u(1))),
          solve_zero_sum(payoff_matrix(dz.build_cycle(4), identity_u(1)))),
         (rows[2], rows[-1]),
-        (topo, dz.design_topology(6, 0, dz.CYCLE)),
+        (topo, dz.design_topology(6, 0, 0)),
         (design, dz.design_optimal(8, identity_u(2))),
     ]
 
