@@ -17,8 +17,10 @@ other with a DomainError; it is the one domain rule.  The public functions:
 * value_table_rows: the rows of every context of one n;
 * optimal_singleton_counts: the argmin set of that minimum, and the minimum;
 * design_row: the one decision of the optimal design, as its row: the least
-  optimal s, with no leaves (a cycle) when T >= beta, else the parity-maximal
-  leaf count (a maximal core-periphery part).
+  optimal s, with no leaves (a cycle) when T >= beta, else the maximal leaf
+  count (a maximal core-periphery part);
+* maximal_leaf_count: that count, the one statement of the layout's rule,
+  read by the scan, the design builder and the verifier's recognizer.
 
 Every quantity comes from one integer kernel, fed beta, f(1), f(x), f(x-1)
 and f(x-2) (x = n - s) as integers over their own lcm D; each is an integer
@@ -142,7 +144,7 @@ def _rho(m: int, r: int, d: int, d1: int) -> tuple:
 def _mu(x: int, b: int, fx1: int, fx2: int, a: int, k: int) -> tuple:
     """(p, h) with the hider's periphery weight mu = p / h in the odd layout
     of x nodes, whose middle orphan takes the rest of the part's weight,
-    given A = a / (k D) at its m = (x-3)/2 leaves:
+    given A = a / (k D) at its maximal leaf count m:
 
         mu = (x-3) d1 / ((x-3) d + 2 d1),
 
@@ -159,12 +161,19 @@ def _mu(x: int, b: int, fx1: int, fx2: int, a: int, k: int) -> tuple:
     return p, h
 
 
+def maximal_leaf_count(x: int) -> int:
+    """The leaf count of the maximal core-periphery layout on x >= 4 nodes:
+    x/2 when x is even, and (x-3)/2 when odd, where three core nodes are
+    orphaned."""
+    return x // 2 - x % 2
+
+
 def _best(x: int, s: int, b: int, f1: int, fx: int, fx1: int, fx2: int) -> tuple:
     """(m, q, g): the leaf count m of the best seeker bound for s isolated
     nodes and x >= 4 others, and that bound Q = q / (g D).  m is 0 (a cycle)
-    when T >= beta, else the parity-maximal count."""
+    when T >= beta, else the maximal leaf count."""
     t = _threshold(x, b, fx1, fx2)
-    m = 0 if t >= b else (x - 3 * (x % 2)) // 2  # x/2 when x is even, (x-3)/2 when odd
+    m = 0 if t >= b else maximal_leaf_count(x)
     w, g, q = _bound(s, b, f1, fx, *_component(x, m, b, fx1, fx2, t))
     return m, q, g
 
@@ -202,7 +211,7 @@ class ValueReport(Record):
     """Every closed-form quantity for one (n, s, m) context; entries are None
     where the context leaves them undefined.  ``hide_weight`` is the hider's
     kappa (0 when s = n), and ``periphery_weight`` its mu, set only in the
-    row of an odd layout, m = (n-s-3)/2."""
+    row of an odd layout, m = maximal_leaf_count(n - s) with n - s odd."""
 
     __slots__ = _fields = (
         "n", "s", "m", "threshold", "component", "singleton", "residual_weight",
@@ -244,7 +253,8 @@ def _block(n: int, s: int, leaf_counts, u: UtilitySpec) -> list:
             kappa = Fraction(_kappa(s, b, f1, fx, a, k, g, q), g)
         else:  # no blend: lambda_S = 0, Q = A and kappa = 1
             lam, bound, kappa = ZERO, component, ONE
-        mu = Fraction(*_mu(x, b, fx1, fx2, a, k)) if 2 * m == x - 3 else None
+        odd_layout = x % 2 and m == maximal_leaf_count(x)
+        mu = Fraction(*_mu(x, b, fx1, fx2, a, k)) if odd_layout else None
         rows.append(ValueReport(n, s, m, threshold, component, singleton, Fraction(p, h),
                                 lam, bound, best, kappa, mu))
     return rows

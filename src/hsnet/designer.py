@@ -13,8 +13,8 @@ the seeker's off ``classify``, one class byte per node counted in place from
 the neighbour tuples), and certifies the pair by a zero best-response gap.
 The gap is computed in integers from the graph, by ``strategy_payoffs`` here
 and ``payoff.gap_from_payoffs``, without building the n x n payoff matrix,
-so no game solver is loaded.  The verifier's shape recognizer lives with the
-verifier, in ``hsnet.oracle``.
+so no game solver is loaded.  The verifier's shape recognizer,
+``hsnet.oracle.is_maximal_core_periphery``, reads a layout off ``classify``.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def design_topology(n: int, s: int, m: int) -> DesignTopology:
     leaf q + j hangs off core node j.  The layout, and so the tag, follows
     from (x, m): no part (all singletons), a ring on x >= 3 nodes with no
     leaves (a cycle), or a maximal core-periphery part on x >= 4 nodes, with
-    x/2 leaves when x is even and (x-3)/2 when odd, whose last three core
+    ``cf.maximal_leaf_count(x)`` leaves; when x is odd its last three core
     nodes are orphaned, consecutive on the ring, so the middle one is
     adjacent to exactly the other two.  Any other (x, m) is a DesignError.
     """
@@ -73,7 +73,7 @@ def design_topology(n: int, s: int, m: int) -> DesignTopology:
         raise DesignError(f"need ints 0 <= s <= n, got s={s!r}, n={n!r}")
     x = n - s
     if type(m) is not int or not (m == 0 and x not in (1, 2)
-                                  or x >= 4 and 2 * m == x - 3 * (x % 2)):
+                                  or x >= 4 and m == cf.maximal_leaf_count(x)):
         raise DesignError(f"no design has m={m!r} leaves on {x} connected nodes")
     q = x - m
     edges = [(0, 1)] if q == 2 else [(i, (i + 1) % q) for i in range(q)]
@@ -98,7 +98,7 @@ def build_cycle(k: int) -> Graph:
 
 def build_maximal_cp(k: int) -> Graph:
     """The maximal core-periphery layout on k >= 4 nodes."""
-    topo = design_topology(k, 0, k // 2 - k % 2)  # k/2 leaves when k is even, (k-3)/2 when odd
+    topo = design_topology(k, 0, cf.maximal_leaf_count(k))
     if not topo.periphery_nodes:
         raise DesignError(f"a maximal core-periphery part needs >= 4 nodes, got {k}")
     return topo.graph

@@ -27,10 +27,11 @@ and maps the pattern through each utility's integer table over the sizes
 pivots as on them.  The n = 8 sweep sits behind an explicit flag.  Chunks
 are solved in parallel when HSNET_THREADS asks for more than one worker;
 results do not depend on it.  The structure queries of the checks live
-here with their only caller: the components, connectivity and
-2-connectivity of a graph, read off one low-link DFS, its induced
-subgraphs, and ``is_maximal_core_periphery``, the shape recognizer of the
-core-periphery check.
+here with their only caller: the components and 2-connectivity of a graph,
+read off one low-link DFS, its induced subgraphs, and
+``is_maximal_core_periphery``, the shape recognizer of the core-periphery
+check, which reads the seeker's classes (``hsnet.designer.classify``) and
+the designs' leaf count (``closed_form.maximal_leaf_count``).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .canonical import (
     enumerate_keys,
     graph_from_canonical_key,
 )
-from .designer import design_optimal
+from .designer import ATTACHMENT, SINGLETON_LEAF, classify, design_optimal
 from .graphs import Graph, GraphError, _deletion_pieces, _dfs_low_links, graph_to_json_dict
 from .matrix_game import capture_pattern, game_value, integer_payoffs, max_optimal_mass
 from .payoff import UtilitySpec, builtin_utilities
@@ -128,6 +129,8 @@ class EnumerationReport(Record):
 def exhaustive_optima(n: int, utilities, long_run: bool = False) -> list:
     """Solve every graph on n nodes under each utility and compare against
     the closed forms: one EnumerationReport per utility, in order."""
+    if n < 1:
+        raise EnumerationError(f"a sweep needs n >= 1 nodes, got n={n!r}")
     if n > DEFAULT_LIMIT and not long_run:
         raise EnumerationError(
             f"n={n} exceeds the default bound {DEFAULT_LIMIT}; pass long_run=True"
@@ -181,12 +184,6 @@ def induced_subgraph(g: Graph, nodes) -> Graph:
                               for j in g.neighbors(i) if j > i and j in index])
 
 
-def is_connected(g: Graph) -> bool:
-    if g.node_count == 0:
-        return False
-    return len(components(g)) == 1
-
-
 def is_two_connected(g: Graph) -> bool:
     """True iff g has at least 3 nodes, is connected, and deleting any single
     node leaves at most one nonempty piece.  Graphs on <= 2 nodes are never
@@ -205,36 +202,25 @@ def is_two_connected(g: Graph) -> bool:
 
 
 def is_maximal_core_periphery(g: Graph) -> bool:
-    """Whether a connected graph is a maximal core-periphery layout."""
+    """Whether g is a maximal core-periphery layout.  Its core is the nodes
+    that ``classify`` does not make a SINGLETON_LEAF.  g has k >= 4 nodes and
+    ``cf.maximal_leaf_count(k)`` outside the core; no core node has degree
+    < 2; the core is one edge or induces a 2-connected graph; and when some
+    core nodes are not ATTACHMENTs (the odd layout's three orphans), one of
+    them is adjacent to exactly the other two.  Connectivity follows."""
     k = g.node_count
-    if k < 4 or not is_connected(g):
+    if k < 4:
         return False
-    leaves = [v for v in range(k) if g.degree(v) == 1]
-    core = [v for v in range(k) if g.degree(v) != 1]
-    leaf_set = set(leaves)
-    attach_counts = {
-        c: sum(1 for w in g.neighbors(c) if w in leaf_set) for c in core
-    }
-    if any(cnt > 1 for cnt in attach_counts.values()):
+    kinds = classify(g)
+    core = [v for v in range(k) if kinds[v] != SINGLETON_LEAF]
+    if k - len(core) != cf.maximal_leaf_count(k) or any(g.degree(v) < 2 for v in core):
         return False
-    core_graph = induced_subgraph(g, core)
-    if k % 2 == 0:
-        if len(leaves) != k // 2:
-            return False
-        if len(core) == 2:
-            return core_graph.sorted_edges() == [(0, 1)]
-        return is_two_connected(core_graph)
-    if len(leaves) != (k - 3) // 2:
+    if len(core) == 2:
+        return g.has_edge(*core)
+    if not is_two_connected(induced_subgraph(g, core)):
         return False
-    orphans = [c for c in core if attach_counts[c] == 0]
-    if len(orphans) != 3:
-        return False
-    if not is_two_connected(core_graph):
-        return False
-    orphan_set = set(orphans)
-    return any(
-        set(g.neighbors(o)) == orphan_set - {o} for o in orphans
-    )
+    orphans = {v for v in core if kinds[v] != ATTACHMENT}
+    return not orphans or any(set(g.neighbors(o)) == orphans - {o} for o in orphans)
 
 
 def check_structure(n: int, u: UtilitySpec, argmax_keys: tuple, best, star) -> tuple:

@@ -162,17 +162,20 @@ class UtilitySpec(Record):
     @staticmethod
     def from_json_dict(data: dict) -> "UtilitySpec":
         """The spec of an object with ``family``, ``beta`` and optionally
-        ``params``, itself an object; any other key is refused by name."""
-        try:
-            family, params, beta = data["family"], data.get("params", {}), data["beta"]
-        except (TypeError, KeyError) as exc:
-            raise UtilityError(f"bad utility spec: {exc}") from exc
+        ``params``, itself an object.  Anything but an object is refused, and
+        so, by name, are any other key and a missing ``family`` or ``beta``."""
+        if not isinstance(data, dict):
+            raise UtilityError("utility spec must be a JSON object")
         for key in data:
             if key not in ("family", "params", "beta"):
                 raise UtilityError(f"unknown utility key {key!r}")
+        for key in ("family", "beta"):
+            if key not in data:
+                raise UtilityError(f"utility spec needs {key!r}")
+        params = data.get("params", {})
         if not isinstance(params, dict):
             raise UtilityError(f"utility params must be an object, got {params!r}")
-        return builtin_utilities(family, params, beta)
+        return builtin_utilities(data["family"], params, data["beta"])
 
 
 def _rational(value) -> Fraction:

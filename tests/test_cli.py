@@ -99,6 +99,28 @@ def test_solve_refuses_a_utility_json_typo(c4_file, capsys, spec, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("spec, message", [
+    ('{"family": "linear"}', "utility spec needs 'beta'"),
+    ('{"beta": "1"}', "utility spec needs 'family'"),
+    ("{}", "utility spec needs 'family'"),
+    ('{"famly": "linear", "beta": "1"}', "unknown utility key 'famly'"),
+    ("[1, 2]", "utility spec must be a JSON object"),
+    ('"linear"', "utility spec must be a JSON object"),
+    ("null", "utility spec must be a JSON object"),
+    ("3", "utility spec must be a JSON object"),
+])
+def test_malformed_utility_spec_is_refused_in_its_own_words(tmp_path, c4_file, capsys,
+                                                            spec, message):
+    spec_file = tmp_path / "utility.json"
+    spec_file.write_text(spec)
+    for argv in (["design", "--n", "6", "--utility", spec],
+                 ["design", "--n", "6", "--utility", f"@{spec_file}"],
+                 ["solve", "--graph", str(c4_file), "--utility", spec]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n"), argv
+
+
 @pytest.mark.parametrize("beta", ["-1/-2", "2/-3", "1_000", "\u0663", "1 / 2"])
 def test_design_refuses_a_beta_that_is_not_a_plain_rational(beta, capsys):
     # "--beta=" form: argparse would read a leading "-1/-2" as an option.

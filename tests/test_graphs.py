@@ -40,7 +40,7 @@ from hsnet.designer import (
     build_maximal_cp,
     design_topology,
 )
-from hsnet.oracle import components, induced_subgraph, is_connected, is_two_connected
+from hsnet.oracle import components, induced_subgraph, is_two_connected
 
 from conftest import (
     class_sets, enumerate_graphs, graph_and_permutation, graphs, key_to_json_dict, relabel,
@@ -666,8 +666,9 @@ def test_canonical_form_invariant_under_any_permutation(case):
 def test_is_two_connected_matches_node_removal():
     for n in range(0, 7):
         for g in enumerate_graphs(n):
-            expect = n >= 3 and is_connected(g) and all(
-                is_connected(induced_subgraph(g, [v for v in range(n) if v != k]))
+            # Connected: one component, on these graphs of n - 1 >= 2 nodes.
+            expect = n >= 3 and len(components(g)) == 1 and all(
+                len(components(induced_subgraph(g, [v for v in range(n) if v != k]))) == 1
                 for k in range(n)
             )
             assert is_two_connected(g) == expect

@@ -1,5 +1,6 @@
 """Graph enumeration and the brute-force design verifier."""
 
+import collections
 import functools
 import hashlib
 import itertools
@@ -27,11 +28,14 @@ from hsnet.oracle import (
     check_structure,
     exhaustive_optima,
     grid_utilities,
+    is_maximal_core_periphery,
     is_two_connected,
     verify_grid,
 )
 
 from hsnet.cli import format_json
+from hsnet.closed_form import maximal_leaf_count
+from hsnet.designer import design_topology
 from hsnet.matrix_game import game_value, integer_payoffs, max_optimal_mass, solve_zero_sum
 from hsnet.payoff import UtilitySpec, builtin_utilities
 
@@ -43,7 +47,7 @@ from conftest import (
     relabel,
     square_u,
 )
-from test_graphs import reference_canonical_form
+from test_graphs import reached_by_bitmasks, reference_canonical_form
 
 
 KNOWN_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}  # OEIS A000088
@@ -85,6 +89,27 @@ def test_enumeration_bound():
         enumerate_graphs(9)
     with pytest.raises(EnumerationError):
         exhaustive_optima(8, [identity_u(1)])  # needs the long-run opt-in
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_sweep_refuses_fewer_than_one_node(monkeypatch, n):
+    # Refused before any graph is listed, not deep in the sweep.
+    monkeypatch.setattr(hsnet.oracle, "enumerate_keys", lambda n: pytest.fail("enumerated"))
+    with pytest.raises(EnumerationError, match=rf"^a sweep needs n >= 1 nodes, got n={n}$"):
+        exhaustive_optima(n, [identity_u(1)])
+
+
+# SHA-256 over the 36 reports of the default grid at n = 1..3, one
+# format_json(to_json_dict()) line each, taken before sweeps refused n < 1.
+SMALL_REPORTS_SHA256 = "ea72f2cebcfb826aa024310ac58140b1addff6a52d136b1dd1e6749b4f52f50a"
+
+
+def test_sweeps_of_one_to_three_nodes_pinned():
+    digest = hashlib.sha256()
+    for n in (1, 2, 3):
+        for report in exhaustive_optima(n, grid_utilities()):
+            digest.update((format_json(report.to_json_dict()) + "\n").encode())
+    assert digest.hexdigest() == SMALL_REPORTS_SHA256
 
 
 @functools.lru_cache(maxsize=None)
@@ -281,6 +306,73 @@ def test_hider_avoids_busy_nodes_fails_where_an_optimal_strategy_uses_one():
     assert checks["cycle_regime_structure"].passed
     assert not checks["hider_avoids_busy_nodes"].passed
     assert checks["hider_avoids_busy_nodes"].detail.startswith("1 argmax graphs")
+
+
+# -- the core-periphery recognizer -------------------------------------------
+
+
+def two_connected_within(g, nodes):
+    """Whether the bitmask ``nodes`` induces a 2-connected graph: at least 3
+    nodes, and a search inside it, and inside it less any one node, reaches
+    every node left."""
+    members = [v for v in range(g.node_count) if nodes >> v & 1]
+    return len(members) >= 3 and all(
+        reached_by_bitmasks(g, rest) == rest
+        for rest in [nodes] + [nodes & ~(1 << v) for v in members]
+    )
+
+
+def core_periphery_by_bitmasks(g):
+    """The maximal core-periphery recognizer in its first form, on neighbour
+    bitmasks: g is connected on k >= 4 nodes; its leaves are its degree-1
+    nodes and its core the rest; no core node has two leaves; there are k/2
+    leaves when k is even, and (k-3)/2 when odd; the core is one edge or
+    2-connected; and when k is odd exactly three core nodes hold no leaf, one
+    of them adjacent to exactly the other two."""
+    k = g.node_count
+    full = (1 << k) - 1
+    if k < 4 or reached_by_bitmasks(g, full) != full:
+        return False
+    masks = [g.neighbor_mask(v) for v in range(k)]
+    leaves = sum(1 << v for v in range(k) if masks[v].bit_count() == 1)
+    core = full & ~leaves
+    held = [v for v in range(k) if core >> v & 1 and masks[v] & leaves]
+    if any((masks[v] & leaves).bit_count() > 1 for v in held):
+        return False
+    if leaves.bit_count() != (k // 2 if k % 2 == 0 else (k - 3) // 2):
+        return False
+    if core.bit_count() == 2:
+        return all(masks[v] & core for v in range(k) if core >> v & 1)
+    if not two_connected_within(g, core):
+        return False
+    if k % 2 == 0:
+        return True
+    orphans = core & ~sum(1 << v for v in held)
+    return orphans.bit_count() == 3 and any(
+        masks[v] == orphans & ~(1 << v) for v in range(k) if orphans >> v & 1)
+
+
+def test_recognizer_matches_the_bitmask_oracle_on_every_small_graph():
+    accepted = collections.Counter()
+    for n in range(9):
+        for g in enumerate_graphs(n):
+            verdict = is_maximal_core_periphery(g)
+            assert verdict == core_periphery_by_bitmasks(g), sorted(g.edges)
+            if verdict:
+                accepted[n] += 1
+    assert accepted == {4: 1, 5: 2, 6: 1, 7: 8, 8: 3}
+
+
+def test_recognizer_matches_the_bitmask_oracle_on_layouts_and_their_edge_flips():
+    for x in range(4, 41):
+        part = design_topology(x, 0, maximal_leaf_count(x)).graph
+        assert is_maximal_core_periphery(part) and core_periphery_by_bitmasks(part), x
+        if x > 14:
+            continue
+        edges = part.edges
+        for pair in itertools.combinations(range(x), 2):
+            g = Graph(x, edges ^ {pair})
+            assert is_maximal_core_periphery(g) == core_periphery_by_bitmasks(g), (x, pair)
 
 
 def test_worker_count_validated_and_capped(monkeypatch):
