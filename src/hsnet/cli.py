@@ -212,8 +212,8 @@ def cmd_solve(args) -> int:
 
 def cmd_design(args) -> int:
     from .graphs import GRAPH_MAX_NODES
-    if not 1 <= args.n <= GRAPH_MAX_NODES:
-        raise CliError(f"--n must be between 1 and {GRAPH_MAX_NODES}, got {args.n}")
+    if not 4 <= args.n <= GRAPH_MAX_NODES:
+        raise CliError(f"--n must be between 4 and {GRAPH_MAX_NODES}, got {args.n}")
     from .designer import design_optimal
     u = _utility_from_args(args)
     result = design_optimal(args.n, u)

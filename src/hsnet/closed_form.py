@@ -4,7 +4,7 @@ Everything here is a pure function of (n, s, m) and a utility spec, where n
 is the total node count, s the number of isolated nodes and m the number of
 protected leaves in the connected part.  A context is an int n >= 1 with
 0 <= s <= n-4 or s = n, and 0 <= m <= (n-s)/2; ``_context`` refuses any
-other with a DomainError; it is the one domain rule.  The public functions:
+other with a DomainError; it is the one context rule.  The public functions:
 
 * value_row: every quantity of one context, as a ValueReport: the
   threshold T, the seeker's guarantees A and B when the hider stays in the
@@ -18,7 +18,8 @@ other with a DomainError; it is the one domain rule.  The public functions:
 * optimal_singleton_counts: the argmin set of that minimum, and the minimum;
 * design_row: the one decision of the optimal design, as its row: the least
   optimal s, with no leaves (a cycle) when T >= beta, else the maximal leaf
-  count (a maximal core-periphery part);
+  count (a maximal core-periphery part).  These two claim an optimum over
+  every graph, and do so for n >= 4 only; a smaller n is a DomainError;
 * maximal_leaf_count: that count, the one statement of the layout's rule,
   read by the scan, the design builder and the verifier's recognizer.
 
@@ -183,12 +184,16 @@ def _best(x: int, s: int, b: int, f1: int, fx: int, fx1: int, fx2: int) -> tuple
 
 def optimal_singleton_counts(n: int, u: UtilitySpec) -> tuple[tuple[int, ...], Fraction]:
     """All isolated-node counts minimizing the seeker's bound, plus the
-    minimum.  The hider's optimal payoff is minus that minimum.  f is read
-    at 1..n (1 alone when n < 4), and each s's five values are scaled over
-    their own lcm in line: per s, ``over_common_denominator`` doubles the
-    scan's time."""
+    minimum.  The hider's optimal payoff is minus that minimum.  The scan
+    claims n >= 4 only: below it a graph of one edge and n - 2 isolated
+    nodes, which no context covers, can beat every context, so a smaller n
+    is a DomainError.  f is read at 1..n, and each s's five values are
+    scaled over their own lcm in line: per s, ``over_common_denominator``
+    doubles the scan's time."""
     _context(n, n, 0)
-    f = [u.value(x) for x in range(1, n + 1 if n >= 4 else 2)]  # f[x - 1] = f(x)
+    if n < 4:
+        raise DomainError(f"the closed forms claim n >= 4 nodes, got n={n}")
+    f = [u.value(x) for x in range(1, n + 1)]  # f[x - 1] = f(x)
     nums, dens = [v.numerator for v in f], [v.denominator for v in f]
     bn, bd, f1n, f1d = u.beta.numerator, u.beta.denominator, nums[0], dens[0]
     d0 = lcm(bd, f1d)

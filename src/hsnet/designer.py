@@ -241,8 +241,8 @@ def hider_strategy(topo: DesignTopology, row: cf.ValueReport) -> MixedStrategy:
 
 def strategy_payoffs(g: Graph, u: UtilitySpec, hider, seeker) -> tuple:
     """(rows, cols, D): M.seeker and hider.M of g's hider-payoff matrix M, as
-    lists of integers over one denominator D, without M.  A strategy is a
-    MixedStrategy, read as its weights, or a sequence of ints and Fractions.
+    lists of integers over one denominator D, without M.  Each strategy is a
+    MixedStrategy, read as its weights by ``payoff._weights``.
 
     Deleting k leaves its separated DFS child subtrees, the rest of k's
     component and the other components (``graphs._deletion_pieces``).  A

@@ -114,13 +114,14 @@ def best_response_gap(matrix, row: MixedStrategy, col: MixedStrategy):
     denominator D, which leave every regret D times its own, and the two
     strategies' weights brought over one denominator."""
     rows, den, *_ = _integer_rows(matrix)
-    if len(row) != len(rows) or len(col) != len(rows[0]):
+    (rho, rho_den), (sigma, sigma_den) = _weights(row), _weights(col)
+    if len(rho) != len(rows) or len(sigma) != len(rows[0]):
         raise ValueError("strategy dimensions do not match the matrix")
-    common = lcm(row.denominator, col.denominator)
-    col_support = [(k, q * (common // col.denominator)) for k, q in enumerate(col.weights) if q]
-    row_support = [(p * (common // row.denominator), r) for p, r in zip(row.weights, rows) if p]
+    common = lcm(rho_den, sigma_den)
+    col_support = [(k, q * (common // sigma_den)) for k, q in enumerate(sigma) if q]
+    row_support = [(p * (common // rho_den), r) for p, r in zip(rho, rows) if p]
     row_payoffs = [sum(r[k] * q for k, q in col_support) for r in rows]  # M.col
-    col_payoffs = [sum(p * r[k] for p, r in row_support) for k in range(len(col))]  # row.M
+    col_payoffs = [sum(p * r[k] for p, r in row_support) for k in range(len(sigma))]  # row.M
     gap = gap_from_payoffs(row, row_payoffs, col_payoffs)
     return tuple(regret / (den * common) for regret in gap)
 
@@ -217,36 +218,16 @@ def integer_payoffs(g: Graph, u: UtilitySpec) -> tuple:
     return tuple(tuple(map(table.__getitem__, row)) for row in pattern), den
 
 
-def capture_probability(g: Graph, hider, seeker, within=None) -> Fraction:
-    """Probability the hider is caught under a pair of mixed strategies.
-
-    ``hider`` and ``seeker`` index nodes of g.  When ``within`` is given,
-    both strategies are conditioned on that node set (useful for reading the
-    capture rate inside a single component of a larger design).  Every
-    probability must be an int or a Fraction (a MixedStrategy is read as its
-    weights), and every node of ``within`` an int in 0..n-1; anything else, a
-    float, a string or a bool included, is a ValueError.  Inspecting k
-    catches the hider mass on k and its neighbours, so the sum takes O(n + e)
-    integer operations and builds one Fraction.
+def capture_probability(g: Graph, hider: MixedStrategy, seeker: MixedStrategy) -> Fraction:
+    """Probability the hider is caught under a pair of mixed strategies, each
+    a MixedStrategy over the nodes of g (read by ``payoff._weights``, which
+    refuses any other form).  Inspecting k catches the hider mass on k and
+    its neighbours, so the sum takes O(n + e) integer operations and builds
+    one Fraction.
     """
-    n = g.node_count
-    try:
-        (hp, hden), (sp, sden) = _weights(hider), _weights(seeker)
-    except ValueError:
-        raise ValueError("strategy probabilities must be int or Fraction") from None
-    if len(hp) != n or len(sp) != n:
+    (hp, hden), (sp, sden) = _weights(hider), _weights(seeker)
+    if len(hp) != g.node_count or len(sp) != g.node_count:
         raise GraphError("strategy length must equal node count")
-    if within is not None:
-        within = list(within)
-        if any(type(i) is not int or not 0 <= i < n for i in within):
-            raise ValueError(f"within must hold node ids in 0..{n - 1}")
-        # Conditioned, each strategy is its weights on the set over their total.
-        inside = set(within)
-        hp = [p if i in inside else 0 for i, p in enumerate(hp)]
-        sp = [q if i in inside else 0 for i, q in enumerate(sp)]
-        hden, sden = sum(hp), sum(sp)
-        if not hden or not sden:
-            raise ValueError("cannot condition on a zero-mass node set")
     hider_at = hp.__getitem__
     caught = sum(q * (hp[k] + sum(map(hider_at, g.neighbors(k)))) for k, q in enumerate(sp) if q)
     return Fraction(caught, hden * sden)

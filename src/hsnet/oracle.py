@@ -24,7 +24,8 @@ key's Graph and its utility-free ``hsnet.matrix_game.capture_pattern`` once,
 and maps the pattern through each utility's integer table over the sizes
 0..n-1, read once per chunk of keys.  Those rows are a positive multiple of
 ``integer_payoffs``'s, with the same smallest integer image, so each LP
-pivots as on them.  The n = 8 sweep sits behind an explicit flag.  Chunks
+pivots as on them.  A sweep takes n >= 4, the closed forms' domain; the
+n = 8 sweep sits behind ``verify_grid``'s one size guard, ``--long``.  Chunks
 are solved in parallel when HSNET_THREADS asks for more than one worker;
 results do not depend on it.  The structure queries of the checks live
 here with their only caller: the components and 2-connectivity of a graph,
@@ -126,15 +127,14 @@ class EnumerationReport(Record):
         }
 
 
-def exhaustive_optima(n: int, utilities, long_run: bool = False) -> list:
+def exhaustive_optima(n: int, utilities) -> list:
     """Solve every graph on n nodes under each utility and compare against
-    the closed forms: one EnumerationReport per utility, in order."""
-    if n < 1:
-        raise EnumerationError(f"a sweep needs n >= 1 nodes, got n={n!r}")
-    if n > DEFAULT_LIMIT and not long_run:
-        raise EnumerationError(
-            f"n={n} exceeds the default bound {DEFAULT_LIMIT}; pass long_run=True"
-        )
+    the closed forms: one EnumerationReport per utility, in order.  The
+    closed forms claim n >= 4 only, so a smaller n, or one that is not
+    exactly an int, is refused before any graph is listed;
+    ``enumerate_keys`` bounds n from above."""
+    if type(n) is not int or n < 4:
+        raise EnumerationError(f"a sweep needs n >= 4 nodes, got n={n!r}")
     utilities = tuple(utilities)
     keys = enumerate_keys(n)
     workers = min(_worker_count(), len(keys))
@@ -319,7 +319,7 @@ def verify_grid(
     grid = grid_utilities(families, betas)
     cells = []
     for n in range(4, n_max + 1):
-        for report in exhaustive_optima(n, grid, long_run=long_run):
+        for report in exhaustive_optima(n, grid):
             if mutate:
                 fields = dict(zip(report._fields, report._values()))
                 fields["closed_form_value"] += 1

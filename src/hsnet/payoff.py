@@ -9,7 +9,9 @@ Payoffs are read through one integer table, ``UtilitySpec.integer_table``
 (-beta and f at the sizes asked for, over their lcm D), so no caller builds
 a Fraction to read one.  Mixed strategies (``MixedStrategy``, integer weights
 over one denominator) and the best-response regrets of what they earn
-(``gap_from_payoffs``) live here too.  No graph is read here: the matrix of a
+(``gap_from_payoffs``) live here too.  A MixedStrategy is the one form in
+which the game code reads a strategy, through ``_weights``, which refuses any
+other (a list included).  No graph is read here: the matrix of a
 graph and the capture rate are built in ``hsnet.matrix_game``, which solves
 them, and the design certificate in ``hsnet.designer``, which runs it, so
 ``hsnet.closed_form`` and ``hsnet value-table`` load no graph code.
@@ -273,10 +275,11 @@ class MixedStrategy(Record):
 
 
 def _weights(strategy) -> tuple:
-    """(weights, D) of a MixedStrategy as held, or of ints and Fractions."""
-    if isinstance(strategy, MixedStrategy):
-        return strategy.weights, strategy.denominator
-    return over_common_denominator(strategy)
+    """(weights, D) of a MixedStrategy as held: the one strategy form that
+    the game code reads.  Anything else, a list included, is a ValueError."""
+    if not isinstance(strategy, MixedStrategy):
+        raise ValueError(f"a strategy must be a MixedStrategy, got {type(strategy).__name__}")
+    return strategy.weights, strategy.denominator
 
 
 def gap_from_payoffs(row: MixedStrategy, row_payoffs, col_payoffs):
@@ -284,7 +287,7 @@ def gap_from_payoffs(row: MixedStrategy, row_payoffs, col_payoffs):
     the payoffs' own unit (integers over D give regrets over D).  The row
     strategy's weights are read as they are held, so only the two regrets
     are Fractions."""
-    rho, den = row.weights, row.denominator
+    rho, den = _weights(row)
     current = sum(p * v for p, v in zip(rho, row_payoffs) if p)  # den row.M.col
     row_regret = max(row_payoffs) * den - current
     return Fraction(row_regret, den), Fraction(current - min(col_payoffs) * den, den)

@@ -51,6 +51,13 @@ def payoff_matrix(g, u) -> tuple:
     return tuple(tuple(view[v] for v in row) for row in rows)
 
 
+def conditioned(strategy: MixedStrategy, nodes) -> MixedStrategy:
+    """The strategy conditioned on a node set: its weights there over their
+    total."""
+    weights = [w if v in nodes else 0 for v, w in enumerate(strategy.weights)]
+    return MixedStrategy.from_weights(weights, sum(weights))
+
+
 def key_to_json_dict(key: tuple[int, int]) -> dict:
     """The JSON form of the representative graph of a canonical key, built
     from the key alone; edges are ``(i, j)`` tuples, which serialize as

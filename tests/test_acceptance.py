@@ -33,7 +33,9 @@ from hsnet.matrix_game import best_response_gap, capture_probability, solve_zero
 from hsnet.oracle import components
 from hsnet.payoff import MixedStrategy, UtilitySpec
 
-from conftest import identity_u, payoff_matrix, square_u, ratio_u, strategy_payoff, BETA_GRID
+from conftest import (
+    BETA_GRID, conditioned, identity_u, payoff_matrix, ratio_u, square_u, strategy_payoff,
+)
 from test_closed_form import (
     crowded_cp_bounds, guarantee_hiding_attachments, guarantee_hiding_residual,
     linear_even_bound, ref_design_mixing_m, seeker_bound, singleton_blend,
@@ -209,8 +211,9 @@ def test_capture_probabilities_exact():
             if res.topology == dz.ALL_SINGLETONS or not res.component_nodes:
                 continue
             x = n - res.s_star
+            part = set(res.component_nodes)
             cond = capture_probability(
-                res.graph, res.hider, res.seeker, within=res.component_nodes
+                res.graph, conditioned(res.hider, part), conditioned(res.seeker, part)
             )
             if res.topology == dz.CYCLE:
                 assert cond == F(3, x), (n, u2.family)

@@ -251,11 +251,12 @@ def test_design_size_limit_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setattr(hsnet.designer, "design_optimal", lambda *a: pytest.fail("design ran"))
     limit = hsnet.graphs.GRAPH_MAX_NODES
     assert limit == 10**6
-    # Refused before any work: the utility file is never opened.
-    for n in (limit + 1, 10**9, 0, -3):
+    # Refused before any work: the utility file is never opened.  Below 4
+    # nodes the closed forms claim no optimum.
+    for n in (limit + 1, 10**9, 3, 2, 1, 0, -3):
         assert run(["design", "--n", str(n), "--utility", "@/no/such/file.json"]) == 2
         err = capsys.readouterr().err
-        assert err == f"error: --n must be between 1 and {limit}, got {n}\n"
+        assert err == f"error: --n must be between 4 and {limit}, got {n}\n"
 
 
 def test_solve_size_limit_is_a_usage_error(tmp_path, monkeypatch, capsys):

@@ -384,9 +384,9 @@ def test_kernel_matches_oracle_on_every_context(family):
     assert contexts == expected
 
 
-# Every n up to 12, then sizes up to 300: both parities at the benchmark's
-# sizes, powers of two and one below.
-SCAN_SIZES = tuple(range(1, 13)) + (13, 29, 64, 127, 200, 255, 256, 299, 300)
+# Every n from 4, the scan's least, up to 12, then sizes up to 300: both
+# parities at the benchmark's sizes, powers of two and one below.
+SCAN_SIZES = tuple(range(4, 13)) + (13, 29, 64, 127, 200, 255, 256, 299, 300)
 
 
 @pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES) + ["table"])
@@ -437,17 +437,17 @@ def scan_utilities():
 
 def test_one_pass_scan_matches_per_s_oracle():
     for u in scan_utilities():
-        for n in list(range(1, 121)) + [500, 2000]:
+        for n in list(range(4, 121)) + [500, 2000]:
             assert cf.optimal_singleton_counts(n, u) == scan_by_best_bound(n, u), (n, u)
 
 
 def test_design_row_matches_the_oracles():
-    """For n <= 60 on the scan's utilities, design_row's s is the least
+    """For 4 <= n <= 60 on the scan's utilities, design_row's s is the least
     optimal count of the per-s scan, its m is 0 exactly when the Fraction
     threshold clears beta (and the parity-maximal count otherwise), and it
     is value_row's row at that (s, m), the Fraction formulas' row."""
     for u in scan_utilities():
-        for n in range(1, 61):
+        for n in range(4, 61):
             row = cf.design_row(n, u)
             assert row.s == scan_by_best_bound(n, u)[0][0], (n, u)
             if row.s < n:
@@ -657,10 +657,11 @@ def test_optimal_singleton_counts_examples():
     assert cf.optimal_singleton_counts(8, identity_u(2)) == ((0,), F(-4))
     counts, best = cf.optimal_singleton_counts(7, identity_u(50))
     assert counts == (7,) and best == F(44, 7)
-    # tiny boards only admit the fully isolated design
+    # below 4 nodes one edge beside n - 2 isolated nodes, which no context
+    # covers, can beat every context, so the scan claims nothing there
     for n in (1, 2, 3):
-        counts, _ = cf.optimal_singleton_counts(n, identity_u(1))
-        assert counts == (n,)
+        with pytest.raises(DomainError, match=rf"^the closed forms claim n >= 4 nodes, got n={n}$"):
+            cf.optimal_singleton_counts(n, identity_u(1))
     # a genuine tie is returned whole
     counts, _ = cf.optimal_singleton_counts(4, identity_u(1))
     assert counts == (0, 4)
@@ -745,15 +746,18 @@ def domain_outcome(fn, *args):
 def test_every_refusal_is_a_domain_error_naming_its_argument(u):
     """Every public function over n in -1..9 (and True, 2.0), s and m in
     -1..n+1: it returns inside its domain, and outside it raises a
-    DomainError that names the first bad one of n, s and m."""
+    DomainError that names the first bad one of n, s and m.  The rows take
+    n >= 1, the scan and the design's row n >= 4."""
     def named(value, name):
         return None if value is None else f"{name}={value!r}"
 
     for n in list(range(-1, 10)) + [True, 2.0]:
         bad_n = n if type(n) is not int or n < 1 else None
-        for fn in (cf.value_table_rows, cf.optimal_singleton_counts, cf.design_row):
+        for fn, least in ((cf.value_table_rows, 1), (cf.optimal_singleton_counts, 4),
+                          (cf.design_row, 4)):
+            bad = n if type(n) is not int or n < least else None
             message = domain_outcome(fn, n, u)
-            assert message is None if bad_n is None else named(n, "n") in message, (fn, n)
+            assert message is None if bad is None else named(bad, "n") in message, (fn, n)
         for s in range(-1, int(n) + 2):
             for m in range(-1, int(n) + 2):
                 if bad_n is not None:

@@ -15,11 +15,24 @@ import hsnet.matrix_game
 from hsnet.cli import main
 from hsnet.designer import build_cycle, build_maximal_cp, design_optimal, strategy_payoffs
 from hsnet.graphs import Graph, GraphError
-from hsnet.matrix_game import capture_pattern, capture_probability, integer_payoffs
+from hsnet.matrix_game import (
+    best_response_gap,
+    capture_pattern,
+    capture_probability,
+    integer_payoffs,
+)
 from hsnet.oracle import exhaustive_optima
-from hsnet.payoff import FAMILIES, UtilityError, UtilitySpec, builtin_utilities
+from hsnet.payoff import (
+    FAMILIES,
+    MixedStrategy,
+    UtilityError,
+    UtilitySpec,
+    builtin_utilities,
+    gap_from_payoffs,
+)
 
 from conftest import (
+    conditioned,
     enumerate_graphs,
     graph_and_permutation,
     identity_u,
@@ -542,19 +555,11 @@ def test_no_command_path_builds_a_fraction_matrix(monkeypatch, tmp_path, capsys)
     assert fraction_matrices == []
 
 
-def capture_probability_by_bitmasks(g, hider, seeker, within=None):
+def capture_probability_by_bitmasks(g, hider, seeker):
     """The capture probability summed over each inspected node's capture
     bitmask, the node and its neighbours, scanned over all n positions."""
     n = g.node_count
-    hp, sp = list(map(F, hider)), list(map(F, seeker))
-    if within is not None:
-        inside = set(within)
-        hmass = sum(hp[i] for i in inside)
-        smass = sum(sp[i] for i in inside)
-        if hmass == 0 or smass == 0:
-            raise ValueError("cannot condition on a zero-mass node set")
-        hp = [hp[i] / hmass if i in inside else F(0) for i in range(n)]
-        sp = [sp[i] / smass if i in inside else F(0) for i in range(n)]
+    hp, sp = list(hider), list(seeker)
     total = F(0)
     for k in range(n):
         if sp[k]:
@@ -567,23 +572,15 @@ def random_exact_strategy(rng, n):
     """Small-integer weights, some of them zero, over their total."""
     weights = [rng.choice((0, 0, 1, 2, 3, 7)) for _ in range(n)]
     weights[rng.randrange(n)] += 1
-    return [F(w, sum(weights)) for w in weights]
+    return MixedStrategy([F(w, sum(weights)) for w in weights])
 
 
 def assert_capture_probability_matches_bitmasks(g, rng):
     n = g.node_count
     for _ in range(3):
         hider, seeker = random_exact_strategy(rng, n), random_exact_strategy(rng, n)
-        within = None
-        if rng.random() < 2 / 3:
-            within = rng.sample(range(n), rng.randint(1, n))
-        try:
-            expected = capture_probability_by_bitmasks(g, hider, seeker, within)
-        except ValueError:
-            with pytest.raises(ValueError, match="zero-mass"):
-                capture_probability(g, hider, seeker, within)
-            continue
-        assert capture_probability(g, hider, seeker, within) == expected, (g, within)
+        expected = capture_probability_by_bitmasks(g, hider, seeker)
+        assert capture_probability(g, hider, seeker) == expected, (g, hider, seeker)
 
 
 def test_capture_probability_matches_bitmasks_on_every_graph_up_to_seven():
@@ -604,34 +601,41 @@ def test_capture_probability_matches_bitmasks_under_relabelling(case, rng):
 
 def test_capture_probability_conditioning():
     g = build_cycle(4)
-    uniform = [F(1, 4)] * 4
+    uniform = MixedStrategy.uniform(4)
     assert capture_probability(g, uniform, uniform) == F(3, 4)
     # adding isolated nodes and conditioning on the cycle leaves the rate
     g2 = Graph(6, build_cycle(4).edges)
-    h = [F(1, 8)] * 4 + [F(1, 4), F(1, 4)]
-    s = [F(3, 16)] * 4 + [F(1, 8), F(1, 8)]
-    assert capture_probability(g2, h, s, within=range(4)) == F(3, 4)
-    pure = [1, 0, 0, 0, 0, 0]
-    assert capture_probability(g2, pure, pure, within=range(4)) == 1
+    h = MixedStrategy([F(1, 8)] * 4 + [F(1, 4), F(1, 4)])
+    s = MixedStrategy([F(3, 16)] * 4 + [F(1, 8), F(1, 8)])
+    cycle = set(range(4))
+    assert capture_probability(g2, conditioned(h, cycle), conditioned(s, cycle)) == F(3, 4)
+    pure = MixedStrategy([1, 0, 0, 0, 0, 0])
+    assert capture_probability(g2, conditioned(pure, cycle), conditioned(pure, cycle)) == 1
 
 
-def test_capture_probability_inputs_must_be_exact():
-    g = Graph(2, [(0, 1)])
-    assert capture_probability(g, [F(1, 2), F(1, 2)], [1, 0]) == 1
-    for bad in ([0.5, 0.5], ["1/2", "1/2"], [True, False], [F(1, 2), None]):
-        with pytest.raises(ValueError, match="int or Fraction"):
-            capture_probability(g, bad, [F(1, 2), F(1, 2)])
-        with pytest.raises(ValueError, match="int or Fraction"):
-            capture_probability(g, [F(1, 2), F(1, 2)], bad)
-
-
-def test_capture_probability_within_must_name_nodes():
-    g = Graph(3, [(0, 1)])
-    uniform = [F(1, 3)] * 3
-    assert capture_probability(g, uniform, uniform, within=[0, 1]) == 1
-    for bad in ([-1], [5], [3], [0, 3], [True], [1.0], ["1"], [None], [[0]]):
-        with pytest.raises(ValueError, match="within must hold node ids"):
-            capture_probability(g, uniform, uniform, within=bad)
+def test_every_strategy_reader_refuses_a_list():
+    """capture_probability, strategy_payoffs, best_response_gap and
+    gap_from_payoffs read a strategy only as a MixedStrategy: a list, even
+    one that is no distribution or holds floats, is a ValueError naming its
+    type (``MixedStrategy`` itself refuses inexact probabilities)."""
+    g, u = Graph(2, [(0, 1)]), identity_u()
+    pure = MixedStrategy([1, 0])
+    matrix = payoff_matrix(g, u)
+    rows, cols, den = strategy_payoffs(g, u, pure, pure)
+    assert capture_probability(g, pure, pure) == 1
+    assert best_response_gap(matrix, pure, pure) == (0, 0)
+    assert gap_from_payoffs(pure, rows, cols) == (0, 0)
+    for bad in ([2, 0], [-1, 2], [5, 0], [F(1, 2), F(1, 2)], (1, 0), [0.5, 0.5], [True, False]):
+        for call in (lambda: capture_probability(g, bad, pure),
+                     lambda: capture_probability(g, pure, bad),
+                     lambda: strategy_payoffs(g, u, bad, pure),
+                     lambda: strategy_payoffs(g, u, pure, bad),
+                     lambda: best_response_gap(matrix, bad, pure),
+                     lambda: best_response_gap(matrix, pure, bad),
+                     lambda: gap_from_payoffs(bad, rows, cols)):
+            message = f"^a strategy must be a MixedStrategy, got {type(bad).__name__}$"
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 # -- M.seeker and hider.M from the graph, against the dense matrix -----------
@@ -659,7 +663,7 @@ def random_strategy(rng, n):
     """A distribution with zero entries; sometimes pure."""
     weights = [rng.choice((0, 0, 1, 2, 5)) for _ in range(n)]
     weights[rng.randrange(n)] += 1
-    return [F(w, sum(weights)) for w in weights]
+    return MixedStrategy([F(w, sum(weights)) for w in weights])
 
 
 def assert_payoffs_match_dense(g, rng, utilities=PAYOFF_UTILITIES):
@@ -740,13 +744,6 @@ def test_strategy_payoffs_read_f_only_at_the_sizes_the_matrix_holds():
 def test_strategy_payoffs_validates_shapes():
     g = build_cycle(4)
     with pytest.raises(GraphError):
-        strategy_payoffs(g, identity_u(), [F(1, 3)] * 3, [F(1, 4)] * 4)
+        strategy_payoffs(g, identity_u(), MixedStrategy.uniform(3), MixedStrategy.uniform(4))
     with pytest.raises(GraphError):
         strategy_payoffs(Graph(0), identity_u(), [], [])
-    with pytest.raises(ValueError, match="ints and Fractions"):
-        strategy_payoffs(g, identity_u(), [0.25] * 4, [F(1, 4)] * 4)
-    for bad in ([True, False], [1.0, 0], ["1", "0"]):
-        with pytest.raises(ValueError, match="ints and Fractions"):
-            strategy_payoffs(Graph(2, [(0, 1)]), identity_u(), bad, [1, 0])
-        with pytest.raises(ValueError, match="ints and Fractions"):
-            strategy_payoffs(Graph(2, [(0, 1)]), identity_u(), [1, 0], bad)
