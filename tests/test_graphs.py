@@ -16,7 +16,11 @@ from hsnet.canonical import (
     _canonical_search,
     _classes,
     _extension_subsets,
+    _joined_cliques,
     _key_masks,
+    _largest_cliques,
+    _maximum_cliques,
+    _twin_step,
     canonical_form,
     canonical_key_edges,
     enumerate_keys,
@@ -462,6 +466,96 @@ def test_twin_classes_partition_into_pairwise_twins():
                     assert classes[w] == classes[v]
 
 
+def dict_pass_twin_classes(masks):
+    """Oracle: the twin classes from one pass over the nodes, grouping them
+    by open and by closed neighbourhood."""
+    open_groups, closed_groups = {}, {}
+    for v, m in enumerate(masks):
+        open_groups[m] = open_groups.get(m, 0) | 1 << v
+        closed_groups[m | 1 << v] = closed_groups.get(m | 1 << v, 0) | 1 << v
+    return tuple(open_groups[m] | closed_groups[m | 1 << v] for v, m in enumerate(masks))
+
+
+def branch_and_bound_cliques(masks, classes):
+    """Oracle: the maximum cliques, as bitmasks, that take the lowest members
+    of every twin class they meet, by branch and bound over the nodes in
+    increasing order."""
+    best, found = 0, []
+    stack = [(0, (1 << len(masks)) - 1)]
+    while stack:
+        clique, cand = stack.pop()
+        if not cand:  # no node above can join, as for every maximum clique
+            size = clique.bit_count()
+            if size > best:
+                best, found = size, []
+            if size == best:
+                found.append(clique)
+        elif clique.bit_count() + cand.bit_count() >= best:
+            for v in reversed(MEMBERS[cand]):
+                if not classes[v] & ((1 << v) - 1) & ~clique:  # no lower twin left out
+                    stack.append((clique | 1 << v, cand & masks[v] & -(2 << v)))
+    return sorted(found)
+
+
+def all_cliques(masks):
+    """Every clique, the empty one included, as sorted bitmasks."""
+    found = []
+
+    def grow(clique, cand):
+        found.append(clique)
+        for v in MEMBERS[cand]:
+            grow(clique | 1 << v, cand & masks[v] & -(2 << v))
+
+    grow(0, (1 << len(masks)) - 1)
+    return sorted(found)
+
+
+def test_folds_match_oracles_on_every_graph_up_to_seven():
+    rng = random.Random(7)
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for h in (g, relabel(g, perm)):
+                masks = [h.neighbor_mask(v) for v in range(n)]
+                classes = twin_classes(h)
+                assert classes == dict_pass_twin_classes(masks)
+                cliques = all_cliques(masks)
+                omega = max(c.bit_count() for c in cliques)
+                top, second = _largest_cliques(masks)
+                assert sorted(top) == [c for c in cliques if c.bit_count() == omega]
+                assert sorted(second) == [c for c in cliques if c.bit_count() == omega - 1]
+                assert sorted(_maximum_cliques(masks, classes, top)) == (
+                    branch_and_bound_cliques(masks, classes)
+                )
+
+
+def test_fold_steps_match_oracles_on_every_extension():
+    # Every neighbourhood of a new node, not only those enumeration keeps.
+    for n in range(7):
+        bit = 1 << n
+        for key in enumerate_keys(n):
+            parent = _key_masks(key)
+            classes = twin_classes(parent)
+            cliques = all_cliques(parent)
+            top, second = _largest_cliques(parent)
+            for subset in range(1 << n):
+                masks = [m | bit if subset >> j & 1 else m for j, m in enumerate(parent)]
+                masks.append(subset)
+                stepped = tuple(_twin_step(classes, parent, subset))
+                assert stepped == dict_pass_twin_classes(masks), (key, subset)
+                assert sorted(cliques + _joined_cliques(cliques, subset, bit)) == (
+                    all_cliques(masks)
+                )
+                # The step on the two largest sizes, as enumeration takes it.
+                largest = _joined_cliques(top, subset, bit) or top + _joined_cliques(
+                    second, subset, bit
+                )
+                assert sorted(_maximum_cliques(masks, stepped, largest)) == (
+                    branch_and_bound_cliques(masks, stepped)
+                ), (key, subset)
+
+
 def twin_extension_subsets(classes):
     """The node subsets, as bitmasks, that take the lowest members of each
     twin class: one subset per orbit of the twin swaps."""
@@ -564,14 +658,19 @@ def count_enumeration_calls(monkeypatch, name):
 
 
 def test_canonical_form_calls_pinned(monkeypatch):
-    # One call per orbit of the parent's automorphisms that passes both
-    # filters.  A weaker prune (the twin swaps alone make 1,673) raises it.
-    assert count_enumeration_calls(monkeypatch, "canonical_form") == 1300
+    # Enumeration folds the twin classes and cliques of each of the 209
+    # classes with n <= 6 once, when it extends the class, and takes each
+    # extension's by one fold step from them; canonical_form, which folds a
+    # graph from its first node, is never called.
+    assert count_enumeration_calls(monkeypatch, "canonical_form") == 0
+    assert count_enumeration_calls(monkeypatch, "twin_classes") == 209
+    assert count_enumeration_calls(monkeypatch, "_largest_cliques") == 209
 
 
 def test_canonical_search_calls_pinned(monkeypatch):
-    # One search per canonical_form call: each parent's automorphisms come
-    # from the search that found it (a second search per parent made 1,509).
+    # One search per orbit of the parent's automorphisms that passes both
+    # filters.  A weaker prune (the twin swaps alone make 1,673) raises it,
+    # and so does a second search per parent for its automorphisms (1,509).
     assert count_enumeration_calls(monkeypatch, "_canonical_search") == 1300
 
 
@@ -583,7 +682,7 @@ def second_search_images(masks):
     classes = twin_classes(masks)
     first, *others = [
         [v for cell in cells for v in MEMBERS[cell]]
-        for cells, _ in _canonical_search(masks, classes)[1]
+        for cells, _ in _canonical_search(masks, classes, _largest_cliques(masks)[0])[1]
     ]
     moves = [dict(zip(first, order)) for order in others] + [
         {v: w, w: v} for cls in set(classes) for v, w in zip(MEMBERS[cls], MEMBERS[cls][1:])
@@ -606,7 +705,8 @@ def test_automorphism_images_on_every_graph_up_to_seven():
     for n in range(0, 8):
         for key, frontier in _classes(n).items():
             masks = _key_masks(key)
-            assert_images_are_automorphisms(masks, _automorphism_images(masks, frontier))
+            images = _automorphism_images(twin_classes(masks), frontier)
+            assert_images_are_automorphisms(masks, images)
             assert_images_are_automorphisms(masks, second_search_images(masks))
 
 
@@ -617,9 +717,10 @@ def test_automorphism_images_under_relabelling(case):
     g, perm = case
     h = relabel(g, perm)
     masks = [h.neighbor_mask(v) for v in range(h.node_count)]
-    frontier = []
-    key = canonical_form(masks, frontier)
-    assert_images_are_automorphisms(_key_masks(key), _automorphism_images(_key_masks(key), frontier))
+    bits, frontier = _canonical_search(masks, twin_classes(masks), _largest_cliques(masks)[0])
+    parent = _key_masks((h.node_count, bits))
+    images = _automorphism_images(twin_classes(parent), frontier)
+    assert_images_are_automorphisms(parent, images)
     assert_images_are_automorphisms(masks, second_search_images(masks))
 
 
@@ -627,8 +728,43 @@ def test_extension_subsets_match_second_search_oracle():
     for n in range(0, 7):
         for key, frontier in _classes(n).items():
             masks = _key_masks(key)
-            assert _extension_subsets(masks, _automorphism_images(masks, frontier)) == (
-                _extension_subsets(masks, second_search_images(masks))
+            degrees = [m.bit_count() for m in masks]
+            images = _automorphism_images(twin_classes(masks), frontier)
+            assert _extension_subsets(degrees, images) == (
+                _extension_subsets(degrees, second_search_images(masks))
+            ), key
+
+
+def per_member_extension_subsets(degrees, images):
+    """Oracle: ``_extension_subsets`` with each orbit member mapped through
+    each generator one member at a time, the image bits summed."""
+    top = max(degrees, default=0)
+    tops = sum(1 << j for j, d in enumerate(degrees) if d == top)
+    kept, seen = [], set()
+    for subset in range(1 << len(degrees)):
+        k = subset.bit_count()
+        if k < top or k == top and subset & tops or subset in seen:
+            continue
+        kept.append(subset)
+        seen.add(subset)
+        orbit = [subset]
+        for t in orbit:
+            for image in images:
+                u = sum(map(image.__getitem__, MEMBERS[t]))
+                if u not in seen:
+                    seen.add(u)
+                    orbit.append(u)
+    return kept
+
+
+def test_extension_subsets_match_per_member_orbit_walk():
+    for n in range(0, 8):
+        for key, frontier in _classes(n).items():
+            masks = _key_masks(key)
+            degrees = [m.bit_count() for m in masks]
+            images = _automorphism_images(twin_classes(masks), frontier)
+            assert _extension_subsets(degrees, images) == (
+                per_member_extension_subsets(degrees, images)
             ), key
 
 
@@ -649,7 +785,8 @@ def test_extension_subsets_one_per_automorphism_orbit():
                 if s.bit_count() >= max(degree, default=0)
                 and all(degree[v] < s.bit_count() for v in MEMBERS[s])
             ]
-            kept = _extension_subsets(masks, _automorphism_images(masks, frontier))
+            images = _automorphism_images(twin_classes(masks), frontier)
+            kept = _extension_subsets(degree, images)
             assert len(kept) == len(set(kept)) and set(kept) <= set(passing)
             for subset in passing:
                 orbit = {sum(1 << perm[v] for v in MEMBERS[subset]) for perm in autos}

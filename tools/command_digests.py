@@ -17,8 +17,9 @@ commands:
   workload, both read from ``perfbench/workloads.py``;
 * ``design --n 1..15`` under linear beta = 0 and 2 and power beta = 1/2
   and 50;
-* ``value-table --n 1 --n-max 50``, ``enumerate --n 7``, and ``export`` of
-  the first ``solve`` graph in each format.
+* ``value-table --n 1 --n-max 50``;
+* ``enumerate --n 0..8``, each with and without ``--count-only``;
+* ``export`` of the first ``solve`` graph in each format.
 
 HSNET_THREADS is 1 wherever a line does not name it.  The whole list takes
 a few minutes, most of it in the n = 8 sweeps.
@@ -65,7 +66,9 @@ def commands(workdir):
         for n in range(1, 16):
             yield 1, ["design", "--n", str(n), "--family", family, "--beta", beta]
     yield 1, ["value-table", "--n", "1", "--n-max", "50"]
-    yield 1, ["enumerate", "--n", "7"]
+    for n in range(9):
+        yield 1, ["enumerate", "--n", str(n)]
+        yield 1, ["enumerate", "--n", str(n), "--count-only"]
     for fmt in ("dot", "json", "text"):
         yield 1, ["export", "--graph", graphs[0], "--format", fmt]
 
