@@ -1,16 +1,17 @@
 """Canonical forms and enumeration of small graphs, on neighbour bitmasks.
 
 ``canonical_form`` is an isomorphism-invariant key for a Graph on at most
-CANONICAL_MAX_NODES nodes, or for its neighbour bitmasks; it, ``twin_classes``
-and enumeration are the only code that builds such masks.  ``enumerate_keys``
-gives the keys of every graph on n <= 8 nodes up to isomorphism, with no
-Graph built: each class on n - 1 nodes gains a node per orbit of its
-automorphisms on neighbourhoods, which the final frontier of the canonical
-search that found it generates.  A graph's cliques and twin classes are
-folds over its nodes, one step per node, so an extension takes one step
-from its class's.  No hsnet module is imported when this one loads:
-``hsnet.graphs`` only inside the functions that build a Graph or raise a
-GraphError.
+CANONICAL_MAX_NODES nodes; it, ``twin_classes`` and enumeration are the only
+code that builds neighbour bitmasks, and ``twin_classes`` takes them as
+built.  ``enumerate_keys`` gives the keys of every graph on n <= 8 nodes up
+to isomorphism, with no Graph built, and caches them: each class on n - 1
+nodes gains a node per orbit of its automorphisms on neighbourhoods, which
+the final frontier of the canonical search that found it generates.  A
+graph's cliques and twin classes are folds over its nodes, one step per
+node, so an extension takes one step from its class's.  ``key_pairs`` is the
+one decoder of a key's bit layout.  No hsnet module is imported when this
+one loads: ``hsnet.graphs`` only inside the functions that build a Graph or
+raise a GraphError.
 """
 
 from __future__ import annotations
@@ -27,20 +28,6 @@ _BITS = bytes(map(len, _MEMBERS))  # _BITS[mask]: the number of nodes in the bit
 
 class EnumerationError(ValueError):
     """A node count or setting outside what enumeration and the verifier support."""
-
-
-def _masks_of(g):
-    """Neighbour bitmasks, node v's at index v, of a Graph (anything with a
-    ``node_count``) or of a sequence of them returned as is; a GraphError
-    past CANONICAL_MAX_NODES nodes, checked before any mask is built."""
-    graph = hasattr(g, "node_count")
-    n = g.node_count if graph else len(g)
-    if n > CANONICAL_MAX_NODES:
-        from .graphs import GraphError
-        raise GraphError(
-            f"canonical forms support at most {CANONICAL_MAX_NODES} nodes, got {n}"
-        )
-    return [g.neighbor_mask(v) for v in range(n)] if graph else g
 
 
 def _twin_step(classes, masks, subset) -> list[int]:
@@ -63,14 +50,13 @@ def _twin_step(classes, masks, subset) -> list[int]:
     ] + [twins]
 
 
-def twin_classes(g) -> tuple[int, ...]:
+def twin_classes(masks) -> tuple[int, ...]:
     """``classes[v]``: the bitmask of v's twin class, the nodes w with
     N(v) - w == N(w) - v, v included; permuting a class is an automorphism.
     A node with a non-adjacent twin (same open neighbourhood) has no adjacent
     one (same closed neighbourhood), so each class is one of the two groups.
-    ``g`` is a Graph or its neighbour bitmasks, node v's at index v; the
-    classes are built node by node, as enumeration extends a graph."""
-    masks = _masks_of(g)
+    ``masks`` are the neighbour bitmasks, node v's at index v; the classes
+    are built node by node, as enumeration extends a graph."""
     classes = []
     for v, m in enumerate(masks):
         classes = _twin_step(classes, masks, m & ((1 << v) - 1))
@@ -113,14 +99,18 @@ def _maximum_cliques(masks, classes, cliques) -> list[int]:
 
 
 def canonical_form(g) -> tuple[int, int]:
-    """Isomorphism-invariant key ``(node_count, bits)`` for graphs on at most
-    CANONICAL_MAX_NODES nodes: over all n! node orders, the lexicographic
-    maximum of the rows (position i's adjacency bits toward positions
-    0..i-1), with row i packed at offset i(i-1)/2.  ``g`` is a Graph or its
-    neighbour bitmasks, node v's at index v."""
-    masks = _masks_of(g)
+    """Isomorphism-invariant key ``(node_count, bits)`` for a Graph on at
+    most CANONICAL_MAX_NODES nodes, a GraphError past that, raised before
+    any bitmask is built: over all n! node orders, the lexicographic maximum
+    of the rows (position i's adjacency bits toward positions 0..i-1), with
+    row i packed at offset i(i-1)/2."""
+    n = g.node_count
+    if n > CANONICAL_MAX_NODES:
+        from .graphs import GraphError
+        raise GraphError(f"canonical forms support at most {CANONICAL_MAX_NODES} nodes, got {n}")
+    masks = [g.neighbor_mask(v) for v in range(n)]
     bits, _ = _canonical_search(masks, twin_classes(masks), _largest_cliques(masks)[0])
-    return (len(masks), bits)
+    return (n, bits)
 
 
 def _canonical_search(masks, classes, cliques) -> tuple[int, list]:
@@ -305,12 +295,9 @@ def _classes(n: int) -> dict:
     return found
 
 
-@lru_cache(maxsize=None)
-def _representative_keys(n: int) -> tuple:
-    """Sorted canonical keys of the graphs on n nodes, one per class."""
-    return tuple(sorted(_classes(n)))
-
-
+# typed: an untyped cache would answer n=True and n=1.0 with the keys of a
+# cached n=1, since they hash and compare equal to it.
+@lru_cache(maxsize=None, typed=True)
 def enumerate_keys(n: int) -> tuple:
     """The canonical keys of all graphs on n nodes, one per isomorphism
     class, sorted.  n must be exactly an int (a bool or a float is an
@@ -319,19 +306,15 @@ def enumerate_keys(n: int) -> tuple:
         raise EnumerationError(
             f"enumeration supports 0 <= n <= {CANONICAL_MAX_NODES}, got {n!r}"
         )
-    return _representative_keys(n)
+    return tuple(sorted(_classes(n)))
 
 
 def _key_masks(key: tuple[int, int]) -> list[int]:
     """The neighbour bitmasks of the representative graph of a canonical key."""
-    n, bits = key
-    masks = [0] * n
-    offset = 0
-    for i in range(1, n):
-        row = masks[i] = bits >> offset & ((1 << i) - 1)
-        for j in _MEMBERS[row]:
-            masks[j] |= 1 << i
-        offset += i
+    masks = [0] * key[0]
+    for i, j in canonical_key_edges(key):
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
     return masks
 
 

@@ -11,6 +11,9 @@ loads only ``hsnet.canonical``, ``design`` no LP or verifier code, and
 ``solve`` no designer, canonical-labelling or verifier code; and the parser
 holds only the subcommand that is run.
 
+Every file is written by ``_write``, side files (``--dot``, ``--csv``) first:
+one that cannot be written stops its command before the report.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or input errors.
 """
 
@@ -126,13 +129,26 @@ def _load_graph(path: str):
     return parse_graph_text(text)
 
 
+def _write(path: str, text: str):
+    """The one file writer; it translates no newline, so CSV rows keep CRLF."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
 def _emit(args, payload: str):
     out = getattr(args, "output", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        _write(out, payload)
     else:
         sys.stdout.write(payload)
+
+
+def _csv_text(rows) -> str:
+    """The rows as ``csv.writer`` writes them."""
+    import csv
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 def format_json(data) -> str:
@@ -226,8 +242,7 @@ def cmd_design(args) -> int:
         data["hider_strategy"] = [num(p) for p in result.hider]
         data["seeker_strategy"] = [num(p) for p in result.seeker]
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(result.to_dot())
+        _write(args.dot, result.to_dot())
     _emit_json(args, data)
     return 0
 
@@ -237,7 +252,6 @@ def cmd_value_table(args) -> int:
     n_hi = args.n_max if args.n_max is not None else args.n
     if max(n_lo, n_hi) > VALUE_TABLE_MAX_NODES:
         raise CliError(f"value-table takes n up to {VALUE_TABLE_MAX_NODES}, got {max(n_lo, n_hi)}")
-    import csv
     from .closed_form import value_table_rows
     u = _utility_from_args(args)
     if n_lo < 1 or n_hi < n_lo:
@@ -251,20 +265,16 @@ def cmd_value_table(args) -> int:
     def cell(x):
         return "" if x is None else num(x)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n", "s", "m", "T", "A", "B", "rho", "lambda_S", "Q", "Qbar"])
+    rows = [["n", "s", "m", "T", "A", "B", "rho", "lambda_S", "Q", "Qbar"]]
     for n in range(n_lo, n_hi + 1):
-        for r in value_table_rows(n, u):
-            writer.writerow([r.n, r.s, r.m, *map(cell, (
-                r.threshold, r.component, r.singleton, r.residual_weight,
-                r.singleton_weight, r.bound, r.best_bound))])
-    _emit(args, buf.getvalue())
+        rows += [[r.n, r.s, r.m, *map(cell, (
+            r.threshold, r.component, r.singleton, r.residual_weight,
+            r.singleton_weight, r.bound, r.best_bound))] for r in value_table_rows(n, u)]
+    _emit(args, _csv_text(rows))
     return 0
 
 
 def cmd_verify(args) -> int:
-    import csv
     from .oracle import DEFAULT_BETAS, DEFAULT_FAMILIES, verify_grid
     families, betas = DEFAULT_FAMILIES, DEFAULT_BETAS
     if args.families is not None:
@@ -278,29 +288,17 @@ def cmd_verify(args) -> int:
         long_run=args.long,
         mutate=args.mutate,
     )
-    data = {"n_max": args.n_max, "all_passed": all_passed, "cells": cells}
-    _emit_json(args, data)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["n", "family", "beta", "graphs", "best_value",
-                 "closed_form_value", "value_match", "checks_passed", "cell_passed"]
-            )
-            for cell_data in cells:
-                writer.writerow(
-                    [
-                        cell_data["n"],
-                        cell_data["utility"]["family"],
-                        cell_data["utility"]["beta"],
-                        cell_data["graph_count"],
-                        cell_data["best_value"],
-                        cell_data["closed_form_value"],
-                        cell_data["value_match"],
-                        all(c["passed"] for c in cell_data["checks"]),
-                        cell_data["cell_passed"],
-                    ]
-                )
+        _write(args.csv, _csv_text([
+            ["n", "family", "beta", "graphs", "best_value",
+             "closed_form_value", "value_match", "checks_passed", "cell_passed"],
+        ] + [
+            [c["n"], c["utility"]["family"], c["utility"]["beta"], c["graph_count"],
+             c["best_value"], c["closed_form_value"], c["value_match"],
+             all(check["passed"] for check in c["checks"]), c["cell_passed"]]
+            for c in cells
+        ]))
+    _emit_json(args, {"n_max": args.n_max, "all_passed": all_passed, "cells": cells})
     return 0 if all_passed else CHECK_FAILURE
 
 

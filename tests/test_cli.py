@@ -672,6 +672,20 @@ def test_verify_report_bytes_pinned(monkeypatch, capsys, threads):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_N6_SHA256
 
 
+# SHA-256 of the `hsnet verify --n-max 6 --csv` file, CRLF rows as
+# `csv.writer` writes them, taken before every file went through one writer.
+VERIFY_N6_CSV_SHA256 = "4f2f4c49c54e6120d973f597c5d878e027cb10d5d3261c5be4a8acda6dbd76dd"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_verify_csv_bytes_pinned(monkeypatch, tmp_path, threads):
+    monkeypatch.setenv("HSNET_THREADS", threads)
+    csv_path = tmp_path / "verify.csv"
+    assert run(["verify", "--n-max", "6", "--output", str(tmp_path / "verify.json"),
+                "--csv", str(csv_path)]) == 1
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == VERIFY_N6_CSV_SHA256
+
+
 # SHA-256 of `hsnet solve` stdout on seeded G(n, 1/4) graphs, taken before
 # the simplex pivoted on an integer tableau.  The strategies reported are the
 # solver's own vertex, so any change in a pivot choice moves a pin.
@@ -782,6 +796,16 @@ def test_verify_passing_cell(tmp_path):
     jsonschema.validate(data, schema("verify.schema.json"))
     assert data["all_passed"]
     assert csv_path.read_text().startswith("n,family,beta")
+
+
+def test_verify_csv_into_missing_directory_writes_no_report(tmp_path, capsys):
+    # The CSV is written before the report, so a path that cannot be written
+    # stops the command with nothing on stdout.
+    csv_path = tmp_path / "missing" / "v.csv"
+    assert run(["verify", "--n-max", "4", "--csv", str(csv_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and str(csv_path) in err
 
 
 def test_verify_mutation_self_test(tmp_path):
