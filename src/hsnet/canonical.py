@@ -295,18 +295,18 @@ def _classes(n: int) -> dict:
     return found
 
 
-# typed: an untyped cache would answer n=True and n=1.0 with the keys of a
-# cached n=1, since they hash and compare equal to it.
-@lru_cache(maxsize=None, typed=True)
+_sorted_keys = lru_cache(maxsize=None)(lambda n: tuple(sorted(_classes(n))))
+
+
 def enumerate_keys(n: int) -> tuple:
     """The canonical keys of all graphs on n nodes, one per isomorphism
-    class, sorted.  n must be exactly an int (a bool or a float is an
-    EnumerationError)."""
+    class, sorted.  n must be exactly an int, checked before the keys' cache
+    would hash it: a bool, a float or a list is an EnumerationError."""
     if type(n) is not int or n < 0 or n > CANONICAL_MAX_NODES:
         raise EnumerationError(
             f"enumeration supports 0 <= n <= {CANONICAL_MAX_NODES}, got {n!r}"
         )
-    return tuple(sorted(_classes(n)))
+    return _sorted_keys(n)
 
 
 def _key_masks(key: tuple[int, int]) -> list[int]:

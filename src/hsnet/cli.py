@@ -15,11 +15,14 @@ Every file is written by ``_write``, side files (``--dot``, ``--csv``) first:
 one that cannot be written stops its command before the report.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input errors.
+``run``, the one process entry, freezes the heap however ``main`` ends, so
+exit-time collection skips it; ``main``, run often in one process, does not.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import sys
 
@@ -415,5 +418,12 @@ def main(argv=None) -> int:
         return USAGE_ERROR
 
 
+def run() -> int:
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,14 +1,20 @@
 """Command-line surface: formats, exit codes, schema conformance."""
 
+import ast
+import gc
 import hashlib
+import inspect
 import json
+import os
 import random
+import re
 from importlib import resources
 
 import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hsnet import cli as cli_module
 from hsnet.canonical import enumerate_keys
 from hsnet.cli import _enumeration_report, format_json, main
 from hsnet.graphs import Graph, format_graph_text, parse_graph_text
@@ -457,7 +463,8 @@ def test_parser_texts_pinned(monkeypatch, capsys, args):
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):
-    # The hsnet console script calls main() with no arguments.
+    # The hsnet console script and `python -m hsnet.cli` call run(), the
+    # process entry, which calls main() with no arguments.
     assert run(["enumerate", "--n", "4"]) == 0
     want = capsys.readouterr()
     monkeypatch.setattr("sys.argv", ["hsnet", "enumerate", "--n", "4"])
@@ -468,6 +475,74 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
         main()
     assert stop.value.code == 2
     assert capsys.readouterr().err.endswith("error: the following arguments are required: --n\n")
+
+
+# The first lines of a child that checks the process entry: an atexit hook,
+# registered before hsnet runs, so it runs last, after the entry has
+# returned or raised, and reports whether the heap was frozen by then.
+FREEZE_PROBE = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+)
+
+
+@pytest.mark.parametrize("args, code", [
+    ("enumerate --n 3", 0), ("--help", 0), ("design --n 5 --bogus", 2),
+])
+def test_entry_freezes_the_heap_on_every_way_out(monkeypatch, capsys, args, code):
+    # A normal return and argparse's SystemExit, at 0 and 2, run as
+    # `python -m hsnet.cli` would, with the bytes that main() writes in
+    # process; the parser texts keep their pins.
+    monkeypatch.setenv("COLUMNS", "80")
+    proc = run_child([
+        "-c",
+        FREEZE_PROBE + "import runpy\n"
+        "sys.argv = ['hsnet'] + sys.argv[1:]\n"
+        "runpy.run_module('hsnet.cli', run_name='__main__', alter_sys=True)\n",
+    ] + args.split(), timeout=60)
+    try:
+        assert main(args.split()) == code
+    except SystemExit as stop:
+        assert stop.code == code
+    out, err = capsys.readouterr()
+    assert proc.returncode == code
+    assert proc.stdout == out
+    assert proc.stderr == err + "frozen True\n"
+    if args in PARSER_TEXT_SHA256:
+        digests = (hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(err.encode()).hexdigest())
+        assert (code, *digests) == PARSER_TEXT_SHA256[args]
+
+
+def test_entry_freezes_the_heap_when_an_exception_escapes():
+    proc = run_child([
+        "-c",
+        FREEZE_PROBE + "import hsnet.cli\n"
+        "hsnet.cli.main = lambda: 1 // 0\n"
+        "hsnet.cli.run()\n",
+    ])
+    assert proc.returncode == 1
+    assert "ZeroDivisionError" in proc.stderr
+    assert proc.stderr.endswith("frozen True\n")
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(capsys):
+    frozen = gc.get_freeze_count()
+    assert main(["enumerate", "--n", "3"]) == 0
+    with pytest.raises(SystemExit):
+        main(["design", "--n", "5", "--bogus"])
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+
+
+def test_console_script_is_the_main_block_entry():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        script = re.search(r'^\[project\.scripts\]\nhsnet = "(.*)"$', fh.read(), re.M)[1]
+    module = ast.parse(inspect.getsource(cli_module))
+    block = next(node for node in module.body if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "__name__ == '__main__'")
+    assert ast.unparse(block.body) == "sys.exit(run())"
+    assert script == "hsnet.cli:run"
 
 
 def test_top_level_names_resolve_on_first_use():

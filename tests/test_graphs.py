@@ -319,15 +319,20 @@ def test_canonical_keys_decode_to_sorted_edges_and_masks():
 
 def test_enumeration_cache_refuses_equal_non_ints():
     # True and 1.0 hash and compare equal to 1: once the keys of 1 are
-    # cached, an untyped cache would hand them out for both.  A lone
-    # positional int is its own cache key, so the keyword calls are the
-    # ones that would collide.
-    assert enumerate_keys(1) == enumerate_keys(n=1) == ((1, 0),)
-    for n in (True, 1.0):
+    # cached, a cache that saw them would hand them out for both.  A lone
+    # positional int is its own lru_cache key, so the keyword calls are the
+    # ones that would collide.  A list or a dict cannot be hashed, so a
+    # cache that saw them would raise TypeError.  Both call forms of n = 1
+    # read the one cached result, and no refused argument reaches the cache.
+    keys = enumerate_keys(1)
+    misses = canonical_module._sorted_keys.cache_info().misses
+    assert enumerate_keys(1) is enumerate_keys(n=1) is keys == ((1, 0),)
+    for n in (True, 1.0, [1], {}, {1: 1}):
         with pytest.raises(EnumerationError, match="enumeration supports"):
             enumerate_keys(n)
         with pytest.raises(EnumerationError, match="enumeration supports"):
             enumerate_keys(n=n)
+    assert canonical_module._sorted_keys.cache_info().misses == misses
 
 
 def test_canonical_form_separates_small_classes():
@@ -659,13 +664,13 @@ def count_enumeration_calls(monkeypatch, name):
         return counted(*args)
 
     canonical_module._classes.cache_clear()
-    canonical_module.enumerate_keys.cache_clear()
+    canonical_module._sorted_keys.cache_clear()
     monkeypatch.setattr(canonical_module, name, counting)
     try:
         keys = canonical_module.enumerate_keys(7)
     finally:
         canonical_module._classes.cache_clear()
-        canonical_module.enumerate_keys.cache_clear()
+        canonical_module._sorted_keys.cache_clear()
     assert len(keys) == 1044
     return len(calls)
 

@@ -23,8 +23,11 @@ commands:
 * ``design --n 1..15`` under linear beta = 0 and 2 and power beta = 1/2
   and 50, and ``design --n 13 --beta 2 --dot``;
 * ``value-table --n 1 --n-max 50``, to standard output and with ``--output``;
-* ``enumerate --n 0..8``, each with and without ``--count-only``;
-* ``export`` of the first ``solve`` graph in each format.
+* ``enumerate --n 0..8``, each with and without ``--count-only``, and
+  ``enumerate --n 9``, which must be refused;
+* ``export`` of the first ``solve`` graph in each format;
+* ``--help``, ``design --help`` and ``design --n 5 --bogus``, argparse's
+  exits at 0 and 2 (help at COLUMNS = 80).
 
 HSNET_THREADS is 1 wherever a line does not name it.  The whole list takes
 a few minutes, most of it in the n = 8 sweeps.
@@ -79,8 +82,12 @@ def commands(workdir):
     for n in range(9):
         yield 1, ["enumerate", "--n", str(n)]
         yield 1, ["enumerate", "--n", str(n), "--count-only"]
+    yield 1, ["enumerate", "--n", "9"]
     for fmt in ("dot", "json", "text"):
         yield 1, ["export", "--graph", graphs[0], "--format", fmt]
+    yield 1, ["--help"]
+    yield 1, ["design", "--help"]
+    yield 1, ["design", "--n", "5", "--bogus"]
 
 
 def main(argv) -> int:
@@ -91,7 +98,7 @@ def main(argv) -> int:
         return 2
     with tempfile.TemporaryDirectory() as workdir:
         for threads, args in commands(workdir):
-            env = dict(os.environ, PYTHONPATH=src, HSNET_THREADS=str(threads))
+            env = dict(os.environ, PYTHONPATH=src, HSNET_THREADS=str(threads), COLUMNS="80")
             out = subprocess.run([sys.executable, "-m", "hsnet.cli"] + args,
                                  cwd=workdir, env=env, capture_output=True)
             shown = " ".join(args) if threads == 1 else f"HSNET_THREADS={threads} " + " ".join(args)
